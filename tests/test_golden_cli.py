@@ -1,0 +1,133 @@
+"""Seeded CLI stdout, recorded byte for byte.
+
+The panel covers a prime field (F_1013), a table-backed odd extension
+(F_243 = F_{3^5}), characteristic 2 (F_128) and the polynomial-arithmetic
+extension F_2187 = F_{3^7}, two seeds each.  A refactor of the field, curve
+or order layers must leave every line unchanged: the counts, the RNG draw
+order (samples_used, the sampled orders) and the BSGS annihilators.
+"""
+
+import pytest
+
+from hassecount import cli
+
+GOLDEN = [
+    (
+        'count --q 1013 --curve 544,541,80,488,270 --seed 1',
+        '{"count":988,"curve":[544,541,80,488,270],"method":"point_order","q":1013,"samples_used":3,"trace":26,"twist_count":1040}\n',
+    ),
+    (
+        'order --q 1013 --curve 544,541,80,488,270 --seed 1 --point 582,575',
+        '{"annihilator":1066,"curve":[544,541,80,488,270],"order":26,"point":"582,575","q":1013}\n',
+    ),
+    (
+        'twist --q 1013 --curve 544,541,80,488,270 --seed 1',
+        '{"count":988,"curve":[544,541,80,488,270],"q":1013,"twist_count":1040,"twist_curve":[0,139,0,861,778]}\n',
+    ),
+    (
+        'group --q 1013 --curve 544,541,80,488,270 --seed 1',
+        '{"count":988,"curve":[544,541,80,488,270],"lambda":988,"n1":1,"n2":988,"q":1013}\n',
+    ),
+    (
+        'count --q 1013 --curve 544,541,80,488,270 --seed 2',
+        '{"count":988,"curve":[544,541,80,488,270],"method":"point_order","q":1013,"samples_used":1,"trace":26,"twist_count":1040}\n',
+    ),
+    (
+        'order --q 1013 --curve 544,541,80,488,270 --seed 2 --point 978,752',
+        '{"annihilator":988,"curve":[544,541,80,488,270],"order":247,"point":"978,752","q":1013}\n',
+    ),
+    (
+        'twist --q 1013 --curve 544,541,80,488,270 --seed 2',
+        '{"count":988,"curve":[544,541,80,488,270],"q":1013,"twist_count":1040,"twist_curve":[0,139,0,861,778]}\n',
+    ),
+    (
+        'group --q 1013 --curve 544,541,80,488,270 --seed 2',
+        '{"count":988,"curve":[544,541,80,488,270],"lambda":988,"n1":1,"n2":988,"q":1013}\n',
+    ),
+    (
+        'count --q 243 --curve 80,146,173,216,54 --seed 1',
+        '{"count":270,"curve":[80,146,173,216,54],"method":"point_order","q":243,"samples_used":2,"trace":-26,"twist_count":218}\n',
+    ),
+    (
+        'order --q 243 --curve 80,146,173,216,54 --seed 1 --point 145,87',
+        '{"annihilator":270,"curve":[80,146,173,216,54],"order":30,"point":"145,87","q":243}\n',
+    ),
+    (
+        'twist --q 243 --curve 80,146,173,216,54 --seed 1',
+        '{"count":270,"curve":[80,146,173,216,54],"q":243,"twist_count":218,"twist_curve":[0,173,0,191,230]}\n',
+    ),
+    (
+        'group --q 243 --curve 80,146,173,216,54 --seed 1',
+        '{"count":270,"curve":[80,146,173,216,54],"lambda":270,"n1":1,"n2":270,"q":243}\n',
+    ),
+    (
+        'count --q 243 --curve 80,146,173,216,54 --seed 2',
+        '{"count":270,"curve":[80,146,173,216,54],"method":"point_order","q":243,"samples_used":1,"trace":-26,"twist_count":218}\n',
+    ),
+    (
+        'order --q 243 --curve 80,146,173,216,54 --seed 2 --point 220,100',
+        '{"annihilator":270,"curve":[80,146,173,216,54],"order":270,"point":"220,100","q":243}\n',
+    ),
+    (
+        'twist --q 243 --curve 80,146,173,216,54 --seed 2',
+        '{"count":270,"curve":[80,146,173,216,54],"q":243,"twist_count":218,"twist_curve":[0,173,0,191,230]}\n',
+    ),
+    (
+        'group --q 243 --curve 80,146,173,216,54 --seed 2',
+        '{"count":270,"curve":[80,146,173,216,54],"lambda":270,"n1":1,"n2":270,"q":243}\n',
+    ),
+    (
+        'count --q 128 --curve 124,101,105,57,57 --seed 1',
+        '{"count":108,"curve":[124,101,105,57,57],"method":"point_order","q":128,"samples_used":1,"trace":21,"twist_count":150}\n',
+    ),
+    (
+        'order --q 128 --curve 124,101,105,57,57 --seed 1 --point 34,10',
+        '{"annihilator":108,"curve":[124,101,105,57,57],"order":54,"point":"34,10","q":128}\n',
+    ),
+    (
+        'twist --q 128 --curve 124,101,105,57,57 --seed 1',
+        '{"count":108,"curve":[124,101,105,57,57],"q":128,"twist_count":150,"twist_curve":[1,57,0,0,109]}\n',
+    ),
+    (
+        'group --q 128 --curve 124,101,105,57,57 --seed 1',
+        '{"count":108,"curve":[124,101,105,57,57],"lambda":108,"n1":1,"n2":108,"q":128}\n',
+    ),
+    (
+        'count --q 128 --curve 124,101,105,57,57 --seed 2',
+        '{"count":108,"curve":[124,101,105,57,57],"method":"point_order","q":128,"samples_used":3,"trace":21,"twist_count":150}\n',
+    ),
+    (
+        'order --q 128 --curve 124,101,105,57,57 --seed 2 --point 43,115',
+        '{"annihilator":144,"curve":[124,101,105,57,57],"order":6,"point":"43,115","q":128}\n',
+    ),
+    (
+        'twist --q 128 --curve 124,101,105,57,57 --seed 2',
+        '{"count":108,"curve":[124,101,105,57,57],"q":128,"twist_count":150,"twist_curve":[1,57,0,0,109]}\n',
+    ),
+    (
+        'group --q 128 --curve 124,101,105,57,57 --seed 2',
+        '{"count":108,"curve":[124,101,105,57,57],"lambda":108,"n1":1,"n2":108,"q":128}\n',
+    ),
+    (
+        'count --q 2187 --curve 1403,1848,1574,772,2030 --seed 1',
+        '{"count":2279,"curve":[1403,1848,1574,772,2030],"method":"point_order","q":2187,"samples_used":2,"trace":-91,"twist_count":2097}\n',
+    ),
+    (
+        'order --q 2187 --curve 1403,1848,1574,772,2030 --seed 1 --point 550,594',
+        '{"annihilator":2279,"curve":[1403,1848,1574,772,2030],"order":43,"point":"550,594","q":2187}\n',
+    ),
+    (
+        'count --q 2187 --curve 1403,1848,1574,772,2030 --seed 2',
+        '{"count":2279,"curve":[1403,1848,1574,772,2030],"method":"point_order","q":2187,"samples_used":1,"trace":-91,"twist_count":2097}\n',
+    ),
+    (
+        'order --q 2187 --curve 1403,1848,1574,772,2030 --seed 2 --point 231,992',
+        '{"annihilator":2279,"curve":[1403,1848,1574,772,2030],"order":2279,"point":"231,992","q":2187}\n',
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,stdout", GOLDEN, ids=[a for a, _ in GOLDEN])
+def test_cli_stdout_unchanged(capsys, argv, stdout):
+    assert cli.main(argv.split()) == 0
+    assert capsys.readouterr().out == stdout
