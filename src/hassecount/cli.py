@@ -3,7 +3,8 @@
 Commands: count, order, twist, group, exceptions, table1, selftest.  All data
 goes to stdout (JSON by default, TSV via --format tsv), diagnostics to stderr.
 Exit codes: 0 success, 2 usage/parse error, 3 domain error (excluded field,
-singular curve, field too large, ...), 4 internal invariant violation.
+singular curve, field too large, ...), 4 internal invariant violation or any
+other unexpected exception.
 
 Randomized commands take --seed (default 0) and use Python's random.Random
 (MT19937), so identical invocations print identical bytes.
@@ -18,7 +19,7 @@ import random
 import sys
 
 from . import __version__
-from .counting import count_points, group_structure, lambda_exponent
+from .counting import count_points, group_structure
 from .curve import Curve, count_exhaustive, quadratic_twist
 from .errors import (
     HasseCountError,
@@ -176,7 +177,7 @@ def _cmd_group(args) -> int:
             "q": spec.q,
             "curve": list(curve.coefficients()),
             "count": st.n1 * st.n2,
-            "lambda": lambda_exponent(curve),
+            "lambda": st.n2,
             "n1": st.n1,
             "n2": st.n2,
         },
@@ -343,6 +344,9 @@ def main(argv=None) -> int:
     except HasseCountError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:  # any escaped bug still honours the exit-code contract
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

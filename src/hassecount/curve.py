@@ -198,25 +198,6 @@ class Curve:
         r = s.sqrt_enc(w)
         return sorted((s.sub_enc(r, t), s.sub_enc(s.neg_enc(r), t)))
 
-    def count_y_solutions(self, x: int) -> int:
-        """Number of y with (x, y) on the curve, without computing roots."""
-        s = self.spec
-        d = self._rhs_enc(x)
-        if s.char2:
-            c = s.mul_enc(self.a1.enc, x) ^ self.a3.enc
-            if c == 0:
-                return 1
-            if s.q > _CHAR2_SOLVE_LIMIT:
-                raise FieldTooLarge("char-2 y-solving guarded to q <= 2^16")
-            tr, _ = s.trace_artin_tables()
-            e = s.mul_enc(d, s.inv_enc(s.mul_enc(c, c)))
-            return 0 if int(tr[e]) else 2
-        half = s.inv_enc(2 % s.p)
-        t = s.mul_enc(s.add_enc(s.mul_enc(self.a1.enc, x), self.a3.enc), half)
-        w = s.add_enc(d, s.mul_enc(t, t))
-        chi = s.chi_table()
-        return 1 + int(chi[w])
-
 
 def make_curve(spec: FieldSpec, a1, a2, a3, a4, a6) -> Curve:
     """Construct a curve, rejecting singular coefficient vectors."""
@@ -225,18 +206,6 @@ def make_curve(spec: FieldSpec, a1, a2, a3, a4, a6) -> Curve:
 
 def is_on_curve(curve: Curve, pt: Point) -> bool:
     return curve.is_on_curve(pt)
-
-
-def add_points(curve: Curve, p: Point, q: Point) -> Point:
-    return curve.add_points(p, q)
-
-
-def negate(curve: Curve, p: Point) -> Point:
-    return curve.negate(p)
-
-
-def scalar_mul(curve: Curve, n: int, p: Point) -> Point:
-    return curve.scalar_mul(n, p)
 
 
 def enumerate_points(curve: Curve) -> list[Point]:

@@ -10,7 +10,8 @@ model is reproducible from (p, k) alone.
 Prime fields compute directly mod p.  Extension fields of moderate size build
 flat multiplication/addition tables (vectorized with numpy) so that the hot
 counting loops run on plain integer lookups; larger extensions fall back to
-polynomial arithmetic per operation.
+polynomial arithmetic per operation.  The O(q) tables (quadratic character,
+char-2 trace and Artin roots) are built on first use at any size.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ import numpy as np
 from .errors import NotASquare, NotPrime, ReduciblePolynomial, SpecMismatch
 from .integers import factorize, is_prime
 
-# Extension fields up to this size get q^2 lookup tables; all certification
-# work lives at q <= 1024.
+# Extension fields up to this size get q^2 mul/add tables and an inverse
+# table; all certification work lives at q <= 1024.
 _TABLE_LIMIT = 1200
 
 _SPEC_CACHE: dict[tuple[int, int, tuple[int, ...]], "FieldSpec"] = {}
@@ -143,7 +144,7 @@ class FieldSpec:
         self._inv = None
         self._chi = None  # quadratic character by encoding: -1/0/1 (odd q)
         self._trace = None  # absolute trace by encoding (char 2)
-        self._artin = None  # char 2: a solution z of z^2+z=e for each solvable e
+        self._artin = None  # char 2: smallest z with z^2+z=e, -1 when there is none
         self._primitive = None
         self._sqrt_nonres = None
 
@@ -210,7 +211,7 @@ class FieldSpec:
             return a * b % self.p
         t = self._mul
         if t is None:
-            t = self._tables()[0]
+            t = self.mul_add_tables()[0]
         if t is not None:
             return int(t[a * self.q + b])
         prod = _poly_mulmod(list(self.decode(a)), list(self.decode(b)), list(self.modulus), self.p)
@@ -237,15 +238,14 @@ class FieldSpec:
         if self.k == 1:
             return pow(a, self.p - 2, self.p)
         if self.q <= _TABLE_LIMIT:
-            self._tables()
-            return int(self._inv[a])
+            return int(self.inv_table()[a])
         return self.pow_enc(a, self.q - 2)
 
     def is_square_enc(self, a: int) -> bool:
         if a == 0 or self.char2:
             return True
-        if self._chi is not None:
-            return self._chi[a] >= 0
+        if self._chi is not None or self.q <= _TABLE_LIMIT:
+            return self.chi_table()[a] >= 0
         return self.pow_enc(a, (self.q - 1) // 2) == 1
 
     def sqrt_enc(self, a: int) -> int:
@@ -313,9 +313,12 @@ class FieldSpec:
         return acc
 
     # -- lazy tables ----------------------------------------------------------------
+    # Each table has one builder, called on first use and cached on the spec.
 
-    def _tables(self):
-        """Build (mul, add) tables for moderate extension fields; (None, None) beyond."""
+    def mul_add_tables(self):
+        """Flat q^2 (mul, add) tables, index a*q+b, for extension fields up to
+        the table limit; add is None in characteristic 2 (XOR).  (None, None)
+        for prime fields and beyond the limit."""
         if self.k == 1 or self.q > _TABLE_LIMIT:
             return None, None
         if self._mul is None:
@@ -326,9 +329,12 @@ class FieldSpec:
                 digits[:, i] = n % p
                 n //= p
             pw = np.array([p**i for i in range(k)], dtype=np.int64)
-            # alpha_shift[i] = digit vectors of alpha^i * b for every b
-            shift = digits.copy()
-            red = [np.array(self.decode(e), dtype=np.int64) for e in self._alpha_powers(2 * k - 1)]
+            # red[t] = digit vector of alpha^t reduced mod the modulus
+            red = []
+            cur = [1]
+            for _ in range(2 * k - 1):
+                red.append(np.array(cur + [0] * (k - len(cur)), dtype=np.int64))
+                cur = _poly_mulmod(cur, [0, 1], list(self.modulus), p)
             mul = np.zeros((q, q), dtype=np.int64)
             for a in range(q):
                 ad = digits[a]
@@ -344,34 +350,18 @@ class FieldSpec:
             if not self.char2:
                 s = (digits[:, None, :] + digits[None, :, :]) % p
                 self._add = (s @ pw).astype(np.int32).ravel()
-            self._build_inv()
-            if not self.char2:
-                self._build_chi()
-            else:
-                self._build_trace_artin()
         return self._mul, self._add
 
-    def _alpha_powers(self, count: int) -> list[int]:
-        """Encodings of alpha^0 .. alpha^(count-1) reduced mod the modulus."""
-        out = []
-        cur = [1]
-        for _ in range(count):
-            out.append(self.encode(cur + [0] * (self.k - len(cur))))
-            cur = _poly_mulmod(cur, [0, 1], list(self.modulus), self.p)
-        return out
-
-    def _build_inv(self):
+    def inv_table(self):
+        """Inverse by encoding (0 at 0), read off the multiplication table."""
         if self._inv is None:
-            inv = np.zeros(self.q, dtype=np.int32)
-            for a in range(1, self.q):
-                if inv[a] == 0:
-                    ia = self.pow_enc(a, self.q - 2) if self.k > 1 else pow(a, self.p - 2, self.p)
-                    inv[a] = ia
-                    inv[ia] = a
-            self._inv = inv
+            q = self.q
+            inv = np.argmax(self.mul_add_tables()[0].reshape(q, q) == 1, axis=1)
+            self._inv = inv.astype(np.int32)
+        return self._inv
 
-    def _build_chi(self):
-        """Quadratic character by encoding (odd q): 0 at 0, +1 squares, -1 rest."""
+    def chi_table(self):
+        """Quadratic character by encoding: 0 at 0, +1 on squares, -1 elsewhere."""
         if self._chi is None:
             chi = np.full(self.q, -1, dtype=np.int8)
             chi[0] = 0
@@ -379,49 +369,29 @@ class FieldSpec:
             for a in range(1, self.q):
                 chi[mul(a, a)] = 1
             self._chi = chi
-
-    def _build_trace_artin(self):
-        """Char 2: trace table plus one solution of z^2 + z = e per solvable e."""
-        if self._trace is None:
-            q = self.q
-            tr = np.zeros(q, dtype=np.int8)
-            artin = np.full(q, -1, dtype=np.int64)
-            for a in range(q):
-                s = a
-                frob = a
-                for _ in range(self.k - 1):
-                    frob = self.mul_enc(frob, frob)
-                    s ^= frob
-                tr[a] = s
-            for z in range(q):
-                e = self.mul_enc(z, z) ^ z
-                if artin[e] < 0:
-                    artin[e] = z
-            self._trace = tr
-            self._artin = artin
-
-    def chi_table(self):
-        """Quadratic character table (odd q only), building field tables if needed."""
-        if self._chi is None:
-            if self.k == 1:
-                chi = np.full(self.q, -1, dtype=np.int8)
-                chi[0] = 0
-                p = self.p
-                for a in range(1, p):
-                    chi[a * a % p] = 1
-                self._chi = chi
-            else:
-                self._tables()
         return self._chi
 
     def trace_artin_tables(self):
-        """(trace, artin-solution) tables for char-2 counting loops."""
+        """Char 2: (trace, artin) by encoding, where artin[e] is the smallest
+        root of z^2 + z = e, or -1 when there is none (trace of e is 1).
+
+        Both z -> Tr(z) and z -> z^2 + z are F_2-linear, so the tables are
+        spanned from the basis values at 1, 2, 4, ...: doubling the table over
+        each basis element costs one vectorized XOR.  The kernel of z^2 + z is
+        {0, 1}, so the even encodings hit every root class once and hold the
+        smaller root of each pair.
+        """
         if self._trace is None:
-            if self.k == 1:
-                self._trace = np.array([0, 1], dtype=np.int8)
-                self._artin = np.array([0, -1], dtype=np.int64)
-            else:
-                self._tables()
+            tr = np.zeros(1, dtype=np.int8)
+            img = np.zeros(1, dtype=np.int64)  # img[z] = z^2 + z
+            for i in range(self.k):
+                b = 1 << i
+                tr = np.concatenate((tr, tr ^ self.trace_enc(b)))
+                img = np.concatenate((img, img ^ (self.mul_enc(b, b) ^ b)))
+            artin = np.full(self.q, -1, dtype=np.int64)
+            artin[img[0::2]] = np.arange(0, self.q, 2)
+            self._trace = tr
+            self._artin = artin
         return self._trace, self._artin
 
     # -- misc ----------------------------------------------------------------------
@@ -568,30 +538,6 @@ def spec_for_q(q: int, modulus=None) -> FieldSpec:
 
     p, k = split_prime_power(q)
     return make_spec(p, k, modulus)
-
-
-def add(a: FieldElement, b: FieldElement) -> FieldElement:
-    return a + b
-
-
-def sub(a: FieldElement, b: FieldElement) -> FieldElement:
-    return a - b
-
-
-def neg(a: FieldElement) -> FieldElement:
-    return -a
-
-
-def mul(a: FieldElement, b: FieldElement) -> FieldElement:
-    return a * b
-
-
-def inv(a: FieldElement) -> FieldElement:
-    return a.inverse()
-
-
-def pow_(a: FieldElement, e: int) -> FieldElement:
-    return a**e
 
 
 def is_square(a: FieldElement) -> bool:

@@ -10,11 +10,11 @@ precisely where the interesting supersingular curves live.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import isqrt
 
 from .curve import Curve, Point
 from .errors import IncompatibleCongruence, InternalInvariantError
-from .integers import divisors, ext_gcd, factorize, lcm
+from .integers import ext_gcd, factorize
 
 __all__ = [
     "HasseInterval",
@@ -26,11 +26,6 @@ __all__ = [
     "crt_merge",
     "unique_trace_candidate",
     "trace_candidates",
-    "factorize",
-    "divisors",
-    "lcm",
-    "gcd",
-    "isqrt",
 ]
 
 
@@ -88,24 +83,9 @@ class OpCounter:
         self.adds = 0
 
 
-def _counted_add(curve: Curve, p: Point, q: Point, ops: OpCounter | None) -> Point:
-    if ops is not None:
-        ops.adds += 1
-    return curve.add_points(p, q)
-
-
-def _counted_scalar(curve: Curve, n: int, pt: Point, ops: OpCounter | None) -> Point:
-    if n < 0:
-        return _counted_scalar(curve, -n, curve.negate(pt), ops)
-    acc = curve.infinity()
-    base = pt
-    while n:
-        if n & 1:
-            acc = _counted_add(curve, acc, base, ops)
-        n >>= 1
-        if n:
-            base = _counted_add(curve, base, base, ops)
-    return acc
+def _scalar_mul_adds(n: int) -> int:
+    """add_points calls Curve.scalar_mul makes for n > 0 (double-and-add)."""
+    return n.bit_length() - 1 + n.bit_count()
 
 
 def bsgs_annihilator(curve: Curve, pt: Point, ops: OpCounter | None = None) -> int:
@@ -118,8 +98,11 @@ def bsgs_annihilator(curve: Curve, pt: Point, ops: OpCounter | None = None) -> i
     interval = hasse_interval(curve.spec.q)
     if pt.is_infinity:
         return interval.lo
+    if ops is None:
+        ops = OpCounter()
     tb = interval.trace_bound
     s = max(2, isqrt(tb) + 1)
+    spec = curve.spec
 
     # baby table: x-encoding of j*P -> list of (j, y-encoding)
     table: dict[int, list[tuple[int, int]]] = {}
@@ -131,17 +114,19 @@ def bsgs_annihilator(curve: Curve, pt: Point, ops: OpCounter | None = None) -> i
             return -(-interval.lo // j) * j
         table.setdefault(jp.x.enc, []).append((j, jp.y.enc))
         if j < s - 1:
-            jp = _counted_add(curve, jp, pt, ops)
+            jp = curve.add_points(jp, pt)
+            ops.adds += 1
 
     stride = 2 * s - 1
     c = -tb + s - 1
     # R = (q+1-c)*P, stepped down by stride*P each round
-    r = _counted_scalar(curve, curve.spec.q + 1 - c, pt, ops)
-    step = curve.negate(_counted_scalar(curve, stride, pt, ops))
+    r = curve.scalar_mul(spec.q + 1 - c, pt)
+    step = curve.negate(curve.scalar_mul(stride, pt))
+    ops.adds += _scalar_mul_adds(spec.q + 1 - c) + _scalar_mul_adds(stride)
 
     def accept(t: int) -> int | None:
         if abs(t) <= tb:
-            return curve.spec.q + 1 - t
+            return spec.q + 1 - t
         return None
 
     while c - (s - 1) <= tb:
@@ -153,19 +138,21 @@ def bsgs_annihilator(curve: Curve, pt: Point, ops: OpCounter | None = None) -> i
             hits = table.get(r.x.enc)
             if hits:
                 ry = r.y.enc
+                # -(x, y) = (x, -y - a1*x - a3): r = -j*P iff ry + yj + a1*x + a3 = 0
+                shift = spec.add_enc(ry, spec.add_enc(spec.mul_enc(curve.a1.enc, r.x.enc), curve.a3.enc))
                 for j, yj in hits:
                     # r = (q+1-c-t')*P matched against +-j*P
                     if ry == yj:
                         m = accept(c + j)
                         if m is not None:
                             return m
-                    neg_y = curve.negate(Point(curve, r.x, curve.spec.element(yj))).y.enc
-                    if ry == neg_y:
+                    if spec.add_enc(shift, yj) == 0:
                         m = accept(c - j)
                         if m is not None:
                             return m
         c += stride
-        r = _counted_add(curve, r, step, ops)
+        r = curve.add_points(r, step)
+        ops.adds += 1
     raise InternalInvariantError("BSGS found no annihilator in the Hasse interval")
 
 

@@ -28,7 +28,6 @@ class CheckResult(NamedTuple):
     detail: str
 
 
-TRACE_AMBIGUOUS_Q = frozenset({3, 4, 5, 7, 9, 11, 16, 17, 23, 25, 29, 49})
 COROLLARY_SET = frozenset({5, 7, 9, 11, 17, 23, 29})
 
 
@@ -46,7 +45,7 @@ def run_selftest(fast: bool = False, jobs: int = 1) -> list[CheckResult]:
 
     def trace_ambiguity():
         got = exceptional_q_set(1024)
-        return got == set(TRACE_AMBIGUOUS_Q), f"exceptional q: {sorted(got)}"
+        return got == set(EXCLUDED_Q), f"exceptional q: {sorted(got)}"
 
     results.append(_check("trace-ambiguity-set", trace_ambiguity))
 

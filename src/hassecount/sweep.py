@@ -45,7 +45,7 @@ class _VecField:
         self.q = spec.q
         self.prime = spec.k == 1
         if not self.prime:
-            mul, add = spec._tables()
+            mul, add = spec.mul_add_tables()
             if mul is None:
                 raise InternalInvariantError("sweep kernels need table-backed fields")
             self.MUL = mul

@@ -185,6 +185,16 @@ def test_exit_internal_error(capsys, monkeypatch):
     assert code == 4 and "IterationCapExceeded" in err
 
 
+def test_exit_internal_error_unexpected_exception(capsys, monkeypatch):
+    def boom(*a, **k):
+        raise TypeError("synthetic")
+
+    monkeypatch.setattr(cli, "count_points", boom)
+    code, out, err = run(capsys, "count", "--q", "53", "--curve", "0,0,0,1,1")
+    assert code == 4 and out == ""
+    assert err.splitlines() == ["internal error: TypeError: synthetic"]
+
+
 def test_exit_usage_argparse(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["count", "--q", "7"])  # missing --curve

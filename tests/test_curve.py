@@ -229,5 +229,3 @@ def test_char2_solver_guard():
     e = cv.make_curve(spec, 1, 0, 0, 0, 1)
     with pytest.raises(FieldTooLarge):
         e.y_solutions(2)
-    with pytest.raises(FieldTooLarge):
-        e.count_y_solutions(2)

@@ -7,7 +7,7 @@ from hassecount import curve as cv
 from hassecount import finite_field as ff
 from hassecount import order as od
 from hassecount.errors import IncompatibleCongruence, SingularCurve
-from hassecount.integers import prime_powers
+from hassecount.integers import divisors, factorize, lcm, prime_powers
 
 
 def random_curve(spec, rng):
@@ -110,7 +110,7 @@ def test_exact_order_table1_q3():
     for p in cv.enumerate_points(e):
         o = od.exact_order(e, p, 4)
         orders.add(o)
-        lam = od.lcm(lam, o)
+        lam = lcm(lam, o)
     assert orders == {1, 2} and lam == 2
 
 
@@ -134,7 +134,7 @@ def test_exact_order_vs_brute_force(q):
             assert fast == brute
             # minimality certificate
             assert e.scalar_mul(fast, p).is_infinity
-            for ell in set(od.factorize(fast)):
+            for ell in set(factorize(fast)):
                 assert not e.scalar_mul(fast // ell, p).is_infinity
 
 
@@ -161,7 +161,7 @@ def test_crt_random_property():
         m1, m2 = rng.randrange(1, 60), rng.randrange(1, 60)
         x = rng.randrange(5000)
         out = od.crt_merge(od.Congruence(x % m1, m1), od.Congruence(x % m2, m2))
-        assert out.m == od.lcm(m1, m2)
+        assert out.m == lcm(m1, m2)
         assert out.a % m1 == x % m1 and out.a % m2 == x % m2
 
 
@@ -206,10 +206,10 @@ def test_trace_candidates_random_oracle():
 # --- integer utilities ------------------------------------------------------------
 
 def test_integer_utilities():
-    assert od.factorize(24) == [2, 2, 2, 3]
-    assert od.factorize(1) == []
-    assert od.isqrt(4 * 49) == 14
-    assert od.lcm(6, 8) == 24
+    assert factorize(24) == [2, 2, 2, 3]
+    assert factorize(1) == []
+    assert isqrt(4 * 49) == 14
+    assert lcm(6, 8) == 24
     with pytest.raises(ValueError):
-        od.factorize(1 << 63)
-    assert od.divisors(24) == [1, 2, 3, 4, 6, 8, 12, 24]
+        factorize(1 << 63)
+    assert divisors(24) == [1, 2, 3, 4, 6, 8, 12, 24]
