@@ -43,7 +43,7 @@ while True:
     cands = trace_candidates(cong, q)
     side = "E'" if on_twist else "E "
     print(
-        f"sample {step + 1}: {side} point ({pt.x.enc},{pt.y.enc}) "
+        f"sample {step + 1}: {side} point ({pt.x},{pt.y}) "
         f"has order {order:4d} -> t = {cong.a} (mod {cong.m}), "
         f"{len(cands)} admissible trace(s)"
     )

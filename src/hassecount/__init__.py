@@ -8,7 +8,6 @@ from .curve import (
     count_exhaustive,
     count_pair_scan,
     enumerate_points,
-    is_on_curve,
     make_curve,
     quadratic_twist,
     random_point,

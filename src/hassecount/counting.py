@@ -17,7 +17,7 @@ from typing import Literal
 
 from .curve import Curve, count_exhaustive, enumerate_points, quadratic_twist, random_point
 from .errors import ExcludedField, FieldTooLarge, InternalInvariantError, IterationCapExceeded
-from .integers import factorize, lcm
+from .integers import lcm
 from .order import (
     Congruence,
     bsgs_annihilator,
@@ -103,7 +103,7 @@ def _count_by_point_orders(
         samples += 1
         if transcript is not None:
             transcript.append(
-                ("E'" if on_twist else "E", None if pt.is_infinity else (pt.x.enc, pt.y.enc), n)
+                ("E'" if on_twist else "E", None if pt.is_infinity else (pt.x, pt.y), n)
             )
         residue = (-qp1) % n if on_twist else qp1 % n
         cong = crt_merge(cong, Congruence(residue, n))
@@ -136,16 +136,15 @@ def lambda_exponent(curve: Curve) -> int:
     """Group exponent: lcm of the orders of all rational points (q <= 2^16)."""
     if curve.spec.q > 1 << 16:
         raise FieldTooLarge("exponent computation enumerates all points; q <= 2^16 only")
-    n = count_exhaustive(curve)
-    primes = sorted(set(factorize(n)))
+    return _exponent_given_count(curve, count_exhaustive(curve))
+
+
+def _exponent_given_count(curve: Curve, n: int) -> int:
+    """Group exponent from #E = n: lcm of the point orders, each found by
+    exact_order with n as the annihilator, stopping once it reaches n."""
     lam = 1
     for pt in enumerate_points(curve):
-        # order of pt divides n; strip primes from n rather than re-running BSGS
-        o = n
-        for ell in primes:
-            while o % ell == 0 and curve.scalar_mul(o // ell, pt).is_infinity:
-                o //= ell
-        lam = lcm(lam, o)
+        lam = lcm(lam, exact_order(curve, pt, n))
         if lam == n:
             break
     return lam
@@ -156,7 +155,7 @@ def group_structure(curve: Curve) -> GroupStructure:
     if curve.spec.q > 1 << 16:
         raise FieldTooLarge("structure computation enumerates all points; q <= 2^16 only")
     n = count_exhaustive(curve)
-    n2 = lambda_exponent(curve)
+    n2 = _exponent_given_count(curve, n)
     n1, rem = divmod(n, n2)
     if rem or n2 % n1 or (curve.spec.q - 1) % n1:
         raise InternalInvariantError(

@@ -4,6 +4,10 @@ Everything is written for the long form y^2 + a1*x*y + a3*y = x^3 + a2*x^2 +
 a4*x + a6 so a single code path covers characteristics 2 and 3 alongside the
 generic case; only quadratic_twist and the per-x solution counting branch on
 the characteristic.
+
+Coefficients and point coordinates are field encodings (plain ints, see
+finite_field) and every formula calls the FieldSpec kernels on them; an
+integer constant c is the encoding c % p.
 """
 
 from __future__ import annotations
@@ -11,18 +15,18 @@ from __future__ import annotations
 import random
 
 from .errors import FieldTooLarge, InternalInvariantError, PointNotOnCurve, SingularCurve
-from .finite_field import FieldElement, FieldSpec
+from .finite_field import FieldSpec
 
 _ENUMERATE_LIMIT = 1 << 20
 _CHAR2_SOLVE_LIMIT = 1 << 16
 
 
 class Point:
-    """A rational point: affine (x, y) or the point at infinity."""
+    """A rational point: affine (x, y) encodings, or infinity (x = y = None)."""
 
     __slots__ = ("curve", "x", "y")
 
-    def __init__(self, curve: "Curve", x: FieldElement | None, y: FieldElement | None):
+    def __init__(self, curve: "Curve", x: int | None, y: int | None):
         self.curve = curve
         self.x = x
         self.y = y
@@ -34,31 +38,17 @@ class Point:
     def __eq__(self, other):
         if not isinstance(other, Point):
             return NotImplemented
-        if self.is_infinity or other.is_infinity:
-            return self.is_infinity and other.is_infinity
         return self.x == other.x and self.y == other.y
 
     def __hash__(self):
         if self.is_infinity:
             return hash(("inf", self.curve.spec.q))
-        return hash((self.x.enc, self.y.enc))
-
-    def __neg__(self):
-        return self.curve.negate(self)
-
-    def __add__(self, other):
-        return self.curve.add_points(self, other)
-
-    def __sub__(self, other):
-        return self.curve.add_points(self, self.curve.negate(other))
-
-    def __rmul__(self, n: int):
-        return self.curve.scalar_mul(n, self)
+        return hash((self.x, self.y))
 
     def __repr__(self):
         if self.is_infinity:
             return "Point(inf)"
-        return f"Point({self.x.enc}, {self.y.enc})"
+        return f"Point({self.x}, {self.y})"
 
 
 class Curve:
@@ -68,20 +58,18 @@ class Curve:
 
     def __init__(self, spec: FieldSpec, a1, a2, a3, a4, a6):
         self.spec = spec
-        self.a1, self.a2, self.a3, self.a4, self.a6 = (
-            spec.element(a1),
-            spec.element(a2),
-            spec.element(a3),
-            spec.element(a4),
-            spec.element(a6),
-        )
-        a1e, a2e, a3e, a4e, a6e = self.a1, self.a2, self.a3, self.a4, self.a6
-        b2 = a1e * a1e + 4 * a2e
-        b4 = 2 * a4e + a1e * a3e
-        b6 = a3e * a3e + 4 * a6e
-        b8 = a1e * a1e * a6e + 4 * a2e * a6e - a1e * a3e * a4e + a2e * a3e * a3e - a4e * a4e
-        disc = -(b2 * b2) * b8 - 8 * (b4 * b4 * b4) - 27 * (b6 * b6) + 9 * b2 * b4 * b6
-        if disc.enc == 0:
+        a1, a2, a3, a4, a6 = (spec.element(a).enc for a in (a1, a2, a3, a4, a6))
+        self.a1, self.a2, self.a3, self.a4, self.a6 = a1, a2, a3, a4, a6
+        add, sub, mul, p = spec.add_enc, spec.sub_enc, spec.mul_enc, spec.p
+        b2 = add(mul(a1, a1), mul(4 % p, a2))
+        b4 = add(mul(2 % p, a4), mul(a1, a3))
+        b6 = add(mul(a3, a3), mul(4 % p, a6))
+        # b8 = a1^2 a6 + 4 a2 a6 - a1 a3 a4 + a2 a3^2 - a4^2 = b2 a6 + a2 a3^2 - a4 (a1 a3 + a4)
+        b8 = sub(add(mul(b2, a6), mul(a2, mul(a3, a3))), mul(a4, add(mul(a1, a3), a4)))
+        # disc = -b2^2 b8 - 8 b4^3 - 27 b6^2 + 9 b2 b4 b6 = b6 (9 b2 b4 - 27 b6) - b2^2 b8 - 8 b4^3
+        disc = sub(mul(b6, sub(mul(9 % p, mul(b2, b4)), mul(27 % p, b6))), mul(mul(b2, b2), b8))
+        disc = sub(disc, mul(8 % p, mul(b4, mul(b4, b4))))
+        if disc == 0:
             raise SingularCurve(f"discriminant vanishes for {self.coefficients()} over F_{spec.q}")
         self.b2, self.b4, self.b6, self.b8 = b2, b4, b6, b8
         self.discriminant = disc
@@ -89,7 +77,7 @@ class Curve:
     # -- basic structure -----------------------------------------------------------
 
     def coefficients(self) -> tuple[int, int, int, int, int]:
-        return (self.a1.enc, self.a2.enc, self.a3.enc, self.a4.enc, self.a6.enc)
+        return (self.a1, self.a2, self.a3, self.a4, self.a6)
 
     def __eq__(self, other):
         return (
@@ -109,42 +97,48 @@ class Curve:
 
     def point(self, x, y) -> Point:
         """Checked affine point constructor."""
-        pt = Point(self, self.spec.element(x), self.spec.element(y))
+        pt = Point(self, self.spec.element(x).enc, self.spec.element(y).enc)
         if not self.is_on_curve(pt):
-            raise PointNotOnCurve(f"({pt.x.enc}, {pt.y.enc}) not on {self!r}")
+            raise PointNotOnCurve(f"({pt.x}, {pt.y}) not on {self!r}")
         return pt
 
     def is_on_curve(self, pt: Point) -> bool:
         if pt.is_infinity:
             return True
-        x, y = pt.x, pt.y
-        lhs = y * y + self.a1 * x * y + self.a3 * y
-        rhs = ((x + self.a2) * x + self.a4) * x + self.a6
-        return lhs == rhs
+        s, x, y = self.spec, pt.x, pt.y
+        # y (y + a1 x + a3) = x^3 + a2 x^2 + a4 x + a6
+        return s.mul_enc(y, s.add_enc(s.add_enc(y, s.mul_enc(self.a1, x)), self.a3)) == self._rhs_enc(x)
 
     # -- group law -----------------------------------------------------------------
 
     def negate(self, pt: Point) -> Point:
         if pt.is_infinity:
             return pt
-        return Point(self, pt.x, -pt.y - self.a1 * pt.x - self.a3)
+        s = self.spec
+        # -(x, y) = (x, -y - a1 x - a3)
+        return Point(self, pt.x, s.neg_enc(s.add_enc(s.add_enc(pt.y, s.mul_enc(self.a1, pt.x)), self.a3)))
 
     def add_points(self, p: Point, q: Point) -> Point:
-        if p.is_infinity:
-            return q
-        if q.is_infinity:
-            return p
         x1, y1, x2, y2 = p.x, p.y, q.x, q.y
+        if x1 is None:
+            return q
+        if x2 is None:
+            return p
+        s = self.spec
+        add, sub, mul = s.add_enc, s.sub_enc, s.mul_enc
+        a1 = self.a1
         if x1 == x2:
-            if y2 == -y1 - self.a1 * x1 - self.a3:
+            w = add(add(y1, mul(a1, x1)), self.a3)
+            if add(w, y2) == 0:  # y2 = -y1 - a1 x1 - a3, so q = -p
                 return self.infinity()
-            # remaining case is p == q with nonzero tangent denominator
-            den = 2 * y1 + self.a1 * x1 + self.a3
-            lam = (3 * x1 * x1 + 2 * self.a2 * x1 + self.a4 - self.a1 * y1) / den
+            # remaining case is p == q: lam = (3 x1^2 + 2 a2 x1 + a4 - a1 y1) / (w + y1), w + y1 != 0
+            num = sub(add(mul(add(mul(3 % s.p, x1), mul(2 % s.p, self.a2)), x1), self.a4), mul(a1, y1))
+            lam = mul(num, s.inv_enc(add(w, y1)))
         else:
-            lam = (y2 - y1) / (x2 - x1)
-        x3 = lam * lam + self.a1 * lam - self.a2 - x1 - x2
-        y3 = -(lam * (x3 - x1) + y1) - self.a1 * x3 - self.a3
+            lam = mul(sub(y2, y1), s.inv_enc(sub(x2, x1)))
+        # x3 = lam^2 + a1 lam - a2 - x1 - x2, y3 = -(lam (x3 - x1) + y1) - a1 x3 - a3
+        x3 = sub(mul(lam, add(lam, a1)), add(add(self.a2, x1), x2))
+        y3 = s.neg_enc(add(add(add(mul(lam, sub(x3, x1)), y1), mul(a1, x3)), self.a3))
         return Point(self, x3, y3)
 
     def scalar_mul(self, n: int, pt: Point) -> Point:
@@ -166,8 +160,8 @@ class Curve:
         """x^3 + a2 x^2 + a4 x + a6 (encoded)."""
         s = self.spec
         return s.add_enc(
-            s.mul_enc(s.add_enc(s.mul_enc(s.add_enc(x, self.a2.enc), x), self.a4.enc), x),
-            self.a6.enc,
+            s.mul_enc(s.add_enc(s.mul_enc(s.add_enc(x, self.a2), x), self.a4), x),
+            self.a6,
         )
 
     def y_solutions(self, x: int) -> list[int]:
@@ -175,7 +169,7 @@ class Curve:
         s = self.spec
         d = self._rhs_enc(x)
         if s.char2:
-            c = s.mul_enc(self.a1.enc, x) ^ self.a3.enc
+            c = s.mul_enc(self.a1, x) ^ self.a3
             if c == 0:
                 return [s.sqrt_enc(d)]
             if s.q > _CHAR2_SOLVE_LIMIT:
@@ -189,7 +183,7 @@ class Curve:
             return ys
         # odd characteristic: complete the square
         half = s.inv_enc(2 % s.p)
-        t = s.mul_enc(s.add_enc(s.mul_enc(self.a1.enc, x), self.a3.enc), half)
+        t = s.mul_enc(s.add_enc(s.mul_enc(self.a1, x), self.a3), half)
         w = s.add_enc(d, s.mul_enc(t, t))
         if w == 0:
             return [s.neg_enc(t)]
@@ -204,20 +198,15 @@ def make_curve(spec: FieldSpec, a1, a2, a3, a4, a6) -> Curve:
     return Curve(spec, a1, a2, a3, a4, a6)
 
 
-def is_on_curve(curve: Curve, pt: Point) -> bool:
-    return curve.is_on_curve(pt)
-
-
 def enumerate_points(curve: Curve) -> list[Point]:
     """All rational points: infinity first, then affine sorted by (x, y) encoding."""
     q = curve.spec.q
     if q > _ENUMERATE_LIMIT:
         raise FieldTooLarge(f"point enumeration guarded to q <= 2^20, got {q}")
-    spec = curve.spec
     pts = [curve.infinity()]
     for x in range(q):
         for y in curve.y_solutions(x):
-            pts.append(Point(curve, FieldElement(spec, x), FieldElement(spec, y)))
+            pts.append(Point(curve, x, y))
     return pts
 
 
@@ -229,22 +218,17 @@ def count_exhaustive(curve: Curve) -> int:
     spec = curve.spec
     total = 1
     if spec.char2:
-        a1, a3, a2e, a4e, a6e = (
-            curve.a1.enc,
-            curve.a3.enc,
-            curve.a2.enc,
-            curve.a4.enc,
-            curve.a6.enc,
-        )
+        a1, a2, a3, a4, a6 = curve.coefficients()
         tr, _ = spec.trace_artin_tables()
-        mul, inv, add = spec.mul_enc, spec.inv_enc, spec.add_enc
+        inv = spec.inv_table()
+        mul, add = spec.mul_enc, spec.add_enc
         for x in range(q):
             c = mul(a1, x) ^ a3
-            d = add(mul(add(mul(add(x, a2e), x), a4e), x), a6e)
+            d = add(mul(add(mul(add(x, a2), x), a4), x), a6)
             if c == 0:
                 total += 1
             else:
-                e = mul(d, inv(mul(c, c)))
+                e = mul(d, int(inv[mul(c, c)]))
                 if not int(tr[e]):
                     total += 2
         return total
@@ -269,11 +253,11 @@ def _reduced_coefficients(curve: Curve) -> tuple[int, int, int]:
     y^2 = x^3 + c2 x^2 + c4 x + c6 isomorphic to the curve."""
     s = curve.spec
     half = s.inv_enc(2 % s.p)
-    ha1 = s.mul_enc(curve.a1.enc, half)
-    ha3 = s.mul_enc(curve.a3.enc, half)
-    c2 = s.add_enc(curve.a2.enc, s.mul_enc(ha1, ha1))
-    c4 = s.add_enc(curve.a4.enc, s.mul_enc(s.mul_enc(curve.a1.enc, curve.a3.enc), half))
-    c6 = s.add_enc(curve.a6.enc, s.mul_enc(ha3, ha3))
+    ha1 = s.mul_enc(curve.a1, half)
+    ha3 = s.mul_enc(curve.a3, half)
+    c2 = s.add_enc(curve.a2, s.mul_enc(ha1, ha1))
+    c4 = s.add_enc(curve.a4, s.mul_enc(s.mul_enc(curve.a1, curve.a3), half))
+    c6 = s.add_enc(curve.a6, s.mul_enc(ha3, ha3))
     return c2, c4, c6
 
 
@@ -300,20 +284,20 @@ def count_pair_scan(curve: Curve) -> int:
 # quadratic twists
 # ---------------------------------------------------------------------------
 
-def smallest_nonsquare(spec: FieldSpec) -> FieldElement:
-    """Non-square of smallest encoding (odd q)."""
+def smallest_nonsquare(spec: FieldSpec) -> int:
+    """Encoding of the non-square of smallest encoding (odd q)."""
     a = 2
     while spec.is_square_enc(a):
         a += 1
-    return FieldElement(spec, a)
+    return a
 
 
-def smallest_trace_one(spec: FieldSpec) -> FieldElement:
-    """Element of absolute trace 1 with smallest encoding (char 2)."""
+def smallest_trace_one(spec: FieldSpec) -> int:
+    """Encoding of the absolute-trace-1 element of smallest encoding (char 2)."""
     a = 1
     while spec.trace_enc(a) != 1:
         a += 1
-    return FieldElement(spec, a)
+    return a
 
 
 def quadratic_twist(curve: Curve) -> Curve:
@@ -328,7 +312,7 @@ def quadratic_twist(curve: Curve) -> Curve:
     spec = curve.spec
     if not spec.char2:
         c2, c4, c6 = _reduced_coefficients(curve)
-        d = smallest_nonsquare(spec).enc
+        d = smallest_nonsquare(spec)
         d2 = spec.mul_enc(d, d)
         d3 = spec.mul_enc(d2, d)
         return Curve(
@@ -339,10 +323,9 @@ def quadratic_twist(curve: Curve) -> Curve:
             spec.mul_enc(d2, c4),
             spec.mul_enc(d3, c6),
         )
-    if curve.a1.enc != 0:
+    if curve.a1 != 0:
         a2n, a6n = _char2_ordinary_normal_form(curve)
-        gamma = smallest_trace_one(spec)
-        return Curve(spec, 1, a2n + gamma, 0, 0, a6n)
+        return Curve(spec, 1, spec.add_enc(a2n, smallest_trace_one(spec)), 0, 0, a6n)
     # supersingular branch: j = 0, scan the a1 = a2 = 0 family
     if spec.q > _CHAR2_SOLVE_LIMIT:
         raise FieldTooLarge("supersingular char-2 twist search guarded to q <= 2^16")
@@ -363,16 +346,21 @@ def quadratic_twist(curve: Curve) -> Curve:
     raise InternalInvariantError("no supersingular twist found (group-law bug)")  # pragma: no cover
 
 
-def _char2_ordinary_normal_form(curve: Curve) -> tuple[FieldElement, FieldElement]:
-    """Coefficients (a2'', a6'') of the isomorphic y^2 + xy = x^3 + a2'' x^2 + a6''."""
-    a1, a2, a3, a4, a6 = curve.a1, curve.a2, curve.a3, curve.a4, curve.a6
-    u = a1
-    s = a3 / a1
+def _char2_ordinary_normal_form(curve: Curve) -> tuple[int, int]:
+    """Coefficients (a2'', a6'') of the isomorphic y^2 + xy = x^3 + a2'' x^2 + a6''
+    (characteristic 2, where encodings add by XOR)."""
+    mul, inv = curve.spec.mul_enc, curve.spec.inv_enc
+    a1, a2, a3, a4, a6 = curve.coefficients()
+    s = mul(a3, inv(a1))
     r = s
-    t = (a4 + s * a3 + r * r) / a1 + r * s
-    u2 = u * u
-    a2n = (a2 + s * a1 + r + s * s) / u2
-    a6n = (a6 + r * a4 + r * r * a2 + r * r * r + t * a3 + t * t + r * t * a1) / (u2 * u2 * u2)
+    t = mul(a4 ^ mul(s, a3) ^ mul(r, r), inv(a1)) ^ mul(r, s)
+    u2 = mul(a1, a1)  # u = a1
+    a2n = mul(a2 ^ mul(s, a1) ^ r ^ mul(s, s), inv(u2))
+    r2 = mul(r, r)
+    a6n = mul(
+        a6 ^ mul(r, a4) ^ mul(r2, a2) ^ mul(r2, r) ^ mul(t, a3) ^ mul(t, t) ^ mul(mul(r, t), a1),
+        inv(mul(mul(u2, u2), u2)),
+    )
     return a2n, a6n
 
 
@@ -387,19 +375,18 @@ def random_point(curve: Curve, rng: random.Random) -> Point:
     very few (or zero) affine points; the scan returns infinity when the
     curve has no affine point at all.
     """
-    spec = curve.spec
-    q = spec.q
+    q = curve.spec.q
     attempts = 48 + 4 * q.bit_length()
     for _ in range(attempts):
         x = rng.randrange(q)
         ys = curve.y_solutions(x)
         if ys:
             y = ys[0] if len(ys) == 1 else ys[rng.randrange(2)]
-            return Point(curve, FieldElement(spec, x), FieldElement(spec, y))
+            return Point(curve, x, y)
     if q <= _CHAR2_SOLVE_LIMIT:
         for x in range(q):
             ys = curve.y_solutions(x)
             if ys:
-                return Point(curve, FieldElement(spec, x), FieldElement(spec, ys[0]))
+                return Point(curve, x, ys[0])
         return curve.infinity()
     raise InternalInvariantError("random point sampling failed on a large field")  # pragma: no cover

@@ -204,7 +204,7 @@ def _build_row_curve(spec, row: dict, alpha_enc: int) -> _curve.Curve:
         if isinstance(c, tuple):
             coeffs.append(spec.pow_enc(alpha_enc, c[1]))
         else:
-            coeffs.append(spec.element(c % spec.p).enc if c < 0 else c)
+            coeffs.append(c % spec.p)
     return _curve.make_curve(spec, *coeffs)
 
 
@@ -219,8 +219,9 @@ def _curve_matches(spec, row: dict, curve) -> tuple[bool, int, int, int, bool]:
     documented t -> -t / M <-> N swap.  Returns (ok, count, lam, twist_lam, symmetric)."""
     q, M, N, t = row["q"], row["M"], row["N"], row["t"]
     count = _curve.count_exhaustive(curve)
-    lam = _counting.lambda_exponent(curve)
-    twist_lam = _counting.lambda_exponent(_curve.quadratic_twist(curve))
+    lam = _counting._exponent_given_count(curve, count)
+    twist = _curve.quadratic_twist(curve)
+    twist_lam = _counting._exponent_given_count(twist, _curve.count_exhaustive(twist))
     if (count, lam, twist_lam) == (q + 1 - t, M, N):
         return True, count, lam, twist_lam, False
     if (count, lam, twist_lam) == (q + 1 + t, N, M):

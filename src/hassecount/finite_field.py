@@ -10,8 +10,13 @@ model is reproducible from (p, k) alone.
 Prime fields compute directly mod p.  Extension fields of moderate size build
 flat multiplication/addition tables (vectorized with numpy) so that the hot
 counting loops run on plain integer lookups; larger extensions fall back to
-polynomial arithmetic per operation.  The O(q) tables (quadratic character,
-char-2 trace and Artin roots) are built on first use at any size.
+polynomial arithmetic per operation.  The O(q) tables (inverses, quadratic
+character, char-2 trace and Artin roots) are built on first use at any size.
+
+Inside the library every field element is its encoding, a plain int, and the
+arithmetic is the FieldSpec kernels (add_enc, mul_enc, inv_enc, ...).
+FieldElement is the public facade: an encoding with operator overloading, for
+callers outside the library and for the public functions of this module.
 """
 
 from __future__ import annotations
@@ -236,7 +241,7 @@ class FieldSpec:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         if self.k == 1:
-            return pow(a, self.p - 2, self.p)
+            return pow(a, -1, self.p)
         if self.q <= _TABLE_LIMIT:
             return int(self.inv_table()[a])
         return self.pow_enc(a, self.q - 2)
@@ -353,11 +358,19 @@ class FieldSpec:
         return self._mul, self._add
 
     def inv_table(self):
-        """Inverse by encoding (0 at 0), read off the multiplication table."""
+        """Inverse by encoding (0 at 0), at any q, by batch inversion: prefix
+        products of 1..q-1, one exponentiation, then back-substitution."""
         if self._inv is None:
-            q = self.q
-            inv = np.argmax(self.mul_add_tables()[0].reshape(q, q) == 1, axis=1)
-            self._inv = inv.astype(np.int32)
+            q, mul = self.q, self.mul_enc
+            prefix = [1] * q  # prefix[a] = 1 * 2 * ... * a
+            for a in range(2, q):
+                prefix[a] = mul(prefix[a - 1], a)
+            inv = np.zeros(q, dtype=np.int32)
+            acc = self.pow_enc(prefix[q - 1], q - 2)  # (1 * ... * a)^-1, from a = q-1 down
+            for a in range(q - 1, 0, -1):
+                inv[a] = mul(acc, prefix[a - 1])
+                acc = mul(acc, a)
+            self._inv = inv
         return self._inv
 
     def chi_table(self):

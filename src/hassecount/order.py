@@ -112,7 +112,7 @@ def bsgs_annihilator(curve: Curve, pt: Point, ops: OpCounter | None = None) -> i
             # order of P divides j, so any multiple of j annihilates; the
             # interval is far wider than s, so one lands inside it
             return -(-interval.lo // j) * j
-        table.setdefault(jp.x.enc, []).append((j, jp.y.enc))
+        table.setdefault(jp.x, []).append((j, jp.y))
         if j < s - 1:
             jp = curve.add_points(jp, pt)
             ops.adds += 1
@@ -135,11 +135,11 @@ def bsgs_annihilator(curve: Curve, pt: Point, ops: OpCounter | None = None) -> i
             if m is not None:
                 return m
         else:
-            hits = table.get(r.x.enc)
+            hits = table.get(r.x)
             if hits:
-                ry = r.y.enc
+                ry = r.y
                 # -(x, y) = (x, -y - a1*x - a3): r = -j*P iff ry + yj + a1*x + a3 = 0
-                shift = spec.add_enc(ry, spec.add_enc(spec.mul_enc(curve.a1.enc, r.x.enc), curve.a3.enc))
+                shift = spec.add_enc(ry, spec.add_enc(spec.mul_enc(curve.a1, r.x), curve.a3))
                 for j, yj in hits:
                     # r = (q+1-c-t')*P matched against +-j*P
                     if ry == yj:

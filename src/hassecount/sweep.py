@@ -161,14 +161,14 @@ def _char2_counts_trace(spec: FieldSpec, a1, a2, a3, a4, a6) -> np.ndarray:
     F = _VecField(spec)
     tr, _ = spec.trace_artin_tables()
     tr = np.asarray(tr, dtype=np.int64)
-    INV = np.array([0] + [spec.inv_enc(a) for a in range(1, q)], dtype=np.int32)
+    inv = spec.inv_table()
     total = np.full(a1.shape, 1, dtype=np.int64)
     for x in range(q):
         c = F.mul(a1, np.int32(x)) ^ a3
         d = F.add(F.mul(F.add(F.mul(F.add(a2, x), x), a4), x), a6)
         csq = F.mul(c, c)
         safe = np.where(c == 0, np.int32(1), csq)
-        e = F.mul(d, INV[safe])
+        e = F.mul(d, inv[safe])
         total += np.where(c == 0, 1, 2 * (1 - tr[e]))
     return total.astype(np.int32)
 

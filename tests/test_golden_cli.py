@@ -1,8 +1,9 @@
 """Seeded CLI stdout, recorded byte for byte.
 
 The panel covers a prime field (F_1013), a table-backed odd extension
-(F_243 = F_{3^5}), characteristic 2 (F_128) and the polynomial-arithmetic
-extension F_2187 = F_{3^7}, two seeds each.  A refactor of the field, curve
+(F_243 = F_{3^5}), characteristic 2 (F_128), the polynomial-arithmetic
+extension F_2187 = F_{3^7} and the large prime field F_{10^12+39}, two seeds
+each.  A refactor of the field, curve
 or order layers must leave every line unchanged: the counts, the RNG draw
 order (samples_used, the sampled orders) and the BSGS annihilators.
 """
@@ -123,6 +124,22 @@ GOLDEN = [
     (
         'order --q 2187 --curve 1403,1848,1574,772,2030 --seed 2 --point 231,992',
         '{"annihilator":2279,"curve":[1403,1848,1574,772,2030],"order":2279,"point":"231,992","q":2187}\n',
+    ),
+    (
+        'count --q 1000000000039 --curve 827942781244,548043483172,536578488994,837806260421,126547878959 --seed 1',
+        '{"count":999998897026,"curve":[827942781244,548043483172,536578488994,837806260421,126547878959],"method":"point_order","q":1000000000039,"samples_used":1,"trace":1103014,"twist_count":1000001103054}\n',
+    ),
+    (
+        'order --q 1000000000039 --curve 827942781244,548043483172,536578488994,837806260421,126547878959 --seed 1 --point 623347347957,297320543123',
+        '{"annihilator":999998897026,"curve":[827942781244,548043483172,536578488994,837806260421,126547878959],"order":999998897026,"point":"623347347957,297320543123","q":1000000000039}\n',
+    ),
+    (
+        'count --q 1000000000039 --curve 827942781244,548043483172,536578488994,837806260421,126547878959 --seed 2',
+        '{"count":999998897026,"curve":[827942781244,548043483172,536578488994,837806260421,126547878959],"method":"point_order","q":1000000000039,"samples_used":1,"trace":1103014,"twist_count":1000001103054}\n',
+    ),
+    (
+        'order --q 1000000000039 --curve 827942781244,548043483172,536578488994,837806260421,126547878959 --seed 2 --point 936078791291,253904137375',
+        '{"annihilator":999998897026,"curve":[827942781244,548043483172,536578488994,837806260421,126547878959],"order":499999448513,"point":"936078791291,253904137375","q":1000000000039}\n',
     ),
 ]
 

@@ -68,6 +68,15 @@ def test_chi_table_is_euler_criterion(q):
         assert chi[a] == (1 if euler == 1 else -1) and euler in (1, minus_one)
 
 
+@pytest.mark.parametrize("q", [2048, 2187, 4096])
+def test_inv_table_is_fermat_inverse(q):
+    spec = spec_for_q(q)
+    inv = spec.inv_table()
+    assert inv[0] == 0
+    for a in range(1, q):
+        assert inv[a] == spec.pow_enc(a, q - 2)
+
+
 @pytest.mark.parametrize("q", [2**k for k in range(1, 12)])
 def test_trace_artin_tables_match_definitions(q):
     spec = spec_for_q(q)
