@@ -176,9 +176,9 @@ class Curve:
                 raise FieldTooLarge("char-2 y-solving guarded to q <= 2^16")
             tr, artin = s.trace_artin_tables()
             e = s.mul_enc(d, s.inv_enc(s.mul_enc(c, c)))
-            if int(tr[e]):
+            if tr[e]:
                 return []
-            z = int(artin[e])
+            z = artin[e]
             ys = sorted((s.mul_enc(c, z), s.mul_enc(c, z ^ 1)))
             return ys
         # odd characteristic: complete the square
@@ -220,17 +220,14 @@ def count_exhaustive(curve: Curve) -> int:
     if spec.char2:
         a1, a2, a3, a4, a6 = curve.coefficients()
         tr, _ = spec.trace_artin_tables()
-        inv = spec.inv_table()
-        mul, add = spec.mul_enc, spec.add_enc
+        mul, add, inv = spec.mul_enc, spec.add_enc, spec.inv_enc
         for x in range(q):
             c = mul(a1, x) ^ a3
             d = add(mul(add(mul(add(x, a2), x), a4), x), a6)
             if c == 0:
                 total += 1
-            else:
-                e = mul(d, int(inv[mul(c, c)]))
-                if not int(tr[e]):
-                    total += 2
+            elif not tr[mul(d, inv(mul(c, c)))]:
+                total += 2
         return total
     chi = spec.chi_table()
     if spec.k == 1:
@@ -238,13 +235,13 @@ def count_exhaustive(curve: Curve) -> int:
         c2, c4, c6 = _reduced_coefficients(curve)
         for x in range(p):
             w = (((x + c2) * x + c4) * x + c6) % p
-            total += 1 + int(chi[w])
+            total += 1 + chi[w]
         return total
     mul, add = spec.mul_enc, spec.add_enc
     c2, c4, c6 = _reduced_coefficients(curve)
     for x in range(q):
         w = add(mul(add(mul(add(x, c2), x), c4), x), c6)
-        total += 1 + int(chi[w])
+        total += 1 + chi[w]
     return total
 
 
@@ -293,11 +290,13 @@ def smallest_nonsquare(spec: FieldSpec) -> int:
 
 
 def smallest_trace_one(spec: FieldSpec) -> int:
-    """Encoding of the absolute-trace-1 element of smallest encoding (char 2)."""
-    a = 1
-    while spec.trace_enc(a) != 1:
-        a += 1
-    return a
+    """Encoding of the absolute-trace-1 element of smallest encoding (char 2).
+
+    The trace is F_2-linear, so every encoding below 2^j has trace 0 when the
+    basis elements 1, 2, ..., 2^(j-1) do: the answer is the first basis
+    element of trace 1.
+    """
+    return next(b for b in (1 << i for i in range(spec.k)) if spec.trace_enc(b))
 
 
 def quadratic_twist(curve: Curve) -> Curve:

@@ -7,11 +7,23 @@ format.  The default modulus for an extension field is the monic irreducible
 polynomial of degree k with the smallest canonical encoding, so every field
 model is reproducible from (p, k) alone.
 
-Prime fields compute directly mod p.  Extension fields of moderate size build
-flat multiplication/addition tables (vectorized with numpy) so that the hot
-counting loops run on plain integer lookups; larger extensions fall back to
-polynomial arithmetic per operation.  The O(q) tables (inverses, quadratic
-character, char-2 trace and Artin roots) are built on first use at any size.
+There are three field models:
+
+  * prime fields (k = 1) compute directly mod p;
+  * extension fields up to 2^20 elements build, with the spec, an antilog
+    table exp[i] = alpha^i and its inverse log for the smallest generator
+    alpha, and in odd characteristic a Zech table Z(n) = log(1 + alpha^n)
+    (Huber, IEEE Trans. Inf. Theory 36(4), 1990).  Every kernel is then a few
+    lookups: a * b = exp[log a + log b], a + b = exp[log a + Z(log b - log a)],
+    and in characteristic 2 addition stays XOR.  The build is vectorized,
+    O(q k^2).  The tables are 4-byte arrays, exp and Zech of 2(q-1) entries
+    so that sums of logs need no reduction: 12 MB at 2^20, and about
+    20q bytes in odd characteristic;
+  * larger extension fields use polynomial arithmetic per operation.
+
+The derived O(q) tables (inverses, quadratic character, char-2 trace and
+Artin roots) are built on first use at any size, and the sweep kernels' q^2
+mul/add tables up to 1200 elements.
 
 Inside the library every field element is its encoding, a plain int, and the
 arithmetic is the FieldSpec kernels (add_enc, mul_enc, inv_enc, ...).
@@ -22,15 +34,21 @@ callers outside the library and for the public functions of this module.
 from __future__ import annotations
 
 import random
+from array import array
 
 import numpy as np
 
 from .errors import NotASquare, NotPrime, ReduciblePolynomial, SpecMismatch
 from .integers import factorize, is_prime
 
-# Extension fields up to this size get q^2 mul/add tables and an inverse
-# table; all certification work lives at q <= 1024.
+# Extension fields up to this size get exp/log (and Zech) tables; above it
+# every operation is polynomial arithmetic.
+_LOG_LIMIT = 1 << 20
+# The sweep kernels' q^2 mul/add tables are built up to this size; all
+# certification work lives at q <= 1024.
 _TABLE_LIMIT = 1200
+# Rows per block of the vectorized exp-table build.
+_BUILD_CHUNK = 1 << 15
 
 _SPEC_CACHE: dict[tuple[int, int, tuple[int, ...]], "FieldSpec"] = {}
 
@@ -88,7 +106,7 @@ def _is_irreducible(mod: list[int], p: int) -> bool:
         return False  # x divides it
     xp = _poly_rem([0, 1], mod, p)
     for _ in range(k // 2):
-        xp = _poly_pow_step(xp, p, mod)
+        xp = _poly_powmod(xp, p, mod, p)  # one Frobenius step
         diff = list(xp) + [0] * max(0, 2 - len(xp))
         diff = [(c - (1 if i == 1 else 0)) % p for i, c in enumerate(diff)]
         g = _poly_gcd(mod, diff, p)
@@ -97,17 +115,44 @@ def _is_irreducible(mod: list[int], p: int) -> bool:
     return True
 
 
-def _poly_pow_step(a: list[int], p: int, mod: list[int]) -> list[int]:
-    """a^p mod the modulus (one Frobenius step)."""
+def _poly_powmod(a: list[int], e: int, mod: list[int], p: int) -> list[int]:
+    """a^e mod the modulus, by square-and-multiply."""
     result = [1]
     base = list(a)
-    e = p
     while e:
         if e & 1:
             result = _poly_mulmod(result, base, mod, p)
         base = _poly_mulmod(base, base, mod, p)
         e >>= 1
     return result
+
+
+def _times_fixed(encs: np.ndarray, images: np.ndarray, p: int) -> np.ndarray:
+    """Encodings of e * beta for an array of encodings e.  Multiplication by
+    a fixed beta is F_p-linear on digit vectors: images[j] holds the digits
+    of beta * x^j, and e * beta = sum_j e_j images[j].  In characteristic 2
+    that is the XOR of the images at the set bits of e."""
+    pw = np.array([p**j for j in range(len(images))], dtype=np.int32)
+    if p == 2:
+        out = np.zeros_like(encs)
+        for j, image in enumerate(images @ pw):
+            bit = encs >> j
+            bit &= 1
+            bit *= image
+            out ^= bit
+        return out
+    out = np.empty_like(encs)
+    for s in range(0, len(encs), _BUILD_CHUNK):
+        digits = encs[s:s + _BUILD_CHUNK, None] // pw % p
+        out[s:s + _BUILD_CHUNK] = digits @ images % p @ pw
+    return out
+
+
+def _typed_array(code: str, n: int) -> tuple[array, np.ndarray]:
+    """A zeroed array(code) of n items and a writable numpy view of it, so
+    that vectorized builders fill the final storage without a copy."""
+    table = array(code, [0]) * n
+    return table, np.frombuffer(table, dtype={"b": np.int8, "i": np.int32}[code])
 
 
 def _default_modulus(p: int, k: int) -> tuple[int, ...]:
@@ -143,15 +188,25 @@ class FieldSpec:
         self.q = p**k
         self.modulus = modulus
         self.char2 = p == 2
+        self._primitive = None  # encoding of the smallest generator of F_q*
+        # log model (1 < k, q <= 2^20), all array('i'): exp[i] = alpha^i and,
+        # in odd characteristic, zech[i] = log(1 + alpha^i) (-1 where
+        # 1 + alpha^i = 0) for i < 2(q-1), so sums of two logs index them
+        # unreduced; log[a] for a != 0
+        self._exp = None
+        self._log = None
+        self._zech = None
+        self._half = (self.q - 1) // 2  # log(-1) in odd characteristic
         # lazy caches
-        self._mul = None  # flat numpy int32 table, index a*q+b
+        self._mul = None  # flat numpy int32 q^2 tables, index a*q+b
         self._add = None
         self._inv = None
         self._chi = None  # quadratic character by encoding: -1/0/1 (odd q)
         self._trace = None  # absolute trace by encoding (char 2)
         self._artin = None  # char 2: smallest z with z^2+z=e, -1 when there is none
-        self._primitive = None
         self._sqrt_nonres = None
+        if 1 < k and self.q <= _LOG_LIMIT:
+            self._build_log_tables()
 
     # -- construction of elements ------------------------------------------------
 
@@ -191,73 +246,98 @@ class FieldSpec:
         return tuple(out)
 
     # -- encoded arithmetic kernels ----------------------------------------------
+    # Each kernel has three models: prime (k == 1), log tables (k > 1,
+    # q <= 2^20), polynomial arithmetic (k > 1, q > 2^20).
 
     def add_enc(self, a: int, b: int) -> int:
         if self.k == 1:
             return (a + b) % self.p
         if self.char2:
             return a ^ b
-        if self._add is not None:
-            return int(self._add[a * self.q + b])
-        return self.encode((x + y) % self.p for x, y in zip(self.decode(a), self.decode(b)))
+        zech = self._zech
+        if zech is None:
+            return self.encode((x + y) % self.p for x, y in zip(self.decode(a), self.decode(b)))
+        if a and b:
+            # a + b = alpha^la (1 + alpha^(lb - la)); a negative index wraps,
+            # and zech has period q-1
+            log = self._log
+            la = log[a]
+            z = zech[log[b] - la]
+            return self._exp[la + z] if z >= 0 else 0
+        return a or b
 
     def sub_enc(self, a: int, b: int) -> int:
-        return self.add_enc(a, self.neg_enc(b))
+        if self.k == 1:
+            return (a - b) % self.p
+        if self._zech is None:
+            return self.add_enc(a, self.neg_enc(b))
+        if not b:
+            return a
+        log = self._log
+        lb = log[b] + self._half  # log(-b)
+        if not a:
+            return self._exp[lb]
+        la = log[a]
+        z = self._zech[lb - la]
+        return self._exp[la + z] if z >= 0 else 0
 
     def neg_enc(self, a: int) -> int:
         if self.k == 1:
             return (-a) % self.p
-        if self.char2:
+        if self.char2 or not a:
             return a
-        return self.encode((-x) % self.p for x in self.decode(a))
+        if self._log is None:
+            return self.encode((-x) % self.p for x in self.decode(a))
+        return self._exp[self._log[a] + self._half]
 
     def mul_enc(self, a: int, b: int) -> int:
         if self.k == 1:
             return a * b % self.p
-        t = self._mul
-        if t is None:
-            t = self.mul_add_tables()[0]
-        if t is not None:
-            return int(t[a * self.q + b])
-        prod = _poly_mulmod(list(self.decode(a)), list(self.decode(b)), list(self.modulus), self.p)
-        return self.encode(prod + [0] * (self.k - len(prod)))
+        log = self._log
+        if log is None:
+            return self.encode(_poly_mulmod(list(self.decode(a)), list(self.decode(b)), list(self.modulus), self.p))
+        if a and b:
+            return self._exp[log[a] + log[b]]
+        return 0
 
     def pow_enc(self, a: int, e: int) -> int:
         if e < 0:
             raise ValueError("negative exponent")
         if self.k == 1:
             return pow(a, e, self.p)
-        result = 1
-        base = a
-        mul = self.mul_enc
-        while e:
-            if e & 1:
-                result = mul(result, base)
-            base = mul(base, base)
-            e >>= 1
-        return result
+        if self._log is not None:
+            if not a:
+                return 0 if e else 1
+            return self._exp[self._log[a] * e % (self.q - 1)]
+        return self.encode(_poly_powmod(list(self.decode(a)), e, list(self.modulus), self.p))
 
     def inv_enc(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         if self.k == 1:
             return pow(a, -1, self.p)
-        if self.q <= _TABLE_LIMIT:
-            return int(self.inv_table()[a])
+        if self._log is not None:
+            return self._exp[self.q - 1 - self._log[a]]
         return self.pow_enc(a, self.q - 2)
 
     def is_square_enc(self, a: int) -> bool:
         if a == 0 or self.char2:
             return True
-        if self._chi is not None or self.q <= _TABLE_LIMIT:
-            return self.chi_table()[a] >= 0
+        if self.k == 1:
+            return pow(a, self.p >> 1, self.p) == 1
+        if self._log is not None:
+            return not self._log[a] & 1
         return self.pow_enc(a, (self.q - 1) // 2) == 1
 
     def sqrt_enc(self, a: int) -> int:
         q = self.q
         if a == 0:
             return 0
+        log = self._log
         if self.char2:
+            if log is not None:
+                la = log[a]  # q-1 is odd: halve la or la + q-1
+                return self._exp[(la + (la & 1) * (q - 1)) >> 1]
             # Frobenius is bijective: the unique root is a^(2^(k-1)).
             s = a
             for _ in range(self.k - 1):
@@ -265,7 +345,9 @@ class FieldSpec:
             return s
         if not self.is_square_enc(a):
             raise NotASquare(f"encoding {a} is not a square in F_{q}")
-        if q % 4 == 3:
+        if log is not None:
+            s = self._exp[log[a] >> 1]
+        elif q % 4 == 3:
             s = self.pow_enc(a, (q + 1) // 4)
         else:
             s = self._tonelli_shanks(a)
@@ -317,76 +399,123 @@ class FieldSpec:
             raise AssertionError("absolute trace left the prime field")
         return acc
 
-    # -- lazy tables ----------------------------------------------------------------
-    # Each table has one builder, called on first use and cached on the spec.
+    # -- tables -------------------------------------------------------------------
+    # The log model is built with the spec; every other table has one builder,
+    # called on first use and cached on the spec.
+
+    def _generator(self) -> int:
+        """Encoding of the smallest generator of F_q* (q >= 3).  The log model
+        calls this before its tables exist, so there it runs on polynomial
+        arithmetic."""
+        if self._primitive is None:
+            n = self.q - 1
+            cofactors = [n // ell for ell in sorted(set(factorize(n)))]
+            # below p the encodings are F_p itself, whose order divides p-1
+            a = 2 if self.k == 1 else self.p
+            while any(self.pow_enc(a, c) == 1 for c in cofactors):
+                a += 1
+            self._primitive = a
+        return self._primitive
+
+    def _build_log_tables(self):
+        """exp, log and (odd characteristic) Zech tables from the smallest
+        generator alpha.
+
+        exp is filled by doubling: exp[m:2m] = exp[0:m] * alpha^m, where
+        multiplication by a fixed element is an F_p-linear map of digit
+        vectors (an XOR of basis images in characteristic 2), so the build is
+        O(q k^2) vectorized work.  The map of alpha^(2m) is the square of the
+        k x k matrix of alpha^m.
+        """
+        p, k, n = self.p, self.k, self.q - 1
+        mod = list(self.modulus)
+        images = []  # digits of alpha * x^j
+        image = list(self.decode(self._generator()))
+        for _ in range(k):
+            images.append(image + [0] * (k - len(image)))
+            image = _poly_mulmod(image, [0, 1], mod, p)
+        images = np.array(images, dtype=np.int32)
+        exp_table, exp = _typed_array("i", 2 * n)
+        exp[0] = 1
+        m = 1
+        while m < n:
+            step = min(m, n - m)
+            exp[m:m + step] = _times_fixed(exp[:step], images, p)
+            images = images @ images % p
+            m += step
+        exp[n:] = exp[:n]
+        powers = exp[:n]
+        log_table, log = _typed_array("i", self.q)
+        for s in range(0, n, _BUILD_CHUNK):
+            block = powers[s:s + _BUILD_CHUNK]
+            log[block] = np.arange(s, s + len(block), dtype=np.int32)
+        zech_table = None
+        if not self.char2:
+            zech_table, zech = _typed_array("i", 2 * n)
+            for s in range(0, n, _BUILD_CHUNK):
+                # 1 + alpha^i adds 1 to the lowest digit, mod p
+                block = powers[s:s + _BUILD_CHUNK]
+                zech[s:s + len(block)] = log[block - block % p + (block + 1) % p]
+            zech[self._half] = -1  # 1 + alpha^i = 0 exactly at alpha^i = -1
+            zech[n:] = zech[:n]
+        # the kernels leave polynomial arithmetic once the tables are set
+        self._exp, self._log, self._zech = exp_table, log_table, zech_table
 
     def mul_add_tables(self):
-        """Flat q^2 (mul, add) tables, index a*q+b, for extension fields up to
-        the table limit; add is None in characteristic 2 (XOR).  (None, None)
-        for prime fields and beyond the limit."""
+        """Flat q^2 (mul, add) numpy tables, index a*q+b, for extension fields
+        up to 1200 elements (the sweep kernels gather through them); add is
+        None in characteristic 2 (XOR).  (None, None) for prime fields and
+        beyond the limit."""
         if self.k == 1 or self.q > _TABLE_LIMIT:
             return None, None
         if self._mul is None:
             q, p, k = self.q, self.p, self.k
-            digits = np.zeros((q, k), dtype=np.int64)
-            n = np.arange(q, dtype=np.int64)
-            for i in range(k):
-                digits[:, i] = n % p
-                n //= p
-            pw = np.array([p**i for i in range(k)], dtype=np.int64)
-            # red[t] = digit vector of alpha^t reduced mod the modulus
-            red = []
-            cur = [1]
-            for _ in range(2 * k - 1):
-                red.append(np.array(cur + [0] * (k - len(cur)), dtype=np.int64))
-                cur = _poly_mulmod(cur, [0, 1], list(self.modulus), p)
-            mul = np.zeros((q, q), dtype=np.int64)
-            for a in range(q):
-                ad = digits[a]
-                accum = np.zeros((q, k), dtype=np.int64)
-                # product coefficients w_t = sum_{i+j=t} a_i b_j, reduced via alpha^t
-                for i in range(k):
-                    if ad[i] == 0:
-                        continue
-                    for j in range(k):
-                        accum += (ad[i] * digits[:, j])[:, None] * red[i + j][None, :]
-                mul[a] = (accum % p) @ pw
-            self._mul = mul.astype(np.int32).ravel()
+            log = np.frombuffer(self._log, dtype=np.int32)
+            mul = np.take(self._exp, np.add.outer(log, log))
+            mul[0, :] = 0
+            mul[:, 0] = 0
+            self._mul = mul.ravel()
             if not self.char2:
+                digits = np.zeros((q, k), dtype=np.int64)
+                n = np.arange(q, dtype=np.int64)
+                for i in range(k):
+                    digits[:, i] = n % p
+                    n //= p
+                pw = np.array([p**i for i in range(k)], dtype=np.int64)
                 s = (digits[:, None, :] + digits[None, :, :]) % p
                 self._add = (s @ pw).astype(np.int32).ravel()
         return self._mul, self._add
 
     def inv_table(self):
-        """Inverse by encoding (0 at 0), at any q, by batch inversion: prefix
-        products of 1..q-1, one exponentiation, then back-substitution."""
+        """Inverse by encoding (0 at 0), an array('i')."""
         if self._inv is None:
-            q, mul = self.q, self.mul_enc
-            prefix = [1] * q  # prefix[a] = 1 * 2 * ... * a
-            for a in range(2, q):
-                prefix[a] = mul(prefix[a - 1], a)
-            inv = np.zeros(q, dtype=np.int32)
-            acc = self.pow_enc(prefix[q - 1], q - 2)  # (1 * ... * a)^-1, from a = q-1 down
-            for a in range(q - 1, 0, -1):
-                inv[a] = mul(acc, prefix[a - 1])
-                acc = mul(acc, a)
-            self._inv = inv
+            self._inv, inv = _typed_array("i", self.q)
+            if self._log is not None:
+                np.take(self._exp, self.q - 1 - np.frombuffer(self._log, dtype=np.int32), out=inv)
+                inv[0] = 0
+            else:
+                inv[1:] = [self.inv_enc(a) for a in range(1, self.q)]
         return self._inv
 
     def chi_table(self):
-        """Quadratic character by encoding: 0 at 0, +1 on squares, -1 elsewhere."""
+        """Quadratic character by encoding, an array('b'): 0 at 0, +1 on
+        squares, -1 elsewhere."""
         if self._chi is None:
-            chi = np.full(self.q, -1, dtype=np.int8)
+            self._chi, chi = _typed_array("b", self.q)
+            if self._log is not None and not self.char2:
+                chi[:] = 1 - 2 * (np.frombuffer(self._log, dtype=np.int32) & 1)  # even logs
+            else:
+                chi[:] = -1
+                mul = self.mul_enc
+                for a in range(1, self.q):
+                    chi[mul(a, a)] = 1
             chi[0] = 0
-            mul = self.mul_enc
-            for a in range(1, self.q):
-                chi[mul(a, a)] = 1
-            self._chi = chi
         return self._chi
 
     def trace_artin_tables(self):
-        """Char 2: (trace, artin) by encoding, where artin[e] is the smallest
-        root of z^2 + z = e, or -1 when there is none (trace of e is 1).
+        """Char 2: (trace, artin) by encoding, an array('b') and an
+        array('i'), where artin[e] is the smallest root of z^2 + z = e, or -1
+        when there is none (trace of e is 1).
 
         Both z -> Tr(z) and z -> z^2 + z are F_2-linear, so the tables are
         spanned from the basis values at 1, 2, 4, ...: doubling the table over
@@ -401,10 +530,12 @@ class FieldSpec:
                 b = 1 << i
                 tr = np.concatenate((tr, tr ^ self.trace_enc(b)))
                 img = np.concatenate((img, img ^ (self.mul_enc(b, b) ^ b)))
-            artin = np.full(self.q, -1, dtype=np.int64)
-            artin[img[0::2]] = np.arange(0, self.q, 2)
-            self._trace = tr
-            self._artin = artin
+            trace, view = _typed_array("b", self.q)
+            view[:] = tr
+            artin, view = _typed_array("i", self.q)
+            view[:] = -1
+            view[img[0::2]] = np.arange(0, self.q, 2)
+            self._trace, self._artin = trace, artin  # trace_enc reads _trace once set
         return self._trace, self._artin
 
     # -- misc ----------------------------------------------------------------------
@@ -567,16 +698,7 @@ def primitive_element(spec: FieldSpec) -> FieldElement:
     """Generator of F_q* with the smallest canonical encoding (q >= 3)."""
     if spec.q < 3:
         raise ValueError("F_2 has no generator of order >= 2")
-    if spec._primitive is None:
-        n = spec.q - 1
-        prime_divs = sorted(set(factorize(n)))
-        a = 2
-        while True:
-            if all(spec.pow_enc(a, n // ell) != 1 for ell in prime_divs):
-                spec._primitive = a
-                break
-            a += 1
-    return FieldElement(spec, spec._primitive)
+    return FieldElement(spec, spec._generator())
 
 
 def random_element(spec: FieldSpec, rng: random.Random) -> FieldElement:

@@ -161,7 +161,7 @@ def _char2_counts_trace(spec: FieldSpec, a1, a2, a3, a4, a6) -> np.ndarray:
     F = _VecField(spec)
     tr, _ = spec.trace_artin_tables()
     tr = np.asarray(tr, dtype=np.int64)
-    inv = spec.inv_table()
+    inv = np.asarray(spec.inv_table())
     total = np.full(a1.shape, 1, dtype=np.int64)
     for x in range(q):
         c = F.mul(a1, np.int32(x)) ^ a3

@@ -4,6 +4,7 @@ import pytest
 
 from hassecount import finite_field as ff
 from hassecount.errors import NotASquare, NotPrime, ReduciblePolynomial, SpecMismatch
+from hassecount.integers import prime_powers, split_prime_power
 
 
 def poly_has_root(coeffs, p):
@@ -248,3 +249,151 @@ def test_encoding_bijection(q):
         assert spec.encode(spec.decode(enc)) == enc
     coeffs = spec.decode(q - 1)
     assert len(coeffs) == spec.k and all(c == spec.p - 1 for c in coeffs)
+
+
+# --- log/Zech kernels against a polynomial reference ---------------------------
+
+def _extension_qs(qmax):
+    return [q for q in prime_powers(qmax) if split_prime_power(q)[1] > 1]
+
+
+class PolyRef:
+    """Test-only reference model: schoolbook polynomial products mod the
+    spec's modulus and digit-wise sums, on the spec's encodings."""
+
+    def __init__(self, spec):
+        self.spec = spec
+        self.mod = list(spec.modulus)
+
+    def mul(self, a, b):
+        s = self.spec
+        return s.encode(ff._poly_mulmod(list(s.decode(a)), list(s.decode(b)), self.mod, s.p))
+
+    def add(self, a, b):
+        s = self.spec
+        return s.encode((x + y) % s.p for x, y in zip(s.decode(a), s.decode(b)))
+
+    def neg(self, a):
+        s = self.spec
+        return s.encode((-x) % s.p for x in s.decode(a))
+
+    def pow(self, a, e):
+        r = 1
+        while e:
+            if e & 1:
+                r = self.mul(r, a)
+            a = self.mul(a, a)
+            e >>= 1
+        return r
+
+
+@pytest.mark.parametrize("q", _extension_qs(128))
+def test_kernels_every_pair(q):
+    spec = ff.spec_for_q(q)
+    ref = PolyRef(spec)
+    for a in range(q):
+        for b in range(q):
+            assert spec.mul_enc(a, b) == ref.mul(a, b)
+            assert spec.add_enc(a, b) == ref.add(a, b)
+            assert spec.sub_enc(a, b) == ref.add(a, ref.neg(b))
+
+
+@pytest.mark.parametrize("q", _extension_qs(4096))
+def test_kernels_every_element(q):
+    spec = ff.spec_for_q(q)
+    ref = PolyRef(spec)
+    squares = {ref.mul(a, a) for a in range(q)}
+    assert spec.pow_enc(0, 0) == 1 and spec.pow_enc(0, 5) == 0
+    for a in range(q):
+        assert spec.neg_enc(a) == ref.neg(a)
+        assert spec.is_square_enc(a) == (a in squares)
+        for e in (0, 1, 2, 7):
+            assert spec.pow_enc(a, e) == ref.pow(a, e)
+        if a:
+            assert ref.mul(a, spec.inv_enc(a)) == 1
+            assert spec.pow_enc(a, q + 6) == spec.pow_enc(a, 7)
+        if a in squares:
+            s = spec.sqrt_enc(a)
+            assert ref.mul(s, s) == a and s <= ref.neg(s)
+        else:
+            with pytest.raises(NotASquare):
+                spec.sqrt_enc(a)
+
+
+@pytest.mark.parametrize("q", [2187, 3**8, 5**5, 2**16, 3**12, 2**20])
+def test_kernels_random_pairs(q):
+    spec = ff.spec_for_q(q)
+    ref = PolyRef(spec)
+    rng = random.Random(q)
+    for _ in range(3000):
+        a, b = rng.randrange(q), rng.randrange(q)
+        assert spec.mul_enc(a, b) == ref.mul(a, b)
+        assert spec.add_enc(a, b) == ref.add(a, b)
+        assert spec.sub_enc(a, b) == ref.add(a, ref.neg(b))
+        assert spec.neg_enc(a) == ref.neg(a)
+        if a:
+            assert ref.mul(a, spec.inv_enc(a)) == 1
+
+
+@pytest.mark.parametrize("q", [9, 25, 27, 49, 243, 2187, 3**8, 5**5, 3**12])
+def test_zech_edge_cases(q):
+    spec = ff.spec_for_q(q)
+    ref = PolyRef(spec)
+    minus_one = spec.neg_enc(1)
+    assert spec.add_enc(1, minus_one) == 0 and spec.sub_enc(1, 1) == 0
+    for a in random.Random(q).sample(range(1, q), min(q - 1, 200)) + [1, minus_one]:
+        assert spec.add_enc(a, spec.neg_enc(a)) == 0
+        assert spec.sub_enc(a, a) == 0
+        assert spec.add_enc(a, 0) == spec.add_enc(0, a) == spec.sub_enc(a, 0) == a
+        assert spec.sub_enc(0, a) == ref.neg(a)
+        assert spec.add_enc(a, a) == ref.add(a, a)
+
+
+@pytest.mark.parametrize("q", _extension_qs(256))
+def test_mul_add_tables_match_reference(q):
+    spec = ff.spec_for_q(q)
+    ref = PolyRef(spec)
+    mul, add = spec.mul_add_tables()
+    assert mul.shape == (q * q,) and (add is None) == spec.char2
+    for a in range(q):
+        for b in range(q):
+            assert mul[a * q + b] == ref.mul(a, b)
+            if add is not None:
+                assert add[a * q + b] == ref.add(a, b)
+
+
+def test_log_tables_at_2_20_are_compact():
+    spec = ff.spec_for_q(2**20)
+    model = [spec._exp, spec._log]
+    assert spec._zech is None  # characteristic 2 adds by XOR
+    assert sum(t.itemsize * len(t) for t in model) <= 16 * 2**20
+    tr, artin = spec.trace_artin_tables()
+    for t in model + [spec.inv_table(), tr, artin]:
+        assert len(t) >= spec.q and t.itemsize <= 4
+
+
+@pytest.mark.parametrize("q", [3**13, 5**9])  # q = 3 and 1 mod 4
+def test_no_log_tables_above_2_20(q):
+    spec = ff.spec_for_q(q)
+    assert spec._log is None
+    ref = PolyRef(spec)
+    rng = random.Random(q)
+    minus_one = ref.neg(1)
+    for _ in range(200):
+        a, b = rng.randrange(1, q), rng.randrange(q)
+        assert spec.mul_enc(a, b) == ref.mul(a, b)
+        assert spec.add_enc(a, b) == ref.add(a, b)
+        assert spec.sub_enc(a, b) == ref.add(a, ref.neg(b))
+        assert spec.neg_enc(a) == ref.neg(a)
+        assert ref.mul(a, spec.inv_enc(a)) == 1
+        square = ref.pow(a, (q - 1) // 2) == 1  # Euler's criterion
+        assert square or ref.pow(a, (q - 1) // 2) == minus_one
+        assert spec.is_square_enc(a) == square
+        if square:
+            s = spec.sqrt_enc(a)
+            assert ref.mul(s, s) == a and s <= ref.neg(s)
+        else:
+            with pytest.raises(NotASquare):
+                spec.sqrt_enc(a)
+        s = spec.sqrt_enc(ref.mul(a, a))
+        assert s == min(a, ref.neg(a))

@@ -1,11 +1,12 @@
 """Seeded CLI stdout, recorded byte for byte.
 
-The panel covers a prime field (F_1013), a table-backed odd extension
-(F_243 = F_{3^5}), characteristic 2 (F_128), the polynomial-arithmetic
-extension F_2187 = F_{3^7} and the large prime field F_{10^12+39}, two seeds
-each.  A refactor of the field, curve
-or order layers must leave every line unchanged: the counts, the RNG draw
-order (samples_used, the sampled orders) and the BSGS annihilators.
+The panel covers a prime field (F_1013), odd extensions (F_243 = F_{3^5},
+F_2187 = F_{3^7}), characteristic 2 (F_128) and the large prime field
+F_{10^12+39}, two seeds each, plus single lines over F_3125 = F_{5^5},
+F_531441 = F_{3^12}, F_65536 and a supersingular curve over F_1024.  A refactor
+of the field, curve or order layers must leave every line unchanged: the
+counts, the RNG draw order (samples_used, the sampled orders) and the BSGS
+annihilators.
 """
 
 import pytest
@@ -140,6 +141,22 @@ GOLDEN = [
     (
         'order --q 1000000000039 --curve 827942781244,548043483172,536578488994,837806260421,126547878959 --seed 2 --point 936078791291,253904137375',
         '{"annihilator":999998897026,"curve":[827942781244,548043483172,536578488994,837806260421,126547878959],"order":499999448513,"point":"936078791291,253904137375","q":1000000000039}\n',
+    ),
+    (
+        'count --q 3125 --curve 1,2,3,4,5 --seed 1',
+        '{"count":3154,"curve":[1,2,3,4,5],"method":"point_order","q":3125,"samples_used":1,"trace":-28,"twist_count":3098}\n',
+    ),
+    (
+        'count --q 531441 --curve 1,2,3,4,5 --seed 1',
+        '{"count":532171,"curve":[1,2,3,4,5],"method":"point_order","q":531441,"samples_used":1,"trace":-729,"twist_count":530713}\n',
+    ),
+    (
+        'count --q 65536 --curve 1,0,0,0,1 --seed 1',
+        '{"count":65088,"curve":[1,0,0,0,1],"method":"point_order","q":65536,"samples_used":1,"trace":449,"twist_count":65986}\n',
+    ),
+    (
+        'twist --q 1024 --curve 0,0,1,0,0',
+        '{"count":1089,"curve":[0,0,1,0,0],"q":1024,"twist_count":961,"twist_curve":[0,0,1,0,128]}\n',
     ),
 ]
 

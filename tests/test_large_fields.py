@@ -1,9 +1,11 @@
-"""Extension fields past the 1200-element q^2 table limit.
+"""Large extension fields: past the sweep kernels' 1200-element q^2 tables,
+up to the 2^20 limit of the log/Zech field model, and a few past it, where
+the field runs on polynomial arithmetic.
 
-Above the limit every multiplication is polynomial arithmetic and the
-quadratic-character, trace and Artin-root tables must still be built; these
-tests check the counting paths there against independent oracles, and the
-tables themselves against their definitions.
+These tests check the counting paths there against independent oracles
+(exhaustive counts, Lagrange, the twist sum #E + #E' = 2(q+1) and the Weil
+recurrence for curves defined over F_p), and the inverse, quadratic-character,
+trace and Artin-root tables against their definitions.
 """
 
 import functools
@@ -14,8 +16,14 @@ import pytest
 
 from hassecount import cli
 from hassecount.counting import count_points, group_structure
-from hassecount.curve import Curve, count_exhaustive, quadratic_twist, random_point
-from hassecount.finite_field import spec_for_q
+from hassecount.curve import (
+    Curve,
+    count_exhaustive,
+    quadratic_twist,
+    random_point,
+    smallest_trace_one,
+)
+from hassecount.finite_field import make_spec, spec_for_q
 from hassecount.integers import prime_powers
 from hassecount.order import hasse_interval
 
@@ -92,3 +100,55 @@ def test_trace_artin_tables_match_definitions(q):
     for e in range(q):
         assert artin[e] == smallest_root.get(e, -1)
         assert (artin[e] >= 0) == (tr[e] == 0)
+    if q > 2:
+        assert smallest_trace_one(spec) == min(z for z in range(q) if tr[z] == 1)
+
+
+def test_supersingular_char2_twist_f4096(capsys):
+    q = 4096
+    assert cli.main(["twist", "--q", str(q), "--curve", "0,0,1,0,0"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    twist = Curve(spec_for_q(q), *out["twist_curve"])
+    assert twist.a1 == twist.a2 == 0
+    assert count_exhaustive(Curve(spec_for_q(q), 0, 0, 1, 0, 0)) + count_exhaustive(twist) == 2 * (q + 1)
+
+
+def _weil_count(p, k, coeffs):
+    """#E(F_{p^k}) for a curve with F_p coefficients: t_1 from an exhaustive
+    count over F_p, then t_j = t_1 t_{j-1} - p t_{j-2} with t_0 = 2."""
+    t1 = p + 1 - count_exhaustive(Curve(make_spec(p), *coeffs))
+    t = [2, t1]
+    for _ in range(k - 1):
+        t.append(t1 * t[-1] - p * t[-2])
+    return p**k + 1 - t[k]
+
+
+@pytest.mark.parametrize(
+    "p,k,coeffs,count",
+    [
+        (3, 12, (1, 0, 0, 2, 1), 532800),
+        (5, 8, (0, 0, 0, 1, 2), 391680),
+        (7, 7, (0, 0, 0, 3, 1), 824052),
+        (2, 16, (1, 0, 0, 0, 1), 65088),
+        (3, 13, (1, 0, 0, 2, 1), 1595883),  # polynomial arithmetic past 2^20
+    ],
+)
+def test_point_order_matches_weil_recurrence(p, k, coeffs, count):
+    assert _weil_count(p, k, coeffs) == count
+    e = Curve(spec_for_q(p**k), *coeffs)
+    assert count_points(e, "point_order", random.Random(k)).count == count
+
+
+def test_exhaustive_matches_weil_recurrence_f6561():
+    coeffs = (1, 0, 0, 2, 1)
+    assert count_exhaustive(Curve(spec_for_q(3**8), *coeffs)) == _weil_count(3, 8, coeffs)
+
+
+def test_char2_ordinary_twist_past_2_20(capsys):
+    q = 2**24
+    assert cli.main(["twist", "--q", str(q), "--curve", "1,0,0,0,1"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    a1, a2, a3, a4, a6 = out["twist_curve"]
+    spec = spec_for_q(q)
+    assert spec._log is None and "count" not in out
+    assert (a1, a3, a4, a6) == (1, 0, 0, 1) and spec.trace_enc(a2) == 1
