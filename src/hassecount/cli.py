@@ -33,7 +33,7 @@ from .exceptions import (
     enumerate_exceptions,
     verify_table1,
 )
-from .finite_field import FieldSpec, make_spec
+from .finite_field import FieldSpec, check_field_size, make_spec
 from .integers import prime_powers, split_prime_power
 from .order import bsgs_annihilator, exact_order
 from .selftest import run_selftest
@@ -48,6 +48,7 @@ class UsageError(ValueError):
 
 
 def _field_from_args(args) -> FieldSpec:
+    check_field_size(args.q)  # FieldTooLarge is a domain error: exit 3
     try:
         p, k = split_prime_power(args.q)
     except HasseCountError as exc:

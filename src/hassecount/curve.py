@@ -289,14 +289,15 @@ def smallest_nonsquare(spec: FieldSpec) -> int:
     return a
 
 
-def smallest_trace_one(spec: FieldSpec) -> int:
-    """Encoding of the absolute-trace-1 element of smallest encoding (char 2).
+def smallest_trace_one(spec: FieldSpec, scale: int = 1) -> int:
+    """Encoding of the smallest a with absolute trace Tr(scale * a) = 1 (char 2,
+    scale != 0).
 
-    The trace is F_2-linear, so every encoding below 2^j has trace 0 when the
-    basis elements 1, 2, ..., 2^(j-1) do: the answer is the first basis
-    element of trace 1.
+    a -> Tr(scale * a) is F_2-linear, so every encoding below 2^j maps to 0
+    when the basis elements 1, 2, ..., 2^(j-1) do: the answer is the first
+    basis element that maps to 1.
     """
-    return next(b for b in (1 << i for i in range(spec.k)) if spec.trace_enc(b))
+    return next(b for b in (1 << i for i in range(spec.k)) if spec.trace_enc(spec.mul_enc(scale, b)))
 
 
 def quadratic_twist(curve: Curve) -> Curve:
@@ -305,8 +306,10 @@ def quadratic_twist(curve: Curve) -> Curve:
     Odd characteristic: complete the square and rescale by the smallest
     non-square d.  Characteristic 2, ordinary (a1 != 0): normalize to
     y^2 + xy = x^3 + a2 x^2 + a6 and shift a2 by the smallest trace-1
-    element.  Characteristic 2, supersingular (a1 == 0): deterministic
-    search through same-j curves for the complementary point count.
+    element.  Characteristic 2, supersingular (a1 == 0): the first curve
+    y^2 + a3 y = x^3 + a4 x (a3 != 0, in encoding order) with 2(q+1) - #E
+    points, or with #E points and then a6 = the smallest element with
+    Tr(a6 / a3^2) = 1, which flips the count.
     """
     spec = curve.spec
     if not spec.char2:
@@ -337,11 +340,9 @@ def quadratic_twist(curve: Curve) -> Curve:
                 return base
             if 2 * (spec.q + 1) - n0 != target:
                 continue
-            # the complementary count lives at a6 with Tr(a6 / a3^2) = 1
-            for a6 in range(1, spec.q):
-                cand = Curve(spec, 0, 0, a3, a4, a6)
-                if count_exhaustive(cand) == target:
-                    return cand
+            # adding a6 flips the count to 2(q+1) - n0 exactly when Tr(a6 / a3^2) = 1
+            a6 = smallest_trace_one(spec, spec.inv_enc(spec.mul_enc(a3, a3)))
+            return Curve(spec, 0, 0, a3, a4, a6)
     raise InternalInvariantError("no supersingular twist found (group-law bug)")  # pragma: no cover
 
 

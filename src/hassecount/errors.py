@@ -39,7 +39,8 @@ class PointNotOnCurve(HasseCountError, ValueError):
 
 
 class FieldTooLarge(HasseCountError, ValueError):
-    """The operation's exhaustive code path is guarded to smaller fields."""
+    """The field is above the supported q <= 2^62, or the operation's exhaustive
+    code path is guarded to smaller fields."""
 
 
 class ExcludedField(HasseCountError, ValueError):

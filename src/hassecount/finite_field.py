@@ -21,6 +21,9 @@ There are three field models:
     20q bytes in odd characteristic;
   * larger extension fields use polynomial arithmetic per operation.
 
+Field sizes are supported up to MAX_Q = 2^62; make_spec and spec_for_q raise
+FieldTooLarge above it.
+
 The derived O(q) tables (inverses, quadratic character, char-2 trace and
 Artin roots) are built on first use at any size, and the sweep kernels' q^2
 mul/add tables up to 1200 elements.
@@ -38,8 +41,12 @@ from array import array
 
 import numpy as np
 
-from .errors import NotASquare, NotPrime, ReduciblePolynomial, SpecMismatch
-from .integers import factorize, is_prime
+from .errors import FieldTooLarge, NotASquare, NotPrime, ReduciblePolynomial, SpecMismatch
+from .integers import factorize, is_prime, split_prime_power
+
+# The largest supported field size: every annihilator q + 1 + 2 sqrt(q) stays
+# below factorize's 2^63 guard, and is_prime is exact far beyond it.
+MAX_Q = 1 << 62
 
 # Extension fields up to this size get exp/log (and Zech) tables; above it
 # every operation is polynomial arithmetic.
@@ -654,8 +661,11 @@ def make_spec(p: int, k: int = 1, modulus=None) -> FieldSpec:
 
     If no modulus is given the default (smallest-encoding monic irreducible)
     is selected; a supplied modulus must be monic of degree k with reduced
-    coefficients and is verified irreducible.
+    coefficients and is verified irreducible.  Fields above MAX_Q = 2^62 raise
+    FieldTooLarge.
     """
+    if p > 1 and k > 0 and (k > 62 or p**k > MAX_Q):
+        raise FieldTooLarge(f"q = {p}^{k}: field sizes above 2^62 are not supported")
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if k < 1:
@@ -676,10 +686,15 @@ def make_spec(p: int, k: int = 1, modulus=None) -> FieldSpec:
     return spec
 
 
-def spec_for_q(q: int, modulus=None) -> FieldSpec:
-    """Model of F_q given the prime power q itself."""
-    from .integers import split_prime_power
+def check_field_size(q: int) -> None:
+    """Raise FieldTooLarge for q above MAX_Q = 2^62."""
+    if q > MAX_Q:
+        raise FieldTooLarge(f"q = {q}: field sizes above 2^62 are not supported")
 
+
+def spec_for_q(q: int, modulus=None) -> FieldSpec:
+    """Model of F_q given the prime power q itself (q <= 2^62)."""
+    check_field_size(q)
     p, k = split_prime_power(q)
     return make_spec(p, k, modulus)
 

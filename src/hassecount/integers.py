@@ -1,29 +1,54 @@
-"""Small exact integer helpers: primality, sieving, factoring, prime powers.
+"""Exact integer helpers: primality, sieving, factoring, prime powers.
 
-Everything here is deterministic trial-division / sieve arithmetic; the sizes
-in scope (annihilators below 2^33, field sizes below 2^32) never need more.
+`is_prime` is deterministic Miller-Rabin with the 13 primes 2..41 as bases,
+exact below 3317044064679887385961981 (Sorenson and Webster, Math. Comp. 2017)
+and refusing larger n.  `factorize` trial-divides by the odd f < 1000 and
+splits a larger composite cofactor by Brent's variant of Pollard rho (Brent,
+BIT 20, 1980).  Field sizes stop at 2^62, so every annihilator
+q + 1 + 2 sqrt(q) stays below `factorize`'s 2^63 guard.
 """
 
+from itertools import count
 from math import gcd, isqrt
 
 from .errors import NotPrimePower
 
 _FACTOR_LIMIT = 1 << 63
+_TRIAL_LIMIT = 1000  # factorize's trial divisors are below this
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981  # least strong pseudoprime to every base above
+_RHO_BATCH = 128  # rho steps per gcd
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality by trial division up to sqrt(n)."""
+    """Deterministic primality: a screen by 2..41, then Miller-Rabin to those bases.
+
+    Raises ValueError for n >= 3317044064679887385961981, where the bases no
+    longer give an exact answer.
+    """
+    if n >= _MR_LIMIT:
+        raise ValueError(f"is_prime is exact only below {_MR_LIMIT}, got {n}")
     if n < 2:
         return False
-    if n < 4:
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    if n < 43 * 43:
         return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -51,33 +76,74 @@ def prime_powers(limit: int) -> list[int]:
     return out
 
 
+def _iroot(n: int, k: int) -> int:
+    """floor(n^(1/k)) for n >= 1, by integer Newton from above."""
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
 def split_prime_power(q: int) -> tuple[int, int]:
     """Write q = p^k; raise NotPrimePower otherwise."""
     if q < 2:
         raise NotPrimePower(f"{q} is not a prime power")
-    n = q
-    p = None
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            p = f
-            break
-        f += 1 if f == 2 else 2
-    if p is None:
+    if is_prime(q):
         return q, 1
-    k = 0
-    while n % p == 0:
-        n //= p
-        k += 1
-    if n != 1:
-        raise NotPrimePower(f"{q} is not a prime power")
-    return p, k
+    for k in range(2, q.bit_length() + 1):
+        r = _iroot(q, k)
+        if r**k == q and is_prime(r):
+            return r, k
+    raise NotPrimePower(f"{q} is not a prime power")
+
+
+def _rho_divisor(n: int) -> int:
+    """A proper divisor of the odd composite n, by Brent's rho.
+
+    Iterates y -> y^2 + c from y = 2 and takes the gcd of a product of
+    _RHO_BATCH differences at once; if a batch overshoots to n it is replayed
+    one step at a time, and a cycle without a split moves on to the next c.
+    """
+    for c in count(1):
+        y, r, prod, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    prod = prod * (x - y) % n
+                g = gcd(prod, n)
+                k += _RHO_BATCH
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if g != n:
+            return g
+
+
+def _large_prime_factors(n: int) -> list[int]:
+    """Prime factors of n > 1 with multiplicity, unsorted."""
+    if is_prime(n):
+        return [n]
+    d = _rho_divisor(n)
+    return _large_prime_factors(d) + _large_prime_factors(n // d)
 
 
 def factorize(n: int) -> list[int]:
-    """Prime factors of n with multiplicity, ascending, by trial division.
+    """Prime factors of n with multiplicity, ascending.
 
-    Guarded to n < 2^63; all in-scope values are far smaller.
+    Trial division by 2 and the odd f < 1000; a cofactor left past that is
+    prime below 10^6 and otherwise Miller-Rabin prime or split by rho.
+    Guarded to n < 2^63.
     """
     if not 1 <= n < _FACTOR_LIMIT:
         raise ValueError(f"factorize requires 1 <= n < 2^63, got {n}")
@@ -87,6 +153,8 @@ def factorize(n: int) -> list[int]:
         n //= 2
     f = 3
     while f * f <= n:
+        if f > _TRIAL_LIMIT:
+            return out + sorted(_large_prime_factors(n))
         while n % f == 0:
             out.append(f)
             n //= f

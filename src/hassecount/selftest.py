@@ -2,22 +2,24 @@
 
 Each check returns (name, ok, detail).  The full run certifies the headline
 results (exceptional sets, Table 1, the q=49 ambiguity) and then stress-tests
-counting against the exhaustive oracle across prime powers up to 1024; --fast
-trims the field ranges to desk scale.
+counting against the exhaustive oracle across prime powers up to 1024, and
+against the supersingular and CM trace sets over primes up to 2^62; --fast
+trims the field ranges to desk scale and skips the large primes.
 """
 
 from __future__ import annotations
 
 import random
+from math import isqrt
 from typing import NamedTuple
 
 from . import sweep
 from .counting import EXCLUDED_Q, count_points
-from .curve import count_exhaustive, quadratic_twist
+from .curve import Curve, count_exhaustive, quadratic_twist
 from .errors import HasseCountError
 from .exceptions import exceptional_q_set, verify_table1
 from .finite_field import make_spec, random_element, spec_for_q
-from .integers import prime_powers
+from .integers import is_prime, prime_powers
 from .order import Congruence, OpCounter, bsgs_annihilator, hasse_interval, multiples_in_interval, trace_candidates
 from .order import unique_trace_candidate
 
@@ -29,6 +31,73 @@ class CheckResult(NamedTuple):
 
 
 COROLLARY_SET = frozenset({5, 7, 9, 11, 17, 23, 29})
+
+
+def cornacchia(d: int, p: int) -> tuple[int, int]:
+    """(x, y) with x^2 + d y^2 = p, for an odd prime p where it has a solution
+    (Cornacchia's algorithm)."""
+    a, b = p, make_spec(p).sqrt_enc(-d % p)  # the root below p/2
+    while b * b > p:
+        a, b = b, a % b
+    y2, rem = divmod(p - b * b, d)
+    y = isqrt(y2)
+    if rem or y * y != y2:
+        raise ValueError(f"{p} is not of the form x^2 + {d} y^2")
+    return b, y
+
+
+def cm_trace_candidates(p: int, j: int) -> frozenset[int]:
+    """Every trace t = p + 1 - #E of a curve over the prime field F_p with
+    j-invariant 1728 (y^2 = x^3 + a x) or 0 (y^2 = x^3 + b), p > 3.
+
+    Supersingular (p = 3 mod 4 at j = 1728, p = 2 mod 3 at j = 0): t = 0.
+    Otherwise p = a^2 + b^2 gives t in {+-2a, +-2b}, and 4p = A^2 + 3B^2 gives
+    t in {+-A, +-(A + 3B)/2, +-(A - 3B)/2} (Ireland and Rosen, ch. 18); here
+    A = 2x and B = 2y for p = x^2 + 3y^2.
+    """
+    if j == 1728:
+        if p % 4 == 3:
+            return frozenset({0})
+        a, b = cornacchia(1, p)
+        base = (2 * a, 2 * b)
+    else:
+        if p % 3 == 2:
+            return frozenset({0})
+        x, y = cornacchia(3, p)
+        base = (2 * x, x + 3 * y, x - 3 * y)
+    return frozenset(s * t for t in base for s in (1, -1))
+
+
+def cm_panel(bits: int, residue: int, rng: random.Random) -> list[tuple[Curve, frozenset[int]]]:
+    """Two curves over F_p for a random prime p = residue (mod 12) of the given
+    bit length, with their possible traces: y^2 = x^3 + a x and y^2 = x^3 + b,
+    where a = 1 resp. b = 1 on the supersingular family and random otherwise."""
+    while True:
+        p = 12 * rng.randrange((1 << (bits - 1)) // 12 + 1, (1 << bits) // 12) + residue
+        if is_prime(p):
+            break
+    spec = make_spec(p)
+    a = 1 if p % 4 == 3 else rng.randrange(1, p)
+    b = 1 if p % 3 == 2 else rng.randrange(1, p)
+    return [
+        (Curve(spec, 0, 0, 0, a, 0), cm_trace_candidates(p, 1728)),
+        (Curve(spec, 0, 0, 0, 0, b), cm_trace_candidates(p, 0)),
+    ]
+
+
+def cm_oracle_check(bit_sizes, seed: int) -> tuple[bool, str]:
+    """count_points by point orders against the CM and supersingular traces,
+    on one cm_panel per bit size and residue class 1, 5, 7, 11 mod 12."""
+    rng = random.Random(seed)
+    n = 0
+    for bits in bit_sizes:
+        for residue in (1, 5, 7, 11):
+            for e, traces in cm_panel(bits, residue, rng):
+                res = count_points(e, "point_order", random.Random(seed + n))
+                if res.trace not in traces:
+                    return False, f"trace {res.trace} of {e!r} not in {sorted(traces)}"
+                n += 1
+    return True, f"{n} curves over primes of {list(bit_sizes)} bits match their CM traces"
 
 
 def _check(name: str, fn) -> CheckResult:
@@ -159,5 +228,6 @@ def run_selftest(fast: bool = False, jobs: int = 1) -> list[CheckResult]:
             return mean <= bound, f"mean ops {mean:.1f} vs budget {bound:.1f} at q=1000003"
 
         results.append(_check("bsgs-scaling", bsgs_scaling))
+        results.append(_check("cm-traces-large-primes", lambda: cm_oracle_check((20, 32, 48, 61, 62), 61)))
 
     return results

@@ -1,0 +1,119 @@
+"""integers.py: Miller-Rabin primality, rho factoring and prime-power splitting
+against sieve and trial-division references."""
+
+import math
+import random
+import time
+
+import numpy as np
+import pytest
+
+from hassecount.errors import NotPrimePower
+from hassecount.integers import factorize, is_prime, sieve_primes, split_prime_power
+
+M31 = 2**31 - 1
+REF_LIMIT = 3_200_000  # above sqrt(10^13)
+REF_PRIMES = np.array(sieve_primes(REF_LIMIT), dtype=np.int64)
+
+
+def trial_division(n):
+    """Prime factors of n < 10^13 with multiplicity, by trial division over a sieve."""
+    out = []
+    for p in REF_PRIMES[n % REF_PRIMES == 0].tolist():
+        while n % p == 0:
+            out.append(p)
+            n //= p
+    if n > 1:
+        out.append(n)  # no prime factor up to REF_LIMIT, so n is prime
+    return out
+
+
+def test_is_prime_matches_sieve():
+    limit = 200_000
+    primes = set(sieve_primes(limit))
+    assert [n for n in range(-5, limit) if is_prime(n)] == sorted(primes)
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        561,  # Carmichael
+        2047,  # strong pseudoprime to base 2
+        3215031751,  # strong pseudoprime to bases 2, 3, 5, 7
+        3825123056546413051,  # strong pseudoprime to bases 2..23
+        318665857834031151167461,  # strong pseudoprime to bases 2..37: base 41 decides
+    ],
+)
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    assert not is_prime(n)
+
+
+def test_is_prime_known_primes():
+    assert is_prime(M31) and is_prime(2**61 - 1) and is_prime(10**12 + 39)
+    assert not is_prime(2**67 - 1)  # 193707721 * 761838257287
+
+
+def test_is_prime_refuses_beyond_exact_range():
+    with pytest.raises(ValueError):
+        is_prime(3317044064679887385961981)
+    with pytest.raises(ValueError):
+        is_prime(1 << 100)
+
+
+def test_factorize_matches_trial_division():
+    rng = random.Random(2024)
+    for _ in range(2000):
+        n = rng.randrange(1, 10**13)
+        assert factorize(n) == trial_division(n), n
+
+
+@pytest.mark.parametrize(
+    "n,expected",
+    [
+        (M31 * M31, [M31, M31]),
+        (M31 * (2**31 - 19), [2**31 - 19, M31]),
+        (2**62, [2] * 62),
+        (1, []),
+        (999 * 997, [3, 3, 3, 37, 997]),
+    ],
+)
+def test_factorize_known(n, expected):
+    assert factorize(n) == expected
+
+
+def test_factorize_near_guard():
+    rng = random.Random(62)
+    for _ in range(20):
+        n = rng.randrange(2**62, 2**63)
+        f = factorize(n)
+        assert f == sorted(f) and math.prod(f) == n and all(map(is_prime, f))
+    with pytest.raises(ValueError):
+        factorize(1 << 63)
+    with pytest.raises(ValueError):
+        factorize(0)
+
+
+@pytest.mark.parametrize(
+    "q,expected",
+    [
+        (M31 * M31, (M31, 2)),
+        (3**39, (3, 39)),
+        (2**61, (2, 61)),
+        (2**61 - 1, (2**61 - 1, 1)),
+        (2**62, (2, 62)),
+        (7**2 * 7, (7, 3)),
+        (2, (2, 1)),
+    ],
+)
+def test_split_prime_power(q, expected):
+    t0 = time.perf_counter()
+    assert split_prime_power(q) == expected
+    assert time.perf_counter() - t0 < 0.01
+
+
+@pytest.mark.parametrize("q", [6, M31 * (2**13 - 1), 1, 0, 2**10 * 3**5, (M31 * 3) ** 2])
+def test_split_prime_power_rejects(q):
+    t0 = time.perf_counter()
+    with pytest.raises(NotPrimePower):
+        split_prime_power(q)
+    assert time.perf_counter() - t0 < 0.01

@@ -11,6 +11,7 @@ trace and Artin-root tables against their definitions.
 import functools
 import json
 import random
+import time
 
 import pytest
 
@@ -111,6 +112,40 @@ def test_supersingular_char2_twist_f4096(capsys):
     twist = Curve(spec_for_q(q), *out["twist_curve"])
     assert twist.a1 == twist.a2 == 0
     assert count_exhaustive(Curve(spec_for_q(q), 0, 0, 1, 0, 0)) + count_exhaustive(twist) == 2 * (q + 1)
+
+
+def _twist_by_search(curve):
+    """The supersingular char-2 twist by the first a1 = a2 = 0 curve, in
+    (a3, a4, a6) order, whose exhaustive count is 2(q+1) - #E."""
+    spec, q = curve.spec, curve.spec.q
+    target = 2 * (q + 1) - count_exhaustive(curve)
+    for a3 in range(1, q):
+        for a4 in range(q):
+            for a6 in range(q):
+                cand = Curve(spec, 0, 0, a3, a4, a6)
+                if count_exhaustive(cand) == target:
+                    return cand
+    raise AssertionError("no twist")
+
+
+@pytest.mark.parametrize("q", [8, 16, 32, 64])
+def test_supersingular_char2_twist_is_first_in_search_order(q):
+    spec = spec_for_q(q)
+    rng = random.Random(q)
+    for _ in range(5):
+        e = Curve(spec, 0, 0, rng.randrange(1, q), rng.randrange(q), rng.randrange(q))
+        assert quadratic_twist(e).coefficients() == _twist_by_search(e).coefficients()
+
+
+def test_supersingular_char2_twist_f65536(capsys):
+    q = 2**16
+    t0 = time.perf_counter()
+    assert cli.main(["twist", "--q", str(q), "--curve", "0,0,1,0,0"]) == 0
+    assert time.perf_counter() - t0 < 2.0
+    out = json.loads(capsys.readouterr().out)
+    twist = Curve(spec_for_q(q), *out["twist_curve"])
+    assert twist.a1 == twist.a2 == 0
+    assert out["count"] + count_exhaustive(twist) == 2 * (q + 1)
 
 
 def _weil_count(p, k, coeffs):
