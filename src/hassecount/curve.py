@@ -58,7 +58,10 @@ class Curve:
 
     def __init__(self, spec: FieldSpec, a1, a2, a3, a4, a6):
         self.spec = spec
-        a1, a2, a3, a4, a6 = (spec.element(a).enc for a in (a1, a2, a3, a4, a6))
+        q = spec.q
+        if not all(type(a) is int and 0 <= a < q for a in (a1, a2, a3, a4, a6)):
+            # anything but in-range plain-int encodings is validated by the field
+            a1, a2, a3, a4, a6 = (spec.element(a).enc for a in (a1, a2, a3, a4, a6))
         self.a1, self.a2, self.a3, self.a4, self.a6 = a1, a2, a3, a4, a6
         add, sub, mul, p = spec.add_enc, spec.sub_enc, spec.mul_enc, spec.p
         b2 = add(mul(a1, a1), mul(4 % p, a2))
@@ -125,8 +128,20 @@ class Curve:
         if x2 is None:
             return p
         s = self.spec
-        add, sub, mul = s.add_enc, s.sub_enc, s.mul_enc
         a1 = self.a1
+        if s.k == 1:
+            # prime field: the same formulas in plain modular arithmetic
+            p = s.p
+            if x1 == x2:
+                w = y1 + a1 * x1 + self.a3
+                if (w + y2) % p == 0:
+                    return self.infinity()
+                lam = ((3 * x1 + 2 * self.a2) * x1 + self.a4 - a1 * y1) * pow(w + y1, -1, p) % p
+            else:
+                lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
+            x3 = (lam * (lam + a1) - self.a2 - x1 - x2) % p
+            return Point(self, x3, (-lam * (x3 - x1) - y1 - a1 * x3 - self.a3) % p)
+        add, sub, mul = s.add_enc, s.sub_enc, s.mul_enc
         if x1 == x2:
             w = add(add(y1, mul(a1, x1)), self.a3)
             if add(w, y2) == 0:  # y2 = -y1 - a1 x1 - a3, so q = -p

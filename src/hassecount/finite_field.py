@@ -57,7 +57,7 @@ _TABLE_LIMIT = 1200
 # Rows per block of the vectorized exp-table build.
 _BUILD_CHUNK = 1 << 15
 
-_SPEC_CACHE: dict[tuple[int, int, tuple[int, ...]], "FieldSpec"] = {}
+_SPEC_CACHE: dict[tuple[int, int, tuple[int, ...] | None], "FieldSpec"] = {}
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +255,13 @@ class FieldSpec:
     # -- encoded arithmetic kernels ----------------------------------------------
     # Each kernel has three models: prime (k == 1), log tables (k > 1,
     # q <= 2^20), polynomial arithmetic (k > 1, q > 2^20).
+
+    @property
+    def model(self) -> str:
+        """The kernels' model of this field: "prime", "log" or "poly"."""
+        if self.k == 1:
+            return "prime"
+        return "poly" if self._log is None else "log"
 
     def add_enc(self, a: int, b: int) -> int:
         if self.k == 1:
@@ -664,6 +671,12 @@ def make_spec(p: int, k: int = 1, modulus=None) -> FieldSpec:
     coefficients and is verified irreducible.  Fields above MAX_Q = 2^62 raise
     FieldTooLarge.
     """
+    if modulus is None:
+        # a spec with the default modulus is also cached under (p, k, None),
+        # so a repeated call skips the validation and the modulus search
+        spec = _SPEC_CACHE.get((p, k, None))
+        if spec is not None:
+            return spec
     if p > 1 and k > 0 and (k > 62 or p**k > MAX_Q):
         raise FieldTooLarge(f"q = {p}^{k}: field sizes above 2^62 are not supported")
     if not is_prime(p):
@@ -683,6 +696,8 @@ def make_spec(p: int, k: int = 1, modulus=None) -> FieldSpec:
     if spec is None:
         spec = FieldSpec(p, k, mod)
         _SPEC_CACHE[key] = spec
+    if modulus is None:
+        _SPEC_CACHE[(p, k, None)] = spec
     return spec
 
 

@@ -88,12 +88,119 @@ def _scalar_mul_adds(n: int) -> int:
     return n.bit_length() - 1 + n.bit_count()
 
 
+# most additions that share one field inversion
+_BLOCK_CAP = 32
+
+
+def _block_cap(spec) -> int:
+    """Block size limit for a field: in the log model an inversion is one table
+    lookup, no dearer than a multiplication, so blocks would only add work."""
+    return 1 if spec.model == "log" else _BLOCK_CAP
+
+
+def _add_many(curve: Curve, base: Point, pts: list[Point]) -> list[Point]:
+    """[base + Q for Q in pts], with one field inversion for the whole block.
+
+    Montgomery's trick: the chord slopes of all pairs with distinct x share the
+    inverse of the product of their denominators, which costs one inversion
+    and 3(n-1) multiplications.  Doublings, Q = -base and infinity operands go
+    through Curve.add_points one pair at a time.
+    """
+    x1, y1 = base.x, base.y
+    if x1 is None:
+        return list(pts)
+    out: list[Point | None] = [None] * len(pts)
+    todo = []  # indices of the pairs with distinct x, in order
+    for i, pt in enumerate(pts):
+        if pt.x is None or pt.x == x1:
+            out[i] = curve.add_points(base, pt)
+        else:
+            todo.append(i)
+    if not todo:
+        return out
+    spec = curve.spec
+    a1, a2, a3 = curve.a1, curve.a2, curve.a3
+    if spec.k == 1:
+        p = spec.p
+        prefix = []  # prefix[j] = product of the denominators x2 - x1 of pairs 0..j
+        acc = 1
+        for i in todo:
+            acc = acc * (pts[i].x - x1) % p
+            prefix.append(acc)
+        inv = pow(acc, -1, p)  # inverse of prefix[j], walking j down
+        for j in range(len(todo) - 1, -1, -1):
+            pt = pts[todo[j]]
+            x2 = pt.x
+            lam = (pt.y - y1) * (inv * prefix[j - 1] if j else inv) % p
+            inv = inv * (x2 - x1) % p
+            x3 = (lam * (lam + a1) - a2 - x1 - x2) % p
+            out[todo[j]] = Point(curve, x3, (-lam * (x3 - x1) - y1 - a1 * x3 - a3) % p)
+        return out
+    add, sub, mul = spec.add_enc, spec.sub_enc, spec.mul_enc
+    prefix = []
+    acc = 1
+    for i in todo:
+        acc = mul(acc, sub(pts[i].x, x1))
+        prefix.append(acc)
+    inv = spec.inv_enc(acc)
+    for j in range(len(todo) - 1, -1, -1):
+        pt = pts[todo[j]]
+        x2 = pt.x
+        lam = mul(sub(pt.y, y1), mul(inv, prefix[j - 1]) if j else inv)
+        inv = mul(inv, sub(x2, x1))
+        # the chord formulas of Curve.add_points
+        x3 = sub(mul(lam, add(lam, a1)), add(add(a2, x1), x2))
+        y3 = spec.neg_enc(add(add(add(mul(lam, sub(x3, x1)), y1), mul(a1, x3)), a3))
+        out[todo[j]] = Point(curve, x3, y3)
+    return out
+
+
+def _progression(curve: Curve, start: Point, step: Point, n: int, cap: int):
+    """Yield start + i*step for i = 0, 1, ..., n-1, computing them lazily.
+
+    After start, the terms come in blocks last + (step, 2*step, ..., b*step)
+    that share one inversion (_add_many), b doubling up to cap.  The multiples
+    of step are the terms themselves when start is step; otherwise they are
+    doubled alongside, costing cap - 1 adds in all.  A block is computed
+    only when the caller asks for its first term.
+    """
+    yield start
+    if cap == 1:
+        add = curve.add_points
+        for _ in range(n - 1):
+            start = add(start, step)
+            yield start
+        return
+    multiples = [step]  # i*step for i = 1..len(multiples)
+    last, done = start, 1
+    while done < n:
+        if 1 < done and len(multiples) < cap:
+            more = cap - len(multiples)
+            if start is step:
+                multiples += block[:more]
+            else:
+                multiples += _add_many(curve, multiples[-1], multiples[:more])
+        block = _add_many(curve, last, multiples[:n - done])
+        yield from block
+        last, done = block[-1], done + len(block)
+
+
 def bsgs_annihilator(curve: Curve, pt: Point, ops: OpCounter | None = None) -> int:
     """Some m in the Hasse interval with m*P = infinity.
 
     Searches for t with t*P = (q+1)*P over |t| <= 2*sqrt(q) using baby steps
     j*P (keyed by the x-encoding, y disambiguating the sign) and giant steps
     of stride 2s-1, for O(q^(1/4)) group operations overall.
+
+    Both walks are _progression()s, so their adds come in blocks that share
+    one field inversion.  The points are scanned in the order of stepping one
+    add at a time, so the same m is returned, and ops.adds counts the logical
+    group operations of that stepping: the baby steps, the two scalar
+    multiplications and the giant steps up to the match.  The adds really
+    computed exceed it by the giant-step multiples and the rest of the block
+    that holds the match: fewer than 2*_BLOCK_CAP per call.  Measured on
+    random curves: +15% at q = 65537, +20% at 10^6, +2% at 10^12+39, and
+    none in the log model, which steps one add at a time (_block_cap).
     """
     interval = hasse_interval(curve.spec.q)
     if pt.is_infinity:
@@ -103,24 +210,23 @@ def bsgs_annihilator(curve: Curve, pt: Point, ops: OpCounter | None = None) -> i
     tb = interval.trace_bound
     s = max(2, isqrt(tb) + 1)
     spec = curve.spec
+    cap = _block_cap(spec)
 
     # baby table: x-encoding of j*P -> list of (j, y-encoding)
     table: dict[int, list[tuple[int, int]]] = {}
-    jp = pt
-    for j in range(1, s):
+    for j, jp in enumerate(_progression(curve, pt, pt, s - 1, cap), 1):
         if jp.is_infinity:
             # order of P divides j, so any multiple of j annihilates; the
             # interval is far wider than s, so one lands inside it
+            ops.adds += j - 1
             return -(-interval.lo // j) * j
         table.setdefault(jp.x, []).append((j, jp.y))
-        if j < s - 1:
-            jp = curve.add_points(jp, pt)
-            ops.adds += 1
+    ops.adds += s - 2
 
     stride = 2 * s - 1
     c = -tb + s - 1
-    # R = (q+1-c)*P, stepped down by stride*P each round
-    r = curve.scalar_mul(spec.q + 1 - c, pt)
+    # R = (q+1-c)*P, stepped down by stride*P while c - (s-1) <= tb
+    r0 = curve.scalar_mul(spec.q + 1 - c, pt)
     step = curve.negate(curve.scalar_mul(stride, pt))
     ops.adds += _scalar_mul_adds(spec.q + 1 - c) + _scalar_mul_adds(stride)
 
@@ -129,7 +235,7 @@ def bsgs_annihilator(curve: Curve, pt: Point, ops: OpCounter | None = None) -> i
             return spec.q + 1 - t
         return None
 
-    while c - (s - 1) <= tb:
+    for r in _progression(curve, r0, step, 2 * tb // stride + 1, cap):
         if r.is_infinity:
             m = accept(c)
             if m is not None:
@@ -151,7 +257,6 @@ def bsgs_annihilator(curve: Curve, pt: Point, ops: OpCounter | None = None) -> i
                         if m is not None:
                             return m
         c += stride
-        r = curve.add_points(r, step)
         ops.adds += 1
     raise InternalInvariantError("BSGS found no annihilator in the Hasse interval")
 

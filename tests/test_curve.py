@@ -1,10 +1,11 @@
 import random
 
+import numpy as np
 import pytest
 
 from hassecount import curve as cv
 from hassecount import finite_field as ff
-from hassecount.errors import FieldTooLarge, PointNotOnCurve, SingularCurve
+from hassecount.errors import FieldTooLarge, PointNotOnCurve, SingularCurve, SpecMismatch
 from hassecount.integers import is_prime, prime_powers
 from hassecount.order import hasse_interval
 
@@ -38,6 +39,19 @@ def test_make_curve_examples():
     assert table1_curve(4).discriminant != 0
     with pytest.raises(SingularCurve):
         cv.make_curve(ff.make_spec(5), 0, 0, 0, 0, 0)
+
+
+def test_curve_coefficient_inputs():
+    spec = ff.spec_for_q(9)
+    e = cv.make_curve(spec, 0, 1, 0, 1, 2)
+    assert cv.make_curve(spec, np.int64(0), True, 0, spec.element(1), [2]) == e
+    alpha = spec.element((0, 1))
+    assert cv.make_curve(spec, 0, 0, 0, alpha, [1, 1]).coefficients() == (0, 0, 0, 3, 4)
+    for bad in (9, -1, [0, 3], [1, 1, 1]):
+        with pytest.raises(ValueError):
+            cv.make_curve(spec, 0, 0, 0, bad, 1)
+    with pytest.raises(SpecMismatch):
+        cv.make_curve(spec, 0, 0, 0, ff.spec_for_q(3).element(1), 0)
 
 
 def test_is_on_curve_examples():
@@ -115,6 +129,22 @@ def test_add_points_matches_reference(q):
         pts = [cv.random_point(e, rng) for _ in range(10)]
         for p, s in zip(pts, pts[1:]):
             for a, b in ((p, s), (p, p), (p, e.negate(p)), (p, e.infinity())):
+                r = e.add_points(a, b)
+                assert (None if r.is_infinity else (r.x, r.y)) == reference_add(e, a, b)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_add_points_small_primes_every_pair(q):
+    """The prime-field formulas of add_points in characteristics 2 and 3 too."""
+    spec = ff.spec_for_q(q)
+    for coeffs in [(1, 0, 1, 0, 1), (0, 0, 1, 1, 0), (1, 1, 0, 0, 1), (0, 1, 0, 1, 1), (0, 0, 0, 1, 1)]:
+        try:
+            e = cv.make_curve(spec, *coeffs)
+        except SingularCurve:
+            continue
+        pts = cv.enumerate_points(e)
+        for a in pts:
+            for b in pts:
                 r = e.add_points(a, b)
                 assert (None if r.is_infinity else (r.x, r.y)) == reference_add(e, a, b)
 

@@ -60,6 +60,23 @@ def test_default_moduli_frozen(p, k, modulus):
         assert not poly_has_root(modulus, p)
 
 
+def test_make_spec_cached_without_search(monkeypatch):
+    first = ff.spec_for_q(3**5)
+    monkeypatch.setattr(ff, "_default_modulus", lambda p, k: pytest.fail("modulus searched again"))
+    assert ff.spec_for_q(3**5) is first
+    assert ff.make_spec(3, 5) is first
+    assert ff.make_spec(3, 5, first.modulus) is first  # the same spec under its explicit modulus
+
+
+def test_model_names():
+    assert ff.spec_for_q(1013).model == "prime"
+    assert ff.spec_for_q(2).model == "prime"
+    assert ff.spec_for_q(3**7).model == "log"
+    assert ff.spec_for_q(2**20).model == "log"
+    assert ff.spec_for_q(2**21).model == "poly"
+    assert ff.spec_for_q(3**13).model == "poly"
+
+
 def test_make_spec_errors():
     with pytest.raises(NotPrime):
         ff.make_spec(6)

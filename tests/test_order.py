@@ -91,6 +91,212 @@ def test_bsgs_operation_scaling(p):
     assert total / rounds <= 8 * p**0.25
 
 
+# --- batched BSGS against one add at a time ----------------------------------------
+
+def reference_bsgs(curve, pt, ops):
+    """BSGS with one Curve.add_points per step: the scan order and the logical
+    op count that bsgs_annihilator must reproduce."""
+    interval = od.hasse_interval(curve.spec.q)
+    if pt.is_infinity:
+        return interval.lo
+    tb = interval.trace_bound
+    s = max(2, isqrt(tb) + 1)
+    spec = curve.spec
+    table = {}
+    jp = pt
+    for j in range(1, s):
+        if jp.is_infinity:
+            return -(-interval.lo // j) * j
+        table.setdefault(jp.x, []).append((j, jp.y))
+        if j < s - 1:
+            jp = curve.add_points(jp, pt)
+            ops.adds += 1
+    stride = 2 * s - 1
+    c = -tb + s - 1
+    r = curve.scalar_mul(spec.q + 1 - c, pt)
+    step = curve.negate(curve.scalar_mul(stride, pt))
+    ops.adds += od._scalar_mul_adds(spec.q + 1 - c) + od._scalar_mul_adds(stride)
+    while c - (s - 1) <= tb:
+        if r.is_infinity:
+            if abs(c) <= tb:
+                return spec.q + 1 - c
+        else:
+            neg_y = curve.negate(r).y
+            for j, yj in table.get(r.x, ()):
+                if r.y == yj and abs(c + j) <= tb:
+                    return spec.q + 1 - c - j
+                if neg_y == yj and abs(c - j) <= tb:
+                    return spec.q + 1 - c + j
+        c += stride
+        r = curve.add_points(r, step)
+        ops.adds += 1
+    raise AssertionError("reference BSGS found no annihilator")
+
+
+def curve_through(spec, rng, x, y):
+    """A random nonsingular curve through the affine point (x, y): a1..a4 at
+    random and a6 solved for, so no y-solving is needed (char 2 above 2^16)."""
+    while True:
+        a1, a2, a3, a4 = (rng.randrange(spec.q) for _ in range(4))
+        add, mul = spec.add_enc, spec.mul_enc
+        lhs = mul(y, add(add(y, mul(a1, x)), a3))
+        rest = mul(add(mul(add(x, a2), x), a4), x)  # x^3 + a2 x^2 + a4 x
+        try:
+            e = cv.make_curve(spec, a1, a2, a3, a4, spec.sub_enc(lhs, rest))
+        except SingularCurve:
+            continue
+        return e, cv.Point(e, x, y)
+
+
+def sample_points(q, n, seed):
+    """n seeded (curve, point) pairs over F_q, each followed by its multiples
+    of order d for every proper divisor d of its order with d < s, whose baby
+    steps reach infinity, or d = 2 (2-torsion)."""
+    spec = ff.spec_for_q(q)
+    rng = random.Random(seed)
+    tb = od.hasse_interval(q).trace_bound
+    s = max(2, isqrt(tb) + 1)
+    out = []
+    for _ in range(n):
+        e, pt = curve_through(spec, rng, rng.randrange(q), rng.randrange(q))
+        out.append((e, pt))
+        order = od.exact_order(e, pt, od.bsgs_annihilator(e, pt))
+        for d in divisors(order)[1:-1]:
+            if d < s or d == 2:
+                out.append((e, e.scalar_mul(order // d, pt)))
+    return out
+
+
+FIELDS = [
+    (1009, 40),  # prime
+    (65537, 15),
+    (10**12 + 39, 4),
+    (2, 5),  # prime field of characteristic 2
+    (3**7, 30),  # log tables
+    (5**4, 30),
+    (2**10, 30),  # log tables, characteristic 2
+    (2**16, 10),
+    (3**13, 3),  # polynomial model
+    (2**21, 3),  # polynomial model, characteristic 2
+]
+
+
+@pytest.mark.parametrize("cap", [None, 3, od._BLOCK_CAP])
+@pytest.mark.parametrize("q,n", FIELDS)
+def test_bsgs_matches_one_add_at_a_time(q, n, cap, monkeypatch):
+    """Same m and logical op count as the one-add reference, with the field's
+    own block limit (None) and with blocks forced on every model."""
+    if cap is not None:
+        monkeypatch.setattr(od, "_block_cap", lambda spec: cap)
+    cases = sample_points(q, n, seed=q % 1000 + 7)
+    assert len(cases) > n  # some small-order points joined the panel
+    for e, pt in cases:
+        ops, ref_ops = od.OpCounter(), od.OpCounter()
+        m = od.bsgs_annihilator(e, pt, ops)
+        assert m == reference_bsgs(e, pt, ref_ops)
+        assert ops.adds == ref_ops.adds
+        assert e.scalar_mul(m, pt).is_infinity
+
+
+def test_bsgs_small_order_ends_in_baby_steps():
+    spec = ff.make_spec(1009)
+    e = cv.make_curve(spec, 0, 0, 0, spec.neg_enc(1), 0)  # y^2 = x^3 - x, full 2-torsion
+    pt = cv.random_point(e, random.Random(3))
+    n = od.exact_order(e, pt, od.bsgs_annihilator(e, pt))
+    small = [d for d in (2, 3, 4, 5, 6) if n % d == 0]
+    assert small
+    for d in small:
+        ops = od.OpCounter()
+        m = od.bsgs_annihilator(e, e.scalar_mul(n // d, pt), ops)
+        assert m % d == 0 and m in od.hasse_interval(1009)
+        assert ops.adds == d - 1  # baby steps P, ..., d*P = infinity
+
+
+@pytest.mark.parametrize("q", [1009, 10**12 + 39, 2, 3**7, 2**10, 3**13, 2**21])
+def test_add_many_matches_pairwise(q):
+    spec = ff.spec_for_q(q)
+    rng = random.Random(q + 1)
+    for _ in range(3):
+        e, base = curve_through(spec, rng, rng.randrange(q), rng.randrange(q))
+        others = [e.scalar_mul(k, base) for k in (2, 3, 5, 7, 11)]
+        pts = [others[0], e.infinity(), base, e.negate(base), others[1], base,
+               others[2], e.infinity(), e.negate(others[3]), others[4]]
+        for b in (base, e.infinity(), others[1]):
+            assert od._add_many(e, b, pts) == [e.add_points(b, pt) for pt in pts]
+        assert od._add_many(e, base, []) == []
+        assert od._add_many(e, base, [base, e.negate(base)]) == [e.add_points(base, base), e.infinity()]
+
+
+@pytest.mark.parametrize("cap", [1, 2, 5, 8])
+def test_progression_terms_and_block_sizes(cap, monkeypatch):
+    spec = ff.make_spec(1009)
+    e, pt = curve_through(spec, random.Random(cap), 5, 7)
+    sizes = []
+    add_many = od._add_many
+
+    def recording(curve, base, pts):
+        sizes.append(len(pts))
+        return add_many(curve, base, pts)
+
+    monkeypatch.setattr(od, "_add_many", recording)
+    start = e.scalar_mul(3, pt)
+    for n in (1, 2, 3, 40, 101):
+        for first, step in ((start, pt), (pt, pt)):
+            sizes.clear()
+            terms = list(od._progression(e, first, step, n, cap))
+            expected = [first]
+            while len(expected) < n:
+                expected.append(e.add_points(expected[-1], step))
+            assert terms == expected
+            if cap == 1:
+                assert sizes == []  # one add_points per term
+                continue
+            assert max(sizes, default=1) == min(cap, max(1, n // 2))
+            if first is step:
+                assert sum(sizes) == n - 1  # the terms are their own multiples
+            else:
+                assert sum(sizes) <= n - 1 + cap - 1  # plus doubling the multiples
+
+
+@pytest.mark.parametrize("p", [65537, 1000003])
+def test_bsgs_real_adds_scaling(p, monkeypatch):
+    """The adds really computed, counting each block member of _add_many once,
+    stay inside the op budget of criterion 9, and most come in blocks."""
+    real = blocks = 0
+    inside = False
+    add_points, add_many = cv.Curve.add_points, od._add_many
+
+    def counted_add(self, a, b):
+        nonlocal real
+        real += not inside
+        return add_points(self, a, b)
+
+    def counted_many(curve, base, pts):
+        nonlocal real, blocks, inside
+        real += len(pts)
+        blocks += 1
+        inside = True
+        try:
+            return add_many(curve, base, pts)
+        finally:
+            inside = False
+
+    monkeypatch.setattr(cv.Curve, "add_points", counted_add)
+    monkeypatch.setattr(od, "_add_many", counted_many)
+    spec = ff.make_spec(p)
+    rng = random.Random(11)
+    rounds, logical = 10, 0
+    for _ in range(rounds):
+        e = random_curve(spec, rng)
+        pt = cv.random_point(e, rng)
+        ops = od.OpCounter()
+        od.bsgs_annihilator(e, pt, ops)
+        logical += ops.adds
+    assert logical <= real <= logical + rounds * 2 * od._BLOCK_CAP
+    assert real / rounds <= 8 * p**0.25
+    assert blocks * 4 < real  # one inversion per block
+
+
 # --- exact order ------------------------------------------------------------------
 
 def test_exact_order_examples():
