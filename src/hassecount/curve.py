@@ -7,7 +7,8 @@ the characteristic.
 
 Coefficients and point coordinates are field encodings (plain ints, see
 finite_field) and every formula calls the FieldSpec kernels on them; an
-integer constant c is the encoding c % p.
+integer constant c is the encoding c % p.  The group law alone computes in
+plain modular arithmetic in prime fields, where an encoding is the residue.
 """
 
 from __future__ import annotations
@@ -155,6 +156,45 @@ class Curve:
         x3 = sub(mul(lam, add(lam, a1)), add(add(self.a2, x1), x2))
         y3 = s.neg_enc(add(add(add(mul(lam, sub(x3, x1)), y1), mul(a1, x3)), self.a3))
         return Point(self, x3, y3)
+
+    def add_many(self, base: Point, pts: list[Point]) -> list[Point]:
+        """[base + Q for Q in pts]; in a prime field with one inversion for the block.
+
+        Montgomery's trick: the chord slopes of all pairs with distinct x share
+        the inverse of the product of their denominators, which costs one
+        inversion and 3(n-1) multiplications.  Doublings, Q = -base and infinity
+        operands go through add_points one pair at a time, and so do all pairs
+        in extension fields.
+        """
+        x1, y1 = base.x, base.y
+        s = self.spec
+        if x1 is None or s.k != 1:
+            return [self.add_points(base, pt) for pt in pts]
+        out: list[Point | None] = [None] * len(pts)
+        todo = []  # indices of the pairs with distinct x, in order
+        for i, pt in enumerate(pts):
+            if pt.x is None or pt.x == x1:
+                out[i] = self.add_points(base, pt)
+            else:
+                todo.append(i)
+        if not todo:
+            return out
+        p, a1, a2, a3 = s.p, self.a1, self.a2, self.a3
+        prefix = []  # prefix[j] = product of the denominators x2 - x1 of pairs 0..j
+        acc = 1
+        for i in todo:
+            acc = acc * (pts[i].x - x1) % p
+            prefix.append(acc)
+        inv = pow(acc, -1, p)  # inverse of prefix[j], walking j down
+        for j in range(len(todo) - 1, -1, -1):
+            pt = pts[todo[j]]
+            x2 = pt.x
+            lam = (pt.y - y1) * (inv * prefix[j - 1] if j else inv) % p
+            inv = inv * (x2 - x1) % p
+            # the chord formulas of add_points
+            x3 = (lam * (lam + a1) - a2 - x1 - x2) % p
+            out[todo[j]] = Point(self, x3, (-lam * (x3 - x1) - y1 - a1 * x3 - a3) % p)
+        return out
 
     def scalar_mul(self, n: int, pt: Point) -> Point:
         if n < 0:

@@ -256,13 +256,6 @@ class FieldSpec:
     # Each kernel has three models: prime (k == 1), log tables (k > 1,
     # q <= 2^20), polynomial arithmetic (k > 1, q > 2^20).
 
-    @property
-    def model(self) -> str:
-        """The kernels' model of this field: "prime", "log" or "poly"."""
-        if self.k == 1:
-            return "prime"
-        return "poly" if self._log is None else "log"
-
     def add_enc(self, a: int, b: int) -> int:
         if self.k == 1:
             return (a + b) % self.p

@@ -88,81 +88,21 @@ def _scalar_mul_adds(n: int) -> int:
     return n.bit_length() - 1 + n.bit_count()
 
 
-# most additions that share one field inversion
+# most additions that share one field inversion; prime fields only (in the log
+# model an inversion is one table lookup, so blocks only add work, and
+# Curve.add_many batches prime fields alone)
 _BLOCK_CAP = 32
-
-
-def _block_cap(spec) -> int:
-    """Block size limit for a field: in the log model an inversion is one table
-    lookup, no dearer than a multiplication, so blocks would only add work."""
-    return 1 if spec.model == "log" else _BLOCK_CAP
-
-
-def _add_many(curve: Curve, base: Point, pts: list[Point]) -> list[Point]:
-    """[base + Q for Q in pts], with one field inversion for the whole block.
-
-    Montgomery's trick: the chord slopes of all pairs with distinct x share the
-    inverse of the product of their denominators, which costs one inversion
-    and 3(n-1) multiplications.  Doublings, Q = -base and infinity operands go
-    through Curve.add_points one pair at a time.
-    """
-    x1, y1 = base.x, base.y
-    if x1 is None:
-        return list(pts)
-    out: list[Point | None] = [None] * len(pts)
-    todo = []  # indices of the pairs with distinct x, in order
-    for i, pt in enumerate(pts):
-        if pt.x is None or pt.x == x1:
-            out[i] = curve.add_points(base, pt)
-        else:
-            todo.append(i)
-    if not todo:
-        return out
-    spec = curve.spec
-    a1, a2, a3 = curve.a1, curve.a2, curve.a3
-    if spec.k == 1:
-        p = spec.p
-        prefix = []  # prefix[j] = product of the denominators x2 - x1 of pairs 0..j
-        acc = 1
-        for i in todo:
-            acc = acc * (pts[i].x - x1) % p
-            prefix.append(acc)
-        inv = pow(acc, -1, p)  # inverse of prefix[j], walking j down
-        for j in range(len(todo) - 1, -1, -1):
-            pt = pts[todo[j]]
-            x2 = pt.x
-            lam = (pt.y - y1) * (inv * prefix[j - 1] if j else inv) % p
-            inv = inv * (x2 - x1) % p
-            x3 = (lam * (lam + a1) - a2 - x1 - x2) % p
-            out[todo[j]] = Point(curve, x3, (-lam * (x3 - x1) - y1 - a1 * x3 - a3) % p)
-        return out
-    add, sub, mul = spec.add_enc, spec.sub_enc, spec.mul_enc
-    prefix = []
-    acc = 1
-    for i in todo:
-        acc = mul(acc, sub(pts[i].x, x1))
-        prefix.append(acc)
-    inv = spec.inv_enc(acc)
-    for j in range(len(todo) - 1, -1, -1):
-        pt = pts[todo[j]]
-        x2 = pt.x
-        lam = mul(sub(pt.y, y1), mul(inv, prefix[j - 1]) if j else inv)
-        inv = mul(inv, sub(x2, x1))
-        # the chord formulas of Curve.add_points
-        x3 = sub(mul(lam, add(lam, a1)), add(add(a2, x1), x2))
-        y3 = spec.neg_enc(add(add(add(mul(lam, sub(x3, x1)), y1), mul(a1, x3)), a3))
-        out[todo[j]] = Point(curve, x3, y3)
-    return out
 
 
 def _progression(curve: Curve, start: Point, step: Point, n: int, cap: int):
     """Yield start + i*step for i = 0, 1, ..., n-1, computing them lazily.
 
     After start, the terms come in blocks last + (step, 2*step, ..., b*step)
-    that share one inversion (_add_many), b doubling up to cap.  The multiples
-    of step are the terms themselves when start is step; otherwise they are
-    doubled alongside, costing cap - 1 adds in all.  A block is computed
-    only when the caller asks for its first term.
+    that share one inversion (Curve.add_many), b doubling up to cap and to the
+    terms left.  The multiples of step are the terms themselves when start is
+    step; otherwise they are doubled alongside, costing b - 1 adds for the
+    largest block b.  A block is computed only when the caller asks for its
+    first term.
     """
     yield start
     if cap == 1:
@@ -174,13 +114,13 @@ def _progression(curve: Curve, start: Point, step: Point, n: int, cap: int):
     multiples = [step]  # i*step for i = 1..len(multiples)
     last, done = start, 1
     while done < n:
-        if 1 < done and len(multiples) < cap:
-            more = cap - len(multiples)
+        more = min(cap, n - done) - len(multiples)
+        if 1 < done and more > 0:
             if start is step:
                 multiples += block[:more]
             else:
-                multiples += _add_many(curve, multiples[-1], multiples[:more])
-        block = _add_many(curve, last, multiples[:n - done])
+                multiples += curve.add_many(multiples[-1], multiples[:more])
+        block = curve.add_many(last, multiples[:n - done])
         yield from block
         last, done = block[-1], done + len(block)
 
@@ -192,15 +132,15 @@ def bsgs_annihilator(curve: Curve, pt: Point, ops: OpCounter | None = None) -> i
     j*P (keyed by the x-encoding, y disambiguating the sign) and giant steps
     of stride 2s-1, for O(q^(1/4)) group operations overall.
 
-    Both walks are _progression()s, so their adds come in blocks that share
-    one field inversion.  The points are scanned in the order of stepping one
-    add at a time, so the same m is returned, and ops.adds counts the logical
-    group operations of that stepping: the baby steps, the two scalar
+    Both walks are _progression()s, so in prime fields their adds come in
+    blocks that share one field inversion; extension fields step one add at
+    a time.  The points are scanned in the order of stepping one add at a
+    time, so the same m is returned, and ops.adds counts the logical group
+    operations of that stepping: the baby steps, the two scalar
     multiplications and the giant steps up to the match.  The adds really
     computed exceed it by the giant-step multiples and the rest of the block
     that holds the match: fewer than 2*_BLOCK_CAP per call.  Measured on
-    random curves: +15% at q = 65537, +20% at 10^6, +2% at 10^12+39, and
-    none in the log model, which steps one add at a time (_block_cap).
+    random curves: +12% at q = 65537, +17% at 10^6, +2% at 10^12+39.
     """
     interval = hasse_interval(curve.spec.q)
     if pt.is_infinity:
@@ -210,7 +150,7 @@ def bsgs_annihilator(curve: Curve, pt: Point, ops: OpCounter | None = None) -> i
     tb = interval.trace_bound
     s = max(2, isqrt(tb) + 1)
     spec = curve.spec
-    cap = _block_cap(spec)
+    cap = _BLOCK_CAP if spec.k == 1 else 1
 
     # baby table: x-encoding of j*P -> list of (j, y-encoding)
     table: dict[int, list[tuple[int, int]]] = {}

@@ -68,15 +68,6 @@ def test_make_spec_cached_without_search(monkeypatch):
     assert ff.make_spec(3, 5, first.modulus) is first  # the same spec under its explicit modulus
 
 
-def test_model_names():
-    assert ff.spec_for_q(1013).model == "prime"
-    assert ff.spec_for_q(2).model == "prime"
-    assert ff.spec_for_q(3**7).model == "log"
-    assert ff.spec_for_q(2**20).model == "log"
-    assert ff.spec_for_q(2**21).model == "poly"
-    assert ff.spec_for_q(3**13).model == "poly"
-
-
 def test_make_spec_errors():
     with pytest.raises(NotPrime):
         ff.make_spec(6)

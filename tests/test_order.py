@@ -167,11 +167,13 @@ def sample_points(q, n, seed):
     return out
 
 
-FIELDS = [
-    (1009, 40),  # prime
+PRIME_FIELDS = [
+    (1009, 40),
     (65537, 15),
     (10**12 + 39, 4),
-    (2, 5),  # prime field of characteristic 2
+    (2, 5),  # characteristic 2
+]
+FIELDS = PRIME_FIELDS + [
     (3**7, 30),  # log tables
     (5**4, 30),
     (2**10, 30),  # log tables, characteristic 2
@@ -181,13 +183,13 @@ FIELDS = [
 ]
 
 
-@pytest.mark.parametrize("cap", [None, 3, od._BLOCK_CAP])
-@pytest.mark.parametrize("q,n", FIELDS)
+@pytest.mark.parametrize(
+    "q,n,cap", [(q, n, None) for q, n in FIELDS] + [(q, n, 3) for q, n in PRIME_FIELDS])
 def test_bsgs_matches_one_add_at_a_time(q, n, cap, monkeypatch):
-    """Same m and logical op count as the one-add reference, with the field's
-    own block limit (None) and with blocks forced on every model."""
+    """Same m and logical op count as the one-add reference, with the default
+    block limit (None) and with small blocks of 3 in prime fields."""
     if cap is not None:
-        monkeypatch.setattr(od, "_block_cap", lambda spec: cap)
+        monkeypatch.setattr(od, "_BLOCK_CAP", cap)
     cases = sample_points(q, n, seed=q % 1000 + 7)
     assert len(cases) > n  # some small-order points joined the panel
     for e, pt in cases:
@@ -212,7 +214,7 @@ def test_bsgs_small_order_ends_in_baby_steps():
         assert ops.adds == d - 1  # baby steps P, ..., d*P = infinity
 
 
-@pytest.mark.parametrize("q", [1009, 10**12 + 39, 2, 3**7, 2**10, 3**13, 2**21])
+@pytest.mark.parametrize("q", [1009, 10**12 + 39, 2, 3**7, 2**10])
 def test_add_many_matches_pairwise(q):
     spec = ff.spec_for_q(q)
     rng = random.Random(q + 1)
@@ -222,9 +224,9 @@ def test_add_many_matches_pairwise(q):
         pts = [others[0], e.infinity(), base, e.negate(base), others[1], base,
                others[2], e.infinity(), e.negate(others[3]), others[4]]
         for b in (base, e.infinity(), others[1]):
-            assert od._add_many(e, b, pts) == [e.add_points(b, pt) for pt in pts]
-        assert od._add_many(e, base, []) == []
-        assert od._add_many(e, base, [base, e.negate(base)]) == [e.add_points(base, base), e.infinity()]
+            assert e.add_many(b, pts) == [e.add_points(b, pt) for pt in pts]
+        assert e.add_many(base, []) == []
+        assert e.add_many(base, [base, e.negate(base)]) == [e.add_points(base, base), e.infinity()]
 
 
 @pytest.mark.parametrize("cap", [1, 2, 5, 8])
@@ -232,13 +234,13 @@ def test_progression_terms_and_block_sizes(cap, monkeypatch):
     spec = ff.make_spec(1009)
     e, pt = curve_through(spec, random.Random(cap), 5, 7)
     sizes = []
-    add_many = od._add_many
+    add_many = cv.Curve.add_many
 
     def recording(curve, base, pts):
         sizes.append(len(pts))
         return add_many(curve, base, pts)
 
-    monkeypatch.setattr(od, "_add_many", recording)
+    monkeypatch.setattr(cv.Curve, "add_many", recording)
     start = e.scalar_mul(3, pt)
     for n in (1, 2, 3, 40, 101):
         for first, step in ((start, pt), (pt, pt)):
@@ -255,16 +257,17 @@ def test_progression_terms_and_block_sizes(cap, monkeypatch):
             if first is step:
                 assert sum(sizes) == n - 1  # the terms are their own multiples
             else:
-                assert sum(sizes) <= n - 1 + cap - 1  # plus doubling the multiples
+                # plus doubling the multiples up to the largest block
+                assert sum(sizes) == n - 1 + max(sizes, default=1) - 1
 
 
-@pytest.mark.parametrize("p", [65537, 1000003])
-def test_bsgs_real_adds_scaling(p, monkeypatch):
-    """The adds really computed, counting each block member of _add_many once,
-    stay inside the op budget of criterion 9, and most come in blocks."""
+@pytest.mark.parametrize("p,rounds", [(65537, 10), (1000003, 10), (10**12 + 39, 3)])
+def test_bsgs_real_adds_scaling(p, rounds, monkeypatch):
+    """The adds really computed, counting each block member of Curve.add_many
+    once, stay inside the op budget of criterion 9, and most come in blocks."""
     real = blocks = 0
     inside = False
-    add_points, add_many = cv.Curve.add_points, od._add_many
+    add_points, add_many = cv.Curve.add_points, cv.Curve.add_many
 
     def counted_add(self, a, b):
         nonlocal real
@@ -282,10 +285,10 @@ def test_bsgs_real_adds_scaling(p, monkeypatch):
             inside = False
 
     monkeypatch.setattr(cv.Curve, "add_points", counted_add)
-    monkeypatch.setattr(od, "_add_many", counted_many)
+    monkeypatch.setattr(cv.Curve, "add_many", counted_many)
     spec = ff.make_spec(p)
     rng = random.Random(11)
-    rounds, logical = 10, 0
+    logical = 0
     for _ in range(rounds):
         e = random_curve(spec, rng)
         pt = cv.random_point(e, rng)
