@@ -8,7 +8,10 @@ the characteristic.
 Coefficients and point coordinates are field encodings (plain ints, see
 finite_field) and every formula calls the FieldSpec kernels on them; an
 integer constant c is the encoding c % p.  The group law alone computes in
-plain modular arithmetic in prime fields, where an encoding is the residue.
+plain modular arithmetic in prime fields, where an encoding is the residue,
+and there, for p > 3, scalar_mul moves to the short model y^2 = x^3 + Ax + B
+and Jacobian coordinates, so that a whole multiplication makes one inversion.
+Points are always returned affine, on the long form.
 """
 
 from __future__ import annotations
@@ -197,17 +200,64 @@ class Curve:
         return out
 
     def scalar_mul(self, n: int, pt: Point) -> Point:
+        """n*P for any integer n (negative n multiplies -P), by double-and-add.
+
+        In prime fields with p > 3 the chain runs left to right on the
+        isomorphic short model y'^2 = x'^3 + A x' + B, where x' = x + b2/12,
+        y' = y + (a1 x + a3)/2 and A = b4/2 - b2^2/48, in Jacobian coordinates
+        (x', y') = (X/Z^2, Y/Z^3), with Z = 0 for infinity.  The affine base
+        is added by mixed additions, so the chain makes a single field
+        inversion, when it maps the result back.  Extension fields, where an
+        inversion is one table lookup, and F_2, F_3 add affine points through
+        add_points.  Both return the same affine point.
+        """
         if n < 0:
             return self.scalar_mul(-n, self.negate(pt))
-        acc = self.infinity()
-        base = pt
-        while n:
-            if n & 1:
-                acc = self.add_points(acc, base)
-            n >>= 1
-            if n:
-                base = self.add_points(base, base)
-        return acc
+        s = self.spec
+        if s.k != 1 or s.p <= 3:
+            acc = self.infinity()
+            base = pt
+            while n:
+                if n & 1:
+                    acc = self.add_points(acc, base)
+                n >>= 1
+                if n:
+                    base = self.add_points(base, base)
+            return acc
+        if n == 0 or pt.x is None:
+            return self.infinity()
+        p, a1, a3 = s.p, self.a1, self.a3
+        half = (p + 1) >> 1
+        sx = self.b2 * pow(12, -1, p) % p  # x' = x + sx
+        a = (self.b4 * half - 3 * sx * sx) % p
+        xb = (pt.x + sx) % p
+        yb = (pt.y + (a1 * pt.x + a3) * half) % p
+        x, y, z = xb, yb, 1
+        for bit in bin(n)[3:]:
+            x, y, z = _jacobian_double(x, y, z, a, p)
+            if bit == "0":
+                continue
+            if z == 0:
+                x, y, z = xb, yb, 1
+                continue
+            zz = z * z % p
+            h = (xb * zz - x) % p
+            r = (yb * zz * z - y) % p
+            if h == 0:  # equal x': the sum is 2*base (r = 0) or infinity
+                x, y, z = _jacobian_double(xb, yb, 1, a, p) if r == 0 else (1, 1, 0)
+                continue
+            hh = h * h % p
+            hhh = h * hh % p
+            v = x * hh % p
+            x = (r * r - hhh - 2 * v) % p
+            y = (r * (v - x) - y * hhh) % p
+            z = z * h % p
+        if z == 0:
+            return self.infinity()
+        zi = pow(z, -1, p)
+        zi2 = zi * zi % p
+        x = (x * zi2 - sx) % p
+        return Point(self, x, (y * zi2 * zi - (a1 * x + a3) * half) % p)
 
     # -- per-x solution machinery ----------------------------------------------
 
@@ -246,6 +296,20 @@ class Curve:
             return []
         r = s.sqrt_enc(w)
         return sorted((s.sub_enc(r, t), s.sub_enc(s.neg_enc(r), t)))
+
+
+def _jacobian_double(x: int, y: int, z: int, a: int, p: int) -> tuple[int, int, int]:
+    """2*(X : Y : Z) on y^2 = x^3 + a x + b over F_p in Jacobian coordinates.
+
+    Z3 = 2 Y Z vanishes for infinity (Z = 0) and for a 2-torsion point
+    (Y = 0), so both exceptional cases come out as infinity unbranched.
+    """
+    yy = y * y % p
+    s = 4 * x * yy % p
+    zz = z * z % p
+    m = (3 * x * x + a * zz * zz) % p
+    x3 = (m * m - 2 * s) % p
+    return x3, (m * (s - x3) - 8 * yy * yy) % p, 2 * y * z % p
 
 
 def make_curve(spec: FieldSpec, a1, a2, a3, a4, a6) -> Curve:

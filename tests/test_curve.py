@@ -149,6 +149,75 @@ def test_add_points_small_primes_every_pair(q):
                 assert (None if r.is_infinity else (r.x, r.y)) == reference_add(e, a, b)
 
 
+def scalar_mul_panel(q):
+    """Curves over F_q with a1, a3 != 0: one with a point of order 2 and, in
+    odd characteristic, one without; in odd characteristic also
+    y^2 = x^3 - x, whose 2-torsion is all rational."""
+    spec = ff.spec_for_q(q)
+    rng = random.Random(q)
+    curves = {}
+    for _ in range(200):
+        e = random_curve(spec, rng)
+        if e.a1 and e.a3:
+            two_torsion = any(p == e.negate(p) for p in cv.enumerate_points(e)[1:])
+            curves.setdefault(two_torsion, e)
+    if not spec.char2:
+        curves["x^3 - x"] = cv.make_curve(spec, 0, 0, 0, spec.neg_enc(1), 0)
+    return list(curves.values())
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9, 11, 13, 101])
+def test_scalar_mul_matches_repeated_adds(q, monkeypatch):
+    """n*P for every point and every n in [-2N-1, 2N+1], N = #E, equals n
+    repeated adds of P (or of -P): the Jacobian chain in F_p, p > 3, and the
+    affine chain in F_2, F_3 and extension fields."""
+    curves = scalar_mul_panel(q)
+    if q % 2 == 0 or q % 3 == 0:
+        monkeypatch.setattr(cv, "_jacobian_double", lambda *a: pytest.fail("Jacobian chain used"))
+    assert q % 2 == 0 or len(curves) == 3  # ordinary char-2 curves all have 2-torsion
+    for e in curves:
+        pts = cv.enumerate_points(e)
+        bound = 2 * len(pts) + 1
+        for p in pts:
+            for step in (p, e.negate(p)):
+                acc = e.infinity()
+                for n in range(bound + 1):
+                    assert e.scalar_mul(n if step is p else -n, p) == acc, (e, p, n)
+                    acc = e.add_points(acc, step)
+
+
+def affine_mul(e, n, p):
+    """n*P (n >= 0) by right-to-left double-and-add on add_points."""
+    acc = e.infinity()
+    while n:
+        if n & 1:
+            acc = e.add_points(acc, p)
+        p = e.add_points(p, p)
+        n >>= 1
+    return acc
+
+
+@pytest.mark.parametrize("q", [10**12 + 39, 2**61 - 1])
+def test_scalar_mul_large_primes(q):
+    """Both primes are 3 mod 4, so y^2 = x^3 + x and every long-form model of
+    it (x -> x + r, y -> y + s x + t) has q + 1 points."""
+    spec = ff.spec_for_q(q)
+    assert q % 4 == 3
+    rng = random.Random(q)
+    for _ in range(4):
+        r, s, t = (rng.randrange(q) for _ in range(3))
+        # Silverman, Table 3.1, with u = 1
+        e = cv.make_curve(spec, 2 * s % q, (3 * r - s * s) % q, 2 * t % q,
+                          (1 + 3 * r * r - 2 * s * t) % q, (r + r**3 - t * t) % q)
+        for _ in range(3):
+            p = cv.random_point(e, rng)
+            assert e.scalar_mul(q + 1, p).is_infinity
+            assert e.scalar_mul(q, p) == e.negate(p)
+            n = rng.randrange(1, q)
+            assert e.scalar_mul(n, p) == affine_mul(e, n, p)
+            assert e.scalar_mul(-n, p) == e.negate(affine_mul(e, n, p))
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 32, 49, 81, 113, 121])
 def test_lagrange_all_points(q):
     spec = ff.spec_for_q(q)

@@ -264,10 +264,11 @@ def test_progression_terms_and_block_sizes(cap, monkeypatch):
 @pytest.mark.parametrize("p,rounds", [(65537, 10), (1000003, 10), (10**12 + 39, 3)])
 def test_bsgs_real_adds_scaling(p, rounds, monkeypatch):
     """The adds really computed, counting each block member of Curve.add_many
-    once, stay inside the op budget of criterion 9, and most come in blocks."""
+    once and each Curve.scalar_mul(n, .) as its double-and-add chain, stay
+    inside the op budget of criterion 9, and most come in blocks."""
     real = blocks = 0
     inside = False
-    add_points, add_many = cv.Curve.add_points, cv.Curve.add_many
+    add_points, add_many, scalar_mul = cv.Curve.add_points, cv.Curve.add_many, cv.Curve.scalar_mul
 
     def counted_add(self, a, b):
         nonlocal real
@@ -284,8 +285,20 @@ def test_bsgs_real_adds_scaling(p, rounds, monkeypatch):
         finally:
             inside = False
 
+    def counted_mul(curve, n, pt):
+        nonlocal real, inside
+        if inside:
+            return scalar_mul(curve, n, pt)
+        real += od._scalar_mul_adds(n)
+        inside = True
+        try:
+            return scalar_mul(curve, n, pt)
+        finally:
+            inside = False
+
     monkeypatch.setattr(cv.Curve, "add_points", counted_add)
     monkeypatch.setattr(cv.Curve, "add_many", counted_many)
+    monkeypatch.setattr(cv.Curve, "scalar_mul", counted_mul)
     spec = ff.make_spec(p)
     rng = random.Random(11)
     logical = 0
