@@ -228,7 +228,9 @@ class Curve:
             return self.infinity()
         p, a1, a3 = s.p, self.a1, self.a3
         half = (p + 1) >> 1
-        sx = self.b2 * pow(12, -1, p) % p  # x' = x + sx
+        # 1/12 without an inversion: every unit u mod 12 has u^2 = 1, so
+        # (-p % 12) * p = -1 (mod 12) and 12 divides (-p % 12) * p + 1
+        sx = self.b2 * ((-p % 12 * p + 1) // 12) % p  # x' = x + sx
         a = (self.b4 * half - 3 * sx * sx) % p
         xb = (pt.x + sx) % p
         yb = (pt.y + (a1 * pt.x + a3) * half) % p

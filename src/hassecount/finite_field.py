@@ -58,7 +58,6 @@ _TABLE_LIMIT = 1200
 _BUILD_CHUNK = 1 << 15
 
 _SPEC_CACHE: dict[tuple[int, int, tuple[int, ...] | None], "FieldSpec"] = {}
-_Q_CACHE: dict[int, "FieldSpec"] = {}  # spec_for_q(q) with the default modulus
 
 
 # ---------------------------------------------------------------------------
@@ -703,17 +702,9 @@ def check_field_size(q: int) -> None:
 
 def spec_for_q(q: int, modulus=None) -> FieldSpec:
     """Model of F_q given the prime power q itself (q <= 2^62)."""
-    if modulus is None:
-        # a repeated call skips splitting q
-        spec = _Q_CACHE.get(q)
-        if spec is not None:
-            return spec
     check_field_size(q)
     p, k = split_prime_power(q)
-    spec = make_spec(p, k, modulus)
-    if modulus is None:
-        _Q_CACHE[q] = spec
-    return spec
+    return make_spec(p, k, modulus)
 
 
 def is_square(a: FieldElement) -> bool:

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from hassecount import finite_field as ff
-from hassecount.errors import NotASquare, NotPrime, NotPrimePower, ReduciblePolynomial, SpecMismatch
+from hassecount.errors import NotASquare, NotPrime, ReduciblePolynomial, SpecMismatch
 from hassecount.integers import prime_powers, split_prime_power
 
 
@@ -66,16 +66,6 @@ def test_make_spec_cached_without_search(monkeypatch):
     assert ff.spec_for_q(3**5) is first
     assert ff.make_spec(3, 5) is first
     assert ff.make_spec(3, 5, first.modulus) is first  # the same spec under its explicit modulus
-
-
-def test_spec_for_q_cached_without_split(monkeypatch):
-    first = ff.spec_for_q(1024)
-    monkeypatch.setattr(ff, "split_prime_power", lambda q: pytest.fail("q split again"))
-    assert ff.spec_for_q(1024) is first
-    monkeypatch.undo()
-    for _ in range(2):  # a refused q is not cached
-        with pytest.raises(NotPrimePower):
-            ff.spec_for_q(1000)
 
 
 def test_make_spec_errors():
