@@ -255,14 +255,20 @@ def _cmd_table1(args) -> int:
                 f"lambda={r.lam}\ttwist_lambda={r.twist_lam}{note}\t"
                 + ("PASS" if r.ok else "FAIL")
             )
-    return 0 if all(r.ok for r in reports) else 1
+    failed = [r.q for r in reports if not r.ok]
+    if failed:
+        raise InternalInvariantError(f"table1 rows failed for q in {failed}")
+    return 0
 
 
 def _cmd_selftest(args) -> int:
     results = run_selftest(fast=args.fast, jobs=args.jobs)
     for r in results:
         print(f"{r.name}: {'PASS' if r.ok else 'FAIL'} ({r.detail})")
-    return 0 if all(r.ok for r in results) else 1
+    failed = [r.name for r in results if not r.ok]
+    if failed:
+        raise InternalInvariantError(f"selftest checks failed: {', '.join(failed)}")
+    return 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -274,7 +280,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--version", action="version", version=f"hassecount {__version__} ({_RNG_NOTE})"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    jobs_default = int(os.environ.get("HASSECOUNT_JOBS", "1"))
+    # a string default is parsed by type=int, so only the commands that take
+    # --jobs read HASSECOUNT_JOBS (and exit 2 on a malformed value)
+    jobs_default = os.environ.get("HASSECOUNT_JOBS", "1")
 
     def add_field_curve(p, point=False, method=False):
         p.add_argument("--q", type=int, required=True, help="field size, a prime power")

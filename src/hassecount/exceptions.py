@@ -22,6 +22,7 @@ from . import counting as _counting
 from . import curve as _curve
 from . import finite_field as _ff
 from .integers import divisors, factorize, lcm, prime_powers, split_prime_power
+from .order import Congruence, trace_candidates
 
 
 @dataclass(frozen=True, order=True)
@@ -44,12 +45,6 @@ def mn_bounds(q: int) -> tuple[int, int]:
 
 def _divisors_in_range(n: int, lo: int, hi: int) -> list[int]:
     return [d for d in divisors(n) if lo <= d <= hi]
-
-
-def _t_prime_values(t: int, period: int, tb: int) -> list[int]:
-    """All t' = t (mod period) with |t'| <= tb and t' != t, ascending."""
-    first = -tb + (t + tb) % period
-    return [x for x in range(first, tb + 1, period) if x != t]
 
 
 # How the corollary's modified enumerator constrains the t'-side cofactors
@@ -103,7 +98,9 @@ def enumerate_exceptions(
         for M in ms:
             for N in ns:
                 period = lcm(M, N)
-                for tp in _t_prime_values(t, period, tb):
+                for tp in trace_candidates(Congruence(t % period, period), q):
+                    if tp == t:
+                        continue
                     if corollary and not _corollary_keep(
                         reading, (qp1 - tp) // M, (qp1 + tp) // N, M, N, qm1
                     ):

@@ -24,9 +24,8 @@ There are three field models:
 Field sizes are supported up to MAX_Q = 2^62; make_spec and spec_for_q raise
 FieldTooLarge above it.
 
-The derived O(q) tables (inverses, quadratic character, char-2 trace and
-Artin roots) are built on first use at any size, and the sweep kernels' q^2
-mul/add tables up to 1200 elements.
+The derived O(q) tables (quadratic character, char-2 trace and Artin roots)
+are built on first use at any size.
 
 Inside the library every field element is its encoding, a plain int, and the
 arithmetic is the FieldSpec kernels (add_enc, mul_enc, inv_enc, ...).
@@ -51,9 +50,6 @@ MAX_Q = 1 << 62
 # Extension fields up to this size get exp/log (and Zech) tables; above it
 # every operation is polynomial arithmetic.
 _LOG_LIMIT = 1 << 20
-# The sweep kernels' q^2 mul/add tables are built up to this size; all
-# certification work lives at q <= 1024.
-_TABLE_LIMIT = 1200
 # Rows per block of the vectorized exp-table build.
 _BUILD_CHUNK = 1 << 15
 
@@ -205,9 +201,6 @@ class FieldSpec:
         self._zech = None
         self._half = (self.q - 1) // 2  # log(-1) in odd characteristic
         # lazy caches
-        self._mul = None  # flat numpy int32 q^2 tables, index a*q+b
-        self._add = None
-        self._inv = None
         self._chi = None  # quadratic character by encoding: -1/0/1 (odd q)
         self._trace = None  # absolute trace by encoding (char 2)
         self._artin = None  # char 2: smallest z with z^2+z=e, -1 when there is none
@@ -467,42 +460,6 @@ class FieldSpec:
             zech[n:] = zech[:n]
         # the kernels leave polynomial arithmetic once the tables are set
         self._exp, self._log, self._zech = exp_table, log_table, zech_table
-
-    def mul_add_tables(self):
-        """Flat q^2 (mul, add) numpy tables, index a*q+b, for extension fields
-        up to 1200 elements (the sweep kernels gather through them); add is
-        None in characteristic 2 (XOR).  (None, None) for prime fields and
-        beyond the limit."""
-        if self.k == 1 or self.q > _TABLE_LIMIT:
-            return None, None
-        if self._mul is None:
-            q, p, k = self.q, self.p, self.k
-            log = np.frombuffer(self._log, dtype=np.int32)
-            mul = np.take(self._exp, np.add.outer(log, log))
-            mul[0, :] = 0
-            mul[:, 0] = 0
-            self._mul = mul.ravel()
-            if not self.char2:
-                digits = np.zeros((q, k), dtype=np.int64)
-                n = np.arange(q, dtype=np.int64)
-                for i in range(k):
-                    digits[:, i] = n % p
-                    n //= p
-                pw = np.array([p**i for i in range(k)], dtype=np.int64)
-                s = (digits[:, None, :] + digits[None, :, :]) % p
-                self._add = (s @ pw).astype(np.int32).ravel()
-        return self._mul, self._add
-
-    def inv_table(self):
-        """Inverse by encoding (0 at 0), an array('i')."""
-        if self._inv is None:
-            self._inv, inv = _typed_array("i", self.q)
-            if self._log is not None:
-                np.take(self._exp, self.q - 1 - np.frombuffer(self._log, dtype=np.int32), out=inv)
-                inv[0] = 0
-            else:
-                inv[1:] = [self.inv_enc(a) for a in range(1, self.q)]
-        return self._inv
 
     def chi_table(self):
         """Quadratic character by encoding, an array('b'): 0 at 0, +1 on

@@ -6,10 +6,13 @@ per-curve Python calls.  The kernels here verify every curve by combining
 three routes:
 
   * odd characteristic: every (a1,..,a6) is mapped to its completed-square
-    class (an isomorphism, so count and singularity are preserved); the q^3
-    class counts are computed both through the real per-curve library path
-    (count_exhaustive) and through an independent numpy character-sum, and
-    the two must agree class by class;
+    class y^2 = x^3 + c2 x^2 + c4 x + c6 (an isomorphism, so count and
+    singularity are preserved); the q^3 class counts are computed both
+    through the real per-curve library path (count_exhaustive) and through
+    an independent character sum, and the two must agree class by class.
+    The character sum is one product: with the histogram
+    H[(c2, c4), v] = #{x : x^3 + c2 x^2 + c4 x = v} and S[v, c6] = chi(v + c6),
+    the counts are q+1 + H @ S;
   * characteristic 2: counts for all q^5 curves are computed by the
     trace-criterion route and, for q <= 16, re-derived by a raw O(q^2)
     pair-scan of the curve equation;
@@ -18,6 +21,11 @@ three routes:
 
 Discriminants are evaluated vectorized for the whole grid, so singularity
 classification is also cross-checked against the library's SingularCurve.
+
+The vectorized field is _VecField: arithmetic mod p in prime fields, and
+in extension fields up to 1200 elements gathers through q^2 tables of the
+FieldSpec's own mul_enc and add_enc.  Each public call builds one _VecField
+and, in odd characteristic, one class grid.
 """
 
 from __future__ import annotations
@@ -34,29 +42,30 @@ from .finite_field import FieldSpec
 from .order import hasse_interval
 
 _CHUNK = 1 << 21
+# Extension fields get q^2 mul/add tables up to this size; all certification
+# work lives at q <= 1024.
+_TABLE_LIMIT = 1200
 
 
 class _VecField:
-    """Vectorized encoded field arithmetic: mod-p for prime fields, table
-    gathers for extensions (tables come from the FieldSpec)."""
+    """Vectorized encoded field arithmetic: mod p for prime fields, and for
+    extension fields gathers through q^2 tables of the spec's own mul_enc and
+    add_enc (the XOR table in characteristic 2), index a*q+b."""
 
     def __init__(self, spec: FieldSpec):
         self.spec = spec
-        self.q = spec.q
+        self.q = q = spec.q
         self.prime = spec.k == 1
         if not self.prime:
-            mul, add = spec.mul_add_tables()
-            if mul is None:
-                raise InternalInvariantError("sweep kernels need table-backed fields")
-            self.MUL = mul
-            self.ADD = add  # None in characteristic 2 (XOR)
-            self.NEG = np.array([spec.neg_enc(a) for a in range(spec.q)], dtype=np.int32)
+            if q > _TABLE_LIMIT:
+                raise InternalInvariantError(f"sweep tables stop at {_TABLE_LIMIT} elements, q = {q}")
+            pairs = [(a, b) for a in range(q) for b in range(q)]
+            self.MUL = np.array([spec.mul_enc(a, b) for a, b in pairs], dtype=np.int32)
+            self.ADD = np.array([spec.add_enc(a, b) for a, b in pairs], dtype=np.int32)
 
     def add(self, a, b):
         if self.prime:
             return (a + b) % self.q
-        if self.spec.char2:
-            return a ^ b
         return self.ADD[a * self.q + b]
 
     def mul(self, a, b):
@@ -66,20 +75,13 @@ class _VecField:
 
     def smul(self, c: int, a):
         """Multiply by the integer constant c embedded in the prime subfield."""
-        return self.cmul(c % self.spec.p, a)
-
-    def cmul(self, enc_c: int, a):
-        """Multiply by a fixed element given by its encoding."""
+        c %= self.spec.p
         if self.prime:
-            return enc_c * a % self.q
-        return self.MUL[enc_c * self.q + a]
+            return c * a % self.q
+        return self.MUL[c * self.q + a]
 
     def neg(self, a):
-        if self.prime:
-            return (self.q - a) % self.q
-        if self.spec.char2:
-            return a
-        return self.NEG[a]
+        return self.smul(-1, a)
 
 
 def _discriminant_vec(F: _VecField, a1, a2, a3, a4, a6):
@@ -93,21 +95,30 @@ def _discriminant_vec(F: _VecField, a1, a2, a3, a4, a6):
             F.add(F.mul(a2, F.mul(a3, a3)), F.neg(F.mul(a4, a4))),
         ),
     )
-    d1 = F.mul(F.mul(b2, b2), b8)
-    d2 = F.smul(8, F.mul(b4, F.mul(b4, b4)))
-    d3 = F.smul(27, F.mul(b6, b6))
+    d1 = F.neg(F.mul(F.mul(b2, b2), b8))
+    d2 = F.smul(-8, F.mul(b4, F.mul(b4, b4)))
+    d3 = F.smul(-27, F.mul(b6, b6))
     d4 = F.smul(9, F.mul(b2, F.mul(b4, b6)))
-    return F.add(F.add(F.neg(d1), F.neg(d2)), F.add(F.neg(d3), d4))
+    return F.add(F.add(d1, d2), F.add(d3, d4))
 
 
-def _digit_arrays(q: int, start: int, stop: int) -> list[np.ndarray]:
-    """The 5 coefficient digits of indices [start, stop) in base q (a6 fastest)."""
+def _digits(q: int, n: int, start: int, stop: int) -> list[np.ndarray]:
+    """The n base-q digits of the indices [start, stop), most significant first."""
     idx = np.arange(start, stop, dtype=np.int64)
     out = []
-    for _ in range(5):
+    for _ in range(n):
         out.append((idx % q).astype(np.int32))
         idx //= q
-    return out[::-1]  # a1, a2, a3, a4, a6
+    return out[::-1]
+
+
+def _class_grid(F: _VecField):
+    """The completed-square classes y^2 = x^3 + c2 x^2 + c4 x + c6 (odd
+    characteristic) as digit arrays c2, c4, c6 in class-index order
+    (c2*q + c4)*q + c6, and the mask of the nonsingular ones."""
+    c2, c4, c6 = _digits(F.q, 3, 0, F.q**3)
+    z = np.zeros_like(c2)
+    return c2, c4, c6, _discriminant_vec(F, z, c2, z, c4, c6) != 0
 
 
 def class_counts_odd(spec: FieldSpec) -> np.ndarray:
@@ -127,64 +138,58 @@ def class_counts_odd(spec: FieldSpec) -> np.ndarray:
     return out
 
 
-def _class_counts_charsum(spec: FieldSpec) -> np.ndarray:
-    """Independent numpy route: q+1 + sum_x chi(x^3 + c2 x^2 + c4 x + c6)."""
-    q = spec.q
-    F = _VecField(spec)
-    chi = np.asarray(spec.chi_table(), dtype=np.int64)
-    grid = np.arange(q * q * q, dtype=np.int64)
-    c6 = (grid % q).astype(np.int32)
-    c4 = (grid // q % q).astype(np.int32)
-    c2 = (grid // (q * q) % q).astype(np.int32)
-    total = np.full(q * q * q, q + 1, dtype=np.int64)
-    for x in range(q):
-        w = F.add(F.mul(F.add(F.mul(F.add(c2, x), x), c4), x), c6)
-        total += chi[w]
-    return total.astype(np.int32)
+def _class_counts_charsum(F: _VecField, c2, c4, c6) -> np.ndarray:
+    """Independent numpy route over the class grid: every class count
+    q+1 + sum_x chi(x^3 + c2 x^2 + c4 x + c6) at once.
+
+    The grid's last digit also runs over x, so one histogram gives
+    H[(c2, c4), v] = #{x : x^3 + c2 x^2 + c4 x = v}; with S[v, c6] = chi(v + c6)
+    the counts are q+1 + H @ S, in class-index order."""
+    q = F.q
+    x = c6
+    v = F.mul(F.add(F.mul(F.add(c2, x), x), c4), x)
+    hist = np.bincount((c2 * q + c4) * q + v, minlength=q**3).reshape(q * q, q)
+    vs, c6s = np.indices((q, q), dtype=np.int32)
+    S = np.asarray(F.spec.chi_table(), dtype=np.int64)[F.add(vs, c6s)]
+    return (q + 1 + hist @ S).astype(np.int32).ravel()
 
 
 def _reduce_classes_vec(F: _VecField, a1, a2, a3, a4, a6) -> np.ndarray:
     """Completed-square class index (c2*q + c4)*q + c6 for raw coefficients
     (odd characteristic only)."""
-    inv2 = F.spec.inv_enc(2 % F.spec.p)
-    h1 = F.cmul(inv2, a1)
-    h3 = F.cmul(inv2, a3)
+    half = (F.spec.p + 1) // 2  # 1/2 in F_p
+    h1 = F.smul(half, a1)
+    h3 = F.smul(half, a3)
     c2 = F.add(a2, F.mul(h1, h1))
-    c4 = F.add(a4, F.cmul(inv2, F.mul(a1, a3)))
+    c4 = F.add(a4, F.smul(half, F.mul(a1, a3)))
     c6 = F.add(a6, F.mul(h3, h3))
     return (c2.astype(np.int64) * F.q + c4) * F.q + c6
 
 
-def _char2_counts_trace(spec: FieldSpec, a1, a2, a3, a4, a6) -> np.ndarray:
-    """Counts via the solvability criterion of y^2 + cy = d (characteristic 2)."""
-    q = spec.q
-    F = _VecField(spec)
+def _char2_counts_trace(F: _VecField, a1, a2, a3, a4, a6) -> np.ndarray:
+    """Counts via the solvability criterion of y^2 + cy = d (characteristic 2,
+    so here and in the pair-scan addition is XOR of encodings)."""
+    spec = F.spec
     tr, _ = spec.trace_artin_tables()
     tr = np.asarray(tr, dtype=np.int64)
-    inv = np.asarray(spec.inv_table())
+    inv = np.array([0] + [spec.inv_enc(a) for a in range(1, F.q)], dtype=np.int32)
     total = np.full(a1.shape, 1, dtype=np.int64)
-    for x in range(q):
-        c = F.mul(a1, np.int32(x)) ^ a3
-        d = F.add(F.mul(F.add(F.mul(F.add(a2, x), x), a4), x), a6)
-        csq = F.mul(c, c)
-        safe = np.where(c == 0, np.int32(1), csq)
-        e = F.mul(d, inv[safe])
+    for x in range(F.q):
+        c = F.mul(a1, x) ^ a3
+        d = F.mul(F.mul(a2 ^ x, x) ^ a4, x) ^ a6
+        e = F.mul(d, inv[F.mul(c, c)])
         total += np.where(c == 0, 1, 2 * (1 - tr[e]))
     return total.astype(np.int32)
 
 
-def _char2_counts_pairscan(spec: FieldSpec, a1, a2, a3, a4, a6) -> np.ndarray:
+def _char2_counts_pairscan(F: _VecField, a1, a2, a3, a4, a6) -> np.ndarray:
     """Raw O(q^2) route: count solutions of the untransformed curve equation."""
-    q = spec.q
-    F = _VecField(spec)
     total = np.full(a1.shape, 1, dtype=np.int64)
-    for x in range(q):
-        c = F.mul(a1, np.int32(x)) ^ a3
-        rhs = F.add(F.mul(F.add(F.mul(F.add(a2, x), x), a4), x), a6)
-        for y in range(q):
-            yy = spec.mul_enc(y, y)
-            lhs = F.mul(c, np.int32(y)) ^ yy
-            total += lhs == rhs
+    for x in range(F.q):
+        c = F.mul(a1, x) ^ a3
+        rhs = F.mul(F.mul(a2 ^ x, x) ^ a4, x) ^ a6
+        for y in range(F.q):
+            total += F.mul(c, y) ^ F.mul(y, y) == rhs
     return total.astype(np.int32)
 
 
@@ -216,21 +221,14 @@ def full_sweep_verify(
     if spec.char2:
         class_counts = None
     else:
+        c2, c4, c6, cls_nonsing = _class_grid(F)
         class_counts = class_counts_odd(spec)
-        charsum = _class_counts_charsum(spec)
-        ok = (class_counts == charsum) | (class_counts < 0)
-        if not bool(ok.all()):
+        charsum = _class_counts_charsum(F, c2, c4, c6)
+        if not bool(((class_counts == charsum) | (class_counts < 0)).all()):
             raise InternalInvariantError(f"class count mismatch over F_{q}")
-        # vectorized discriminants of the class curves themselves
-        grid = np.arange(q * q * q, dtype=np.int64)
-        cc6 = (grid % q).astype(np.int32)
-        cc4 = (grid // q % q).astype(np.int32)
-        cc2 = (grid // (q * q) % q).astype(np.int32)
-        z = np.zeros_like(cc2)
-        cls_delta = _discriminant_vec(F, z, cc2, z, cc4, cc6)
-        if not bool(((cls_delta == 0) == (class_counts < 0)).all()):
+        if not bool((cls_nonsing == (class_counts >= 0)).all()):
             raise InternalInvariantError(f"class singularity mismatch over F_{q}")
-        lo_ok = class_counts[class_counts >= 0]
+        lo_ok = class_counts[cls_nonsing]
         if lo_ok.size and (int(lo_ok.min()) < interval.lo or int(lo_ok.max()) > interval.hi):
             raise InternalInvariantError(f"class count outside Hasse interval over F_{q}")
 
@@ -246,16 +244,15 @@ def full_sweep_verify(
 
     for start in range(0, total, _CHUNK):
         stop = min(start + _CHUNK, total)
-        a1, a2, a3, a4, a6 = _digit_arrays(q, start, stop)
-        delta = _discriminant_vec(F, a1, a2, a3, a4, a6)
-        nonsing = np.asarray(delta) != 0
+        a1, a2, a3, a4, a6 = _digits(q, 5, start, stop)
+        nonsing = _discriminant_vec(F, a1, a2, a3, a4, a6) != 0
         n_ns = int(nonsing.sum())
         curves += n_ns
         singular += (stop - start) - n_ns
         if spec.char2:
-            counts = _char2_counts_trace(spec, a1, a2, a3, a4, a6)
+            counts = _char2_counts_trace(F, a1, a2, a3, a4, a6)
             if q <= 16:
-                other = _char2_counts_pairscan(spec, a1, a2, a3, a4, a6)
+                other = _char2_counts_pairscan(F, a1, a2, a3, a4, a6)
                 if not bool((counts[nonsing] == other[nonsing]).all()):
                     raise InternalInvariantError(f"char-2 route mismatch over F_{q}")
         else:
@@ -306,30 +303,19 @@ def all_class_counts(spec: FieldSpec) -> np.ndarray:
     y^2 + a3 y = x^3 + a4 x + a6 (a3 != 0).  Singular members are dropped.
     """
     q = spec.q
+    F = _VecField(spec)
     if not spec.char2:
-        counts = _class_counts_charsum(spec)
-        F = _VecField(spec)
-        grid = np.arange(q * q * q, dtype=np.int64)
-        c6 = (grid % q).astype(np.int32)
-        c4 = (grid // q % q).astype(np.int32)
-        c2 = (grid // (q * q) % q).astype(np.int32)
-        z = np.zeros_like(c2)
-        delta = _discriminant_vec(F, z, c2, z, c4, c6)
-        return counts[np.asarray(delta) != 0]
+        c2, c4, c6, nonsing = _class_grid(F)
+        return _class_counts_charsum(F, c2, c4, c6)[nonsing]
     # ordinary family: a1=1, a6 != 0 (discriminant is a6)
-    grid = np.arange(q * q, dtype=np.int64)
-    a6o = (grid % q).astype(np.int32)
-    a2o = (grid // q).astype(np.int32)
-    ones = np.ones_like(a2o)
-    z = np.zeros_like(a2o)
-    ord_counts = _char2_counts_trace(spec, ones, a2o, z, z, a6o)[a6o != 0]
+    a2, a6 = _digits(q, 2, 0, q * q)
+    ones = np.ones_like(a2)
+    z = np.zeros_like(a2)
+    ord_counts = _char2_counts_trace(F, ones, a2, z, z, a6)[a6 != 0]
     # supersingular family: a1=a2=0, a3 != 0 (discriminant is a3^4)
-    grid = np.arange(q * q * q, dtype=np.int64)
-    a6s = (grid % q).astype(np.int32)
-    a4s = (grid // q % q).astype(np.int32)
-    a3s = (grid // (q * q)).astype(np.int32)
-    z3 = np.zeros_like(a3s)
-    ss_counts = _char2_counts_trace(spec, z3, z3, a3s, a4s, a6s)[a3s != 0]
+    a3, a4, a6 = _digits(q, 3, 0, q**3)
+    z = np.zeros_like(a3)
+    ss_counts = _char2_counts_trace(F, z, z, a3, a4, a6)[a3 != 0]
     return np.concatenate([ord_counts, ss_counts])
 
 

@@ -1,9 +1,11 @@
+import dataclasses
 import json
 
 import pytest
 
 from hassecount import cli
 from hassecount.errors import IterationCapExceeded
+from hassecount.selftest import CheckResult
 
 
 def run(capsys, *argv):
@@ -211,6 +213,38 @@ def test_jobs_env_default(capsys, monkeypatch):
     monkeypatch.setenv("HASSECOUNT_JOBS", "2")
     code, out, _ = run(capsys, "exceptions", "--qmax", "10")
     assert code == 0 and out.strip().splitlines()[-1].startswith("# exceptional q:")
+
+
+def test_malformed_jobs_env_ignored_by_count(capsys, monkeypatch):
+    monkeypatch.setenv("HASSECOUNT_JOBS", "abc")
+    code, out, _ = run(capsys, "count", "--q", "7", "--curve", "0,0,0,1,1")
+    assert code == 0 and json.loads(out)["count"] > 0
+
+
+@pytest.mark.parametrize("argv", [["exceptions", "--qmax", "10"], ["selftest", "--fast"]])
+def test_malformed_jobs_env_is_usage_error(capsys, monkeypatch, argv):
+    monkeypatch.setenv("HASSECOUNT_JOBS", "abc")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2 and capsys.readouterr().out == ""
+
+
+def test_failing_table1_row_exits_4(capsys, monkeypatch):
+    reports = cli.verify_table1()
+    reports[3] = dataclasses.replace(reports[3], curve_ok=False)
+    monkeypatch.setattr(cli, "verify_table1", lambda: reports)
+    code, out, err = run(capsys, "table1")
+    assert code == 4 and out.splitlines()[3].endswith("FAIL")
+    want = f"internal error: InternalInvariantError: table1 rows failed for q in [{reports[3].q}]"
+    assert err.splitlines() == [want]
+
+
+def test_failing_selftest_check_exits_4(capsys, monkeypatch):
+    results = [CheckResult("a", True, "fine"), CheckResult("b", False, "broken")]
+    monkeypatch.setattr(cli, "run_selftest", lambda fast, jobs: results)
+    code, out, err = run(capsys, "selftest", "--fast")
+    assert code == 4 and out.splitlines() == ["a: PASS (fine)", "b: FAIL (broken)"]
+    assert err.splitlines() == ["internal error: InternalInvariantError: selftest checks failed: b"]
 
 
 def test_version(capsys):
