@@ -2,6 +2,11 @@
 integer machinery (CRT merging, trace-candidate logic) the counting engine
 builds on.
 
+The search can be restricted to the traces of one congruence t = a (mod M):
+it then walks multiples of Q = M*P over the about 4*sqrt(q)/M admissible
+traces, which cuts its group operations by about sqrt(M) (Shanks-Mestre;
+Cohen, A Course in Computational Algebraic Number Theory, 7.4).
+
 All interval arithmetic is integer-exact through isqrt; the square-field
 cases attain |t| = 2*sqrt(q) exactly, so floating point would be off by one
 precisely where the interesting supersingular curves live.
@@ -84,11 +89,12 @@ class OpCounter:
 
 
 def _scalar_mul_adds(n: int) -> int:
-    """Logical group operations charged for Curve.scalar_mul(n, .), n > 0:
-    the bit_length - 1 doublings and one add per set bit (the first onto
-    infinity) of binary double-and-add.  A fixed charge, not a count of
-    add_points calls: prime fields run the chain in Jacobian coordinates."""
-    return n.bit_length() - 1 + n.bit_count()
+    """Logical group operations charged for Curve.scalar_mul(n, .): for
+    n != 0 the bit_length - 1 doublings and one add per set bit (the first
+    onto infinity) of binary double-and-add on |n|, and none for n = 0.  A
+    fixed charge, not a count of add_points calls: prime fields run the
+    chain in Jacobian coordinates."""
+    return n.bit_length() - 1 + n.bit_count() if n else 0
 
 
 # most additions that share one field inversion; prime fields only (in the log
@@ -128,22 +134,35 @@ def _progression(curve: Curve, start: Point, step: Point, n: int, cap: int):
         last, done = block[-1], done + len(block)
 
 
-def bsgs_annihilator(curve: Curve, pt: Point, ops: OpCounter | None = None) -> int:
+def bsgs_annihilator(
+    curve: Curve, pt: Point, ops: OpCounter | None = None, trace: Congruence = Congruence(0, 1)
+) -> int:
     """Some m in the Hasse interval with m*P = infinity.
 
-    Searches for t with t*P = (q+1)*P over |t| <= 2*sqrt(q) using baby steps
-    j*P (keyed by the x-encoding, y disambiguating the sign) and giant steps
-    of stride 2s-1, for O(q^(1/4)) group operations overall.
+    Searches for t with t*P = (q+1)*P over the traces t = a (mod M) with
+    |t| <= 2*sqrt(q), where (a, M) is the trace congruence (by default every
+    trace).  Writing t = t_min + M*u for u in [0, span], it is a baby-step
+    giant-step search for u on Q = M*P: baby steps j*Q (keyed by the
+    x-encoding, y disambiguating the sign) and giant steps of stride 2s-1,
+    s about sqrt(span/2), for O(sqrt(span)) group operations: O(q^(1/4))
+    unrestricted, sqrt(M) times fewer under a modulus M.
+
+    Every returned m is verified: a giant step matched a baby step or
+    infinity, or a baby step j*Q reached infinity (the order of P divides
+    j*M; without a multiple of j*M in the interval the unrestricted search
+    takes over).  A congruence the true trace does not satisfy can therefore
+    only end in InternalInvariantError, never in a wrong m.
 
     Both walks are _progression()s, so in prime fields their adds come in
     blocks that share one field inversion; extension fields step one add at
     a time.  The points are scanned in the order of stepping one add at a
     time, so the same m is returned, and ops.adds counts the logical group
-    operations of that stepping: the baby steps, the two scalar
-    multiplications and the giant steps up to the match.  The adds really
-    computed exceed it by the giant-step multiples and the rest of the block
-    that holds the match: fewer than 2*_BLOCK_CAP per call.  Measured on
-    random curves: +12% at q = 65537, +17% at 10^6, +2% at 10^12+39.
+    operations of that stepping: the baby steps, the scalar multiplications
+    (three, or two when M = 1) and the giant steps up to the match.  The adds
+    really computed exceed it by the giant-step multiples and the rest of the
+    block that holds the match: fewer than 2*_BLOCK_CAP per call.  Measured
+    on random curves, unrestricted: +12% at q = 65537, +17% at 10^6, +2% at
+    10^12+39; under the congruences count_points passes: +12%, +17% and +3%.
     """
     interval = hasse_interval(curve.spec.q)
     if pt.x is None:
@@ -151,34 +170,50 @@ def bsgs_annihilator(curve: Curve, pt: Point, ops: OpCounter | None = None) -> i
     if ops is None:
         ops = OpCounter()
     tb = interval.trace_bound
-    s = max(2, isqrt(tb) + 1)
+    mod = trace.m
+    t_min = -tb + (trace.a + tb) % mod
+    span = (tb - t_min) // mod  # t = t_min + mod*u, u = 0..span
+    if span < 0:
+        raise InternalInvariantError(f"no trace in the Hasse interval is {trace.a} mod {mod}")
+    s = max(2, isqrt(span // 2) + 1)
     spec = curve.spec
     cap = _BLOCK_CAP if spec.k == 1 else 1
+    top = spec.q + 1 - t_min  # the candidate annihilator for u is top - mod*u
+    base = pt  # Q
+    if mod > 1:
+        base = curve.scalar_mul(mod, pt)
+        ops.adds += _scalar_mul_adds(mod)
 
-    # baby table: x-encoding of j*P -> list of (j, y-encoding)
+    # baby table: x-encoding of j*Q -> list of (j, y-encoding)
     table: dict[int, list[tuple[int, int]]] = {}
-    for j, jp in enumerate(_progression(curve, pt, pt, s - 1, cap), 1):
-        if jp.x is None:
-            # order of P divides j, so any multiple of j annihilates; the
-            # interval is far wider than s, so one lands inside it
+    for j, jq in enumerate(_progression(curve, base, base, s - 1, cap), 1):
+        if jq.x is None:
+            # the order of P divides j*mod (Q itself is infinity when j = 1),
+            # so any multiple of j*mod annihilates.  With mod = 1 the interval
+            # is far wider than s, so one lands inside it; otherwise there may
+            # be none, and the unrestricted search answers
             ops.adds += j - 1
-            return -(-interval.lo // j) * j
-        table.setdefault(jp.x, []).append((j, jp.y))
+            n = j * mod
+            first = -(-interval.lo // n) * n
+            if first <= interval.hi:
+                return first
+            return bsgs_annihilator(curve, pt, ops)
+        table.setdefault(jq.x, []).append((j, jq.y))
     ops.adds += s - 2
 
     stride = 2 * s - 1
-    c = -tb + s - 1
-    # R = (q+1-c)*P, stepped down by stride*P while c - (s-1) <= tb
-    r0 = curve.scalar_mul(spec.q + 1 - c, pt)
-    step = curve.negate(curve.scalar_mul(stride, pt))
-    ops.adds += _scalar_mul_adds(spec.q + 1 - c) + _scalar_mul_adds(stride)
+    c = s - 1
+    # R = (top - mod*c)*P, stepped down by stride*Q while c - (s-1) <= span
+    r0 = curve.scalar_mul(top - mod * c, pt)
+    step = curve.negate(curve.scalar_mul(stride, base))
+    ops.adds += _scalar_mul_adds(top - mod * c) + _scalar_mul_adds(stride)
 
-    def accept(t: int) -> int | None:
-        if abs(t) <= tb:
-            return spec.q + 1 - t
+    def accept(u: int) -> int | None:
+        if 0 <= u <= span:
+            return top - mod * u
         return None
 
-    for r in _progression(curve, r0, step, 2 * tb // stride + 1, cap):
+    for r in _progression(curve, r0, step, span // stride + 1, cap):
         if r.x is None:
             m = accept(c)
             if m is not None:
@@ -187,10 +222,10 @@ def bsgs_annihilator(curve: Curve, pt: Point, ops: OpCounter | None = None) -> i
             hits = table.get(r.x)
             if hits:
                 ry = r.y
-                # -(x, y) = (x, -y - a1*x - a3): r = -j*P iff ry + yj + a1*x + a3 = 0
+                # -(x, y) = (x, -y - a1*x - a3): r = -j*Q iff ry + yj + a1*x + a3 = 0
                 shift = spec.add_enc(ry, spec.add_enc(spec.mul_enc(curve.a1, r.x), curve.a3))
                 for j, yj in hits:
-                    # r = (q+1-c-t')*P matched against +-j*P
+                    # r = mod*(u - c)*P matched against +-j*Q
                     if ry == yj:
                         m = accept(c + j)
                         if m is not None:

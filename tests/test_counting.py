@@ -6,9 +6,10 @@ from hassecount import counting as ct
 from hassecount import curve as cv
 from hassecount import exceptions as ex
 from hassecount import finite_field as ff
+from hassecount import order as od
 from hassecount.errors import ExcludedField, FieldTooLarge, SingularCurve
-from hassecount.integers import prime_powers
-from hassecount.order import hasse_interval
+from hassecount.integers import is_prime, prime_powers
+from hassecount.order import Congruence, hasse_interval
 
 
 def random_curve(spec, rng):
@@ -171,3 +172,111 @@ def test_point_order_small_nonexcluded_fields():
             res = ct.count_points(e, "point_order", random.Random(q))
             assert res.count == cv.count_exhaustive(e)
             assert res.samples_used <= 64
+
+
+# --- the 2-torsion prior and the restricted search -----------------------------------
+
+def expected_prior(e):
+    """The trace congruence read off the points P with 2P = O."""
+    q = e.spec.q
+    n2 = sum(pt == e.negate(pt) for pt in cv.enumerate_points(e))
+    return {1: Congruence(q % 2, 2), 2: Congruence((q + 1) % 2, 2), 4: Congruence((q + 1) % 4, 4)}[n2]
+
+
+@pytest.mark.parametrize("p", [53, 101])
+def test_two_torsion_prior_every_short_curve(p):
+    """On y^2 = x^3 + a4 x + a6 the points with 2P = O are infinity and the
+    (x, 0) with x a root; the roots are counted by trying every x, and
+    checked against enumerate_points on every tenth curve."""
+    spec = ff.make_spec(p)
+    for a4 in range(p):
+        for a6 in range(p):
+            try:
+                e = cv.make_curve(spec, 0, 0, 0, a4, a6)
+            except SingularCurve:
+                continue
+            n2 = 1 + sum((x * x * x + a4 * x + a6) % p == 0 for x in range(p))
+            expected = {1: Congruence(1, 2), 2: Congruence(0, 2), 4: Congruence((p + 1) % 4, 4)}[n2]
+            if (a4 * p + a6) % 10 == 0:
+                assert expected == expected_prior(e)
+            assert ct._two_torsion_prior(e) == expected, (a4, a6)
+
+
+@pytest.mark.parametrize("p", [53, 101, 1009])
+def test_two_torsion_prior_long_form(p):
+    spec = ff.make_spec(p)
+    rng = random.Random(p)
+    seen = set()
+    for _ in range(200):
+        e = random_curve(spec, rng)
+        prior = ct._two_torsion_prior(e)
+        assert prior == expected_prior(e)
+        seen.add(prior.m)
+    assert seen == {2, 4}
+
+
+def next_supersingular_prime(p):
+    """The least prime >= p that is 11 (mod 12)."""
+    while not (p % 12 == 11 and is_prime(p)):
+        p += 1
+    return p
+
+
+@pytest.mark.parametrize("p", [10**12 + 39, 2**61 - 1])
+def test_two_torsion_prior_supersingular_families(p):
+    """y^2 = x^3 + a x (p = 3 mod 4) and y^2 = x^3 + b (p = 2 mod 3) have p + 1
+    points, so the prior must admit t = 0: three 2-torsion roots exactly when
+    -a is a square (a a non-square), and always one root x = -b^(1/3).  Neither
+    prime is 2 mod 3, so y^2 = x^3 + b is checked at the nearest such prime."""
+    spec = ff.make_spec(p)
+    assert p % 4 == 3
+    for a in range(1, 40):
+        prior = ct._two_torsion_prior(cv.make_curve(spec, 0, 0, 0, a, 0))
+        assert prior == (Congruence(0, 2) if spec.is_square_enc(a) else Congruence(0, 4))
+    p3 = next_supersingular_prime(p)
+    spec3 = ff.make_spec(p3)
+    for b in range(1, 40):
+        assert ct._two_torsion_prior(cv.make_curve(spec3, 0, 0, 0, 0, b)) == Congruence(0, 2)
+    e = cv.make_curve(spec3, 0, 0, 0, 0, 1)
+    assert ct.count_points(e, "point_order", random.Random(1)).count == p3 + 1
+
+
+def record_searches(monkeypatch, adds, restricted=True):
+    """Route counting's BSGS calls through a recorder of their logical adds;
+    with restricted=False the congruence is dropped and every trace searched."""
+    search = od.bsgs_annihilator
+
+    def recording(e, pt, ops=None, trace=Congruence(0, 1)):
+        ops = od.OpCounter()
+        m = search(e, pt, ops, trace if restricted else Congruence(0, 1))
+        adds.append(ops.adds)
+        return m
+
+    monkeypatch.setattr(ct, "bsgs_annihilator", recording)
+
+
+@pytest.mark.parametrize(
+    "q,n", [(1009, 20), (65537, 12), (10**6 + 3, 12), (10**12 + 39, 20), (3**7, 20), (2**10, 20)])
+def test_restricted_search_keeps_every_count(q, n, monkeypatch):
+    spec = ff.spec_for_q(q)
+    rng = random.Random(q + 9)
+    curves = [random_curve(spec, rng) for _ in range(n)]
+    restricted = [ct.count_points(e, "point_order", random.Random(i)) for i, e in enumerate(curves)]
+    record_searches(monkeypatch, [], restricted=False)
+    plain = [ct.count_points(e, "point_order", random.Random(i)) for i, e in enumerate(curves)]
+    assert restricted == plain
+
+
+def test_two_torsion_prior_cuts_bsgs_work(monkeypatch):
+    """Deterministic budget at 10^12+39: the prior (about one sample per curve,
+    so the loop's own congruence is mostly trivial) cuts the mean logical BSGS
+    adds per call by at least a quarter."""
+    spec = ff.make_spec(10**12 + 39)
+    rng = random.Random(12)
+    curves = [random_curve(spec, rng) for _ in range(20)]
+    with_prior, without = [], []
+    for adds, restricted in ((with_prior, True), (without, False)):
+        record_searches(monkeypatch, adds, restricted)
+        for i, e in enumerate(curves):
+            ct.count_points(e, "point_order", random.Random(i))
+    assert sum(with_prior) / len(with_prior) <= 0.75 * sum(without) / len(without)

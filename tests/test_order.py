@@ -6,7 +6,8 @@ import pytest
 from hassecount import curve as cv
 from hassecount import finite_field as ff
 from hassecount import order as od
-from hassecount.errors import IncompatibleCongruence, SingularCurve
+from hassecount.counting import count_points
+from hassecount.errors import IncompatibleCongruence, InternalInvariantError, SingularCurve
 from hassecount.integers import divisors, factorize, lcm, prime_powers
 
 
@@ -93,41 +94,52 @@ def test_bsgs_operation_scaling(p):
 
 # --- batched BSGS against one add at a time ----------------------------------------
 
-def reference_bsgs(curve, pt, ops):
-    """BSGS with one Curve.add_points per step: the scan order and the logical
-    op count that bsgs_annihilator must reproduce."""
+def reference_bsgs(curve, pt, ops, trace=od.Congruence(0, 1)):
+    """BSGS with one Curve.add_points per step over the traces t = a (mod M)
+    of the congruence: the scan order and the logical op count that
+    bsgs_annihilator must reproduce."""
     interval = od.hasse_interval(curve.spec.q)
     if pt.is_infinity:
         return interval.lo
     tb = interval.trace_bound
-    s = max(2, isqrt(tb) + 1)
+    mod = trace.m
+    t_min = -tb + (trace.a + tb) % mod
+    span = (tb - t_min) // mod  # t = t_min + mod*u, u = 0..span
+    s = max(2, isqrt(span // 2) + 1)
     spec = curve.spec
+    base = pt
+    if mod > 1:
+        base = curve.scalar_mul(mod, pt)
+        ops.adds += od._scalar_mul_adds(mod)
     table = {}
-    jp = pt
+    jq = base
     for j in range(1, s):
-        if jp.is_infinity:
-            return -(-interval.lo // j) * j
-        table.setdefault(jp.x, []).append((j, jp.y))
+        if jq.is_infinity:
+            first = -(-interval.lo // (j * mod)) * j * mod
+            if first <= interval.hi:
+                return first
+            return reference_bsgs(curve, pt, ops)
+        table.setdefault(jq.x, []).append((j, jq.y))
         if j < s - 1:
-            jp = curve.add_points(jp, pt)
+            jq = curve.add_points(jq, base)
             ops.adds += 1
     stride = 2 * s - 1
-    c = -tb + s - 1
-    r = curve.scalar_mul(spec.q + 1 - c, pt)
-    step = curve.negate(curve.scalar_mul(stride, pt))
-    ops.adds += od._scalar_mul_adds(spec.q + 1 - c) + od._scalar_mul_adds(stride)
-    while c - (s - 1) <= tb:
+    u = s - 1
+    r = curve.scalar_mul(spec.q + 1 - t_min - mod * u, pt)
+    step = curve.negate(curve.scalar_mul(stride, base))
+    ops.adds += od._scalar_mul_adds(spec.q + 1 - t_min - mod * u) + od._scalar_mul_adds(stride)
+    while u - (s - 1) <= span:
         if r.is_infinity:
-            if abs(c) <= tb:
-                return spec.q + 1 - c
+            if 0 <= u <= span:
+                return spec.q + 1 - t_min - mod * u
         else:
             neg_y = curve.negate(r).y
             for j, yj in table.get(r.x, ()):
-                if r.y == yj and abs(c + j) <= tb:
-                    return spec.q + 1 - c - j
-                if neg_y == yj and abs(c - j) <= tb:
-                    return spec.q + 1 - c + j
-        c += stride
+                if r.y == yj and 0 <= u + j <= span:
+                    return spec.q + 1 - t_min - mod * (u + j)
+                if neg_y == yj and 0 <= u - j <= span:
+                    return spec.q + 1 - t_min - mod * (u - j)
+        u += stride
         r = curve.add_points(r, step)
         ops.adds += 1
     raise AssertionError("reference BSGS found no annihilator")
@@ -198,6 +210,86 @@ def test_bsgs_matches_one_add_at_a_time(q, n, cap, monkeypatch):
         assert m == reference_bsgs(e, pt, ref_ops)
         assert ops.adds == ref_ops.adds
         assert e.scalar_mul(m, pt).is_infinity
+
+
+def trace_for(e, pt):
+    """The trace of Frobenius.  In characteristic 2 above 2^16, where y-solving
+    and so counting are guarded, the trace of the annihilator the unrestricted
+    search finds for P, which is as true as the real one for P's multiples."""
+    q = e.spec.q
+    if e.spec.char2 and q > 1 << 16:
+        return q + 1 - od.bsgs_annihilator(e, pt)
+    return q + 1 - count_points(e, "auto", random.Random(0)).count
+
+
+@pytest.mark.parametrize(
+    "q,n,cap",
+    [(q, n if q < 1 << 20 else 1, None) for q, n in FIELDS] + [(q, n, 3) for q, n in PRIME_FIELDS])
+def test_restricted_bsgs_matches_one_add_at_a_time(q, n, cap, monkeypatch):
+    """Under the congruences t = t_E (mod M), M in {2, 3, 4, 12}, and
+    t = q+1 (mod |P|), the same m and logical op count as the one-add
+    reference, and m is an annihilator in the Hasse interval.  One curve
+    in the polynomial model, where an add takes about a millisecond."""
+    if cap is not None:
+        monkeypatch.setattr(od, "_BLOCK_CAP", cap)
+    cases = sample_points(q, n, seed=q % 1000 + 7)
+    interval = od.hasse_interval(q)
+    traces = {}
+    restricted = 0
+    for e, pt in cases:
+        if e not in traces:  # the first point on each curve is the random one
+            traces[e] = trace_for(e, pt)
+        t = traces[e]
+        order = od.exact_order(e, pt, q + 1 - t)
+        congruences = [od.Congruence(t % mod, mod) for mod in (2, 3, 4, 12)]
+        congruences.append(od.Congruence((q + 1) % order, order))
+        for cong in congruences:
+            ops, ref_ops = od.OpCounter(), od.OpCounter()
+            m = od.bsgs_annihilator(e, pt, ops, cong)
+            assert m == reference_bsgs(e, pt, ref_ops, cong)
+            assert ops.adds == ref_ops.adds
+            assert m in interval and e.scalar_mul(m, pt).is_infinity
+            restricted += cong.m > 1
+    assert restricted > 4 * n
+
+
+def test_restricted_bsgs_small_order_outside_every_multiple():
+    """A point of order 2 under a true congruence modulo 300 over F_1009: Q = 300*P
+    is infinity, but no multiple of 300 lies in [947, 1073], so the unrestricted
+    search answers, charged on top of the scalar multiplication."""
+    spec = ff.make_spec(1009)
+    e = cv.make_curve(spec, 0, 0, 0, spec.neg_enc(1), 0)  # y^2 = x^3 - x
+    t = 1010 - count_points(e, "exhaustive").count
+    pt = e.point(0, 0)
+    cong = od.Congruence(t % 300, 300)
+    ops, plain = od.OpCounter(), od.OpCounter()
+    m = od.bsgs_annihilator(e, pt, ops, cong)
+    assert m == od.bsgs_annihilator(e, pt, plain) and m % 2 == 0
+    assert ops.adds == od._scalar_mul_adds(300) + plain.adds
+    ref_ops = od.OpCounter()
+    assert reference_bsgs(e, pt, ref_ops, cong) == m and ref_ops.adds == ops.adds
+
+
+@pytest.mark.parametrize("q", [1009, 65537, 10**12 + 39, 3**7])
+def test_restricted_bsgs_false_congruence_raises(q):
+    """On a point of order > 4 sqrt(q) exactly one trace annihilates, so a
+    congruence that excludes the true trace leaves nothing to find."""
+    spec = ff.spec_for_q(q)
+    rng = random.Random(q)
+    interval = od.hasse_interval(q)
+    checked = 0
+    while checked < 3:
+        e = random_curve(spec, rng)
+        pt = cv.random_point(e, rng)
+        t = q + 1 - count_points(e, "auto", random.Random(0)).count
+        if od.exact_order(e, pt, q + 1 - t) <= 4 * isqrt(q):
+            continue
+        for mod in (2, 3, 12, interval.trace_bound):
+            with pytest.raises(InternalInvariantError):
+                od.bsgs_annihilator(e, pt, trace=od.Congruence((t + 1) % mod, mod))
+        checked += 1
+    with pytest.raises(InternalInvariantError):  # no trace in the interval at all
+        od.bsgs_annihilator(e, pt, trace=od.Congruence(2 * interval.trace_bound + 1, 4 * q))
 
 
 def test_bsgs_small_order_ends_in_baby_steps():

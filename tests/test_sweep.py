@@ -9,7 +9,8 @@ import pytest
 from hassecount.curve import Curve, count_exhaustive
 from hassecount.errors import SingularCurve
 from hassecount.finite_field import spec_for_q
-from hassecount.sweep import _class_counts_charsum, _class_grid, _VecField
+from hassecount.integers import prime_powers
+from hassecount.sweep import _class_counts_charsum, _class_grid, _discriminant_vec, _VecField
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 17, 25, 27])
@@ -43,3 +44,15 @@ def test_charsum_matches_count_exhaustive(q):
             continue
         assert counts[i] == count_exhaustive(e)
         checked += 1
+
+
+def test_class_grid_mask_matches_long_weierstrass_discriminant():
+    """The cubic's discriminant marks the same singular classes as the curve
+    discriminant of y^2 = x^3 + c2 x^2 + c4 x + c6, at every odd q <= 121."""
+    for q in prime_powers(121):
+        if q % 2 == 0:
+            continue
+        F = _VecField(spec_for_q(q))
+        c2, c4, c6, nonsing = _class_grid(F)
+        z = np.zeros_like(c2)
+        assert np.array_equal(nonsing, _discriminant_vec(F, z, c2, z, c4, c6) != 0), q
