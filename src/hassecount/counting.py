@@ -50,8 +50,8 @@ _SMALL_Q = 49
 _SAMPLE_CAP = 64
 
 # Prime fields above this size search BSGS under the 2-torsion prior on the
-# trace.  Per count_points call the prior costs 1-2% more than it saves at
-# q <= 1009, breaks even to within 1.5% from 3001 to 10^5 and saves 4% at
+# trace.  Per count_points call the prior costs up to 2% more than it saves
+# at q <= 1009, breaks even to within 1.5% from 3001 to 10^5 and saves 4% at
 # 10^6 and 24% at 10^12 (CHANGES.md has the table).
 _PRIOR_MIN_Q = 10_000
 
