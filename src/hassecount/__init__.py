@@ -31,7 +31,6 @@ from .exceptions import (
     ExceptionRecord,
     Table1RowReport,
     enumerate_exceptions,
-    enumerate_exceptions_corollary,
     exceptional_q_set,
     parity_filter,
     verify_table1,

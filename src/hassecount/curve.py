@@ -279,15 +279,11 @@ class Curve:
             c = s.mul_enc(self.a1, x) ^ self.a3
             if c == 0:
                 return [s.sqrt_enc(d)]
-            if s.q > _CHAR2_SOLVE_LIMIT:
-                raise FieldTooLarge("char-2 y-solving guarded to q <= 2^16")
-            tr, artin = s.trace_artin_tables()
-            e = s.mul_enc(d, s.inv_enc(s.mul_enc(c, c)))
-            if tr[e]:
+            # y = c z with z^2 + z = d / c^2
+            z = s.artin_enc(s.mul_enc(d, s.inv_enc(s.mul_enc(c, c))))
+            if z is None:
                 return []
-            z = artin[e]
-            ys = sorted((s.mul_enc(c, z), s.mul_enc(c, z ^ 1)))
-            return ys
+            return sorted((s.mul_enc(c, z), s.mul_enc(c, z ^ 1)))
         # odd characteristic: complete the square
         half = s.inv_enc(2 % s.p)
         t = s.mul_enc(s.add_enc(s.mul_enc(self.a1, x), self.a3), half)
@@ -340,14 +336,13 @@ def count_exhaustive(curve: Curve) -> int:
     total = 1
     if spec.char2:
         a1, a2, a3, a4, a6 = curve.coefficients()
-        tr, _ = spec.trace_artin_tables()
-        mul, add, inv = spec.mul_enc, spec.add_enc, spec.inv_enc
+        mul, add, inv, tr = spec.mul_enc, spec.add_enc, spec.inv_enc, spec.trace_enc
         for x in range(q):
             c = mul(a1, x) ^ a3
             d = add(mul(add(mul(add(x, a2), x), a4), x), a6)
             if c == 0:
                 total += 1
-            elif not tr[mul(d, inv(mul(c, c)))]:
+            elif not tr(mul(d, inv(mul(c, c)))):
                 total += 2
         return total
     chi = spec.chi_table()

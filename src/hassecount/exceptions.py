@@ -114,13 +114,6 @@ def enumerate_exceptions(
     return records
 
 
-def enumerate_exceptions_corollary(
-    q: int, reading: str = DEFAULT_COROLLARY_READING
-) -> list[ExceptionRecord]:
-    """Exception quadruples surviving the corollary's extra t'-side filters."""
-    return enumerate_exceptions(q, corollary=True, reading=reading)
-
-
 def exceptional_q_set(
     q_max: int, corollary: bool = False, reading: str = DEFAULT_COROLLARY_READING
 ) -> set[int]:

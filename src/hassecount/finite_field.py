@@ -24,8 +24,8 @@ There are three field models:
 Field sizes are supported up to MAX_Q = 2^62; make_spec and spec_for_q raise
 FieldTooLarge above it.
 
-The derived O(q) tables (quadratic character, char-2 trace and Artin roots)
-are built on first use at any size.
+The quadratic character is an O(q) table built on first use at any size; the
+char-2 trace and Artin roots are F_2-linear maps built with the spec.
 
 Inside the library every field element is its encoding, a plain int, and the
 arithmetic is the FieldSpec kernels (add_enc, mul_enc, inv_enc, ...).
@@ -158,6 +158,40 @@ def _typed_array(code: str, n: int) -> tuple[array, np.ndarray]:
     return table, np.frombuffer(table, dtype={"b": np.int8, "i": np.int32}[code])
 
 
+def _char2_maps(modulus: tuple[int, ...]) -> tuple[int, dict[int, tuple[int, int]]]:
+    """Char 2: the mask T with Tr(a) = parity of popcount(a & T), and the
+    echelon rows {leading bit: (image, root)} of z -> z^2 + z.
+
+    Bit i of T is Tr(x^i), the power sum s_i of the roots of the modulus
+    x^k + c_1 x^(k-1) + ... + c_k: by Newton's identities mod 2, s_0 = k and
+    s_i = c_1 s_(i-1) + ... + c_(i-1) s_1 + i c_i.  z -> z^2 + z has kernel
+    {0, 1}, so it maps the even encodings, spanned by x, ..., x^(k-1), one to
+    one onto the trace-0 hyperplane.
+    """
+    k = len(modulus) - 1
+    c = modulus[::-1]  # c[j] is the coefficient of x^(k-j)
+    f = sum(bit << j for j, bit in enumerate(modulus))
+    s = [k & 1]
+    rows: dict[int, tuple[int, int]] = {}
+    square = 1  # x^(2i) mod the modulus
+    for i in range(1, k):
+        s.append((sum(c[j] & s[i - j] for j in range(1, i)) + i * c[i]) & 1)
+        for _ in range(2):
+            square = square << 1 ^ (f if square >> (k - 1) else 0)
+        image, root = _reduce(rows, square ^ (1 << i))
+        rows[image.bit_length() - 1] = (image, root ^ (1 << i))  # image != 0
+    return sum(bit << i for i, bit in enumerate(s)), rows
+
+
+def _reduce(rows: dict[int, tuple[int, int]], e: int) -> tuple[int, int]:
+    """(e reduced by the rows while its leading bit has one, their roots' XOR)."""
+    z = 0
+    while e and (row := rows.get(e.bit_length() - 1)):
+        e ^= row[0]
+        z ^= row[1]
+    return e, z
+
+
 def _default_modulus(p: int, k: int) -> tuple[int, ...]:
     """Monic irreducible of degree k over F_p with smallest canonical encoding."""
     if k == 1:
@@ -200,10 +234,10 @@ class FieldSpec:
         self._log = None
         self._zech = None
         self._half = (self.q - 1) // 2  # log(-1) in odd characteristic
+        if self.char2:  # trace_enc and artin_enc read these
+            self.trace_mask, self._artin_rows = _char2_maps(modulus)
         # lazy caches
         self._chi = None  # quadratic character by encoding: -1/0/1 (odd q)
-        self._trace = None  # absolute trace by encoding (char 2)
-        self._artin = None  # char 2: smallest z with z^2+z=e, -1 when there is none
         self._sqrt_nonres = None
         if 1 < k and self.q <= _LOG_LIMIT:
             self._build_log_tables()
@@ -386,10 +420,10 @@ class FieldSpec:
 
     def trace_enc(self, a: int) -> int:
         """Absolute trace a + a^p + ... + a^(p^(k-1)), returned as an int in [0, p)."""
+        if self.char2:
+            return (a & self.trace_mask).bit_count() & 1
         if self.k == 1:
             return a
-        if self.char2 and self._trace is not None:
-            return int(self._trace[a])
         acc = a
         frob = a
         for _ in range(self.k - 1):
@@ -398,6 +432,12 @@ class FieldSpec:
         if acc >= self.p:
             raise AssertionError("absolute trace left the prime field")
         return acc
+
+    def artin_enc(self, e: int) -> int | None:
+        """Char 2: the smaller root of z^2 + z = e, which is the even one, or
+        None when there is none (Tr(e) = 1); at most k - 1 XORs."""
+        rest, z = _reduce(self._artin_rows, e)
+        return None if rest else z
 
     # -- tables -------------------------------------------------------------------
     # The log model is built with the spec; every other table has one builder,
@@ -475,32 +515,6 @@ class FieldSpec:
                     chi[mul(a, a)] = 1
             chi[0] = 0
         return self._chi
-
-    def trace_artin_tables(self):
-        """Char 2: (trace, artin) by encoding, an array('b') and an
-        array('i'), where artin[e] is the smallest root of z^2 + z = e, or -1
-        when there is none (trace of e is 1).
-
-        Both z -> Tr(z) and z -> z^2 + z are F_2-linear, so the tables are
-        spanned from the basis values at 1, 2, 4, ...: doubling the table over
-        each basis element costs one vectorized XOR.  The kernel of z^2 + z is
-        {0, 1}, so the even encodings hit every root class once and hold the
-        smaller root of each pair.
-        """
-        if self._trace is None:
-            tr = np.zeros(1, dtype=np.int8)
-            img = np.zeros(1, dtype=np.int64)  # img[z] = z^2 + z
-            for i in range(self.k):
-                b = 1 << i
-                tr = np.concatenate((tr, tr ^ self.trace_enc(b)))
-                img = np.concatenate((img, img ^ (self.mul_enc(b, b) ^ b)))
-            trace, view = _typed_array("b", self.q)
-            view[:] = tr
-            artin, view = _typed_array("i", self.q)
-            view[:] = -1
-            view[img[0::2]] = np.arange(0, self.q, 2)
-            self._trace, self._artin = trace, artin  # trace_enc reads _trace once set
-        return self._trace, self._artin
 
     # -- misc ----------------------------------------------------------------------
 

@@ -184,8 +184,7 @@ def _char2_counts_trace(F: _VecField, a1, a2, a3, a4, a6) -> np.ndarray:
     """Counts via the solvability criterion of y^2 + cy = d (characteristic 2,
     so here and in the pair-scan addition is XOR of encodings)."""
     spec = F.spec
-    tr, _ = spec.trace_artin_tables()
-    tr = np.asarray(tr, dtype=np.int64)
+    tr = np.array([spec.trace_enc(a) for a in range(F.q)], dtype=np.int64)
     inv = np.array([0] + [spec.inv_enc(a) for a in range(1, F.q)], dtype=np.int32)
     total = np.full(a1.shape, 1, dtype=np.int64)
     for x in range(F.q):

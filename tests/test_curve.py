@@ -354,10 +354,3 @@ def test_random_point_no_affine_points():
     e = cv.make_curve(spec, 0, 0, 1, 1, 1)
     assert cv.count_exhaustive(e) == 1
     assert cv.random_point(e, random.Random(0)).is_infinity
-
-
-def test_char2_solver_guard():
-    spec = ff.make_spec(2, 17)
-    e = cv.make_curve(spec, 1, 0, 0, 0, 1)
-    with pytest.raises(FieldTooLarge):
-        e.y_solutions(2)

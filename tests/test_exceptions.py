@@ -113,21 +113,21 @@ def test_corollary_subset_and_sets():
     for q in prime_powers(256):
         base = quads(ex.enumerate_exceptions(q))
         for reading in ex.COROLLARY_READINGS:
-            assert quads(ex.enumerate_exceptions_corollary(q, reading=reading)) <= base
+            assert quads(ex.enumerate_exceptions(q, corollary=True, reading=reading)) <= base
     assert ex.exceptional_q_set(1024, corollary=True) == COROLLARY_SET
     assert ex.exceptional_q_set(1024, corollary=True, reading="mn") == COROLLARY_SET - {7}
     assert ex.exceptional_q_set(1024, corollary=True, reading="mn_qm1") == COROLLARY_SET - {7}
 
 
 def test_corollary_examples():
-    assert ex.enumerate_exceptions_corollary(49) == []
-    assert ex.enumerate_exceptions_corollary(5) != []
-    assert ex.enumerate_exceptions_corollary(229) == []
+    assert ex.enumerate_exceptions(49, corollary=True) == []
+    assert ex.enumerate_exceptions(5, corollary=True) != []
+    assert ex.enumerate_exceptions(229, corollary=True) == []
 
 
 def test_corollary_bad_reading():
     with pytest.raises(ValueError):
-        ex.enumerate_exceptions_corollary(5, reading="nope")
+        ex.enumerate_exceptions(5, corollary=True, reading="nope")
 
 
 # --- parity filter ------------------------------------------------------------------

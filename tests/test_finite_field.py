@@ -376,9 +376,13 @@ def test_log_tables_at_2_20_are_compact():
     model = [spec._exp, spec._log]
     assert spec._zech is None  # characteristic 2 adds by XOR
     assert sum(t.itemsize * len(t) for t in model) <= 16 * 2**20
-    tr, artin = spec.trace_artin_tables()
-    for t in model + [tr, artin]:
+    for t in model:
         assert len(t) >= spec.q and t.itemsize <= 4
+    # the trace and Artin roots are k-bit linear maps: using them builds no
+    # q-sized table
+    assert all((spec.artin_enc(e) is None) == spec.trace_enc(e) for e in range(256))
+    sized = {name for name, v in vars(spec).items() if hasattr(v, "__len__") and len(v) >= spec.q}
+    assert sized == {"_exp", "_log"}
 
 
 @pytest.mark.parametrize("q", [3**13, 5**9])  # q = 3 and 1 mod 4

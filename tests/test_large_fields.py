@@ -4,8 +4,10 @@ the field runs on polynomial arithmetic.
 
 These tests check the counting paths there against independent oracles
 (exhaustive counts, Lagrange, the twist sum #E + #E' = 2(q+1) and the Weil
-recurrence for curves defined over F_p), inv_enc against Fermat's a^(q-2), and
-the quadratic-character, trace and Artin-root tables against their definitions.
+recurrence for curves defined over F_p), inv_enc against Fermat's a^(q-2), the
+quadratic-character table, and the char-2 trace mask and Artin-root solver
+against their definitions.  In characteristic 2 the Koblitz curves
+y^2 + xy = x^3 + a2 x^2 + 1 are counted past 2^16 against the Weil recurrence.
 """
 
 import functools
@@ -84,23 +86,42 @@ def test_inv_table_is_fermat_inverse(q):
         assert spec.inv_enc(a) == spec.pow_enc(a, q - 2)
 
 
+def _frobenius_trace(spec, a):
+    """Tr(a) = a + a^2 + ... + a^(2^(k-1)), by k-1 squarings."""
+    s, frob = a, a
+    for _ in range(spec.k - 1):
+        frob = spec.mul_enc(frob, frob)
+        s ^= frob
+    return s
+
+
 @pytest.mark.parametrize("q", [2**k for k in range(1, 12)])
-def test_trace_artin_tables_match_definitions(q):
+def test_trace_mask_and_artin_match_definitions(q):
     spec = spec_for_q(q)
-    tr, artin = spec.trace_artin_tables()
     smallest_root = {}
     for z in range(q):
         smallest_root.setdefault(spec.mul_enc(z, z) ^ z, z)
-        s, frob = z, z
-        for _ in range(spec.k - 1):
-            frob = spec.mul_enc(frob, frob)
-            s ^= frob
-        assert tr[z] == s
+        assert spec.trace_enc(z) == _frobenius_trace(spec, z)
     for e in range(q):
-        assert artin[e] == smallest_root.get(e, -1)
-        assert (artin[e] >= 0) == (tr[e] == 0)
+        assert spec.artin_enc(e) == smallest_root.get(e)
     if q > 2:
-        assert smallest_trace_one(spec) == min(z for z in range(q) if tr[z] == 1)
+        assert smallest_trace_one(spec) == min(z for z in range(q) if spec.trace_enc(z))
+
+
+@pytest.mark.parametrize("k", [17, 24])
+def test_trace_mask_and_artin_sampled(k):
+    # the roots z and z + 1 differ in bit 0, so the even root is the smaller
+    spec = make_spec(2, k)
+    assert spec.trace_mask < 1 << k and len(spec._artin_rows) == k - 1
+    rng = random.Random(k)
+    for _ in range(2000):
+        e = rng.randrange(spec.q)
+        tr = _frobenius_trace(spec, e)
+        assert spec.trace_enc(e) == tr
+        z = spec.artin_enc(e)
+        assert (z is None) == (tr == 1)
+        if z is not None:
+            assert z % 2 == 0 and spec.mul_enc(z, z) ^ z == e
 
 
 def test_supersingular_char2_twist_f4096(capsys):
@@ -175,6 +196,19 @@ def test_point_order_matches_weil_recurrence(p, k, coeffs, count):
 def test_exhaustive_matches_weil_recurrence_f6561():
     coeffs = (1, 0, 0, 2, 1)
     assert count_exhaustive(Curve(spec_for_q(3**8), *coeffs)) == _weil_count(3, 8, coeffs)
+
+
+@pytest.mark.parametrize("k", [17, 20, 21, 24])
+@pytest.mark.parametrize("a2", [0, 1])
+def test_koblitz_count_past_2_16(k, a2):
+    coeffs = (1, a2, 0, 0, 1)
+    e = Curve(spec_for_q(2**k), *coeffs)
+    assert count_points(e, "point_order", random.Random(k)).count == _weil_count(2, k, coeffs)
+
+
+def test_cli_count_koblitz_2_20(capsys):
+    assert cli.main(["count", "--q", str(2**20), "--curve", "1,0,0,0,1"]) == 0
+    assert json.loads(capsys.readouterr().out)["count"] == 1047376
 
 
 def test_char2_ordinary_twist_past_2_20(capsys):
