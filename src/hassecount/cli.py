@@ -262,7 +262,7 @@ def _cmd_table1(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    results = run_selftest(fast=args.fast, jobs=args.jobs)
+    results = run_selftest(fast=args.fast)
     for r in results:
         print(f"{r.name}: {'PASS' if r.ok else 'FAIL'} ({r.detail})")
     failed = [r.name for r in results if not r.ok]

@@ -44,7 +44,8 @@ from .order import (
 # against the exception enumerator in tests.
 EXCLUDED_Q = frozenset({3, 4, 5, 7, 9, 11, 16, 17, 23, 25, 29, 49})
 
-# Below this size exhaustive enumeration beats point orders outright.
+# Below this size exhaustive enumeration beats point orders outright; it
+# also covers EXCLUDED_Q, whose largest member is 49.
 _SMALL_Q = 49
 
 _SAMPLE_CAP = 64
@@ -91,7 +92,7 @@ def count_points(
     if method not in ("auto", "exhaustive", "point_order"):
         raise ValueError(f"unknown method {method!r}")
     if method == "auto":
-        method = "exhaustive" if (q <= _SMALL_Q or q in EXCLUDED_Q) else "point_order"
+        method = "exhaustive" if q <= _SMALL_Q else "point_order"
     if method == "exhaustive":
         n = count_exhaustive(curve)
         return CountResult(
@@ -190,28 +191,25 @@ def _verify_count(curve: Curve, count: int, rng: random.Random) -> None:
 
 def lambda_exponent(curve: Curve) -> int:
     """Group exponent: lcm of the orders of all rational points (q <= 2^16)."""
-    if curve.spec.q > 1 << 16:
-        raise FieldTooLarge("exponent computation enumerates all points; q <= 2^16 only")
-    return _exponent_given_count(curve, count_exhaustive(curve))
-
-
-def _exponent_given_count(curve: Curve, n: int) -> int:
-    """Group exponent from #E = n: lcm of the point orders, each found by
-    exact_order with n as the annihilator, stopping once it reaches n."""
-    lam = 1
-    for pt in enumerate_points(curve):
-        lam = lcm(lam, exact_order(curve, pt, n))
-        if lam == n:
-            break
-    return lam
+    return group_structure(curve).n2
 
 
 def group_structure(curve: Curve) -> GroupStructure:
-    """(n1, n2) with E(F_q) = Z/n1 x Z/n2, n1 | n2 (and n1 | q-1)."""
+    """(n1, n2) with E(F_q) = Z/n1 x Z/n2, n1 | n2 (and n1 | q-1).
+
+    One enumeration gives #E as the number of points and n2 as the lcm of
+    their orders, each found by exact_order with #E as the annihilator,
+    stopping once it reaches #E.
+    """
     if curve.spec.q > 1 << 16:
         raise FieldTooLarge("structure computation enumerates all points; q <= 2^16 only")
-    n = count_exhaustive(curve)
-    n2 = _exponent_given_count(curve, n)
+    pts = enumerate_points(curve)
+    n = len(pts)
+    n2 = 1
+    for pt in pts:
+        n2 = lcm(n2, exact_order(curve, pt, n))
+        if n2 == n:
+            break
     n1, rem = divmod(n, n2)
     if rem or n2 % n1 or (curve.spec.q - 1) % n1:
         raise InternalInvariantError(

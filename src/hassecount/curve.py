@@ -7,9 +7,11 @@ the characteristic.
 
 Coefficients and point coordinates are field encodings (plain ints, see
 finite_field) and every formula calls the FieldSpec kernels on them; an
-integer constant c is the encoding c % p.  The group law alone computes in
-plain modular arithmetic in prime fields, where an encoding is the residue,
-and there, for p > 3, scalar_mul moves to the short model y^2 = x^3 + Ax + B
+integer constant c is the encoding c % p.  add_points, the one affine
+addition law, does so in every field.  In prime fields, where an encoding is
+the residue, the loops that carry the traffic compute in plain modular
+arithmetic instead: add_many's blocks of chord additions, count_exhaustive,
+and scalar_mul, which for p > 3 moves to the short model y^2 = x^3 + Ax + B
 and Jacobian coordinates, so that a whole multiplication makes one inversion.
 Points are always returned affine, on the long form.
 """
@@ -133,18 +135,6 @@ class Curve:
             return p
         s = self.spec
         a1 = self.a1
-        if s.k == 1:
-            # prime field: the same formulas in plain modular arithmetic
-            p = s.p
-            if x1 == x2:
-                w = y1 + a1 * x1 + self.a3
-                if (w + y2) % p == 0:
-                    return self.infinity()
-                lam = ((3 * x1 + 2 * self.a2) * x1 + self.a4 - a1 * y1) * pow(w + y1, -1, p) % p
-            else:
-                lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
-            x3 = (lam * (lam + a1) - self.a2 - x1 - x2) % p
-            return Point(self, x3, (-lam * (x3 - x1) - y1 - a1 * x3 - self.a3) % p)
         add, sub, mul = s.add_enc, s.sub_enc, s.mul_enc
         if x1 == x2:
             w = add(add(y1, mul(a1, x1)), self.a3)
@@ -397,14 +387,6 @@ def count_pair_scan(curve: Curve) -> int:
 # quadratic twists
 # ---------------------------------------------------------------------------
 
-def smallest_nonsquare(spec: FieldSpec) -> int:
-    """Encoding of the non-square of smallest encoding (odd q)."""
-    a = 2
-    while spec.is_square_enc(a):
-        a += 1
-    return a
-
-
 def smallest_trace_one(spec: FieldSpec, scale: int = 1) -> int:
     """Encoding of the smallest a with absolute trace Tr(scale * a) = 1 (char 2,
     scale != 0).
@@ -430,7 +412,7 @@ def quadratic_twist(curve: Curve) -> Curve:
     spec = curve.spec
     if not spec.char2:
         c2, c4, c6 = _reduced_coefficients(curve)
-        d = smallest_nonsquare(spec)
+        d = spec.smallest_nonsquare()
         d2 = spec.mul_enc(d, d)
         d3 = spec.mul_enc(d2, d)
         return Curve(
@@ -487,9 +469,10 @@ def _char2_ordinary_normal_form(curve: Curve) -> tuple[int, int]:
 def random_point(curve: Curve, rng: random.Random) -> Point:
     """A random rational point: random x, solve for y.
 
-    Falls back to a deterministic scan for tiny fields whose curves may have
-    very few (or zero) affine points; the scan returns infinity when the
-    curve has no affine point at all.
+    After 48 + 4 * bitlen(q) failed draws, which only tiny fields whose
+    curves have very few (or zero) affine points ever see, it falls back to
+    a deterministic scan; the scan returns infinity when the curve has no
+    affine point at all.
     """
     q = curve.spec.q
     attempts = 48 + 4 * q.bit_length()
@@ -499,10 +482,8 @@ def random_point(curve: Curve, rng: random.Random) -> Point:
         if ys:
             y = ys[0] if len(ys) == 1 else ys[rng.randrange(2)]
             return Point(curve, x, y)
-    if q <= _CHAR2_SOLVE_LIMIT:
-        for x in range(q):
-            ys = curve.y_solutions(x)
-            if ys:
-                return Point(curve, x, ys[0])
-        return curve.infinity()
-    raise InternalInvariantError("random point sampling failed on a large field")  # pragma: no cover
+    for x in range(q):
+        ys = curve.y_solutions(x)
+        if ys:
+            return Point(curve, x, ys[0])
+    return curve.infinity()

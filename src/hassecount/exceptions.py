@@ -16,12 +16,12 @@ literal wide-range loop lives in the test suite as the oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
+from math import gcd, isqrt
 
 from . import counting as _counting
 from . import curve as _curve
 from . import finite_field as _ff
-from .integers import divisors, factorize, lcm, prime_powers, split_prime_power
+from .integers import divisors, lcm, prime_powers, split_prime_power
 from .order import Congruence, trace_candidates
 
 
@@ -198,20 +198,13 @@ def _build_row_curve(spec, row: dict, alpha_enc: int) -> _curve.Curve:
     return _curve.make_curve(spec, *coeffs)
 
 
-def _all_primitive_encodings(spec) -> list[int]:
-    n = spec.q - 1
-    prime_divs = sorted(set(factorize(n)))
-    return [a for a in range(2, spec.q) if all(spec.pow_enc(a, n // ell) != 1 for ell in prime_divs)]
-
-
-def _curve_matches(spec, row: dict, curve) -> tuple[bool, int, int, int, bool]:
+def _curve_matches(row: dict, curve) -> tuple[bool, int, int, int, bool]:
     """Check (#E, lambda, twist-lambda) against (q+1-t, M, N), allowing the
     documented t -> -t / M <-> N swap.  Returns (ok, count, lam, twist_lam, symmetric)."""
     q, M, N, t = row["q"], row["M"], row["N"], row["t"]
-    count = _curve.count_exhaustive(curve)
-    lam = _counting._exponent_given_count(curve, count)
-    twist = _curve.quadratic_twist(curve)
-    twist_lam = _counting._exponent_given_count(twist, _curve.count_exhaustive(twist))
+    st = _counting.group_structure(curve)
+    count, lam = st.n1 * st.n2, st.n2
+    twist_lam = _counting.group_structure(_curve.quadratic_twist(curve)).n2
     if (count, lam, twist_lam) == (q + 1 - t, M, N):
         return True, count, lam, twist_lam, False
     if (count, lam, twist_lam) == (q + 1 + t, N, M):
@@ -221,7 +214,7 @@ def _curve_matches(spec, row: dict, curve) -> tuple[bool, int, int, int, bool]:
 
 def verify_table1() -> list[Table1RowReport]:
     """Re-derive every published exceptional-case row: quadruples from the
-    enumerator, curve data from exhaustive counting.
+    enumerator, curve data from group_structure of the curve and its twist.
 
     The rows quote curves in terms of an unspecified primitive element alpha,
     so alpha-dependent rows are first tried with this package's canonical
@@ -241,19 +234,14 @@ def verify_table1() -> list[Table1RowReport]:
         canonical = _ff.primitive_element(spec).enc
         candidates = [canonical]
         if _row_uses_alpha(row):
-            candidates += [a for a in _all_primitive_encodings(spec) if a != canonical]
-        curve_ok = False
-        chosen = None
-        result = (False, 0, 0, 0, False)
+            # the primitive elements alpha^j, ascending, so the smallest, canonical, first
+            candidates = sorted(spec.pow_enc(canonical, j) for j in range(1, q) if gcd(j, q - 1) == 1)
         for alpha in candidates:
-            curve = _build_row_curve(spec, row, alpha)
-            result = _curve_matches(spec, row, curve)
+            result = _curve_matches(row, _build_row_curve(spec, row, alpha))
             if result[0]:
-                curve_ok = True
-                chosen = alpha
                 break
-            if alpha == canonical and len(candidates) == 1:
-                chosen = alpha
+        curve_ok = result[0]
+        chosen = alpha if curve_ok or len(candidates) == 1 else None
         reports.append(
             Table1RowReport(
                 q=q,

@@ -238,7 +238,7 @@ class FieldSpec:
             self.trace_mask, self._artin_rows = _char2_maps(modulus)
         # lazy caches
         self._chi = None  # quadratic character by encoding: -1/0/1 (odd q)
-        self._sqrt_nonres = None
+        self._nonsquare = None  # smallest non-square encoding (odd q)
         if 1 < k and self.q <= _LOG_LIMIT:
             self._build_log_tables()
 
@@ -394,12 +394,7 @@ class FieldSpec:
         while m % 2 == 0:
             m //= 2
             e += 1
-        if self._sqrt_nonres is None:
-            z = 2
-            while self.is_square_enc(z):
-                z += 1
-            self._sqrt_nonres = z
-        g = self.pow_enc(self._sqrt_nonres, m)
+        g = self.pow_enc(self.smallest_nonsquare(), m)
         x = self.pow_enc(a, (m + 1) // 2)
         b = self.pow_enc(a, m)
         r = e
@@ -417,6 +412,15 @@ class FieldSpec:
             b = self.mul_enc(b, g)
             r = m2
         return x
+
+    def smallest_nonsquare(self) -> int:
+        """Encoding of the non-square of smallest encoding (odd q)."""
+        if self._nonsquare is None:
+            a = 2
+            while self.is_square_enc(a):
+                a += 1
+            self._nonsquare = a
+        return self._nonsquare
 
     def trace_enc(self, a: int) -> int:
         """Absolute trace a + a^p + ... + a^(p^(k-1)), returned as an int in [0, p)."""

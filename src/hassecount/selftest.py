@@ -108,8 +108,7 @@ def _check(name: str, fn) -> CheckResult:
     return CheckResult(name, ok, detail)
 
 
-def run_selftest(fast: bool = False, jobs: int = 1) -> list[CheckResult]:
-    del jobs  # sequential execution keeps output order fixed
+def run_selftest(fast: bool = False) -> list[CheckResult]:
     results = []
 
     def trace_ambiguity():

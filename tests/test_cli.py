@@ -241,7 +241,7 @@ def test_failing_table1_row_exits_4(capsys, monkeypatch):
 
 def test_failing_selftest_check_exits_4(capsys, monkeypatch):
     results = [CheckResult("a", True, "fine"), CheckResult("b", False, "broken")]
-    monkeypatch.setattr(cli, "run_selftest", lambda fast, jobs: results)
+    monkeypatch.setattr(cli, "run_selftest", lambda fast: results)
     code, out, err = run(capsys, "selftest", "--fast")
     assert code == 4 and out.splitlines() == ["a: PASS (fine)", "b: FAIL (broken)"]
     assert err.splitlines() == ["internal error: InternalInvariantError: selftest checks failed: b"]

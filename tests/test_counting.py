@@ -30,6 +30,11 @@ def test_excluded_set_matches_enumerator():
     assert set(ct.EXCLUDED_Q) == ex.exceptional_q_set(1024)
 
 
+def test_auto_enumerates_every_excluded_q():
+    # count_points(auto) sends q <= _SMALL_Q to enumeration, never point orders
+    assert max(ct.EXCLUDED_Q) <= ct._SMALL_Q
+
+
 # --- count_points ------------------------------------------------------------------
 
 def test_count_examples():

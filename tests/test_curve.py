@@ -135,7 +135,8 @@ def test_add_points_matches_reference(q):
 
 @pytest.mark.parametrize("q", [2, 3, 5, 7])
 def test_add_points_small_primes_every_pair(q):
-    """The prime-field formulas of add_points in characteristics 2 and 3 too."""
+    """add_points, on the FieldSpec kernels, against the reference on every
+    pair of points over F_2, F_3, F_5 and F_7."""
     spec = ff.spec_for_q(q)
     for coeffs in [(1, 0, 1, 0, 1), (0, 0, 1, 1, 0), (1, 1, 0, 0, 1), (0, 1, 0, 1, 1), (0, 0, 0, 1, 1)]:
         try:
@@ -327,9 +328,7 @@ def test_twist_supersingular_char2_larger_fields(q):
         assert cv.count_exhaustive(e) + cv.count_exhaustive(t) == 2 * (q + 1)
 
 
-def test_smallest_nonsquare_and_trace_one():
-    assert cv.smallest_nonsquare(ff.make_spec(5)) == 2
-    assert cv.smallest_nonsquare(ff.make_spec(7)) == 3
+def test_smallest_trace_one():
     f4 = ff.make_spec(2, 2)
     gamma = cv.smallest_trace_one(f4)
     assert ff.absolute_trace(f4.element(gamma)) == 1
@@ -354,3 +353,20 @@ def test_random_point_no_affine_points():
     e = cv.make_curve(spec, 0, 0, 1, 1, 1)
     assert cv.count_exhaustive(e) == 1
     assert cv.random_point(e, random.Random(0)).is_infinity
+
+
+class _MissingDraws:
+    """An rng whose every x draw lands where the curve has no point."""
+
+    def __init__(self, x):
+        self.x = x
+
+    def randrange(self, n):
+        return self.x
+
+
+def test_random_point_scan_fallback_above_2_16():
+    e = cv.make_curve(ff.make_spec(65537), 0, 0, 0, 1, 1)
+    x0 = next(x for x in range(65537) if not e.y_solutions(x))
+    x1 = next(x for x in range(65537) if e.y_solutions(x))
+    assert cv.random_point(e, _MissingDraws(x0)) == cv.Point(e, x1, e.y_solutions(x1)[0])

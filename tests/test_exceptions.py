@@ -180,6 +180,7 @@ def test_table1_row_values_frozen():
     assert reports[(11, 4)].count == 8 and reports[(11, 4)].lam == 4 and reports[(11, 4)].twist_lam == 8
     assert reports[(16, 3)].count == 9
     assert reports[(25, 4)].count == 16
+    assert reports[(25, 4)].alpha_enc == 13 and reports[(25, 4)].alpha_fallback
     assert reports[(49, 6)].count == 36
 
 

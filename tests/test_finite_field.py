@@ -154,6 +154,14 @@ def test_sqrt_squares_count(q):
     assert n_squares == (q - 1 if spec.char2 else (q - 1) // 2)
 
 
+def test_smallest_nonsquare():
+    assert ff.make_spec(5).smallest_nonsquare() == 2
+    assert ff.make_spec(7).smallest_nonsquare() == 3
+    f9 = ff.make_spec(3, 2)
+    d = f9.smallest_nonsquare()
+    assert not f9.is_square_enc(d) and all(f9.is_square_enc(a) for a in range(2, d))
+
+
 def test_tonelli_shanks_q_1_mod_4():
     # 13 = 1 mod 4 exercises the full Tonelli-Shanks loop
     f13 = ff.make_spec(13)
