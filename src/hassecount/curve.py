@@ -10,10 +10,12 @@ finite_field) and every formula calls the FieldSpec kernels on them; an
 integer constant c is the encoding c % p.  add_points, the one affine
 addition law, does so in every field.  In prime fields, where an encoding is
 the residue, the loops that carry the traffic compute in plain modular
-arithmetic instead: add_many's blocks of chord additions, count_exhaustive,
-and scalar_mul, which for p > 3 moves to the short model y^2 = x^3 + Ax + B
-and Jacobian coordinates, so that a whole multiplication makes one inversion.
-Points are always returned affine, on the long form.
+arithmetic instead: count_exhaustive, and for p > 3 on the isomorphic short
+model y^2 = x^3 + Ax + B (Curve.short_model) scalar_mul, in Jacobian
+coordinates so that a whole multiplication makes one inversion, and
+short_add_block, the point-order search's blocks of chord additions on bare
+residues with one inversion per block.  Points are always returned affine,
+on the long form.
 """
 
 from __future__ import annotations
@@ -150,51 +152,22 @@ class Curve:
         y3 = s.neg_enc(add(add(add(mul(lam, sub(x3, x1)), y1), mul(a1, x3)), self.a3))
         return Point(self, x3, y3)
 
-    def add_many(self, base: Point, pts: list[Point]) -> list[Point]:
-        """[base + Q for Q in pts]; in a prime field with one inversion for the block.
-
-        Montgomery's trick: the chord slopes of all pairs with distinct x share
-        the inverse of the product of their denominators, which costs one
-        inversion and 3(n-1) multiplications.  Doublings, Q = -base and infinity
-        operands go through add_points one pair at a time, and so do all pairs
-        in extension fields.
-        """
-        x1, y1 = base.x, base.y
-        s = self.spec
-        if x1 is None or s.k != 1:
-            return [self.add_points(base, pt) for pt in pts]
-        out: list[Point | None] = [None] * len(pts)
-        todo = []  # indices of the pairs with distinct x, in order
-        for i, pt in enumerate(pts):
-            if pt.x is None or pt.x == x1:
-                out[i] = self.add_points(base, pt)
-            else:
-                todo.append(i)
-        if not todo:
-            return out
-        p, a1, a2, a3 = s.p, self.a1, self.a2, self.a3
-        prefix = []  # prefix[j] = product of the denominators x2 - x1 of pairs 0..j
-        acc = 1
-        for i in todo:
-            acc = acc * (pts[i].x - x1) % p
-            prefix.append(acc)
-        inv = pow(acc, -1, p)  # inverse of prefix[j], walking j down
-        for j in range(len(todo) - 1, -1, -1):
-            pt = pts[todo[j]]
-            x2 = pt.x
-            lam = (pt.y - y1) * (inv * prefix[j - 1] if j else inv) % p
-            inv = inv * (x2 - x1) % p
-            # the chord formulas of add_points
-            x3 = (lam * (lam + a1) - a2 - x1 - x2) % p
-            out[todo[j]] = Point(self, x3, (-lam * (x3 - x1) - y1 - a1 * x3 - a3) % p)
-        return out
+    def short_model(self) -> tuple[int, int, int]:
+        """(sx, A, 1/2) for the isomorphic short model y'^2 = x'^3 + A x' + B
+        over F_p, p > 3, where x' = x + sx, y' = y + (a1 x + a3)/2, sx = b2/12
+        and A = b4/2 - b2^2/48; on it -(x', y') = (x', -y')."""
+        p = self.spec.p
+        half = (p + 1) >> 1
+        # 1/12 without an inversion: every unit u mod 12 has u^2 = 1, so
+        # (-p % 12) * p = -1 (mod 12) and 12 divides (-p % 12) * p + 1
+        sx = self.b2 * ((-p % 12 * p + 1) // 12) % p
+        return sx, (self.b4 * half - 3 * sx * sx) % p, half
 
     def scalar_mul(self, n: int, pt: Point) -> Point:
         """n*P for any integer n (negative n multiplies -P), by double-and-add.
 
         In prime fields with p > 3 the chain runs left to right on the
-        isomorphic short model y'^2 = x'^3 + A x' + B, where x' = x + b2/12,
-        y' = y + (a1 x + a3)/2 and A = b4/2 - b2^2/48, in Jacobian coordinates
+        isomorphic short model (short_model), in Jacobian coordinates
         (x', y') = (X/Z^2, Y/Z^3), with Z = 0 for infinity.  The affine base
         is added by mixed additions, so the chain makes a single field
         inversion, when it maps the result back.  Extension fields, where an
@@ -217,11 +190,7 @@ class Curve:
         if n == 0 or pt.x is None:
             return self.infinity()
         p, a1, a3 = s.p, self.a1, self.a3
-        half = (p + 1) >> 1
-        # 1/12 without an inversion: every unit u mod 12 has u^2 = 1, so
-        # (-p % 12) * p = -1 (mod 12) and 12 divides (-p % 12) * p + 1
-        sx = self.b2 * ((-p % 12 * p + 1) // 12) % p  # x' = x + sx
-        a = (self.b4 * half - 3 * sx * sx) % p
+        sx, a, half = self.short_model()
         xb = (pt.x + sx) % p
         yb = (pt.y + (a1 * pt.x + a3) * half) % p
         x, y, z = xb, yb, 1
@@ -298,6 +267,49 @@ def _jacobian_double(x: int, y: int, z: int, a: int, p: int) -> tuple[int, int, 
     m = (3 * x * x + a * zz * zz) % p
     x3 = (m * m - 2 * s) % p
     return x3, (m * (s - x3) - 8 * yy * yy) % p, 2 * y * z % p
+
+
+def short_add_block(a: int, p: int, x1, y1, xs: list, ys: list, ny: int):
+    """(x1, y1) + (xs[i], ys[i]) for every i on a short model y^2 = x^3 + a x + b
+    over F_p, x None for infinity, with one shared inversion (Montgomery's trick).
+
+    Returns the sums' x (None for infinity), their y for i < ny, for the last
+    i and where an operand is infinity (None elsewhere), and their chord or
+    tangent slopes lam, from which any other y = lam (x1 - x) - y1.
+    """
+    n = len(xs)
+    if x1 is None:
+        return list(xs), list(ys), [None] * n
+    x3s, y3s, lams = [None] * n, [None] * n, [None] * n
+    todo, prefix = [], []  # prefix[k]: product of the denominators of todo[0..k]
+    acc = 1
+    for i, x2 in enumerate(xs):
+        if x2 is None:
+            x3s[i], y3s[i] = x1, y1
+            continue
+        if x2 != x1:
+            acc = acc * (x2 - x1) % p
+        elif ys[i] == y1 and y1:  # doubling
+            acc = acc * 2 * y1 % p
+        else:  # the sum is infinity
+            continue
+        todo.append(i)
+        prefix.append(acc)
+    inv = pow(acc, -1, p)  # inverse of prefix[k], walking k down
+    for k in range(len(todo) - 1, -1, -1):
+        i = todo[k]
+        x2 = xs[i]
+        if x2 != x1:
+            lam = (ys[i] - y1) * (inv * prefix[k - 1] if k else inv) % p
+            inv = inv * (x2 - x1) % p
+        else:
+            lam = (3 * x1 * x1 + a) * (inv * prefix[k - 1] if k else inv) % p
+            inv = inv * 2 * y1 % p
+        x3s[i] = x3 = (lam * lam - x1 - x2) % p
+        lams[i] = lam
+        if i < ny or i == n - 1:
+            y3s[i] = (lam * (x1 - x3) - y1) % p
+    return x3s, y3s, lams
 
 
 def make_curve(spec: FieldSpec, a1, a2, a3, a4, a6) -> Curve:

@@ -15,9 +15,10 @@ precisely where the interesting supersingular curves live.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from math import isqrt
 
-from .curve import Curve, Point
+from .curve import Curve, Point, short_add_block
 from .errors import IncompatibleCongruence, InternalInvariantError
 from .integers import ext_gcd, factorize
 
@@ -97,41 +98,9 @@ def _scalar_mul_adds(n: int) -> int:
     return n.bit_length() - 1 + n.bit_count() if n else 0
 
 
-# most additions that share one field inversion; prime fields only (in the log
-# model an inversion is one table lookup, so blocks only add work, and
-# Curve.add_many batches prime fields alone)
+# most additions that share one field inversion; prime fields with p > 3 only
+# (in the log model an inversion is one table lookup, so blocks only add work)
 _BLOCK_CAP = 32
-
-
-def _progression(curve: Curve, start: Point, step: Point, n: int, cap: int):
-    """Yield start + i*step for i = 0, 1, ..., n-1, computing them lazily.
-
-    After start, the terms come in blocks last + (step, 2*step, ..., b*step)
-    that share one inversion (Curve.add_many), b doubling up to cap and to the
-    terms left.  The multiples of step are the terms themselves when start is
-    step; otherwise they are doubled alongside, costing b - 1 adds for the
-    largest block b.  A block is computed only when the caller asks for its
-    first term.
-    """
-    yield start
-    if cap == 1:
-        add = curve.add_points
-        for _ in range(n - 1):
-            start = add(start, step)
-            yield start
-        return
-    multiples = [step]  # i*step for i = 1..len(multiples)
-    last, done = start, 1
-    while done < n:
-        more = min(cap, n - done) - len(multiples)
-        if 1 < done and more > 0:
-            if start is step:
-                multiples += block[:more]
-            else:
-                multiples += curve.add_many(multiples[-1], multiples[:more])
-        block = curve.add_many(last, multiples[:n - done])
-        yield from block
-        last, done = block[-1], done + len(block)
 
 
 def bsgs_annihilator(
@@ -142,9 +111,9 @@ def bsgs_annihilator(
     Searches for t with t*P = (q+1)*P over the traces t = a (mod M) with
     |t| <= 2*sqrt(q), where (a, M) is the trace congruence (by default every
     trace).  Writing t = t_min + M*u for u in [0, span], it is a baby-step
-    giant-step search for u on Q = M*P: baby steps j*Q (keyed by the
-    x-encoding, y disambiguating the sign) and giant steps of stride 2s-1,
-    s about sqrt(span/2), for O(sqrt(span)) group operations: O(q^(1/4))
+    giant-step search for u on Q = M*P: baby steps j*Q (keyed by x, y
+    disambiguating the sign) and giant steps of stride 2s-1, s about
+    sqrt(span/2), for O(sqrt(span)) group operations: O(q^(1/4))
     unrestricted, sqrt(M) times fewer under a modulus M.
 
     Every returned m is verified: a giant step matched a baby step or
@@ -153,16 +122,21 @@ def bsgs_annihilator(
     takes over).  A congruence the true trace does not satisfy can therefore
     only end in InternalInvariantError, never in a wrong m.
 
-    Both walks are _progression()s, so in prime fields their adds come in
-    blocks that share one field inversion; extension fields step one add at
-    a time.  The points are scanned in the order of stepping one add at a
-    time, so the same m is returned, and ops.adds counts the logical group
-    operations of that stepping: the baby steps, the scalar multiplications
-    (three, or two when M = 1) and the giant steps up to the match.  The adds
-    really computed exceed it by the giant-step multiples and the rest of the
-    block that holds the match: fewer than 2*_BLOCK_CAP per call.  Measured
-    on random curves, unrestricted: +12% at q = 65537, +17% at 10^6, +2% at
-    10^12+39; under the congruences count_points passes: +12%, +17% and +3%.
+    Both walks add blocks of multiples (step, 2*step, ..., b*step) to their
+    last term, b doubling up to _BLOCK_CAP and to the terms left (the baby
+    terms are their own multiples).  For p > 3 they run on the residues
+    (x', y') of the short model (Curve.short_model), a block is one
+    short_add_block with one inversion, and a giant step's y' is computed
+    only for a block's last term and when its x' is in the baby table;
+    extension fields, F_2 and F_3 step one add_points at a time.  The points
+    are scanned in the order of stepping one add at a time, so the same m is
+    returned, and ops.adds counts the logical group operations of that
+    stepping: the baby steps, the scalar multiplications (three, or two when
+    M = 1) and the giant steps up to the match.  The adds really computed
+    exceed it by the giant-step multiples and the rest of the block that
+    holds the match: fewer than 2*_BLOCK_CAP per call.  Measured on random
+    curves, unrestricted: +12% at q = 65537, +17% at 10^6, +2% at 10^12+39;
+    under the congruences count_points passes: +11%, +17% and +3%.
     """
     interval = hasse_interval(curve.spec.q)
     if pt.x is None:
@@ -177,28 +151,58 @@ def bsgs_annihilator(
         raise InternalInvariantError(f"no trace in the Hasse interval is {trace.a} mod {mod}")
     s = max(2, isqrt(span // 2) + 1)
     spec = curve.spec
-    cap = _BLOCK_CAP if spec.k == 1 else 1
+    p = spec.p
     top = spec.q + 1 - t_min  # the candidate annihilator for u is top - mod*u
     base = pt  # Q
     if mod > 1:
         base = curve.scalar_mul(mod, pt)
         ops.adds += _scalar_mul_adds(mod)
 
-    # baby table: x-encoding of j*Q -> list of (j, y-encoding)
-    table: dict[int, list[tuple[int, int]]] = {}
-    for j, jq in enumerate(_progression(curve, base, base, s - 1, cap), 1):
-        if jq.x is None:
-            # the order of P divides j*mod (Q itself is infinity when j = 1),
-            # so any multiple of j*mod annihilates.  With mod = 1 the interval
-            # is far wider than s, so one lands inside it; otherwise there may
-            # be none, and the unrestricted search answers
-            ops.adds += j - 1
-            n = j * mod
-            first = -(-interval.lo // n) * n
-            if first <= interval.hi:
-                return first
-            return bsgs_annihilator(curve, pt, ops)
-        table.setdefault(jq.x, []).append((j, jq.y))
+    if spec.k == 1 and p > 3:  # residues of the short model: a1 = a3 = 0
+        sx, a, half = curve.short_model()
+        cap, a1, a3 = _BLOCK_CAP, 0, 0
+        add_block = partial(short_add_block, a, p)
+
+        def coords(r):
+            if r.x is None:
+                return None, None
+            return (r.x + sx) % p, (r.y + (curve.a1 * r.x + curve.a3) * half) % p
+    else:  # encodings, one add_points per step
+        cap, a1, a3 = 1, curve.a1, curve.a3
+
+        def coords(r):
+            return r.x, r.y
+
+        def add_block(x1, y1, xs, ys, ny):
+            r = curve.add_points(Point(curve, x1, y1), Point(curve, xs[0], ys[0]))
+            return [r.x], [r.y], None
+
+    # baby steps j*Q at index j of xs, ys; table: x -> the least j.  Another
+    # j' < s with that x has j'*Q = -j*Q, so the order of Q divides j + j' <
+    # 2s - 2 and each multiple of Q is infinity or +-i*Q with i < s: the first
+    # giant step then matches through the least j, or no giant step ever does
+    x, y = coords(base)
+    xs, ys = [None, x], [None, y]
+    j = 1 if x is None else 0  # the first j with j*Q = infinity, if any
+    while not j and len(xs) < s:
+        b = min(len(xs) - 1, cap, s - len(xs))  # add Q, 2*Q, ..., b*Q to the last term
+        bx, by, _ = add_block(xs[-1], ys[-1], xs[1:b + 1], ys[1:b + 1], b)
+        if None in bx:
+            j = len(xs) + bx.index(None)
+        xs += bx
+        ys += by
+    if j:
+        # the order of P divides j*mod (Q itself is infinity when j = 1),
+        # so any multiple of j*mod annihilates.  With mod = 1 the interval
+        # is far wider than s, so one lands inside it; otherwise there may
+        # be none, and the unrestricted search answers
+        ops.adds += j - 1
+        n = j * mod
+        first = -(-interval.lo // n) * n
+        if first <= interval.hi:
+            return first
+        return bsgs_annihilator(curve, pt, ops)
+    table = dict(zip(xs[:0:-1], range(s - 1, 0, -1)))  # the least j wins
     ops.adds += s - 2
 
     stride = 2 * s - 1
@@ -207,36 +211,40 @@ def bsgs_annihilator(
     r0 = curve.scalar_mul(top - mod * c, pt)
     step = curve.negate(curve.scalar_mul(stride, base))
     ops.adds += _scalar_mul_adds(top - mod * c) + _scalar_mul_adds(stride)
-
-    def accept(u: int) -> int | None:
-        if 0 <= u <= span:
-            return top - mod * u
-        return None
-
-    for r in _progression(curve, r0, step, span // stride + 1, cap):
-        if r.x is None:
-            m = accept(c)
-            if m is not None:
-                return m
-        else:
-            hits = table.get(r.x)
-            if hits:
-                ry = r.y
-                # -(x, y) = (x, -y - a1*x - a3): r = -j*Q iff ry + yj + a1*x + a3 = 0
-                shift = spec.add_enc(ry, spec.add_enc(spec.mul_enc(curve.a1, r.x), curve.a3))
-                for j, yj in hits:
-                    # r = mod*(u - c)*P matched against +-j*Q
-                    if ry == yj:
-                        m = accept(c + j)
-                        if m is not None:
-                            return m
-                    if spec.add_enc(shift, yj) == 0:
-                        m = accept(c - j)
-                        if m is not None:
-                            return m
-        c += stride
-        ops.adds += 1
-    raise InternalInvariantError("BSGS found no annihilator in the Hasse interval")
+    x, y = coords(step)
+    mx, my = [x], [y]  # i*step at index i - 1
+    x, y = coords(r0)
+    gx, gy, lams = [x], [y], None  # a block of terms, last + i*step
+    n = span // stride + 1
+    done = 0
+    while True:
+        for i, x in enumerate(gx):
+            if x is None:
+                if 0 <= c <= span:
+                    return top - mod * c
+            elif x in table:
+                y = gy[i]
+                if y is None:
+                    y = (lams[i] * (x1 - x) - y1) % p
+                # R = mod*(u - c)*P matched against +-j*Q
+                j = table[x]
+                if y == ys[j] and 0 <= c + j <= span:
+                    return top - mod * (c + j)
+                yneg = spec.neg_enc(spec.add_enc(spec.add_enc(y, spec.mul_enc(a1, x)), a3))
+                if yneg == ys[j] and 0 <= c - j <= span:
+                    return top - mod * (c - j)
+            c += stride
+            ops.adds += 1
+        done += len(gx)
+        if done >= n:
+            raise InternalInvariantError("BSGS found no annihilator in the Hasse interval")
+        more = min(cap, n - done) - len(mx)
+        if done > 1 and more > 0:
+            bx, by, _ = add_block(mx[-1], my[-1], mx[:more], my[:more], more)
+            mx += bx
+            my += by
+        x1, y1 = gx[-1], gy[-1]
+        gx, gy, lams = add_block(x1, y1, mx[:n - done], my[:n - done], 0)
 
 
 def exact_order(curve: Curve, pt: Point, annihilator: int) -> int:

@@ -163,9 +163,12 @@ def curve_through(spec, rng, x, y):
 def sample_points(q, n, seed):
     """n seeded (curve, point) pairs over F_q, each followed by its multiples
     of order d for every proper divisor d of its order with d < s, whose baby
-    steps reach infinity, or d = 2 (2-torsion)."""
+    steps reach infinity, or d = 2 (2-torsion); below 2^20 also a point on
+    the quadratic twist, which in odd characteristic is the twist-shaped
+    y^2 = x^3 + a2 x^2 + a4 x + a6 that count_points searches half the time."""
     spec = ff.spec_for_q(q)
     rng = random.Random(seed)
+    twist_rng = random.Random(seed + 1)
     tb = od.hasse_interval(q).trace_bound
     s = max(2, isqrt(tb) + 1)
     out = []
@@ -176,6 +179,9 @@ def sample_points(q, n, seed):
         for d in divisors(order)[1:-1]:
             if d < s or d == 2:
                 out.append((e, e.scalar_mul(order // d, pt)))
+        if q < 1 << 20:
+            twist = cv.quadratic_twist(e)
+            out.append((twist, cv.random_point(twist, twist_rng)))
     return out
 
 
@@ -184,6 +190,7 @@ PRIME_FIELDS = [
     (65537, 15),
     (10**12 + 39, 4),
     (2, 5),  # characteristic 2
+    (3, 5),  # characteristic 3
 ]
 FIELDS = PRIME_FIELDS + [
     (3**7, 30),  # log tables
@@ -204,6 +211,8 @@ def test_bsgs_matches_one_add_at_a_time(q, n, cap, monkeypatch):
         monkeypatch.setattr(od, "_BLOCK_CAP", cap)
     cases = sample_points(q, n, seed=q % 1000 + 7)
     assert len(cases) > n  # some small-order points joined the panel
+    if q % 2 and q < 1 << 20:
+        assert any(e.a1 == e.a3 == 0 and e.a2 for e, _ in cases)  # twist-shaped
     for e, pt in cases:
         ops, ref_ops = od.OpCounter(), od.OpCounter()
         m = od.bsgs_annihilator(e, pt, ops)
@@ -241,6 +250,31 @@ def test_restricted_bsgs_matches_one_add_at_a_time(q, n, cap, monkeypatch):
             assert m in interval and e.scalar_mul(m, pt).is_infinity
             restricted += cong.m > 1
     assert restricted > 4 * n
+
+
+@pytest.mark.parametrize("q", [1009, 65537, 3**7, 7])
+def test_bsgs_baby_x_collision(q):
+    """Points of order N in [s, 2s-3] have baby steps j*Q = -j'*Q with
+    j, j' < s and j + j' = N, so two baby steps share x and the table keeps
+    the least j: the same m and logical op count as the one-add reference."""
+    spec = ff.spec_for_q(q)
+    rng = random.Random(q + 5)
+    s = max(2, isqrt(od.hasse_interval(q).trace_bound) + 1)
+    found = 0
+    while found < 3:
+        e, pt = curve_through(spec, rng, rng.randrange(q), rng.randrange(q))
+        n = od.exact_order(e, pt, od.bsgs_annihilator(e, pt))
+        for d in divisors(n):
+            if not s <= d <= 2 * s - 3:
+                continue
+            qt = e.scalar_mul(n // d, pt)
+            baby_x = [e.scalar_mul(j, qt).x for j in range(1, s)]
+            assert len(set(baby_x)) < len(baby_x)  # the collision is reached
+            ops, ref_ops = od.OpCounter(), od.OpCounter()
+            m = od.bsgs_annihilator(e, qt, ops)
+            assert m == reference_bsgs(e, qt, ref_ops) and ops.adds == ref_ops.adds
+            assert m % d == 0
+            found += 1
 
 
 def test_restricted_bsgs_small_order_outside_every_multiple():
@@ -296,76 +330,25 @@ def test_bsgs_small_order_ends_in_baby_steps():
         assert ops.adds == d - 1  # baby steps P, ..., d*P = infinity
 
 
-@pytest.mark.parametrize("q", [1009, 10**12 + 39, 2, 3**7, 2**10])
-def test_add_many_matches_pairwise(q):
-    spec = ff.spec_for_q(q)
-    rng = random.Random(q + 1)
-    for _ in range(3):
-        e, base = curve_through(spec, rng, rng.randrange(q), rng.randrange(q))
-        others = [e.scalar_mul(k, base) for k in (2, 3, 5, 7, 11)]
-        pts = [others[0], e.infinity(), base, e.negate(base), others[1], base,
-               others[2], e.infinity(), e.negate(others[3]), others[4]]
-        for b in (base, e.infinity(), others[1]):
-            assert e.add_many(b, pts) == [e.add_points(b, pt) for pt in pts]
-        assert e.add_many(base, []) == []
-        assert e.add_many(base, [base, e.negate(base)]) == [e.add_points(base, base), e.infinity()]
-
-
-@pytest.mark.parametrize("cap", [1, 2, 5, 8])
-def test_progression_terms_and_block_sizes(cap, monkeypatch):
-    spec = ff.make_spec(1009)
-    e, pt = curve_through(spec, random.Random(cap), 5, 7)
-    sizes = []
-    add_many = cv.Curve.add_many
-
-    def recording(curve, base, pts):
-        sizes.append(len(pts))
-        return add_many(curve, base, pts)
-
-    monkeypatch.setattr(cv.Curve, "add_many", recording)
-    start = e.scalar_mul(3, pt)
-    for n in (1, 2, 3, 40, 101):
-        for first, step in ((start, pt), (pt, pt)):
-            sizes.clear()
-            terms = list(od._progression(e, first, step, n, cap))
-            expected = [first]
-            while len(expected) < n:
-                expected.append(e.add_points(expected[-1], step))
-            assert terms == expected
-            if cap == 1:
-                assert sizes == []  # one add_points per term
-                continue
-            assert max(sizes, default=1) == min(cap, max(1, n // 2))
-            if first is step:
-                assert sum(sizes) == n - 1  # the terms are their own multiples
-            else:
-                # plus doubling the multiples up to the largest block
-                assert sum(sizes) == n - 1 + max(sizes, default=1) - 1
-
-
 @pytest.mark.parametrize("p,rounds", [(65537, 10), (1000003, 10), (10**12 + 39, 3)])
 def test_bsgs_real_adds_scaling(p, rounds, monkeypatch):
-    """The adds really computed, counting each block member of Curve.add_many
+    """The adds really computed, counting each member of a short_add_block
     once and each Curve.scalar_mul(n, .) as its double-and-add chain, stay
     inside the op budget of criterion 9, and most come in blocks."""
     real = blocks = 0
     inside = False
-    add_points, add_many, scalar_mul = cv.Curve.add_points, cv.Curve.add_many, cv.Curve.scalar_mul
+    add_points, add_block, scalar_mul = cv.Curve.add_points, od.short_add_block, cv.Curve.scalar_mul
 
     def counted_add(self, a, b):
         nonlocal real
         real += not inside
         return add_points(self, a, b)
 
-    def counted_many(curve, base, pts):
-        nonlocal real, blocks, inside
-        real += len(pts)
+    def counted_block(a, p, x1, y1, xs, ys, ny):
+        nonlocal real, blocks
+        real += len(xs)
         blocks += 1
-        inside = True
-        try:
-            return add_many(curve, base, pts)
-        finally:
-            inside = False
+        return add_block(a, p, x1, y1, xs, ys, ny)
 
     def counted_mul(curve, n, pt):
         nonlocal real, inside
@@ -379,7 +362,7 @@ def test_bsgs_real_adds_scaling(p, rounds, monkeypatch):
             inside = False
 
     monkeypatch.setattr(cv.Curve, "add_points", counted_add)
-    monkeypatch.setattr(cv.Curve, "add_many", counted_many)
+    monkeypatch.setattr(od, "short_add_block", counted_block)
     monkeypatch.setattr(cv.Curve, "scalar_mul", counted_mul)
     spec = ff.make_spec(p)
     rng = random.Random(11)
@@ -393,6 +376,74 @@ def test_bsgs_real_adds_scaling(p, rounds, monkeypatch):
     assert logical <= real <= logical + rounds * 2 * od._BLOCK_CAP
     assert real / rounds <= 8 * p**0.25
     assert blocks * 4 < real  # one inversion per block
+
+
+def short_residues(e, pt):
+    """(x', y') of a point on the curve's short model, (None, None) for infinity."""
+    sx, _, half = e.short_model()
+    p = e.spec.p
+    if pt.x is None:
+        return None, None
+    return (pt.x + sx) % p, (pt.y + (e.a1 * pt.x + e.a3) * half) % p
+
+
+def check_short_block(e, last, members, ny):
+    """short_add_block(last, members) against add_points mapped to the short
+    model: every x, the y it promises (i < ny, the last sum, an infinity
+    operand), and every other y from its slope."""
+    _, a, _ = e.short_model()
+    p = e.spec.p
+    x1, y1 = short_residues(e, last)
+    xs, ys = map(list, zip(*(short_residues(e, m) for m in members)))
+    x3s, y3s, lams = cv.short_add_block(a, p, x1, y1, xs, ys, ny)
+    for i, m in enumerate(members):
+        x, y = short_residues(e, e.add_points(last, m))
+        assert x3s[i] == x, (last, m)
+        if x is None:
+            continue
+        if i < ny or i == len(members) - 1 or x1 is None or xs[i] is None:
+            assert y3s[i] == y, (last, m)
+        else:
+            assert y3s[i] is None and (lams[i] * (x1 - x) - y1) % p == y, (last, m)
+    return x3s
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3, 32])
+@pytest.mark.parametrize("p", [5, 7, 1009, 10**12 + 39])
+def test_short_add_block_matches_add_points(p, cap):
+    """The residue block primitive against add_points, on blocks k*P + (P, 2P,
+    ..., cap*P) as the walks make them with _BLOCK_CAP = cap, and on the
+    exceptional operands: doubling (last = k*P), last = -k*P (infinity),
+    2-torsion (y' = 0, whose double is infinity) and infinity multiples and
+    last terms."""
+    spec = ff.make_spec(p)
+    rng = random.Random(p * 100 + cap)
+    seen = set()
+    for _ in range(4):
+        e, pt = curve_through(spec, rng, rng.randrange(p), rng.randrange(p))
+        n = od.exact_order(e, pt, od.bsgs_annihilator(e, pt))
+        members = [e.scalar_mul(i, pt) for i in range(1, cap + 1)]
+        for k in (0, 1, cap // 2, cap, n - cap, n - 1, rng.randrange(n)):
+            last = e.scalar_mul(k, pt)
+            for ny in (0, cap // 2, cap):
+                x3s = check_short_block(e, last, members, ny)
+            seen.update(name for name, hit in (
+                ("doubling", 0 < k % n <= cap), ("infinity sum", None in x3s),
+                ("infinity last", k % n == 0)) if hit)
+    # y^2 + a1 xy = x^3 + a2 x^2 + a4 x has the point T = (0, 0) of order 2
+    while True:
+        try:
+            e = cv.make_curve(spec, rng.randrange(p), rng.randrange(p), 0, rng.randrange(p), 0)
+            break
+        except SingularCurve:
+            continue
+    t = e.point(0, 0)
+    assert short_residues(e, t)[1] == 0 and e.add_points(t, t).is_infinity
+    other = cv.random_point(e, rng)
+    for last in (t, other, e.infinity()):
+        check_short_block(e, last, [t, e.infinity(), other, t][:max(2, cap)], 1)
+    assert check_short_block(e, t, [t], 0) == [None]
+    assert seen == {"doubling", "infinity sum", "infinity last"}
 
 
 # --- exact order ------------------------------------------------------------------
