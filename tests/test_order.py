@@ -446,6 +446,87 @@ def test_short_add_block_matches_add_points(p, cap):
     assert seen == {"doubling", "infinity sum", "infinity last"}
 
 
+@pytest.mark.parametrize("q", [1009, 10**12 + 39])
+def test_add_many_matches_pairwise(q):
+    """short_add_block adds many points to one base with one inversion: on
+    operands in no progression (infinity, the base, its negative, repeats)
+    each sum matches add_points, and an empty block makes nothing."""
+    spec = ff.spec_for_q(q)
+    rng = random.Random(q + 1)
+    for _ in range(3):
+        e, base = curve_through(spec, rng, rng.randrange(q), rng.randrange(q))
+        others = [e.scalar_mul(k, base) for k in (2, 3, 5, 7, 11)]
+        pts = [others[0], e.infinity(), base, e.negate(base), others[1], base,
+               others[2], e.infinity(), e.negate(others[3]), others[4]]
+        for b in (base, e.infinity(), others[1]):
+            for ny in (0, 4, len(pts)):
+                check_short_block(e, b, pts, ny)
+        x1, y1 = short_residues(e, base)
+        assert cv.short_add_block(e.short_model()[1], q, x1, y1, [], [], 0) == ([], [], [])
+        assert check_short_block(e, base, [base, e.negate(base)], 2)[1] is None
+
+
+@pytest.mark.parametrize("cap", [1, 2, 5, 8])
+def test_progression_terms_and_block_sizes(cap, monkeypatch):
+    """The progressions the walks make on F_65537 with _BLOCK_CAP = cap: the
+    baby blocks are Q+Q, ..., (s-1)*Q in turn, in blocks of 1, 2, 4, ...
+    up to cap and to the terms left; the giant blocks are r0 + step, r0 +
+    2*step, ... in turn, the first of one term, each at most cap and at most
+    twice the one before, fed by the multiples step, 2*step, ... in turn."""
+    q = 65537
+    spec = ff.make_spec(q)
+    monkeypatch.setattr(od, "_BLOCK_CAP", cap)
+    calls = []
+    add_block = od.short_add_block
+
+    def recording(a, p, x1, y1, xs, ys, ny):
+        out = add_block(a, p, x1, y1, xs, ys, ny)
+        calls.append((ny, len(xs), out))
+        return out
+
+    monkeypatch.setattr(od, "short_add_block", recording)
+    tb = od.hasse_interval(q).trace_bound
+    span = 2 * tb
+    s = max(2, isqrt(span // 2) + 1)
+    n = span // (2 * s - 1) + 1
+    baby_sizes = []
+    while 2 + sum(baby_sizes) < s:
+        terms = 2 + sum(baby_sizes)
+        baby_sizes.append(min(terms - 1, cap, s - terms))
+    rng = random.Random(cap)
+    largest = 0
+    for _ in range(6):
+        e = random_curve(spec, rng)
+        pt = cv.random_point(e, rng)
+        calls.clear()
+        if od.exact_order(e, pt, od.bsgs_annihilator(e, pt)) < s:
+            continue  # the baby walk ends at infinity
+        baby = [out for ny, size, out in calls[:len(baby_sizes)]]
+        assert [len(bx) for bx, _, _ in baby] == baby_sizes
+        assert [x for bx, _, _ in baby for x in bx] == [
+            short_residues(e, e.scalar_mul(j, pt))[0] for j in range(2, s)]
+        assert all(ny == size for ny, size, _ in calls[:len(baby_sizes)])
+        giant = [(ny, size, out) for ny, size, out in calls[len(baby_sizes):] if ny == 0]
+        multiples = [out for ny, size, out in calls[len(baby_sizes):] if ny]
+        r0 = e.scalar_mul(q + 1 + tb - (s - 1), pt)
+        step = e.negate(e.scalar_mul(2 * s - 1, pt))
+        sizes = [size for _, size, _ in giant]
+        assert sizes[0] == 1 and sum(sizes) < n
+        assert all(size <= min(cap, 2 * before) for before, size in zip(sizes, sizes[1:]))
+        largest = max(largest, *sizes)
+        term = r0
+        for _, _, (gx, _, _) in giant:
+            for x in gx:
+                term = e.add_points(term, step)
+                assert x == short_residues(e, term)[0]
+        mult = step
+        for mx, _, _ in multiples:
+            for x in mx:
+                mult = e.add_points(mult, step)
+                assert x == short_residues(e, mult)[0]
+    assert largest == cap
+
+
 # --- exact order ------------------------------------------------------------------
 
 def test_exact_order_examples():
