@@ -23,7 +23,6 @@ from typing import Literal
 
 from .curve import (
     Curve,
-    _reduced_coefficients,
     count_exhaustive,
     enumerate_points,
     quadratic_twist,
@@ -163,7 +162,7 @@ def _two_torsion_prior(curve: Curve) -> Congruence:
     p = curve.spec.p
     if not curve.spec.is_square_enc(curve.discriminant):
         return Congruence((p + 1) % 2, 2)
-    c2, c4, c6 = _reduced_coefficients(curve)
+    c2, c4, c6 = curve.completed_model()[:3]
     # r0 + r1 x + r2 x^2 = x^p mod f: square, then multiply by x on a set bit
     r0, r1, r2 = 0, 1, 0
     for bit in bin(p)[3:]:

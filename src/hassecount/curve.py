@@ -7,15 +7,17 @@ the characteristic.
 
 Coefficients and point coordinates are field encodings (plain ints, see
 finite_field) and every formula calls the FieldSpec kernels on them; an
-integer constant c is the encoding c % p.  add_points, the one affine
-addition law, does so in every field.  In prime fields, where an encoding is
-the residue, the loops that carry the traffic compute in plain modular
-arithmetic instead: count_exhaustive, and for p > 3 on the isomorphic short
-model y^2 = x^3 + Ax + B (Curve.short_model) scalar_mul, in Jacobian
-coordinates so that a whole multiplication makes one inversion, and
-short_add_block, the point-order search's blocks of chord additions on bare
-residues with one inversion per block.  Points are always returned affine,
-on the long form.
+integer constant c is the encoding c % p.  add_points, the affine addition
+law of the long form, does so in every field; of the loops that carry the
+traffic only characteristic 2 uses it.  Odd characteristic works on the
+completed square y^2 = x^3 + c2 x^2 + c4 x + c6 (Curve.completed_model),
+where a1 = a3 = 0 and -(x, y) = (x, -y): F_3 and the odd extension fields
+run scalar_mul and the point-order search on completed_add, one addition at
+a time on the kernels.  Prime fields with p > 3 go on to the short model
+y^2 = x^3 + Ax + B (Curve.short_model) in plain modular arithmetic:
+scalar_mul in Jacobian coordinates, one inversion per multiplication, and
+short_add_block, blocks of chord additions with one inversion per block.
+Points are always returned affine, on the long form.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ class Point:
 class Curve:
     """y^2 + a1*x*y + a3*y = x^3 + a2*x^2 + a4*x + a6 over a FieldSpec, nonsingular."""
 
-    __slots__ = ("spec", "a1", "a2", "a3", "a4", "a6", "discriminant", "b2", "b4", "b6", "b8")
+    __slots__ = ("spec", "a1", "a2", "a3", "a4", "a6", "discriminant", "b2", "b4", "b6", "b8", "_completed")
 
     def __init__(self, spec: FieldSpec, a1, a2, a3, a4, a6):
         self.spec = spec
@@ -84,6 +86,7 @@ class Curve:
             raise SingularCurve(f"discriminant vanishes for {self.coefficients()} over F_{spec.q}")
         self.b2, self.b4, self.b6, self.b8 = b2, b4, b6, b8
         self.discriminant = disc
+        self._completed = None
 
     # -- basic structure -----------------------------------------------------------
 
@@ -152,6 +155,34 @@ class Curve:
         y3 = s.neg_enc(add(add(add(mul(lam, sub(x3, x1)), y1), mul(a1, x3)), self.a3))
         return Point(self, x3, y3)
 
+    def completed_model(self) -> tuple[int, int, int, int, int]:
+        """Odd characteristic: encodings (c2, c4, c6, h1, h3) of the isomorphic
+        completed square y'^2 = x^3 + c2 x^2 + c4 x + c6, y' = y + h1 x + h3
+        with h1 = a1/2, h3 = a3/2; on it -(x, y') = (x, -y').  Derived once
+        per curve."""
+        if self._completed is None:
+            s = self.spec
+            add, mul = s.add_enc, s.mul_enc
+            half = (s.p + 1) >> 1  # 1/2, a constant of the prime field
+            h1, h3 = mul(self.a1, half), mul(self.a3, half)
+            c4 = add(self.a4, mul(h1, self.a3))
+            self._completed = (add(self.a2, mul(h1, h1)), c4, add(self.a6, mul(h3, h3)), h1, h3)
+        return self._completed
+
+    def to_completed(self, pt: Point) -> tuple[int | None, int | None]:
+        """(x, y') of P on the completed square, (None, None) for infinity."""
+        if pt.x is None:
+            return None, None
+        s, (_, _, _, h1, h3) = self.spec, self.completed_model()
+        return pt.x, s.add_enc(pt.y, s.add_enc(s.mul_enc(h1, pt.x), h3))
+
+    def from_completed(self, x: int | None, y: int | None) -> Point:
+        """The point (x, y') of the completed square on the long form."""
+        if x is None:
+            return self.infinity()
+        s, (_, _, _, h1, h3) = self.spec, self.completed_model()
+        return Point(self, x, s.sub_enc(y, s.add_enc(s.mul_enc(h1, x), h3)))
+
     def short_model(self) -> tuple[int, int, int]:
         """(sx, A, 1/2) for the isomorphic short model y'^2 = x'^3 + A x' + B
         over F_p, p > 3, where x' = x + sx, y' = y + (a1 x + a3)/2, sx = b2/12
@@ -164,31 +195,39 @@ class Curve:
         return sx, (self.b4 * half - 3 * sx * sx) % p, half
 
     def scalar_mul(self, n: int, pt: Point) -> Point:
-        """n*P for any integer n (negative n multiplies -P), by double-and-add.
+        """n*P for any integer n (negative n multiplies -P), by left-to-right
+        double-and-add.
 
-        In prime fields with p > 3 the chain runs left to right on the
-        isomorphic short model (short_model), in Jacobian coordinates
-        (x', y') = (X/Z^2, Y/Z^3), with Z = 0 for infinity.  The affine base
-        is added by mixed additions, so the chain makes a single field
-        inversion, when it maps the result back.  Extension fields, where an
-        inversion is one table lookup, and F_2, F_3 add affine points through
-        add_points.  Both return the same affine point.
+        In prime fields with p > 3 the chain runs on the short model
+        (short_model) in Jacobian coordinates (x', y') = (X/Z^2, Y/Z^3), Z = 0
+        for infinity, adding the affine base by mixed additions, so it makes
+        one field inversion, when it maps the result back.  F_3 and the odd
+        extension fields run it on the completed square (completed_model)
+        with completed_add, mapping the base in and the result back once;
+        characteristic 2 through add_points.  All return the same affine point.
         """
         if n < 0:
             return self.scalar_mul(-n, self.negate(pt))
-        s = self.spec
-        if s.k != 1 or s.p <= 3:
-            acc = self.infinity()
-            base = pt
-            while n:
-                if n & 1:
-                    acc = self.add_points(acc, base)
-                n >>= 1
-                if n:
-                    base = self.add_points(base, base)
-            return acc
         if n == 0 or pt.x is None:
             return self.infinity()
+        s = self.spec
+        if s.k != 1 or s.p <= 3:
+            if s.char2:
+                acc, base = self.infinity(), pt
+                while n:
+                    if n & 1:
+                        acc = self.add_points(acc, base)
+                    n >>= 1
+                    if n:
+                        base = self.add_points(base, base)
+                return acc
+            c2, c4 = self.completed_model()[:2]
+            x, y = xb, yb = self.to_completed(pt)
+            for bit in bin(n)[3:]:
+                x, y = completed_add(s, c2, c4, x, y, x, y)
+                if bit == "1":
+                    x, y = completed_add(s, c2, c4, x, y, xb, yb)
+            return self.from_completed(x, y)
         p, a1, a3 = s.p, self.a1, self.a3
         sx, a, half = self.short_model()
         xb = (pt.x + sx) % p
@@ -233,8 +272,8 @@ class Curve:
     def y_solutions(self, x: int) -> list[int]:
         """Encodings of all y with (x, y) on the curve, ascending."""
         s = self.spec
-        d = self._rhs_enc(x)
         if s.char2:
+            d = self._rhs_enc(x)
             c = s.mul_enc(self.a1, x) ^ self.a3
             if c == 0:
                 return [s.sqrt_enc(d)]
@@ -243,10 +282,10 @@ class Curve:
             if z is None:
                 return []
             return sorted((s.mul_enc(c, z), s.mul_enc(c, z ^ 1)))
-        # odd characteristic: complete the square
-        half = s.inv_enc(2 % s.p)
-        t = s.mul_enc(s.add_enc(s.mul_enc(self.a1, x), self.a3), half)
-        w = s.add_enc(d, s.mul_enc(t, t))
+        # odd characteristic: y = y' - t, y'^2 = w on the completed square
+        c2, c4, c6, h1, h3 = self.completed_model()
+        t = s.add_enc(s.mul_enc(h1, x), h3)
+        w = s.add_enc(s.mul_enc(s.add_enc(s.mul_enc(s.add_enc(x, c2), x), c4), x), c6)
         if w == 0:
             return [s.neg_enc(t)]
         if not s.is_square_enc(w):
@@ -267,6 +306,30 @@ def _jacobian_double(x: int, y: int, z: int, a: int, p: int) -> tuple[int, int, 
     m = (3 * x * x + a * zz * zz) % p
     x3 = (m * m - 2 * s) % p
     return x3, (m * (s - x3) - 8 * yy * yy) % p, 2 * y * z % p
+
+
+def completed_add(spec: FieldSpec, c2: int, c4: int, x1, y1, x2, y2) -> tuple:
+    """(x1, y1) + (x2, y2) on y^2 = x^3 + c2 x^2 + c4 x + c6 over an odd
+    field, in encodings on the FieldSpec kernels; x = y = None is infinity.
+
+    Chord slope (y2 - y1)/(x2 - x1), tangent slope (3x^2 + 2 c2 x + c4)/(2y);
+    x3 = lam^2 - c2 - x1 - x2 and y3 = lam (x1 - x3) - y1.  Equal x with
+    y2 = -y1 (P + (-P), and doubling a point with y = 0) gives infinity.
+    """
+    if x1 is None:
+        return x2, y2
+    if x2 is None:
+        return x1, y1
+    add, sub, mul = spec.add_enc, spec.sub_enc, spec.mul_enc
+    if x1 == x2:
+        if y1 != y2 or not y1:
+            return None, None
+        num = add(mul(add(mul(3 % spec.p, x1), add(c2, c2)), x1), c4)
+        lam = mul(num, spec.inv_enc(add(y1, y1)))
+    else:
+        lam = mul(sub(y2, y1), spec.inv_enc(sub(x2, x1)))
+    x3 = sub(mul(lam, lam), add(add(c2, x1), x2))
+    return x3, sub(mul(lam, sub(x1, x3)), y1)
 
 
 def short_add_block(a: int, p: int, x1, y1, xs: list, ys: list, ny: int):
@@ -348,32 +411,18 @@ def count_exhaustive(curve: Curve) -> int:
                 total += 2
         return total
     chi = spec.chi_table()
+    c2, c4, c6 = curve.completed_model()[:3]
     if spec.k == 1:
         p = spec.p
-        c2, c4, c6 = _reduced_coefficients(curve)
         for x in range(p):
             w = (((x + c2) * x + c4) * x + c6) % p
             total += 1 + chi[w]
         return total
     mul, add = spec.mul_enc, spec.add_enc
-    c2, c4, c6 = _reduced_coefficients(curve)
     for x in range(q):
         w = add(mul(add(mul(add(x, c2), x), c4), x), c6)
         total += 1 + chi[w]
     return total
-
-
-def _reduced_coefficients(curve: Curve) -> tuple[int, int, int]:
-    """Odd characteristic: encodings (c2, c4, c6) of the completed square
-    y^2 = x^3 + c2 x^2 + c4 x + c6 isomorphic to the curve."""
-    s = curve.spec
-    half = s.inv_enc(2 % s.p)
-    ha1 = s.mul_enc(curve.a1, half)
-    ha3 = s.mul_enc(curve.a3, half)
-    c2 = s.add_enc(curve.a2, s.mul_enc(ha1, ha1))
-    c4 = s.add_enc(curve.a4, s.mul_enc(s.mul_enc(curve.a1, curve.a3), half))
-    c6 = s.add_enc(curve.a6, s.mul_enc(ha3, ha3))
-    return c2, c4, c6
 
 
 def count_pair_scan(curve: Curve) -> int:
@@ -423,7 +472,7 @@ def quadratic_twist(curve: Curve) -> Curve:
     """
     spec = curve.spec
     if not spec.char2:
-        c2, c4, c6 = _reduced_coefficients(curve)
+        c2, c4, c6 = curve.completed_model()[:3]
         d = spec.smallest_nonsquare()
         d2 = spec.mul_enc(d, d)
         d3 = spec.mul_enc(d2, d)

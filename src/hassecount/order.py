@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import partial
 from math import isqrt
 
-from .curve import Curve, Point, short_add_block
+from .curve import Curve, Point, completed_add, short_add_block
 from .errors import IncompatibleCongruence, InternalInvariantError
 from .integers import ext_gcd, factorize
 
@@ -93,13 +93,14 @@ def _scalar_mul_adds(n: int) -> int:
     """Logical group operations charged for Curve.scalar_mul(n, .): for
     n != 0 the bit_length - 1 doublings and one add per set bit (the first
     onto infinity) of binary double-and-add on |n|, and none for n = 0.  A
-    fixed charge, not a count of add_points calls: prime fields run the
-    chain in Jacobian coordinates."""
+    fixed charge, not a count of add_points calls: only characteristic 2
+    runs the chain through add_points."""
     return n.bit_length() - 1 + n.bit_count() if n else 0
 
 
 # most additions that share one field inversion; prime fields with p > 3 only
-# (in the log model an inversion is one table lookup, so blocks only add work)
+# (elsewhere one completed_add or add_points per step: in the log model an
+# inversion is one table lookup, so blocks only add work)
 _BLOCK_CAP = 32
 
 
@@ -127,16 +128,17 @@ def bsgs_annihilator(
     terms are their own multiples).  For p > 3 they run on the residues
     (x', y') of the short model (Curve.short_model), a block is one
     short_add_block with one inversion, and a giant step's y' is computed
-    only for a block's last term and when its x' is in the baby table;
-    extension fields, F_2 and F_3 step one add_points at a time.  The points
-    are scanned in the order of stepping one add at a time, so the same m is
-    returned, and ops.adds counts the logical group operations of that
-    stepping: the baby steps, the scalar multiplications (three, or two when
-    M = 1) and the giant steps up to the match.  The adds really computed
-    exceed it by the giant-step multiples and the rest of the block that
-    holds the match: fewer than 2*_BLOCK_CAP per call.  Measured on random
-    curves, unrestricted: +12% at q = 65537, +17% at 10^6, +2% at 10^12+39;
-    under the congruences count_points passes: +11%, +17% and +3%.
+    only for a block's last term and when its x' is in the baby table; F_3
+    and the odd extension fields step one completed_add at a time on the
+    completed square (Curve.completed_model), char 2 one add_points.  The
+    points are scanned in the order of stepping one add at a time, so the
+    same m is returned, and ops.adds counts the logical group operations of
+    that stepping: the baby steps, the scalar multiplications (three, or two
+    when M = 1) and the giant steps up to the match.  The adds really
+    computed exceed it by the giant-step multiples and the rest of the block
+    that holds the match: fewer than 2*_BLOCK_CAP per call.  Measured on
+    random curves, unrestricted: +12% at q = 65537, +17% at 10^6, +2% at
+    10^12+39; under the congruences count_points passes: +11%, +17% and +3%.
     """
     interval = hasse_interval(curve.spec.q)
     if pt.x is None:
@@ -160,22 +162,26 @@ def bsgs_annihilator(
 
     if spec.k == 1 and p > 3:  # residues of the short model: a1 = a3 = 0
         sx, a, half = curve.short_model()
-        cap, a1, a3 = _BLOCK_CAP, 0, 0
+        cap = _BLOCK_CAP
         add_block = partial(short_add_block, a, p)
 
         def coords(r):
             if r.x is None:
                 return None, None
             return (r.x + sx) % p, (r.y + (curve.a1 * r.x + curve.a3) * half) % p
-    else:  # encodings, one add_points per step
-        cap, a1, a3 = 1, curve.a1, curve.a3
-
-        def coords(r):
-            return r.x, r.y
+    elif spec.char2:  # encodings, one add_points per step
+        cap, coords = 1, lambda r: (r.x, r.y)
 
         def add_block(x1, y1, xs, ys, ny):
             r = curve.add_points(Point(curve, x1, y1), Point(curve, xs[0], ys[0]))
             return [r.x], [r.y], None
+    else:  # (x, y') on the completed square, one completed_add per step
+        cap, coords = 1, curve.to_completed
+        c2, c4 = curve.completed_model()[:2]
+
+        def add_block(x1, y1, xs, ys, ny):
+            x, y = completed_add(spec, c2, c4, x1, y1, xs[0], ys[0])
+            return [x], [y], None
 
     # baby steps j*Q at index j of xs, ys; table: x -> the least j.  Another
     # j' < s with that x has j'*Q = -j*Q, so the order of Q divides j + j' <
@@ -230,7 +236,7 @@ def bsgs_annihilator(
                 j = table[x]
                 if y == ys[j] and 0 <= c + j <= span:
                     return top - mod * (c + j)
-                yneg = spec.neg_enc(spec.add_enc(spec.add_enc(y, spec.mul_enc(a1, x)), a3))
+                yneg = y ^ spec.mul_enc(curve.a1, x) ^ curve.a3 if spec.char2 else spec.neg_enc(y)
                 if yneg == ys[j] and 0 <= c - j <= span:
                     return top - mod * (c - j)
             c += stride

@@ -167,24 +167,57 @@ def scalar_mul_panel(q):
     return list(curves.values())
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9, 11, 13, 101])
+@pytest.mark.parametrize("q", [3, 5, 9, 25, 27])
+def test_completed_add_matches_add_points(q):
+    """completed_add, mapped through the completed square (to_completed,
+    from_completed), against add_points on every pair of points, with
+    doubling, P + (-P), doubling a 2-torsion point and infinity operands
+    all among them."""
+    seen = set()
+    for e in scalar_mul_panel(q):
+        c2, c4 = e.completed_model()[:2]
+        pts = cv.enumerate_points(e)
+        for a in pts:
+            for b in pts:
+                r = cv.completed_add(e.spec, c2, c4, *e.to_completed(a), *e.to_completed(b))
+                assert e.from_completed(*r) == e.add_points(a, b), (e, a, b)
+                if a.is_infinity or b.is_infinity:
+                    seen.add("infinity")
+                elif a == b:
+                    seen.add("2-torsion" if a == e.negate(a) else "doubling")
+                elif a == e.negate(b):
+                    seen.add("P + (-P)")
+    assert seen == {"infinity", "doubling", "2-torsion", "P + (-P)"}
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9, 11, 13, 25, 27, 49, 101])
 def test_scalar_mul_matches_repeated_adds(q, monkeypatch):
     """n*P for every point and every n in [-2N-1, 2N+1], N = #E, equals n
-    repeated adds of P (or of -P): the Jacobian chain in F_p, p > 3, and the
-    affine chain in F_2, F_3 and extension fields."""
+    repeated adds of P (or of -P): the Jacobian chain in F_p, p > 3, the
+    completed-square chain, which never calls add_points, in F_3 and the odd
+    extension fields, and the add_points chain in characteristic 2."""
     curves = scalar_mul_panel(q)
-    if q % 2 == 0 or q % 3 == 0:
+    spec = ff.spec_for_q(q)
+    if spec.k != 1 or q == 3 or q == 2:
         monkeypatch.setattr(cv, "_jacobian_double", lambda *a: pytest.fail("Jacobian chain used"))
     assert q % 2 == 0 or len(curves) == 3  # ordinary char-2 curves all have 2-torsion
     for e in curves:
         pts = cv.enumerate_points(e)
         bound = 2 * len(pts) + 1
+        expected = []  # (P, sign, [0*step, 1*step, ..., bound*step]), step = sign*P
         for p in pts:
-            for step in (p, e.negate(p)):
-                acc = e.infinity()
-                for n in range(bound + 1):
-                    assert e.scalar_mul(n if step is p else -n, p) == acc, (e, p, n)
+            for sign, step in ((1, p), (-1, e.negate(p))):
+                acc, row = e.infinity(), []
+                for _ in range(bound + 1):
+                    row.append(acc)
                     acc = e.add_points(acc, step)
+                expected.append((p, sign, row))
+        with monkeypatch.context() as m:
+            if not spec.char2 and (spec.k != 1 or q == 3):
+                m.setattr(cv.Curve, "add_points", lambda *a: pytest.fail("add_points in scalar_mul"))
+            for p, sign, row in expected:
+                for n, r in enumerate(row):
+                    assert e.scalar_mul(sign * n, p) == r, (e, p, sign * n)
 
 
 def affine_mul(e, n, p):
@@ -215,6 +248,21 @@ def test_scalar_mul_large_primes(q):
             assert e.scalar_mul(q + 1, p).is_infinity
             assert e.scalar_mul(q, p) == e.negate(p)
             n = rng.randrange(1, q)
+            assert e.scalar_mul(n, p) == affine_mul(e, n, p)
+            assert e.scalar_mul(-n, p) == e.negate(affine_mul(e, n, p))
+
+
+@pytest.mark.parametrize("q", [3**7, 3**13])
+def test_scalar_mul_odd_extension_samples(q):
+    """Sampled n*P and -n*P against affine_mul in the log model (3^7) and
+    the polynomial model (3^13)."""
+    spec = ff.spec_for_q(q)
+    rng = random.Random(q)
+    for _ in range(2):
+        e = random_curve(spec, rng)
+        p = cv.random_point(e, rng)
+        for _ in range(2):
+            n = rng.randrange(1, 4 * q)
             assert e.scalar_mul(n, p) == affine_mul(e, n, p)
             assert e.scalar_mul(-n, p) == e.negate(affine_mul(e, n, p))
 
