@@ -10,13 +10,13 @@ import random
 
 from hassecount import (
     Congruence,
+    Curve,
     bsgs_annihilator,
     count_exhaustive,
     count_points,
     crt_merge,
     exact_order,
     hasse_interval,
-    make_curve,
     make_spec,
     quadratic_twist,
     random_point,
@@ -25,7 +25,7 @@ from hassecount import (
 
 q = 1009
 spec = make_spec(q)
-curve = make_curve(spec, 0, 0, 0, 1, 7)  # y^2 = x^3 + x + 7
+curve = Curve(spec, 0, 0, 0, 1, 7)  # y^2 = x^3 + x + 7
 twist = quadratic_twist(curve)
 h = hasse_interval(q)
 print(f"F_{q}: Hasse interval [{h.lo}, {h.hi}], trace bound {h.trace_bound}")

@@ -9,7 +9,7 @@ of group operations per baby-step giant-step call grows like q^(1/4).
 import random
 
 from hassecount import (
-    make_curve,
+    Curve,
     make_spec,
     primitive_element,
     random_point,
@@ -40,7 +40,7 @@ for p in (101, 1009, 10007, 100003, 1000003):
     spec = make_spec(p)
     while True:
         try:
-            curve = make_curve(spec, 0, 0, 0, rng.randrange(p), rng.randrange(p))
+            curve = Curve(spec, 0, 0, 0, rng.randrange(p), rng.randrange(p))
             break
         except SingularCurve:
             continue

@@ -8,10 +8,10 @@ but at q = 49 two pairs do: 100 = 36 + 64 = 60 + 40.
 """
 
 from hassecount import (
+    Curve,
     count_exhaustive,
     group_structure,
     hasse_interval,
-    make_curve,
     make_spec,
     multiples_in_interval,
     quadratic_twist,
@@ -26,7 +26,7 @@ for r in (3, 5, 7, 11, 13):
     for a4 in range(r):
         for a6 in range(r):
             try:
-                cand = make_curve(spec_r, 0, 0, 0, a4, a6)
+                cand = Curve(spec_r, 0, 0, 0, a4, a6)
             except SingularCurve:
                 continue
             if count_exhaustive(cand) == r + 1:
@@ -36,7 +36,7 @@ for r in (3, 5, 7, 11, 13):
             break
 
     spec = make_spec(r, 2)
-    curve = make_curve(spec, 0, 0, 0, base[0], base[1])
+    curve = Curve(spec, 0, 0, 0, base[0], base[1])
     twist = quadratic_twist(curve)
     g, gt = group_structure(curve), group_structure(twist)
     print(f"\nq = {q}: y^2 = x^3 + {base[0]}x + {base[1]} lifted from F_{r}")

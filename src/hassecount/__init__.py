@@ -8,7 +8,6 @@ from .curve import (
     count_exhaustive,
     count_pair_scan,
     enumerate_points,
-    make_curve,
     quadratic_twist,
     random_point,
 )

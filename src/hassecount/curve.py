@@ -9,15 +9,15 @@ Coefficients and point coordinates are field encodings (plain ints, see
 finite_field) and every formula calls the FieldSpec kernels on them; an
 integer constant c is the encoding c % p.  add_points, the affine addition
 law of the long form, does so in every field; of the loops that carry the
-traffic only characteristic 2 uses it.  Odd characteristic works on the
-completed square y^2 = x^3 + c2 x^2 + c4 x + c6 (Curve.completed_model),
-where a1 = a3 = 0 and -(x, y) = (x, -y): F_3 and the odd extension fields
-run scalar_mul and the point-order search on completed_add, one addition at
-a time on the kernels.  Prime fields with p > 3 go on to the short model
-y^2 = x^3 + Ax + B (Curve.short_model) in plain modular arithmetic:
-scalar_mul in Jacobian coordinates, one inversion per multiplication, and
-short_add_block, blocks of chord additions with one inversion per block.
-Points are always returned affine, on the long form.
+traffic only characteristic 2 uses it.  Odd characteristic works on one
+model, the completed square y^2 = x^3 + c2 x^2 + c4 x + c6
+(Curve.completed_model), where a1 = a3 = 0 and -(x, y) = (x, -y):
+completed_add adds on it one addition at a time on the kernels, and over
+prime fields completed_add_block adds blocks of residues with one inversion
+per block.  scalar_mul maps a point in once and the result back once; for
+p > 3 its chain runs in Jacobian coordinates in plain modular arithmetic,
+one inversion per multiplication.  Points are always returned affine, on the
+long form.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ class Point:
 class Curve:
     """y^2 + a1*x*y + a3*y = x^3 + a2*x^2 + a4*x + a6 over a FieldSpec, nonsingular."""
 
-    __slots__ = ("spec", "a1", "a2", "a3", "a4", "a6", "discriminant", "b2", "b4", "b6", "b8", "_completed")
+    __slots__ = ("spec", "a1", "a2", "a3", "a4", "a6", "discriminant", "_completed")
 
     def __init__(self, spec: FieldSpec, a1, a2, a3, a4, a6):
         self.spec = spec
@@ -84,7 +84,6 @@ class Curve:
         disc = sub(disc, mul(8 % p, mul(b4, mul(b4, b4))))
         if disc == 0:
             raise SingularCurve(f"discriminant vanishes for {self.coefficients()} over F_{spec.q}")
-        self.b2, self.b4, self.b6, self.b8 = b2, b4, b6, b8
         self.discriminant = disc
         self._completed = None
 
@@ -183,81 +182,39 @@ class Curve:
         s, (_, _, _, h1, h3) = self.spec, self.completed_model()
         return Point(self, x, s.sub_enc(y, s.add_enc(s.mul_enc(h1, x), h3)))
 
-    def short_model(self) -> tuple[int, int, int]:
-        """(sx, A, 1/2) for the isomorphic short model y'^2 = x'^3 + A x' + B
-        over F_p, p > 3, where x' = x + sx, y' = y + (a1 x + a3)/2, sx = b2/12
-        and A = b4/2 - b2^2/48; on it -(x', y') = (x', -y')."""
-        p = self.spec.p
-        half = (p + 1) >> 1
-        # 1/12 without an inversion: every unit u mod 12 has u^2 = 1, so
-        # (-p % 12) * p = -1 (mod 12) and 12 divides (-p % 12) * p + 1
-        sx = self.b2 * ((-p % 12 * p + 1) // 12) % p
-        return sx, (self.b4 * half - 3 * sx * sx) % p, half
-
     def scalar_mul(self, n: int, pt: Point) -> Point:
         """n*P for any integer n (negative n multiplies -P), by left-to-right
         double-and-add.
 
-        In prime fields with p > 3 the chain runs on the short model
-        (short_model) in Jacobian coordinates (x', y') = (X/Z^2, Y/Z^3), Z = 0
-        for infinity, adding the affine base by mixed additions, so it makes
-        one field inversion, when it maps the result back.  F_3 and the odd
-        extension fields run it on the completed square (completed_model)
-        with completed_add, mapping the base in and the result back once;
-        characteristic 2 through add_points.  All return the same affine point.
+        Characteristic 2 runs it through add_points.  Odd characteristic maps
+        the base onto the completed square (to_completed) once and the result
+        back (from_completed) once.  In between, prime fields with p > 3 run
+        the chain in Jacobian coordinates (_jacobian_mul), one field
+        inversion per call; F_3 and the odd extension fields step
+        completed_add.  All return the same affine point.
         """
         if n < 0:
             return self.scalar_mul(-n, self.negate(pt))
         if n == 0 or pt.x is None:
             return self.infinity()
         s = self.spec
-        if s.k != 1 or s.p <= 3:
-            if s.char2:
-                acc, base = self.infinity(), pt
-                while n:
-                    if n & 1:
-                        acc = self.add_points(acc, base)
-                    n >>= 1
-                    if n:
-                        base = self.add_points(base, base)
-                return acc
-            c2, c4 = self.completed_model()[:2]
-            x, y = xb, yb = self.to_completed(pt)
+        if s.char2:
+            acc = pt
+            for bit in bin(n)[3:]:
+                acc = self.add_points(acc, acc)
+                if bit == "1":
+                    acc = self.add_points(acc, pt)
+            return acc
+        c2, c4 = self.completed_model()[:2]
+        x, y = xb, yb = self.to_completed(pt)
+        if s.k == 1 and s.p > 3:
+            x, y = _jacobian_mul(n, xb, yb, c2, c4, s.p)
+        else:
             for bit in bin(n)[3:]:
                 x, y = completed_add(s, c2, c4, x, y, x, y)
                 if bit == "1":
                     x, y = completed_add(s, c2, c4, x, y, xb, yb)
-            return self.from_completed(x, y)
-        p, a1, a3 = s.p, self.a1, self.a3
-        sx, a, half = self.short_model()
-        xb = (pt.x + sx) % p
-        yb = (pt.y + (a1 * pt.x + a3) * half) % p
-        x, y, z = xb, yb, 1
-        for bit in bin(n)[3:]:
-            x, y, z = _jacobian_double(x, y, z, a, p)
-            if bit == "0":
-                continue
-            if z == 0:
-                x, y, z = xb, yb, 1
-                continue
-            zz = z * z % p
-            h = (xb * zz - x) % p
-            r = (yb * zz * z - y) % p
-            if h == 0:  # equal x': the sum is 2*base (r = 0) or infinity
-                x, y, z = _jacobian_double(xb, yb, 1, a, p) if r == 0 else (1, 1, 0)
-                continue
-            hh = h * h % p
-            hhh = h * hh % p
-            v = x * hh % p
-            x = (r * r - hhh - 2 * v) % p
-            y = (r * (v - x) - y * hhh) % p
-            z = z * h % p
-        if z == 0:
-            return self.infinity()
-        zi = pow(z, -1, p)
-        zi2 = zi * zi % p
-        x = (x * zi2 - sx) % p
-        return Point(self, x, (y * zi2 * zi - (a1 * x + a3) * half) % p)
+        return self.from_completed(x, y)
 
     # -- per-x solution machinery ----------------------------------------------
 
@@ -308,6 +265,42 @@ def _jacobian_double(x: int, y: int, z: int, a: int, p: int) -> tuple[int, int, 
     return x3, (m * (s - x3) - 8 * yy * yy) % p, 2 * y * z % p
 
 
+def _jacobian_mul(n: int, xb: int, yb: int, c2: int, c4: int, p: int) -> tuple:
+    """n*(xb, yb) for n >= 1 on the completed square over F_p, p > 3, as
+    (x, y), (None, None) for infinity.  Left-to-right double-and-add on the
+    shifted square y^2 = x'^3 + a x' + b, x' = x + c2/3, in Jacobian
+    coordinates (x', y) = (X/Z^2, Y/Z^3), Z = 0 for infinity, adding the
+    affine base by mixed additions: one inversion, for the way out."""
+    sx = c2 * ((-p % 3 * p + 1) // 3) % p  # c2/3: (-p % 3) * p = -1 (mod 3)
+    a = (c4 - c2 * sx) % p
+    xb = (xb + sx) % p
+    x, y, z = xb, yb, 1
+    for bit in bin(n)[3:]:
+        x, y, z = _jacobian_double(x, y, z, a, p)
+        if bit == "0":
+            continue
+        if z == 0:
+            x, y, z = xb, yb, 1
+            continue
+        zz = z * z % p
+        h = (xb * zz - x) % p
+        r = (yb * zz * z - y) % p
+        if h == 0:  # equal x': the sum is 2*base (r = 0) or infinity
+            x, y, z = _jacobian_double(xb, yb, 1, a, p) if r == 0 else (1, 1, 0)
+            continue
+        hh = h * h % p
+        hhh = h * hh % p
+        v = x * hh % p
+        x = (r * r - hhh - 2 * v) % p
+        y = (r * (v - x) - y * hhh) % p
+        z = z * h % p
+    if z == 0:
+        return None, None
+    zi = pow(z, -1, p)
+    zi2 = zi * zi % p
+    return (x * zi2 - sx) % p, y * zi2 * zi % p
+
+
 def completed_add(spec: FieldSpec, c2: int, c4: int, x1, y1, x2, y2) -> tuple:
     """(x1, y1) + (x2, y2) on y^2 = x^3 + c2 x^2 + c4 x + c6 over an odd
     field, in encodings on the FieldSpec kernels; x = y = None is infinity.
@@ -332,9 +325,10 @@ def completed_add(spec: FieldSpec, c2: int, c4: int, x1, y1, x2, y2) -> tuple:
     return x3, sub(mul(lam, sub(x1, x3)), y1)
 
 
-def short_add_block(a: int, p: int, x1, y1, xs: list, ys: list, ny: int):
-    """(x1, y1) + (xs[i], ys[i]) for every i on a short model y^2 = x^3 + a x + b
-    over F_p, x None for infinity, with one shared inversion (Montgomery's trick).
+def completed_add_block(c2: int, c4: int, p: int, x1, y1, xs: list, ys: list, ny: int):
+    """(x1, y1) + (xs[i], ys[i]) for every i on a completed square y^2 = x^3 +
+    c2 x^2 + c4 x + c6 over F_p, x None for infinity, with one shared
+    inversion (Montgomery's trick).
 
     Returns the sums' x (None for infinity), their y for i < ny, for the last
     i and where an operand is infinity (None elsewhere), and their chord or
@@ -359,6 +353,7 @@ def short_add_block(a: int, p: int, x1, y1, xs: list, ys: list, ny: int):
         todo.append(i)
         prefix.append(acc)
     inv = pow(acc, -1, p)  # inverse of prefix[k], walking k down
+    off = c2 + x1  # x3 = lam^2 - (c2 + x1) - x2
     for k in range(len(todo) - 1, -1, -1):
         i = todo[k]
         x2 = xs[i]
@@ -366,18 +361,13 @@ def short_add_block(a: int, p: int, x1, y1, xs: list, ys: list, ny: int):
             lam = (ys[i] - y1) * (inv * prefix[k - 1] if k else inv) % p
             inv = inv * (x2 - x1) % p
         else:
-            lam = (3 * x1 * x1 + a) * (inv * prefix[k - 1] if k else inv) % p
+            lam = ((3 * x1 + 2 * c2) * x1 + c4) * (inv * prefix[k - 1] if k else inv) % p
             inv = inv * 2 * y1 % p
-        x3s[i] = x3 = (lam * lam - x1 - x2) % p
+        x3s[i] = x3 = (lam * lam - off - x2) % p
         lams[i] = lam
         if i < ny or i == n - 1:
             y3s[i] = (lam * (x1 - x3) - y1) % p
     return x3s, y3s, lams
-
-
-def make_curve(spec: FieldSpec, a1, a2, a3, a4, a6) -> Curve:
-    """Construct a curve, rejecting singular coefficient vectors."""
-    return Curve(spec, a1, a2, a3, a4, a6)
 
 
 def enumerate_points(curve: Curve) -> list[Point]:

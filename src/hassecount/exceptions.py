@@ -195,7 +195,7 @@ def _build_row_curve(spec, row: dict, alpha_enc: int) -> _curve.Curve:
             coeffs.append(spec.pow_enc(alpha_enc, c[1]))
         else:
             coeffs.append(c % spec.p)
-    return _curve.make_curve(spec, *coeffs)
+    return _curve.Curve(spec, *coeffs)
 
 
 def _curve_matches(row: dict, curve) -> tuple[bool, int, int, int, bool]:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import partial
 from math import isqrt
 
-from .curve import Curve, Point, completed_add, short_add_block
+from .curve import Curve, Point, completed_add, completed_add_block
 from .errors import IncompatibleCongruence, InternalInvariantError
 from .integers import ext_gcd, factorize
 
@@ -98,9 +98,9 @@ def _scalar_mul_adds(n: int) -> int:
     return n.bit_length() - 1 + n.bit_count() if n else 0
 
 
-# most additions that share one field inversion; prime fields with p > 3 only
-# (elsewhere one completed_add or add_points per step: in the log model an
-# inversion is one table lookup, so blocks only add work)
+# most additions that share one field inversion; prime fields only (elsewhere
+# one completed_add or add_points per step: in the log model an inversion is
+# one table lookup, so blocks only add work)
 _BLOCK_CAP = 32
 
 
@@ -125,20 +125,20 @@ def bsgs_annihilator(
 
     Both walks add blocks of multiples (step, 2*step, ..., b*step) to their
     last term, b doubling up to _BLOCK_CAP and to the terms left (the baby
-    terms are their own multiples).  For p > 3 they run on the residues
-    (x', y') of the short model (Curve.short_model), a block is one
-    short_add_block with one inversion, and a giant step's y' is computed
-    only for a block's last term and when its x' is in the baby table; F_3
-    and the odd extension fields step one completed_add at a time on the
-    completed square (Curve.completed_model), char 2 one add_points.  The
-    points are scanned in the order of stepping one add at a time, so the
-    same m is returned, and ops.adds counts the logical group operations of
-    that stepping: the baby steps, the scalar multiplications (three, or two
-    when M = 1) and the giant steps up to the match.  The adds really
-    computed exceed it by the giant-step multiples and the rest of the block
-    that holds the match: fewer than 2*_BLOCK_CAP per call.  Measured on
-    random curves, unrestricted: +12% at q = 65537, +17% at 10^6, +2% at
-    10^12+39; under the congruences count_points passes: +11%, +17% and +3%.
+    terms are their own multiples).  Odd characteristic walks the points
+    (x, y') of the completed square (Curve.to_completed): over prime fields
+    a block is one completed_add_block with one inversion, and a giant
+    step's y' is computed only for a block's last term and when its x is in
+    the baby table; the odd extension fields step one completed_add at a
+    time, char 2 one add_points on the long form.  The points are scanned
+    in the order of stepping one add at a time, so the same m is returned,
+    and ops.adds counts the logical group operations of that stepping: the
+    baby steps, the scalar multiplications (three, or two when M = 1) and
+    the giant steps up to the match.  The adds really computed exceed it by
+    the giant-step multiples and the rest of the block that holds the match:
+    fewer than 2*_BLOCK_CAP per call.  Measured on random curves,
+    unrestricted: +12% at q = 65537, +17% at 10^6, +2% at 10^12+39; under
+    the congruences count_points passes: +11%, +17% and +3%.
     """
     interval = hasse_interval(curve.spec.q)
     if pt.x is None:
@@ -160,28 +160,23 @@ def bsgs_annihilator(
         base = curve.scalar_mul(mod, pt)
         ops.adds += _scalar_mul_adds(mod)
 
-    if spec.k == 1 and p > 3:  # residues of the short model: a1 = a3 = 0
-        sx, a, half = curve.short_model()
-        cap = _BLOCK_CAP
-        add_block = partial(short_add_block, a, p)
-
-        def coords(r):
-            if r.x is None:
-                return None, None
-            return (r.x + sx) % p, (r.y + (curve.a1 * r.x + curve.a3) * half) % p
-    elif spec.char2:  # encodings, one add_points per step
+    if spec.char2:  # encodings, one add_points per step
         cap, coords = 1, lambda r: (r.x, r.y)
 
         def add_block(x1, y1, xs, ys, ny):
             r = curve.add_points(Point(curve, x1, y1), Point(curve, xs[0], ys[0]))
             return [r.x], [r.y], None
-    else:  # (x, y') on the completed square, one completed_add per step
-        cap, coords = 1, curve.to_completed
+    else:  # (x, y') on the completed square
+        coords = curve.to_completed
         c2, c4 = curve.completed_model()[:2]
+        if spec.k == 1:  # bare residues, blocks with one inversion each
+            cap, add_block = _BLOCK_CAP, partial(completed_add_block, c2, c4, p)
+        else:  # one completed_add per step
+            cap = 1
 
-        def add_block(x1, y1, xs, ys, ny):
-            x, y = completed_add(spec, c2, c4, x1, y1, xs[0], ys[0])
-            return [x], [y], None
+            def add_block(x1, y1, xs, ys, ny):
+                x, y = completed_add(spec, c2, c4, x1, y1, xs[0], ys[0])
+                return [x], [y], None
 
     # baby steps j*Q at index j of xs, ys; table: x -> the least j.  Another
     # j' < s with that x has j'*Q = -j*Q, so the order of Q divides j + j' <

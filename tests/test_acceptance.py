@@ -31,7 +31,7 @@ COROLLARY_SET = {5, 7, 9, 11, 17, 23, 29}
 def random_curve(spec, rng):
     while True:
         try:
-            return cv.make_curve(spec, *(rng.randrange(spec.q) for _ in range(5)))
+            return cv.Curve(spec, *(rng.randrange(spec.q) for _ in range(5)))
         except SingularCurve:
             continue
 
@@ -95,7 +95,7 @@ def test_criterion_5_counting_oracle_equivalence():
 
 def test_criterion_6_supersingular_structure():
     # Table 1 curve over F_4: trivial group, twist (Z/3)^2
-    e4 = cv.make_curve(ff.make_spec(2, 2), 0, 0, 1, 0, 3)
+    e4 = cv.Curve(ff.make_spec(2, 2), 0, 0, 1, 0, 3)
     assert ct.group_structure(e4) == ct.GroupStructure(1, 1)
     assert ct.group_structure(cv.quadratic_twist(e4)) == ct.GroupStructure(3, 3)
 
@@ -107,7 +107,7 @@ def test_criterion_6_supersingular_structure():
         for a4 in range(r):
             for a6 in range(r):
                 try:
-                    cand = cv.make_curve(spec_r, 0, 0, 0, a4, a6)
+                    cand = cv.Curve(spec_r, 0, 0, 0, a4, a6)
                 except SingularCurve:
                     continue
                 if cv.count_exhaustive(cand) == r + 1:  # trace 0: supersingular
@@ -117,7 +117,7 @@ def test_criterion_6_supersingular_structure():
                 break
         assert base is not None
         spec_q = ff.make_spec(r, 2)
-        lifted = cv.make_curve(spec_q, 0, 0, 0, base[0], base[1])
+        lifted = cv.Curve(spec_q, 0, 0, 0, base[0], base[1])
         assert cv.count_exhaustive(lifted) == (r + 1) ** 2
         assert ct.group_structure(lifted) == ct.GroupStructure(r + 1, r + 1)
         tw = cv.quadratic_twist(lifted)
@@ -191,18 +191,18 @@ def test_criterion_8_property_suites():
             for c4 in range(q):
                 for c6 in range(q):
                     try:
-                        check_structure(cv.make_curve(spec, 0, c2, 0, c4, c6))
+                        check_structure(cv.Curve(spec, 0, c2, 0, c4, c6))
                     except SingularCurve:
                         continue
     for q in (2, 4, 8):
         spec = ff.spec_for_q(q)
         for a2 in range(q):
             for a6 in range(1, q):
-                check_structure(cv.make_curve(spec, 1, a2, 0, 0, a6))
+                check_structure(cv.Curve(spec, 1, a2, 0, 0, a6))
         for a3 in range(1, q):
             for a4 in range(q):
                 for a6 in range(q):
-                    check_structure(cv.make_curve(spec, 0, 0, a3, a4, a6))
+                    check_structure(cv.Curve(spec, 0, 0, a3, a4, a6))
     for q in prime_powers(121):
         if q <= 13:
             continue

@@ -15,7 +15,7 @@ from hassecount.order import Congruence, hasse_interval
 def random_curve(spec, rng):
     while True:
         try:
-            return cv.make_curve(spec, *(rng.randrange(spec.q) for _ in range(5)))
+            return cv.Curve(spec, *(rng.randrange(spec.q) for _ in range(5)))
         except SingularCurve:
             continue
 
@@ -38,10 +38,10 @@ def test_auto_enumerates_every_excluded_q():
 # --- count_points ------------------------------------------------------------------
 
 def test_count_examples():
-    e7 = cv.make_curve(ff.make_spec(7), 0, 0, 0, 0, 6)
+    e7 = cv.Curve(ff.make_spec(7), 0, 0, 0, 0, 6)
     res = ct.count_points(e7, "exhaustive")
     assert (res.count, res.trace, res.method) == (4, 4, "exhaustive")
-    e49 = cv.make_curve(ff.make_spec(7, 2), 0, 0, 0, 31, 0)
+    e49 = cv.Curve(ff.make_spec(7, 2), 0, 0, 0, 31, 0)
     res = ct.count_points(e49, "exhaustive")
     assert (res.count, res.trace) == (36, 14)
 
@@ -59,7 +59,7 @@ def test_count_point_order_matches_exhaustive_f1013():
 
 
 def test_count_excluded_field_error_and_fallback():
-    e = cv.make_curve(ff.make_spec(7, 2), 0, 0, 0, 31, 0)
+    e = cv.Curve(ff.make_spec(7, 2), 0, 0, 0, 31, 0)
     with pytest.raises(ExcludedField):
         ct.count_points(e, "point_order")
     res = ct.count_points(e, "auto")
@@ -74,14 +74,14 @@ def test_count_auto_uses_point_order_above_49():
 
 
 def test_count_bad_method():
-    e = cv.make_curve(ff.make_spec(5), 0, 0, 0, 1, 0)
+    e = cv.Curve(ff.make_spec(5), 0, 0, 0, 1, 0)
     with pytest.raises(ValueError):
         ct.count_points(e, "magic")
 
 
 def test_count_determinism_transcript():
     spec = ff.make_spec(1009)
-    e = cv.make_curve(spec, 0, 0, 0, 1, 1)
+    e = cv.Curve(spec, 0, 0, 0, 1, 1)
     t1, t2 = [], []
     r1 = ct.count_points(e, "point_order", random.Random(42), transcript=t1)
     r2 = ct.count_points(e, "point_order", random.Random(42), transcript=t2)
@@ -103,7 +103,7 @@ def test_count_alternation_starts_on_curve():
 def test_count_trivial_group_q2():
     # #E = 1 over F_2: the E-side samples are all infinity, the twist resolves t
     spec = ff.make_spec(2)
-    e = cv.make_curve(spec, 0, 0, 1, 1, 1)
+    e = cv.Curve(spec, 0, 0, 1, 1, 1)
     res = ct.count_points(e, "point_order", random.Random(0))
     assert res.count == 1 and res.trace == 2
 
@@ -111,32 +111,32 @@ def test_count_trivial_group_q2():
 # --- lambda and structure -----------------------------------------------------------
 
 def test_lambda_exponent_table1():
-    assert ct.lambda_exponent(cv.make_curve(ff.make_spec(3), 0, 0, 0, 2, 0)) == 2
-    assert ct.lambda_exponent(cv.make_curve(ff.make_spec(2, 2), 0, 0, 1, 0, 3)) == 1
-    e49 = cv.make_curve(ff.make_spec(7, 2), 0, 0, 0, 31, 0)
+    assert ct.lambda_exponent(cv.Curve(ff.make_spec(3), 0, 0, 0, 2, 0)) == 2
+    assert ct.lambda_exponent(cv.Curve(ff.make_spec(2, 2), 0, 0, 1, 0, 3)) == 1
+    e49 = cv.Curve(ff.make_spec(7, 2), 0, 0, 0, 31, 0)
     assert ct.lambda_exponent(e49) == 6
     assert ct.lambda_exponent(cv.quadratic_twist(e49)) == 8
 
 
 def test_group_structure_examples():
-    e4 = cv.make_curve(ff.make_spec(2, 2), 0, 0, 1, 0, 3)
+    e4 = cv.Curve(ff.make_spec(2, 2), 0, 0, 1, 0, 3)
     assert ct.group_structure(e4) == ct.GroupStructure(1, 1)
     t4 = cv.quadratic_twist(e4)
     assert ct.group_structure(t4) == ct.GroupStructure(3, 3)
-    e3 = cv.make_curve(ff.make_spec(3), 0, 0, 0, 2, 0)
+    e3 = cv.Curve(ff.make_spec(3), 0, 0, 0, 2, 0)
     assert ct.group_structure(e3) == ct.GroupStructure(2, 2)
 
 
 def test_group_structure_cyclic_instance():
     # found by sweep: y^2 = x^3 + 2 over F_5 has 6 points and a point of order 6
-    e = cv.make_curve(ff.make_spec(5), 0, 0, 0, 0, 2)
+    e = cv.Curve(ff.make_spec(5), 0, 0, 0, 0, 2)
     st = ct.group_structure(e)
     assert st.n1 == 1 and st.n2 == cv.count_exhaustive(e)
 
 
 def test_structure_guard():
     spec = ff.make_spec(65537)
-    e = cv.make_curve(spec, 0, 0, 0, 1, 1)
+    e = cv.Curve(spec, 0, 0, 0, 1, 1)
     with pytest.raises(FieldTooLarge):
         ct.lambda_exponent(e)
     with pytest.raises(FieldTooLarge):
@@ -197,7 +197,7 @@ def test_two_torsion_prior_every_short_curve(p):
     for a4 in range(p):
         for a6 in range(p):
             try:
-                e = cv.make_curve(spec, 0, 0, 0, a4, a6)
+                e = cv.Curve(spec, 0, 0, 0, a4, a6)
             except SingularCurve:
                 continue
             n2 = 1 + sum((x * x * x + a4 * x + a6) % p == 0 for x in range(p))
@@ -236,13 +236,13 @@ def test_two_torsion_prior_supersingular_families(p):
     spec = ff.make_spec(p)
     assert p % 4 == 3
     for a in range(1, 40):
-        prior = ct._two_torsion_prior(cv.make_curve(spec, 0, 0, 0, a, 0))
+        prior = ct._two_torsion_prior(cv.Curve(spec, 0, 0, 0, a, 0))
         assert prior == (Congruence(0, 2) if spec.is_square_enc(a) else Congruence(0, 4))
     p3 = next_supersingular_prime(p)
     spec3 = ff.make_spec(p3)
     for b in range(1, 40):
-        assert ct._two_torsion_prior(cv.make_curve(spec3, 0, 0, 0, 0, b)) == Congruence(0, 2)
-    e = cv.make_curve(spec3, 0, 0, 0, 0, 1)
+        assert ct._two_torsion_prior(cv.Curve(spec3, 0, 0, 0, 0, b)) == Congruence(0, 2)
+    e = cv.Curve(spec3, 0, 0, 0, 0, 1)
     assert ct.count_points(e, "point_order", random.Random(1)).count == p3 + 1
 
 

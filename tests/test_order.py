@@ -14,7 +14,7 @@ from hassecount.integers import divisors, factorize, lcm, prime_powers
 def random_curve(spec, rng):
     while True:
         try:
-            return cv.make_curve(spec, *(rng.randrange(spec.q) for _ in range(5)))
+            return cv.Curve(spec, *(rng.randrange(spec.q) for _ in range(5)))
         except SingularCurve:
             continue
 
@@ -52,13 +52,13 @@ def test_multiples_in_interval():
 
 def test_bsgs_infinity_returns_lo():
     spec = ff.make_spec(5)
-    e = cv.make_curve(spec, 0, 0, 0, 1, 0)
+    e = cv.Curve(spec, 0, 0, 0, 1, 0)
     assert od.bsgs_annihilator(e, e.infinity()) == od.hasse_interval(5).lo
 
 
 def test_bsgs_two_torsion_point():
     spec = ff.make_spec(5)
-    e = cv.make_curve(spec, 0, 0, 0, 1, 0)
+    e = cv.Curve(spec, 0, 0, 0, 1, 0)
     p = e.point(0, 0)
     m = od.bsgs_annihilator(e, p)
     assert m in od.hasse_interval(5) and m % 2 == 0
@@ -67,7 +67,7 @@ def test_bsgs_two_torsion_point():
 
 def test_bsgs_self_check_f1009():
     spec = ff.make_spec(1009)
-    e = cv.make_curve(spec, 0, 0, 0, spec.neg_enc(1), 0)  # y^2 = x^3 - x
+    e = cv.Curve(spec, 0, 0, 0, spec.neg_enc(1), 0)  # y^2 = x^3 - x
     rng = random.Random(3)
     for _ in range(20):
         p = cv.random_point(e, rng)
@@ -154,7 +154,7 @@ def curve_through(spec, rng, x, y):
         lhs = mul(y, add(add(y, mul(a1, x)), a3))
         rest = mul(add(mul(add(x, a2), x), a4), x)  # x^3 + a2 x^2 + a4 x
         try:
-            e = cv.make_curve(spec, a1, a2, a3, a4, spec.sub_enc(lhs, rest))
+            e = cv.Curve(spec, a1, a2, a3, a4, spec.sub_enc(lhs, rest))
         except SingularCurve:
             continue
         return e, cv.Point(e, x, y)
@@ -207,7 +207,8 @@ FIELDS = PRIME_FIELDS + [
 def test_bsgs_matches_one_add_at_a_time(q, n, cap, monkeypatch):
     """Same m and logical op count as the one-add reference, with the default
     block limit (None) and with small blocks of 3 in prime fields.  F_3 and
-    the odd extension fields step completed_add and never call add_points."""
+    the odd extension fields walk the completed square and never call
+    add_points."""
     if cap is not None:
         monkeypatch.setattr(od, "_BLOCK_CAP", cap)
     cases = sample_points(q, n, seed=q % 1000 + 7)
@@ -287,7 +288,7 @@ def test_restricted_bsgs_small_order_outside_every_multiple():
     is infinity, but no multiple of 300 lies in [947, 1073], so the unrestricted
     search answers, charged on top of the scalar multiplication."""
     spec = ff.make_spec(1009)
-    e = cv.make_curve(spec, 0, 0, 0, spec.neg_enc(1), 0)  # y^2 = x^3 - x
+    e = cv.Curve(spec, 0, 0, 0, spec.neg_enc(1), 0)  # y^2 = x^3 - x
     t = 1010 - count_points(e, "exhaustive").count
     pt = e.point(0, 0)
     cong = od.Congruence(t % 300, 300)
@@ -323,7 +324,7 @@ def test_restricted_bsgs_false_congruence_raises(q):
 
 def test_bsgs_small_order_ends_in_baby_steps():
     spec = ff.make_spec(1009)
-    e = cv.make_curve(spec, 0, 0, 0, spec.neg_enc(1), 0)  # y^2 = x^3 - x, full 2-torsion
+    e = cv.Curve(spec, 0, 0, 0, spec.neg_enc(1), 0)  # y^2 = x^3 - x, full 2-torsion
     pt = cv.random_point(e, random.Random(3))
     n = od.exact_order(e, pt, od.bsgs_annihilator(e, pt))
     small = [d for d in (2, 3, 4, 5, 6) if n % d == 0]
@@ -337,23 +338,23 @@ def test_bsgs_small_order_ends_in_baby_steps():
 
 @pytest.mark.parametrize("p,rounds", [(65537, 10), (1000003, 10), (10**12 + 39, 3)])
 def test_bsgs_real_adds_scaling(p, rounds, monkeypatch):
-    """The adds really computed, counting each member of a short_add_block
+    """The adds really computed, counting each member of a completed_add_block
     once and each Curve.scalar_mul(n, .) as its double-and-add chain, stay
     inside the op budget of criterion 9, and most come in blocks."""
     real = blocks = 0
     inside = False
-    add_points, add_block, scalar_mul = cv.Curve.add_points, od.short_add_block, cv.Curve.scalar_mul
+    add_points, add_block, scalar_mul = cv.Curve.add_points, od.completed_add_block, cv.Curve.scalar_mul
 
     def counted_add(self, a, b):
         nonlocal real
         real += not inside
         return add_points(self, a, b)
 
-    def counted_block(a, p, x1, y1, xs, ys, ny):
+    def counted_block(c2, c4, p, x1, y1, xs, ys, ny):
         nonlocal real, blocks
         real += len(xs)
         blocks += 1
-        return add_block(a, p, x1, y1, xs, ys, ny)
+        return add_block(c2, c4, p, x1, y1, xs, ys, ny)
 
     def counted_mul(curve, n, pt):
         nonlocal real, inside
@@ -367,7 +368,7 @@ def test_bsgs_real_adds_scaling(p, rounds, monkeypatch):
             inside = False
 
     monkeypatch.setattr(cv.Curve, "add_points", counted_add)
-    monkeypatch.setattr(od, "short_add_block", counted_block)
+    monkeypatch.setattr(od, "completed_add_block", counted_block)
     monkeypatch.setattr(cv.Curve, "scalar_mul", counted_mul)
     spec = ff.make_spec(p)
     rng = random.Random(11)
@@ -383,26 +384,17 @@ def test_bsgs_real_adds_scaling(p, rounds, monkeypatch):
     assert blocks * 4 < real  # one inversion per block
 
 
-def short_residues(e, pt):
-    """(x', y') of a point on the curve's short model, (None, None) for infinity."""
-    sx, _, half = e.short_model()
+def check_block(e, last, members, ny):
+    """completed_add_block(last, members) against add_points mapped to the
+    completed square: every x, the y it promises (i < ny, the last sum, an
+    infinity operand), and every other y from its slope."""
+    c2, c4 = e.completed_model()[:2]
     p = e.spec.p
-    if pt.x is None:
-        return None, None
-    return (pt.x + sx) % p, (pt.y + (e.a1 * pt.x + e.a3) * half) % p
-
-
-def check_short_block(e, last, members, ny):
-    """short_add_block(last, members) against add_points mapped to the short
-    model: every x, the y it promises (i < ny, the last sum, an infinity
-    operand), and every other y from its slope."""
-    _, a, _ = e.short_model()
-    p = e.spec.p
-    x1, y1 = short_residues(e, last)
-    xs, ys = map(list, zip(*(short_residues(e, m) for m in members)))
-    x3s, y3s, lams = cv.short_add_block(a, p, x1, y1, xs, ys, ny)
+    x1, y1 = e.to_completed(last)
+    xs, ys = map(list, zip(*(e.to_completed(m) for m in members)))
+    x3s, y3s, lams = cv.completed_add_block(c2, c4, p, x1, y1, xs, ys, ny)
     for i, m in enumerate(members):
-        x, y = short_residues(e, e.add_points(last, m))
+        x, y = e.to_completed(e.add_points(last, m))
         assert x3s[i] == x, (last, m)
         if x is None:
             continue
@@ -414,7 +406,7 @@ def check_short_block(e, last, members, ny):
 
 
 @pytest.mark.parametrize("cap", [1, 2, 3, 32])
-@pytest.mark.parametrize("p", [5, 7, 1009, 10**12 + 39])
+@pytest.mark.parametrize("p", [3, 5, 7, 1009, 10**12 + 39])
 def test_short_add_block_matches_add_points(p, cap):
     """The residue block primitive against add_points, on blocks k*P + (P, 2P,
     ..., cap*P) as the walks make them with _BLOCK_CAP = cap, and on the
@@ -431,29 +423,29 @@ def test_short_add_block_matches_add_points(p, cap):
         for k in (0, 1, cap // 2, cap, n - cap, n - 1, rng.randrange(n)):
             last = e.scalar_mul(k, pt)
             for ny in (0, cap // 2, cap):
-                x3s = check_short_block(e, last, members, ny)
+                x3s = check_block(e, last, members, ny)
             seen.update(name for name, hit in (
                 ("doubling", 0 < k % n <= cap), ("infinity sum", None in x3s),
                 ("infinity last", k % n == 0)) if hit)
     # y^2 + a1 xy = x^3 + a2 x^2 + a4 x has the point T = (0, 0) of order 2
     while True:
         try:
-            e = cv.make_curve(spec, rng.randrange(p), rng.randrange(p), 0, rng.randrange(p), 0)
+            e = cv.Curve(spec, rng.randrange(p), rng.randrange(p), 0, rng.randrange(p), 0)
             break
         except SingularCurve:
             continue
     t = e.point(0, 0)
-    assert short_residues(e, t)[1] == 0 and e.add_points(t, t).is_infinity
+    assert e.to_completed(t)[1] == 0 and e.add_points(t, t).is_infinity
     other = cv.random_point(e, rng)
     for last in (t, other, e.infinity()):
-        check_short_block(e, last, [t, e.infinity(), other, t][:max(2, cap)], 1)
-    assert check_short_block(e, t, [t], 0) == [None]
+        check_block(e, last, [t, e.infinity(), other, t][:max(2, cap)], 1)
+    assert check_block(e, t, [t], 0) == [None]
     assert seen == {"doubling", "infinity sum", "infinity last"}
 
 
 @pytest.mark.parametrize("q", [1009, 10**12 + 39])
 def test_add_many_matches_pairwise(q):
-    """short_add_block adds many points to one base with one inversion: on
+    """completed_add_block adds many points to one base with one inversion: on
     operands in no progression (infinity, the base, its negative, repeats)
     each sum matches add_points, and an empty block makes nothing."""
     spec = ff.spec_for_q(q)
@@ -465,10 +457,11 @@ def test_add_many_matches_pairwise(q):
                others[2], e.infinity(), e.negate(others[3]), others[4]]
         for b in (base, e.infinity(), others[1]):
             for ny in (0, 4, len(pts)):
-                check_short_block(e, b, pts, ny)
-        x1, y1 = short_residues(e, base)
-        assert cv.short_add_block(e.short_model()[1], q, x1, y1, [], [], 0) == ([], [], [])
-        assert check_short_block(e, base, [base, e.negate(base)], 2)[1] is None
+                check_block(e, b, pts, ny)
+        x1, y1 = e.to_completed(base)
+        c2, c4 = e.completed_model()[:2]
+        assert cv.completed_add_block(c2, c4, q, x1, y1, [], [], 0) == ([], [], [])
+        assert check_block(e, base, [base, e.negate(base)], 2)[1] is None
 
 
 @pytest.mark.parametrize("cap", [1, 2, 5, 8])
@@ -482,14 +475,14 @@ def test_progression_terms_and_block_sizes(cap, monkeypatch):
     spec = ff.make_spec(q)
     monkeypatch.setattr(od, "_BLOCK_CAP", cap)
     calls = []
-    add_block = od.short_add_block
+    add_block = od.completed_add_block
 
-    def recording(a, p, x1, y1, xs, ys, ny):
-        out = add_block(a, p, x1, y1, xs, ys, ny)
+    def recording(c2, c4, p, x1, y1, xs, ys, ny):
+        out = add_block(c2, c4, p, x1, y1, xs, ys, ny)
         calls.append((ny, len(xs), out))
         return out
 
-    monkeypatch.setattr(od, "short_add_block", recording)
+    monkeypatch.setattr(od, "completed_add_block", recording)
     tb = od.hasse_interval(q).trace_bound
     span = 2 * tb
     s = max(2, isqrt(span // 2) + 1)
@@ -509,7 +502,7 @@ def test_progression_terms_and_block_sizes(cap, monkeypatch):
         baby = [out for ny, size, out in calls[:len(baby_sizes)]]
         assert [len(bx) for bx, _, _ in baby] == baby_sizes
         assert [x for bx, _, _ in baby for x in bx] == [
-            short_residues(e, e.scalar_mul(j, pt))[0] for j in range(2, s)]
+            e.to_completed(e.scalar_mul(j, pt))[0] for j in range(2, s)]
         assert all(ny == size for ny, size, _ in calls[:len(baby_sizes)])
         giant = [(ny, size, out) for ny, size, out in calls[len(baby_sizes):] if ny == 0]
         multiples = [out for ny, size, out in calls[len(baby_sizes):] if ny]
@@ -523,12 +516,12 @@ def test_progression_terms_and_block_sizes(cap, monkeypatch):
         for _, _, (gx, _, _) in giant:
             for x in gx:
                 term = e.add_points(term, step)
-                assert x == short_residues(e, term)[0]
+                assert x == e.to_completed(term)[0]
         mult = step
         for mx, _, _ in multiples:
             for x in mx:
                 mult = e.add_points(mult, step)
-                assert x == short_residues(e, mult)[0]
+                assert x == e.to_completed(mult)[0]
     assert largest == cap
 
 
@@ -536,7 +529,7 @@ def test_progression_terms_and_block_sizes(cap, monkeypatch):
 
 def test_exact_order_examples():
     spec = ff.make_spec(5)
-    e = cv.make_curve(spec, 0, 0, 0, 1, 0)
+    e = cv.Curve(spec, 0, 0, 0, 1, 0)
     assert od.exact_order(e, e.infinity(), 7) == 1
     assert od.exact_order(e, e.point(0, 0), 8) == 2
     with pytest.raises(ValueError):
@@ -545,7 +538,7 @@ def test_exact_order_examples():
 
 def test_exact_order_table1_q3():
     spec = ff.make_spec(3)
-    e = cv.make_curve(spec, 0, 0, 0, 2, 0)
+    e = cv.Curve(spec, 0, 0, 0, 2, 0)
     orders = set()
     lam = 1
     for p in cv.enumerate_points(e):
