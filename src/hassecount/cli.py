@@ -33,7 +33,7 @@ from .exceptions import (
     enumerate_exceptions,
     verify_table1,
 )
-from .finite_field import FieldSpec, check_field_size, make_spec
+from .finite_field import FieldSpec, check_field_size, digits, make_spec
 from .integers import prime_powers, split_prime_power
 from .order import bsgs_annihilator, exact_order
 from .selftest import run_selftest
@@ -56,14 +56,9 @@ def _field_from_args(args) -> FieldSpec:
     modulus = None
     if getattr(args, "poly", None) is not None:
         enc = args.poly
-        digits = []
-        n = enc
-        for _ in range(k + 1):
-            n, d = divmod(n, p)
-            digits.append(d)
-        if n or digits[-1] != 1:
+        modulus = digits(enc, p, k + 1)
+        if not 0 <= enc < p ** (k + 1) or modulus[-1] != 1:
             raise UsageError(f"--poly {enc} is not a monic degree-{k} polynomial encoding over F_{p}")
-        modulus = digits
     try:
         return make_spec(p, k, modulus)
     except HasseCountError as exc:
@@ -99,9 +94,13 @@ def _point_from_args(curve: Curve, args):
     return curve.point(x, y)
 
 
+def _print_json(value) -> None:
+    print(json.dumps(value, sort_keys=True, separators=(",", ":")))
+
+
 def _emit(record: dict, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(record, sort_keys=True, separators=(",", ":")))
+        _print_json(record)
     else:
         keys = sorted(record)
         print("\t".join(keys))
@@ -198,18 +197,14 @@ def _cmd_exceptions(args) -> int:
             present.append(q)
         rows.extend((r.q, r.M, r.N, r.t, r.t_prime) for r in recs)
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "qmax": args.qmax,
-                    "corollary": args.corollary,
-                    "reading": args.reading if args.corollary else None,
-                    "records": [list(r) for r in rows],
-                    "exceptional_q": present,
-                },
-                sort_keys=True,
-                separators=(",", ":"),
-            )
+        _print_json(
+            {
+                "qmax": args.qmax,
+                "corollary": args.corollary,
+                "reading": args.reading if args.corollary else None,
+                "records": [list(r) for r in rows],
+                "exceptional_q": present,
+            }
         )
     else:
         print("q\tM\tN\tt\tt'")
@@ -223,29 +218,25 @@ def _cmd_exceptions(args) -> int:
 def _cmd_table1(args) -> int:
     reports = verify_table1()
     if args.format == "json":
-        print(
-            json.dumps(
-                [
-                    {
-                        "q": r.q,
-                        "M": r.M,
-                        "N": r.N,
-                        "t": r.t,
-                        "quadruples_ok": r.quadruples_ok,
-                        "curve_ok": r.curve_ok,
-                        "count": r.count,
-                        "lambda": r.lam,
-                        "twist_lambda": r.twist_lam,
-                        "symmetric": r.symmetric,
-                        "alpha_enc": r.alpha_enc,
-                        "alpha_fallback": r.alpha_fallback,
-                        "pass": r.ok,
-                    }
-                    for r in reports
-                ],
-                sort_keys=True,
-                separators=(",", ":"),
-            )
+        _print_json(
+            [
+                {
+                    "q": r.q,
+                    "M": r.M,
+                    "N": r.N,
+                    "t": r.t,
+                    "quadruples_ok": r.quadruples_ok,
+                    "curve_ok": r.curve_ok,
+                    "count": r.count,
+                    "lambda": r.lam,
+                    "twist_lambda": r.twist_lam,
+                    "symmetric": r.symmetric,
+                    "alpha_enc": r.alpha_enc,
+                    "alpha_fallback": r.alpha_fallback,
+                    "pass": r.ok,
+                }
+                for r in reports
+            ]
         )
     else:
         for r in reports:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from math import lcm
 from typing import Literal
 
 from .curve import (
@@ -29,7 +30,6 @@ from .curve import (
     random_point,
 )
 from .errors import ExcludedField, FieldTooLarge, InternalInvariantError, IterationCapExceeded
-from .integers import lcm
 from .order import (
     Congruence,
     bsgs_annihilator,

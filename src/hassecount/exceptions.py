@@ -16,12 +16,12 @@ literal wide-range loop lives in the test suite as the oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from . import counting as _counting
 from . import curve as _curve
 from . import finite_field as _ff
-from .integers import divisors, lcm, prime_powers, split_prime_power
+from .integers import divisors, prime_powers, split_prime_power
 from .order import Congruence, trace_candidates
 
 

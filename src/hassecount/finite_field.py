@@ -35,6 +35,7 @@ callers outside the library and for the public functions of this module.
 
 from __future__ import annotations
 
+import operator
 import random
 from array import array
 
@@ -59,6 +60,15 @@ _SPEC_CACHE: dict[tuple[int, int, tuple[int, ...] | None], "FieldSpec"] = {}
 # ---------------------------------------------------------------------------
 # polynomial arithmetic over F_p (coefficient tuples, lowest degree first)
 # ---------------------------------------------------------------------------
+
+def digits(n: int, p: int, k: int) -> list[int]:
+    """The k lowest base-p digits of n, least significant first."""
+    out = []
+    for _ in range(k):
+        n, d = divmod(n, p)
+        out.append(d)
+    return out
+
 
 def _poly_trim(c: list[int]) -> list[int]:
     while c and c[-1] == 0:
@@ -90,7 +100,7 @@ def _poly_rem(a: list[int], mod: list[int], p: int) -> list[int]:
 def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
     a, b = _poly_trim(list(a)), _poly_trim(list(b))
     while b:
-        inv_lead = pow(b[-1], p - 2, p)
+        inv_lead = pow(b[-1], -1, p)
         monic = [(c * inv_lead) % p for c in b]
         a, b = b, _poly_rem(a, monic, p)
     return a
@@ -103,8 +113,6 @@ def _is_irreducible(mod: list[int], p: int) -> bool:
     degree d <= k/2, and that factor divides x^{p^d} - x, so the gcd catches it.
     """
     k = len(mod) - 1
-    if k == 1:
-        return True
     if mod[0] == 0:
         return False  # x divides it
     xp = _poly_rem([0, 1], mod, p)
@@ -197,12 +205,7 @@ def _default_modulus(p: int, k: int) -> tuple[int, ...]:
     if k == 1:
         return (0, 1)
     for c in range(p**k):
-        digits = []
-        n = c
-        for _ in range(k):
-            n, d = divmod(n, p)
-            digits.append(d)
-        mod = digits + [1]
+        mod = digits(c, p, k) + [1]
         if _is_irreducible(mod, p):
             return tuple(mod)
     raise ReduciblePolynomial(f"no irreducible polynomial found for p={p}, k={k}")  # pragma: no cover
@@ -250,12 +253,14 @@ class FieldSpec:
             if value.spec is not self:
                 raise SpecMismatch("element belongs to a different field")
             return value
-        if isinstance(value, (int, np.integer)):
-            value = int(value)
+        try:
+            value = operator.index(value)
+        except TypeError:
+            coeffs = list(value)
+        else:
             if not 0 <= value < self.q:
                 raise ValueError(f"encoding {value} outside [0, {self.q})")
             return FieldElement(self, value)
-        coeffs = list(value)
         if len(coeffs) > self.k or any(not 0 <= c < self.p for c in coeffs):
             raise ValueError("bad coefficient vector")
         return FieldElement(self, self.encode(coeffs))
@@ -273,11 +278,7 @@ class FieldSpec:
         return enc
 
     def decode(self, enc: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(self.k):
-            enc, d = divmod(enc, self.p)
-            out.append(d)
-        return tuple(out)
+        return tuple(digits(enc, self.p, self.k))
 
     # -- encoded arithmetic kernels ----------------------------------------------
     # Each kernel has three models: prime (k == 1), log tables (k > 1,
@@ -357,8 +358,6 @@ class FieldSpec:
     def is_square_enc(self, a: int) -> bool:
         if a == 0 or self.char2:
             return True
-        if self.k == 1:
-            return pow(a, self.p >> 1, self.p) == 1
         if self._log is not None:
             return not self._log[a] & 1
         return self.pow_enc(a, (self.q - 1) // 2) == 1
@@ -537,6 +536,27 @@ class FieldSpec:
         return hash((self.p, self.k, self.modulus))
 
 
+def _operator(kernel, reflected: bool = False):
+    """A FieldElement operator: coerce the other operand, apply
+    kernel(spec, a, b) with a = self (b = self when reflected), wrap.  The
+    kernels look the spec's methods up on each call."""
+
+    def op(self, other):
+        b = self._coerce(other)
+        if b is NotImplemented:
+            return NotImplemented
+        a = self.enc
+        if reflected:
+            a, b = b, a
+        return FieldElement(self.spec, kernel(self.spec, a, b))
+
+    return op
+
+
+def _div(spec: FieldSpec, a: int, b: int) -> int:
+    return spec.mul_enc(a, spec.inv_enc(b))
+
+
 class FieldElement:
     """Immutable element of a FieldSpec, stored by canonical encoding."""
 
@@ -551,55 +571,22 @@ class FieldElement:
         return self.spec.decode(self.enc)
 
     def _coerce(self, other) -> int:
+        """The encoding of other: a FieldElement of this field, or an int,
+        which stands for its residue mod p in the prime subfield."""
         if isinstance(other, FieldElement):
             if other.spec is not self.spec and other.spec != self.spec:
                 raise SpecMismatch("elements from different fields")
             return other.enc
         if isinstance(other, int):
-            return other % self.spec.p if self.spec.k == 1 else self.spec.encode(
-                [other % self.spec.p] + [0] * (self.spec.k - 1)
-            )
+            return other % self.spec.p
         return NotImplemented
 
-    def __add__(self, other):
-        b = self._coerce(other)
-        if b is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.spec, self.spec.add_enc(self.enc, b))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        b = self._coerce(other)
-        if b is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.spec, self.spec.sub_enc(self.enc, b))
-
-    def __rsub__(self, other):
-        b = self._coerce(other)
-        if b is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.spec, self.spec.sub_enc(b, self.enc))
-
-    def __mul__(self, other):
-        b = self._coerce(other)
-        if b is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.spec, self.spec.mul_enc(self.enc, b))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        b = self._coerce(other)
-        if b is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.spec, self.spec.mul_enc(self.enc, self.spec.inv_enc(b)))
-
-    def __rtruediv__(self, other):
-        b = self._coerce(other)
-        if b is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.spec, self.spec.mul_enc(b, self.spec.inv_enc(self.enc)))
+    __add__ = __radd__ = _operator(lambda spec, a, b: spec.add_enc(a, b))
+    __sub__ = _operator(lambda spec, a, b: spec.sub_enc(a, b))
+    __rsub__ = _operator(lambda spec, a, b: spec.sub_enc(a, b), reflected=True)
+    __mul__ = __rmul__ = _operator(lambda spec, a, b: spec.mul_enc(a, b))
+    __truediv__ = _operator(_div)
+    __rtruediv__ = _operator(_div, reflected=True)
 
     def __neg__(self):
         return FieldElement(self.spec, self.spec.neg_enc(self.enc))
@@ -701,10 +688,7 @@ def primitive_element(spec: FieldSpec) -> FieldElement:
 
 def random_element(spec: FieldSpec, rng: random.Random) -> FieldElement:
     """Uniform element via one radix digit per basis coordinate."""
-    enc = 0
-    for i in range(spec.k):
-        enc += rng.randrange(spec.p) * spec.p**i
-    return FieldElement(spec, enc)
+    return FieldElement(spec, spec.encode([rng.randrange(spec.p) for _ in range(spec.k)]))
 
 
 def absolute_trace(a: FieldElement) -> int:

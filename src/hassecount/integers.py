@@ -175,20 +175,3 @@ def divisors(n: int) -> list[int]:
         out = [d * w for d in out for w in powers]
     out.sort()
     return out
-
-
-def lcm(a: int, b: int) -> int:
-    return a // gcd(a, b) * b
-
-
-def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """Extended Euclid: returns (g, u, v) with a*u + b*v = g = gcd(a, b)."""
-    old_r, r = a, b
-    old_u, u = 1, 0
-    old_v, v = 0, 1
-    while r:
-        qt = old_r // r
-        old_r, r = r, old_r - qt * r
-        old_u, u = u, old_u - qt * u
-        old_v, v = v, old_v - qt * v
-    return old_r, old_u, old_v

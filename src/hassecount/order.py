@@ -16,11 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from math import isqrt
+from math import gcd, isqrt
 
 from .curve import Curve, Point, completed_add, completed_add_block
 from .errors import IncompatibleCongruence, InternalInvariantError
-from .integers import ext_gcd, factorize
+from .integers import factorize
 
 __all__ = [
     "HasseInterval",
@@ -267,11 +267,11 @@ def exact_order(curve: Curve, pt: Point, annihilator: int) -> int:
 
 def crt_merge(c1: Congruence, c2: Congruence) -> Congruence:
     """The single congruence equivalent to both, modulus lcm(m1, m2)."""
-    g, u, _ = ext_gcd(c1.m, c2.m)
+    g = gcd(c1.m, c2.m)
     if (c2.a - c1.a) % g != 0:
         raise IncompatibleCongruence(f"{c1} and {c2} have no common solution")
     l = c1.m // g * c2.m
-    step = (c2.a - c1.a) // g * u % (c2.m // g)
+    step = (c2.a - c1.a) // g * pow(c1.m // g, -1, c2.m // g) % (c2.m // g)
     return Congruence(a=(c1.a + c1.m * step) % l, m=l)
 
 

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 from . import sweep
 from .counting import EXCLUDED_Q, count_points
-from .curve import Curve, count_exhaustive, quadratic_twist
+from .curve import Curve, count_exhaustive, quadratic_twist, random_point
 from .errors import HasseCountError
 from .exceptions import exceptional_q_set, verify_table1
 from .finite_field import make_spec, random_element, spec_for_q
@@ -217,8 +217,6 @@ def run_selftest(fast: bool = False) -> list[CheckResult]:
             rounds = 16
             for _ in range(rounds):
                 e = sweep.sample_random_curve(spec, rng)
-                from .curve import random_point
-
                 ops = OpCounter()
                 bsgs_annihilator(e, random_point(e, rng), ops)
                 total += ops.adds

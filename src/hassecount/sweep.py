@@ -249,10 +249,8 @@ def full_sweep_verify(
     singular = 0
     traces: set[int] = set()
     rng = random.Random(seed)
-    if total <= api_all_limit:
-        api_indices = set(range(total))
-    else:
-        api_indices = set(rng.sample(range(total), api_samples))
+    # the sampled indices, ascending; None sends every curve through the API
+    api_indices = None if total <= api_all_limit else sorted(rng.sample(range(total), api_samples))
     api_checked = 0
 
     for start in range(0, total, _CHUNK):
@@ -279,10 +277,10 @@ def full_sweep_verify(
                 raise InternalInvariantError(f"count outside Hasse interval over F_{q}")
             traces.update((q + 1 - np.unique(live)).tolist())
         # per-curve API route on the sampled (or complete) index set
-        if len(api_indices) == total:
+        if api_indices is None:
             selected = range(start, stop)
         else:
-            selected = sorted(i for i in api_indices if start <= i < stop)
+            selected = [i for i in api_indices if start <= i < stop]
         for i in selected:
             j = i - start
             co = (int(a1[j]), int(a2[j]), int(a3[j]), int(a4[j]), int(a6[j]))
@@ -293,7 +291,7 @@ def full_sweep_verify(
                     api_checked += 1
                     continue
                 raise InternalInvariantError(f"library accepts singular {co} over F_{q}")
-            res = count_points(Curve(spec, *co), "auto", random.Random(0))
+            res = count_points(Curve(spec, *co))
             if res.count != int(counts[j]):
                 raise InternalInvariantError(f"count_points(auto) mismatch at {co} over F_{q}")
             api_checked += 1

@@ -28,14 +28,6 @@ TRACE_AMBIGUOUS_Q = {3, 4, 5, 7, 9, 11, 16, 17, 23, 25, 29, 49}
 COROLLARY_SET = {5, 7, 9, 11, 17, 23, 29}
 
 
-def random_curve(spec, rng):
-    while True:
-        try:
-            return cv.Curve(spec, *(rng.randrange(spec.q) for _ in range(5)))
-        except SingularCurve:
-            continue
-
-
 def test_criterion_1_trace_ambiguity_certification():
     got = ex.exceptional_q_set(1024)
     assert got == TRACE_AMBIGUOUS_Q
@@ -156,7 +148,7 @@ def test_criterion_8_property_suites():
     rng = random.Random(2024)
     # group-law axioms across characteristics
     for q in (8, 27, 49, 121):
-        e = random_curve(ff.spec_for_q(q), rng)
+        e = sweep.sample_random_curve(ff.spec_for_q(q), rng)
         pts = cv.enumerate_points(e)
         for _ in range(500):
             p, s, t = (pts[rng.randrange(len(pts))] for _ in range(3))
@@ -174,7 +166,7 @@ def test_criterion_8_property_suites():
     for q in prime_powers(1024):
         spec = ff.spec_for_q(q)
         for _ in range(2):
-            e = random_curve(spec, rng)
+            e = sweep.sample_random_curve(spec, rng)
             assert cv.count_exhaustive(e) + cv.count_exhaustive(cv.quadratic_twist(e)) == 2 * (q + 1)
 
     # n1 | n2 and n1 | q-1: every isomorphism class for q <= 13, the char-2
@@ -208,11 +200,11 @@ def test_criterion_8_property_suites():
             continue
         spec = ff.spec_for_q(q)
         for _ in range(60):
-            check_structure(random_curve(spec, rng))
+            check_structure(sweep.sample_random_curve(spec, rng))
 
     # exact_order vs brute-force order
     for q in (7, 16, 29):
-        e = random_curve(ff.spec_for_q(q), rng)
+        e = sweep.sample_random_curve(ff.spec_for_q(q), rng)
         pts = cv.enumerate_points(e)
         n = len(pts)
         for p in pts:
@@ -230,7 +222,7 @@ def test_criterion_8_property_suites():
     hits = 0
     rounds = 150
     for i in range(rounds):
-        e = random_curve(spec, rng)
+        e = sweep.sample_random_curve(spec, rng)
         res = ct.count_points(e, "point_order", random.Random(i))
         hits += res.samples_used <= 2
     rate = hits / rounds
@@ -247,7 +239,7 @@ def test_criterion_9_bsgs_scaling():
     rounds = 20
     total = 0
     for _ in range(rounds):
-        e = random_curve(spec, rng)
+        e = sweep.sample_random_curve(spec, rng)
         pt = cv.random_point(e, rng)
         ops = OpCounter()
         m = bsgs_annihilator(e, pt, ops)

@@ -10,14 +10,7 @@ from hassecount import order as od
 from hassecount.errors import ExcludedField, FieldTooLarge, SingularCurve
 from hassecount.integers import is_prime, prime_powers
 from hassecount.order import Congruence, hasse_interval
-
-
-def random_curve(spec, rng):
-    while True:
-        try:
-            return cv.Curve(spec, *(rng.randrange(spec.q) for _ in range(5)))
-        except SingularCurve:
-            continue
+from hassecount.sweep import sample_random_curve
 
 
 # --- excluded set ------------------------------------------------------------------
@@ -50,7 +43,7 @@ def test_count_point_order_matches_exhaustive_f1013():
     spec = ff.make_spec(1013)
     rng = random.Random(8)
     for _ in range(5):
-        e = random_curve(spec, rng)
+        e = sample_random_curve(spec, rng)
         res = ct.count_points(e, "point_order", random.Random(0))
         assert res.method == "point_order"
         assert res.count == cv.count_exhaustive(e)
@@ -67,7 +60,7 @@ def test_count_excluded_field_error_and_fallback():
 
 
 def test_count_auto_uses_point_order_above_49():
-    e = random_curve(ff.make_spec(53), random.Random(1))
+    e = sample_random_curve(ff.make_spec(53), random.Random(1))
     res = ct.count_points(e, "auto", random.Random(0))
     assert res.method == "point_order"
     assert res.count == cv.count_exhaustive(e)
@@ -93,7 +86,7 @@ def test_count_determinism_transcript():
 
 def test_count_alternation_starts_on_curve():
     spec = ff.make_spec(211)
-    e = random_curve(spec, random.Random(2))
+    e = sample_random_curve(spec, random.Random(2))
     tr = []
     ct.count_points(e, "point_order", random.Random(0), transcript=tr)
     sides = [s for s, _, _ in tr]
@@ -148,7 +141,7 @@ def test_structure_invariants_random(q):
     spec = ff.spec_for_q(q)
     rng = random.Random(q * 13)
     for _ in range(8):
-        e = random_curve(spec, rng)
+        e = sample_random_curve(spec, rng)
         st = ct.group_structure(e)
         n = cv.count_exhaustive(e)
         assert st.n1 * st.n2 == n
@@ -162,7 +155,7 @@ def test_twist_trace_negation():
     for q in [5, 9, 27, 64, 101]:
         spec = ff.spec_for_q(q)
         for _ in range(3):
-            e = random_curve(spec, rng)
+            e = sample_random_curve(spec, rng)
             t = cv.quadratic_twist(e)
             assert (q + 1 - cv.count_exhaustive(t)) == -(q + 1 - cv.count_exhaustive(e))
 
@@ -173,7 +166,7 @@ def test_point_order_small_nonexcluded_fields():
         spec = ff.spec_for_q(q)
         rng = random.Random(q)
         for _ in range(4):
-            e = random_curve(spec, rng)
+            e = sample_random_curve(spec, rng)
             res = ct.count_points(e, "point_order", random.Random(q))
             assert res.count == cv.count_exhaustive(e)
             assert res.samples_used <= 64
@@ -213,7 +206,7 @@ def test_two_torsion_prior_long_form(p):
     rng = random.Random(p)
     seen = set()
     for _ in range(200):
-        e = random_curve(spec, rng)
+        e = sample_random_curve(spec, rng)
         prior = ct._two_torsion_prior(e)
         assert prior == expected_prior(e)
         seen.add(prior.m)
@@ -265,7 +258,7 @@ def record_searches(monkeypatch, adds, restricted=True):
 def test_restricted_search_keeps_every_count(q, n, monkeypatch):
     spec = ff.spec_for_q(q)
     rng = random.Random(q + 9)
-    curves = [random_curve(spec, rng) for _ in range(n)]
+    curves = [sample_random_curve(spec, rng) for _ in range(n)]
     restricted = [ct.count_points(e, "point_order", random.Random(i)) for i, e in enumerate(curves)]
     record_searches(monkeypatch, [], restricted=False)
     plain = [ct.count_points(e, "point_order", random.Random(i)) for i, e in enumerate(curves)]
@@ -278,7 +271,7 @@ def test_two_torsion_prior_cuts_bsgs_work(monkeypatch):
     adds per call by at least a quarter."""
     spec = ff.make_spec(10**12 + 39)
     rng = random.Random(12)
-    curves = [random_curve(spec, rng) for _ in range(20)]
+    curves = [sample_random_curve(spec, rng) for _ in range(20)]
     with_prior, without = [], []
     for adds, restricted in ((with_prior, True), (without, False)):
         record_searches(monkeypatch, adds, restricted)

@@ -8,14 +8,7 @@ from hassecount import finite_field as ff
 from hassecount.errors import FieldTooLarge, PointNotOnCurve, SingularCurve, SpecMismatch
 from hassecount.integers import is_prime, prime_powers
 from hassecount.order import hasse_interval
-
-
-def random_curve(spec, rng):
-    while True:
-        try:
-            return cv.Curve(spec, *(rng.randrange(spec.q) for _ in range(5)))
-        except SingularCurve:
-            continue
+from hassecount.sweep import sample_random_curve
 
 
 def table1_curve(q):
@@ -86,7 +79,7 @@ def test_scalar_mul_negative():
 def test_group_law_axioms(q):
     spec = ff.spec_for_q(q)
     rng = random.Random(q * 7 + 1)
-    e = random_curve(spec, rng)
+    e = sample_random_curve(spec, rng)
     pts = cv.enumerate_points(e)
     n = len(pts)
     for _ in range(500):
@@ -125,7 +118,7 @@ def test_add_points_matches_reference(q):
     spec = ff.spec_for_q(q)
     rng = random.Random(q + 3)
     for _ in range(4):
-        e = random_curve(spec, rng)
+        e = sample_random_curve(spec, rng)
         pts = [cv.random_point(e, rng) for _ in range(10)]
         for p, s in zip(pts, pts[1:]):
             for a, b in ((p, s), (p, p), (p, e.negate(p)), (p, e.infinity())):
@@ -158,7 +151,7 @@ def scalar_mul_panel(q):
     rng = random.Random(q)
     curves = {}
     for _ in range(200):
-        e = random_curve(spec, rng)
+        e = sample_random_curve(spec, rng)
         if e.a1 and e.a3:
             two_torsion = any(p == e.negate(p) for p in cv.enumerate_points(e)[1:])
             curves.setdefault(two_torsion, e)
@@ -259,7 +252,7 @@ def test_scalar_mul_odd_extension_samples(q):
     spec = ff.spec_for_q(q)
     rng = random.Random(q)
     for _ in range(2):
-        e = random_curve(spec, rng)
+        e = sample_random_curve(spec, rng)
         p = cv.random_point(e, rng)
         for _ in range(2):
             n = rng.randrange(1, 4 * q)
@@ -272,7 +265,7 @@ def test_lagrange_all_points(q):
     spec = ff.spec_for_q(q)
     rng = random.Random(q)
     for _ in range(2):
-        e = random_curve(spec, rng)
+        e = sample_random_curve(spec, rng)
         n = cv.count_exhaustive(e)
         for p in cv.enumerate_points(e):
             assert e.scalar_mul(n, p).is_infinity
@@ -292,7 +285,7 @@ def test_enumerate_matches_count():
     for q in [3, 4, 7, 9, 16, 25]:
         spec = ff.spec_for_q(q)
         rng = random.Random(q + 1)
-        e = random_curve(spec, rng)
+        e = sample_random_curve(spec, rng)
         pts = cv.enumerate_points(e)
         assert len(pts) == cv.count_exhaustive(e)
         assert len(set(pts)) == len(pts)
@@ -305,7 +298,7 @@ def test_pair_scan_oracle(q):
     spec = ff.spec_for_q(q)
     rng = random.Random(q * 3)
     for _ in range(5):
-        e = random_curve(spec, rng)
+        e = sample_random_curve(spec, rng)
         assert cv.count_exhaustive(e) == cv.count_pair_scan(e)
 
 
@@ -314,7 +307,7 @@ def test_count_in_hasse_interval_random():
     for q in prime_powers(121):
         spec = ff.spec_for_q(q)
         for _ in range(3):
-            e = random_curve(spec, rng)
+            e = sample_random_curve(spec, rng)
             assert cv.count_exhaustive(e) in hasse_interval(q)
 
 
@@ -344,7 +337,7 @@ def test_twist_identity_random(q):
     spec = ff.spec_for_q(q)
     rng = random.Random(q + 55)
     for _ in range(3):
-        e = random_curve(spec, rng)
+        e = sample_random_curve(spec, rng)
         t = cv.quadratic_twist(e)
         assert cv.count_exhaustive(e) + cv.count_exhaustive(t) == 2 * (q + 1)
 
@@ -354,7 +347,7 @@ def test_twist_twice_preserves_trace(q):
     spec = ff.spec_for_q(q)
     rng = random.Random(q + 21)
     for _ in range(3):
-        e = random_curve(spec, rng)
+        e = sample_random_curve(spec, rng)
         tt = cv.quadratic_twist(cv.quadratic_twist(e))
         assert cv.count_exhaustive(tt) == cv.count_exhaustive(e)
 
@@ -389,7 +382,7 @@ def test_smallest_trace_one():
 def test_random_point_on_curve(q):
     spec = ff.spec_for_q(q)
     rng = random.Random(q)
-    e = random_curve(spec, rng)
+    e = sample_random_curve(spec, rng)
     for _ in range(25):
         p = cv.random_point(e, rng)
         assert e.is_on_curve(p) and not p.is_infinity

@@ -117,6 +117,32 @@ def test_spec_mismatch():
         ff.make_spec(5).element(1) + ff.make_spec(7).element(1)
 
 
+@pytest.mark.parametrize("q", [7, 8, 9, 3**13])
+def test_facade_operators(q):
+    """Every FieldElement operator against the encoded kernels; an int c
+    stands for c mod p in the prime subfield."""
+    spec = ff.spec_for_q(q)
+    rng = random.Random(q)
+    for _ in range(30):
+        x, y = spec.element(rng.randrange(1, q)), spec.element(rng.randrange(q))
+        c = rng.randrange(-3 * spec.p, 3 * spec.p)
+        cf = spec.element(c % spec.p)
+        assert x + c == c + x == x + cf and (x + y).enc == spec.add_enc(x.enc, y.enc)
+        assert x - c == x - cf and c - x == cf - x and (y - x).enc == spec.sub_enc(y.enc, x.enc)
+        assert x * c == c * x == x * cf and (x * y).enc == spec.mul_enc(x.enc, y.enc)
+        assert 1 / x == x.inverse() and c / x == cf * x.inverse() and y / x * x == y
+        assert x ** 0 == 1 and x ** 3 == x * x * x and (x ** 5).enc == spec.pow_enc(x.enc, 5)
+        assert (x == c) == (x.enc == c % spec.p) and cf == c and x != x + 1
+        assert hash(x) == hash(spec.element(x.enc)) and len({x, spec.element(x.enc)}) == 1
+        assert x and bool(y) == (y.enc != 0)
+    assert not spec.zero() and repr(spec.element(q - 1)) == f"F{q}({q - 1})"
+    x = spec.one()
+    for op in (lambda: x + 1.5, lambda: 1.5 - x, lambda: x * "a", lambda: x / 1.5, lambda: 1.5 / x):
+        with pytest.raises(TypeError):
+            op()
+    assert x != 1.5
+
+
 # --- squares ---------------------------------------------------------------------
 
 def test_is_square_examples():
@@ -207,6 +233,27 @@ def test_absolute_trace():
         # recompute directly: a + a^2 + a^4
         direct = f8.add_enc(f8.add_enc(a, f8.pow_enc(a, 2)), f8.pow_enc(a, 4))
         assert coeffs_sum == direct < 2
+
+
+@pytest.mark.parametrize("q", [9, 3**7, 3**13])
+def test_absolute_trace_odd_extensions(q):
+    """The Frobenius-sum trace: the sum of the k conjugates, F_p-linear, and
+    Tr(1) = k mod p."""
+    spec = ff.spec_for_q(q)
+    p, k = spec.p, spec.k
+    ref = PolyRef(spec)
+    rng = random.Random(q)
+    assert ff.absolute_trace(spec.one()) == k % p and ff.absolute_trace(spec.zero()) == 0
+    for _ in range(40):
+        a, b, c = rng.randrange(q), rng.randrange(q), rng.randrange(p)
+        conj, acc = a, a
+        for _ in range(k - 1):
+            conj = ref.pow(conj, p)
+            acc = ref.add(acc, conj)
+        ta = ff.absolute_trace(spec.element(a))
+        assert ta == acc < p
+        combo = spec.element(a) + c * spec.element(b)
+        assert ff.absolute_trace(combo) == (ta + c * spec.trace_enc(b)) % p
 
 
 def test_random_element_range_and_determinism():
@@ -418,3 +465,16 @@ def test_no_log_tables_above_2_20(q):
                 spec.sqrt_enc(a)
         s = spec.sqrt_enc(ref.mul(a, a))
         assert s == min(a, ref.neg(a))
+
+
+@pytest.mark.parametrize("k", [21, 24])
+def test_char2_sqrt_polynomial_model(k):
+    spec = ff.make_spec(2, k)
+    assert spec._log is None
+    ref = PolyRef(spec)
+    rng = random.Random(k)
+    for _ in range(20):
+        a = rng.randrange(spec.q)
+        s = spec.sqrt_enc(a)
+        assert ref.mul(s, s) == a
+        assert spec.sqrt_enc(ref.mul(a, a)) == a  # squaring is a bijection

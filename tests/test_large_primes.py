@@ -20,7 +20,8 @@ from hassecount.errors import FieldTooLarge
 from hassecount.finite_field import make_spec, spec_for_q
 from hassecount.integers import is_prime
 from hassecount.order import hasse_interval
-from hassecount.selftest import cm_panel, cm_trace_candidates, cornacchia
+from hassecount import selftest
+from hassecount.selftest import cm_oracle_check, cm_panel, cm_trace_candidates, cornacchia
 
 M61 = 2**61 - 1
 P_ABOVE_LIMIT = 2**62 + 135  # the least prime above 2^62
@@ -57,6 +58,14 @@ def test_count_points_matches_cm_traces(bits, residue):
         assert res.trace in traces
         if traces == {0}:
             assert res.count == p + 1
+
+
+def test_cm_oracle_check(monkeypatch):
+    ok, detail = cm_oracle_check((20, 24), 5)
+    assert ok and detail == "16 curves over primes of [20, 24] bits match their CM traces"
+    monkeypatch.setattr(selftest, "cm_trace_candidates", lambda p, j: frozenset({p}))
+    ok, detail = cm_oracle_check((20,), 5)
+    assert not ok and detail.startswith("trace ")
 
 
 def test_count_points_at_mersenne_61():

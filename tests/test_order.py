@@ -1,5 +1,5 @@
 import random
-from math import isqrt
+from math import isqrt, lcm
 
 import pytest
 
@@ -8,15 +8,8 @@ from hassecount import finite_field as ff
 from hassecount import order as od
 from hassecount.counting import count_points
 from hassecount.errors import IncompatibleCongruence, InternalInvariantError, SingularCurve
-from hassecount.integers import divisors, factorize, lcm, prime_powers
-
-
-def random_curve(spec, rng):
-    while True:
-        try:
-            return cv.Curve(spec, *(rng.randrange(spec.q) for _ in range(5)))
-        except SingularCurve:
-            continue
+from hassecount.integers import divisors, factorize, prime_powers
+from hassecount.sweep import sample_random_curve
 
 
 # --- Hasse interval ---------------------------------------------------------------
@@ -83,7 +76,7 @@ def test_bsgs_operation_scaling(p):
     total = 0
     rounds = 10
     for _ in range(rounds):
-        e = random_curve(spec, rng)
+        e = sample_random_curve(spec, rng)
         pt = cv.random_point(e, rng)
         ops = od.OpCounter()
         m = od.bsgs_annihilator(e, pt, ops)
@@ -309,7 +302,7 @@ def test_restricted_bsgs_false_congruence_raises(q):
     interval = od.hasse_interval(q)
     checked = 0
     while checked < 3:
-        e = random_curve(spec, rng)
+        e = sample_random_curve(spec, rng)
         pt = cv.random_point(e, rng)
         t = q + 1 - count_points(e, "auto", random.Random(0)).count
         if od.exact_order(e, pt, q + 1 - t) <= 4 * isqrt(q):
@@ -374,7 +367,7 @@ def test_bsgs_real_adds_scaling(p, rounds, monkeypatch):
     rng = random.Random(11)
     logical = 0
     for _ in range(rounds):
-        e = random_curve(spec, rng)
+        e = sample_random_curve(spec, rng)
         pt = cv.random_point(e, rng)
         ops = od.OpCounter()
         od.bsgs_annihilator(e, pt, ops)
@@ -494,7 +487,7 @@ def test_progression_terms_and_block_sizes(cap, monkeypatch):
     rng = random.Random(cap)
     largest = 0
     for _ in range(6):
-        e = random_curve(spec, rng)
+        e = sample_random_curve(spec, rng)
         pt = cv.random_point(e, rng)
         calls.clear()
         if od.exact_order(e, pt, od.bsgs_annihilator(e, pt)) < s:
@@ -553,7 +546,7 @@ def test_exact_order_vs_brute_force(q):
     spec = ff.spec_for_q(q)
     rng = random.Random(q)
     for _ in range(3):
-        e = random_curve(spec, rng)
+        e = sample_random_curve(spec, rng)
         pts = cv.enumerate_points(e)
         n = len(pts)
         for p in pts:
@@ -643,7 +636,6 @@ def test_integer_utilities():
     assert factorize(24) == [2, 2, 2, 3]
     assert factorize(1) == []
     assert isqrt(4 * 49) == 14
-    assert lcm(6, 8) == 24
     with pytest.raises(ValueError):
         factorize(1 << 63)
     assert divisors(24) == [1, 2, 3, 4, 6, 8, 12, 24]
