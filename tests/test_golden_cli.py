@@ -7,7 +7,13 @@ F_531441 = F_{3^12}, F_65536 and a supersingular curve over F_1024.  A refactor
 of the field, curve or order layers must leave every line unchanged: the
 counts, the RNG draw order (samples_used, the sampled orders) and the BSGS
 annihilators.
+
+The exception census and the Table 1 report are pinned the same way, from
+files in tests/census_stdout/: `exceptions --qmax 1024` in TSV and JSON, with
+and without `--corollary` under each `--reading`, and `table1` in both formats.
 """
+
+from pathlib import Path
 
 import pytest
 
@@ -165,3 +171,23 @@ GOLDEN = [
 def test_cli_stdout_unchanged(capsys, argv, stdout):
     assert cli.main(argv.split()) == 0
     assert capsys.readouterr().out == stdout
+
+
+CENSUS_STDOUT = Path(__file__).resolve().parent / "census_stdout"
+CENSUS = [
+    ("exceptions --qmax 1024", "exceptions.tsv"),
+    ("exceptions --qmax 1024 --format json", "exceptions.json"),
+    *(
+        (f"exceptions --qmax 1024 --corollary --reading {reading}{flag}", f"exceptions_corollary_{reading}.{ext}")
+        for reading in ("qm1", "mn", "mn_qm1")
+        for flag, ext in (("", "tsv"), (" --format json", "json"))
+    ),
+    ("table1", "table1.tsv"),
+    ("table1 --format json", "table1.json"),
+]
+
+
+@pytest.mark.parametrize("argv,name", CENSUS, ids=[a for a, _ in CENSUS])
+def test_census_stdout_unchanged(capsys, argv, name):
+    assert cli.main(argv.split()) == 0
+    assert capsys.readouterr().out == (CENSUS_STDOUT / name).read_text()
