@@ -8,9 +8,11 @@ For a prime power q, an exception is a quadruple (M, N, t, t') with
   (iii) M | q+1-t' and N | q+1+t'.
 
 These are exactly the (lambda(E), lambda(E')) shapes that can leave the trace
-ambiguous.  The inner loops here are divisor-driven (conditions checked
-verbatim, only the iteration order differs from the naive triple loop); the
-literal wide-range loop lives in the test suite as the oracle.
+ambiguous.  By (ii), m divides q-1 and m^2 divides q+1-t, so the census runs
+over the divisors m of q-1 alone: each fixes t = q+1 (mod m^2) and M = (q+1-t)/m,
+and likewise n fixes t = -(q+1) (mod n^2) and N.  One factorisation of q-1 per q
+replaces the divisors of q+1-t and q+1+t for every t; the literal wide-range
+loop lives in the test suite as the oracle.
 """
 
 from __future__ import annotations
@@ -43,10 +45,6 @@ def mn_bounds(q: int) -> tuple[int, int]:
     return max(1, ceil_sqrt - 1), isqrt(16 * q)
 
 
-def _divisors_in_range(n: int, lo: int, hi: int) -> list[int]:
-    return [d for d in divisors(n) if lo <= d <= hi]
-
-
 # How the corollary's modified enumerator constrains the t'-side cofactors
 # m' = (q+1-t')/M and n' = (q+1+t')/N.  "qm1" (divide q-1) is the reading whose
 # q <= 1024 sweep reproduces the published excluded set {5,7,9,11,17,23,29};
@@ -61,9 +59,7 @@ def _corollary_keep(reading: str, mp: int, np_: int, M: int, N: int, qm1: int) -
         return qm1 % mp == 0 and qm1 % np_ == 0
     if reading == "mn":
         return M % mp == 0 and N % np_ == 0
-    if reading == "mn_qm1":
-        return M % mp == 0 and N % np_ == 0 and qm1 % mp == 0 and qm1 % np_ == 0
-    raise ValueError(f"unknown corollary reading {reading!r}")
+    return M % mp == 0 and N % np_ == 0 and qm1 % mp == 0 and qm1 % np_ == 0  # "mn_qm1"
 
 
 def enumerate_exceptions(
@@ -72,31 +68,30 @@ def enumerate_exceptions(
     """All exception quadruples for F_q, sorted by (M, N, t, t').
 
     With corollary=True the t'-side cofactors must additionally satisfy the
-    chosen reading's divisibility filters (see COROLLARY_READINGS).
+    chosen reading's divisibility filters (see COROLLARY_READINGS); any other
+    reading raises ValueError, whatever q and corollary are.
     """
+    if reading not in COROLLARY_READINGS:
+        raise ValueError(f"unknown corollary reading {reading!r}")
     split_prime_power(q)  # raises NotPrimePower for bad q
     tb = isqrt(4 * q)
     lo, hi = mn_bounds(q)
     qp1 = q + 1
     qm1 = q - 1
+    # a cofactor c with c * hi < q+1-tb leaves every (q+1-t)/c above hi
+    cofactors = [c for c in divisors(qm1) if c * hi >= qp1 - tb]
+    sides = []  # t -> its M = (q+1-t)/m (sign 1), then t -> its N = (q+1+t)/n (sign -1)
+    for sign in (1, -1):
+        side = {}
+        for c in cofactors:
+            for t in range(sign * qp1 % (c * c), tb + 1, c * c):  # c^2 | q+1-sign*t
+                if lo <= (lam := (qp1 - sign * t) // c) <= hi:
+                    side.setdefault(t, []).append(lam)
+        sides.append(side)
     records = []
-    for t in range(tb + 1):
-        ms = [
-            M
-            for M in _divisors_in_range(qp1 - t, lo, hi)
-            if M % ((qp1 - t) // M) == 0 and qm1 % ((qp1 - t) // M) == 0
-        ]
-        if not ms:
-            continue
-        ns = [
-            N
-            for N in _divisors_in_range(qp1 + t, lo, hi)
-            if N % ((qp1 + t) // N) == 0 and qm1 % ((qp1 + t) // N) == 0
-        ]
-        if not ns:
-            continue
-        for M in ms:
-            for N in ns:
+    for t in sides[0].keys() & sides[1].keys():
+        for M in sides[0][t]:
+            for N in sides[1][t]:
                 period = lcm(M, N)
                 for tp in trace_candidates(Congruence(t % period, period), q):
                     if tp == t:

@@ -1,12 +1,14 @@
-from math import isqrt
+from math import isqrt, lcm
 
 import pytest
 
 from hassecount import exceptions as ex
 from hassecount import finite_field as ff
 from hassecount import sweep
+from hassecount.counting import EXCLUDED_Q
 from hassecount.errors import NotPrimePower
-from hassecount.integers import prime_powers
+from hassecount.integers import divisors, prime_powers
+from hassecount.order import Congruence, trace_candidates
 
 TRACE_AMBIGUOUS_Q = {3, 4, 5, 7, 9, 11, 16, 17, 23, 25, 29, 49}
 COROLLARY_SET = {5, 7, 9, 11, 17, 23, 29}
@@ -38,6 +40,40 @@ def oracle_records(q, t_lo=0):
                     if tp != t and (q + 1 - tp) % M == 0 and (q + 1 + tp) % N == 0:
                         out.add((M, N, t, tp))
     return out
+
+
+def tscan_records(q, corollary=False, reading=ex.DEFAULT_COROLLARY_READING):
+    """Reference census by a scan over t: for every 0 <= t <= 2 sqrt(q), the
+    divisors M of q+1-t and N of q+1+t inside mn_bounds that pass (ii), then
+    every t' the pair admits, sorted by (M, N, t, t')."""
+    tb = isqrt(4 * q)
+    lo, hi = ex.mn_bounds(q)
+    qp1, qm1 = q + 1, q - 1
+    keep = {
+        "qm1": lambda mp, np_, M, N: qm1 % mp == 0 and qm1 % np_ == 0,
+        "mn": lambda mp, np_, M, N: M % mp == 0 and N % np_ == 0,
+        "mn_qm1": lambda mp, np_, M, N: M % mp == 0 and N % np_ == 0 and qm1 % mp == 0 and qm1 % np_ == 0,
+    }[reading]
+    records = []
+    for t in range(tb + 1):
+        ms = [
+            M
+            for M in divisors(qp1 - t)
+            if lo <= M <= hi and M % ((qp1 - t) // M) == 0 and qm1 % ((qp1 - t) // M) == 0
+        ]
+        ns = [
+            N
+            for N in divisors(qp1 + t)
+            if lo <= N <= hi and N % ((qp1 + t) // N) == 0 and qm1 % ((qp1 + t) // N) == 0
+        ]
+        for M in ms:
+            for N in ns:
+                for tp in trace_candidates(Congruence(t % lcm(M, N), lcm(M, N)), q):
+                    if tp == t or (corollary and not keep((qp1 - tp) // M, (qp1 + tp) // N, M, N)):
+                        continue
+                    records.append(ex.ExceptionRecord(q, M, N, t, tp, (qp1 - t) // M, (qp1 + t) // N))
+    records.sort(key=lambda r: (r.M, r.N, r.t, r.t_prime))
+    return records
 
 
 # --- enumerator --------------------------------------------------------------------
@@ -101,10 +137,26 @@ def test_symmetry_negative_t(q):
     assert swapped == pos
 
 
+@pytest.mark.parametrize(
+    "corollary,reading", [(False, "qm1")] + [(True, reading) for reading in ex.COROLLARY_READINGS]
+)
+def test_records_equal_tscan_reference(corollary, reading):
+    # same records, in the same order, as the t scan, for every q <= 4096
+    for q in prime_powers(4096):
+        assert ex.enumerate_exceptions(q, corollary, reading) == tscan_records(q, corollary, reading), q
+
+
 def test_exceptional_q_sets():
     assert ex.exceptional_q_set(1024) == TRACE_AMBIGUOUS_Q
     assert ex.exceptional_q_set(50) == TRACE_AMBIGUOUS_Q
     assert ex.exceptional_q_set(2) == set()
+    assert ex.exceptional_q_set(1 << 16) == EXCLUDED_Q == TRACE_AMBIGUOUS_Q
+
+
+# 1019^2 is a square field r^2 with r > 7, the paper's supersingular case
+@pytest.mark.parametrize("q", [10**12 + 39, 2**61 - 1, 3**39, 2**62, 1019**2])
+def test_no_exceptions_at_large_q(q):
+    assert ex.enumerate_exceptions(q) == []
 
 
 # --- corollary variant --------------------------------------------------------------
@@ -115,6 +167,7 @@ def test_corollary_subset_and_sets():
         for reading in ex.COROLLARY_READINGS:
             assert quads(ex.enumerate_exceptions(q, corollary=True, reading=reading)) <= base
     assert ex.exceptional_q_set(1024, corollary=True) == COROLLARY_SET
+    assert ex.exceptional_q_set(1 << 16, corollary=True) == COROLLARY_SET
     assert ex.exceptional_q_set(1024, corollary=True, reading="mn") == COROLLARY_SET - {7}
     assert ex.exceptional_q_set(1024, corollary=True, reading="mn_qm1") == COROLLARY_SET - {7}
 
@@ -126,8 +179,12 @@ def test_corollary_examples():
 
 
 def test_corollary_bad_reading():
-    with pytest.raises(ValueError):
-        ex.enumerate_exceptions(5, corollary=True, reading="nope")
+    # rejected on entry, also where no record would reach the filter (q = 2, 229)
+    for q in (2, 5, 229):
+        with pytest.raises(ValueError):
+            ex.enumerate_exceptions(q, corollary=True, reading="nope")
+        with pytest.raises(ValueError):
+            ex.exceptional_q_set(q, corollary=True, reading="nope")
 
 
 # --- parity filter ------------------------------------------------------------------
