@@ -2,27 +2,27 @@
 
 Everything is written for the long form y^2 + a1*x*y + a3*y = x^3 + a2*x^2 +
 a4*x + a6 so a single code path covers characteristics 2 and 3 alongside the
-generic case; only quadratic_twist and the per-x solution counting branch on
-the characteristic.
+generic case; only quadratic_twist, the per-x solution counting and the
+choice of stepping model branch on the characteristic.
 
 Coefficients and point coordinates are field encodings (plain ints, see
 finite_field) and every formula calls the FieldSpec kernels on them; an
-integer constant c is the encoding c % p.  add_points, the affine addition
-law of the long form, does so in every field; of the loops that carry the
-traffic only characteristic 2 uses it.  Odd characteristic works on one
-model, the completed square y^2 = x^3 + c2 x^2 + c4 x + c6
-(Curve.completed_model), where a1 = a3 = 0 and -(x, y) = (x, -y):
-completed_add adds on it one addition at a time on the kernels, and over
-prime fields completed_add_block adds blocks of residues with one inversion
-per block.  scalar_mul maps a point in once and the result back once; for
-p > 3 its chain runs in Jacobian coordinates in plain modular arithmetic,
-one inversion per multiplication.  Points are always returned affine, on the
-long form.
+integer constant c is the encoding c % p.  long_add, the affine addition
+law of the long form, adds bare encodings; Curve.add_points wraps it in
+Points for the API.  The loops that carry the traffic step on one affine
+model per curve (Curve.affine_model): characteristic 2 on the long form
+through long_add, odd characteristic on the completed square y^2 = x^3 +
+c2 x^2 + c4 x + c6 (Curve.completed_model, a1 = a3 = 0) through
+completed_law, and over odd prime fields completed_add_block adds blocks of
+residues with one inversion per block.  scalar_mul maps a point in once and
+the result back once; for p > 3 its chain runs in Jacobian coordinates, one
+inversion per multiplication.  Points are returned affine, on the long form.
 """
 
 from __future__ import annotations
 
 import random
+from functools import partial
 
 from .errors import FieldTooLarge, InternalInvariantError, PointNotOnCurve, SingularCurve
 from .finite_field import FieldSpec
@@ -64,7 +64,7 @@ class Point:
 class Curve:
     """y^2 + a1*x*y + a3*y = x^3 + a2*x^2 + a4*x + a6 over a FieldSpec, nonsingular."""
 
-    __slots__ = ("spec", "a1", "a2", "a3", "a4", "a6", "discriminant", "_completed")
+    __slots__ = ("spec", "a1", "a2", "a3", "a4", "a6", "discriminant", "_completed", "_model")
 
     def __init__(self, spec: FieldSpec, a1, a2, a3, a4, a6):
         self.spec = spec
@@ -85,7 +85,7 @@ class Curve:
         if disc == 0:
             raise SingularCurve(f"discriminant vanishes for {self.coefficients()} over F_{spec.q}")
         self.discriminant = disc
-        self._completed = None
+        self._completed = self._model = None
 
     # -- basic structure -----------------------------------------------------------
 
@@ -132,27 +132,8 @@ class Curve:
         return Point(self, pt.x, s.neg_enc(s.add_enc(s.add_enc(pt.y, s.mul_enc(self.a1, pt.x)), self.a3)))
 
     def add_points(self, p: Point, q: Point) -> Point:
-        x1, y1, x2, y2 = p.x, p.y, q.x, q.y
-        if x1 is None:
-            return q
-        if x2 is None:
-            return p
-        s = self.spec
-        a1 = self.a1
-        add, sub, mul = s.add_enc, s.sub_enc, s.mul_enc
-        if x1 == x2:
-            w = add(add(y1, mul(a1, x1)), self.a3)
-            if add(w, y2) == 0:  # y2 = -y1 - a1 x1 - a3, so q = -p
-                return self.infinity()
-            # remaining case is p == q: lam = (3 x1^2 + 2 a2 x1 + a4 - a1 y1) / (w + y1), w + y1 != 0
-            num = sub(add(mul(add(mul(3 % s.p, x1), mul(2 % s.p, self.a2)), x1), self.a4), mul(a1, y1))
-            lam = mul(num, s.inv_enc(add(w, y1)))
-        else:
-            lam = mul(sub(y2, y1), s.inv_enc(sub(x2, x1)))
-        # x3 = lam^2 + a1 lam - a2 - x1 - x2, y3 = -(lam (x3 - x1) + y1) - a1 x3 - a3
-        x3 = sub(mul(lam, add(lam, a1)), add(add(self.a2, x1), x2))
-        y3 = s.neg_enc(add(add(add(mul(lam, sub(x3, x1)), y1), mul(a1, x3)), self.a3))
-        return Point(self, x3, y3)
+        """P + Q by the affine addition law of the long form (long_add)."""
+        return Point(self, *long_add(self.spec, self.a1, self.a2, self.a3, self.a4, p.x, p.y, q.x, q.y))
 
     def completed_model(self) -> tuple[int, int, int, int, int]:
         """Odd characteristic: encodings (c2, c4, c6, h1, h3) of the isomorphic
@@ -182,39 +163,45 @@ class Curve:
         s, (_, _, _, h1, h3) = self.spec, self.completed_model()
         return Point(self, x, s.sub_enc(y, s.add_enc(s.mul_enc(h1, x), h3)))
 
+    def affine_model(self) -> tuple:
+        """(to, add, neg, back): the model the group walks step on, on bare
+        (x, y), None for infinity.  to(curve, P) and back(curve, x, y) map a
+        Point in and out; add(x1, y1, x2, y2); neg(x, y), the y of -(x, y).
+        Characteristic 2: the long form (long_add, y + a1 x + a3); odd: the
+        completed square (completed_law, -y).  Built once, refers to no curve."""
+        if self._model is None:
+            s = self.spec
+            if s.char2:
+                a1, a3, mul = self.a1, self.a3, s.mul_enc
+                add = partial(long_add, s, a1, self.a2, a3, self.a4)
+                self._model = lambda _, pt: (pt.x, pt.y), add, lambda x, y: y ^ mul(a1, x) ^ a3, Point
+            else:
+                add = completed_law(s, *self.completed_model()[:2])
+                self._model = Curve.to_completed, add, lambda x, y: s.neg_enc(y), Curve.from_completed
+        return self._model
+
     def scalar_mul(self, n: int, pt: Point) -> Point:
         """n*P for any integer n (negative n multiplies -P), by left-to-right
-        double-and-add.
-
-        Characteristic 2 runs it through add_points.  Odd characteristic maps
-        the base onto the completed square (to_completed) once and the result
-        back (from_completed) once.  In between, prime fields with p > 3 run
-        the chain in Jacobian coordinates (_jacobian_mul), one field
-        inversion per call; F_3 and the odd extension fields step
-        completed_add.  All return the same affine point.
-        """
+        double-and-add, the point mapped in and the result out once.  Two
+        chains: prime fields with p > 3 run on the completed square in
+        Jacobian coordinates (_jacobian_mul), one field inversion per call;
+        every other field (F_2, F_3, odd extensions, characteristic 2) steps
+        the add of the curve's affine model.  Both give the same point."""
         if n < 0:
             return self.scalar_mul(-n, self.negate(pt))
         if n == 0 or pt.x is None:
             return self.infinity()
         s = self.spec
-        if s.char2:
-            acc = pt
-            for bit in bin(n)[3:]:
-                acc = self.add_points(acc, acc)
-                if bit == "1":
-                    acc = self.add_points(acc, pt)
-            return acc
-        c2, c4 = self.completed_model()[:2]
-        x, y = xb, yb = self.to_completed(pt)
         if s.k == 1 and s.p > 3:
-            x, y = _jacobian_mul(n, xb, yb, c2, c4, s.p)
-        else:
-            for bit in bin(n)[3:]:
-                x, y = completed_add(s, c2, c4, x, y, x, y)
-                if bit == "1":
-                    x, y = completed_add(s, c2, c4, x, y, xb, yb)
-        return self.from_completed(x, y)
+            x, y = _jacobian_mul(n, *self.to_completed(pt), *self.completed_model()[:2], s.p)
+            return self.from_completed(x, y)
+        to, add, _, back = self.affine_model()
+        x, y = xb, yb = to(self, pt)
+        for bit in bin(n)[3:]:
+            x, y = add(x, y, x, y)
+            if bit == "1":
+                x, y = add(x, y, xb, yb)
+        return back(self, x, y)
 
     # -- per-x solution machinery ----------------------------------------------
 
@@ -249,6 +236,28 @@ class Curve:
             return []
         r = s.sqrt_enc(w)
         return sorted((s.sub_enc(r, t), s.sub_enc(s.neg_enc(r), t)))
+
+
+def long_add(spec: FieldSpec, a1: int, a2: int, a3: int, a4: int, x1, y1, x2, y2) -> tuple:
+    """(x1, y1) + (x2, y2) on y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6
+    over any field, in encodings on the FieldSpec kernels; x = y = None is
+    infinity.  Tangent slope (3x^2 + 2 a2 x + a4 - a1 y)/(2y + a1 x + a3);
+    x3 = lam^2 + a1 lam - a2 - x1 - x2, y3 = -(lam (x3 - x1) + y1) - a1 x3 - a3."""
+    if x1 is None:
+        return x2, y2
+    if x2 is None:
+        return x1, y1
+    add, sub, mul = spec.add_enc, spec.sub_enc, spec.mul_enc
+    if x1 == x2:
+        w = add(add(y1, mul(a1, x1)), a3)
+        if add(w, y2) == 0:  # y2 = -y1 - a1 x1 - a3: the sum is infinity
+            return None, None
+        num = sub(add(mul(add(mul(3 % spec.p, x1), mul(2 % spec.p, a2)), x1), a4), mul(a1, y1))
+        lam = mul(num, spec.inv_enc(add(w, y1)))
+    else:
+        lam = mul(sub(y2, y1), spec.inv_enc(sub(x2, x1)))
+    x3 = sub(mul(lam, add(lam, a1)), add(add(a2, x1), x2))
+    return x3, spec.neg_enc(add(add(add(mul(lam, sub(x3, x1)), y1), mul(a1, x3)), a3))
 
 
 def _jacobian_double(x: int, y: int, z: int, a: int, p: int) -> tuple[int, int, int]:
@@ -301,28 +310,29 @@ def _jacobian_mul(n: int, xb: int, yb: int, c2: int, c4: int, p: int) -> tuple:
     return (x * zi2 - sx) % p, y * zi2 * zi % p
 
 
-def completed_add(spec: FieldSpec, c2: int, c4: int, x1, y1, x2, y2) -> tuple:
-    """(x1, y1) + (x2, y2) on y^2 = x^3 + c2 x^2 + c4 x + c6 over an odd
-    field, in encodings on the FieldSpec kernels; x = y = None is infinity.
+def completed_law(spec: FieldSpec, c2: int, c4: int):
+    """completed_add(x1, y1, x2, y2): (x1, y1) + (x2, y2) on y^2 = x^3 + c2
+    x^2 + c4 x + c6 over an odd field, on FieldSpec kernels bound once per
+    curve; x = y = None is infinity.  Chord slope (y2 - y1)/(x2 - x1),
+    tangent slope (3x^2 + 2 c2 x + c4)/(2y); x3 = lam^2 - c2 - x1 - x2 and
+    y3 = lam (x1 - x3) - y1.  Equal x with y2 = -y1 (P + (-P), doubling y =
+    0) gives infinity."""
+    add, sub, mul, inv, three = spec.add_enc, spec.sub_enc, spec.mul_enc, spec.inv_enc, 3 % spec.p
 
-    Chord slope (y2 - y1)/(x2 - x1), tangent slope (3x^2 + 2 c2 x + c4)/(2y);
-    x3 = lam^2 - c2 - x1 - x2 and y3 = lam (x1 - x3) - y1.  Equal x with
-    y2 = -y1 (P + (-P), and doubling a point with y = 0) gives infinity.
-    """
-    if x1 is None:
-        return x2, y2
-    if x2 is None:
-        return x1, y1
-    add, sub, mul = spec.add_enc, spec.sub_enc, spec.mul_enc
-    if x1 == x2:
-        if y1 != y2 or not y1:
-            return None, None
-        num = add(mul(add(mul(3 % spec.p, x1), add(c2, c2)), x1), c4)
-        lam = mul(num, spec.inv_enc(add(y1, y1)))
-    else:
-        lam = mul(sub(y2, y1), spec.inv_enc(sub(x2, x1)))
-    x3 = sub(mul(lam, lam), add(add(c2, x1), x2))
-    return x3, sub(mul(lam, sub(x1, x3)), y1)
+    def completed_add(x1, y1, x2, y2):
+        if x1 is None:
+            return x2, y2
+        if x2 is None:
+            return x1, y1
+        if x1 == x2:
+            if y1 != y2 or not y1:
+                return None, None
+            lam = mul(add(mul(add(mul(three, x1), add(c2, c2)), x1), c4), inv(add(y1, y1)))
+        else:
+            lam = mul(sub(y2, y1), inv(sub(x2, x1)))
+        x3 = sub(mul(lam, lam), add(add(c2, x1), x2))
+        return x3, sub(mul(lam, sub(x1, x3)), y1)
+    return completed_add
 
 
 def completed_add_block(c2: int, c4: int, p: int, x1, y1, xs: list, ys: list, ny: int):

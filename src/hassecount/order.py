@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import partial
 from math import gcd, isqrt
 
-from .curve import Curve, Point, completed_add, completed_add_block
+from .curve import Curve, Point, completed_add_block
 from .errors import IncompatibleCongruence, InternalInvariantError
 from .integers import factorize
 
@@ -92,15 +92,14 @@ class OpCounter:
 def _scalar_mul_adds(n: int) -> int:
     """Logical group operations charged for Curve.scalar_mul(n, .): for
     n != 0 the bit_length - 1 doublings and one add per set bit (the first
-    onto infinity) of binary double-and-add on |n|, and none for n = 0.  A
-    fixed charge, not a count of add_points calls: only characteristic 2
-    runs the chain through add_points."""
+    onto infinity) of binary double-and-add on |n|, and none for n = 0: a
+    fixed charge, the same for the Jacobian and the affine chain."""
     return n.bit_length() - 1 + n.bit_count() if n else 0
 
 
-# most additions that share one field inversion; prime fields only (elsewhere
-# one completed_add or add_points per step: in the log model an inversion is
-# one table lookup, so blocks only add work)
+# most additions that share one field inversion; odd prime fields only
+# (elsewhere one add of Curve.affine_model per step: in the log model an
+# inversion is one table lookup, so blocks only add work)
 _BLOCK_CAP = 32
 
 
@@ -125,20 +124,19 @@ def bsgs_annihilator(
 
     Both walks add blocks of multiples (step, 2*step, ..., b*step) to their
     last term, b doubling up to _BLOCK_CAP and to the terms left (the baby
-    terms are their own multiples).  Odd characteristic walks the points
-    (x, y') of the completed square (Curve.to_completed): over prime fields
-    a block is one completed_add_block with one inversion, and a giant
-    step's y' is computed only for a block's last term and when its x is in
-    the baby table; the odd extension fields step one completed_add at a
-    time, char 2 one add_points on the long form.  The points are scanned
-    in the order of stepping one add at a time, so the same m is returned,
-    and ops.adds counts the logical group operations of that stepping: the
-    baby steps, the scalar multiplications (three, or two when M = 1) and
-    the giant steps up to the match.  The adds really computed exceed it by
-    the giant-step multiples and the rest of the block that holds the match:
-    fewer than 2*_BLOCK_CAP per call.  Measured on random curves,
-    unrestricted: +12% at q = 65537, +17% at 10^6, +2% at 10^12+39; under
-    the congruences count_points passes: +11%, +17% and +3%.
+    terms are their own multiples), on the bare (x, y) of the curve's affine
+    model (Curve.affine_model), matched with its neg.  Over odd prime fields a
+    block is one completed_add_block with one inversion, and a giant step's y
+    is computed only for a block's last term and when its x is in the baby
+    table; every other field steps the model's add one term at a time.  The
+    points are scanned in the order of stepping one add at a time, so the same
+    m is returned, and ops.adds counts the logical group operations of that
+    stepping: the baby steps, the scalar multiplications (three, or two when
+    M = 1) and the giant steps up to the match.  The adds really computed
+    exceed it by the giant-step multiples and the rest of the block that holds
+    the match: fewer than 2*_BLOCK_CAP per call.  Measured on random curves,
+    unrestricted: +12% at q = 65537, +17% at 10^6, +2% at 10^12+39; under the
+    congruences count_points passes: +11%, +17% and +3%.
     """
     interval = hasse_interval(curve.spec.q)
     if pt.x is None:
@@ -154,35 +152,27 @@ def bsgs_annihilator(
     s = max(2, isqrt(span // 2) + 1)
     spec = curve.spec
     p = spec.p
+    coords, add, neg = curve.affine_model()[:3]
     top = spec.q + 1 - t_min  # the candidate annihilator for u is top - mod*u
     base = pt  # Q
     if mod > 1:
         base = curve.scalar_mul(mod, pt)
         ops.adds += _scalar_mul_adds(mod)
 
-    if spec.char2:  # encodings, one add_points per step
-        cap, coords = 1, lambda r: (r.x, r.y)
+    if spec.k == 1 and p > 2:  # odd prime field: residue blocks, one inversion each
+        cap, add_block = _BLOCK_CAP, partial(completed_add_block, *curve.completed_model()[:2], p)
+    else:  # one add per step
+        cap = 1
 
         def add_block(x1, y1, xs, ys, ny):
-            r = curve.add_points(Point(curve, x1, y1), Point(curve, xs[0], ys[0]))
-            return [r.x], [r.y], None
-    else:  # (x, y') on the completed square
-        coords = curve.to_completed
-        c2, c4 = curve.completed_model()[:2]
-        if spec.k == 1:  # bare residues, blocks with one inversion each
-            cap, add_block = _BLOCK_CAP, partial(completed_add_block, c2, c4, p)
-        else:  # one completed_add per step
-            cap = 1
-
-            def add_block(x1, y1, xs, ys, ny):
-                x, y = completed_add(spec, c2, c4, x1, y1, xs[0], ys[0])
-                return [x], [y], None
+            x, y = add(x1, y1, xs[0], ys[0])
+            return [x], [y], None
 
     # baby steps j*Q at index j of xs, ys; table: x -> the least j.  Another
     # j' < s with that x has j'*Q = -j*Q, so the order of Q divides j + j' <
     # 2s - 2 and each multiple of Q is infinity or +-i*Q with i < s: the first
     # giant step then matches through the least j, or no giant step ever does
-    x, y = coords(base)
+    x, y = coords(curve, base)
     xs, ys = [None, x], [None, y]
     j = 1 if x is None else 0  # the first j with j*Q = infinity, if any
     while not j and len(xs) < s:
@@ -212,9 +202,9 @@ def bsgs_annihilator(
     r0 = curve.scalar_mul(top - mod * c, pt)
     step = curve.negate(curve.scalar_mul(stride, base))
     ops.adds += _scalar_mul_adds(top - mod * c) + _scalar_mul_adds(stride)
-    x, y = coords(step)
+    x, y = coords(curve, step)
     mx, my = [x], [y]  # i*step at index i - 1
-    x, y = coords(r0)
+    x, y = coords(curve, r0)
     gx, gy, lams = [x], [y], None  # a block of terms, last + i*step
     n = span // stride + 1
     done = 0
@@ -231,8 +221,7 @@ def bsgs_annihilator(
                 j = table[x]
                 if y == ys[j] and 0 <= c + j <= span:
                     return top - mod * (c + j)
-                yneg = y ^ spec.mul_enc(curve.a1, x) ^ curve.a3 if spec.char2 else spec.neg_enc(y)
-                if yneg == ys[j] and 0 <= c - j <= span:
+                if neg(x, y) == ys[j] and 0 <= c - j <= span:
                     return top - mod * (c - j)
             c += stride
             ops.adds += 1

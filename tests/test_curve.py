@@ -126,10 +126,12 @@ def test_add_points_matches_reference(q):
                 assert (None if r.is_infinity else (r.x, r.y)) == reference_add(e, a, b)
 
 
-@pytest.mark.parametrize("q", [2, 3, 5, 7])
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 4, 8, 16])
 def test_add_points_small_primes_every_pair(q):
-    """add_points, on the FieldSpec kernels, against the reference on every
-    pair of points over F_2, F_3, F_5 and F_7."""
+    """add_points (long_add on the FieldSpec kernels) against the reference
+    on every pair of points over F_2, F_3, F_5 and F_7, and over F_4, F_8
+    and F_16, where the list gives supersingular (a1 = 0) and ordinary
+    curves: doubling, P + (-P) and 2-torsion included."""
     spec = ff.spec_for_q(q)
     for coeffs in [(1, 0, 1, 0, 1), (0, 0, 1, 1, 0), (1, 1, 0, 0, 1), (0, 1, 0, 1, 1), (0, 0, 0, 1, 1)]:
         try:
@@ -162,17 +164,17 @@ def scalar_mul_panel(q):
 
 @pytest.mark.parametrize("q", [3, 5, 9, 25, 27])
 def test_completed_add_matches_add_points(q):
-    """completed_add, mapped through the completed square (to_completed,
-    from_completed), against add_points on every pair of points, with
-    doubling, P + (-P), doubling a 2-torsion point and infinity operands
-    all among them."""
+    """completed_law's add, mapped through the completed square
+    (to_completed, from_completed), against add_points on every pair of
+    points, with doubling, P + (-P), doubling a 2-torsion point and
+    infinity operands all among them."""
     seen = set()
     for e in scalar_mul_panel(q):
-        c2, c4 = e.completed_model()[:2]
+        add = cv.completed_law(e.spec, *e.completed_model()[:2])
         pts = cv.enumerate_points(e)
         for a in pts:
             for b in pts:
-                r = cv.completed_add(e.spec, c2, c4, *e.to_completed(a), *e.to_completed(b))
+                r = add(*e.to_completed(a), *e.to_completed(b))
                 assert e.from_completed(*r) == e.add_points(a, b), (e, a, b)
                 if a.is_infinity or b.is_infinity:
                     seen.add("infinity")
@@ -186,9 +188,10 @@ def test_completed_add_matches_add_points(q):
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9, 11, 13, 25, 27, 49, 101])
 def test_scalar_mul_matches_repeated_adds(q, monkeypatch):
     """n*P for every point and every n in [-2N-1, 2N+1], N = #E, equals n
-    repeated adds of P (or of -P): the Jacobian chain in F_p, p > 3, the
-    completed-square chain, which never calls add_points, in F_3 and the odd
-    extension fields, and the add_points chain in characteristic 2."""
+    repeated adds of P (or of -P): the Jacobian chain in F_p, p > 3, and
+    the affine chain on the curve's model everywhere else (the completed
+    square in F_3 and the odd extension fields, the long form through
+    long_add in characteristic 2).  Neither chain calls add_points."""
     curves = scalar_mul_panel(q)
     spec = ff.spec_for_q(q)
     if spec.k != 1 or q == 3 or q == 2:
@@ -206,8 +209,7 @@ def test_scalar_mul_matches_repeated_adds(q, monkeypatch):
                     acc = e.add_points(acc, step)
                 expected.append((p, sign, row))
         with monkeypatch.context() as m:
-            if not spec.char2 and (spec.k != 1 or q == 3):
-                m.setattr(cv.Curve, "add_points", lambda *a: pytest.fail("add_points in scalar_mul"))
+            m.setattr(cv.Curve, "add_points", lambda *a: pytest.fail("add_points in scalar_mul"))
             for p, sign, row in expected:
                 for n, r in enumerate(row):
                     assert e.scalar_mul(sign * n, p) == r, (e, p, sign * n)
