@@ -9,10 +9,14 @@ The result is verified against three fresh points before being returned, so
 the output is correct independently of the random choices.
 
 Each sample's BSGS searches only the traces the count still admits: the
-loop's congruence merged with a prior from the 2-torsion (t mod 2, or mod 4
-when the 2-division cubic splits), in odd prime fields above _PRIOR_MIN_Q.
-The search only gets cheaper: the exact order, and so the congruence, the
-samples drawn and the result, are those of the unrestricted search.
+loop's congruence merged with priors from Schoof's first steps in odd prime
+fields.  Above _PRIOR_MIN_Q the 2-torsion gives t mod 2, or mod 4 when the
+2-division cubic splits; above _PRIOR3_MIN_Q the 3-torsion adds t mod 3,
+always for p = 1 (mod 3) and for p = 2 (mod 3) when t = 0 (mod 3), from the
+roots of the 3-division polynomial.  Each cuts the search by about the root
+of its modulus.  The search only gets cheaper: the exact order, and so the
+congruence, the samples drawn and the result, are those of the unrestricted
+search.
 """
 
 from __future__ import annotations
@@ -28,8 +32,10 @@ from .curve import (
     enumerate_points,
     quadratic_twist,
     random_point,
+    short_model,
 )
 from .errors import ExcludedField, FieldTooLarge, InternalInvariantError, IterationCapExceeded
+from .finite_field import _poly_gcd
 from .order import (
     Congruence,
     bsgs_annihilator,
@@ -54,6 +60,13 @@ _SAMPLE_CAP = 64
 # at q <= 1009, breaks even to within 1.5% from 3001 to 10^5 and saves 4% at
 # 10^6 and 24% at 10^12 (CHANGES.md has the table).
 _PRIOR_MIN_Q = 10_000
+
+# Prime fields above this size also search under the 3-torsion prior.  Per
+# count_points call it costs 1-10% more than it saves from 10^6 to 10^8,
+# breaks even to within 1% at 10^9 and 2*10^9, and saves 7% (p = 1 mod 3)
+# and 1% (p = 2 mod 3) at 4*10^9, 9% and 5% at 10^10 and 20% and 7% at
+# 10^12 (CHANGES.md has the table).
+_PRIOR3_MIN_Q = 1 << 32
 
 Method = Literal["exhaustive", "point_order"]
 
@@ -112,7 +125,11 @@ def _count_by_point_orders(
     q = curve.spec.q
     twist = quadratic_twist(curve)
     cong = Congruence(0, 1)
-    prior = _two_torsion_prior(curve) if curve.spec.k == 1 and q > _PRIOR_MIN_Q else cong
+    prior = cong
+    if curve.spec.k == 1 and q > _PRIOR_MIN_Q:
+        prior = _two_torsion_prior(curve)
+        if q > _PRIOR3_MIN_Q:
+            prior = crt_merge(prior, _three_torsion_prior(curve))
     qp1 = q + 1
     samples = 0
     while samples < _SAMPLE_CAP:
@@ -177,6 +194,68 @@ def _two_torsion_prior(curve: Curve) -> Congruence:
     if (r0, r1, r2) == (0, 1, 0):
         return Congruence((p + 1) % 4, 4)
     return Congruence(p % 2, 2)
+
+
+def _three_torsion_prior(curve: Curve) -> Congruence:
+    """The trace congruence that Frobenius on E[3] fixes, over F_p, p > 3.
+
+    The roots of the 3-division polynomial psi_3 are the x of the four lines
+    of E[3], and one is in F_p exactly when Frobenius, with characteristic
+    polynomial X^2 - tX + p (mod 3) on E[3], fixes its line: Schoof's l = 3
+    step, deg g for g = gcd(x^p - x, psi_3).  For p = 1 (mod 3), deg g = 0
+    means t = 0 (mod 3); otherwise deg g is 1 or 4 and every such line has
+    the same eigenvalue, +1 when f(x0) is a square for the roots x0 of g
+    (t = 2 mod 3) and -1 when not (t = 1 mod 3).  For p = 2 (mod 3), deg g =
+    2 means t = 0 and deg g = 0 leaves t = +-1, no single congruence.
+    """
+    p = curve.spec.p
+    is_square = curve.spec.is_square_enc
+    _, a, b = short_model(*curve.completed_model()[:3], p)
+    # on y^2 = f(x) = x^3 + a x + b: psi_3 / 3 = x^4 + e2 x^2 + e1 x + e0, psi = (e0, e1, e2)
+    psi = (-a * a * pow(3, -1, p) % p, 4 * b % p, 2 * a % p)
+    r = _x_power_mod(p, *psi, p)
+    if r == (0, 1, 0, 0):
+        g = [*psi, 0, 1]
+    else:
+        g = _poly_gcd([*psi, 0, 1], [r[0], (r[1] - 1) % p, r[2], r[3]], p)
+    deg = len(g) - 1
+    if p % 3 == 2 and deg in (0, 2):
+        return Congruence(0, 3) if deg else Congruence(0, 1)
+    if p % 3 == 1 and deg in (0, 1, 4):
+        if deg == 0:
+            return Congruence(0, 3)
+        if deg == 1:
+            x0 = -g[0] * pow(g[1], -1, p) % p
+            square = is_square((x0 * x0 * x0 + a * x0 + b) % p)
+        elif a == 0:  # x0 = 0 is a root
+            square = is_square(b)
+        else:
+            # doubling a root x0 gives x0 again, so (3 x0^2 + a)^2 = 12 x0 f(x0):
+            # f(x0) has the character of 3 x0, one constant x^((p-1)/2) mod psi_3
+            c = _x_power_mod((p - 1) // 2, *psi, p)
+            if c[1:] != (0, 0, 0) or c[0] not in (1, p - 1):
+                raise InternalInvariantError(f"x^((p-1)/2) mod psi_3 is {c}, not +-1")
+            square = (c[0] == 1) == is_square(3)
+        return Congruence(2, 3) if square else Congruence(1, 3)
+    raise InternalInvariantError(f"gcd(x^p - x, psi_3) has degree {deg} over F_{p}")
+
+
+def _x_power_mod(n: int, e0: int, e1: int, e2: int, p: int) -> tuple[int, int, int, int]:
+    """(r0, r1, r2, r3) with r0 + r1 x + r2 x^2 + r3 x^3 = x^n (n >= 1) modulo
+    x^4 + e2 x^2 + e1 x + e0 over F_p: square, then multiply by x on a set bit."""
+    r0, r1, r2, r3 = 0, 1, 0, 0
+    for bit in bin(n)[3:]:
+        d6 = r3 * r3 % p
+        d5 = 2 * r2 * r3 % p
+        d4 = (r2 * r2 + 2 * r1 * r3 - e2 * d6) % p
+        d3 = 2 * (r0 * r3 + r1 * r2) - e1 * d6 - e2 * d5
+        d2 = r1 * r1 + 2 * r0 * r2 - e0 * d6 - e1 * d5 - e2 * d4
+        r1 = (2 * r0 * r1 - e0 * d5 - e1 * d4) % p
+        r0 = (r0 * r0 - e0 * d4) % p
+        r2, r3 = d2 % p, d3 % p
+        if bit == "1":  # x^4 = -e2 x^2 - e1 x - e0
+            r0, r1, r2, r3 = -e0 * r3 % p, (r0 - e1 * r3) % p, (r1 - e2 * r3) % p, r2
+    return r0, r1, r2, r3
 
 
 def _verify_count(curve: Curve, count: int, rng: random.Random) -> None:

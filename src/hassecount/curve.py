@@ -13,10 +13,11 @@ Points for the API.  The loops that carry the traffic step on one affine
 model per curve (Curve.affine_model): characteristic 2 on the long form
 through long_add, odd characteristic on the completed square y^2 = x^3 +
 c2 x^2 + c4 x + c6 (Curve.completed_model, a1 = a3 = 0) through
-completed_law, and over odd prime fields completed_add_block adds blocks of
-residues with one inversion per block.  scalar_mul maps a point in once and
-the result back once; for p > 3 its chain runs in Jacobian coordinates, one
-inversion per multiplication.  Points are returned affine, on the long form.
+completed_law; over odd prime fields the walks add on that square with
+completed_add_block instead, blocks of residues with one inversion each.
+scalar_mul maps a point in once and the result back once; for p > 3 its
+chain runs in Jacobian coordinates, one inversion per multiplication.
+Points are returned affine, on the long form.
 """
 
 from __future__ import annotations
@@ -168,7 +169,8 @@ class Curve:
         (x, y), None for infinity.  to(curve, P) and back(curve, x, y) map a
         Point in and out; add(x1, y1, x2, y2); neg(x, y), the y of -(x, y).
         Characteristic 2: the long form (long_add, y + a1 x + a3); odd: the
-        completed square (completed_law, -y).  Built once, refers to no curve."""
+        completed square (completed_law, -y).  Built on first use, refers to
+        no curve; the walks over prime fields with p > 3 never need it."""
         if self._model is None:
             s = self.spec
             if s.char2:
@@ -274,14 +276,20 @@ def _jacobian_double(x: int, y: int, z: int, a: int, p: int) -> tuple[int, int, 
     return x3, (m * (s - x3) - 8 * yy * yy) % p, 2 * y * z % p
 
 
+def short_model(c2: int, c4: int, c6: int, p: int) -> tuple[int, int, int]:
+    """(s, a, b) with s = c2/3: x' = x + s takes the completed square y^2 =
+    x^3 + c2 x^2 + c4 x + c6 over F_p, p > 3, to y^2 = x'^3 + a x' + b."""
+    s = c2 * ((-p % 3 * p + 1) // 3) % p  # c2/3: (-p % 3) * p = -1 (mod 3)
+    return s, (c4 - c2 * s) % p, ((c2 - s) * s * s - c4 * s + c6) % p
+
+
 def _jacobian_mul(n: int, xb: int, yb: int, c2: int, c4: int, p: int) -> tuple:
     """n*(xb, yb) for n >= 1 on the completed square over F_p, p > 3, as
     (x, y), (None, None) for infinity.  Left-to-right double-and-add on the
-    shifted square y^2 = x'^3 + a x' + b, x' = x + c2/3, in Jacobian
-    coordinates (x', y) = (X/Z^2, Y/Z^3), Z = 0 for infinity, adding the
-    affine base by mixed additions: one inversion, for the way out."""
-    sx = c2 * ((-p % 3 * p + 1) // 3) % p  # c2/3: (-p % 3) * p = -1 (mod 3)
-    a = (c4 - c2 * sx) % p
+    shifted square y^2 = x'^3 + a x' + b, x' = x + c2/3 (short_model), in
+    Jacobian coordinates (x', y) = (X/Z^2, Y/Z^3), Z = 0 for infinity, adding
+    the affine base by mixed additions: one inversion, for the way out."""
+    sx, a, _ = short_model(c2, c4, 0, p)
     xb = (xb + sx) % p
     x, y, z = xb, yb, 1
     for bit in bin(n)[3:]:

@@ -124,11 +124,12 @@ def bsgs_annihilator(
 
     Both walks add blocks of multiples (step, 2*step, ..., b*step) to their
     last term, b doubling up to _BLOCK_CAP and to the terms left (the baby
-    terms are their own multiples), on the bare (x, y) of the curve's affine
-    model (Curve.affine_model), matched with its neg.  Over odd prime fields a
-    block is one completed_add_block with one inversion, and a giant step's y
-    is computed only for a block's last term and when its x is in the baby
-    table; every other field steps the model's add one term at a time.  The
+    terms are their own multiples), on bare (x, y).  Over odd prime fields
+    these lie on the completed square (Curve.to_completed, -(x, y) = (x, -y)),
+    a block is one completed_add_block with one inversion, and a giant step's
+    y is computed only for a block's last term and when its x is in the baby
+    table; every other field steps the add of the curve's affine model
+    (Curve.affine_model) one term at a time, matched with its neg.  The
     points are scanned in the order of stepping one add at a time, so the same
     m is returned, and ops.adds counts the logical group operations of that
     stepping: the baby steps, the scalar multiplications (three, or two when
@@ -152,7 +153,6 @@ def bsgs_annihilator(
     s = max(2, isqrt(span // 2) + 1)
     spec = curve.spec
     p = spec.p
-    coords, add, neg = curve.affine_model()[:3]
     top = spec.q + 1 - t_min  # the candidate annihilator for u is top - mod*u
     base = pt  # Q
     if mod > 1:
@@ -160,8 +160,10 @@ def bsgs_annihilator(
         ops.adds += _scalar_mul_adds(mod)
 
     if spec.k == 1 and p > 2:  # odd prime field: residue blocks, one inversion each
+        coords, neg = Curve.to_completed, lambda x, y: -y % p
         cap, add_block = _BLOCK_CAP, partial(completed_add_block, *curve.completed_model()[:2], p)
-    else:  # one add per step
+    else:  # one add of the affine model per step
+        coords, add, neg = curve.affine_model()[:3]
         cap = 1
 
         def add_block(x1, y1, xs, ys, ny):

@@ -10,6 +10,7 @@ from hassecount import order as od
 from hassecount.errors import ExcludedField, FieldTooLarge, SingularCurve
 from hassecount.integers import is_prime, prime_powers
 from hassecount.order import Congruence, hasse_interval
+from hassecount.selftest import cm_panel
 from hassecount.sweep import sample_random_curve
 
 
@@ -239,6 +240,91 @@ def test_two_torsion_prior_supersingular_families(p):
     assert ct.count_points(e, "point_order", random.Random(1)).count == p3 + 1
 
 
+# --- the 3-torsion prior --------------------------------------------------------------
+
+def psi3_roots(p, a4, a6):
+    """The x in F_p with psi_3(x) = 3x^4 + 6 a4 x^2 + 12 a6 x - a4^2 = 0, by trial."""
+    return sum((3 * x**4 + 6 * a4 * x * x + 12 * a6 * x - a4 * a4) % p == 0 for x in range(p))
+
+
+@pytest.mark.parametrize("p,degrees", [(61, {0, 1, 4}), (67, {0, 1, 4}), (59, {0, 2})])
+def test_three_torsion_prior_every_short_curve(p, degrees):
+    """Every short curve against t from count_exhaustive.  The roots of psi_3
+    in F_p, counted by trial, give deg gcd(x^p - x, psi_3); every degree the
+    residue class of p allows is reached (four roots both with a4 = 0, where
+    x = 0 is one, and without), and only p = 2 (mod 3) without a root leaves
+    t mod 3 open.  3 is a square mod 61 and not mod 67."""
+    spec = ff.make_spec(p)
+    seen, four_roots = set(), set()
+    for a4 in range(p):
+        for a6 in range(p):
+            try:
+                e = cv.Curve(spec, 0, 0, 0, a4, a6)
+            except SingularCurve:
+                continue
+            prior = ct._three_torsion_prior(e)
+            t = p + 1 - cv.count_exhaustive(e)
+            deg = psi3_roots(p, a4, a6)
+            seen.add(deg)
+            if deg == 4:
+                four_roots.add(a4 == 0)
+            assert prior.m == (1 if p % 3 == 2 and deg == 0 else 3), (a4, a6)
+            assert t % prior.m == prior.a, (a4, a6)
+    assert seen == degrees
+    assert four_roots == ({True, False} if 4 in degrees else set())
+
+
+def test_three_torsion_prior_full_three_torsion():
+    """At p = 61, y^2 = x^3 + 5 and y^2 = x^3 + 2 have all of E[3] rational on
+    E or on E' (four roots of psi_3, t = 2 resp. 1 mod 3 as Frobenius is +1 resp.
+    -1 on E[3])."""
+    spec = ff.make_spec(61)
+    for b, a in ((5, 2), (2, 1)):
+        e = cv.Curve(spec, 0, 0, 0, 0, b)
+        assert psi3_roots(61, 0, b) == 4
+        assert ct._three_torsion_prior(e) == Congruence(a, 3)
+        assert (62 - cv.count_exhaustive(e)) % 3 == a
+
+
+@pytest.mark.parametrize("p", [1009, 1013])
+def test_three_torsion_prior_long_form(p):
+    spec = ff.make_spec(p)
+    rng = random.Random(p)
+    seen = set()
+    for _ in range(200):
+        e = sample_random_curve(spec, rng)
+        prior = ct._three_torsion_prior(e)
+        assert (p + 1 - cv.count_exhaustive(e)) % prior.m == prior.a
+        seen.add(prior)
+    if p % 3 == 1:
+        assert seen == {Congruence(a, 3) for a in range(3)}
+    else:
+        assert seen == {Congruence(0, 1), Congruence(0, 3)}
+
+
+@pytest.mark.parametrize("p", [10**12 + 39, 2**61 - 1])
+def test_three_torsion_prior_supersingular_families(p):
+    """t = 0 on y^2 = x^3 + a x (p = 3 mod 4): with p = 1 (mod 3) Frobenius
+    fixes no line of E[3].  At the next p = 11 (mod 12) y^2 = x^3 + b has t = 0
+    too, and with p = 2 (mod 3) only the two eigenlines give t = 0 (mod 3)."""
+    spec = ff.make_spec(p)
+    assert p % 12 == 7
+    for a in range(1, 20):
+        assert ct._three_torsion_prior(cv.Curve(spec, 0, 0, 0, a, 0)) == Congruence(0, 3)
+    spec11 = ff.make_spec(next_supersingular_prime(p))
+    for b in range(1, 20):
+        assert ct._three_torsion_prior(cv.Curve(spec11, 0, 0, 0, 0, b)) == Congruence(0, 3)
+
+
+@pytest.mark.parametrize("bits,residue", [(40, r) for r in (1, 5, 7, 11)] + [(61, 1), (61, 11)])
+def test_three_torsion_prior_on_cm_panel(bits, residue):
+    for e, traces in cm_panel(bits, residue, random.Random(bits * 12 + residue + 3)):
+        prior = ct._three_torsion_prior(e)
+        res = ct.count_points(e, "point_order", random.Random(bits))
+        assert res.trace in traces
+        assert res.trace % prior.m == prior.a
+
+
 def record_searches(monkeypatch, adds, restricted=True):
     """Route counting's BSGS calls through a recorder of their logical adds;
     with restricted=False the congruence is dropped and every trace searched."""
@@ -278,3 +364,19 @@ def test_two_torsion_prior_cuts_bsgs_work(monkeypatch):
         for i, e in enumerate(curves):
             ct.count_points(e, "point_order", random.Random(i))
     assert sum(with_prior) / len(with_prior) <= 0.75 * sum(without) / len(without)
+
+
+def test_three_torsion_prior_cuts_bsgs_work(monkeypatch):
+    """Deterministic budget at 10^12+39 (p = 1 mod 3, so t mod 3 is always
+    known): both priors cut the mean logical BSGS adds per call to at most
+    0.7 of the search under the 2-torsion prior alone (sqrt(1/3) = 0.58)."""
+    spec = ff.make_spec(10**12 + 39)
+    rng = random.Random(12)
+    curves = [sample_random_curve(spec, rng) for _ in range(20)]
+    both, two_only = [], []
+    for adds, min_q in ((both, ct._PRIOR3_MIN_Q), (two_only, 1 << 62)):
+        monkeypatch.setattr(ct, "_PRIOR3_MIN_Q", min_q)
+        record_searches(monkeypatch, adds)
+        for i, e in enumerate(curves):
+            ct.count_points(e, "point_order", random.Random(i))
+    assert sum(both) / len(both) <= 0.7 * sum(two_only) / len(two_only)
