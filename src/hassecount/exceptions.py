@@ -71,9 +71,18 @@ def enumerate_exceptions(
     chosen reading's divisibility filters (see COROLLARY_READINGS); any other
     reading raises ValueError, whatever q and corollary are.
     """
+    _check_reading(reading)
+    split_prime_power(q)  # raises NotPrimePower for bad q
+    return _enumerate(q, corollary, reading)
+
+
+def _check_reading(reading: str) -> None:
     if reading not in COROLLARY_READINGS:
         raise ValueError(f"unknown corollary reading {reading!r}")
-    split_prime_power(q)  # raises NotPrimePower for bad q
+
+
+def _enumerate(q: int, corollary: bool, reading: str) -> list[ExceptionRecord]:
+    """enumerate_exceptions for a prime power q and a known reading."""
     tb = isqrt(4 * q)
     lo, hi = mn_bounds(q)
     qp1 = q + 1
@@ -115,11 +124,8 @@ def exceptional_q_set(
     """Prime powers q <= q_max with at least one exception quadruple."""
     if q_max < 2:
         raise ValueError("q_max must be >= 2")
-    out = set()
-    for q in prime_powers(q_max):
-        if enumerate_exceptions(q, corollary=corollary, reading=reading):
-            out.add(q)
-    return out
+    _check_reading(reading)
+    return {q for q in prime_powers(q_max) if _enumerate(q, corollary, reading)}
 
 
 def parity_filter(records: list[ExceptionRecord]) -> list[ExceptionRecord]:

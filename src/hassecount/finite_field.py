@@ -7,7 +7,10 @@ format.  The default modulus for an extension field is the monic irreducible
 polynomial of degree k with the smallest canonical encoding, so every field
 model is reproducible from (p, k) alone.
 
-There are three field models:
+There are four field models, and FieldSpec picks one when it is built and
+binds that model's kernel set (add_enc, sub_enc, neg_enc, mul_enc, inv_enc,
+pow_enc, is_square_enc, sqrt_enc) as closures over its modulus or tables, so
+no kernel tests which model it is in:
 
   * prime fields (k = 1) compute directly mod p;
   * extension fields up to 2^20 elements build, with the spec, an antilog
@@ -19,7 +22,14 @@ There are three field models:
     O(q k^2).  The tables are 4-byte arrays, exp and Zech of 2(q-1) entries
     so that sums of logs need no reduction: 12 MB at 2^20, and about
     20q bytes in odd characteristic;
-  * larger extension fields use polynomial arithmetic per operation.
+  * larger extension fields of characteristic 2 compute on the encoding as
+    a bit vector: XOR, carry-less shift-and-XOR products folded back by the
+    modulus, and inverses by the binary extended Euclidean algorithm
+    (Hankerson, Menezes and Vanstone, Guide to Elliptic Curve Cryptography,
+    section 2.3);
+  * larger extension fields of odd characteristic use polynomial arithmetic
+    on digit lists per operation, with inverses by the extended Euclidean
+    algorithm (von zur Gathen and Gerhard, Modern Computer Algebra, ch. 3).
 
 Field sizes are supported up to MAX_Q = 2^62; make_spec and spec_for_q raise
 FieldTooLarge above it.
@@ -38,6 +48,7 @@ from __future__ import annotations
 import operator
 import random
 from array import array
+from functools import partial
 
 import numpy as np
 
@@ -138,6 +149,287 @@ def _poly_powmod(a: list[int], e: int, mod: list[int], p: int) -> list[int]:
     return result
 
 
+def _encode(coeffs: list[int], p: int) -> int:
+    enc = 0
+    for c in reversed(coeffs):
+        enc = enc * p + c
+    return enc
+
+
+# ---------------------------------------------------------------------------
+# kernel sets, one per field model
+# ---------------------------------------------------------------------------
+# Each builder returns (add, sub, neg, mul, inv, pow, is_square, sqrt) on
+# encodings, as closures over the model's modulus or tables; FieldSpec binds
+# them once, so no kernel tests which model it is in.
+
+def _poly_mul(p: int, k: int, mod, a: int, b: int) -> int:
+    return _encode(_poly_mulmod(digits(a, p, k), digits(b, p, k), mod, p), p)
+
+
+def _poly_pow(p: int, k: int, mod, a: int, e: int) -> int:
+    if e < 0:
+        raise ValueError("negative exponent")
+    return _encode(_poly_powmod(digits(a, p, k), e, mod, p), p)
+
+
+def _poly_inv(p: int, k: int, mod, a: int) -> int:
+    """a^(-1) by the extended Euclidean algorithm on digit lists.  Each
+    remainder r_i is s_i a modulo the modulus (r_0 = modulus, s_0 = 0; r_1 =
+    a, s_1 = 1); the modulus is irreducible, so the last nonzero remainder
+    is a constant c and a^(-1) = s / c."""
+    if a == 0:
+        raise ZeroDivisionError("inverse of zero")
+    r0, r1 = list(mod), _poly_trim(digits(a, p, k))
+    s0, s1 = [], [1]
+    while len(r1) > 1:
+        lead_inv = pow(r1[-1], -1, p)
+        n1 = len(r1) - 1
+        while len(r0) > n1:  # r0 -= c x^shift r1, s0 -= c x^shift s1
+            c = r0.pop() * lead_inv % p
+            shift = len(r0) - n1
+            for j in range(n1):
+                r0[shift + j] = (r0[shift + j] - c * r1[j]) % p
+            _poly_trim(r0)
+            if len(s0) < shift + len(s1):
+                s0 += [0] * (shift + len(s1) - len(s0))
+            for j, v in enumerate(s1):
+                s0[shift + j] = (s0[shift + j] - c * v) % p
+        r0, r1, s0, s1 = r1, r0, _poly_trim(s1), _poly_trim(s0)
+    c = pow(r1[0], -1, p)
+    return _encode([x * c % p for x in s1], p)
+
+
+def _sqrt_by_powers(q: int, mul, pow_, is_square, neg, nonsquare):
+    """sqrt_enc on a model's kernels, for odd q and q = 2: the smaller of the
+    two roots, a^((q+1)/4) when q = 3 (mod 4), else by Tonelli-Shanks, which
+    calls nonsquare() for the smallest non-square only when a^m != 1 (q - 1
+    = 2^e m, m odd), so never over F_2."""
+    m, e = q - 1, 0
+    while not m & 1:
+        m >>= 1
+        e += 1
+
+    def sqrt(a: int) -> int:
+        if a == 0:
+            return 0
+        if not is_square(a):
+            raise NotASquare(f"encoding {a} is not a square in F_{q}")
+        if e == 1:
+            s = pow_(a, (q + 1) // 4)
+        else:  # Tonelli-Shanks
+            s = pow_(a, (m + 1) // 2)
+            b = pow_(a, m)
+            g, r = None, e
+            while b != 1:
+                if g is None:
+                    g = pow_(nonsquare(), m)
+                t, m2 = b, 0
+                while t != 1:
+                    t = mul(t, t)
+                    m2 += 1
+                w = g
+                for _ in range(r - m2 - 1):
+                    w = mul(w, w)
+                g = mul(w, w)
+                s = mul(s, w)
+                b = mul(b, g)
+                r = m2
+        return min(s, neg(s))
+
+    return sqrt
+
+
+def _prime_kernels(p: int, nonsquare):
+    """F_p: every kernel one or two operations mod p."""
+
+    def add(a, b):
+        return (a + b) % p
+
+    def sub(a, b):
+        return (a - b) % p
+
+    def neg(a):
+        return -a % p
+
+    def mul(a, b):
+        return a * b % p
+
+    def inv(a):
+        if a == 0:
+            raise ZeroDivisionError("inverse of zero")
+        return pow(a, -1, p)
+
+    def pow_(a, e):
+        if e < 0:
+            raise ValueError("negative exponent")
+        return pow(a, e, p)
+
+    half = (p - 1) // 2
+
+    def is_square(a):  # Euler's criterion; every element of F_2
+        return a == 0 or pow(a, half, p) == 1
+
+    return add, sub, neg, mul, inv, pow_, is_square, _sqrt_by_powers(p, mul, pow_, is_square, neg, nonsquare)
+
+
+def _log_kernels(exp, log, zech, q: int):
+    """Log model: a * b = exp[log a + log b], and a + b = a XOR b in
+    characteristic 2 (zech None), else exp[log a + Z(log b - log a)].  exp
+    and zech have 2(q-1) entries, so sums of two logs need no reduction, and
+    a negative index into zech wraps, as it has period q-1."""
+    n = q - 1
+    half = n // 2  # log(-1) in odd characteristic
+
+    def mul(a, b):
+        return exp[log[a] + log[b]] if a and b else 0
+
+    def inv(a):
+        if a == 0:
+            raise ZeroDivisionError("inverse of zero")
+        return exp[n - log[a]]
+
+    def pow_(a, e):
+        if e < 0:
+            raise ValueError("negative exponent")
+        if not a:
+            return 0 if e else 1
+        return exp[log[a] * e % n]
+
+    if zech is None:
+        def sqrt(a):  # q-1 is odd: halve log a or log a + q-1
+            if a == 0:
+                return 0
+            la = log[a]
+            return exp[(la + (la & 1) * n) >> 1]
+
+        return operator.xor, operator.xor, _identity, mul, inv, pow_, _all_squares, sqrt
+
+    def add(a, b):
+        if a and b:
+            la = log[a]
+            z = zech[log[b] - la]  # a + b = alpha^la (1 + alpha^(lb - la))
+            return exp[la + z] if z >= 0 else 0
+        return a or b
+
+    def sub(a, b):
+        if not b:
+            return a
+        lb = log[b] + half  # log(-b)
+        if not a:
+            return exp[lb]
+        la = log[a]
+        z = zech[lb - la]
+        return exp[la + z] if z >= 0 else 0
+
+    def neg(a):
+        return exp[log[a] + half] if a else 0
+
+    def is_square(a):  # log[0] = 0: zero counts as a square
+        return not log[a] & 1
+
+    def sqrt(a):
+        if a == 0:
+            return 0
+        la = log[a]
+        if la & 1:
+            raise NotASquare(f"encoding {a} is not a square in F_{q}")
+        return min(exp[la >> 1], exp[(la >> 1) + half])
+
+    return add, sub, neg, mul, inv, pow_, is_square, sqrt
+
+
+def _poly_kernels(p: int, k: int, mod: tuple[int, ...], nonsquare):
+    """Odd characteristic above the table limit: digit-list polynomial
+    arithmetic per operation, inversion by extended Euclid."""
+
+    def add(a, b):
+        return _encode([(x + y) % p for x, y in zip(digits(a, p, k), digits(b, p, k))], p)
+
+    def neg(a):
+        return _encode([-x % p for x in digits(a, p, k)], p)
+
+    def sub(a, b):
+        return add(a, neg(b))
+
+    mul = partial(_poly_mul, p, k, mod)
+    pow_ = partial(_poly_pow, p, k, mod)
+    half = (p**k - 1) // 2
+
+    def is_square(a):  # Euler's criterion
+        return a == 0 or pow_(a, half) == 1
+
+    return (add, sub, neg, mul, partial(_poly_inv, p, k, mod), pow_, is_square,
+            _sqrt_by_powers(p**k, mul, pow_, is_square, neg, nonsquare))
+
+
+def _char2_poly_kernels(mod: tuple[int, ...]):
+    """Characteristic 2 above the table limit: an encoding is the bit vector
+    of its polynomial, so addition is XOR, multiplication is carry-less
+    shift-and-XOR and inversion is the binary extended Euclidean algorithm
+    (Hankerson, Menezes and Vanstone, Guide to ECC, alg. 2.48)."""
+    k = len(mod) - 1
+    f = _encode(list(mod), 2)
+    low = (1 << k) - 1
+    tail = [j for j in range(k) if mod[j]]  # x^k = sum of x^j over the tail
+
+    def mul(a, b):
+        # t[w] = w * b for each 4-bit window w; a is read 4 bits at a time
+        b2, b4, b8 = b << 1, b << 2, b << 3
+        t = (0, b, b2, b2 ^ b, b4, b4 ^ b, b4 ^ b2, b4 ^ b2 ^ b)
+        t += tuple(w ^ b8 for w in t)
+        r = s = 0
+        while a:
+            r ^= t[a & 15] << s
+            a >>= 4
+            s += 4
+        while r >> k:  # fold the bits from x^k up back by the tail
+            high = r >> k
+            r &= low
+            for j in tail:
+                r ^= high << j
+        return r
+
+    def inv(a):  # a g1 = u and a g2 = v modulo f throughout
+        if a == 0:
+            raise ZeroDivisionError("inverse of zero")
+        u, v, g1, g2 = a, f, 1, 0
+        while u != 1:
+            j = u.bit_length() - v.bit_length()
+            if j < 0:
+                u, v, g1, g2 = v, u, g2, g1
+                j = -j
+            u ^= v << j
+            g1 ^= g2 << j
+        return g1
+
+    def pow_(a, e):
+        if e < 0:
+            raise ValueError("negative exponent")
+        r = 1
+        while e:
+            if e & 1:
+                r = mul(r, a)
+            a = mul(a, a)
+            e >>= 1
+        return r
+
+    def sqrt(a):  # Frobenius is bijective: the unique root is a^(2^(k-1))
+        for _ in range(k - 1):
+            a = mul(a, a)
+        return a
+
+    return operator.xor, operator.xor, _identity, mul, inv, pow_, _all_squares, sqrt
+
+
+def _identity(a: int) -> int:  # negation in characteristic 2
+    return a
+
+
+def _all_squares(a: int) -> bool:  # is_square in characteristic 2
+    return True
+
+
 def _times_fixed(encs: np.ndarray, images: np.ndarray, p: int) -> np.ndarray:
     """Encodings of e * beta for an array of encodings e.  Multiplication by
     a fixed beta is F_p-linear on digit vectors: images[j] holds the digits
@@ -236,14 +528,14 @@ class FieldSpec:
         self._exp = None
         self._log = None
         self._zech = None
-        self._half = (self.q - 1) // 2  # log(-1) in odd characteristic
-        if self.char2:  # trace_enc and artin_enc read these
-            self.trace_mask, self._artin_rows = _char2_maps(modulus)
+        # char 2: read by trace_enc and artin_enc
+        self.trace_mask, self._artin_rows = _char2_maps(modulus) if self.char2 else (None, None)
         # lazy caches
         self._chi = None  # quadratic character by encoding: -1/0/1 (odd q)
         self._nonsquare = None  # smallest non-square encoding (odd q)
         if 1 < k and self.q <= _LOG_LIMIT:
             self._build_log_tables()
+        self._bind_kernels()
 
     # -- construction of elements ------------------------------------------------
 
@@ -272,145 +564,40 @@ class FieldSpec:
         return FieldElement(self, 1 % self.q)
 
     def encode(self, coeffs) -> int:
-        enc = 0
-        for c in reversed(list(coeffs)):
-            enc = enc * self.p + c
-        return enc
+        return _encode(list(coeffs), self.p)
 
     def decode(self, enc: int) -> tuple[int, ...]:
         return tuple(digits(enc, self.p, self.k))
 
     # -- encoded arithmetic kernels ----------------------------------------------
-    # Each kernel has three models: prime (k == 1), log tables (k > 1,
-    # q <= 2^20), polynomial arithmetic (k > 1, q > 2^20).
-
-    def add_enc(self, a: int, b: int) -> int:
-        if self.k == 1:
-            return (a + b) % self.p
-        if self.char2:
-            return a ^ b
-        zech = self._zech
-        if zech is None:
-            return self.encode((x + y) % self.p for x, y in zip(self.decode(a), self.decode(b)))
-        if a and b:
-            # a + b = alpha^la (1 + alpha^(lb - la)); a negative index wraps,
-            # and zech has period q-1
-            log = self._log
-            la = log[a]
-            z = zech[log[b] - la]
-            return self._exp[la + z] if z >= 0 else 0
-        return a or b
-
-    def sub_enc(self, a: int, b: int) -> int:
-        if self.k == 1:
-            return (a - b) % self.p
-        if self._zech is None:
-            return self.add_enc(a, self.neg_enc(b))
-        if not b:
-            return a
-        log = self._log
-        lb = log[b] + self._half  # log(-b)
-        if not a:
-            return self._exp[lb]
-        la = log[a]
-        z = self._zech[lb - la]
-        return self._exp[la + z] if z >= 0 else 0
-
-    def neg_enc(self, a: int) -> int:
-        if self.k == 1:
-            return (-a) % self.p
-        if self.char2 or not a:
-            return a
-        if self._log is None:
-            return self.encode((-x) % self.p for x in self.decode(a))
-        return self._exp[self._log[a] + self._half]
+    # __init__ binds the kernels of the spec's field model on the instance:
+    # add_enc, sub_enc, neg_enc, mul_enc, inv_enc, pow_enc, is_square_enc and
+    # sqrt_enc, all on encodings.  The methods below are the generic
+    # digit-list polynomial model, correct in every field; the bound kernels
+    # shadow them, and _generator runs on them before the log tables exist.
 
     def mul_enc(self, a: int, b: int) -> int:
-        if self.k == 1:
-            return a * b % self.p
-        log = self._log
-        if log is None:
-            return self.encode(_poly_mulmod(list(self.decode(a)), list(self.decode(b)), list(self.modulus), self.p))
-        if a and b:
-            return self._exp[log[a] + log[b]]
-        return 0
+        return _poly_mul(self.p, self.k, self.modulus, a, b)
 
     def pow_enc(self, a: int, e: int) -> int:
-        if e < 0:
-            raise ValueError("negative exponent")
-        if self.k == 1:
-            return pow(a, e, self.p)
-        if self._log is not None:
-            if not a:
-                return 0 if e else 1
-            return self._exp[self._log[a] * e % (self.q - 1)]
-        return self.encode(_poly_powmod(list(self.decode(a)), e, list(self.modulus), self.p))
+        return _poly_pow(self.p, self.k, self.modulus, a, e)
 
     def inv_enc(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
+        return _poly_inv(self.p, self.k, self.modulus, a)
+
+    def _bind_kernels(self):
+        """Choose the field model once and bind its kernel set, the same
+        names in the same order for every model."""
         if self.k == 1:
-            return pow(a, -1, self.p)
-        if self._log is not None:
-            return self._exp[self.q - 1 - self._log[a]]
-        return self.pow_enc(a, self.q - 2)
-
-    def is_square_enc(self, a: int) -> bool:
-        if a == 0 or self.char2:
-            return True
-        if self._log is not None:
-            return not self._log[a] & 1
-        return self.pow_enc(a, (self.q - 1) // 2) == 1
-
-    def sqrt_enc(self, a: int) -> int:
-        q = self.q
-        if a == 0:
-            return 0
-        log = self._log
-        if self.char2:
-            if log is not None:
-                la = log[a]  # q-1 is odd: halve la or la + q-1
-                return self._exp[(la + (la & 1) * (q - 1)) >> 1]
-            # Frobenius is bijective: the unique root is a^(2^(k-1)).
-            s = a
-            for _ in range(self.k - 1):
-                s = self.mul_enc(s, s)
-            return s
-        if not self.is_square_enc(a):
-            raise NotASquare(f"encoding {a} is not a square in F_{q}")
-        if log is not None:
-            s = self._exp[log[a] >> 1]
-        elif q % 4 == 3:
-            s = self.pow_enc(a, (q + 1) // 4)
+            kernels = _prime_kernels(self.p, self.smallest_nonsquare)
+        elif self._log is not None:
+            kernels = _log_kernels(self._exp, self._log, self._zech, self.q)
+        elif self.char2:
+            kernels = _char2_poly_kernels(self.modulus)
         else:
-            s = self._tonelli_shanks(a)
-        return min(s, self.neg_enc(s))
-
-    def _tonelli_shanks(self, a: int) -> int:
-        q = self.q
-        m = q - 1
-        e = 0
-        while m % 2 == 0:
-            m //= 2
-            e += 1
-        g = self.pow_enc(self.smallest_nonsquare(), m)
-        x = self.pow_enc(a, (m + 1) // 2)
-        b = self.pow_enc(a, m)
-        r = e
-        while b != 1:
-            t = b
-            m2 = 0
-            while t != 1:
-                t = self.mul_enc(t, t)
-                m2 += 1
-            w = g
-            for _ in range(r - m2 - 1):
-                w = self.mul_enc(w, w)
-            g = self.mul_enc(w, w)
-            x = self.mul_enc(x, w)
-            b = self.mul_enc(b, g)
-            r = m2
-        return x
+            kernels = _poly_kernels(self.p, self.k, self.modulus, self.smallest_nonsquare)
+        (self.add_enc, self.sub_enc, self.neg_enc, self.mul_enc, self.inv_enc,
+         self.pow_enc, self.is_square_enc, self.sqrt_enc) = kernels
 
     def smallest_nonsquare(self) -> int:
         """Encoding of the non-square of smallest encoding (odd q)."""
@@ -448,8 +635,8 @@ class FieldSpec:
 
     def _generator(self) -> int:
         """Encoding of the smallest generator of F_q* (q >= 3).  The log model
-        calls this before its tables exist, so there it runs on polynomial
-        arithmetic."""
+        calls this before its tables exist and its kernels are bound, so there
+        it runs on the generic digit-list methods."""
         if self._primitive is None:
             n = self.q - 1
             cofactors = [n // ell for ell in sorted(set(factorize(n)))]
@@ -499,9 +686,8 @@ class FieldSpec:
                 # 1 + alpha^i adds 1 to the lowest digit, mod p
                 block = powers[s:s + _BUILD_CHUNK]
                 zech[s:s + len(block)] = log[block - block % p + (block + 1) % p]
-            zech[self._half] = -1  # 1 + alpha^i = 0 exactly at alpha^i = -1
+            zech[n // 2] = -1  # 1 + alpha^i = 0 exactly at alpha^i = -1
             zech[n:] = zech[:n]
-        # the kernels leave polynomial arithmetic once the tables are set
         self._exp, self._log, self._zech = exp_table, log_table, zech_table
 
     def chi_table(self):
@@ -539,7 +725,7 @@ class FieldSpec:
 def _operator(kernel, reflected: bool = False):
     """A FieldElement operator: coerce the other operand, apply
     kernel(spec, a, b) with a = self (b = self when reflected), wrap.  The
-    kernels look the spec's methods up on each call."""
+    lambdas below look the spec's kernels up on each call."""
 
     def op(self, other):
         b = self._coerce(other)

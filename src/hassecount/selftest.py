@@ -4,8 +4,9 @@ Each check returns (name, ok, detail).  The full run certifies the headline
 results (the exceptional sets over q <= 2^20, Table 1, the q=49 ambiguity)
 and then stress-tests counting against the exhaustive oracle across prime
 powers up to 1024, and against the supersingular and CM trace sets over
-primes up to 2^62; --fast stops the exceptional sets at 2^16, trims the
-field ranges to desk scale and skips the large primes.
+primes up to 2^62 and the Weil recurrence over large extension fields;
+--fast stops the exceptional sets at 2^16, trims the field ranges to desk
+scale and skips the large fields.
 """
 
 from __future__ import annotations
@@ -99,6 +100,16 @@ def cm_oracle_check(bit_sizes, seed: int) -> tuple[bool, str]:
                     return False, f"trace {res.trace} of {e!r} not in {sorted(traces)}"
                 n += 1
     return True, f"{n} curves over primes of {list(bit_sizes)} bits match their CM traces"
+
+
+def weil_count(p: int, k: int, coeffs) -> int:
+    """#E(F_{p^k}) for a curve with F_p coefficients: t_1 from an exhaustive
+    count over F_p, then t_j = t_1 t_{j-1} - p t_{j-2} with t_0 = 2."""
+    t1 = p + 1 - count_exhaustive(Curve(make_spec(p), *coeffs))
+    t = [2, t1]
+    for _ in range(k - 1):
+        t.append(t1 * t[-1] - p * t[-2])
+    return p**k + 1 - t[k]
 
 
 def _check(name: str, fn) -> CheckResult:
@@ -228,5 +239,17 @@ def run_selftest(fast: bool = False) -> list[CheckResult]:
 
         results.append(_check("bsgs-scaling", bsgs_scaling))
         results.append(_check("cm-traces-large-primes", lambda: cm_oracle_check((20, 32, 48, 61, 62), 61)))
+
+        def weil_large_extensions():
+            # far past the log-table limit, on the polynomial models: a
+            # Koblitz curve near the top of the range, and an odd field
+            panel = ((2, 61, (1, 0, 0, 0, 1)), (5, 26, (0, 0, 0, 1, 2)))
+            for p, k, coeffs in panel:
+                got = count_points(Curve(make_spec(p, k), *coeffs), "point_order", random.Random(1)).count
+                if got != weil_count(p, k, coeffs):
+                    return False, f"{coeffs} over F_{p}^{k}: {got} points, Weil recurrence disagrees"
+            return True, "point-order counts match the Weil recurrence over F_2^61, F_5^26"
+
+        results.append(_check("weil-large-extensions", weil_large_extensions))
 
     return results

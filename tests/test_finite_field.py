@@ -384,7 +384,9 @@ def test_kernels_every_element(q):
                 spec.sqrt_enc(a)
 
 
-@pytest.mark.parametrize("q", [2187, 3**8, 5**5, 2**16, 3**12, 2**20])
+@pytest.mark.parametrize(
+    "q", [10007, 10**12 + 39, 2187, 3**8, 5**5, 2**16, 3**12, 2**20, 2**21, 2**24, 2**40, 2**61]
+)
 def test_kernels_random_pairs(q):
     spec = ff.spec_for_q(q)
     ref = PolyRef(spec)
@@ -467,7 +469,7 @@ def test_no_log_tables_above_2_20(q):
         assert s == min(a, ref.neg(a))
 
 
-@pytest.mark.parametrize("k", [21, 24])
+@pytest.mark.parametrize("k", [21, 24, 40, 61])
 def test_char2_sqrt_polynomial_model(k):
     spec = ff.make_spec(2, k)
     assert spec._log is None
@@ -478,3 +480,54 @@ def test_char2_sqrt_polynomial_model(k):
         s = spec.sqrt_enc(a)
         assert ref.mul(s, s) == a
         assert spec.sqrt_enc(ref.mul(a, a)) == a  # squaring is a bijection
+
+
+@pytest.mark.parametrize("p,k", [(3, 13), (3, 20), (5, 26), (3, 39)])
+def test_polynomial_inverse_by_euclid(p, k):
+    spec = ff.make_spec(p, k)
+    assert spec._log is None
+    ref = PolyRef(spec)
+    rng = random.Random(p**k)
+    samples = [1, p - 1, p, spec.q - 1] + [rng.randrange(1, spec.q) for _ in range(40)]
+    for i, a in enumerate(samples):
+        inv = spec.inv_enc(a)
+        assert ref.mul(a, inv) == 1
+        if i < 6:
+            assert inv == ref.pow(a, spec.q - 2)  # Fermat
+    with pytest.raises(ZeroDivisionError):
+        spec.inv_enc(0)
+
+
+# One (p, k) per field model: prime, odd log/Zech, char-2 log, odd and char-2
+# polynomial.
+MODEL_FIELDS = [(10007, 1), (2, 1), (3, 7), (2, 10), (3, 13), (2, 24)]
+KERNELS = ("add_enc", "sub_enc", "neg_enc", "mul_enc", "inv_enc", "pow_enc", "is_square_enc", "sqrt_enc")
+
+
+def test_generic_methods_stay_on_the_class():
+    # the traced benchmark counts calls through these two class attributes
+    assert "mul_enc" in vars(ff.FieldSpec) and "inv_enc" in vars(ff.FieldSpec)
+    # every model binds the same kernel names in the same order
+    orders = {tuple(n for n in vars(ff.make_spec(p, k)) if n.endswith("_enc")) for p, k in MODEL_FIELDS}
+    assert orders == {KERNELS}
+
+
+@pytest.mark.parametrize("p,k", MODEL_FIELDS)
+def test_cached_and_fresh_specs_agree(p, k):
+    cached = ff.make_spec(p, k)
+    fresh = ff.FieldSpec(p, k, cached.modulus)
+    assert fresh is not cached and list(vars(fresh)) == list(vars(cached))
+    rng = random.Random(p + k)
+    for _ in range(200):
+        a, b = rng.randrange(1, cached.q) if cached.q > 2 else 1, rng.randrange(cached.q)
+        for name in ("add_enc", "sub_enc", "mul_enc"):
+            assert getattr(fresh, name)(a, b) == getattr(cached, name)(a, b)
+        assert fresh.pow_enc(a, b) == cached.pow_enc(a, b)
+        for name in ("neg_enc", "inv_enc", "is_square_enc"):
+            assert getattr(fresh, name)(a) == getattr(cached, name)(a)
+        square = cached.mul_enc(a, a)
+        assert fresh.sqrt_enc(square) == cached.sqrt_enc(square)
+        # the generic digit-list methods agree with every model's kernels
+        assert ff.FieldSpec.mul_enc(cached, a, b) == cached.mul_enc(a, b)
+        assert ff.FieldSpec.inv_enc(cached, a) == cached.inv_enc(a)
+        assert ff.FieldSpec.pow_enc(cached, a, 5) == cached.pow_enc(a, 5)

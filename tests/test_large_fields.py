@@ -29,6 +29,7 @@ from hassecount.curve import (
 from hassecount.finite_field import make_spec, spec_for_q
 from hassecount.integers import prime_powers
 from hassecount.order import hasse_interval
+from hassecount.selftest import weil_count
 
 COEFFS = (2, 3, 5, 7, 11)  # nonsingular and ordinary over each field below
 
@@ -167,16 +168,6 @@ def test_supersingular_char2_twist_f65536(capsys):
     assert out["count"] + count_exhaustive(twist) == 2 * (q + 1)
 
 
-def _weil_count(p, k, coeffs):
-    """#E(F_{p^k}) for a curve with F_p coefficients: t_1 from an exhaustive
-    count over F_p, then t_j = t_1 t_{j-1} - p t_{j-2} with t_0 = 2."""
-    t1 = p + 1 - count_exhaustive(Curve(make_spec(p), *coeffs))
-    t = [2, t1]
-    for _ in range(k - 1):
-        t.append(t1 * t[-1] - p * t[-2])
-    return p**k + 1 - t[k]
-
-
 @pytest.mark.parametrize(
     "p,k,coeffs,count",
     [
@@ -185,25 +176,26 @@ def _weil_count(p, k, coeffs):
         (7, 7, (0, 0, 0, 3, 1), 824052),
         (2, 16, (1, 0, 0, 0, 1), 65088),
         (3, 13, (1, 0, 0, 2, 1), 1595883),  # polynomial arithmetic past 2^20
+        (3, 20, (1, 0, 0, 2, 1), 3486676875),
     ],
 )
 def test_point_order_matches_weil_recurrence(p, k, coeffs, count):
-    assert _weil_count(p, k, coeffs) == count
+    assert weil_count(p, k, coeffs) == count
     e = Curve(spec_for_q(p**k), *coeffs)
     assert count_points(e, "point_order", random.Random(k)).count == count
 
 
 def test_exhaustive_matches_weil_recurrence_f6561():
     coeffs = (1, 0, 0, 2, 1)
-    assert count_exhaustive(Curve(spec_for_q(3**8), *coeffs)) == _weil_count(3, 8, coeffs)
+    assert count_exhaustive(Curve(spec_for_q(3**8), *coeffs)) == weil_count(3, 8, coeffs)
 
 
-@pytest.mark.parametrize("k", [17, 20, 21, 24])
+@pytest.mark.parametrize("k", [17, 20, 21, 24, 40])
 @pytest.mark.parametrize("a2", [0, 1])
 def test_koblitz_count_past_2_16(k, a2):
     coeffs = (1, a2, 0, 0, 1)
     e = Curve(spec_for_q(2**k), *coeffs)
-    assert count_points(e, "point_order", random.Random(k)).count == _weil_count(2, k, coeffs)
+    assert count_points(e, "point_order", random.Random(k)).count == weil_count(2, k, coeffs)
 
 
 def test_cli_count_koblitz_2_20(capsys):
