@@ -293,7 +293,12 @@ def _jacobian_mul(n: int, xb: int, yb: int, c2: int, c4: int, p: int) -> tuple:
     xb = (xb + sx) % p
     x, y, z = xb, yb, 1
     for bit in bin(n)[3:]:
-        x, y, z = _jacobian_double(x, y, z, a, p)
+        yy = y * y % p  # doubling, as in _jacobian_double
+        s = 4 * x * yy % p
+        zz = z * z % p
+        m = (3 * x * x + a * zz * zz) % p
+        x = (m * m - 2 * s) % p
+        y, z = (m * (s - x) - 8 * yy * yy) % p, 2 * y * z % p
         if bit == "0":
             continue
         if z == 0:

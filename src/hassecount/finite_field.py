@@ -202,9 +202,11 @@ def _poly_inv(p: int, k: int, mod, a: int) -> int:
 
 def _sqrt_by_powers(q: int, mul, pow_, is_square, neg, nonsquare):
     """sqrt_enc on a model's kernels, for odd q and q = 2: the smaller of the
-    two roots, a^((q+1)/4) when q = 3 (mod 4), else by Tonelli-Shanks, which
-    calls nonsquare() for the smallest non-square only when a^m != 1 (q - 1
-    = 2^e m, m odd), so never over F_2."""
+    two roots.  When q = 3 (mod 4) it is s = a^((q+1)/4), and a is a square
+    exactly when s^2 = a, so one exponentiation both finds and checks the
+    root; else Euler's criterion, then Tonelli-Shanks, which calls
+    nonsquare() for the smallest non-square only when a^m != 1 (q - 1 = 2^e
+    m, m odd), so never over F_2."""
     m, e = q - 1, 0
     while not m & 1:
         m >>= 1
@@ -213,10 +215,12 @@ def _sqrt_by_powers(q: int, mul, pow_, is_square, neg, nonsquare):
     def sqrt(a: int) -> int:
         if a == 0:
             return 0
-        if not is_square(a):
-            raise NotASquare(f"encoding {a} is not a square in F_{q}")
         if e == 1:
             s = pow_(a, (q + 1) // 4)
+            if mul(s, s) != a:
+                raise NotASquare(f"encoding {a} is not a square in F_{q}")
+        elif not is_square(a):
+            raise NotASquare(f"encoding {a} is not a square in F_{q}")
         else:  # Tonelli-Shanks
             s = pow_(a, (m + 1) // 2)
             b = pow_(a, m)

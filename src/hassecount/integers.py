@@ -2,10 +2,10 @@
 
 `is_prime` is deterministic Miller-Rabin with the 13 primes 2..41 as bases,
 exact below 3317044064679887385961981 (Sorenson and Webster, Math. Comp. 2017)
-and refusing larger n.  `factorize` trial-divides by the odd f < 1000 and
-splits a larger composite cofactor by Brent's variant of Pollard rho (Brent,
-BIT 20, 1980).  Field sizes stop at 2^62, so every annihilator
-q + 1 + 2 sqrt(q) stays below `factorize`'s 2^63 guard.
+and refusing larger n.  `factorize` trial-divides by the primes below 1000,
+sieved once at import, and splits a larger composite cofactor by Brent's
+variant of Pollard rho (Brent, BIT 20, 1980).  Field sizes stop at 2^62, so
+every annihilator q + 1 + 2 sqrt(q) stays below `factorize`'s 2^63 guard.
 """
 
 from itertools import count
@@ -14,7 +14,6 @@ from math import gcd, isqrt
 from .errors import NotPrimePower
 
 _FACTOR_LIMIT = 1 << 63
-_TRIAL_LIMIT = 1000  # factorize's trial divisors are below this
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3317044064679887385961981  # least strong pseudoprime to every base above
 _RHO_BATCH = 128  # rho steps per gcd
@@ -62,6 +61,9 @@ def sieve_primes(limit: int) -> list[int]:
         if flags[p]:
             flags[p * p :: p] = bytearray(len(flags[p * p :: p]))
     return [i for i in range(limit + 1) if flags[i]]
+
+
+_TRIAL_PRIMES = tuple(sieve_primes(1000))  # factorize's trial divisors
 
 
 def prime_powers(limit: int) -> list[int]:
@@ -141,24 +143,22 @@ def _large_prime_factors(n: int) -> list[int]:
 def factorize(n: int) -> list[int]:
     """Prime factors of n with multiplicity, ascending.
 
-    Trial division by 2 and the odd f < 1000; a cofactor left past that is
-    prime below 10^6 and otherwise Miller-Rabin prime or split by rho.
-    Guarded to n < 2^63.
+    Trial division by the primes below 1000, stopping once p^2 > n, when
+    what is left is 1 or prime; a cofactor with no prime factor below 1000
+    is Miller-Rabin prime or split by rho.  Guarded to n < 2^63.
     """
     if not 1 <= n < _FACTOR_LIMIT:
         raise ValueError(f"factorize requires 1 <= n < 2^63, got {n}")
     out = []
-    while n % 2 == 0:
-        out.append(2)
-        n //= 2
-    f = 3
-    while f * f <= n:
-        if f > _TRIAL_LIMIT:
+    for p in _TRIAL_PRIMES:
+        if p * p > n:
+            break
+        while n % p == 0:
+            out.append(p)
+            n //= p
+    else:
+        if n > 1:
             return out + sorted(_large_prime_factors(n))
-        while n % f == 0:
-            out.append(f)
-            n //= f
-        f += 2
     if n > 1:
         out.append(n)
     return out

@@ -2,6 +2,12 @@
 integer machinery (CRT merging, trace-candidate logic) the counting engine
 builds on.
 
+BSGS finds a multiple m of the order of P; exact_order then strips m down
+to the order on a balanced product tree over the prime powers of m
+(Sutherland, Order computations in generic groups, MIT thesis 2007, ch. 7),
+for about (ceil(log2 w) + 1) * bitlen(m) bits of scalar multiplication with
+w distinct primes in m, not one full-length multiplication per prime.
+
 The search can be restricted to the traces of one congruence t = a (mod M):
 it then walks multiples of Q = M*P over the about 4*sqrt(q)/M admissible
 traces, which cuts its group operations by about sqrt(M) (Shanks-Mestre;
@@ -14,9 +20,10 @@ precisely where the interesting supersingular curves live.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import partial
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 from .curve import Curve, Point, completed_add_block
 from .errors import IncompatibleCongruence, InternalInvariantError
@@ -240,16 +247,49 @@ def bsgs_annihilator(
 
 
 def exact_order(curve: Curve, pt: Point, annihilator: int) -> int:
-    """The exact order of P, given any multiple of it that kills P."""
+    """The exact order of P, given any multiple m of it that kills P.
+
+    m is factored once into prime powers l^e, which label the leaves of a
+    balanced product tree (Sutherland, Order computations in generic groups,
+    MIT thesis 2007, ch. 7).  A node labelled S holds Q = (m / prod S)*P,
+    so the root holds P itself.  A node whose Q is infinity returns 1;
+    otherwise it splits S into halves A and B and returns the product of
+    the orders found below (prod B)*Q with A and (prod A)*Q with B.  A leaf
+    l^e multiplies Q by l until it reaches infinity, at most e times.
+
+    At a leaf l^e*Q is m*P, so the first leaf reached checks that m kills
+    P (a node with Q = infinity shows it too), and each later leaf skips its
+    last multiplication by l.  The multipliers of one level of the tree
+    multiply to at most m, so the work is at most (ceil(log2 w) + 1) *
+    bitlen(m) + sum e*bitlen(l) bits of scalar multiplication for w distinct
+    primes, where trying m / l on P for each prime costs at least w + 1
+    full-length multiplications, the check of m*P included.
+    """
     if annihilator < 1:
         raise ValueError("annihilator must be positive")
-    if not curve.scalar_mul(annihilator, pt).is_infinity:
+    killed = False  # m*P = infinity is known
+
+    def order(q: Point, s: list[tuple[int, int]]) -> int:
+        nonlocal killed
+        if q.x is None:
+            killed = True
+            return 1
+        if len(s) > 1:
+            a, b = s[:len(s) // 2], s[len(s) // 2:]
+            return (order(curve.scalar_mul(prod(ell**e for ell, e in b), q), a)
+                    * order(curve.scalar_mul(prod(ell**e for ell, e in a), q), b))
+        if s:
+            (ell, e), = s
+            for k in range(1, e + 1):
+                if killed and k == e:
+                    return ell**e  # l^e*Q = m*P = infinity
+                q = curve.scalar_mul(ell, q)
+                if q.x is None:
+                    killed = True
+                    return ell**k
         raise ValueError("claimed annihilator does not kill the point")
-    n = annihilator
-    for ell in sorted(set(factorize(annihilator))):
-        while n % ell == 0 and curve.scalar_mul(n // ell, pt).is_infinity:
-            n //= ell
-    return n
+
+    return order(pt, list(Counter(factorize(annihilator)).items()))  # ascending l
 
 
 # ---------------------------------------------------------------------------

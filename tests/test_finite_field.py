@@ -198,6 +198,36 @@ def test_tonelli_shanks_q_1_mod_4():
             assert s == min(s, (13 - s) % 13)
 
 
+@pytest.mark.parametrize("p,k", [(10**12 + 39, 1), (2**61 - 1, 1), (3, 13)])
+def test_sqrt_q_3_mod_4_checks_its_root(p, k):
+    """q = 3 (mod 4) takes a^((q+1)/4) and checks its square, with no
+    separate Euler test: every non-square raises NotASquare, and every
+    square gets the smaller of its two roots (prime fields and the odd
+    polynomial model above 2^20)."""
+    spec = ff.make_spec(p, k)
+    q = spec.q
+    assert q % 4 == 3
+    rng = random.Random(q)
+    kinds = set()
+    for _ in range(60):
+        a = rng.randrange(1, q)
+        sq = spec.mul_enc(a, a)
+        r = spec.sqrt_enc(sq)
+        assert spec.mul_enc(r, r) == sq and r == min(r, spec.neg_enc(r))
+        b = rng.randrange(1, q)
+        if spec.is_square_enc(b):
+            kinds.add("square")
+            r = spec.sqrt_enc(b)
+            assert spec.mul_enc(r, r) == b
+        else:
+            kinds.add("non-square")
+            with pytest.raises(NotASquare):
+                spec.sqrt_enc(b)
+    with pytest.raises(NotASquare):
+        spec.sqrt_enc(spec.smallest_nonsquare())
+    assert kinds == {"square", "non-square"}
+
+
 # --- primitive elements / trace / randomness --------------------------------------
 
 def test_primitive_element_frozen():

@@ -67,9 +67,34 @@ def test_factorize_matches_trial_division():
         assert factorize(n) == trial_division(n), n
 
 
+def naive_factors(n):
+    """Prime factors of n with multiplicity, by trial division by every d >= 2."""
+    out, d = [], 2
+    while d * d <= n:
+        while n % d == 0:
+            out.append(d)
+            n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def test_factorize_matches_naive_below_2e5():
+    for n in range(1, 200_000):
+        assert factorize(n) == naive_factors(n), n
+
+
 @pytest.mark.parametrize(
     "n,expected",
     [
+        (997**2, [997, 997]),  # the largest trial prime, squared
+        (997 * 1009, [997, 1009]),  # one factor on each side of the trial limit
+        (1009**2, [1009, 1009]),  # no trial divisor: split by rho
+        (1000003 * 1000033, [1000003, 1000033]),
+        (2**61 - 1, [2**61 - 1]),
+        (3**39, [3] * 39),
+        (2**63 - 1, [7, 7, 73, 127, 337, 92737, 649657]),  # the largest n the guard admits
         (M31 * M31, [M31, M31]),
         (M31 * (2**31 - 19), [2**31 - 19, M31]),
         (2**62, [2] * 62),

@@ -567,6 +567,101 @@ def test_exact_order_vs_brute_force(q):
                 assert not e.scalar_mul(fast // ell, p).is_infinity
 
 
+def brute_order(e, p):
+    acc, n = p, 1
+    while not acc.is_infinity:
+        acc = e.add_points(acc, p)
+        n += 1
+    return n
+
+
+def test_exact_order_of_one():
+    """m = 1 has no prime powers: it is the order of infinity and kills no
+    other point."""
+    spec = ff.make_spec(5)
+    e = cv.Curve(spec, 0, 0, 0, 1, 0)
+    assert od.exact_order(e, e.infinity(), 1) == 1
+    with pytest.raises(ValueError, match="claimed annihilator does not kill the point"):
+        od.exact_order(e, e.point(0, 0), 1)
+
+
+@pytest.mark.parametrize("q", [1009, 243])
+def test_exact_order_tree_many_primes_and_high_powers(q):
+    """Multiples of the true order with four to seven distinct primes, and
+    with prime powers l^e, e >= 3, in both scalar-multiplication chains."""
+    spec = ff.spec_for_q(q)
+    rng = random.Random(q + 7)
+    extras = [2 * 3 * 5 * 7, 3**4 * 11 * 13 * 17, 2**5 * 3**3 * 5**3 * 7 * 19 * 23, 29**3, 1]
+    checked = 0
+    for _ in range(6):
+        e = sample_random_curve(spec, rng)
+        for _ in range(4):
+            p = cv.random_point(e, rng)
+            n = brute_order(e, p)
+            for c in extras:
+                assert od.exact_order(e, p, n * c) == n
+                checked += 1
+    assert checked == 6 * 4 * len(extras)
+
+
+def test_exact_order_bad_annihilators():
+    """A multiple of the order missing one of its primes, and one with the
+    exponent of a prime one too small, both raise the same error, however
+    many other primes the claimed annihilator carries."""
+    spec = ff.make_spec(1009)
+    rng = random.Random(1)
+    seen = set()
+    for _ in range(40):
+        e = sample_random_curve(spec, rng)
+        p = cv.random_point(e, rng)
+        n = brute_order(e, p)
+        f = factorize(n)
+        for ell in set(f):
+            kind = "exponent" if f.count(ell) > 1 else "missing"
+            for c in (1, 3 * 5 * 7 * 11 * 13, 2**4 * 17**3):
+                m = n // ell * c
+                if m % n:
+                    seen.add(kind)
+                    with pytest.raises(ValueError, match="^claimed annihilator does not kill the point$"):
+                        od.exact_order(e, p, m)
+    assert seen == {"exponent", "missing"}
+
+
+def test_exact_order_work_bound(monkeypatch):
+    """Bits of scalar multiplication, counted by wrapping Curve.scalar_mul,
+    stay within (ceil(log2 w) + 1)*bitlen(m) + sum e*bitlen(l) for m with
+    w distinct primes l^e: the product tree's bound, which one full-length
+    multiplication per prime (m / l tried on P) exceeds."""
+    spec = ff.make_spec(10**12 + 39)
+    rng = random.Random(20)
+    bits = []
+    inner = cv.Curve.scalar_mul
+
+    def counting_mul(self, n, pt):
+        bits.append(abs(n).bit_length())
+        return inner(self, n, pt)
+
+    cases = 0
+    for _ in range(8):
+        e = sample_random_curve(spec, rng)
+        n = count_points(e, "point_order", random.Random(0)).count
+        for c in (1, 2 * 3 * 5 * 7, 11**3 * 13):
+            m = n * c
+            powers = {ell: factorize(m).count(ell) for ell in set(factorize(m))}
+            w = len(powers)
+            bound = ((w - 1).bit_length() + 1) * m.bit_length() + sum(
+                k * ell.bit_length() for ell, k in powers.items())
+            p = cv.random_point(e, rng)
+            expected = od.exact_order(e, p, m)
+            bits.clear()
+            monkeypatch.setattr(cv.Curve, "scalar_mul", counting_mul)
+            assert od.exact_order(e, p, m) == expected
+            monkeypatch.setattr(cv.Curve, "scalar_mul", inner)
+            assert 0 < sum(bits) <= bound, (m, bits, bound)
+            cases += 1
+    assert cases == 24
+
+
 # --- congruences ------------------------------------------------------------------
 
 def test_crt_examples():
