@@ -581,7 +581,7 @@ def test_exact_order_of_one():
     spec = ff.make_spec(5)
     e = cv.Curve(spec, 0, 0, 0, 1, 0)
     assert od.exact_order(e, e.infinity(), 1) == 1
-    with pytest.raises(ValueError, match="claimed annihilator does not kill the point"):
+    with pytest.raises(ValueError, match="^claimed annihilator does not kill the point$"):
         od.exact_order(e, e.point(0, 0), 1)
 
 
@@ -592,7 +592,6 @@ def test_exact_order_tree_many_primes_and_high_powers(q):
     spec = ff.spec_for_q(q)
     rng = random.Random(q + 7)
     extras = [2 * 3 * 5 * 7, 3**4 * 11 * 13 * 17, 2**5 * 3**3 * 5**3 * 7 * 19 * 23, 29**3, 1]
-    checked = 0
     for _ in range(6):
         e = sample_random_curve(spec, rng)
         for _ in range(4):
@@ -600,8 +599,6 @@ def test_exact_order_tree_many_primes_and_high_powers(q):
             n = brute_order(e, p)
             for c in extras:
                 assert od.exact_order(e, p, n * c) == n
-                checked += 1
-    assert checked == 6 * 4 * len(extras)
 
 
 def test_exact_order_bad_annihilators():
@@ -641,25 +638,20 @@ def test_exact_order_work_bound(monkeypatch):
         bits.append(abs(n).bit_length())
         return inner(self, n, pt)
 
-    cases = 0
+    monkeypatch.setattr(cv.Curve, "scalar_mul", counting_mul)
     for _ in range(8):
         e = sample_random_curve(spec, rng)
         n = count_points(e, "point_order", random.Random(0)).count
         for c in (1, 2 * 3 * 5 * 7, 11**3 * 13):
             m = n * c
-            powers = {ell: factorize(m).count(ell) for ell in set(factorize(m))}
-            w = len(powers)
-            bound = ((w - 1).bit_length() + 1) * m.bit_length() + sum(
-                k * ell.bit_length() for ell, k in powers.items())
+            f = factorize(m)
+            w = len(set(f))
+            bound = ((w - 1).bit_length() + 1) * m.bit_length() + sum(ell.bit_length() for ell in f)
             p = cv.random_point(e, rng)
-            expected = od.exact_order(e, p, m)
             bits.clear()
-            monkeypatch.setattr(cv.Curve, "scalar_mul", counting_mul)
-            assert od.exact_order(e, p, m) == expected
-            monkeypatch.setattr(cv.Curve, "scalar_mul", inner)
+            order = od.exact_order(e, p, m)
             assert 0 < sum(bits) <= bound, (m, bits, bound)
-            cases += 1
-    assert cases == 24
+            assert n % order == 0 and inner(e, order, p).is_infinity
 
 
 # --- congruences ------------------------------------------------------------------
