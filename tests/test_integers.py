@@ -88,6 +88,11 @@ def test_factorize_matches_naive_below_2e5():
 @pytest.mark.parametrize(
     "n,expected",
     [
+        (M31 * M31, [M31, M31]),
+        (M31 * (2**31 - 19), [2**31 - 19, M31]),
+        (2**62, [2] * 62),
+        (1, []),
+        (999 * 997, [3, 3, 3, 37, 997]),
         (997**2, [997, 997]),  # the largest trial prime, squared
         (997 * 1009, [997, 1009]),  # one factor on each side of the trial limit
         (1009**2, [1009, 1009]),  # no trial divisor: split by rho
@@ -95,11 +100,6 @@ def test_factorize_matches_naive_below_2e5():
         (2**61 - 1, [2**61 - 1]),
         (3**39, [3] * 39),
         (2**63 - 1, [7, 7, 73, 127, 337, 92737, 649657]),  # the largest n the guard admits
-        (M31 * M31, [M31, M31]),
-        (M31 * (2**31 - 19), [2**31 - 19, M31]),
-        (2**62, [2] * 62),
-        (1, []),
-        (999 * 997, [3, 3, 3, 37, 997]),
     ],
 )
 def test_factorize_known(n, expected):
