@@ -37,6 +37,9 @@ FieldTooLarge above it.
 The quadratic character is an O(q) table built on first use at any size; the
 char-2 trace and Artin roots are F_2-linear maps built with the spec.
 
+numpy is imported only inside the log-table build and the log-model branch of
+chi_table, so prime fields and extension fields above 2^20 never load it.
+
 Inside the library every field element is its encoding, a plain int, and the
 arithmetic is the FieldSpec kernels (add_enc, mul_enc, inv_enc, ...).
 FieldElement is the public facade: an encoding with operator overloading, for
@@ -49,11 +52,13 @@ import operator
 import random
 from array import array
 from functools import partial
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import FieldTooLarge, NotASquare, NotPrime, ReduciblePolynomial, SpecMismatch
 from .integers import factorize, is_prime, split_prime_power
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # The largest supported field size: every annihilator q + 1 + 2 sqrt(q) stays
 # below factorize's 2^63 guard, and is_prime is exact far beyond it.
@@ -439,6 +444,8 @@ def _times_fixed(encs: np.ndarray, images: np.ndarray, p: int) -> np.ndarray:
     a fixed beta is F_p-linear on digit vectors: images[j] holds the digits
     of beta * x^j, and e * beta = sum_j e_j images[j].  In characteristic 2
     that is the XOR of the images at the set bits of e."""
+    import numpy as np
+
     pw = np.array([p**j for j in range(len(images))], dtype=np.int32)
     if p == 2:
         out = np.zeros_like(encs)
@@ -458,6 +465,8 @@ def _times_fixed(encs: np.ndarray, images: np.ndarray, p: int) -> np.ndarray:
 def _typed_array(code: str, n: int) -> tuple[array, np.ndarray]:
     """A zeroed array(code) of n items and a writable numpy view of it, so
     that vectorized builders fill the final storage without a copy."""
+    import numpy as np
+
     table = array(code, [0]) * n
     return table, np.frombuffer(table, dtype={"b": np.int8, "i": np.int32}[code])
 
@@ -661,6 +670,8 @@ class FieldSpec:
         O(q k^2) vectorized work.  The map of alpha^(2m) is the square of the
         k x k matrix of alpha^m.
         """
+        import numpy as np
+
         p, k, n = self.p, self.k, self.q - 1
         mod = list(self.modulus)
         images = []  # digits of alpha * x^j
@@ -698,15 +709,18 @@ class FieldSpec:
         """Quadratic character by encoding, an array('b'): 0 at 0, +1 on
         squares, -1 elsewhere."""
         if self._chi is None:
-            self._chi, chi = _typed_array("b", self.q)
             if self._log is not None and not self.char2:
-                chi[:] = 1 - 2 * (np.frombuffer(self._log, dtype=np.int32) & 1)  # even logs
+                import numpy as np
+
+                table, view = _typed_array("b", self.q)
+                view[:] = 1 - 2 * (np.frombuffer(self._log, dtype=np.int32) & 1)  # even logs
             else:
-                chi[:] = -1
+                table = array("b", [-1]) * self.q
                 mul = self.mul_enc
                 for a in range(1, self.q):
-                    chi[mul(a, a)] = 1
-            chi[0] = 0
+                    table[mul(a, a)] = 1
+            table[0] = 0
+            self._chi = table
         return self._chi
 
     # -- misc ----------------------------------------------------------------------

@@ -26,20 +26,25 @@ The vectorized field is _VecField: arithmetic mod p in prime fields, and
 in extension fields up to 1200 elements gathers through q^2 tables of the
 FieldSpec's own mul_enc and add_enc.  Each public call builds one _VecField
 and, in odd characteristic, one class grid.
+
+numpy is imported inside the kernels that use it, so importing this module,
+as the CLI and selftest do, does not load it.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .counting import count_points
 from .curve import Curve, count_exhaustive, count_pair_scan
 from .errors import InternalInvariantError, SingularCurve
 from .finite_field import FieldSpec
 from .order import hasse_interval
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _CHUNK = 1 << 21
 # Extension fields get q^2 mul/add tables up to this size; all certification
@@ -57,6 +62,8 @@ class _VecField:
         self.q = q = spec.q
         self.prime = spec.k == 1
         if not self.prime:
+            import numpy as np
+
             if q > _TABLE_LIMIT:
                 raise InternalInvariantError(f"sweep tables stop at {_TABLE_LIMIT} elements, q = {q}")
             pairs = [(a, b) for a in range(q) for b in range(q)]
@@ -104,6 +111,8 @@ def _discriminant_vec(F: _VecField, a1, a2, a3, a4, a6):
 
 def _digits(q: int, n: int, start: int, stop: int) -> list[np.ndarray]:
     """The n base-q digits of the indices [start, stop), most significant first."""
+    import numpy as np
+
     idx = np.arange(start, stop, dtype=np.int64)
     out = []
     for _ in range(n):
@@ -138,6 +147,8 @@ def _class_grid(F: _VecField):
 def class_counts_odd(spec: FieldSpec) -> np.ndarray:
     """Counts of all completed-square classes y^2 = x^3 + c2 x^2 + c4 x + c6,
     computed through the per-curve library path; -1 marks singular classes."""
+    import numpy as np
+
     q = spec.q
     out = np.full(q * q * q, -1, dtype=np.int32)
     i = 0
@@ -159,6 +170,8 @@ def _class_counts_charsum(F: _VecField, c2, c4, c6) -> np.ndarray:
     The grid's last digit also runs over x, so one histogram gives
     H[(c2, c4), v] = #{x : x^3 + c2 x^2 + c4 x = v}; with S[v, c6] = chi(v + c6)
     the counts are q+1 + H @ S, in class-index order."""
+    import numpy as np
+
     q = F.q
     x = c6
     v = F.mul(F.add(F.mul(F.add(c2, x), x), c4), x)
@@ -171,6 +184,8 @@ def _class_counts_charsum(F: _VecField, c2, c4, c6) -> np.ndarray:
 def _reduce_classes_vec(F: _VecField, a1, a2, a3, a4, a6) -> np.ndarray:
     """Completed-square class index (c2*q + c4)*q + c6 for raw coefficients
     (odd characteristic only)."""
+    import numpy as np
+
     half = (F.spec.p + 1) // 2  # 1/2 in F_p
     h1 = F.smul(half, a1)
     h3 = F.smul(half, a3)
@@ -183,6 +198,8 @@ def _reduce_classes_vec(F: _VecField, a1, a2, a3, a4, a6) -> np.ndarray:
 def _char2_counts_trace(F: _VecField, a1, a2, a3, a4, a6) -> np.ndarray:
     """Counts via the solvability criterion of y^2 + cy = d (characteristic 2,
     so here and in the pair-scan addition is XOR of encodings)."""
+    import numpy as np
+
     spec = F.spec
     tr = np.array([spec.trace_enc(a) for a in range(F.q)], dtype=np.int64)
     inv = np.array([0] + [spec.inv_enc(a) for a in range(1, F.q)], dtype=np.int32)
@@ -197,6 +214,8 @@ def _char2_counts_trace(F: _VecField, a1, a2, a3, a4, a6) -> np.ndarray:
 
 def _char2_counts_pairscan(F: _VecField, a1, a2, a3, a4, a6) -> np.ndarray:
     """Raw O(q^2) route: count solutions of the untransformed curve equation."""
+    import numpy as np
+
     total = np.full(a1.shape, 1, dtype=np.int64)
     for x in range(F.q):
         c = F.mul(a1, x) ^ a3
@@ -227,6 +246,8 @@ def full_sweep_verify(
     returns summary statistics otherwise.  Curves sampled for the API route
     run count_points(auto) literally (all of them when q^5 <= api_all_limit).
     """
+    import numpy as np
+
     q = spec.q
     total = q**5
     interval = hasse_interval(q)
@@ -313,6 +334,8 @@ def all_class_counts(spec: FieldSpec) -> np.ndarray:
     normal forms y^2 + xy = x^3 + a2 x^2 + a6 (a6 != 0) plus the j=0 family
     y^2 + a3 y = x^3 + a4 x + a6 (a3 != 0).  Singular members are dropped.
     """
+    import numpy as np
+
     q = spec.q
     F = _VecField(spec)
     if not spec.char2:
@@ -332,8 +355,7 @@ def all_class_counts(spec: FieldSpec) -> np.ndarray:
 
 def realized_trace_set(spec: FieldSpec) -> set[int]:
     """Traces realized by at least one nonsingular curve over F_q."""
-    counts = all_class_counts(spec)
-    return {spec.q + 1 - int(c) for c in np.unique(counts)}
+    return {spec.q + 1 - c for c in all_class_counts(spec).tolist()}
 
 
 def sample_random_curve(spec: FieldSpec, rng: random.Random) -> Curve:

@@ -69,7 +69,7 @@ def test_cli_count_past_table_limit(capsys, q, curve):
         assert e.scalar_mul(n, random_point(e, random.Random(seed))).is_infinity
 
 
-@pytest.mark.parametrize("q", [q for q in prime_powers(1024) if q % 2] + [2187])
+@pytest.mark.parametrize("q", [q for q in prime_powers(1024) if q % 2] + [2187, 65521])
 def test_chi_table_is_euler_criterion(q):
     spec = spec_for_q(q)
     chi = spec.chi_table()
