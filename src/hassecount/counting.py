@@ -263,7 +263,7 @@ def _verify_count(curve: Curve, count: int, rng: random.Random) -> None:
         raise InternalInvariantError(f"count {count} outside the Hasse interval")
     for _ in range(3):
         pt = random_point(curve, rng)
-        if not curve.scalar_mul(count, pt).is_infinity:
+        if curve.mul(count, *curve.to_model(pt))[0] is not None:
             raise InternalInvariantError("Lagrange verification failed for the computed count")
 
 

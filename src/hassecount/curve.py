@@ -6,18 +6,25 @@ generic case; only quadratic_twist, the per-x solution counting and the
 choice of stepping model branch on the characteristic.
 
 Coefficients and point coordinates are field encodings (plain ints, see
-finite_field) and every formula calls the FieldSpec kernels on them; an
-integer constant c is the encoding c % p.  long_add, the affine addition
-law of the long form, adds bare encodings; Curve.add_points wraps it in
-Points for the API.  The loops that carry the traffic step on one affine
-model per curve (Curve.affine_model): characteristic 2 on the long form
-through long_add, odd characteristic on the completed square y^2 = x^3 +
-c2 x^2 + c4 x + c6 (Curve.completed_model, a1 = a3 = 0) through
-completed_law; over odd prime fields the walks add on that square with
-completed_add_block instead, blocks of residues with one inversion each.
-scalar_mul maps a point in once and the result back once; for p > 3 its
-chain runs in Jacobian coordinates, one inversion per multiplication.
-Points are returned affine, on the long form.
+finite_field) and the formulas call the FieldSpec kernels on them, but for
+log_law, which reads the field's Zech table; an integer constant c is the
+encoding c % p.  long_add, the affine addition law of the long form, adds
+bare encodings; Curve.add_points wraps it in Points for the API.  The loops
+that carry the traffic step on one affine model per curve
+(Curve.affine_model), on bare coordinates:
+- characteristic 2: the long form, added by long_add;
+- odd fields with Zech tables (1 < k, q <= 2^20): log coordinates, the
+  discrete logs of (x, y') on the completed square y'^2 = x^3 + c2 x^2 +
+  c4 x + c6 (Curve.completed_model, a1 = a3 = 0), added by log_law, where
+  a product is one integer addition and a sum one Zech lookup;
+- every other odd field: the completed square on encodings, added by
+  completed_law.
+Curve.to_model maps a point in.  Curve.mul, the one scalar multiplication,
+works on the model's coordinates and never maps back; over prime fields
+with p > 3 its chain runs on the completed square in Jacobian coordinates,
+one inversion per multiplication.  Curve.scalar_mul is its wrapper on
+Points.  Over odd prime fields the walks add on the completed square with
+completed_add_block, blocks of residues with one inversion each.
 """
 
 from __future__ import annotations
@@ -164,46 +171,87 @@ class Curve:
         s, (_, _, _, h1, h3) = self.spec, self.completed_model()
         return Point(self, x, s.sub_enc(y, s.add_enc(s.mul_enc(h1, x), h3)))
 
+    def to_logs(self, pt: Point) -> tuple[int | None, int | None]:
+        """Log coordinates of P: the discrete logs of its (x, y') on the
+        completed square, -1 for a zero coordinate, (None, None) for
+        infinity.  Fields with Zech tables only (odd, 1 < k, q <= 2^20)."""
+        x, y = self.to_completed(pt)
+        if x is None:
+            return None, None
+        log = self.spec._log
+        return log[x] if x else -1, log[y] if y else -1
+
+    def from_logs(self, x: int | None, y: int | None) -> Point:
+        """The point with log coordinates (x, y) on the long form."""
+        if x is None:
+            return self.infinity()
+        exp = self.spec._exp
+        return self.from_completed(exp[x] if x >= 0 else 0, exp[y] if y >= 0 else 0)
+
     def affine_model(self) -> tuple:
         """(to, add, neg, back): the model the group walks step on, on bare
         (x, y), None for infinity.  to(curve, P) and back(curve, x, y) map a
         Point in and out; add(x1, y1, x2, y2); neg(x, y), the y of -(x, y).
-        Characteristic 2: the long form (long_add, y + a1 x + a3); odd: the
-        completed square (completed_law, -y).  Built on first use, refers to
-        no curve; the walks over prime fields with p > 3 never need it."""
+        Three models:
+        - characteristic 2: the long form (long_add, y + a1 x + a3);
+        - odd fields with Zech tables (1 < k, q <= 2^20): log coordinates
+          on the completed square (to_logs, log_law, y + (q-1)/2);
+        - every other odd field: the completed square on encodings
+          (to_completed, completed_law, -y).
+        Built on first use, refers to no curve; the walks, to_model and mul
+        over prime fields with p > 3 never need it."""
         if self._model is None:
             s = self.spec
             if s.char2:
                 a1, a3, mul = self.a1, self.a3, s.mul_enc
                 add = partial(long_add, s, a1, self.a2, a3, self.a4)
                 self._model = lambda _, pt: (pt.x, pt.y), add, lambda x, y: y ^ mul(a1, x) ^ a3, Point
+            elif s._zech is not None:
+                n, h = s.q - 1, (s.q - 1) >> 1  # -1 has log h
+                add = log_law(s, *self.completed_model()[:2])
+                self._model = Curve.to_logs, add, lambda x, y: y if y < 0 else (y + h) % n, Curve.from_logs
             else:
                 add = completed_law(s, *self.completed_model()[:2])
                 self._model = Curve.to_completed, add, lambda x, y: s.neg_enc(y), Curve.from_completed
         return self._model
 
-    def scalar_mul(self, n: int, pt: Point) -> Point:
-        """n*P for any integer n (negative n multiplies -P), by left-to-right
-        double-and-add, the point mapped in and the result out once.  Two
-        chains: prime fields with p > 3 run on the completed square in
-        Jacobian coordinates (_jacobian_mul), one field inversion per call;
-        every other field (F_2, F_3, odd extensions, characteristic 2) steps
-        the add of the curve's affine model.  Both give the same point."""
-        if n < 0:
-            return self.scalar_mul(-n, self.negate(pt))
-        if n == 0 or pt.x is None:
-            return self.infinity()
+    def to_model(self, pt: Point) -> tuple:
+        """P's bare (x, y) on the curve's affine model, (None, None) for
+        infinity: where the BSGS, exact_order and the count's check map a
+        sampled point in, once each.  Odd prime fields take the completed
+        square without building the model."""
+        if self.spec.k == 1 and not self.spec.char2:
+            return self.to_completed(pt)
+        return self.affine_model()[0](self, pt)
+
+    def mul(self, n: int, x: int | None, y: int | None) -> tuple:
+        """n*(x, y) on the bare coordinates of the affine model (to_model),
+        for any integer n (negative n multiplies -(x, y)), by left-to-right
+        double-and-add; (None, None) is infinity.  Two chains: prime fields
+        with p > 3 run in Jacobian coordinates (_jacobian_mul), one field
+        inversion per call; every other field (F_2, F_3, odd extensions,
+        characteristic 2) steps the add of the model.  Both give the same
+        point."""
+        if n == 0 or x is None:
+            return None, None
         s = self.spec
         if s.k == 1 and s.p > 3:
-            x, y = _jacobian_mul(n, *self.to_completed(pt), *self.completed_model()[:2], s.p)
-            return self.from_completed(x, y)
-        to, add, _, back = self.affine_model()
-        x, y = xb, yb = to(self, pt)
+            if n < 0:
+                n, y = -n, -y % s.p
+            return _jacobian_mul(n, x, y, *self.completed_model()[:2], s.p)
+        _, add, neg, _ = self.affine_model()
+        if n < 0:
+            n, y = -n, neg(x, y)
+        xb, yb = x, y
         for bit in bin(n)[3:]:
             x, y = add(x, y, x, y)
             if bit == "1":
                 x, y = add(x, y, xb, yb)
-        return back(self, x, y)
+        return x, y
+
+    def scalar_mul(self, n: int, pt: Point) -> Point:
+        """n*P for any integer n: Curve.mul on P mapped in, the result mapped back."""
+        return self.affine_model()[3](self, *self.mul(n, *self.to_model(pt)))
 
     # -- per-x solution machinery ----------------------------------------------
 
@@ -346,6 +394,110 @@ def completed_law(spec: FieldSpec, c2: int, c4: int):
         x3 = sub(mul(lam, lam), add(add(c2, x1), x2))
         return x3, sub(mul(lam, sub(x1, x3)), y1)
     return completed_add
+
+
+def log_law(spec: FieldSpec, c2: int, c4: int):
+    """log_add(x1, y1, x2, y2): completed_law's chord and tangent law on log
+    coordinates (Curve.to_logs) over an odd field with Zech tables; x = y =
+    None is infinity.  With n = q - 1, the log of a product, quotient or
+    square is a sum, difference or double of logs, and that of a sum one
+    Zech lookup, log(a + b) = la + zech[lb - la]; -b has log lb + n/2.
+    Zero has log -1, as in zech, so every sum checks its operands and its
+    result for it.  Each log is reduced to [0, n) where a later index or a
+    comparison needs it; zech has 2n entries and wraps negative indices."""
+    log, zech = spec._log, spec._zech
+    n = spec.q - 1
+    h = n >> 1
+    l2 = log[2]
+    l3 = log[3] if spec.p > 3 else -1  # the tangent's 3x^2 vanishes in characteristic 3
+    lc2 = log[c2] if c2 else -1
+    lc4 = log[c4] if c4 else -1
+    l2c2 = (l2 + lc2) % n if c2 else -1
+
+    def log_add(x1, y1, x2, y2):
+        if x1 is None:
+            return x2, y2
+        if x2 is None:
+            return x1, y1
+        if x1 == x2:
+            if y1 != y2 or y1 < 0:
+                return None, None
+            # lam = ((3x + 2 c2) x + c4) / 2y, u = c2 + 2x
+            if x1 < 0:
+                num, u = lc4, lc2
+            else:
+                t = (x1 + l3) % n if l3 >= 0 else -1
+                if t < 0:
+                    t = l2c2
+                elif l2c2 >= 0:
+                    z = zech[l2c2 - t]
+                    t = (t + z) % n if z >= 0 else -1
+                if t < 0:
+                    num = lc4
+                else:
+                    num = (t + x1) % n
+                    if lc4 >= 0:
+                        z = zech[lc4 - num]
+                        num = (num + z) % n if z >= 0 else -1
+                u = (x1 + l2) % n
+                if lc2 >= 0:
+                    z = zech[lc2 - u]
+                    u = (u + z) % n if z >= 0 else -1
+            lam = (num - l2 - y1) % n if num >= 0 else -1
+        else:
+            # lam = (y2 - y1) / (x2 - x1), u = c2 + x1 + x2; x2 - x1 != 0
+            if x1 < 0:
+                dx = x2
+            elif x2 < 0:
+                dx = x1 + h
+            else:
+                dx = x1 + h + zech[x2 - x1 - h]
+            if y1 < 0:
+                dy = y2
+            elif y2 < 0:
+                dy = y1 + h
+            else:
+                z = zech[y2 - y1 - h]
+                dy = y1 + h + z if z >= 0 else -1
+            lam = (dy - dx) % n if dy >= 0 else -1
+            if x1 < 0:
+                u = x2
+            elif x2 < 0:
+                u = x1
+            else:
+                z = zech[x2 - x1]
+                u = (x1 + z) % n if z >= 0 else -1
+            if u < 0:
+                u = lc2
+            elif lc2 >= 0:
+                z = zech[lc2 - u]
+                u = (u + z) % n if z >= 0 else -1
+        # x3 = lam^2 - u
+        if lam < 0:
+            x3 = (u + h) % n if u >= 0 else -1
+        elif u < 0:
+            x3 = (lam + lam) % n
+        else:
+            z = zech[u + h - lam - lam]
+            x3 = (lam + lam + z) % n if z >= 0 else -1
+        # y3 = lam (x1 - x3) - y1
+        if x3 < 0:
+            v = x1
+        elif x1 < 0:
+            v = (x3 + h) % n
+        else:
+            z = zech[x3 + h - x1]
+            v = (x1 + z) % n if z >= 0 else -1
+        if lam < 0 or v < 0:
+            y3 = (y1 + h) % n if y1 >= 0 else -1
+        elif y1 < 0:
+            y3 = (lam + v) % n
+        else:
+            w = lam + v
+            z = zech[y1 + h - w]
+            y3 = (w + z) % n if z >= 0 else -1
+        return x3, y3
+    return log_add
 
 
 def completed_add_block(c2: int, c4: int, p: int, x1, y1, xs: list, ys: list, ny: int):

@@ -97,10 +97,11 @@ class OpCounter:
 
 
 def _scalar_mul_adds(n: int) -> int:
-    """Logical group operations charged for Curve.scalar_mul(n, .): for
-    n != 0 the bit_length - 1 doublings and one add per set bit (the first
-    onto infinity) of binary double-and-add on |n|, and none for n = 0: a
-    fixed charge, the same for the Jacobian and the affine chain."""
+    """Logical group operations charged for Curve.mul(n, x, y): for n != 0
+    the bit_length - 1 doublings and one add per set bit (the first onto
+    infinity) of binary double-and-add on |n|, and none for n = 0: a fixed
+    charge, the same for the Jacobian and the affine chain, whichever
+    affine model the curve steps on."""
     return n.bit_length() - 1 + n.bit_count() if n else 0
 
 
@@ -129,20 +130,22 @@ def bsgs_annihilator(
     takes over).  A congruence the true trace does not satisfy can therefore
     only end in InternalInvariantError, never in a wrong m.
 
-    Both walks add blocks of multiples (step, 2*step, ..., b*step) to their
-    last term, b doubling up to _BLOCK_CAP and to the terms left (the baby
-    terms are their own multiples), on bare (x, y).  Over odd prime fields
-    these lie on the completed square (Curve.to_completed, -(x, y) = (x, -y)),
-    a block is one completed_add_block with one inversion, and a giant step's
-    y is computed only for a block's last term and when its x is in the baby
-    table; every other field steps the add of the curve's affine model
-    (Curve.affine_model) one term at a time, matched with its neg.  The
-    points are scanned in the order of stepping one add at a time, so the same
-    m is returned, and ops.adds counts the logical group operations of that
-    stepping: the baby steps, the scalar multiplications (three, or two when
-    M = 1) and the giant steps up to the match.  The adds really computed
-    exceed it by the giant-step multiples and the rest of the block that holds
-    the match: fewer than 2*_BLOCK_CAP per call.  Measured on random curves,
+    P is mapped in once (Curve.to_model) and never back: Q, the first giant
+    term and the giant stride are Curve.mul on its bare (x, y).  Both walks
+    add blocks of multiples (step, 2*step, ..., b*step) to their last term,
+    b doubling up to _BLOCK_CAP and to the terms left (the baby terms are
+    their own multiples).  Over odd prime fields the points lie on the
+    completed square (-(x, y) = (x, -y)), a block is one completed_add_block
+    with one inversion, and a giant step's y is computed only for a block's
+    last term and when its x is in the baby table; every other field steps
+    the add of the curve's affine model (Curve.affine_model: log coordinates
+    in the odd fields with Zech tables) one term at a time, matched with its
+    neg.  The points are scanned in the order of stepping one add at a time,
+    so the same m is returned, and ops.adds counts the logical group
+    operations of that stepping: the baby steps, the scalar multiplications
+    (three, or two when M = 1) and the giant steps up to the match.  The adds
+    really computed exceed it by the giant-step multiples and the rest of the
+    block that holds the match: fewer than 2*_BLOCK_CAP per call.  Measured on random curves,
     unrestricted: +12% at q = 65537, +17% at 10^6, +2% at 10^12+39; under the
     congruences count_points passes: +11%, +17% and +3%.
     """
@@ -161,16 +164,16 @@ def bsgs_annihilator(
     spec = curve.spec
     p = spec.p
     top = spec.q + 1 - t_min  # the candidate annihilator for u is top - mod*u
-    base = pt  # Q
+    x, y = px, py = curve.to_model(pt)  # P mapped in once, Q = mod*P
     if mod > 1:
-        base = curve.scalar_mul(mod, pt)
+        x, y = curve.mul(mod, px, py)
         ops.adds += _scalar_mul_adds(mod)
 
     if spec.k == 1 and p > 2:  # odd prime field: residue blocks, one inversion each
-        coords, neg = Curve.to_completed, lambda x, y: -y % p
+        neg = lambda x, y: -y % p
         cap, add_block = _BLOCK_CAP, partial(completed_add_block, *curve.completed_model()[:2], p)
     else:  # one add of the affine model per step
-        coords, add, neg = curve.affine_model()[:3]
+        add, neg = curve.affine_model()[1:3]
         cap = 1
 
         def add_block(x1, y1, xs, ys, ny):
@@ -181,7 +184,6 @@ def bsgs_annihilator(
     # j' < s with that x has j'*Q = -j*Q, so the order of Q divides j + j' <
     # 2s - 2 and each multiple of Q is infinity or +-i*Q with i < s: the first
     # giant step then matches through the least j, or no giant step ever does
-    x, y = coords(curve, base)
     xs, ys = [None, x], [None, y]
     j = 1 if x is None else 0  # the first j with j*Q = infinity, if any
     while not j and len(xs) < s:
@@ -208,13 +210,11 @@ def bsgs_annihilator(
     stride = 2 * s - 1
     c = s - 1
     # R = (top - mod*c)*P, stepped down by stride*Q while c - (s-1) <= span
-    r0 = curve.scalar_mul(top - mod * c, pt)
-    step = curve.negate(curve.scalar_mul(stride, base))
-    ops.adds += _scalar_mul_adds(top - mod * c) + _scalar_mul_adds(stride)
-    x, y = coords(curve, step)
+    x, y = curve.mul(-stride, xs[1], ys[1])  # step = -stride*Q
     mx, my = [x], [y]  # i*step at index i - 1
-    x, y = coords(curve, r0)
+    x, y = curve.mul(top - mod * c, px, py)
     gx, gy, lams = [x], [y], None  # a block of terms, last + i*step
+    ops.adds += _scalar_mul_adds(top - mod * c) + _scalar_mul_adds(stride)
     n = span // stride + 1
     done = 0
     while True:
@@ -263,33 +263,35 @@ def exact_order(curve: Curve, pt: Point, annihilator: int) -> int:
     multiply to at most m, so the work is at most (ceil(log2 w) + 1) *
     bitlen(m) + sum e*bitlen(l) bits of scalar multiplication for w distinct
     primes, where trying m / l on P for each prime costs at least w + 1
-    full-length multiplications, the check of m*P included.
+    full-length multiplications, the check of m*P included.  P is mapped in
+    once (Curve.to_model) and every node multiplies bare (x, y) by Curve.mul.
     """
     if annihilator < 1:
         raise ValueError("annihilator must be positive")
     killed = False  # m*P = infinity is known
+    mul = curve.mul
 
-    def order(q: Point, s: list[tuple[int, int]]) -> int:
+    def order(x, y, s: list[tuple[int, int]]) -> int:
         nonlocal killed
-        if q.x is None:
+        if x is None:
             killed = True
             return 1
         if len(s) > 1:
             a, b = s[:len(s) // 2], s[len(s) // 2:]
-            return (order(curve.scalar_mul(prod(ell**e for ell, e in b), q), a)
-                    * order(curve.scalar_mul(prod(ell**e for ell, e in a), q), b))
+            return (order(*mul(prod(ell**e for ell, e in b), x, y), a)
+                    * order(*mul(prod(ell**e for ell, e in a), x, y), b))
         if s:
             (ell, e), = s
             for k in range(1, e + 1):
                 if killed and k == e:
                     return ell**e  # l^e*Q = m*P = infinity
-                q = curve.scalar_mul(ell, q)
-                if q.x is None:
+                x, y = mul(ell, x, y)
+                if x is None:
                     killed = True
                     return ell**k
         raise ValueError("claimed annihilator does not kill the point")
 
-    return order(pt, list(Counter(factorize(annihilator)).items()))  # ascending l
+    return order(*curve.to_model(pt), list(Counter(factorize(annihilator)).items()))  # ascending l
 
 
 # ---------------------------------------------------------------------------

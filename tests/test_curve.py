@@ -162,27 +162,42 @@ def scalar_mul_panel(q):
     return list(curves.values())
 
 
-@pytest.mark.parametrize("q", [3, 5, 9, 25, 27])
+@pytest.mark.parametrize("q", [3, 5, 9, 25, 27, 49, 81, 121, 125, 243, 343])
 def test_completed_add_matches_add_points(q):
     """completed_law's add, mapped through the completed square
-    (to_completed, from_completed), against add_points on every pair of
-    points, with doubling, P + (-P), doubling a 2-torsion point and
-    infinity operands all among them."""
+    (to_completed, from_completed), and the add of the curve's affine model
+    (log coordinates where the field has Zech tables), mapped through its
+    own to and back, against add_points on every pair of points (above 125
+    every point against a sample holding the points with a zero coordinate),
+    with doubling, P + (-P), doubling a 2-torsion point, infinity operands
+    and a zero coordinate on the completed square, the log model's
+    sentinel, all among them.  The panel holds a curve with c2 = 0."""
     seen = set()
-    for e in scalar_mul_panel(q):
-        add = cv.completed_law(e.spec, *e.completed_model()[:2])
+    panel = scalar_mul_panel(q)
+    assert any(0 in e.completed_model()[:2] for e in panel)
+    for e in panel:
+        to, add, _, back = e.affine_model()
+        laws = [(e.to_completed, cv.completed_law(e.spec, *e.completed_model()[:2]), e.from_completed),
+                (lambda pt: to(e, pt), add, lambda x, y: back(e, x, y))]
         pts = cv.enumerate_points(e)
+        others = pts
+        if q > 125:
+            zero = [pt for pt in pts[1:] if 0 in e.to_completed(pt)]
+            others = [pts[0], *zero, *random.Random(q).sample(pts[1:], 24)]
         for a in pts:
-            for b in pts:
-                r = add(*e.to_completed(a), *e.to_completed(b))
-                assert e.from_completed(*r) == e.add_points(a, b), (e, a, b)
+            for b in others:
+                r = e.add_points(a, b)
+                for to_law, add_law, back_law in laws:
+                    assert back_law(*add_law(*to_law(a), *to_law(b))) == r, (e, a, b)
                 if a.is_infinity or b.is_infinity:
                     seen.add("infinity")
                 elif a == b:
                     seen.add("2-torsion" if a == e.negate(a) else "doubling")
                 elif a == e.negate(b):
                     seen.add("P + (-P)")
-    assert seen == {"infinity", "doubling", "2-torsion", "P + (-P)"}
+                if any(0 in e.to_completed(pt) for pt in (a, b, r)):
+                    seen.add("zero")
+    assert seen == {"infinity", "doubling", "2-torsion", "P + (-P)", "zero"}
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9, 11, 13, 25, 27, 49, 101])
@@ -190,8 +205,9 @@ def test_scalar_mul_matches_repeated_adds(q, monkeypatch):
     """n*P for every point and every n in [-2N-1, 2N+1], N = #E, equals n
     repeated adds of P (or of -P): the Jacobian chain in F_p, p > 3, and
     the affine chain on the curve's model everywhere else (the completed
-    square in F_3 and the odd extension fields, the long form through
-    long_add in characteristic 2).  Neither chain calls add_points."""
+    square in F_3, log coordinates in the odd extension fields, the long
+    form through long_add in characteristic 2).  Neither chain calls
+    add_points."""
     curves = scalar_mul_panel(q)
     spec = ff.spec_for_q(q)
     if spec.k != 1 or q == 3 or q == 2:

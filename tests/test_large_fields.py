@@ -18,6 +18,7 @@ import time
 import pytest
 
 from hassecount import cli
+from hassecount import curve as cv
 from hassecount.counting import count_points, group_structure
 from hassecount.curve import (
     Curve,
@@ -30,6 +31,7 @@ from hassecount.finite_field import make_spec, spec_for_q
 from hassecount.integers import prime_powers
 from hassecount.order import hasse_interval
 from hassecount.selftest import weil_count
+from hassecount.sweep import sample_random_curve
 
 COEFFS = (2, 3, 5, 7, 11)  # nonsingular and ordinary over each field below
 
@@ -47,6 +49,19 @@ def _exhaustive(q):
 def test_point_order_matches_exhaustive(q):
     res = count_points(_curve(q), "point_order", random.Random(q))
     assert res.count == _exhaustive(q)
+
+
+@pytest.mark.parametrize("q", [5**6, 7**5, 11**4, 3**7, 3**9])
+def test_log_model_counts_match_exhaustive(q, monkeypatch):
+    """count_points on 4 seeded random curves against count_exhaustive in
+    the log model, where 3 != 0 gives the tangent its 3x^2 term and in
+    characteristic 3, where it vanishes; no count builds completed_law."""
+    spec = spec_for_q(q)
+    monkeypatch.setattr(cv, "completed_law", lambda *a: pytest.fail("completed_law in a table field"))
+    rng = random.Random(q)
+    for _ in range(4):
+        e = sample_random_curve(spec, rng)
+        assert count_points(e, "point_order", rng).count == count_exhaustive(e)
 
 
 @pytest.mark.parametrize("q", [2187, 4096])

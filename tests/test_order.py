@@ -200,10 +200,11 @@ FIELDS = PRIME_FIELDS + [
 def test_bsgs_matches_one_add_at_a_time(q, n, cap, monkeypatch):
     """Same m and logical op count as the one-add reference, with the default
     block limit (None) and with small blocks of 3 in prime fields.  Every
-    field walks bare encodings of the curve's affine model (the completed
-    square in odd characteristic, the long form in characteristic 2) and
-    never calls add_points; over prime fields with p > 3 it does not call
-    affine_model either, as its residue blocks need only to_completed."""
+    field walks bare coordinates of the curve's affine model (the completed
+    square in odd characteristic, log coordinates on it in the odd fields
+    with Zech tables, the long form in characteristic 2) and never calls
+    add_points; over prime fields with p > 3 it does not call affine_model
+    either, as its residue blocks need only to_completed."""
     if cap is not None:
         monkeypatch.setattr(od, "_BLOCK_CAP", cap)
     cases = sample_points(q, n, seed=q % 1000 + 7)
@@ -334,11 +335,11 @@ def test_bsgs_small_order_ends_in_baby_steps():
 @pytest.mark.parametrize("p,rounds", [(65537, 10), (1000003, 10), (10**12 + 39, 3)])
 def test_bsgs_real_adds_scaling(p, rounds, monkeypatch):
     """The adds really computed, counting each member of a completed_add_block
-    once and each Curve.scalar_mul(n, .) as its double-and-add chain, stay
-    inside the op budget of criterion 9, and most come in blocks."""
+    once and each Curve.mul(n, .) as its double-and-add chain, stay inside
+    the op budget of criterion 9, and most come in blocks."""
     real = blocks = 0
     inside = False
-    add_points, add_block, scalar_mul = cv.Curve.add_points, od.completed_add_block, cv.Curve.scalar_mul
+    add_points, add_block, mul = cv.Curve.add_points, od.completed_add_block, cv.Curve.mul
 
     def counted_add(self, a, b):
         nonlocal real
@@ -351,20 +352,20 @@ def test_bsgs_real_adds_scaling(p, rounds, monkeypatch):
         blocks += 1
         return add_block(c2, c4, p, x1, y1, xs, ys, ny)
 
-    def counted_mul(curve, n, pt):
+    def counted_mul(curve, n, x, y):
         nonlocal real, inside
         if inside:
-            return scalar_mul(curve, n, pt)
+            return mul(curve, n, x, y)
         real += od._scalar_mul_adds(n)
         inside = True
         try:
-            return scalar_mul(curve, n, pt)
+            return mul(curve, n, x, y)
         finally:
             inside = False
 
     monkeypatch.setattr(cv.Curve, "add_points", counted_add)
     monkeypatch.setattr(od, "completed_add_block", counted_block)
-    monkeypatch.setattr(cv.Curve, "scalar_mul", counted_mul)
+    monkeypatch.setattr(cv.Curve, "mul", counted_mul)
     spec = ff.make_spec(p)
     rng = random.Random(11)
     logical = 0
@@ -625,20 +626,20 @@ def test_exact_order_bad_annihilators():
 
 
 def test_exact_order_work_bound(monkeypatch):
-    """Bits of scalar multiplication, counted by wrapping Curve.scalar_mul,
+    """Bits of scalar multiplication, counted by wrapping Curve.mul,
     stay within (ceil(log2 w) + 1)*bitlen(m) + sum e*bitlen(l) for m with
     w distinct primes l^e: the product tree's bound, which one full-length
     multiplication per prime (m / l tried on P) exceeds."""
     spec = ff.make_spec(10**12 + 39)
     rng = random.Random(20)
     bits = []
-    inner = cv.Curve.scalar_mul
+    inner = cv.Curve.mul
 
-    def counting_mul(self, n, pt):
+    def counting_mul(self, n, x, y):
         bits.append(abs(n).bit_length())
-        return inner(self, n, pt)
+        return inner(self, n, x, y)
 
-    monkeypatch.setattr(cv.Curve, "scalar_mul", counting_mul)
+    monkeypatch.setattr(cv.Curve, "mul", counting_mul)
     for _ in range(8):
         e = sample_random_curve(spec, rng)
         n = count_points(e, "point_order", random.Random(0)).count
@@ -651,7 +652,7 @@ def test_exact_order_work_bound(monkeypatch):
             bits.clear()
             order = od.exact_order(e, p, m)
             assert 0 < sum(bits) <= bound, (m, bits, bound)
-            assert n % order == 0 and inner(e, order, p).is_infinity
+            assert n % order == 0 and inner(e, order, *e.to_model(p)) == (None, None)
 
 
 # --- congruences ------------------------------------------------------------------
