@@ -250,8 +250,12 @@ class Curve:
         return x, y
 
     def scalar_mul(self, n: int, pt: Point) -> Point:
-        """n*P for any integer n: Curve.mul on P mapped in, the result mapped back."""
-        return self.affine_model()[3](self, *self.mul(n, *self.to_model(pt)))
+        """n*P for any integer n: Curve.mul on P mapped in, the result mapped
+        back, as to_model does without building the model on odd prime fields."""
+        x, y = self.mul(n, *self.to_model(pt))
+        if self.spec.k == 1 and not self.spec.char2:
+            return self.from_completed(x, y)
+        return self.affine_model()[3](self, x, y)
 
     # -- per-x solution machinery ----------------------------------------------
 
