@@ -11,12 +11,13 @@ the output is correct independently of the random choices.
 Each sample's BSGS searches only the traces the count still admits: the
 loop's congruence merged with priors from Schoof's first steps in odd prime
 fields.  Above _PRIOR_MIN_Q the 2-torsion gives t mod 2, or mod 4 when the
-2-division cubic splits; above _PRIOR3_MIN_Q the 3-torsion adds t mod 3,
-always for p = 1 (mod 3) and for p = 2 (mod 3) when t = 0 (mod 3), from the
-roots of the 3-division polynomial.  Each cuts the search by about the root
-of its modulus.  The search only gets cheaper: the exact order, and so the
-congruence, the samples drawn and the result, are those of the unrestricted
-search.
+2-division cubic splits; above _PRIOR3_MIN_Q a 2-descent on the cubic's one
+root gives t mod 4 on the other even curves too, and the 3-torsion adds
+t mod 3, always for p = 1 (mod 3) and for p = 2 (mod 3) when t = 0 (mod 3),
+from the roots of the 3-division polynomial.  Each cuts the search by about
+the root of its modulus.  The search only gets cheaper: the exact order, and
+so the congruence, the samples drawn and the result, are those of the
+unrestricted search.
 """
 
 from __future__ import annotations
@@ -61,11 +62,14 @@ _SAMPLE_CAP = 64
 # 10^6 and 24% at 10^12 (CHANGES.md has the table).
 _PRIOR_MIN_Q = 10_000
 
-# Prime fields above this size also search under the 3-torsion prior.  Per
-# count_points call it costs 1-10% more than it saves from 10^6 to 10^8,
-# breaks even to within 1% at 10^9 and 2*10^9, and saves 7% (p = 1 mod 3)
-# and 1% (p = 2 mod 3) at 4*10^9, 9% and 5% at 10^10 and 20% and 7% at
-# 10^12 (CHANGES.md has the table).
+# Prime fields above this size also search under the 3-torsion prior, and
+# settle t mod 4 by the 2-descent where the 2-division cubic has one root.
+# Per count_points call the 3-torsion prior costs 1-10% more than it saves
+# from 10^6 to 10^8, breaks even to within 1% at 10^9 and 2*10^9, and saves
+# 7% (p = 1 mod 3) and 1% (p = 2 mod 3) at 4*10^9, 9% and 5% at 10^10 and
+# 20% and 7% at 10^12.  The descent costs 1.5-2.6% at 10^6 and 10^7, saves
+# 0.4-3.4% from 10^8 to 2^32, where the 3-torsion prior does not yet pay,
+# and 2.4-5.4% from 10^10 to 10^12 (CHANGES.md has both tables).
 _PRIOR3_MIN_Q = 1 << 32
 
 Method = Literal["exhaustive", "point_order"]
@@ -127,8 +131,9 @@ def _count_by_point_orders(
     cong = Congruence(0, 1)
     prior = cong
     if curve.spec.k == 1 and q > _PRIOR_MIN_Q:
-        prior = _two_torsion_prior(curve)
-        if q > _PRIOR3_MIN_Q:
+        above3 = q > _PRIOR3_MIN_Q
+        prior = _two_torsion_prior(curve, descent=above3)
+        if above3:
             prior = crt_merge(prior, _three_torsion_prior(curve))
     qp1 = q + 1
     samples = 0
@@ -165,7 +170,7 @@ def _count_by_point_orders(
     )
 
 
-def _two_torsion_prior(curve: Curve) -> Congruence:
+def _two_torsion_prior(curve: Curve, descent: bool = False) -> Congruence:
     """The trace congruence that E[2] fixes, over an odd prime field.
 
     The 2-torsion points are infinity and the roots of the cubic
@@ -175,9 +180,20 @@ def _two_torsion_prior(curve: Curve) -> Congruence:
     so by Stickelberger its discriminant, 1/16 of the curve's, is a square
     exactly when f has 0 or 3 roots, and then x^p = x (mod f) tells three
     roots from none: Schoof's l = 2 step, deg gcd(x^p - x, f).
+
+    With descent, one root x0 = gcd(x^p - x, f) settles t mod 4 as well.
+    The 2-part of E(F_p) is then cyclic, so 4 | #E exactly when (x0, 0)
+    halves.  By the 2-descent (Silverman, AEC, X.1.4) it halves exactly
+    when f'(x0) is a square in F_p and x0 - r is a square in F_p(r) for a
+    root r of f/(x - x0); over a finite field the norm f'(x0) gives the
+    class of the latter too, so the halves are the points with
+    x - x0 = +-sqrt(f'(x0)), and t = q+1 (mod 4) if f'(x0) is a square,
+    t = q-1 (mod 4) if not.
     """
     p = curve.spec.p
-    if not curve.spec.is_square_enc(curve.discriminant):
+    is_square = curve.spec.is_square_enc
+    one_root = not is_square(curve.discriminant)
+    if one_root and not descent:
         return Congruence((p + 1) % 2, 2)
     c2, c4, c6 = curve.completed_model()[:3]
     # r0 + r1 x + r2 x^2 = x^p mod f: square, then multiply by x on a set bit
@@ -191,9 +207,17 @@ def _two_torsion_prior(curve: Curve) -> Congruence:
         r2 = d2 % p
         if bit == "1":  # x^3 = -c2 x^2 - c4 x - c6
             r0, r1, r2 = -c6 * r2 % p, (r0 - c4 * r2) % p, (r1 - c2 * r2) % p
-    if (r0, r1, r2) == (0, 1, 0):
+    if not one_root:
+        if (r0, r1, r2) == (0, 1, 0):
+            return Congruence((p + 1) % 4, 4)
+        return Congruence(p % 2, 2)
+    g = _poly_gcd([c6, c4, c2, 1], [r0, (r1 - 1) % p, r2], p)
+    if len(g) != 2:
+        raise InternalInvariantError(f"gcd(x^p - x, f) has degree {len(g) - 1} over F_{p}")
+    x0 = -g[0] * pow(g[1], -1, p) % p
+    if is_square(((3 * x0 + 2 * c2) * x0 + c4) % p):
         return Congruence((p + 1) % 4, 4)
-    return Congruence(p % 2, 2)
+    return Congruence((p - 1) % 4, 4)
 
 
 def _three_torsion_prior(curve: Curve) -> Congruence:
@@ -268,7 +292,9 @@ def _verify_count(curve: Curve, count: int, rng: random.Random) -> None:
 
 
 def lambda_exponent(curve: Curve) -> int:
-    """Group exponent: lcm of the orders of all rational points (q <= 2^16)."""
+    """The group exponent lambda(E), the lcm of the orders of all rational
+    points: the n2 of group_structure, with its q <= 2^16 guard.  Public API,
+    exported from hassecount."""
     return group_structure(curve).n2
 
 
