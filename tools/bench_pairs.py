@@ -135,14 +135,7 @@ def main(argv=None) -> int:
     workloads = (args.workloads.split(",") if args.workloads
                  else [w["name"] for w in bench["workloads"]])
 
-    result = {
-        "what": args.what,
-        "command": f"python3 perfbench/run.py --workload W --seed S --seconds {SECONDS} --trace 0",
-        "parent_commit": commits["parent"],
-        "change_commit": commits["change"],
-        "protocol": "",
-        "workloads": {},
-    }
+    results = {}
     for workload in workloads:
         runs = {}
         for i, seed in enumerate(args.seeds):
@@ -154,7 +147,7 @@ def main(argv=None) -> int:
                       file=sys.stderr, flush=True)
             runs[str(seed)] = {"parent": pair["parent"], "change": pair["change"]}
         pairs = list(runs.values())
-        result["workloads"][workload] = {
+        results[workload] = {
             "seeds": args.seeds,
             "all_correct": all(pair[side]["correct"] for pair in pairs for side in pair),
             "failed_operations": {side: sum(pair[side]["failed"] for pair in pairs)
@@ -162,8 +155,15 @@ def main(argv=None) -> int:
             "summary": summarise(pairs, bench["end_to_end"]),
             "runs": runs,
         }
-    first_run = next(iter(result["workloads"][workloads[0]]["runs"].values()))["parent"]
-    result["protocol"] = protocol(len(args.seeds), workloads, first_run["notes"]["provenance"])
+    first_run = next(iter(results[workloads[0]]["runs"].values()))["parent"]
+    result = {
+        "what": args.what,
+        "command": f"python3 perfbench/run.py --workload W --seed S --seconds {SECONDS} --trace 0",
+        "parent_commit": commits["parent"],
+        "change_commit": commits["change"],
+        "protocol": protocol(len(args.seeds), workloads, first_run["notes"]["provenance"]),
+        "workloads": results,
+    }
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(result, indent=1) + "\n")
     print(f"wrote {out}", file=sys.stderr)
