@@ -170,7 +170,7 @@ def _count_by_point_orders(
     )
 
 
-def _two_torsion_prior(curve: Curve, descent: bool = False) -> Congruence:
+def _two_torsion_prior(curve: Curve, descent: bool) -> Congruence:
     """The trace congruence that E[2] fixes, over an odd prime field.
 
     The 2-torsion points are infinity and the roots of the cubic
@@ -181,7 +181,9 @@ def _two_torsion_prior(curve: Curve, descent: bool = False) -> Congruence:
     exactly when f has 0 or 3 roots, and then x^p = x (mod f) tells three
     roots from none: Schoof's l = 2 step, deg gcd(x^p - x, f).
 
-    With descent, one root x0 = gcd(x^p - x, f) settles t mod 4 as well.
+    Without descent a one-root curve gives t mod 2 only; count_points asks
+    for it above _PRIOR3_MIN_Q.  With descent, the one root
+    x0 = gcd(x^p - x, f) settles t mod 4 as well.
     The 2-part of E(F_p) is then cyclic, so 4 | #E exactly when (x0, 0)
     halves.  By the 2-descent (Silverman, AEC, X.1.4) it halves exactly
     when f'(x0) is a square in F_p and x0 - r is a square in F_p(r) for a

@@ -198,20 +198,30 @@ def test_two_torsion_prior_every_short_curve(p):
             expected = {1: Congruence(1, 2), 2: Congruence(0, 2), 4: Congruence((p + 1) % 4, 4)}[n2]
             if (a4 * p + a6) % 10 == 0:
                 assert expected == expected_prior(e)
-            assert ct._two_torsion_prior(e) == expected, (a4, a6)
+            assert ct._two_torsion_prior(e, descent=False) == expected, (a4, a6)
 
 
 @pytest.mark.parametrize("p", [53, 101, 1009])
 def test_two_torsion_prior_long_form(p):
+    """Long-form curves, where c2 of the completed square is not 0: the prior
+    against the 2-torsion points, and with descent against t from
+    count_exhaustive, which is t mod 4 wherever the cubic has one root."""
     spec = ff.make_spec(p)
     rng = random.Random(p)
-    seen = set()
+    seen, one_root = set(), set()
     for _ in range(200):
         e = sample_random_curve(spec, rng)
-        prior = ct._two_torsion_prior(e)
+        prior = ct._two_torsion_prior(e, descent=False)
         assert prior == expected_prior(e)
         seen.add(prior.m)
+        with_descent = ct._two_torsion_prior(e, descent=True)
+        n = cv.count_exhaustive(e)
+        assert (p + 1 - n) % with_descent.m == with_descent.a
+        if not spec.is_square_enc(e.discriminant):
+            assert with_descent.m == 4
+            one_root.add(n % 4)
     assert seen == {2, 4}
+    assert one_root == {0, 2}
 
 
 @pytest.mark.parametrize("p", [53, 101, 103])
@@ -231,7 +241,7 @@ def test_two_torsion_descent_every_short_curve(p):
             n = cv.count_exhaustive(e)
             assert (p + 1 - n) % prior.m == prior.a, (a4, a6)
             if spec.is_square_enc(e.discriminant):
-                assert prior == ct._two_torsion_prior(e), (a4, a6)
+                assert prior == ct._two_torsion_prior(e, descent=False), (a4, a6)
             else:
                 assert prior.m == 4, (a4, a6)
                 one_root.add(n % 4)
@@ -257,7 +267,7 @@ def test_two_torsion_prior_supersingular_families(p):
     assert p % 4 == 3
     for a in range(1, 40):
         e = cv.Curve(spec, 0, 0, 0, a, 0)
-        prior = ct._two_torsion_prior(e)
+        prior = ct._two_torsion_prior(e, descent=False)
         assert prior == (Congruence(0, 2) if spec.is_square_enc(a) else Congruence(0, 4))
         assert ct._two_torsion_prior(e, descent=True) == Congruence(0, 4)
     p3 = next_supersingular_prime(p)
@@ -265,7 +275,7 @@ def test_two_torsion_prior_supersingular_families(p):
     assert spec3.is_square_enc(3)
     for b in range(1, 40):
         e = cv.Curve(spec3, 0, 0, 0, 0, b)
-        assert ct._two_torsion_prior(e) == Congruence(0, 2)
+        assert ct._two_torsion_prior(e, descent=False) == Congruence(0, 2)
         assert ct._two_torsion_prior(e, descent=True) == Congruence(0, 4)
     e = cv.Curve(spec3, 0, 0, 0, 0, 1)
     assert ct.count_points(e, "point_order", random.Random(1)).count == p3 + 1
@@ -402,13 +412,17 @@ def test_two_torsion_prior_cuts_bsgs_work(monkeypatch):
 def test_three_torsion_prior_cuts_bsgs_work(monkeypatch):
     """Deterministic budget at 10^12+39 (p = 1 mod 3, so t mod 3 is always
     known): both priors cut the mean logical BSGS adds per call to at most
-    0.7 of the search under the 2-torsion prior alone (sqrt(1/3) = 0.58)."""
+    0.7 of the search under the 2-torsion prior alone (sqrt(1/3) = 0.58).
+    Both sides run the 2-torsion prior with its descent; the 3-torsion prior
+    is replaced by the trivial congruence on the second."""
     spec = ff.make_spec(10**12 + 39)
     rng = random.Random(12)
     curves = [sample_random_curve(spec, rng) for _ in range(20)]
+    prior = ct._three_torsion_prior
     both, two_only = [], []
-    for adds, min_q in ((both, ct._PRIOR3_MIN_Q), (two_only, 1 << 62)):
-        monkeypatch.setattr(ct, "_PRIOR3_MIN_Q", min_q)
+    for adds, step in ((both, True), (two_only, False)):
+        monkeypatch.setattr(
+            ct, "_three_torsion_prior", lambda e, step=step: prior(e) if step else Congruence(0, 1))
         record_searches(monkeypatch, adds)
         for i, e in enumerate(curves):
             ct.count_points(e, "point_order", random.Random(i))

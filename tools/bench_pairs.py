@@ -1,12 +1,12 @@
 """Alternated parent/change pairs of perfbench runs, written as BENCH_<pr>.json.
 
     python3 tools/bench_pairs.py --parent REV --change REV --pr N \\
-        --seeds 25001-25010 --what "one sentence on the change" [--workloads W,...]
+        --seeds 25001-25010 --what "one sentence on the change"
 
 Run from the repository root.  Each commit is exported with `git archive` into
 its own directory under --workdir (a fresh temporary directory by default), so
-each side runs its committed files only.  For every workload (in the order of
-BENCHMARK.json unless --workloads names some) and every seed, both exports run
+each side runs its committed files only.  For every workload of BENCHMARK.json,
+in its order, and every seed, both exports run
 
     python3 perfbench/run.py --workload W --seed S --seconds 20 --trace 0
 
@@ -124,7 +124,6 @@ def main(argv=None) -> int:
     ap.add_argument("--pr", required=True, type=int, help="N of the BENCH_<N>.json written")
     ap.add_argument("--seeds", required=True, type=parse_seeds, help="A-B or A,B,...")
     ap.add_argument("--what", required=True, help="what the change is, for the file's 'what'")
-    ap.add_argument("--workloads", help="comma-separated; default every workload of BENCHMARK.json")
     ap.add_argument("--workdir", type=Path, help="where the exports go; default a new temporary directory")
     args = ap.parse_args(argv)
 
@@ -132,8 +131,7 @@ def main(argv=None) -> int:
     trees = {side: workdir / side for side in ("parent", "change")}
     commits = {side: export(getattr(args, side), tree) for side, tree in trees.items()}
     bench = json.loads((trees["change"] / "BENCHMARK.json").read_text())
-    workloads = (args.workloads.split(",") if args.workloads
-                 else [w["name"] for w in bench["workloads"]])
+    workloads = [w["name"] for w in bench["workloads"]]
 
     results = {}
     for workload in workloads:
