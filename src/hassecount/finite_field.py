@@ -18,10 +18,11 @@ no kernel tests which model it is in:
     alpha, and in odd characteristic a Zech table Z(n) = log(1 + alpha^n)
     (Huber, IEEE Trans. Inf. Theory 36(4), 1990).  Every kernel is then a few
     lookups: a * b = exp[log a + log b], a + b = exp[log a + Z(log b - log a)],
-    and in characteristic 2 addition stays XOR.  The build is vectorized,
-    O(q k^2).  The tables are 4-byte arrays, exp and Zech of 2(q-1) entries
-    so that sums of logs need no reduction: 12 MB at 2^20, and about
-    20q bytes in odd characteristic;
+    and in characteristic 2 addition stays XOR.  The build is plain Python:
+    a walk over the powers of alpha, each step a lookup in a table for each
+    half of the digits.  The tables are 4-byte arrays, exp and Zech of
+    2(q-1) entries so that sums of logs need no reduction: 12 MB at 2^20,
+    and about 20q bytes in odd characteristic;
   * larger extension fields of characteristic 2 compute on the encoding as
     a bit vector: XOR, carry-less shift-and-XOR products folded back by the
     modulus, and inverses by the binary extended Euclidean algorithm
@@ -37,8 +38,7 @@ FieldTooLarge above it.
 The quadratic character is an O(q) table built on first use at any size; the
 char-2 trace and Artin roots are F_2-linear maps built with the spec.
 
-numpy is imported only inside the log-table build and the log-model branch of
-chi_table, so prime fields and extension fields above 2^20 never load it.
+No field model uses numpy: this module never imports it.
 
 Inside the library every field element is its encoding, a plain int, and the
 arithmetic is the FieldSpec kernels (add_enc, mul_enc, inv_enc, ...).
@@ -52,23 +52,19 @@ import operator
 import random
 from array import array
 from functools import partial
-from typing import TYPE_CHECKING
+from itertools import chain
 
 from .errors import FieldTooLarge, NotASquare, NotPrime, ReduciblePolynomial, SpecMismatch
 from .integers import factorize, is_prime, split_prime_power
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # The largest supported field size: every annihilator q + 1 + 2 sqrt(q) stays
 # below factorize's 2^63 guard, and is_prime is exact far beyond it.
 MAX_Q = 1 << 62
 
-# Extension fields up to this size get exp/log (and Zech) tables; above it
-# every operation is polynomial arithmetic.
+# Extension fields up to this size get exp/log (and Zech) tables, whose build
+# with the spec takes time and memory linear in q; above it every operation
+# is polynomial arithmetic.
 _LOG_LIMIT = 1 << 20
-# Rows per block of the vectorized exp-table build.
-_BUILD_CHUNK = 1 << 15
 
 _SPEC_CACHE: dict[tuple[int, int, tuple[int, ...] | None], "FieldSpec"] = {}
 
@@ -439,36 +435,26 @@ def _all_squares(a: int) -> bool:  # is_square in characteristic 2
     return True
 
 
-def _times_fixed(encs: np.ndarray, images: np.ndarray, p: int) -> np.ndarray:
-    """Encodings of e * beta for an array of encodings e.  Multiplication by
-    a fixed beta is F_p-linear on digit vectors: images[j] holds the digits
-    of beta * x^j, and e * beta = sum_j e_j images[j].  In characteristic 2
-    that is the XOR of the images at the set bits of e."""
-    import numpy as np
-
-    pw = np.array([p**j for j in range(len(images))], dtype=np.int32)
-    if p == 2:
-        out = np.zeros_like(encs)
-        for j, image in enumerate(images @ pw):
-            bit = encs >> j
-            bit &= 1
-            bit *= image
-            out ^= bit
-        return out
-    out = np.empty_like(encs)
-    for s in range(0, len(encs), _BUILD_CHUNK):
-        digits = encs[s:s + _BUILD_CHUNK, None] // pw % p
-        out[s:s + _BUILD_CHUNK] = digits @ images % p @ pw
-    return out
+def _span(vectors: list[int], p: int, add) -> list[int]:
+    """t[x] = x_0 vectors[0] + x_1 vectors[1] + ..., summed by add, for each
+    x < p^len(vectors) with base-p digits x_j."""
+    t = [0]
+    for v in vectors:
+        parts = [t]
+        for _ in range(p - 1):
+            parts.append([add(x, v) for x in parts[-1]])
+        t = list(chain.from_iterable(parts))
+    return t
 
 
-def _typed_array(code: str, n: int) -> tuple[array, np.ndarray]:
-    """A zeroed array(code) of n items and a writable numpy view of it, so
-    that vectorized builders fill the final storage without a copy."""
-    import numpy as np
-
-    table = array(code, [0]) * n
-    return table, np.frombuffer(table, dtype={"b": np.int8, "i": np.int32}[code])
+def _spread(t, p: int, w: int, r: int) -> list:
+    """t, indexed by r base-p digits, re-indexed by r slots of w bits, a slot
+    holding d read as the digit d mod p."""
+    if r == 0:
+        return list(t)
+    size = len(t) // p
+    parts = [_spread(t[d * size:(d + 1) * size], p, w, r - 1) for d in range(p)]
+    return list(chain.from_iterable(parts[d % p] for d in range(1 << w)))
 
 
 def _char2_maps(modulus: tuple[int, ...]) -> tuple[int, dict[int, tuple[int, int]]]:
@@ -664,56 +650,79 @@ class FieldSpec:
         """exp, log and (odd characteristic) Zech tables from the smallest
         generator alpha.
 
-        exp is filled by doubling: exp[m:2m] = exp[0:m] * alpha^m, where
-        multiplication by a fixed element is an F_p-linear map of digit
-        vectors (an XOR of basis images in characteristic 2), so the build is
-        O(q k^2) vectorized work.  The map of alpha^(2m) is the square of the
-        k x k matrix of alpha^m.
+        exp walks alpha^i -> alpha^(i+1).  Multiplication by alpha is an
+        F_p-linear map of digit vectors, so a step is a lookup for each half
+        of the digits and the sum of the two images.  In characteristic 2 the
+        encoding is the bit vector and the sum an XOR.  In odd characteristic
+        the walk runs on the digits packed in slots of w bits, wide enough
+        for the slotwise sum of two reduced vectors; the tables read a slot d
+        as the digit d mod p, so no step reduces, and two more lookups give
+        the encoding.  log is filled in the same walk.  1 + alpha^i raises
+        the lowest digit of exp[i] by one, mod p, so the Zech table is log
+        read at shifted encodings.
         """
-        import numpy as np
-
         p, k, n = self.p, self.k, self.q - 1
         mod = list(self.modulus)
         images = []  # digits of alpha * x^j
-        image = list(self.decode(self._generator()))
+        image = digits(self._generator(), p, k)
         for _ in range(k):
-            images.append(image + [0] * (k - len(image)))
+            images.append(image)
             image = _poly_mulmod(image, [0, 1], mod, p)
-        images = np.array(images, dtype=np.int32)
-        exp_table, exp = _typed_array("i", 2 * n)
-        exp[0] = 1
-        m = 1
-        while m < n:
-            step = min(m, n - m)
-            exp[m:m + step] = _times_fixed(exp[:step], images, p)
-            images = images @ images % p
-            m += step
-        exp[n:] = exp[:n]
-        powers = exp[:n]
-        log_table, log = _typed_array("i", self.q)
-        for s in range(0, n, _BUILD_CHUNK):
-            block = powers[s:s + _BUILD_CHUNK]
-            log[block] = np.arange(s, s + len(block), dtype=np.int32)
-        zech_table = None
+        half = k // 2
+        exp, log = array("i", bytes(4 * n)), array("i", bytes(4 * self.q))
+        # a memoryview stores an int faster than the array does
+        with memoryview(exp) as exp_at, memoryview(log) as log_at:
+            if self.char2:
+                vectors = [_encode(image, 2) for image in images]
+                low, high = _span(vectors[:half], 2, operator.xor), _span(vectors[half:], 2, operator.xor)
+                mask = (1 << half) - 1
+                e = 1
+                for i in range(n):
+                    exp_at[i] = e
+                    log_at[e] = i
+                    e = low[e & mask] ^ high[e >> half]
+            else:
+                w = (2 * p - 2).bit_length()
+                # a slot d in [p, 2p-2] has d + 2^(w-1) - p in [2^(w-1), 2^w)
+                bias = sum(((1 << (w - 1)) - p) << (w * j) for j in range(k))
+                tops = sum(1 << (w * j + w - 1) for j in range(k))
+
+                def add(x, v):  # slotwise (x + v) mod p
+                    y = x + v
+                    return y - (((y + bias) & tops) >> (w - 1)) * p
+
+                vectors = [sum(c << (w * j) for j, c in enumerate(image)) for image in images]
+                map_lo = _spread(_span(vectors[:half], p, add), p, w, half)
+                map_hi = _spread(_span(vectors[half:], p, add), p, w, k - half)
+                enc_lo = _spread(range(p**half), p, w, half)
+                enc_hi = _spread(range(0, self.q, p**half), p, w, k - half)
+                shift = w * half
+                mask = (1 << shift) - 1
+                s = 1
+                for i in range(n):
+                    lo, hi = s & mask, s >> shift
+                    e = enc_lo[lo] + enc_hi[hi]
+                    exp_at[i] = e
+                    log_at[e] = i
+                    s = map_lo[lo] + map_hi[hi]
+        zech = None
         if not self.char2:
-            zech_table, zech = _typed_array("i", 2 * n)
-            for s in range(0, n, _BUILD_CHUNK):
-                # 1 + alpha^i adds 1 to the lowest digit, mod p
-                block = powers[s:s + _BUILD_CHUNK]
-                zech[s:s + len(block)] = log[block - block % p + (block + 1) % p]
+            # plus_one[e] = log of e with its lowest digit raised by one mod p
+            plus_one = log[1:]
+            plus_one.append(0)
+            plus_one[p - 1::p] = log[::p]
+            zech = array("i", map(plus_one.__getitem__, exp))
             zech[n // 2] = -1  # 1 + alpha^i = 0 exactly at alpha^i = -1
-            zech[n:] = zech[:n]
-        self._exp, self._log, self._zech = exp_table, log_table, zech_table
+            zech *= 2
+        exp *= 2
+        self._exp, self._log, self._zech = exp, log, zech
 
     def chi_table(self):
         """Quadratic character by encoding, an array('b'): 0 at 0, +1 on
         squares, -1 elsewhere."""
         if self._chi is None:
             if self._log is not None and not self.char2:
-                import numpy as np
-
-                table, view = _typed_array("b", self.q)
-                view[:] = 1 - 2 * (np.frombuffer(self._log, dtype=np.int32) & 1)  # even logs
+                table = array("b", (1 - 2 * (i & 1) for i in self._log))  # even logs
             else:
                 table = array("b", [-1]) * self.q
                 mul = self.mul_enc

@@ -40,6 +40,17 @@ def test_summarise_medians_quartiles_and_wins():
     assert rate["change_wins"] == 3  # 120 > 100, 101 > 100, 95 > 90; 105 = 105 is a tie
 
 
+def test_summarise_compares_median_shift_with_parent_spread():
+    # parent 10 11 12 13 14: median 12, exclusive quartiles 10.5 and 13.5
+    parent = [10, 11, 12, 13, 14]
+    for change, exceeds in ((8.9, True), (9, False), (15, False), (15.5, True)):
+        pairs = [{"parent": run(p, p), "change": run(change, change)} for p in parent]
+        s = bench_pairs.summarise(pairs, METRICS)
+        for name in ("curve_ms_p50", "curves_per_s"):
+            assert s[name]["parent_quartile_spread"] == 3.0
+            assert s[name]["median_shift_exceeds_spread"] is exceeds
+
+
 def test_parse_run_reads_notes_and_final_line():
     final = {"correct": True, "attempted": 3, "failed": 0, "metrics": {}}
     stdout = "\n".join([

@@ -415,7 +415,7 @@ def test_kernels_every_element(q):
 
 
 @pytest.mark.parametrize(
-    "q", [10007, 10**12 + 39, 2187, 3**8, 5**5, 2**16, 3**12, 2**20, 2**21, 2**24, 2**40, 2**61]
+    "q", [10007, 10**12 + 39, 2187, 3**8, 5**5, 2**16, 3**12, 5**8, 7**7, 2**20, 2**21, 2**24, 2**40, 2**61]
 )
 def test_kernels_random_pairs(q):
     spec = ff.spec_for_q(q)
@@ -431,7 +431,7 @@ def test_kernels_random_pairs(q):
             assert ref.mul(a, spec.inv_enc(a)) == 1
 
 
-@pytest.mark.parametrize("q", [9, 25, 27, 49, 243, 2187, 3**8, 5**5, 3**12])
+@pytest.mark.parametrize("q", [9, 25, 27, 49, 243, 2187, 3**8, 5**5, 3**12, 5**8, 7**7])
 def test_zech_edge_cases(q):
     spec = ff.spec_for_q(q)
     ref = PolyRef(spec)

@@ -1,11 +1,12 @@
-"""numpy is loaded only where a log/Zech table or a sweep kernel needs it.
+"""numpy is loaded only where a sweep kernel needs it.
 
 A fresh interpreter imports the package, the CLI, sweep and selftest, and runs
-prime-field, large char-2, exhaustive, twist, order, group and census commands
-without loading numpy, printing what the same commands print in this process.
-Each cold path that does need numpy (the log-table build in odd and even
-characteristic, the sweep kernels) is then the first importer of numpy in a
-fresh interpreter, and its results are checked against the loop-based models.
+prime-field, log-table, large char-2, exhaustive, twist, order, group, census
+and table1 commands without loading numpy, printing what the same commands
+print in this process.  The log/Zech-table builds in odd and even
+characteristic, run cold, leave numpy unloaded; the sweep kernels are the
+first importer of numpy in a fresh interpreter.  Each cold path's kernels are
+checked against the digit-list model.
 """
 
 import contextlib
@@ -32,6 +33,11 @@ NUMPY_FREE_COMMANDS = [
     "order --q 1009 --curve 0,0,0,1,1 --point 864,869",
     "group --q 1009 --curve 0,0,0,1,1",
     "exceptions --qmax 1024",
+    "count --q 2187 --curve 0,0,0,1,2",
+    "count --q 243 --curve 0,0,0,1,2 --method exhaustive",
+    "group --q 729 --curve 0,0,0,1,2",
+    "twist --q 4096 --curve 1,0,0,0,1",
+    "table1",
 ]
 
 
@@ -71,7 +77,7 @@ def test_counting_process_never_loads_numpy():
     assert got["runs"] == [list(_cli_stdout(line.split())) for line in NUMPY_FREE_COMMANDS]
 
 
-COLD_BUILDERS = {
+LOG_BUILDERS = {
     # the odd log/Zech tables, and chi_table's log branch
     "log_odd": """
         spec = spec_for_q(3**7)
@@ -83,6 +89,9 @@ COLD_BUILDERS = {
         spec = spec_for_q(2**10)
         assert spec._log is not None
         """,
+}
+
+SWEEP_BUILDERS = {
     "sweep": """
         spec = spec_for_q(3)
         rep = sweep.full_sweep_verify(spec)
@@ -91,16 +100,17 @@ COLD_BUILDERS = {
 }
 
 
-@pytest.mark.parametrize("builder", COLD_BUILDERS)
-def test_cold_builder_imports_numpy_itself(builder):
-    got = _fresh(
+def _cold(builder: str) -> dict:
+    """Runs builder in a fresh interpreter, checks the kernels of the spec it
+    leaves, and reports whether numpy was loaded before and after."""
+    return _fresh(
         """
         import json, random, sys
         from hassecount import sweep
         from hassecount.finite_field import FieldSpec, spec_for_q
         before = "numpy" in sys.modules
         """
-        + COLD_BUILDERS[builder]
+        + builder
         + """
         rng = random.Random(spec.q)
         for _ in range(500):
@@ -111,4 +121,13 @@ def test_cold_builder_imports_numpy_itself(builder):
         print(json.dumps({"before": before, "after": "numpy" in sys.modules}))
         """
     )
-    assert got == {"before": False, "after": True}
+
+
+@pytest.mark.parametrize("builder", LOG_BUILDERS)
+def test_log_builder_never_loads_numpy(builder):
+    assert _cold(LOG_BUILDERS[builder]) == {"before": False, "after": False}
+
+
+@pytest.mark.parametrize("builder", SWEEP_BUILDERS)
+def test_cold_builder_imports_numpy_itself(builder):
+    assert _cold(SWEEP_BUILDERS[builder]) == {"before": False, "after": True}

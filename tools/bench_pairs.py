@@ -14,8 +14,10 @@ with PYTHONDONTWRITEBYTECODE=1, the parent first on even pair indexes.  The
 file records each run (the last stdout line of run.py with its '# name value'
 lines as notes) and, for each end-to-end metric of BENCHMARK.json, both
 medians, both quartile pairs (statistics.quantiles, exclusive method), the
-ratio of the medians and the number of pairs the change wins in the metric's
-"better" direction, ties counting for neither.
+ratio of the medians, the number of pairs the change wins in the metric's
+"better" direction, ties counting for neither, the parent's quartile spread
+q3 - q1, and whether the medians differ by more than that spread, the
+margin a claimed gain must clear.
 """
 
 from __future__ import annotations
@@ -78,8 +80,9 @@ def run_once(tree: Path, workload: str, seed: int) -> dict:
 
 
 def summarise(pairs: list[dict], metrics: list[dict]) -> dict:
-    """Per end-to-end metric: medians, exclusive quartiles, change/parent and
-    the pairs the change wins.  pairs holds {"parent": run, "change": run}."""
+    """Per end-to-end metric: medians, exclusive quartiles, change/parent,
+    the pairs the change wins, the parent's quartile spread and whether the
+    medians differ by more than it.  pairs holds {"parent": run, "change": run}."""
     out = {}
     for metric in metrics:
         name = metric["name"]
@@ -88,6 +91,8 @@ def summarise(pairs: list[dict], metrics: list[dict]) -> dict:
                   for side in ("parent", "change")}
         parent, change = values["parent"], values["change"]
         quartiles = {side: statistics.quantiles(v, n=4)[::2] for side, v in values.items()}
+        spread = quartiles["parent"][1] - quartiles["parent"][0]
+        shift = statistics.median(change) - statistics.median(parent)
         out[name] = {
             "unit": metric["unit"],
             "parent_median": statistics.median(parent),
@@ -97,6 +102,8 @@ def summarise(pairs: list[dict], metrics: list[dict]) -> dict:
             "change_over_parent": statistics.median(change) / statistics.median(parent),
             "change_wins": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
             "pairs": len(pairs),
+            "parent_quartile_spread": spread,
+            "median_shift_exceeds_spread": abs(shift) > spread,
         }
     return out
 
@@ -113,7 +120,8 @@ def protocol(n_pairs: int, workloads: list[str], provenance: dict) -> str:
         "by run.py is null. Each run entry is the final stdout line of run.py with the "
         "'# name value' lines it prints as notes. Quartiles are those of Python's "
         "statistics.quantiles (exclusive method). 'change_wins' counts pairs where the "
-        "change is better; ties count for neither."
+        "change is better; ties count for neither. 'median_shift_exceeds_spread' tells "
+        "whether the medians differ by more than the parent's q3 - q1."
     )
 
 
