@@ -90,20 +90,20 @@ def summarise(pairs: list[dict], metrics: list[dict]) -> dict:
         values = {side: [pair[side]["metrics"][name]["value"] for pair in pairs]
                   for side in ("parent", "change")}
         parent, change = values["parent"], values["change"]
+        medians = {side: statistics.median(v) for side, v in values.items()}
         quartiles = {side: statistics.quantiles(v, n=4)[::2] for side, v in values.items()}
         spread = quartiles["parent"][1] - quartiles["parent"][0]
-        shift = statistics.median(change) - statistics.median(parent)
         out[name] = {
             "unit": metric["unit"],
-            "parent_median": statistics.median(parent),
+            "parent_median": medians["parent"],
             "parent_quartiles": quartiles["parent"],
-            "change_median": statistics.median(change),
+            "change_median": medians["change"],
             "change_quartiles": quartiles["change"],
-            "change_over_parent": statistics.median(change) / statistics.median(parent),
+            "change_over_parent": medians["change"] / medians["parent"],
             "change_wins": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
             "pairs": len(pairs),
             "parent_quartile_spread": spread,
-            "median_shift_exceeds_spread": abs(shift) > spread,
+            "median_shift_exceeds_spread": abs(medians["change"] - medians["parent"]) > spread,
         }
     return out
 
