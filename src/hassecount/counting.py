@@ -171,15 +171,17 @@ def _count_by_point_orders(
 
 
 def _two_torsion_prior(curve: Curve, descent: bool) -> Congruence:
-    """The trace congruence that E[2] fixes, over an odd prime field.
+    """The trace congruence that E[2] fixes, over F_p, p > 3.
 
     The 2-torsion points are infinity and the roots of the cubic
-    f = x^3 + c2 x^2 + c4 x + c6 of the completed square, so #E is odd with
-    no root (t = q mod 2), even with one (t = q+1 mod 2), and divisible by
-    4 with three (t = q+1 mod 4); two roots force the third.  f is separable,
+    f = x^3 + a x + b of the short model (short_model), so #E is odd with no
+    root (t = q mod 2), even with one (t = q+1 mod 2), and divisible by 4
+    with three (t = q+1 mod 4); two roots force the third.  f is separable,
     so by Stickelberger its discriminant, 1/16 of the curve's, is a square
     exactly when f has 0 or 3 roots, and then x^p = x (mod f) tells three
-    roots from none: Schoof's l = 2 step, deg gcd(x^p - x, f).
+    roots from none: Schoof's l = 2 step, deg gcd(x^p - x, f).  x^p mod f is
+    x^p mod x*f = x^4 + a x^2 + b x (_x_power_mod, shared with the 3-torsion
+    prior) reduced by x^3 = -a x - b.
 
     Without descent a one-root curve gives t mod 2 only; count_points asks
     for it above _PRIOR3_MIN_Q.  With descent, the one root
@@ -190,34 +192,25 @@ def _two_torsion_prior(curve: Curve, descent: bool) -> Congruence:
     root r of f/(x - x0); over a finite field the norm f'(x0) gives the
     class of the latter too, so the halves are the points with
     x - x0 = +-sqrt(f'(x0)), and t = q+1 (mod 4) if f'(x0) is a square,
-    t = q-1 (mod 4) if not.
+    t = q-1 (mod 4) if not.  Shifting x leaves f'(x0) as it is.
     """
     p = curve.spec.p
     is_square = curve.spec.is_square_enc
     one_root = not is_square(curve.discriminant)
     if one_root and not descent:
         return Congruence((p + 1) % 2, 2)
-    c2, c4, c6 = curve.completed_model()[:3]
-    # r0 + r1 x + r2 x^2 = x^p mod f: square, then multiply by x on a set bit
-    r0, r1, r2 = 0, 1, 0
-    for bit in bin(p)[3:]:
-        d4 = r2 * r2 % p
-        d3 = (2 * r1 * r2 - c2 * d4) % p
-        d2 = r1 * r1 + 2 * r0 * r2 - c4 * d4 - c2 * d3
-        r1 = (2 * r0 * r1 - c6 * d4 - c4 * d3) % p
-        r0 = (r0 * r0 - c6 * d3) % p
-        r2 = d2 % p
-        if bit == "1":  # x^3 = -c2 x^2 - c4 x - c6
-            r0, r1, r2 = -c6 * r2 % p, (r0 - c4 * r2) % p, (r1 - c2 * r2) % p
+    _, a, b = short_model(*curve.completed_model()[:3], p)
+    r0, r1, r2, r3 = _x_power_mod(p, 0, b, a, p)
+    r0, r1 = (r0 - b * r3) % p, (r1 - a * r3) % p
     if not one_root:
         if (r0, r1, r2) == (0, 1, 0):
             return Congruence((p + 1) % 4, 4)
         return Congruence(p % 2, 2)
-    g = _poly_gcd([c6, c4, c2, 1], [r0, (r1 - 1) % p, r2], p)
+    g = _poly_gcd([b, a, 0, 1], [r0, (r1 - 1) % p, r2], p)
     if len(g) != 2:
         raise InternalInvariantError(f"gcd(x^p - x, f) has degree {len(g) - 1} over F_{p}")
     x0 = -g[0] * pow(g[1], -1, p) % p
-    if is_square(((3 * x0 + 2 * c2) * x0 + c4) % p):
+    if is_square((3 * x0 * x0 + a) % p):
         return Congruence((p + 1) % 4, 4)
     return Congruence((p - 1) % 4, 4)
 
@@ -271,12 +264,12 @@ def _x_power_mod(n: int, e0: int, e1: int, e2: int, p: int) -> tuple[int, int, i
     x^4 + e2 x^2 + e1 x + e0 over F_p: square, then multiply by x on a set bit."""
     r0, r1, r2, r3 = 0, 1, 0, 0
     for bit in bin(n)[3:]:
-        d6 = r3 * r3 % p
-        d5 = 2 * r2 * r3 % p
-        d4 = (r2 * r2 + 2 * r1 * r3 - e2 * d6) % p
+        d6 = r3 * r3  # d6 and d5 only feed reduced sums
+        d5 = (r2 + r2) * r3
+        d4 = (r2 * r2 + (r1 + r1) * r3 - e2 * d6) % p
         d3 = 2 * (r0 * r3 + r1 * r2) - e1 * d6 - e2 * d5
-        d2 = r1 * r1 + 2 * r0 * r2 - e0 * d6 - e1 * d5 - e2 * d4
-        r1 = (2 * r0 * r1 - e0 * d5 - e1 * d4) % p
+        d2 = r1 * r1 + (r0 + r0) * r2 - e0 * d6 - e1 * d5 - e2 * d4
+        r1 = ((r0 + r0) * r1 - e0 * d5 - e1 * d4) % p
         r0 = (r0 * r0 - e0 * d4) % p
         r2, r3 = d2 % p, d3 % p
         if bit == "1":  # x^4 = -e2 x^2 - e1 x - e0

@@ -19,12 +19,12 @@ that carry the traffic step on one affine model per curve
   a product is one integer addition and a sum one Zech lookup;
 - every other odd field: the completed square on encodings, added by
   completed_law.
-Curve.to_model maps a point in.  Curve.mul, the one scalar multiplication,
-works on the model's coordinates and never maps back; over prime fields
-with p > 3 its chain runs on the completed square in Jacobian coordinates,
-one inversion per multiplication.  Curve.scalar_mul is its wrapper on
-Points.  Over odd prime fields the walks add on the completed square with
-completed_add_block, blocks of residues with one inversion each.
+Curve.to_model maps a point in, on every field.  Curve.mul, the one scalar
+multiplication, works on the model's coordinates and never maps back; over
+prime fields with p > 3 its chain runs on the completed square in Jacobian
+coordinates, one inversion per multiplication.  Curve.scalar_mul is its
+wrapper on Points.  Over odd prime fields the walks add on the completed
+square with completed_add_block, blocks of residues with one inversion each.
 """
 
 from __future__ import annotations
@@ -198,8 +198,9 @@ class Curve:
           on the completed square (to_logs, log_law, y + (q-1)/2);
         - every other odd field: the completed square on encodings
           (to_completed, completed_law, -y).
-        Built on first use, refers to no curve; the walks, to_model and mul
-        over prime fields with p > 3 never need it."""
+        Built on first use, refers to no curve.  mul over prime fields with
+        p > 3 and the BSGS walks over odd prime fields take only its maps
+        and neg: their chain and blocks add on the completed square."""
         if self._model is None:
             s = self.spec
             if s.char2:
@@ -218,10 +219,7 @@ class Curve:
     def to_model(self, pt: Point) -> tuple:
         """P's bare (x, y) on the curve's affine model, (None, None) for
         infinity: where the BSGS, exact_order and the count's check map a
-        sampled point in, once each.  Odd prime fields take the completed
-        square without building the model."""
-        if self.spec.k == 1 and not self.spec.char2:
-            return self.to_completed(pt)
+        sampled point in, once each."""
         return self.affine_model()[0](self, pt)
 
     def mul(self, n: int, x: int | None, y: int | None) -> tuple:
@@ -231,17 +229,15 @@ class Curve:
         with p > 3 run in Jacobian coordinates (_jacobian_mul), one field
         inversion per call; every other field (F_2, F_3, odd extensions,
         characteristic 2) steps the add of the model.  Both give the same
-        point."""
+        point; both negate by the model's neg."""
         if n == 0 or x is None:
             return None, None
+        if n < 0:
+            n, y = -n, self.affine_model()[2](x, y)
         s = self.spec
         if s.k == 1 and s.p > 3:
-            if n < 0:
-                n, y = -n, -y % s.p
             return _jacobian_mul(n, x, y, *self.completed_model()[:2], s.p)
-        _, add, neg, _ = self.affine_model()
-        if n < 0:
-            n, y = -n, neg(x, y)
+        add = self.affine_model()[1]
         xb, yb = x, y
         for bit in bin(n)[3:]:
             x, y = add(x, y, x, y)
@@ -250,12 +246,9 @@ class Curve:
         return x, y
 
     def scalar_mul(self, n: int, pt: Point) -> Point:
-        """n*P for any integer n: Curve.mul on P mapped in, the result mapped
-        back, as to_model does without building the model on odd prime fields."""
-        x, y = self.mul(n, *self.to_model(pt))
-        if self.spec.k == 1 and not self.spec.char2:
-            return self.from_completed(x, y)
-        return self.affine_model()[3](self, x, y)
+        """n*P for any integer n: Curve.mul on P mapped in by to_model and
+        mapped back by the model's back."""
+        return self.affine_model()[3](self, *self.mul(n, *self.to_model(pt)))
 
     # -- per-x solution machinery ----------------------------------------------
 
@@ -314,20 +307,6 @@ def long_add(spec: FieldSpec, a1: int, a2: int, a3: int, a4: int, x1, y1, x2, y2
     return x3, spec.neg_enc(add(add(add(mul(lam, sub(x3, x1)), y1), mul(a1, x3)), a3))
 
 
-def _jacobian_double(x: int, y: int, z: int, a: int, p: int) -> tuple[int, int, int]:
-    """2*(X : Y : Z) on y^2 = x^3 + a x + b over F_p in Jacobian coordinates.
-
-    Z3 = 2 Y Z vanishes for infinity (Z = 0) and for a 2-torsion point
-    (Y = 0), so both exceptional cases come out as infinity unbranched.
-    """
-    yy = y * y % p
-    s = 4 * x * yy % p
-    zz = z * z % p
-    m = (3 * x * x + a * zz * zz) % p
-    x3 = (m * m - 2 * s) % p
-    return x3, (m * (s - x3) - 8 * yy * yy) % p, 2 * y * z % p
-
-
 def short_model(c2: int, c4: int, c6: int, p: int) -> tuple[int, int, int]:
     """(s, a, b) with s = c2/3: x' = x + s takes the completed square y^2 =
     x^3 + c2 x^2 + c4 x + c6 over F_p, p > 3, to y^2 = x'^3 + a x' + b."""
@@ -340,12 +319,14 @@ def _jacobian_mul(n: int, xb: int, yb: int, c2: int, c4: int, p: int) -> tuple:
     (x, y), (None, None) for infinity.  Left-to-right double-and-add on the
     shifted square y^2 = x'^3 + a x' + b, x' = x + c2/3 (short_model), in
     Jacobian coordinates (x', y) = (X/Z^2, Y/Z^3), Z = 0 for infinity, adding
-    the affine base by mixed additions: one inversion, for the way out."""
+    the affine base by mixed additions: one inversion, for the way out.  A
+    doubling's Z3 = 2 Y Z vanishes for infinity (Z = 0) and for a 2-torsion
+    point (Y = 0), so both come out as infinity unbranched."""
     sx, a, _ = short_model(c2, c4, 0, p)
     xb = (xb + sx) % p
     x, y, z = xb, yb, 1
     for bit in bin(n)[3:]:
-        yy = y * y % p  # doubling, as in _jacobian_double
+        yy = y * y % p  # doubling
         s = 4 * x * yy % p
         zz = z * z % p
         m = (3 * x * x + a * zz * zz) % p
@@ -360,7 +341,8 @@ def _jacobian_mul(n: int, xb: int, yb: int, c2: int, c4: int, p: int) -> tuple:
         h = (xb * zz - x) % p
         r = (yb * zz * z - y) % p
         if h == 0:  # equal x': the sum is 2*base (r = 0) or infinity
-            x, y, z = _jacobian_double(xb, yb, 1, a, p) if r == 0 else (1, 1, 0)
+            x, y = _jacobian_mul(2, (xb - sx) % p, yb, c2, c4, p) if r == 0 else (None, None)
+            x, y, z = (1, 1, 0) if x is None else ((x + sx) % p, y, 1)
             continue
         hh = h * h % p
         hhh = h * hh % p

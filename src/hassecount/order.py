@@ -130,17 +130,17 @@ def bsgs_annihilator(
     takes over).  A congruence the true trace does not satisfy can therefore
     only end in InternalInvariantError, never in a wrong m.
 
-    P is mapped in once (Curve.to_model) and never back: Q, the first giant
-    term and the giant stride are Curve.mul on its bare (x, y).  Both walks
-    add blocks of multiples (step, 2*step, ..., b*step) to their last term,
-    b doubling up to _BLOCK_CAP and to the terms left (the baby terms are
-    their own multiples).  Over odd prime fields the points lie on the
-    completed square (-(x, y) = (x, -y)), a block is one completed_add_block
-    with one inversion, and a giant step's y is computed only for a block's
-    last term and when its x is in the baby table; every other field steps
-    the add of the curve's affine model (Curve.affine_model: log coordinates
-    in the odd fields with Zech tables) one term at a time, matched with its
-    neg.  The points are scanned in the order of stepping one add at a time,
+    P is mapped in once (Curve.to_model, on every field) and never back: Q,
+    the first giant term and the giant stride are Curve.mul on its bare
+    (x, y), and a match is tested with the neg of the curve's affine model
+    (Curve.affine_model).  Both walks add blocks of multiples (step, 2*step,
+    ..., b*step) to their last term, b doubling up to _BLOCK_CAP and to the
+    terms left (the baby terms are their own multiples).  Over odd prime
+    fields the model is the completed square (-(x, y) = (x, -y)), a block is
+    one completed_add_block with one inversion, and a giant step's y is
+    computed only for a block's last term and when its x is in the baby
+    table; every other field steps the model's add (log coordinates in the
+    odd fields with Zech tables) one term at a time.  The points are scanned in the order of stepping one add at a time,
     so the same m is returned, and ops.adds counts the logical group
     operations of that stepping: the baby steps, the scalar multiplications
     (three, or two when M = 1) and the giant steps up to the match.  The adds
@@ -169,11 +169,10 @@ def bsgs_annihilator(
         x, y = curve.mul(mod, px, py)
         ops.adds += _scalar_mul_adds(mod)
 
+    add, neg = curve.affine_model()[1:3]
     if spec.k == 1 and p > 2:  # odd prime field: residue blocks, one inversion each
-        neg = lambda x, y: -y % p
         cap, add_block = _BLOCK_CAP, partial(completed_add_block, *curve.completed_model()[:2], p)
     else:  # one add of the affine model per step
-        add, neg = curve.affine_model()[1:3]
         cap = 1
 
         def add_block(x1, y1, xs, ys, ny):

@@ -121,27 +121,12 @@ def _digits(q: int, n: int, start: int, stop: int) -> list[np.ndarray]:
     return out[::-1]
 
 
-def _cubic_discriminant_vec(F: _VecField, c2, c4, c6):
-    """Discriminant of x^3 + c2 x^2 + c4 x + c6,
-    c2^2 c4^2 - 4 c4^3 - 4 c2^3 c6 - 27 c6^2 + 18 c2 c4 c6
-    = u (u + 18 c6) - 4 c4^3 - c6 (4 c2^3 + 27 c6) with u = c2 c4.  The curve
-    y^2 = x^3 + c2 x^2 + c4 x + c6 has 16 times it as its discriminant."""
-    u = F.mul(c2, c4)
-    c4_3 = F.mul(F.mul(c4, c4), c4)
-    c2_3 = F.mul(F.mul(c2, c2), c2)
-    return F.add(
-        F.add(F.mul(u, F.add(u, F.smul(18, c6))), F.smul(-4, c4_3)),
-        F.neg(F.mul(c6, F.add(F.smul(4, c2_3), F.smul(27, c6)))),
-    )
-
-
 def _class_grid(F: _VecField):
     """The completed-square classes y^2 = x^3 + c2 x^2 + c4 x + c6 (odd
     characteristic) as digit arrays c2, c4, c6 in class-index order
-    (c2*q + c4)*q + c6, and the mask of the nonsingular ones (16 is a unit,
-    so the cubic's discriminant decides)."""
+    (c2*q + c4)*q + c6, and the mask of the nonsingular ones."""
     c2, c4, c6 = _digits(F.q, 3, 0, F.q**3)
-    return c2, c4, c6, _cubic_discriminant_vec(F, c2, c4, c6) != 0
+    return c2, c4, c6, _discriminant_vec(F, 0, c2, 0, c4, c6) != 0
 
 
 def class_counts_odd(spec: FieldSpec) -> np.ndarray:

@@ -67,3 +67,13 @@ def test_parse_run_reads_notes_and_final_line():
 def test_parse_seeds():
     assert bench_pairs.parse_seeds("901-903") == [901, 902, 903]
     assert bench_pairs.parse_seeds("5,3") == [5, 3]
+
+
+@pytest.mark.parametrize("seeds", ["25001", "5,5", "5,6,5", "25010-25001"])
+def test_too_few_distinct_seeds_exit_2_before_any_export(seeds, monkeypatch):
+    monkeypatch.setattr(bench_pairs, "export", lambda *a: pytest.fail("exported"))
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *a: pytest.fail("ran"))
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["--parent", "HEAD", "--change", "HEAD", "--pr", "0",
+                          "--seeds", seeds, "--what", "x"])
+    assert exc.value.code == 2

@@ -175,6 +175,20 @@ def test_point_order_small_nonexcluded_fields():
 
 # --- the 2-torsion prior and the restricted search -----------------------------------
 
+@pytest.mark.parametrize("p", [53, 1009, 10**12 + 39])
+def test_x_power_mod_matches_generic_powmod(p):
+    """x^n modulo x^4 + e2 x^2 + e1 x + e0, the routine both torsion priors
+    run, against the generic digit-list square-and-multiply, on random
+    depressed quartics (e0 = 0 on every other one, the 2-torsion prior's x*f)
+    and n from 1 to p."""
+    rng = random.Random(p)
+    for i in range(12):
+        e0, e1, e2 = (0 if i % 2 else rng.randrange(p)), rng.randrange(p), rng.randrange(p)
+        for n in (1, 2, 3, 4, 5, p - 1, p, rng.randrange(1, p + 1)):
+            want = ff._poly_powmod([0, 1], n, [e0, e1, e2, 0, 1], p)
+            assert ct._x_power_mod(n, e0, e1, e2, p) == tuple(want + [0] * (4 - len(want))), (e0, e1, e2, n)
+
+
 def expected_prior(e):
     """The trace congruence read off the points P with 2P = O."""
     q = e.spec.q

@@ -207,7 +207,7 @@ def test_scalar_mul_matches_repeated_adds(q, monkeypatch):
     the affine chain on the curve's model everywhere else (the completed
     square in F_3, log coordinates in the odd extension fields, the long
     form through long_add in characteristic 2).  Neither chain calls
-    add_points, and over F_p, p > 3, neither builds the affine model."""
+    add_points."""
     curves = scalar_mul_panel(q)
     spec = ff.spec_for_q(q)
     if spec.k != 1 or q == 3 or q == 2:
@@ -226,8 +226,6 @@ def test_scalar_mul_matches_repeated_adds(q, monkeypatch):
                 expected.append((p, sign, row))
         with monkeypatch.context() as m:
             m.setattr(cv.Curve, "add_points", lambda *a: pytest.fail("add_points in scalar_mul"))
-            if spec.k == 1 and spec.p > 3:
-                m.setattr(cv.Curve, "affine_model", lambda *a: pytest.fail("affine_model over F_p"))
             for p, sign, row in expected:
                 for n, r in enumerate(row):
                     assert e.scalar_mul(sign * n, p) == r, (e, p, sign * n)

@@ -203,8 +203,7 @@ def test_bsgs_matches_one_add_at_a_time(q, n, cap, monkeypatch):
     field walks bare coordinates of the curve's affine model (the completed
     square in odd characteristic, log coordinates on it in the odd fields
     with Zech tables, the long form in characteristic 2) and never calls
-    add_points; over prime fields with p > 3 it does not call affine_model
-    either, as its residue blocks need only to_completed."""
+    add_points."""
     if cap is not None:
         monkeypatch.setattr(od, "_BLOCK_CAP", cap)
     cases = sample_points(q, n, seed=q % 1000 + 7)
@@ -215,8 +214,6 @@ def test_bsgs_matches_one_add_at_a_time(q, n, cap, monkeypatch):
         ops, ref_ops = od.OpCounter(), od.OpCounter()
         with monkeypatch.context() as mp:
             mp.setattr(cv.Curve, "add_points", lambda *a: pytest.fail("add_points in the BSGS"))
-            if e.spec.k == 1 and e.spec.p > 3:
-                mp.setattr(cv.Curve, "affine_model", lambda *a: pytest.fail("affine_model over F_p"))
             m = od.bsgs_annihilator(e, pt, ops)
         assert m == reference_bsgs(e, pt, ref_ops)
         assert ops.adds == ref_ops.adds

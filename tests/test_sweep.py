@@ -10,7 +10,7 @@ from hassecount.curve import Curve, count_exhaustive
 from hassecount.errors import SingularCurve
 from hassecount.finite_field import spec_for_q
 from hassecount.integers import prime_powers
-from hassecount.sweep import _class_counts_charsum, _class_grid, _discriminant_vec, _VecField
+from hassecount.sweep import _class_counts_charsum, _class_grid, _VecField
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 17, 25, 27])
@@ -46,13 +46,20 @@ def test_charsum_matches_count_exhaustive(q):
         checked += 1
 
 
-def test_class_grid_mask_matches_long_weierstrass_discriminant():
-    """The cubic's discriminant marks the same singular classes as the curve
-    discriminant of y^2 = x^3 + c2 x^2 + c4 x + c6, at every odd q <= 121."""
+def test_class_grid_mask_marks_the_cubics_with_a_repeated_root():
+    """The singular classes are exactly the cubics (x - r)^2 (x - s) with r, s
+    in F_q (F_q is perfect, so a repeated root is rational), at every odd
+    q <= 121."""
     for q in prime_powers(121):
         if q % 2 == 0:
             continue
-        F = _VecField(spec_for_q(q))
-        c2, c4, c6, nonsing = _class_grid(F)
-        z = np.zeros_like(c2)
-        assert np.array_equal(nonsing, _discriminant_vec(F, z, c2, z, c4, c6) != 0), q
+        spec = spec_for_q(q)
+        add, mul, neg = spec.add_enc, spec.mul_enc, spec.neg_enc
+        singular = set()
+        for r in range(q):
+            rr = mul(r, r)
+            for s in range(q):
+                c2, c4, c6 = neg(add(add(r, r), s)), add(rr, mul(add(r, r), s)), neg(mul(rr, s))
+                singular.add((c2 * q + c4) * q + c6)
+        nonsing = _class_grid(_VecField(spec))[3]
+        assert set(np.flatnonzero(~nonsing).tolist()) == singular, q

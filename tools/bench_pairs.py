@@ -36,11 +36,16 @@ SECONDS = 20
 
 
 def parse_seeds(text: str) -> list[int]:
-    """'25001-25010' or '901,902' as a list of ints."""
+    """'25001-25010' or '901,902' as a list of ints: at least two, each once,
+    since quartiles need two runs and runs are keyed by seed."""
     if "-" in text:
         lo, hi = (int(s) for s in text.split("-"))
-        return list(range(lo, hi + 1))
-    return [int(s) for s in text.split(",")]
+        seeds = list(range(lo, hi + 1))
+    else:
+        seeds = [int(s) for s in text.split(",")]
+    if len(seeds) < 2 or len(set(seeds)) < len(seeds):
+        raise argparse.ArgumentTypeError(f"{text!r}: give at least two seeds, each once")
+    return seeds
 
 
 def export(rev: str, dest: Path) -> str:
