@@ -140,12 +140,13 @@ def bsgs_annihilator(
     one completed_add_block with one inversion, and a giant step's y is
     computed only for a block's last term and when its x is in the baby
     table; every other field steps the model's add (log coordinates in the
-    odd fields with Zech tables) one term at a time.  The points are scanned in the order of stepping one add at a time,
-    so the same m is returned, and ops.adds counts the logical group
-    operations of that stepping: the baby steps, the scalar multiplications
-    (three, or two when M = 1) and the giant steps up to the match.  The adds
-    really computed exceed it by the giant-step multiples and the rest of the
-    block that holds the match: fewer than 2*_BLOCK_CAP per call.  Measured on random curves,
+    odd fields with Zech tables) one term at a time.  The points are scanned
+    in the order of stepping one add at a time, so the same m is returned,
+    and ops.adds counts the logical group operations of that stepping: the
+    baby steps, the scalar multiplications (three, or two when M = 1) and
+    the giant steps up to the match.  The adds really computed exceed it by
+    the giant-step multiples and the rest of the block that holds the
+    match: fewer than 2*_BLOCK_CAP per call.  Measured on random curves,
     unrestricted: +12% at q = 65537, +17% at 10^6, +2% at 10^12+39; under the
     congruences count_points passes: +11%, +17% and +3%.
     """
