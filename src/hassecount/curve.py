@@ -18,13 +18,16 @@ that carry the traffic step on one affine model per curve
   c4 x + c6 (Curve.completed_model, a1 = a3 = 0), added by log_law, where
   a product is one integer addition and a sum one Zech lookup;
 - every other odd field: the completed square on encodings, added by
-  completed_law.
+  completed_law, which is built only where that add is read.
 Curve.to_model maps a point in, on every field.  Curve.mul, the one scalar
 multiplication, works on the model's coordinates and never maps back; over
 prime fields with p > 3 its chain runs on the completed square in Jacobian
 coordinates, one inversion per multiplication.  Curve.scalar_mul is its
-wrapper on Points.  Over odd prime fields the walks add on the completed
-square with completed_add_block, blocks of residues with one inversion each.
+wrapper on Points.  Over odd prime fields the BSGS walks add on the
+completed square one inversion per block: completed_add_block adds residues
+to one point, and completed_pair_block makes the 2h + 1 terms C - S_h, ...,
+C, ..., C + S_h of a progression around a known centre C, whose pairs C +- S_i
+share a denominator, with the next centre C + (2h+1)*S.
 """
 
 from __future__ import annotations
@@ -198,9 +201,19 @@ class Curve:
           on the completed square (to_logs, log_law, y + (q-1)/2);
         - every other odd field: the completed square on encodings
           (to_completed, completed_law, -y).
-        Built on first use, refers to no curve.  mul over prime fields with
-        p > 3 and the BSGS walks over odd prime fields take only its maps
-        and neg: their chain and blocks add on the completed square."""
+        Built on first use, refers to no curve.  The completed square's add
+        is built only here: to_model, mul and scalar_mul read the rest
+        (_maps), and over prime fields with p > 3 neither mul's chain nor
+        the BSGS blocks call it."""
+        model = self._maps()
+        if model[1] is None:
+            add = completed_law(self.spec, *self.completed_model()[:2])
+            model = self._model = (model[0], add, *model[2:])
+        return model
+
+    def _maps(self) -> tuple:
+        """affine_model, but for an add of None on the completed square until
+        affine_model builds it."""
         if self._model is None:
             s = self.spec
             if s.char2:
@@ -212,15 +225,14 @@ class Curve:
                 add = log_law(s, *self.completed_model()[:2])
                 self._model = Curve.to_logs, add, lambda x, y: y if y < 0 else (y + h) % n, Curve.from_logs
             else:
-                add = completed_law(s, *self.completed_model()[:2])
-                self._model = Curve.to_completed, add, lambda x, y: s.neg_enc(y), Curve.from_completed
+                self._model = Curve.to_completed, None, lambda x, y: s.neg_enc(y), Curve.from_completed
         return self._model
 
     def to_model(self, pt: Point) -> tuple:
         """P's bare (x, y) on the curve's affine model, (None, None) for
         infinity: where the BSGS, exact_order and the count's check map a
         sampled point in, once each."""
-        return self.affine_model()[0](self, pt)
+        return self._maps()[0](self, pt)
 
     def mul(self, n: int, x: int | None, y: int | None) -> tuple:
         """n*(x, y) on the bare coordinates of the affine model (to_model),
@@ -233,7 +245,7 @@ class Curve:
         if n == 0 or x is None:
             return None, None
         if n < 0:
-            n, y = -n, self.affine_model()[2](x, y)
+            n, y = -n, self._maps()[2](x, y)
         s = self.spec
         if s.k == 1 and s.p > 3:
             return _jacobian_mul(n, x, y, *self.completed_model()[:2], s.p)
@@ -248,7 +260,7 @@ class Curve:
     def scalar_mul(self, n: int, pt: Point) -> Point:
         """n*P for any integer n: Curve.mul on P mapped in by to_model and
         mapped back by the model's back."""
-        return self.affine_model()[3](self, *self.mul(n, *self.to_model(pt)))
+        return self._maps()[3](self, *self.mul(n, *self.to_model(pt)))
 
     # -- per-x solution machinery ----------------------------------------------
 
@@ -529,6 +541,57 @@ def completed_add_block(c2: int, c4: int, p: int, x1, y1, xs: list, ys: list, ny
         if i < ny or i == n - 1:
             y3s[i] = (lam * (x1 - x3) - y1) % p
     return x3s, y3s, lams
+
+
+def completed_pair_block(c2: int, p: int, xc, yc, xs: list, ys: list, xn, yn):
+    """The terms C - S_h, ..., C - S_1, C, C + S_1, ..., C + S_h centred on C =
+    (xc, yc), for the addends S_i = (xs[i-1], ys[i-1]), and the next centre C +
+    N, N = (xn, yn), on a completed square y^2 = x^3 + c2 x^2 + c4 x + c6 over
+    F_p, with one shared inversion (Montgomery's trick).  C + S_i and C - S_i
+    share the denominator x(S_i) - xc of their slopes (+-y(S_i) - yc)/(x(S_i)
+    - xc), so the 2h + 1 terms and the next centre take h + 1 denominators.
+
+    Returns (x3s, y3s, lams, xnext, ynext): the terms' x in that order, their y
+    for the centre and the last term (None elsewhere), their slopes (None for
+    the centre), from which any other y = lam (xc - x) - yc, and the next
+    centre with its y.  Returns None when an operand is infinity or a
+    denominator vanishes (C = +-S_i or C = +-N), where a sum can be infinity
+    or a doubling: completed_add_block covers those.
+    """
+    if xc is None or xn is None or None in xs:
+        return None
+    acc, prefix = 1, []  # prefix[i]: product of the denominators of xs[0..i]
+    for x in xs:
+        acc = acc * (x - xc) % p
+        prefix.append(acc)
+    d = xn - xc
+    inv = acc * d % p
+    if not inv:
+        return None
+    inv = pow(inv, -1, p)  # inverse of prefix[i], walking i down from N's
+    off = c2 + xc  # x3 = lam^2 - (c2 + xc) - x2
+    lam = (yn - yc) * (inv * acc % p) % p
+    inv = inv * d % p
+    xnext = (lam * lam - off - xn) % p
+    xm, lm, xp, lp = [], [], [], []  # C - S_h, ..., C - S_1 and C + S_h, ..., C + S_1
+    for i in range(len(xs) - 1, -1, -1):
+        x = xs[i]
+        di = inv * prefix[i - 1] % p if i else inv
+        inv = inv * (x - xc) % p
+        y = ys[i]
+        u = off + x
+        l = (y - yc) * di % p
+        xp.append((l * l - u) % p)
+        lp.append(l)
+        l = (-y - yc) * di % p
+        xm.append((l * l - u) % p)
+        lm.append(l)
+    xp.reverse()
+    lp.reverse()
+    y3s = [None] * (2 * len(xs) + 1)
+    y3s[len(xs)] = yc
+    y3s[-1] = (lp[-1] * (xc - xp[-1]) - yc) % p
+    return xm + [xc] + xp, y3s, lm + [None] + lp, xnext, (lam * (xc - xnext) - yc) % p
 
 
 def enumerate_points(curve: Curve) -> list[Point]:

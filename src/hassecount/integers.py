@@ -1,11 +1,14 @@
 """Exact integer helpers: primality, sieving, factoring, prime powers.
 
-`is_prime` is deterministic Miller-Rabin with the 13 primes 2..41 as bases,
-exact below 3317044064679887385961981 (Sorenson and Webster, Math. Comp. 2017)
-and refusing larger n.  `factorize` trial-divides by the primes below 1000,
-sieved once at import, and splits a larger composite cofactor by Brent's
-variant of Pollard rho (Brent, BIT 20, 1980).  Field sizes stop at 2^62, so
-every annihilator q + 1 + 2 sqrt(q) stays below `factorize`'s 2^63 guard.
+`is_prime` is deterministic Miller-Rabin with the first k of the 13 primes
+2..41 as bases, the least k that is exact below n: k bases are exact below
+the least strong pseudoprime to all of them (OEIS A014233; Jaeschke, Math.
+Comp. 61, 1993; Sorenson and Webster, Math. Comp. 2017), all 13 below
+3317044064679887385961981, and larger n are refused.  `factorize`
+trial-divides by the primes below 1000, sieved once at import, and splits a
+larger composite cofactor by Brent's variant of Pollard rho (Brent, BIT 20,
+1980).  Field sizes stop at 2^62, so every annihilator q + 1 + 2 sqrt(q)
+stays below `factorize`'s 2^63 guard.
 """
 
 from itertools import count
@@ -14,13 +17,19 @@ from math import gcd, isqrt
 from .errors import NotPrimePower
 
 _FACTOR_LIMIT = 1 << 63
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_LIMIT = 3317044064679887385961981  # least strong pseudoprime to every base above
+_MR_LIMIT = 3317044064679887385961981  # least strong pseudoprime to all 13 bases
+# the bases 2..41, each with the least strong pseudoprime to it and every base
+# before it (OEIS A014233): those bases are exact below that bound
+_MR_BASES = ((2, 2047), (3, 1373653), (5, 25326001), (7, 3215031751), (11, 2152302898747),
+             (13, 3474749660383), (17, 341550071728321), (19, 341550071728321),
+             (23, 3825123056546413051), (29, 3825123056546413051), (31, 3825123056546413051),
+             (37, 318665857834031151167461), (41, _MR_LIMIT))
 _RHO_BATCH = 128  # rho steps per gcd
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality: a screen by 2..41, then Miller-Rabin to those bases.
+    """Deterministic primality: a screen by 2..41, then Miller-Rabin to the
+    first k of those bases, the least k exact below n.
 
     Raises ValueError for n >= 3317044064679887385961981, where the bases no
     longer give an exact answer.
@@ -29,7 +38,7 @@ def is_prime(n: int) -> bool:
         raise ValueError(f"is_prime is exact only below {_MR_LIMIT}, got {n}")
     if n < 2:
         return False
-    for p in _MR_BASES:
+    for p, _ in _MR_BASES:
         if n % p == 0:
             return n == p
     if n < 43 * 43:
@@ -38,7 +47,8 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
+    k = next(k for k, (_, bound) in enumerate(_MR_BASES, 1) if n < bound)
+    for a, _ in _MR_BASES[:k]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

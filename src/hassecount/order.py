@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import partial
 from math import gcd, isqrt, prod
 
-from .curve import Curve, Point, completed_add_block
+from .curve import Curve, Point, completed_add_block, completed_pair_block
 from .errors import IncompatibleCongruence, InternalInvariantError
 from .integers import factorize
 
@@ -105,9 +105,29 @@ def _scalar_mul_adds(n: int) -> int:
     return n.bit_length() - 1 + n.bit_count() if n else 0
 
 
-# most additions that share one field inversion; odd prime fields only
-# (elsewhere one add of Curve.affine_model per step: in the log model an
-# inversion is one table lookup, so blocks only add work)
+def _neg_y(p: int, x: int, y: int) -> int:
+    """The y of -(x, y) on a completed square over F_p."""
+    return -y % p
+
+
+def _pair_block(c2: int, c4: int, p: int, xc, yc, sx: list, sy: list, xn, yn) -> tuple:
+    """completed_pair_block's terms and next centre, or where it declines
+    (an operand is infinity, a denominator vanishes) the same from one
+    completed_add_block on C: N, -S_h, ..., -S_1, infinity (C itself), S_1,
+    ..., S_h."""
+    out = completed_pair_block(c2, p, xc, yc, sx, sy, xn, yn)
+    if out is not None:
+        return out
+    neg_sy = [y if y is None else -y % p for y in reversed(sy)]
+    bx, by, bl = completed_add_block(
+        c2, c4, p, xc, yc, [xn, *reversed(sx), None, *sx], [yn, *neg_sy, None, *sy], 1)
+    return bx[1:], by[1:], bl[1:], bx[0], by[0]
+
+
+# most additions that share one field inversion in a block of multiples, and
+# twice the addends of a paired block of _BLOCK_CAP // 2 * 2 + 1 terms; odd
+# prime fields only (elsewhere one add of Curve.affine_model per step: in the
+# log model an inversion is one table lookup, so blocks only add work)
 _BLOCK_CAP = 32
 
 
@@ -132,23 +152,35 @@ def bsgs_annihilator(
 
     P is mapped in once (Curve.to_model, on every field) and never back: Q,
     the first giant term and the giant stride are Curve.mul on its bare
-    (x, y), and a match is tested with the neg of the curve's affine model
-    (Curve.affine_model).  Both walks add blocks of multiples (step, 2*step,
-    ..., b*step) to their last term, b doubling up to _BLOCK_CAP and to the
-    terms left (the baby terms are their own multiples).  Over odd prime
-    fields the model is the completed square (-(x, y) = (x, -y)), a block is
-    one completed_add_block with one inversion, and a giant step's y is
-    computed only for a block's last term and when its x is in the baby
-    table; every other field steps the model's add (log coordinates in the
-    odd fields with Zech tables) one term at a time.  The points are scanned
-    in the order of stepping one add at a time, so the same m is returned,
-    and ops.adds counts the logical group operations of that stepping: the
-    baby steps, the scalar multiplications (three, or two when M = 1) and
-    the giant steps up to the match.  The adds really computed exceed it by
-    the giant-step multiples and the rest of the block that holds the
-    match: fewer than 2*_BLOCK_CAP per call.  Measured on random curves,
-    unrestricted: +12% at q = 65537, +17% at 10^6, +2% at 10^12+39; under the
-    congruences count_points passes: +11%, +17% and +3%.
+    (x, y), and a match is tested with the negation of the curve's affine
+    model (Curve.affine_model; -y on the completed square).  Every field but
+    the odd prime fields steps the model's add one term at a time (log
+    coordinates in the odd fields with Zech tables).  Over odd prime fields
+    both walks add on the completed square, one inversion per block:
+    - first blocks of multiples (step, 2*step, ..., b*step) added to the
+      last term (completed_add_block; the baby terms are their own
+      multiples), b doubling up to _BLOCK_CAP and to the terms left;
+    - once a walk holds 2h terms, h = _BLOCK_CAP // 2, and 2h + 1 more are
+      left, paired blocks (completed_pair_block): the terms C - h*step, ...,
+      C, ..., C + h*step on h + 1 denominators, and the next centre C +
+      (2h+1)*step.  N = (2h+1)*step and the first centre come from one
+      completed_add_block (the giant walk first adds (h+1)*step to its
+      multiples); a block the kernel declines (an operand at infinity, a
+      vanishing denominator) runs on completed_add_block;
+    - the fewer than 2h + 1 terms left after the paired blocks on blocks of
+      multiples again, at most h + 1 terms each in the giant walk.
+    A y is computed for the addends, the centres and a block's last term;
+    any other comes from its slope where a match needs it.  At q = 10^6+3
+    every walk is too short to pair.  The points are scanned in the order of
+    stepping one add at a time, so the same m is returned, and ops.adds
+    counts the logical group operations of that stepping: the baby steps,
+    the scalar multiplications (three, or two when M = 1) and the giant
+    steps up to the match.  The adds really computed exceed it by the
+    giant-step multiples, the rest of the block that holds the match and its
+    next centre: fewer than 2*_BLOCK_CAP per call.  Measured on seeded random
+    curves, unrestricted: +12% at q = 65537, +17% at 10^6+3, +1.7% at
+    10^12+39; under the congruences count_points passes: +13%, +17% and
+    +4.4%.
     """
     interval = hasse_interval(curve.spec.q)
     if pt.x is None:
@@ -170,15 +202,20 @@ def bsgs_annihilator(
         x, y = curve.mul(mod, px, py)
         ops.adds += _scalar_mul_adds(mod)
 
-    add, neg = curve.affine_model()[1:3]
     if spec.k == 1 and p > 2:  # odd prime field: residue blocks, one inversion each
-        cap, add_block = _BLOCK_CAP, partial(completed_add_block, *curve.completed_model()[:2], p)
+        c2, c4 = curve.completed_model()[:2]
+        cap, h = _BLOCK_CAP, _BLOCK_CAP // 2
+        add_block = partial(completed_add_block, c2, c4, p)
+        pair_block = partial(_pair_block, c2, c4, p)
+        neg = partial(_neg_y, p)
     else:  # one add of the affine model per step
-        cap = 1
+        cap, h = 1, 0
+        add, neg = curve.affine_model()[1:3]
 
         def add_block(x1, y1, xs, ys, ny):
             x, y = add(x1, y1, xs[0], ys[0])
             return [x], [y], None
+    w = 2 * h + 1  # the terms of a paired block
 
     # baby steps j*Q at index j of xs, ys; table: x -> the least j.  Another
     # j' < s with that x has j'*Q = -j*Q, so the order of Q divides j + j' <
@@ -186,13 +223,26 @@ def bsgs_annihilator(
     # giant step then matches through the least j, or no giant step ever does
     xs, ys = [None, x], [None, y]
     j = 1 if x is None else 0  # the first j with j*Q = infinity, if any
-    while not j and len(xs) < s:
-        b = min(len(xs) - 1, cap, s - len(xs))  # add Q, 2*Q, ..., b*Q to the last term
-        bx, by, _ = add_block(xs[-1], ys[-1], xs[1:b + 1], ys[1:b + 1], b)
-        if None in bx:
-            j = len(xs) + bx.index(None)
-        xs += bx
-        ys += by
+    paired = h and s >= 2 * w  # room for a paired block after the first 2h terms
+    for end in (w, s) if paired else (s,):
+        if paired and end == s and not j:  # paired blocks while a whole one fits
+            # N = w*Q and the first centre (3h+1)*Q, from 2h*Q
+            (xn, xc), (yn, yc), _ = add_block(xs[-1], ys[-1], [xs[1], xs[h + 1]], [ys[1], ys[h + 1]], 2)
+            sx, sy, ls = xs[1:h + 1], ys[1:h + 1], [None] * w  # ls: the slopes of paired terms
+            while not j and len(xs) + 2 * h < s:
+                bx, by, bl, xc, yc = pair_block(xc, yc, sx, sy, xn, yn)
+                if None in bx:
+                    j = len(xs) + bx.index(None)
+                xs += bx
+                ys += by
+                ls += bl
+        while not j and len(xs) < end:  # add Q, 2*Q, ..., b*Q to the last term
+            b = min(len(xs) - 1, cap, end - len(xs))
+            bx, by, _ = add_block(xs[-1], ys[-1], xs[1:b + 1], ys[1:b + 1], b)
+            if None in bx:
+                j = len(xs) + bx.index(None)
+            xs += bx
+            ys += by
     if j:
         # the order of P divides j*mod (Q itself is infinity when j = 1),
         # so any multiple of j*mod annihilates.  With mod = 1 the interval
@@ -213,37 +263,61 @@ def bsgs_annihilator(
     x, y = curve.mul(-stride, xs[1], ys[1])  # step = -stride*Q
     mx, my = [x], [y]  # i*step at index i - 1
     x, y = curve.mul(top - mod * c, px, py)
-    gx, gy, lams = [x], [y], None  # a block of terms, last + i*step
+    gx, gy, lams = [x], [y], None  # a block of terms
+    xb = yb = xn = None  # the block's base (the term before it, or its centre); N
     ops.adds += _scalar_mul_adds(top - mod * c) + _scalar_mul_adds(stride)
     n = span // stride + 1
-    done = 0
+    done = 0  # the terms before the block
+    lo, hi = 2 * h if h else n, n - w  # blocks are paired while lo <= done <= hi
     while True:
-        for i, x in enumerate(gx):
+        for i, x in enumerate(gx):  # c = s - 1 + (done + i)*stride
             if x is None:
+                c = s - 1 + (done + i) * stride
                 if 0 <= c <= span:
-                    return top - mod * c
+                    break
             elif x in table:
                 y = gy[i]
                 if y is None:
-                    y = (lams[i] * (x1 - x) - y1) % p
+                    y = (lams[i] * (xb - x) - yb) % p
                 # R = mod*(u - c)*P matched against +-j*Q
                 j = table[x]
-                if y == ys[j] and 0 <= c + j <= span:
-                    return top - mod * (c + j)
-                if neg(x, y) == ys[j] and 0 <= c - j <= span:
-                    return top - mod * (c - j)
-            c += stride
-            ops.adds += 1
-        done += len(gx)
-        if done >= n:
-            raise InternalInvariantError("BSGS found no annihilator in the Hasse interval")
-        more = min(cap, n - done) - len(mx)
-        if done > 1 and more > 0:
-            bx, by, _ = add_block(mx[-1], my[-1], mx[:more], my[:more], more)
-            mx += bx
-            my += by
-        x1, y1 = gx[-1], gy[-1]
-        gx, gy, lams = add_block(x1, y1, mx[:n - done], my[:n - done], 0)
+                yj = ys[j]
+                if yj is None:  # a term of a paired baby block, centred on k*Q
+                    k = j - j % w + h
+                    yj = (ls[j] * (xs[k] - x) - ys[k]) % p
+                c = s - 1 + (done + i) * stride
+                if y == yj and 0 <= c + j <= span:
+                    c += j
+                    break
+                if neg(x, y) == yj and 0 <= c - j <= span:
+                    c -= j
+                    break
+        else:  # no match: step past the block and make the next
+            done += len(gx)
+            if done >= n:
+                ops.adds += done
+                raise InternalInvariantError("BSGS found no annihilator in the Hasse interval")
+            xb, yb = gx[-1], gy[-1]
+            if lo <= done <= hi:
+                if xn is None:  # N = (h+1)*step + h*step and the centre xb + (h+1)*step
+                    if len(mx) == h:  # mx holds h to 2h - 1 multiples here
+                        bx, by, _ = add_block(mx[-1], my[-1], mx[:1], my[:1], 1)
+                        mx += bx
+                        my += by
+                    (xn, xc), (yn, yc), _ = add_block(mx[h], my[h], [mx[h - 1], xb], [my[h - 1], yb], 2)
+                    sx, sy = mx[:h], my[:h]
+                xb, yb = xc, yc
+                gx, gy, lams, xc, yc = pair_block(xc, yc, sx, sy, xn, yn)
+                continue
+            more = min(cap, n - done) - len(mx)
+            if more > 0 and done > 1 and xn is None:
+                bx, by, _ = add_block(mx[-1], my[-1], mx[:more], my[:more], more)
+                mx += bx
+                my += by
+            gx, gy, lams = add_block(xb, yb, mx[:n - done], my[:n - done], 0)
+            continue
+        ops.adds += done + i
+        return top - mod * c
 
 
 def exact_order(curve: Curve, pt: Point, annihilator: int) -> int:

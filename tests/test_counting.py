@@ -73,6 +73,31 @@ def test_count_bad_method():
         ct.count_points(e, "magic")
 
 
+def test_prime_field_count_builds_no_completed_law(monkeypatch):
+    """Over F_p, p > 3, mul runs its Jacobian chain and the BSGS its residue
+    blocks, so a count never builds the affine model's add, completed_law.
+    Over F_3, where mul steps that add, and over F_{3^13} (polynomial
+    model, above 2^20), where the BSGS steps it too, it is built on first
+    use and the count is right."""
+    rng = random.Random(26)
+    spec = ff.make_spec(10**12 + 39)
+    with monkeypatch.context() as mp:
+        mp.setattr(cv, "completed_law", lambda *a: pytest.fail("completed_law in a prime-field count"))
+        for _ in range(3):
+            e = sample_random_curve(spec, rng)
+            n = ct.count_points(e, "point_order", rng).count
+            assert e.scalar_mul(n, cv.random_point(e, rng)).is_infinity
+    built = []
+    law = cv.completed_law
+    monkeypatch.setattr(cv, "completed_law", lambda s, c2, c4: built.append(s.q) or law(s, c2, c4))
+    e = cv.Curve(ff.make_spec(3), 0, 0, 0, 2, 0)  # y^2 = x^3 - x: #E = 4
+    assert all(e.scalar_mul(4, pt).is_infinity for pt in cv.enumerate_points(e))
+    e = sample_random_curve(ff.spec_for_q(3**13), rng)
+    n = ct.count_points(e, "point_order", rng).count
+    assert n in hasse_interval(3**13) and e.scalar_mul(n, cv.random_point(e, rng)).is_infinity
+    assert set(built) == {3, 3**13}
+
+
 def test_count_determinism_transcript():
     spec = ff.make_spec(1009)
     e = cv.Curve(spec, 0, 0, 0, 1, 1)

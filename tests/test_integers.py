@@ -38,14 +38,67 @@ def test_is_prime_matches_sieve():
     "n",
     [
         561,  # Carmichael
-        2047,  # strong pseudoprime to base 2
-        3215031751,  # strong pseudoprime to bases 2, 3, 5, 7
-        3825123056546413051,  # strong pseudoprime to bases 2..23
-        318665857834031151167461,  # strong pseudoprime to bases 2..37: base 41 decides
+        # the least strong pseudoprimes to the first k primes (OEIS A014233),
+        # where is_prime takes one base more than below them
+        2047,  # base 2
+        1373653,  # bases 2, 3
+        25326001,  # bases 2, 3, 5
+        3215031751,  # bases 2..7
+        2152302898747,  # bases 2..11
+        3474749660383,  # bases 2..13
+        341550071728321,  # bases 2..17 and 2..19
+        3825123056546413051,  # bases 2..23, 2..29 and 2..31
+        318665857834031151167461,  # bases 2..37: base 41 decides
     ],
 )
 def test_is_prime_rejects_strong_pseudoprimes(n):
     assert not is_prime(n)
+
+
+def miller_rabin_13(n):
+    """Miller-Rabin to all 13 bases 2..41, exact below 3317044064679887385961981."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    if n < 2:
+        return False
+    if n in bases:
+        return True
+    if any(n % a == 0 for a in bases):
+        return False
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_is_prime_with_fewer_bases_matches_all_13():
+    """The bases the size of n needs give the 13-base answer: on every n
+    below 2*10^5, on seeded random n below 2^62 of every bit length, and
+    on products of two random primes below 2^33, the shape of most strong
+    pseudoprimes."""
+    assert all(is_prime(n) == miller_rabin_13(n) for n in range(200_000))
+    rng = random.Random(62)
+    primes = 0
+    for _ in range(20_000):
+        n = rng.randrange(2, 1 << rng.randrange(2, 63))
+        assert is_prime(n) == miller_rabin_13(n), n
+        primes += miller_rabin_13(n)
+    for _ in range(2_000):
+        bits = rng.randrange(2, 32)
+        a, b = (next(m for m in range(rng.randrange(1 << bits) | 1, 1 << 33, 2) if miller_rabin_13(m))
+                for _ in range(2))
+        assert not is_prime(a * b) and not miller_rabin_13(a * b)
+    assert primes > 500
 
 
 def test_is_prime_known_primes():

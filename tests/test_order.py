@@ -276,6 +276,74 @@ def test_bsgs_baby_x_collision(q):
             found += 1
 
 
+def test_bsgs_paired_block_edge_cases(monkeypatch):
+    """At 2^32+15 with the default _BLOCK_CAP, h = 16, the unrestricted baby
+    walk is paired from 33*Q to (s-1)*Q = 362*Q, centres 49*Q, 82*Q, ...
+    Points Q of order d put three cases inside a paired block: j*Q =
+    infinity (d < s: the block is declined and completed_add_block finds
+    j = d); an equal-x pair (d = 2k for a centre k*Q, so C - S_i = -(C +
+    S_i)); a baby x-collision (s + 2h < d <= 2s - 3, so paired terms j*Q
+    and (d - j)*Q share x).  Each gives the same m and logical op count as
+    the one-add reference."""
+    q = 2**32 + 15
+    spec = ff.make_spec(q)
+    h = od._BLOCK_CAP // 2
+    w = 2 * h + 1
+    s = isqrt(od.hasse_interval(q).trace_bound) + 1
+    centres = range(w + h, s - h, w)
+    assert centres[0] == 49 and centres[-1] + h == s - 1  # the baby walk ends on a paired block
+    cases = {
+        "infinity": lambda d: w <= d < s,
+        "equal x": lambda d: d % 2 == 0 and d // 2 in centres,
+        "collision": lambda d: s + 2 * h < d <= 2 * s - 3,
+    }
+    outs = []
+    pair_block, mul = od.completed_pair_block, cv.Curve.mul
+
+    def recording_pair(c2, p, xc, yc, xs, ys, xn, yn):
+        out = pair_block(c2, p, xc, yc, xs, ys, xn, yn)
+        outs.append(out)
+        return out
+
+    def recording_mul(curve, n, x, y):
+        outs.append("mul")
+        return mul(curve, n, x, y)
+
+    rng = random.Random(26)
+    found = {}
+    for _ in range(400):
+        e = sample_random_curve(spec, rng)
+        n = count_points(e, "point_order", rng).count
+        for name, wanted in cases.items():
+            ds = [d for d in divisors(n) if wanted(d)]
+            if name in found or not ds:
+                continue
+            qt = e.scalar_mul(n // ds[0], cv.random_point(e, rng))
+            if od.exact_order(e, qt, ds[0]) == ds[0]:
+                found[name] = e, qt, ds[0]
+        if len(found) == len(cases):
+            break
+    assert set(found) == set(cases)
+    monkeypatch.setattr(od, "completed_pair_block", recording_pair)
+    monkeypatch.setattr(cv.Curve, "mul", recording_mul)
+    for name, (e, qt, d) in found.items():
+        outs.clear()
+        ops, ref_ops = od.OpCounter(), od.OpCounter()
+        m = od.bsgs_annihilator(e, qt, ops)
+        baby = outs[:outs.index("mul")] if "mul" in outs else outs
+        with monkeypatch.context() as mp:
+            mp.setattr(cv.Curve, "mul", mul)
+            assert m == reference_bsgs(e, qt, ref_ops) and ops.adds == ref_ops.adds, name
+        assert m % d == 0
+        if name == "infinity":
+            assert baby[-1] is None and ops.adds == d - 1
+        elif name == "equal x":
+            assert any(out[0][h - i] == out[0][h + i] for out in baby for i in range(1, h + 1))
+        else:
+            xs = [x for out in baby for x in out[0]]
+            assert None not in baby and len(set(xs)) < len(xs)
+
+
 def test_restricted_bsgs_small_order_outside_every_multiple():
     """A point of order 2 under a true congruence modulo 300 over F_1009: Q = 300*P
     is infinity, but no multiple of 300 lies in [947, 1073], so the unrestricted
@@ -332,11 +400,13 @@ def test_bsgs_small_order_ends_in_baby_steps():
 @pytest.mark.parametrize("p,rounds", [(65537, 10), (1000003, 10), (10**12 + 39, 3)])
 def test_bsgs_real_adds_scaling(p, rounds, monkeypatch):
     """The adds really computed, counting each member of a completed_add_block
-    once and each Curve.mul(n, .) as its double-and-add chain, stay inside
-    the op budget of criterion 9, and most come in blocks."""
+    once, the 2h terms and the next centre of a completed_pair_block that
+    does not decline, and each Curve.mul(n, .) as its double-and-add chain,
+    stay inside the op budget of criterion 9, and most come in blocks."""
     real = blocks = 0
     inside = False
     add_points, add_block, mul = cv.Curve.add_points, od.completed_add_block, cv.Curve.mul
+    pair_block = od.completed_pair_block
 
     def counted_add(self, a, b):
         nonlocal real
@@ -348,6 +418,14 @@ def test_bsgs_real_adds_scaling(p, rounds, monkeypatch):
         real += len(xs)
         blocks += 1
         return add_block(c2, c4, p, x1, y1, xs, ys, ny)
+
+    def counted_pair(c2, p, xc, yc, xs, ys, xn, yn):
+        nonlocal real, blocks
+        out = pair_block(c2, p, xc, yc, xs, ys, xn, yn)
+        if out is not None:  # a declined block is counted by its completed_add_block
+            real += 2 * len(xs) + 1
+            blocks += 1
+        return out
 
     def counted_mul(curve, n, x, y):
         nonlocal real, inside
@@ -362,6 +440,7 @@ def test_bsgs_real_adds_scaling(p, rounds, monkeypatch):
 
     monkeypatch.setattr(cv.Curve, "add_points", counted_add)
     monkeypatch.setattr(od, "completed_add_block", counted_block)
+    monkeypatch.setattr(od, "completed_pair_block", counted_pair)
     monkeypatch.setattr(cv.Curve, "mul", counted_mul)
     spec = ff.make_spec(p)
     rng = random.Random(11)
@@ -396,6 +475,84 @@ def check_block(e, last, members, ny):
         else:
             assert y3s[i] is None and (lams[i] * (x1 - x) - y1) % p == y, (last, m)
     return x3s
+
+
+def check_paired(e, centre, addends, nn):
+    """completed_pair_block(centre, addends, N) against add_points mapped to
+    the completed square: the x of C - S_h, ..., C, ..., C + S_h, the y it
+    promises (the centre and the last term), every other y from its slope,
+    and the next centre C + N with its y.  It declines (None) exactly where
+    an operand is infinity or shares the centre's x.  Returns whether it
+    declined."""
+    c2 = e.completed_model()[0]
+    p = e.spec.p
+    xc, yc = e.to_completed(centre)
+    xs, ys = map(list, zip(*(e.to_completed(s) for s in addends)))
+    xn, yn = e.to_completed(nn)
+    out = cv.completed_pair_block(c2, p, xc, yc, xs, ys, xn, yn)
+    if None in (xc, xn, *xs) or xc in (xn, *xs):
+        assert out is None
+        return True
+    x3s, y3s, lams, xnext, ynext = out
+    h = len(addends)
+    terms = [e.add_points(centre, e.negate(s)) for s in reversed(addends)]
+    terms += [centre] + [e.add_points(centre, s) for s in addends]
+    assert len(x3s) == len(y3s) == len(lams) == 2 * h + 1
+    for i, t in enumerate(terms):
+        x, y = e.to_completed(t)
+        assert x3s[i] == x, (centre, i)
+        if i in (h, 2 * h):
+            assert y3s[i] == y, (centre, i)
+        else:
+            assert y3s[i] is None and (lams[i] * (xc - x) - yc) % p == y, (centre, i)
+    assert lams[h] is None
+    assert (xnext, ynext) == e.to_completed(e.add_points(centre, nn))
+    return False
+
+
+@pytest.mark.parametrize("q", [1009, 10**12 + 39])
+def test_pair_block_matches_add_points(q):
+    """The paired kernel on blocks as the walks make them, centre k*P,
+    addends P, ..., h*P and N = (2h+1)*P for h = 1, 2, 5 and 16, against
+    add_points.  At 1009 on every k for points of small order, so centres
+    reach -S_i, S_i, +-N and infinity and N is infinity; at both on random
+    k, on a 2-torsion centre, whose pairs C - S and C + S share x, and on
+    infinity among the addends."""
+    spec = ff.spec_for_q(q)
+    rng = random.Random(q + 26)
+    declined = set()
+    small = 0
+    for _ in range(4):
+        e, pt = curve_through(spec, rng, rng.randrange(q), rng.randrange(q))
+        n = od.exact_order(e, pt, od.bsgs_annihilator(e, pt))
+        for d in [n] + [d for d in divisors(n) if 2 < d < min(n, 100)]:
+            base = e.scalar_mul(n // d, pt)
+            small += d < 100
+            for h in (1, 2, 5, 16):
+                addends = [e.scalar_mul(i, base) for i in range(1, h + 1)]
+                nn = e.scalar_mul(2 * h + 1, base)
+                ks = range(d) if d < 100 else [rng.randrange(d) for _ in range(5)] + [
+                    h, -h, 2 * h + 1, -1 - 2 * h, 0]
+                for k in ks:
+                    centre = e.scalar_mul(k, base)
+                    if check_paired(e, centre, addends, nn):
+                        declined.add("infinity" if centre.is_infinity or nn.is_infinity else "denominator")
+                other = cv.random_point(e, rng)
+                assert check_paired(e, other, addends[:1] + [e.infinity()] + addends[1:], nn)
+    assert small or q > 10**4
+    # y^2 + a1 xy = x^3 + a2 x^2 + a4 x has the point T = (0, 0) of order 2
+    while True:
+        try:
+            e = cv.Curve(spec, rng.randrange(q), rng.randrange(q), 0, rng.randrange(q), 0)
+            break
+        except SingularCurve:
+            continue
+    t = e.point(0, 0)
+    addends = [cv.random_point(e, rng) for _ in range(4)]
+    assert not check_paired(e, t, addends, cv.random_point(e, rng))
+    assert e.to_completed(e.add_points(t, addends[0]))[0] == e.to_completed(
+        e.add_points(t, e.negate(addends[0])))[0]
+    assert declined == {"infinity", "denominator"}
 
 
 @pytest.mark.parametrize("cap", [1, 2, 3, 32])
@@ -459,63 +616,133 @@ def test_add_many_matches_pairwise(q):
 
 @pytest.mark.parametrize("cap", [1, 2, 5, 8])
 def test_progression_terms_and_block_sizes(cap, monkeypatch):
-    """The progressions the walks make on F_65537 with _BLOCK_CAP = cap: the
-    baby blocks are Q+Q, ..., (s-1)*Q in turn, in blocks of 1, 2, 4, ...
-    up to cap and to the terms left; the giant blocks are r0 + step, r0 +
-    2*step, ... in turn, the first of one term, each at most cap and at most
-    twice the one before, fed by the multiples step, 2*step, ... in turn."""
+    """The progressions the walks make on F_65537 with _BLOCK_CAP = cap, h =
+    cap // 2 and w = 2h + 1.  The baby terms are Q+Q, ..., (s-1)*Q in turn:
+    blocks of 1, 2, 4, ... up to cap, to the terms left and, when a paired
+    block fits after them, to the first 2h terms; then paired blocks of w
+    terms while one fits, each centred on its (h+1)-th term, the first on
+    (3h+1)*Q, made with N = w*Q from 2h*Q; the rest in one block.  The giant
+    terms are r0 + step, r0 + 2*step, ... in turn: blocks of one term first,
+    each at most cap and at most twice the one before, fed by the multiples
+    step, 2*step, ... in turn; from the 2h-th term on, paired blocks of w
+    while w terms are left, made with N = w*step from (h+1)*step, then
+    blocks of at most h+1.  Every paired block hands on the next centre,
+    the term w after its own, and with cap = 1 no block is paired."""
     q = 65537
     spec = ff.make_spec(q)
     monkeypatch.setattr(od, "_BLOCK_CAP", cap)
+    h = cap // 2
+    w = 2 * h + 1
     calls = []
-    add_block = od.completed_add_block
+    add_block, pair_block, mul = od.completed_add_block, od.completed_pair_block, cv.Curve.mul
 
-    def recording(c2, c4, p, x1, y1, xs, ys, ny):
+    def recording_add(c2, c4, p, x1, y1, xs, ys, ny):
         out = add_block(c2, c4, p, x1, y1, xs, ys, ny)
-        calls.append((ny, len(xs), out))
+        calls.append(("add", ny, len(xs), out))
         return out
 
-    monkeypatch.setattr(od, "completed_add_block", recording)
+    def recording_pair(c2, p, xc, yc, xs, ys, xn, yn):
+        out = pair_block(c2, p, xc, yc, xs, ys, xn, yn)
+        calls.append(("pair", None, 2 * len(xs) + 1, out))
+        return out
+
+    def recording_mul(curve, n, x, y):
+        calls.append(("mul", n, None, None))
+        return mul(curve, n, x, y)
+
+    monkeypatch.setattr(od, "completed_add_block", recording_add)
+    monkeypatch.setattr(od, "completed_pair_block", recording_pair)
+    monkeypatch.setattr(cv.Curve, "mul", recording_mul)
     tb = od.hasse_interval(q).trace_bound
     span = 2 * tb
     s = max(2, isqrt(span // 2) + 1)
     n = span // (2 * s - 1) + 1
-    baby_sizes = []
-    while 2 + sum(baby_sizes) < s:
-        terms = 2 + sum(baby_sizes)
-        baby_sizes.append(min(terms - 1, cap, s - terms))
+    paired = h and s >= 2 * w
+    baby_blocks = []
+    k = 2
+    while k < s:
+        if paired and w <= k and k + 2 * h < s:
+            b = w
+            baby_blocks.append(("pair", b))
+        else:
+            b = min(k - 1, cap, s - k, w - k if paired and k < w else cap)
+            baby_blocks.append(("add", b))
+        k += b
     rng = random.Random(cap)
-    largest = 0
+    seen = set()
     for _ in range(6):
         e = sample_random_curve(spec, rng)
         pt = cv.random_point(e, rng)
         calls.clear()
-        if od.exact_order(e, pt, od.bsgs_annihilator(e, pt)) < s:
+        m = od.bsgs_annihilator(e, pt)
+        walk = []
+        for call in calls:  # a declined paired block runs on the next add block
+            if walk and walk[-1][0] == "pair" and walk[-1][3] is None:
+                assert call[:3] == ("add", 1, w + 1)
+                bx, by, bl = call[3]
+                call = ("pair", None, w, (bx[1:], by[1:], bl[1:], bx[0], by[0]))
+                walk.pop()
+            walk.append(call)
+        if od.exact_order(e, pt, m) < s:
             continue  # the baby walk ends at infinity
-        baby = [out for ny, size, out in calls[:len(baby_sizes)]]
-        assert [len(bx) for bx, _, _ in baby] == baby_sizes
-        assert [x for bx, _, _ in baby for x in bx] == [
-            e.to_completed(e.scalar_mul(j, pt))[0] for j in range(2, s)]
-        assert all(ny == size for ny, size, _ in calls[:len(baby_sizes)])
-        giant = [(ny, size, out) for ny, size, out in calls[len(baby_sizes):] if ny == 0]
-        multiples = [out for ny, size, out in calls[len(baby_sizes):] if ny]
+
+        def x_of(j, base=pt):
+            return e.to_completed(e.scalar_mul(j, base))[0]
+
+        first_mul = next(i for i, call in enumerate(walk) if call[0] == "mul")
+        baby = walk[:first_mul]
+        if paired:  # N and the first centre, just before the first paired block
+            i = next(i for i, call in enumerate(baby) if call[0] == "pair")
+            boot = baby.pop(i - 1)
+            assert boot[:3] == ("add", 2, 2) and boot[3][0] == [x_of(w), x_of(3 * h + 1)]
+        assert [(kind, size) for kind, _, size, _ in baby] == baby_blocks
+        assert all(ny == size for kind, ny, size, _ in baby if kind == "add")
+        assert [x for _, _, _, out in baby for x in out[0]] == [x_of(j) for j in range(2, s)]
+        k = 2
+        for kind, _, size, out in baby:
+            if kind == "pair":
+                assert out[3] == x_of(k + h + w)
+            k += size
+
+        giant = walk[first_mul + 2:]
+        assert [by for _, by, _, _ in walk[first_mul:first_mul + 2]] == [-(2 * s - 1), q + 1 + tb - (s - 1)]
         r0 = e.scalar_mul(q + 1 + tb - (s - 1), pt)
         step = e.negate(e.scalar_mul(2 * s - 1, pt))
-        sizes = [size for _, size, _ in giant]
+        kinds = [kind for kind, ny, _, _ in giant if kind == "pair" or ny == 0]
+        if "pair" in kinds:  # N and the first centre, just before the first paired block
+            boot = giant.pop(giant.index(next(call for call in giant if call[0] == "pair")) - 1)
+            assert boot[:3] == ("add", 2, 2)
+        blocks = [call for call in giant if call[0] == "pair" or call[1] == 0]
+        sizes = [size for _, _, size, _ in blocks]
         assert sizes[0] == 1 and sum(sizes) < n
-        assert all(size <= min(cap, 2 * before) for before, size in zip(sizes, sizes[1:]))
-        largest = max(largest, *sizes)
+        done = 1  # r0 is the first term
+        for i, (kind, size) in enumerate(zip(kinds, sizes)):
+            if kind == "pair":
+                assert size == w and done >= 2 * h and n - done >= w
+                assert "add" not in kinds[kinds.index("pair"):i]
+                if i == kinds.index("pair"):
+                    assert boot[3][0] == [x_of(w, step), e.to_completed(
+                        e.add_points(r0, e.scalar_mul(done + h, step)))[0]]
+            elif "pair" in kinds[:i]:
+                assert size <= h + 1 and n - done < w
+            else:
+                assert size <= min(cap, 2 * sizes[i - 1] if i else 1)
+                assert done < 2 * h or n - done < w or not h
+            done += size
+        seen.update(kinds)
         term = r0
-        for _, _, (gx, _, _) in giant:
-            for x in gx:
+        for kind, _, _, out in blocks:
+            for x in out[0]:
                 term = e.add_points(term, step)
                 assert x == e.to_completed(term)[0]
+            if kind == "pair":  # the next centre, h + 1 terms on
+                assert out[3] == e.to_completed(e.add_points(term, e.scalar_mul(h + 1, step)))[0]
         mult = step
-        for mx, _, _ in multiples:
+        for _, _, _, (mx, _, _) in (call for call in giant if call[0] == "add" and call[1]):
             for x in mx:
                 mult = e.add_points(mult, step)
                 assert x == e.to_completed(mult)[0]
-    assert largest == cap
+    assert seen == ({"add"} if cap == 1 else {"add", "pair"})
 
 
 # --- exact order ------------------------------------------------------------------
