@@ -205,7 +205,7 @@ class Curve:
         is built only here: to_model, mul and scalar_mul read the rest
         (_maps), and over prime fields with p > 3 neither mul's chain nor
         the BSGS blocks call it."""
-        model = self._maps()
+        model = self._model or self._maps()
         if model[1] is None:
             add = completed_law(self.spec, *self.completed_model()[:2])
             model = self._model = (model[0], add, *model[2:])
@@ -232,7 +232,7 @@ class Curve:
         """P's bare (x, y) on the curve's affine model, (None, None) for
         infinity: where the BSGS, exact_order and the count's check map a
         sampled point in, once each."""
-        return self._maps()[0](self, pt)
+        return (self._model or self._maps())[0](self, pt)
 
     def mul(self, n: int, x: int | None, y: int | None) -> tuple:
         """n*(x, y) on the bare coordinates of the affine model (to_model),
@@ -545,11 +545,12 @@ def completed_add_block(c2: int, c4: int, p: int, x1, y1, xs: list, ys: list, ny
 
 def completed_pair_block(c2: int, p: int, xc, yc, xs: list, ys: list, xn, yn):
     """The terms C - S_h, ..., C - S_1, C, C + S_1, ..., C + S_h centred on C =
-    (xc, yc), for the addends S_i = (xs[i-1], ys[i-1]), and the next centre C +
-    N, N = (xn, yn), on a completed square y^2 = x^3 + c2 x^2 + c4 x + c6 over
-    F_p, with one shared inversion (Montgomery's trick).  C + S_i and C - S_i
-    share the denominator x(S_i) - xc of their slopes (+-y(S_i) - yc)/(x(S_i)
-    - xc), so the 2h + 1 terms and the next centre take h + 1 denominators.
+    (xc, yc), for h >= 1 addends S_i = (xs[i-1], ys[i-1]), and the next centre
+    C + N, N = (xn, yn), on a completed square y^2 = x^3 + c2 x^2 + c4 x + c6
+    over F_p, with one shared inversion (Montgomery's trick).  C + S_i and C -
+    S_i share the denominator x(S_i) - xc of their slopes (+-y(S_i) - yc) /
+    (x(S_i) - xc), so the 2h + 1 terms and the next centre take h + 1
+    denominators.
 
     Returns (x3s, y3s, lams, xnext, ynext): the terms' x in that order, their y
     for the centre and the last term (None elsewhere), their slopes (None for
@@ -568,11 +569,11 @@ def completed_pair_block(c2: int, p: int, xc, yc, xs: list, ys: list, xn, yn):
     inv = acc * d % p
     if not inv:
         return None
-    inv = pow(inv, -1, p)  # inverse of prefix[i], walking i down from N's
+    inv = pow(inv, -1, p)  # then the inverse of prefix[i], walking i down
     off = c2 + xc  # x3 = lam^2 - (c2 + xc) - x2
-    lam = (yn - yc) * (inv * acc % p) % p
+    ln = (yn - yc) * (inv * acc % p) % p
     inv = inv * d % p
-    xnext = (lam * lam - off - xn) % p
+    xnext = (ln * ln - off - xn) % p
     xm, lm, xp, lp = [], [], [], []  # C - S_h, ..., C - S_1 and C + S_h, ..., C + S_1
     for i in range(len(xs) - 1, -1, -1):
         x = xs[i]
@@ -580,19 +581,18 @@ def completed_pair_block(c2: int, p: int, xc, yc, xs: list, ys: list, xn, yn):
         inv = inv * (x - xc) % p
         y = ys[i]
         u = off + x
-        l = (y - yc) * di % p
-        xp.append((l * l - u) % p)
-        lp.append(l)
-        l = (-y - yc) * di % p
-        xm.append((l * l - u) % p)
-        lm.append(l)
+        lam = (y - yc) * di % p
+        xp.append((lam * lam - u) % p)
+        lp.append(lam)
+        lam = (-y - yc) * di % p
+        xm.append((lam * lam - u) % p)
+        lm.append(lam)
     xp.reverse()
     lp.reverse()
     y3s = [None] * (2 * len(xs) + 1)
     y3s[len(xs)] = yc
     y3s[-1] = (lp[-1] * (xc - xp[-1]) - yc) % p
-    return xm + [xc] + xp, y3s, lm + [None] + lp, xnext, (lam * (xc - xnext) - yc) % p
-
+    return xm + [xc] + xp, y3s, lm + [None] + lp, xnext, (ln * (xc - xnext) - yc) % p
 
 def enumerate_points(curve: Curve) -> list[Point]:
     """All rational points: infinity first, then affine sorted by (x, y) encoding."""

@@ -224,18 +224,8 @@ def bsgs_annihilator(
     xs, ys = [None, x], [None, y]
     j = 1 if x is None else 0  # the first j with j*Q = infinity, if any
     paired = h and s >= 2 * w  # room for a paired block after the first 2h terms
-    for end in (w, s) if paired else (s,):
-        if paired and end == s and not j:  # paired blocks while a whole one fits
-            # N = w*Q and the first centre (3h+1)*Q, from 2h*Q
-            (xn, xc), (yn, yc), _ = add_block(xs[-1], ys[-1], [xs[1], xs[h + 1]], [ys[1], ys[h + 1]], 2)
-            sx, sy, ls = xs[1:h + 1], ys[1:h + 1], [None] * w  # ls: the slopes of paired terms
-            while not j and len(xs) + 2 * h < s:
-                bx, by, bl, xc, yc = pair_block(xc, yc, sx, sy, xn, yn)
-                if None in bx:
-                    j = len(xs) + bx.index(None)
-                xs += bx
-                ys += by
-                ls += bl
+    end = w if paired else s
+    while True:
         while not j and len(xs) < end:  # add Q, 2*Q, ..., b*Q to the last term
             b = min(len(xs) - 1, cap, end - len(xs))
             bx, by, _ = add_block(xs[-1], ys[-1], xs[1:b + 1], ys[1:b + 1], b)
@@ -243,6 +233,20 @@ def bsgs_annihilator(
                 j = len(xs) + bx.index(None)
             xs += bx
             ys += by
+        if j or end == s:
+            break
+        # paired blocks while a whole one fits, from N = w*Q and the first
+        # centre (3h+1)*Q made from 2h*Q; then the rest as above
+        (xn, xc), (yn, yc), _ = add_block(xs[-1], ys[-1], [xs[1], xs[h + 1]], [ys[1], ys[h + 1]], 2)
+        sx, sy, ls = xs[1:h + 1], ys[1:h + 1], [None] * w  # ls: the slopes of paired terms
+        while not j and len(xs) + 2 * h < s:
+            bx, by, bl, xc, yc = pair_block(xc, yc, sx, sy, xn, yn)
+            if None in bx:
+                j = len(xs) + bx.index(None)
+            xs += bx
+            ys += by
+            ls += bl
+        end = s
     if j:
         # the order of P divides j*mod (Q itself is infinity when j = 1),
         # so any multiple of j*mod annihilates.  With mod = 1 the interval
@@ -279,12 +283,12 @@ def bsgs_annihilator(
                 y = gy[i]
                 if y is None:
                     y = (lams[i] * (xb - x) - yb) % p
-                # R = mod*(u - c)*P matched against +-j*Q
                 j = table[x]
                 yj = ys[j]
                 if yj is None:  # a term of a paired baby block, centred on k*Q
                     k = j - j % w + h
                     yj = (ls[j] * (xs[k] - x) - ys[k]) % p
+                # R = mod*(u - c)*P matched against +-j*Q
                 c = s - 1 + (done + i) * stride
                 if y == yj and 0 <= c + j <= span:
                     c += j
