@@ -273,7 +273,9 @@ class Curve:
         )
 
     def y_solutions(self, x: int) -> list[int]:
-        """Encodings of all y with (x, y) on the curve, ascending."""
+        """Encodings of all y with (x, y) on the curve, ascending.  In odd
+        characteristic one root_enc call, one exponentiation outside the
+        log-table fields, both tells whether a y exists and gives it."""
         s = self.spec
         if s.char2:
             d = self._rhs_enc(x)
@@ -291,9 +293,9 @@ class Curve:
         w = s.add_enc(s.mul_enc(s.add_enc(s.mul_enc(s.add_enc(x, c2), x), c4), x), c6)
         if w == 0:
             return [s.neg_enc(t)]
-        if not s.is_square_enc(w):
+        r = s.root_enc(w)
+        if r is None:
             return []
-        r = s.sqrt_enc(w)
         return sorted((s.sub_enc(r, t), s.sub_enc(s.neg_enc(r), t)))
 
 

@@ -9,8 +9,8 @@ model is reproducible from (p, k) alone.
 
 There are four field models, and FieldSpec picks one when it is built and
 binds that model's kernel set (add_enc, sub_enc, neg_enc, mul_enc, inv_enc,
-pow_enc, is_square_enc, sqrt_enc) as closures over its modulus or tables, so
-no kernel tests which model it is in:
+pow_enc, is_square_enc, root_enc, and sqrt_enc on root_enc) as closures
+over its modulus or tables, so no kernel tests which model it is in:
 
   * prime fields (k = 1) compute directly mod p;
   * extension fields up to 2^20 elements build, with the spec, an antilog
@@ -65,6 +65,9 @@ MAX_Q = 1 << 62
 # with the spec takes time and memory linear in q; above it every operation
 # is polynomial arithmetic.
 _LOG_LIMIT = 1 << 20
+
+# The Zech table is read from log in chunks of this many indexes.
+_ZECH_CHUNK = 1 << 12
 
 _SPEC_CACHE: dict[tuple[int, int, tuple[int, ...] | None], "FieldSpec"] = {}
 
@@ -160,9 +163,10 @@ def _encode(coeffs: list[int], p: int) -> int:
 # ---------------------------------------------------------------------------
 # kernel sets, one per field model
 # ---------------------------------------------------------------------------
-# Each builder returns (add, sub, neg, mul, inv, pow, is_square, sqrt) on
-# encodings, as closures over the model's modulus or tables; FieldSpec binds
-# them once, so no kernel tests which model it is in.
+# Each builder returns (add, sub, neg, mul, inv, pow, is_square, root) on
+# encodings, as closures over the model's modulus or tables, where root is
+# the smaller square root or None for a non-square; FieldSpec binds them
+# once, so no kernel tests which model it is in.
 
 def _poly_mul(p: int, k: int, mod, a: int, b: int) -> int:
     return _encode(_poly_mulmod(digits(a, p, k), digits(b, p, k), mod, p), p)
@@ -201,48 +205,65 @@ def _poly_inv(p: int, k: int, mod, a: int) -> int:
     return _encode([x * c % p for x in s1], p)
 
 
-def _sqrt_by_powers(q: int, mul, pow_, is_square, neg, nonsquare):
-    """sqrt_enc on a model's kernels, for odd q and q = 2: the smaller of the
-    two roots.  When q = 3 (mod 4) it is s = a^((q+1)/4), and a is a square
-    exactly when s^2 = a, so one exponentiation both finds and checks the
-    root; else Euler's criterion, then Tonelli-Shanks, which calls
-    nonsquare() for the smallest non-square only when a^m != 1 (q - 1 = 2^e
-    m, m odd), so never over F_2."""
+def _sqrt_by_powers(q: int, mul, pow_, neg, nonsquare):
+    """root_enc on a model's kernels, for odd q and q = 2: the smaller of the
+    two square roots of a, or None when a is not a square, from one
+    exponentiation.  When q = 3 (mod 4) it is s = a^((q+1)/4), and a is a
+    square exactly when s^2 = a.  Otherwise write q - 1 = 2^e m with m odd:
+    c = a^((m-1)/2) gives b = c^2 a = a^m, a is a square exactly when b
+    squared e - 1 times is 1 (Euler's criterion), and Tonelli-Shanks goes on
+    from s = c a = a^((m+1)/2) and b.  Its g = z^m, for the smallest
+    non-square z (nonsquare()), is computed on the first root that needs it,
+    the first with b != 1, and kept; over F_2 (e = 0) no root does."""
     m, e = q - 1, 0
     while not m & 1:
         m >>= 1
         e += 1
+    g0 = None  # z^m
 
-    def sqrt(a: int) -> int:
+    def root(a: int) -> int | None:
+        nonlocal g0
         if a == 0:
             return 0
         if e == 1:
             s = pow_(a, (q + 1) // 4)
             if mul(s, s) != a:
-                raise NotASquare(f"encoding {a} is not a square in F_{q}")
-        elif not is_square(a):
-            raise NotASquare(f"encoding {a} is not a square in F_{q}")
-        else:  # Tonelli-Shanks
-            s = pow_(a, (m + 1) // 2)
-            b = pow_(a, m)
-            g, r = None, e
-            while b != 1:
-                if g is None:
-                    g = pow_(nonsquare(), m)
-                t, m2 = b, 0
-                while t != 1:
-                    t = mul(t, t)
-                    m2 += 1
-                w = g
-                for _ in range(r - m2 - 1):
-                    w = mul(w, w)
-                g = mul(w, w)
-                s = mul(s, w)
-                b = mul(b, g)
-                r = m2
+                return None
+            return min(s, neg(s))
+        c = pow_(a, (m - 1) // 2)
+        s = mul(c, a)
+        b = mul(c, s)
+        t = b
+        for _ in range(e - 1):
+            t = mul(t, t)
+        if t != 1:
+            return None
+        g, r = g0, e  # Tonelli-Shanks
+        while b != 1:
+            if g is None:
+                g = g0 = pow_(nonsquare(), m)
+            t, m2 = b, 0
+            while t != 1:
+                t = mul(t, t)
+                m2 += 1
+            w = g
+            for _ in range(r - m2 - 1):
+                w = mul(w, w)
+            g = mul(w, w)
+            s = mul(s, w)
+            b = mul(b, g)
+            r = m2
         return min(s, neg(s))
 
-    return sqrt
+    return root
+
+
+def _sqrt_or_raise(root, q: int, a: int) -> int:
+    """sqrt_enc: root_enc(a), raising NotASquare where it is None."""
+    s = root(a)
+    if s is None:
+        raise NotASquare(f"encoding {a} is not a square in F_{q}")
+    return s
 
 
 def _prime_kernels(p: int, nonsquare):
@@ -275,7 +296,7 @@ def _prime_kernels(p: int, nonsquare):
     def is_square(a):  # Euler's criterion; every element of F_2
         return a == 0 or pow(a, half, p) == 1
 
-    return add, sub, neg, mul, inv, pow_, is_square, _sqrt_by_powers(p, mul, pow_, is_square, neg, nonsquare)
+    return add, sub, neg, mul, inv, pow_, is_square, _sqrt_by_powers(p, mul, pow_, neg, nonsquare)
 
 
 def _log_kernels(exp, log, zech, q: int):
@@ -333,15 +354,15 @@ def _log_kernels(exp, log, zech, q: int):
     def is_square(a):  # log[0] = 0: zero counts as a square
         return not log[a] & 1
 
-    def sqrt(a):
+    def root(a):
         if a == 0:
             return 0
         la = log[a]
         if la & 1:
-            raise NotASquare(f"encoding {a} is not a square in F_{q}")
+            return None
         return min(exp[la >> 1], exp[(la >> 1) + half])
 
-    return add, sub, neg, mul, inv, pow_, is_square, sqrt
+    return add, sub, neg, mul, inv, pow_, is_square, root
 
 
 def _poly_kernels(p: int, k: int, mod: tuple[int, ...], nonsquare):
@@ -365,7 +386,7 @@ def _poly_kernels(p: int, k: int, mod: tuple[int, ...], nonsquare):
         return a == 0 or pow_(a, half) == 1
 
     return (add, sub, neg, mul, partial(_poly_inv, p, k, mod), pow_, is_square,
-            _sqrt_by_powers(p**k, mul, pow_, is_square, neg, nonsquare))
+            _sqrt_by_powers(p**k, mul, pow_, neg, nonsquare))
 
 
 def _char2_poly_kernels(mod: tuple[int, ...]):
@@ -570,8 +591,10 @@ class FieldSpec:
 
     # -- encoded arithmetic kernels ----------------------------------------------
     # __init__ binds the kernels of the spec's field model on the instance:
-    # add_enc, sub_enc, neg_enc, mul_enc, inv_enc, pow_enc, is_square_enc and
-    # sqrt_enc, all on encodings.  The methods below are the generic
+    # add_enc, sub_enc, neg_enc, mul_enc, inv_enc, pow_enc, is_square_enc,
+    # root_enc (the smaller square root, or None for a non-square) and
+    # sqrt_enc (root_enc raising NotASquare), all on encodings.  The methods
+    # below are the generic
     # digit-list polynomial model, correct in every field; the bound kernels
     # shadow them, and _generator runs on them before the log tables exist.
 
@@ -596,7 +619,8 @@ class FieldSpec:
         else:
             kernels = _poly_kernels(self.p, self.k, self.modulus, self.smallest_nonsquare)
         (self.add_enc, self.sub_enc, self.neg_enc, self.mul_enc, self.inv_enc,
-         self.pow_enc, self.is_square_enc, self.sqrt_enc) = kernels
+         self.pow_enc, self.is_square_enc, self.root_enc) = kernels
+        self.sqrt_enc = partial(_sqrt_or_raise, self.root_enc, self.q)
 
     def smallest_nonsquare(self) -> int:
         """Encoding of the non-square of smallest encoding (odd q)."""
@@ -711,7 +735,11 @@ class FieldSpec:
             plus_one = log[1:]
             plus_one.append(0)
             plus_one[p - 1::p] = log[::p]
-            zech = array("i", map(plus_one.__getitem__, exp))
+            # gathered by itemgetter a chunk at a time: n is even, so every
+            # chunk has at least two indexes and the getter returns a tuple
+            zech = array("i")
+            for i in range(0, n, _ZECH_CHUNK):
+                zech.extend(operator.itemgetter(*exp[i:i + _ZECH_CHUNK])(plus_one))
             zech[n // 2] = -1  # 1 + alpha^i = 0 exactly at alpha^i = -1
             zech *= 2
         exp *= 2

@@ -5,14 +5,14 @@
 the least strong pseudoprime to all of them (OEIS A014233; Jaeschke, Math.
 Comp. 61, 1993; Sorenson and Webster, Math. Comp. 2017), all 13 below
 3317044064679887385961981, and larger n are refused.  `factorize`
-trial-divides by the primes below 1000, sieved once at import, and splits a
-larger composite cofactor by Brent's variant of Pollard rho (Brent, BIT 20,
-1980).  Field sizes stop at 2^62, so every annihilator q + 1 + 2 sqrt(q)
+divides n by the primes below 1000 that one gcd with their product
+shows to divide it, and splits a larger composite cofactor by Brent's
+variant of Pollard rho (Brent, BIT 20, 1980).  Field sizes stop at 2^62, so every annihilator q + 1 + 2 sqrt(q)
 stays below `factorize`'s 2^63 guard.
 """
 
 from itertools import count
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 from .errors import NotPrimePower
 
@@ -74,6 +74,8 @@ def sieve_primes(limit: int) -> list[int]:
 
 
 _TRIAL_PRIMES = tuple(sieve_primes(1000))  # factorize's trial divisors
+_TRIAL_PRODUCT = prod(_TRIAL_PRIMES)
+_TRIAL_SQUARE = 1009 * 1009  # the least composite with no prime factor below 1000
 
 
 def prime_powers(limit: int) -> list[int]:
@@ -119,7 +121,7 @@ def _rho_divisor(n: int) -> int:
     one step at a time, and a cycle without a split moves on to the next c.
     """
     for c in count(1):
-        y, r, prod, g = 2, 1, 1, 1
+        y, r, acc, g = 2, 1, 1, 1
         while g == 1:
             x = y
             for _ in range(r):
@@ -129,8 +131,8 @@ def _rho_divisor(n: int) -> int:
                 ys = y
                 for _ in range(min(_RHO_BATCH, r - k)):
                     y = (y * y + c) % n
-                    prod = prod * (x - y) % n
-                g = gcd(prod, n)
+                    acc = acc * (x - y) % n
+                g = gcd(acc, n)
                 k += _RHO_BATCH
             r *= 2
         if g == n:
@@ -153,22 +155,28 @@ def _large_prime_factors(n: int) -> list[int]:
 def factorize(n: int) -> list[int]:
     """Prime factors of n with multiplicity, ascending.
 
-    Trial division by the primes below 1000, stopping once p^2 > n, when
-    what is left is 1 or prime; a cofactor with no prime factor below 1000
-    is Miller-Rabin prime or split by rho.  Guarded to n < 2^63.
+    One gcd with the product of the primes below 1000 picks the trial
+    primes that divide n; only those divide it, and the screen stops once
+    the gcd is used up.  The cofactor then has no prime factor below 1000,
+    so below 1009^2 it is 1 or prime; above, it is Miller-Rabin prime or
+    split by rho.  Guarded to n < 2^63.
     """
     if not 1 <= n < _FACTOR_LIMIT:
         raise ValueError(f"factorize requires 1 <= n < 2^63, got {n}")
     out = []
+    g = gcd(n, _TRIAL_PRODUCT)
     for p in _TRIAL_PRIMES:
-        if p * p > n:
+        if g == 1:
             break
-        while n % p == 0:
-            out.append(p)
+        if g % p == 0:
+            g //= p
             n //= p
-    else:
-        if n > 1:
-            return out + sorted(_large_prime_factors(n))
+            out.append(p)
+            while n % p == 0:
+                n //= p
+                out.append(p)
+    if n >= _TRIAL_SQUARE:
+        return out + sorted(_large_prime_factors(n))
     if n > 1:
         out.append(n)
     return out

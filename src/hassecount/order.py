@@ -3,10 +3,13 @@ integer machinery (CRT merging, trace-candidate logic) the counting engine
 builds on.
 
 BSGS finds a multiple m of the order of P; exact_order then strips m down
-to the order on a balanced product tree over the prime powers of m
-(Sutherland, Order computations in generic groups, MIT thesis 2007, ch. 7),
-for about (ceil(log2 w) + 1) * bitlen(m) bits of scalar multiplication with
-w distinct primes in m, not one full-length multiplication per prime.
+to the order on a product tree over the prime powers of m (Sutherland,
+Order computations in generic groups, MIT thesis 2007, ch. 7) weighted by
+their bit lengths, Huffman's tree for the weights log2 l^e: at most
+ceil(log2 w) * log2(m) + 2(w - 1) bits of scalar multiplication on its
+nodes with w distinct primes in m, and about bitlen(L) + bitlen(m/L) at the
+root when one prime power L exceeds m/L, not one full-length
+multiplication per prime.
 
 The search can be restricted to the traces of one congruence t = a (mod M):
 it then walks multiples of Q = M*P over the about 4*sqrt(q)/M admissible
@@ -23,7 +26,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
-from math import gcd, isqrt, prod
+from heapq import heapify, heappop, heappush
+from math import gcd, isqrt
 
 from .curve import Curve, Point, completed_add_block, completed_pair_block
 from .errors import IncompatibleCongruence, InternalInvariantError
@@ -327,49 +331,70 @@ def bsgs_annihilator(
 def exact_order(curve: Curve, pt: Point, annihilator: int) -> int:
     """The exact order of P, given any multiple m of it that kills P.
 
-    m is factored once into prime powers l^e, which label the leaves of a
-    balanced product tree (Sutherland, Order computations in generic groups,
-    MIT thesis 2007, ch. 7).  A node labelled S holds Q = (m / prod S)*P,
-    so the root holds P itself.  A node whose Q is infinity returns 1;
-    otherwise it splits S into halves A and B and returns the product of
-    the orders found below (prod B)*Q with A and (prod A)*Q with B.  A leaf
-    l^e multiplies Q by l until it reaches infinity, at most e times.
+    m is factored once into prime powers l^e, the leaves of a product tree
+    (Sutherland, Order computations in generic groups, MIT thesis 2007,
+    ch. 7) weighted by bit length: the two lightest subtrees are merged
+    until one is left, ties going to the smaller product, that is the two
+    smallest products, which is Huffman's tree for the weights log2 l^e
+    (Huffman, Proc. IRE 40, 1952).  A node with the prime powers S holds a
+    point Q with the order of (m / prod S)*P; the root holds P itself.  A
+    node whose Q is infinity returns 1; otherwise it visits its lighter
+    child A first, on (prod B)*Q, and returns the order n found there times
+    the order found on B from n*Q.  n is the part of Q's order on the primes
+    of A, so n*Q has the order of (prod A)*Q, from a multiplier that divides
+    prod A.  A leaf l^e multiplies Q by l until it reaches infinity, at most
+    e times.
 
-    At a leaf l^e*Q is m*P, so the first leaf reached checks that m kills
-    P (a node with Q = infinity shows it too), and each later leaf skips its
-    last multiplication by l.  The multipliers of one level of the tree
-    multiply to at most m, so the work is at most (ceil(log2 w) + 1) *
-    bitlen(m) + sum e*bitlen(l) bits of scalar multiplication for w distinct
-    primes, where trying m / l on P for each prime costs at least w + 1
-    full-length multiplications, the check of m*P included.  P is mapped in
-    once (Curve.to_model) and every node multiplies bare (x, y) by Curve.mul.
+    The first leaf reached, down the lighter children, holds Q = (m/l^e)*P,
+    so it checks that m kills P (a node with Q = infinity shows it too).
+    Once m kills P, every later leaf holds a Q whose order divides l^e, so
+    it skips its last multiplication by l: a prime leaf multiplies nothing.
+    A node v other than the root costs at most bitlen(prod v) <= log2(prod
+    v) + 1 bits, so the work is at most Huffman's weighted path length, sum
+    e*log2(l)*depth over the leaves, plus 2(w - 1) for w distinct primes,
+    plus sum e*bitlen(l) at the leaves.  Huffman's length is at most that
+    of any tree on the same leaves, and so at most ceil(log2 w) * log2(m),
+    the length of the tree balanced by the number of primes.  A prime power
+    L that exceeds m/L exceeds every product of the other leaves, so the
+    merge leaves it at depth 1: the root multiplies by L and by at most m/L,
+    and L's leaf, if prime, by nothing.  Trying m / l on P for each prime
+    costs at least w + 1 full-length multiplications, the check of m*P
+    included.  P is mapped in once (Curve.to_model) and every node
+    multiplies bare (x, y) by Curve.mul.
     """
     if annihilator < 1:
         raise ValueError("annihilator must be positive")
     killed = False  # m*P = infinity is known
     mul = curve.mul
 
-    def order(x, y, s: list[tuple[int, int]]) -> int:
+    def order(x, y, node: tuple) -> int:
         nonlocal killed
         if x is None:
             killed = True
             return 1
-        if len(s) > 1:
-            a, b = s[:len(s) // 2], s[len(s) // 2:]
-            return (order(*mul(prod(ell**e for ell, e in b), x, y), a)
-                    * order(*mul(prod(ell**e for ell, e in a), x, y), b))
-        if s:
-            (ell, e), = s
-            for k in range(1, e + 1):
-                if killed and k == e:
-                    return ell**e  # l^e*Q = m*P = infinity
-                x, y = mul(ell, x, y)
-                if x is None:
-                    killed = True
-                    return ell**k
+        _, a, b = node
+        if type(a) is tuple:  # (prod S, A, B) with prod A < prod B
+            n = order(*mul(b[0], x, y), a)
+            return n * order(*mul(n, x, y), b)
+        ell, e = a, b  # a leaf (l^e, l, e)
+        for k in range(1, e + 1):
+            if killed and k == e:
+                return ell**e  # Q has the order of (m/l^e)*P, so l^e*Q = infinity
+            x, y = mul(ell, x, y)
+            if x is None:
+                killed = True
+                return ell**k
         raise ValueError("claimed annihilator does not kill the point")
 
-    return order(*curve.to_model(pt), list(Counter(factorize(annihilator)).items()))  # ascending l
+    # m = 1 is one leaf that multiplies nothing; products of distinct
+    # subtrees differ, so no comparison reaches a node's children
+    tree = [(ell**e, ell, e) for ell, e in Counter(factorize(annihilator)).items()] or [(1, 1, 0)]
+    heapify(tree)
+    while len(tree) > 1:
+        a = heappop(tree)
+        b = heappop(tree)
+        heappush(tree, (a[0] * b[0], a, b))
+    return order(*curve.to_model(pt), tree[0])
 
 
 # ---------------------------------------------------------------------------

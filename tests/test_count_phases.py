@@ -1,0 +1,35 @@
+"""tools/count_phases.py on three curves at 10^6+3: every phase shows up,
+y_solutions takes one exponentiation per drawn x, and the wrappers are
+removed afterwards."""
+
+import importlib.util
+from pathlib import Path
+
+from hassecount import counting, curve, finite_field, order
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "count_phases.py"
+_SPEC = importlib.util.spec_from_file_location("count_phases", _PATH)
+count_phases = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(count_phases)
+
+
+def test_count_phases_smoke(capsys):
+    before = [(owner, attr, getattr(owner, attr)) for _, owner, attr in count_phases.PHASES]
+    before.append((curve.Curve, "mul", curve.Curve.mul))
+    before.append((finite_field, "_poly_powmod", finite_field._poly_powmod))
+    assert count_phases.main(["--q", "1000003", "--seed", "1", "--curves", "3"]) == 0
+    out = capsys.readouterr().out
+    lines = out.splitlines()
+    assert lines[0].startswith("q = 1000003, seed 1, 3 curves:")
+    labels = [line.split()[0] for line in lines[2:] if not line.startswith(("y_solutions:", "digest"))]
+    for name in ("count_points", "priors", "random_point", "y_solutions", "bsgs", "exact_order",
+                 "factorize", "final"):
+        assert name in labels, out
+    rows = {line[:22].strip(): line[22:].split() for line in lines[2:]}
+    assert float(rows["exact_order"][3]) > 0  # Curve.mul bits per count
+    assert "y_solutions: 1.000 exponentiations per drawn x" in out
+    assert lines[-1].startswith("digest of results and exact orders: ")
+    for owner, attr, value in before:
+        assert getattr(owner, attr) is value
+    assert "pow" not in vars(finite_field)
+    assert counting.exact_order is order.exact_order

@@ -429,3 +429,84 @@ def test_random_point_scan_fallback_above_2_16():
     x0 = next(x for x in range(65537) if not e.y_solutions(x))
     x1 = next(x for x in range(65537) if e.y_solutions(x))
     assert cv.random_point(e, _MissingDraws(x0)) == cv.Point(e, x1, e.y_solutions(x1)[0])
+
+
+# --- y_solutions: one exponentiation per x ----------------------------------------
+
+def brute_y_solutions(e, x):
+    """Every y with y (y + a1 x + a3) = x^3 + a2 x^2 + a4 x + a6."""
+    s = e.spec
+    rhs, c = e._rhs_enc(x), s.add_enc(s.mul_enc(e.a1, x), e.a3)
+    return [y for y in range(s.q) if s.mul_enc(y, s.add_enc(y, c)) == rhs]
+
+
+@pytest.mark.parametrize("q", [1019, 1013, 243, 125])
+def test_y_solutions_brute_force_every_x(q):
+    """Over F_p for p = 3 and 1 (mod 4), and over log-table fields, every x
+    of long-form curves (a1, a3 != 0: the completed square is shifted)."""
+    spec = ff.spec_for_q(q)
+    rng = random.Random(q)
+    for _ in range(2):
+        e = cv.Curve(spec, *(rng.randrange(1, q) for _ in range(2)), rng.randrange(1, q),
+                     *(rng.randrange(q) for _ in range(2)))
+        for x in range(q):
+            assert e.y_solutions(x) == brute_y_solutions(e, x), (e, x)
+
+
+def old_y_solutions(e, x):
+    """y_solutions by Euler's criterion, then the root: two exponentiations
+    for a square, the route root_enc replaced."""
+    s = e.spec
+    c2, c4, c6, h1, h3 = e.completed_model()
+    t = s.add_enc(s.mul_enc(h1, x), h3)
+    w = s.add_enc(s.mul_enc(s.add_enc(s.mul_enc(s.add_enc(x, c2), x), c4), x), c6)
+    if w == 0:
+        return [s.neg_enc(t)]
+    if not s.is_square_enc(w):
+        return []
+    r = s.sqrt_enc(w)
+    return sorted((s.sub_enc(r, t), s.sub_enc(s.neg_enc(r), t)))
+
+
+@pytest.mark.parametrize("q", [3**13, 5**9])
+def test_y_solutions_odd_polynomial_model_matches_old_route(q):
+    spec = ff.spec_for_q(q)
+    assert spec._log is None and not spec.char2
+    rng = random.Random(q)
+    e = sample_random_curve(spec, rng)
+    found = 0
+    for _ in range(500):
+        x = rng.randrange(q)
+        ys = e.y_solutions(x)
+        assert ys == old_y_solutions(e, x)
+        found += bool(ys)
+    assert 150 < found < 350
+
+
+@pytest.mark.parametrize("p", [10**12 + 39, 10**9 + 9, 1013, 1019])
+def test_y_solutions_one_exponentiation_per_x(monkeypatch, p):
+    """Counted by shadowing pow in finite_field, where the prime kernels
+    call it: one exponentiation per x with x^3 + ... != 0, for p = 3 and 1
+    (mod 4).  For p = 1 (mod 4) the first root that needs the non-square's
+    power, which the kernel keeps, is taken before counting."""
+    spec = ff.make_spec(p)
+    rng = random.Random(p)
+    e = sample_random_curve(spec, rng)
+    c2, c4, c6 = e.completed_model()[:3]
+    xs = [x for x in (rng.randrange(p) for _ in range(300))
+          if (((x + c2) * x + c4) * x + c6) % p]
+    z = spec.smallest_nonsquare()
+    spec.root_enc(z * z % p)  # for p = 1 (mod 4), (z^2)^m != 1: Tonelli-Shanks takes z^m
+    calls = []
+
+    def counting_pow(*args):
+        calls.append(args)
+        return pow(*args)
+
+    monkeypatch.setattr(ff, "pow", counting_pow, raising=False)
+    roots = 0
+    for x in xs:
+        calls.clear()
+        roots += bool(e.y_solutions(x))
+        assert len(calls) == 1, (x, calls)
+    assert 0 < roots < len(xs)

@@ -528,10 +528,33 @@ def test_polynomial_inverse_by_euclid(p, k):
         spec.inv_enc(0)
 
 
+@pytest.mark.parametrize("p,k", [(1019, 1), (1013, 1), (10**12 + 39, 1), (2**61 - 1, 1), (2, 1),
+                                 (3, 5), (5, 4), (3, 13), (5, 9), (2, 10), (2, 24)])
+def test_root_enc_is_sqrt_or_none(p, k):
+    """root_enc gives sqrt_enc's root on squares and None elsewhere, in every
+    field model, for q = 1 and 3 (mod 4): its Euler's criterion, read off
+    the one exponentiation, agrees with is_square_enc's."""
+    spec = ff.make_spec(p, k)
+    rng = random.Random(p * k)
+    kinds = set()
+    for a in [0, 1, *(rng.randrange(spec.q) for _ in range(150))]:
+        r = spec.root_enc(a)
+        if spec.is_square_enc(a):
+            kinds.add("square")
+            assert r == spec.sqrt_enc(a) and spec.mul_enc(r, r) == a and r == min(r, spec.neg_enc(r))
+        else:
+            kinds.add("non-square")
+            assert r is None
+            with pytest.raises(NotASquare):
+                spec.sqrt_enc(a)
+    assert kinds == ({"square"} if spec.char2 else {"square", "non-square"})
+
+
 # One (p, k) per field model: prime, odd log/Zech, char-2 log, odd and char-2
 # polynomial.
 MODEL_FIELDS = [(10007, 1), (2, 1), (3, 7), (2, 10), (3, 13), (2, 24)]
-KERNELS = ("add_enc", "sub_enc", "neg_enc", "mul_enc", "inv_enc", "pow_enc", "is_square_enc", "sqrt_enc")
+KERNELS = ("add_enc", "sub_enc", "neg_enc", "mul_enc", "inv_enc", "pow_enc", "is_square_enc", "root_enc",
+           "sqrt_enc")
 
 
 def test_generic_methods_stay_on_the_class():

@@ -120,6 +120,36 @@ def test_factorize_matches_trial_division():
         assert factorize(n) == trial_division(n), n
 
 
+def test_factorize_primes_near_the_screen():
+    """Against trial division, on n < 10^13 built only from primes near 1000,
+    on both sides of the gcd screen's limit, and on n with no prime factor
+    below 1000: one prime, or two or three of them, up to 3.2 * 10^6."""
+    rng = random.Random(1000)
+    near = [p for p in sieve_primes(1100) if p > 900]
+    above = REF_PRIMES[REF_PRIMES > 1000].tolist()
+    for _ in range(300):
+        n = rng.choice(near)
+        while n * 1100 < 10**13:
+            n *= rng.choice(near)
+        assert factorize(n) == trial_division(n), n
+        n = rng.choice(above)
+        for _ in range(rng.randrange(3)):
+            if n * 3_200_000 < 10**13:
+                n *= rng.choice(above)
+        assert factorize(n) == trial_division(n), n
+
+
+def test_factorize_powers_of_2_and_3_times_a_large_prime():
+    big = next(n for n in range(2**32 + 1, 2**33, 2) if is_prime(n))
+    for a in range(0, 31, 3):
+        for b in range(0, 20, 2):
+            n = 2**a * 3**b * big
+            if n < 2**63:
+                assert factorize(n) == [2] * a + [3] * b + [big], (a, b)
+    assert factorize(2**30 * big) == [2] * 30 + [big]
+    assert factorize(3**18 * big) == [3] * 18 + [big]
+
+
 def naive_factors(n):
     """Prime factors of n with multiplicity, by trial division by every d >= 2."""
     out, d = [], 2

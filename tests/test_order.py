@@ -1,4 +1,6 @@
+import math
 import random
+from collections import Counter
 from math import isqrt, lcm
 
 import pytest
@@ -849,11 +851,46 @@ def test_exact_order_bad_annihilators():
     assert seen == {"exponent", "missing"}
 
 
+def balanced_split_order(e, x, y, m):
+    """The order of (x, y) on the product tree balanced by the number of
+    primes, which the bit-weighted tree replaced: the prime powers of m in
+    ascending order, split into halves at every node."""
+    killed = False
+
+    def order(x, y, s):
+        nonlocal killed
+        if x is None:
+            killed = True
+            return 1
+        if len(s) > 1:
+            a, b = s[:len(s) // 2], s[len(s) // 2:]
+            return (order(*e.mul(math.prod(ell**k for ell, k in b), x, y), a)
+                    * order(*e.mul(math.prod(ell**k for ell, k in a), x, y), b))
+        (ell, k), = s
+        for i in range(1, k + 1):
+            if killed and i == k:
+                return ell**k
+            x, y = e.mul(ell, x, y)
+            if x is None:
+                killed = True
+                return ell**i
+        raise ValueError("claimed annihilator does not kill the point")
+
+    return order(x, y, sorted(Counter(factorize(m)).items()))
+
+
 def test_exact_order_work_bound(monkeypatch):
-    """Bits of scalar multiplication, counted by wrapping Curve.mul,
-    stay within (ceil(log2 w) + 1)*bitlen(m) + sum e*bitlen(l) for m with
-    w distinct primes l^e: the product tree's bound, which one full-length
-    multiplication per prime (m / l tried on P) exceeds."""
+    """Bits of scalar multiplication, counted by wrapping Curve.mul.
+
+    For m with w distinct primes l^e they stay within (ceil(log2 w) + 1) *
+    bitlen(m) + sum e*bitlen(l), which one full-length multiplication per
+    prime (m / l tried on P) exceeds.  When the largest prime power L of m
+    exceeds m/L, the weighted tree leaves L at depth 1, so they stay within
+    bitlen(L) + (ceil(log2 w) + 1) * bitlen(m/L), plus the multiplications
+    of the other leaves and all but the last of L's: here m is a count with
+    a prime factor above 2^32 times a few small primes, and the tree
+    balanced by the number of primes, which pays bitlen(L) on every level,
+    exceeds that bound on the same m and point."""
     spec = ff.make_spec(10**12 + 39)
     rng = random.Random(20)
     bits = []
@@ -877,6 +914,28 @@ def test_exact_order_work_bound(monkeypatch):
             order = od.exact_order(e, p, m)
             assert 0 < sum(bits) <= bound, (m, bits, bound)
             assert n % order == 0 and inner(e, order, *e.to_model(p)) == (None, None)
+    curves = 0
+    while curves < 6:
+        e = sample_random_curve(spec, rng)
+        n = count_points(e, "point_order", random.Random(0)).count
+        if factorize(n)[-1] < 1 << 32:
+            continue
+        curves += 1
+        for c in (2 * 3 * 5, 2 * 3 * 5 * 7):
+            m = n * c
+            (ell, k), *rest = sorted(Counter(factorize(m)).items(), key=lambda lk: -lk[0] ** lk[1])
+            big = ell**k
+            assert big > m // big
+            w = 1 + len(rest)
+            bound = (big.bit_length() + ((w - 1).bit_length() + 1) * (m // big).bit_length()
+                     + (k - 1) * ell.bit_length() + sum(j * r.bit_length() for r, j in rest))
+            p = cv.random_point(e, rng)
+            bits.clear()
+            order = od.exact_order(e, p, m)
+            assert sum(bits) <= bound, (m, bits, bound)
+            bits.clear()
+            assert balanced_split_order(e, *e.to_model(p), m) == order
+            assert sum(bits) > bound, (m, bits, bound)
 
 
 # --- congruences ------------------------------------------------------------------
