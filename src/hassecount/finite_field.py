@@ -594,9 +594,9 @@ class FieldSpec:
     # add_enc, sub_enc, neg_enc, mul_enc, inv_enc, pow_enc, is_square_enc,
     # root_enc (the smaller square root, or None for a non-square) and
     # sqrt_enc (root_enc raising NotASquare), all on encodings.  The methods
-    # below are the generic
-    # digit-list polynomial model, correct in every field; the bound kernels
-    # shadow them, and _generator runs on them before the log tables exist.
+    # below are the generic digit-list polynomial model, correct in every
+    # field; the bound kernels shadow them, and _generator runs on them
+    # before the log tables exist.
 
     def mul_enc(self, a: int, b: int) -> int:
         return _poly_mul(self.p, self.k, self.modulus, a, b)

@@ -7,8 +7,9 @@ Comp. 61, 1993; Sorenson and Webster, Math. Comp. 2017), all 13 below
 3317044064679887385961981, and larger n are refused.  `factorize`
 divides n by the primes below 1000 that one gcd with their product
 shows to divide it, and splits a larger composite cofactor by Brent's
-variant of Pollard rho (Brent, BIT 20, 1980).  Field sizes stop at 2^62, so every annihilator q + 1 + 2 sqrt(q)
-stays below `factorize`'s 2^63 guard.
+variant of Pollard rho (Brent, BIT 20, 1980).  Field sizes stop at 2^62,
+so every annihilator q + 1 + 2 sqrt(q) stays below `factorize`'s 2^63
+guard.
 """
 
 from itertools import count
@@ -121,7 +122,7 @@ def _rho_divisor(n: int) -> int:
     one step at a time, and a cycle without a split moves on to the next c.
     """
     for c in count(1):
-        y, r, acc, g = 2, 1, 1, 1
+        y, r, prod, g = 2, 1, 1, 1
         while g == 1:
             x = y
             for _ in range(r):
@@ -131,8 +132,8 @@ def _rho_divisor(n: int) -> int:
                 ys = y
                 for _ in range(min(_RHO_BATCH, r - k)):
                     y = (y * y + c) % n
-                    acc = acc * (x - y) % n
-                g = gcd(acc, n)
+                    prod = prod * (x - y) % n
+                g = gcd(prod, n)
                 k += _RHO_BATCH
             r *= 2
         if g == n:
@@ -170,8 +171,6 @@ def factorize(n: int) -> list[int]:
             break
         if g % p == 0:
             g //= p
-            n //= p
-            out.append(p)
             while n % p == 0:
                 n //= p
                 out.append(p)

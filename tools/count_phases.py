@@ -85,20 +85,18 @@ class Meter:
             self.rows[tuple(self.stack[:depth])][column] += amount
 
     def phase(self, name: str, fn):
-        meter = self
-
         def wrapped(*args, **kwargs):
-            meter.stack.append(name)
-            row = meter.row()
+            self.stack.append(name)
+            row = self.row()
             row[0] += 1
             t0 = perf_counter()
             try:
                 out = fn(*args, **kwargs)
             finally:
                 row[1] += perf_counter() - t0
-                meter.stack.pop()
+                self.stack.pop()
             if name == "exact_order":
-                meter.orders.append(out)
+                self.orders.append(out)
             return out
 
         return wrapped
