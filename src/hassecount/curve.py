@@ -7,11 +7,13 @@ choice of stepping model branch on the characteristic.
 
 Coefficients and point coordinates are field encodings (plain ints, see
 finite_field) and the formulas call the FieldSpec kernels on them, but for
-log_law, which reads the field's Zech table; an integer constant c is the
-encoding c % p.  long_add, the affine addition law of the long form, adds
-bare encodings; Curve.add_points wraps it in Points for the API.  The loops
-that carry the traffic step on one affine model per curve
-(Curve.affine_model), on bare coordinates:
+log_law and count_exhaustive over odd extension fields, which read the
+field's log and Zech tables; an integer constant c is the encoding c % p.
+In odd characteristic the constructor derives the completed square once
+(Curve.completed_model) and takes the discriminant from it.  long_add, the
+affine addition law of the long form, adds bare encodings; Curve.add_points
+wraps it in Points for the API.  The loops that carry the traffic step on
+one affine model per curve (Curve.affine_model), on bare coordinates:
 - characteristic 2: the long form, added by long_add;
 - odd fields with Zech tables (1 < k, q <= 2^20): log coordinates, the
   discrete logs of (x, y') on the completed square y'^2 = x^3 + c2 x^2 +
@@ -78,25 +80,45 @@ class Curve:
     __slots__ = ("spec", "a1", "a2", "a3", "a4", "a6", "discriminant", "_completed", "_model")
 
     def __init__(self, spec: FieldSpec, a1, a2, a3, a4, a6):
+        """Validates the coefficients and the discriminant.  In odd
+        characteristic the completed square (completed_model) is derived
+        here, once, and the discriminant taken from it: the substitution y' =
+        y + h1 x + h3 keeps it, so it is 16 disc(x^3 + c2 x^2 + c4 x + c6).
+        Characteristic 2 takes it from the b-invariants."""
         self.spec = spec
         q = spec.q
-        if not all(type(a) is int and 0 <= a < q for a in (a1, a2, a3, a4, a6)):
+        if not (
+            type(a1) is type(a2) is type(a3) is type(a4) is type(a6) is int
+            and 0 <= a1 < q and 0 <= a2 < q and 0 <= a3 < q and 0 <= a4 < q and 0 <= a6 < q
+        ):
             # anything but in-range plain-int encodings is validated by the field
             a1, a2, a3, a4, a6 = (spec.element(a).enc for a in (a1, a2, a3, a4, a6))
         self.a1, self.a2, self.a3, self.a4, self.a6 = a1, a2, a3, a4, a6
         add, sub, mul, p = spec.add_enc, spec.sub_enc, spec.mul_enc, spec.p
-        b2 = add(mul(a1, a1), mul(4 % p, a2))
-        b4 = add(mul(2 % p, a4), mul(a1, a3))
-        b6 = add(mul(a3, a3), mul(4 % p, a6))
-        # b8 = a1^2 a6 + 4 a2 a6 - a1 a3 a4 + a2 a3^2 - a4^2 = b2 a6 + a2 a3^2 - a4 (a1 a3 + a4)
-        b8 = sub(add(mul(b2, a6), mul(a2, mul(a3, a3))), mul(a4, add(mul(a1, a3), a4)))
-        # disc = -b2^2 b8 - 8 b4^3 - 27 b6^2 + 9 b2 b4 b6 = b6 (9 b2 b4 - 27 b6) - b2^2 b8 - 8 b4^3
-        disc = sub(mul(b6, sub(mul(9 % p, mul(b2, b4)), mul(27 % p, b6))), mul(mul(b2, b2), b8))
-        disc = sub(disc, mul(8 % p, mul(b4, mul(b4, b4))))
+        if spec.char2:
+            b2 = mul(a1, a1)
+            b4 = mul(a1, a3)
+            b6 = mul(a3, a3)
+            # b8 = a1^2 a6 + a2 a3^2 + a1 a3 a4 + a4^2 and disc = b2^2 b8 + b6^2 + b2 b4 b6
+            b8 = add(add(mul(b2, a6), mul(a2, b6)), mul(a4, add(b4, a4)))
+            disc = add(mul(b6, add(mul(b2, b4), b6)), mul(mul(b2, b2), b8))
+            self._completed = None
+        else:
+            half = (p + 1) >> 1  # 1/2, a constant of the prime field
+            h1, h3 = mul(a1, half), mul(a3, half)
+            c2, c4, c6 = add(a2, mul(h1, h1)), add(a4, mul(h1, a3)), add(a6, mul(h3, h3))
+            self._completed = c2, c4, c6, h1, h3
+            # disc = c4^2 (c2^2 - 4 c4) + c6 (c2 (18 c4 - 4 c2^2) - 27 c6)
+            c22 = mul(c2, c2)
+            disc = add(
+                mul(mul(c4, c4), sub(c22, mul(4 % p, c4))),
+                mul(c6, sub(mul(c2, sub(mul(18 % p, c4), mul(4 % p, c22))), mul(27 % p, c6))),
+            )
+            disc = mul(16 % p, disc)
         if disc == 0:
             raise SingularCurve(f"discriminant vanishes for {self.coefficients()} over F_{spec.q}")
         self.discriminant = disc
-        self._completed = self._model = None
+        self._model = None
 
     # -- basic structure -----------------------------------------------------------
 
@@ -149,15 +171,8 @@ class Curve:
     def completed_model(self) -> tuple[int, int, int, int, int]:
         """Odd characteristic: encodings (c2, c4, c6, h1, h3) of the isomorphic
         completed square y'^2 = x^3 + c2 x^2 + c4 x + c6, y' = y + h1 x + h3
-        with h1 = a1/2, h3 = a3/2; on it -(x, y') = (x, -y').  Derived once
-        per curve."""
-        if self._completed is None:
-            s = self.spec
-            add, mul = s.add_enc, s.mul_enc
-            half = (s.p + 1) >> 1  # 1/2, a constant of the prime field
-            h1, h3 = mul(self.a1, half), mul(self.a3, half)
-            c4 = add(self.a4, mul(h1, self.a3))
-            self._completed = (add(self.a2, mul(h1, h1)), c4, add(self.a6, mul(h3, h3)), h1, h3)
+        with h1 = a1/2, h3 = a3/2; on it -(x, y') = (x, -y').  Derived by the
+        constructor, which takes the discriminant from it."""
         return self._completed
 
     def to_completed(self, pt: Point) -> tuple[int | None, int | None]:
@@ -609,7 +624,21 @@ def enumerate_points(curve: Curve) -> list[Point]:
 
 
 def count_exhaustive(curve: Curve) -> int:
-    """#E by scanning x and counting y-solutions per x (O(q) field operations)."""
+    """#E by scanning x and counting y-solutions per x, O(q) steps.
+
+    Characteristic 2 solves y^2 + c y = d by the trace of d/c^2 on the
+    field kernels.  Odd characteristic sums chi(f(x)) on the completed square
+    y'^2 = f(x) = x^3 + c2 x^2 + c4 x + c6: over F_p on plain ints, and over
+    an odd extension field, which below the guard always has Zech tables, in
+    log order x = alpha^i.  There x^3, c2 x^2 and c4 x have the logs 3i, l2 +
+    2i and l4 + i, each of the three additions that sum f(x) is one Zech
+    lookup, and chi(f(x)) is the parity of the log of the sum.  The loop
+    keeps r, that log less 3i: 1 + c2/x, then + c4/x^2, then + c6/x^3, whose
+    terms have the logs l2 - i, l4 - 2i and l6 - 3i, and 3i + r has the
+    parity of i + r.  A missing term reads a table of zeros, so the loop does
+    not test the coefficients; a partial sum that vanishes takes the next
+    term's log.
+    """
     q = curve.spec.q
     if q > _ENUMERATE_LIMIT:
         raise FieldTooLarge(f"exhaustive counting guarded to q <= 2^20, got {q}")
@@ -626,19 +655,49 @@ def count_exhaustive(curve: Curve) -> int:
             elif not tr(mul(d, inv(mul(c, c)))):
                 total += 2
         return total
-    chi = spec.chi_table()
-    c2, c4, c6 = curve.completed_model()[:3]
+    c2, c4, c6 = curve._completed[:3]
     if spec.k == 1:
         p = spec.p
+        chi = spec.chi_table()
         for x in range(p):
             w = (((x + c2) * x + c4) * x + c6) % p
             total += 1 + chi[w]
         return total
-    mul, add = spec.mul_enc, spec.add_enc
-    for x in range(q):
-        w = add(mul(add(mul(add(x, c2), x), c4), x), c6)
-        total += 1 + chi[w]
-    return total
+    log, zech = spec._log, spec._zech
+    n = q - 1
+    l2, l4, l6 = log[c2], log[c4], log[c6]
+    d, e = l4, l6  # l4 - 2i and l6 - 3i, mod n
+    if c2:
+        r1 = zech[l2 + 1:l2 + n + 1]  # zech[l2 - i], read backwards: zech has period n
+        r1.reverse()
+    else:
+        r1 = bytes(n)
+    z4 = zech if c4 else bytes(2 * n)
+    z6 = zech if c6 else bytes(2 * n)
+    odd = zeros = 0  # odd: the x != 0 with chi(f(x)) = -1; zeros: with f(x) = 0
+    for i, r in enumerate(r1):
+        if r < 0:
+            r = d if c4 else -1
+        else:
+            z = z4[d - r]
+            r = r + z if z >= 0 else -1
+        if r < 0:
+            r = e if c6 else -1
+        else:
+            z = z6[e - r]  # e - r > -2n: zech's negative indices wrap
+            r = r + z if z >= 0 else -1
+        if r < 0:
+            zeros += 1
+        else:
+            odd += (r + i) & 1
+        d -= 2
+        if d < 0:
+            d += n
+        e -= 3
+        if e < 0:
+            e += n
+    # x = 0 adds 1 + chi(c6); the other x add 1 where f(x) = 0, else 2 or 0
+    return total + 1 + (1 - 2 * (l6 & 1) if c6 else 0) + 2 * n - zeros - 2 * odd
 
 
 def count_pair_scan(curve: Curve) -> int:

@@ -16,8 +16,9 @@ three routes:
   * characteristic 2: counts for all q^5 curves are computed by the
     trace-criterion route and, for q <= 16, re-derived by a raw O(q^2)
     pair-scan of the curve equation;
-  * on top of that, a deterministic sample of raw curves goes through
-    count_points(auto) itself (and a pair-scan for small q).
+  * on top of that, a deterministic sample of raw curves, or every raw
+    curve when q^5 is small, goes through Curve and count_points(auto)
+    itself (and a pair-scan for small q).
 
 Discriminants are evaluated vectorized for the whole grid, so singularity
 classification is also cross-checked against the library's SingularCurve.
@@ -229,7 +230,10 @@ def full_sweep_verify(
 
     Raises InternalInvariantError on the first inconsistency between routes;
     returns summary statistics otherwise.  Curves sampled for the API route
-    run count_points(auto) literally (all of them when q^5 <= api_all_limit).
+    run count_points(auto) literally (all of them when q^5 <= api_all_limit):
+    a singular vector must raise SingularCurve, a nonsingular one must give
+    the count of the vectorized routes.  The API route reads each chunk's
+    selected rows once, as lists of ints, one column at a time.
     """
     import numpy as np
 
@@ -282,23 +286,22 @@ def full_sweep_verify(
             if int(live.min()) < interval.lo or int(live.max()) > interval.hi:
                 raise InternalInvariantError(f"count outside Hasse interval over F_{q}")
             traces.update((q + 1 - np.unique(live)).tolist())
-        # per-curve API route on the sampled (or complete) index set
+        # per-curve API route on the sampled (or complete) rows of the chunk,
+        # each column read once as a list of ints
         if api_indices is None:
-            selected = range(start, stop)
+            rows = slice(None)
         else:
-            selected = [i for i in api_indices if start <= i < stop]
-        for i in selected:
-            j = i - start
-            co = (int(a1[j]), int(a2[j]), int(a3[j]), int(a4[j]), int(a6[j]))
-            if not nonsing[j]:
+            rows = [i - start for i in api_indices if start <= i < stop]
+        cols = (a[rows].tolist() for a in (a1, a2, a3, a4, a6))
+        for co, ok, n in zip(zip(*cols), nonsing[rows].tolist(), counts[rows].tolist()):
+            if not ok:
                 try:
                     Curve(spec, *co)
                 except SingularCurve:
                     api_checked += 1
                     continue
                 raise InternalInvariantError(f"library accepts singular {co} over F_{q}")
-            res = count_points(Curve(spec, *co))
-            if res.count != int(counts[j]):
+            if count_points(Curve(spec, *co)).count != n:
                 raise InternalInvariantError(f"count_points(auto) mismatch at {co} over F_{q}")
             api_checked += 1
 
