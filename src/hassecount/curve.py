@@ -626,16 +626,14 @@ def enumerate_points(curve: Curve) -> list[Point]:
 def count_exhaustive(curve: Curve) -> int:
     """#E by scanning x and counting y-solutions per x, O(q) steps.
 
-    Characteristic 2 solves y^2 + c y = d by the trace of d/c^2 on the
-    field kernels.  Odd characteristic sums chi(f(x)) on the completed square
-    y'^2 = f(x) = x^3 + c2 x^2 + c4 x + c6: over F_p on plain ints, and over
-    an odd extension field, which below the guard always has Zech tables, in
-    log order x = alpha^i.  There x^3, c2 x^2 and c4 x have the logs 3i, l2 +
-    2i and l4 + i, each of the three additions that sum f(x) is one Zech
-    lookup, and chi(f(x)) is the parity of the log of the sum.  The loop
-    keeps r, that log less 3i: 1 + c2/x, then + c4/x^2, then + c6/x^3, whose
-    terms have the logs l2 - i, l4 - 2i and l6 - 3i, and 3i + r has the
-    parity of i + r.  A missing term reads a table of zeros, so the loop does
+    Characteristic 2 solves y^2 + c y = d by the trace of d/c^2 on the field
+    kernels.  Odd characteristic sums chi(f(x)) for the completed square y'^2
+    = f(x) = x^3 + c2 x^2 + c4 x + c6: over F_p on plain ints, and over an
+    odd extension field, which below the guard always has Zech tables, in
+    log order x = alpha^i.  There f(x) = x^3 (1 + c2/x + c4/x^2 + c6/x^3),
+    whose terms have the logs l2 - i, l4 - 2i and l6 - 3i: each of the three
+    additions is one Zech lookup, and chi(f(x)) is the parity of i plus the
+    log of the sum.  A missing term reads a table of zeros, so the loop does
     not test the coefficients; a partial sum that vanishes takes the next
     term's log.
     """
@@ -667,8 +665,8 @@ def count_exhaustive(curve: Curve) -> int:
     n = q - 1
     l2, l4, l6 = log[c2], log[c4], log[c6]
     d, e = l4, l6  # l4 - 2i and l6 - 3i, mod n
-    if c2:
-        r1 = zech[l2 + 1:l2 + n + 1]  # zech[l2 - i], read backwards: zech has period n
+    if c2:  # log(1 + c2/x) = zech[l2 - i], read backwards: zech has period n
+        r1 = zech[l2 + 1:l2 + n + 1]
         r1.reverse()
     else:
         r1 = bytes(n)

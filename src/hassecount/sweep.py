@@ -286,8 +286,7 @@ def full_sweep_verify(
             if int(live.min()) < interval.lo or int(live.max()) > interval.hi:
                 raise InternalInvariantError(f"count outside Hasse interval over F_{q}")
             traces.update((q + 1 - np.unique(live)).tolist())
-        # per-curve API route on the sampled (or complete) rows of the chunk,
-        # each column read once as a list of ints
+        # per-curve API route on the sampled (or complete) rows of the chunk
         if api_indices is None:
             rows = slice(None)
         else:

@@ -47,6 +47,92 @@ def test_curve_coefficient_inputs():
         cv.Curve(spec, 0, 0, 0, ff.spec_for_q(3).element(1), 0)
 
 
+def b_formula_discriminant(spec, a1, a2, a3, a4, a6):
+    """The long form's discriminant from b2, b4, b6 and b8 on the field
+    kernels, as the constructor took it before it used the completed square."""
+    add, sub, mul, p = spec.add_enc, spec.sub_enc, spec.mul_enc, spec.p
+    b2 = add(mul(a1, a1), mul(4 % p, a2))
+    b4 = add(mul(2 % p, a4), mul(a1, a3))
+    b6 = add(mul(a3, a3), mul(4 % p, a6))
+    b8 = sub(add(mul(b2, a6), mul(a2, mul(a3, a3))), mul(a4, add(mul(a1, a3), a4)))
+    disc = sub(mul(b6, sub(mul(9 % p, mul(b2, b4)), mul(27 % p, b6))), mul(mul(b2, b2), b8))
+    return sub(disc, mul(8 % p, mul(b4, mul(b4, b4))))
+
+
+def singular_long_form(spec, rng):
+    """A random long form whose completed square is (x - r)^2 (x - s)."""
+    q, add, sub, mul, neg = spec.q, spec.add_enc, spec.sub_enc, spec.mul_enc, spec.neg_enc
+    r, s = rng.randrange(q), rng.randrange(q)
+    c2 = neg(add(add(r, r), s))
+    c4 = add(mul(r, r), mul(add(r, r), s))
+    c6 = neg(mul(mul(r, r), s))
+    a1, a3 = rng.randrange(q), rng.randrange(q)
+    h1, h3 = (mul(a, (spec.p + 1) // 2) for a in (a1, a3))
+    return a1, sub(c2, mul(h1, h1)), a3, sub(c4, mul(h1, a3)), sub(c6, mul(h3, h3))
+
+
+@pytest.mark.parametrize(
+    "q", [3, 5, 7, 1009, 10**12 + 39, 9, 27, 3**7, 5**4, 3**13, 2, 4, 256, 2**21]
+)
+def test_discriminant_matches_b_formula(q):
+    """Random vectors on every field model (prime; log tables; polynomial at
+    3^13; characteristic 2 on log tables and, at 2^21, on bit vectors), and
+    long forms of singular completed squares in odd characteristic."""
+    spec = ff.spec_for_q(q)
+    rng = random.Random(q)
+    vectors = [tuple(rng.randrange(q) for _ in range(5)) for _ in range(150)]
+    if not spec.char2:
+        vectors += [singular_long_form(spec, rng) for _ in range(10)]
+    singular = 0
+    for co in vectors:
+        ref = b_formula_discriminant(spec, *co)
+        if ref == 0:
+            singular += 1
+            with pytest.raises(SingularCurve):
+                cv.Curve(spec, *co)
+        else:
+            assert cv.Curve(spec, *co).discriminant == ref, co
+    assert singular >= (0 if spec.char2 else 10)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 2, 4])
+def test_singular_exactly_on_b_formula_zeros(q):
+    """All q^5 coefficient vectors."""
+    spec = ff.spec_for_q(q)
+    for i in range(q**5):
+        co = tuple(i // q**j % q for j in range(5))
+        ref = b_formula_discriminant(spec, *co)
+        try:
+            disc = cv.Curve(spec, *co).discriminant
+        except SingularCurve:
+            assert ref == 0, co
+        else:
+            assert disc == ref != 0, co
+
+
+@pytest.mark.parametrize("q", [7, 9, 4])
+def test_coefficients_validated_in_every_position(q):
+    """A FieldElement, a bool, a numpy integer or a coefficient list in any
+    one position is converted by the field; an out-of-range or negative
+    encoding, or an element of another field, is refused."""
+    spec = ff.spec_for_q(q)
+    base = [1, 1, 0, 1, 1] if q % 2 else [1, 0, 0, 0, 1]  # both nonsingular
+    e = cv.Curve(spec, *base)
+    for pos in range(5):
+        def at(v):
+            co = list(base)
+            co[pos] = v
+            return co
+        value = base[pos]
+        for same in (spec.element(value), bool(value), np.int64(value), list(spec.decode(value))):
+            assert cv.Curve(spec, *at(same)) == e
+        for bad in (q, -1, q + value):
+            with pytest.raises(ValueError):
+                cv.Curve(spec, *at(bad))
+        with pytest.raises(SpecMismatch):
+            cv.Curve(spec, *at(ff.spec_for_q(5 if q != 5 else 3).element(value)))
+
+
 def test_is_on_curve_examples():
     e = table1_curve(3)
     assert e.is_on_curve(e.point(0, 0))
@@ -327,6 +413,107 @@ def test_count_in_hasse_interval_random():
         for _ in range(3):
             e = sample_random_curve(spec, rng)
             assert cv.count_exhaustive(e) in hasse_interval(q)
+
+
+def kernel_count_exhaustive(e):
+    """count_exhaustive's odd-extension loop before it walked the log tables:
+    chi(f(x)) on the completed square, x in encoding order, f(x) by the
+    field kernels."""
+    spec = e.spec
+    chi = spec.chi_table()
+    c2, c4, c6 = e.completed_model()[:3]
+    mul, add = spec.mul_enc, spec.add_enc
+    total = 1
+    for x in range(spec.q):
+        w = add(mul(add(mul(add(x, c2), x), c4), x), c6)
+        total += 1 + chi[w]
+    return total
+
+
+def cubic_roots(spec, c2, c4, c6):
+    """The number of x in F_q with x^3 + c2 x^2 + c4 x + c6 = 0."""
+    mul, add = spec.mul_enc, spec.add_enc
+    return sum(add(mul(add(mul(add(x, c2), x), c4), x), c6) == 0 for x in range(spec.q))
+
+
+def test_log_walk_reads_only_zech_table_fields():
+    """count_exhaustive's odd-extension branch assumes Zech tables, which
+    every odd extension field below the enumeration guard has."""
+    assert cv._ENUMERATE_LIMIT <= ff._LOG_LIMIT
+    assert ff.spec_for_q(3**12)._zech is not None
+
+
+@pytest.mark.parametrize("q", [9, 25, 27])
+def test_count_exhaustive_log_walk_every_class(q):
+    """Every nonsingular completed-square class y^2 = x^3 + c2 x^2 + c4 x + c6,
+    against the kernel loop; this meets c2, c4 or c6 = 0, cubics with 0, 1
+    and 3 roots and, at 9 and 27, characteristic 3."""
+    spec = ff.spec_for_q(q)
+    seen_roots = set()
+    for c2 in range(q):
+        for c4 in range(q):
+            for c6 in range(q):
+                try:
+                    e = cv.Curve(spec, 0, c2, 0, c4, c6)
+                except SingularCurve:
+                    continue
+                assert cv.count_exhaustive(e) == kernel_count_exhaustive(e), (c2, c4, c6)
+                if q == 9:
+                    seen_roots.add(cubic_roots(spec, c2, c4, c6))
+    if q == 9:
+        assert seen_roots == {0, 1, 3}
+
+
+def sample_classes(spec, rng, n):
+    """n random classes (c2, c4, c6), every zero pattern of the three
+    coefficients, and cubics built with 3 and with 1 root."""
+    q, add, sub, mul, neg = spec.q, spec.add_enc, spec.sub_enc, spec.mul_enc, spec.neg_enc
+    out = [tuple(rng.randrange(q) for _ in range(3)) for _ in range(n)]
+    for mask in range(7):
+        c = [rng.randrange(1, q) for _ in range(3)]
+        out.append(tuple(c[j] if mask >> j & 1 else 0 for j in range(3)))
+    for _ in range(4):
+        r, s, t = rng.sample(range(q), 3)  # (x - r)(x - s)(x - t)
+        out.append((neg(add(add(r, s), t)), add(add(mul(r, s), mul(r, t)), mul(s, t)), neg(mul(mul(r, s), t))))
+        r, d = rng.randrange(q), spec.smallest_nonsquare()  # (x - r)(x^2 - d)
+        out.append((neg(r), neg(d), mul(r, d)))
+    return out
+
+
+@pytest.mark.parametrize("q,n", [(81, 60), (243, 40), (3**7, 6), (5**4, 15), (7**3, 20)])
+def test_count_exhaustive_log_walk_random_classes(q, n):
+    spec = ff.spec_for_q(q)
+    rng = random.Random(q)
+    seen_roots, checked = set(), 0
+    for c2, c4, c6 in sample_classes(spec, rng, n):
+        try:
+            e = cv.Curve(spec, 0, c2, 0, c4, c6)
+        except SingularCurve:
+            continue
+        assert cv.count_exhaustive(e) == kernel_count_exhaustive(e), (c2, c4, c6)
+        seen_roots.add(cubic_roots(spec, c2, c4, c6))
+        checked += 1
+    assert checked >= n and seen_roots == {0, 1, 3}
+
+
+@pytest.mark.parametrize("q", [9, 25, 27, 81])
+def test_count_exhaustive_log_walk_against_pair_scan(q):
+    """Long-form curves, so the completed square's map is on the path too."""
+    spec = ff.spec_for_q(q)
+    rng = random.Random(q + 7)
+    for c2, c4, c6 in sample_classes(spec, rng, 2)[:6]:
+        a1, a3 = rng.randrange(q), rng.randrange(q)
+        # the long form whose completed square is (c2, c4, c6)
+        h1, h3 = (spec.mul_enc(a, (spec.p + 1) // 2) for a in (a1, a3))
+        a2 = spec.sub_enc(c2, spec.mul_enc(h1, h1))
+        a4 = spec.sub_enc(c4, spec.mul_enc(h1, a3))
+        a6 = spec.sub_enc(c6, spec.mul_enc(h3, h3))
+        try:
+            e = cv.Curve(spec, a1, a2, a3, a4, a6)
+        except SingularCurve:
+            continue
+        assert e.completed_model()[:3] == (c2, c4, c6)
+        assert cv.count_exhaustive(e) == cv.count_pair_scan(e)
 
 
 def test_enumerate_guard():

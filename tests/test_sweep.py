@@ -1,16 +1,19 @@
 """The vectorized sweep kernels against the scalar field kernels and the
 per-curve library path, at field sizes the full q^5 sweeps do not reach."""
 
+import dataclasses
 import random
+import re
 
 import numpy as np
 import pytest
 
+from hassecount import sweep
 from hassecount.curve import Curve, count_exhaustive
-from hassecount.errors import SingularCurve
+from hassecount.errors import InternalInvariantError, SingularCurve
 from hassecount.finite_field import spec_for_q
 from hassecount.integers import prime_powers
-from hassecount.sweep import _class_counts_charsum, _class_grid, _VecField
+from hassecount.sweep import _class_counts_charsum, _class_grid, _VecField, full_sweep_verify
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 17, 25, 27])
@@ -63,3 +66,87 @@ def test_class_grid_mask_marks_the_cubics_with_a_repeated_root():
                 singular.add((c2 * q + c4) * q + c6)
         nonsing = _class_grid(_VecField(spec))[3]
         assert set(np.flatnonzero(~nonsing).tolist()) == singular, q
+
+
+# (curves, singular, api_checked, largest |trace|) of full_sweep_verify with
+# its defaults, as the API route gave them when it read each row's five
+# coefficients as numpy scalars; every trace from -m to m occurs
+SWEEP_REPORTS = {
+    2: (16, 16, 32, 2),
+    3: (162, 81, 243, 3),
+    4: (768, 256, 1024, 4),
+    5: (2500, 625, 3125, 4),
+    7: (14406, 2401, 16807, 5),
+    9: (52488, 6561, 59049, 6),
+    17: (1336336, 83521, 500, 8),
+}
+
+
+@pytest.mark.parametrize("q", sorted(SWEEP_REPORTS))
+def test_full_sweep_reports(q):
+    rep = full_sweep_verify(spec_for_q(q))
+    curves, singular, api_checked, m = SWEEP_REPORTS[q]
+    assert (rep.q, rep.curves, rep.singular, rep.api_checked) == (q, curves, singular, api_checked)
+    assert rep.trace_values == tuple(range(-m, m + 1))
+
+
+@pytest.mark.parametrize("q,samples", [(7, None), (5, 120)])
+def test_full_sweep_reports_across_chunks(monkeypatch, q, samples):
+    """The API route reads each chunk's rows: small chunks give the same
+    report, on the full route and on the sampled one."""
+    kw = {} if samples is None else {"api_samples": samples, "api_all_limit": 0, "seed": 3}
+    whole = full_sweep_verify(spec_for_q(q), **kw)
+    monkeypatch.setattr(sweep, "_CHUNK", 1000)
+    assert full_sweep_verify(spec_for_q(q), **kw) == whole
+    assert whole.api_checked == (samples or q**5)
+
+
+def api_vectors(q):
+    """The coefficient vectors full_sweep_verify sends through the API route
+    with its defaults, in its order (seed 0, 500 samples above q^5 = 400000)."""
+    total = q**5
+    idx = range(total) if total <= 400_000 else sorted(random.Random(0).sample(range(total), 500))
+    return [tuple(i // q**j % q for j in range(4, -1, -1)) for i in idx]
+
+
+def is_singular(spec, co):
+    try:
+        Curve(spec, *co)
+    except SingularCurve:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("q", [7, 17])
+def test_full_sweep_catches_one_wrong_count(monkeypatch, q):
+    """count_points off by one on a single curve, late in the API route's
+    order, full (q = 7) or sampled (q = 17)."""
+    spec = spec_for_q(q)
+    target = [co for co in api_vectors(q) if not is_singular(spec, co)][-3]
+    real = sweep.count_points
+
+    def count_points(curve, *args, **kwargs):
+        res = real(curve, *args, **kwargs)
+        if curve.coefficients() == target:
+            return dataclasses.replace(res, count=res.count + 1)
+        return res
+
+    monkeypatch.setattr(sweep, "count_points", count_points)
+    msg = f"count_points(auto) mismatch at {target} over F_{q}"
+    with pytest.raises(InternalInvariantError, match=re.escape(msg)):
+        full_sweep_verify(spec)
+
+
+@pytest.mark.parametrize("q", [7, 17])
+def test_full_sweep_catches_an_accepted_singular_curve(monkeypatch, q):
+    """A constructor that accepts one singular vector of the API route."""
+    spec = spec_for_q(q)
+    target = [co for co in api_vectors(q) if is_singular(spec, co)][-3]
+
+    def lenient(spec, *co):
+        return object() if co == target else Curve(spec, *co)
+
+    monkeypatch.setattr(sweep, "Curve", lenient)
+    msg = f"library accepts singular {target} over F_{q}"
+    with pytest.raises(InternalInvariantError, match=re.escape(msg)):
+        full_sweep_verify(spec)
