@@ -75,7 +75,10 @@ _PRIOR3_MIN_Q = 1 << 32
 Method = Literal["exhaustive", "point_order"]
 
 
-@dataclass(frozen=True)
+# Slotted, and built positionally on the exhaustive path: an exhaustive count
+# at q = 9 takes about 1.6 us, so the result's build is a visible share of a
+# count_points call there (timeit: 2.60 -> 2.36 us per call).
+@dataclass(frozen=True, slots=True)
 class CountResult:
     count: int
     trace: int
@@ -105,19 +108,14 @@ def count_points(
     ExcludedField because termination is not guaranteed there.
     """
     q = curve.spec.q
-    if method not in ("auto", "exhaustive", "point_order"):
-        raise ValueError(f"unknown method {method!r}")
     if method == "auto":
         method = "exhaustive" if q <= _SMALL_Q else "point_order"
+    elif method not in ("exhaustive", "point_order"):
+        raise ValueError(f"unknown method {method!r}")
     if method == "exhaustive":
         n = count_exhaustive(curve)
-        return CountResult(
-            count=n,
-            trace=q + 1 - n,
-            method="exhaustive",
-            samples_used=0,
-            twist_count=2 * (q + 1) - n,
-        )
+        # count, trace, method, samples_used, twist_count
+        return CountResult(n, q + 1 - n, "exhaustive", 0, 2 * (q + 1) - n)
     if q in EXCLUDED_Q:
         raise ExcludedField(f"point-order counting is not reliable over F_{q}")
     return _count_by_point_orders(curve, rng or random.Random(0), transcript)

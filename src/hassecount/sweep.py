@@ -23,10 +23,14 @@ three routes:
 Discriminants are evaluated vectorized for the whole grid, so singularity
 classification is also cross-checked against the library's SingularCurve.
 
-The vectorized field is _VecField: arithmetic mod p in prime fields, and
-in extension fields up to 1200 elements gathers through q^2 tables of the
-FieldSpec's own mul_enc and add_enc.  Each public call builds one _VecField
-and, in odd characteristic, one class grid.
+The vectorized field is _VecField, on int32 arrays of encodings.  In prime
+fields it evaluates the formulas over the integers and reduces mod p only
+where a value is compared or used as an index: the discriminant's b2, b4,
+b6, b8 and its final sum, each class coordinate, and the character sum's
+x^3 + c2 x^2 + c4 x.  In extension fields up to 1200 elements it gathers
+through q^2 tables of the FieldSpec's own mul_enc and add_enc, so every
+value is reduced.  Each public call builds one _VecField and, in odd
+characteristic, one class grid.
 
 numpy is imported inside the kernels that use it, so importing this module,
 as the CLI and selftest do, does not load it.
@@ -51,18 +55,36 @@ _CHUNK = 1 << 21
 # Extension fields get q^2 mul/add tables up to this size; all certification
 # work lives at q <= 1024.
 _TABLE_LIMIT = 1200
+# Prime fields evaluate the kernels over the integers in int32.  With every
+# input and every reduced b-invariant in [0, q), the largest intermediate is a
+# partial sum of the discriminant, below |b2^2 b8| + 8|b4^3| + 9|b2 b4 b6| +
+# 27 b6^2 < 18 q^3 + 27 q^2; this is the largest q with 18 q^3 + 27 q^2 < 2^31.
+# (The raw b8, the class coordinates and the character sum's v stay below
+# 3 q^3 + 5 q^2.)  Callers stay far below it, the largest prime any passes
+# being 113; a q^3 class grid at a few hundred would not fit in memory.
+_INT32_PRIME_LIMIT = 491
 
 
 class _VecField:
-    """Vectorized encoded field arithmetic: mod p for prime fields, and for
-    extension fields gathers through q^2 tables of the spec's own mul_enc and
-    add_enc (the XOR table in characteristic 2), index a*q+b."""
+    """Vectorized encoded field arithmetic on int32 arrays of encodings.
+
+    Prime fields work over the integers: add, mul, smul and neg do not
+    reduce, and reduce takes the residue mod p in [0, p), which a kernel
+    applies where a value is compared or used as an index.  Exact for p <= _INT32_PRIME_LIMIT, which
+    the constructor enforces.  Extension fields gather through q^2 tables of
+    the spec's own mul_enc and add_enc (the XOR table in characteristic 2),
+    index a*q+b, so every value is reduced and reduce is the identity."""
 
     def __init__(self, spec: FieldSpec):
         self.spec = spec
         self.q = q = spec.q
         self.prime = spec.k == 1
-        if not self.prime:
+        if self.prime:
+            if q > _INT32_PRIME_LIMIT:
+                raise InternalInvariantError(
+                    f"int32 sweep kernels are exact up to p = {_INT32_PRIME_LIMIT}, p = {q}"
+                )
+        else:
             import numpy as np
 
             if q > _TABLE_LIMIT:
@@ -71,54 +93,77 @@ class _VecField:
             self.MUL = np.array([spec.mul_enc(a, b) for a, b in pairs], dtype=np.int32)
             self.ADD = np.array([spec.add_enc(a, b) for a, b in pairs], dtype=np.int32)
 
+    def reduce(self, a):
+        if self.prime:
+            return _divmod(a, self.q)[1]
+        return a
+
     def add(self, a, b):
         if self.prime:
-            return (a + b) % self.q
+            return a + b
         return self.ADD[a * self.q + b]
 
     def mul(self, a, b):
         if self.prime:
-            return a * b % self.q
+            return a * b
         return self.MUL[a * self.q + b]
 
     def smul(self, c: int, a):
         """Multiply by the integer constant c embedded in the prime subfield."""
-        c %= self.spec.p
         if self.prime:
-            return c * a % self.q
-        return self.MUL[c * self.q + a]
+            return c * a
+        return self.MUL[c % self.spec.p * self.q + a]
 
     def neg(self, a):
+        if self.prime:
+            return -a
         return self.smul(-1, a)
 
 
+def _divmod(a, q: int):
+    """(a // q, a % q) for an integer array a and q > 0, from one division:
+    numpy divides by a scalar on a fast path that np.divmod and % miss (over
+    17^5 int32 encodings, // takes 0.3 ms, and % or np.divmod 2.2 ms)."""
+    import numpy as np
+
+    quot = a // q
+    rem = quot * q
+    return quot, np.subtract(a, rem, out=rem)
+
+
 def _discriminant_vec(F: _VecField, a1, a2, a3, a4, a6):
-    b2 = F.add(F.mul(a1, a1), F.smul(4, a2))
-    b4 = F.add(F.smul(2, a4), F.mul(a1, a3))
-    b6 = F.add(F.mul(a3, a3), F.smul(4, a6))
-    b8 = F.add(
+    """The discriminant, reduced; the b-invariants are reduced before they
+    are multiplied, so every intermediate stays below 18 q^3 + 27 q^2."""
+    red = F.reduce
+    b2 = red(F.add(F.mul(a1, a1), F.smul(4, a2)))
+    b4 = red(F.add(F.smul(2, a4), F.mul(a1, a3)))
+    b6 = red(F.add(F.mul(a3, a3), F.smul(4, a6)))
+    b8 = red(F.add(
         F.add(F.mul(F.mul(a1, a1), a6), F.smul(4, F.mul(a2, a6))),
         F.add(
             F.neg(F.mul(F.mul(a1, a3), a4)),
             F.add(F.mul(a2, F.mul(a3, a3)), F.neg(F.mul(a4, a4))),
         ),
-    )
+    ))
     d1 = F.neg(F.mul(F.mul(b2, b2), b8))
     d2 = F.smul(-8, F.mul(b4, F.mul(b4, b4)))
     d3 = F.smul(-27, F.mul(b6, b6))
     d4 = F.smul(9, F.mul(b2, F.mul(b4, b6)))
-    return F.add(F.add(d1, d2), F.add(d3, d4))
+    return red(F.add(F.add(d1, d2), F.add(d3, d4)))
 
 
 def _digits(q: int, n: int, start: int, stop: int) -> list[np.ndarray]:
-    """The n base-q digits of the indices [start, stop), most significant first."""
+    """The n base-q digits of the indices [start, stop), stop <= q^n, most
+    significant first, as int32 arrays: one divmod per digit, the last
+    quotient being the top digit, in int32 while stop <= 2^31."""
     import numpy as np
 
-    idx = np.arange(start, stop, dtype=np.int64)
+    idx = np.arange(start, stop, dtype=np.int32 if stop <= 1 << 31 else np.int64)
     out = []
-    for _ in range(n):
-        out.append((idx % q).astype(np.int32))
-        idx //= q
+    for _ in range(n - 1):
+        idx, digit = _divmod(idx, q)
+        out.append(digit.astype(np.int32, copy=False))
+    out.append(idx.astype(np.int32, copy=False))
     return out[::-1]
 
 
@@ -149,6 +194,11 @@ def class_counts_odd(spec: FieldSpec) -> np.ndarray:
     return out
 
 
+def _cubic_part_vec(F: _VecField, c2, c4, x):
+    """x^3 + c2 x^2 + c4 x, reduced: the character sum's v."""
+    return F.reduce(F.mul(F.add(F.mul(F.add(c2, x), x), c4), x))
+
+
 def _class_counts_charsum(F: _VecField, c2, c4, c6) -> np.ndarray:
     """Independent numpy route over the class grid: every class count
     q+1 + sum_x chi(x^3 + c2 x^2 + c4 x + c6) at once.
@@ -159,31 +209,30 @@ def _class_counts_charsum(F: _VecField, c2, c4, c6) -> np.ndarray:
     import numpy as np
 
     q = F.q
-    x = c6
-    v = F.mul(F.add(F.mul(F.add(c2, x), x), c4), x)
+    v = _cubic_part_vec(F, c2, c4, c6)
     hist = np.bincount((c2 * q + c4) * q + v, minlength=q**3).reshape(q * q, q)
     vs, c6s = np.indices((q, q), dtype=np.int32)
-    S = np.asarray(F.spec.chi_table(), dtype=np.int64)[F.add(vs, c6s)]
+    S = np.asarray(F.spec.chi_table(), dtype=np.int64)[F.reduce(F.add(vs, c6s))]
     return (q + 1 + hist @ S).astype(np.int32).ravel()
 
 
 def _reduce_classes_vec(F: _VecField, a1, a2, a3, a4, a6) -> np.ndarray:
     """Completed-square class index (c2*q + c4)*q + c6 for raw coefficients
-    (odd characteristic only)."""
-    import numpy as np
-
-    half = (F.spec.p + 1) // 2  # 1/2 in F_p
-    h1 = F.smul(half, a1)
-    h3 = F.smul(half, a3)
-    c2 = F.add(a2, F.mul(h1, h1))
-    c4 = F.add(a4, F.smul(half, F.mul(a1, a3)))
-    c6 = F.add(a6, F.mul(h3, h3))
-    return (c2.astype(np.int64) * F.q + c4) * F.q + c6
+    (odd characteristic only): c2 = a2 + a1^2/4, c4 = a4 + a1 a3/2 and
+    c6 = a6 + a3^2/4, each reduced once."""
+    p = F.spec.p
+    half = (p + 1) // 2  # 1/2 in F_p
+    quarter = half * half % p
+    c2 = F.reduce(F.add(a2, F.smul(quarter, F.mul(a1, a1))))
+    c4 = F.reduce(F.add(a4, F.smul(half, F.mul(a1, a3))))
+    c6 = F.reduce(F.add(a6, F.smul(quarter, F.mul(a3, a3))))
+    return (c2 * F.q + c4) * F.q + c6
 
 
 def _char2_counts_trace(F: _VecField, a1, a2, a3, a4, a6) -> np.ndarray:
     """Counts via the solvability criterion of y^2 + cy = d (characteristic 2,
-    so here and in the pair-scan addition is XOR of encodings)."""
+    so here and in the pair-scan addition is XOR of encodings, and the
+    unreduced products of F_2 are products of 0s and 1s, hence reduced)."""
     import numpy as np
 
     spec = F.spec
@@ -285,7 +334,7 @@ def full_sweep_verify(
         if live.size:
             if int(live.min()) < interval.lo or int(live.max()) > interval.hi:
                 raise InternalInvariantError(f"count outside Hasse interval over F_{q}")
-            traces.update((q + 1 - np.unique(live)).tolist())
+            traces.update((q + 1 - np.flatnonzero(np.bincount(live))).tolist())
         # per-curve API route on the sampled (or complete) rows of the chunk
         if api_indices is None:
             rows = slice(None)

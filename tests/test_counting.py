@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -38,6 +39,21 @@ def test_count_examples():
     e49 = cv.Curve(ff.make_spec(7, 2), 0, 0, 0, 31, 0)
     res = ct.count_points(e49, "exhaustive")
     assert (res.count, res.trace) == (36, 14)
+
+
+def test_count_result_is_a_frozen_slotted_dataclass():
+    """The exhaustive path builds CountResult positionally; it is the same
+    value as the keyword build, frozen, hashable, and dataclasses.replace
+    works on it."""
+    res = ct.count_points(cv.Curve(ff.make_spec(7), 0, 0, 0, 0, 6))
+    assert res == ct.CountResult(count=4, trace=4, method="exhaustive", samples_used=0, twist_count=12)
+    assert not hasattr(res, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        res.count = 5
+    assert dataclasses.replace(res, count=5) == ct.CountResult(5, 4, "exhaustive", 0, 12)
+    assert hash(res) == hash(dataclasses.replace(res))
+    assert repr(res) == ("CountResult(count=4, trace=4, method='exhaustive', samples_used=0, "
+                         "twist_count=12)")
 
 
 def test_count_point_order_matches_exhaustive_f1013():

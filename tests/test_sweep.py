@@ -13,21 +13,146 @@ from hassecount.curve import Curve, count_exhaustive
 from hassecount.errors import InternalInvariantError, SingularCurve
 from hassecount.finite_field import spec_for_q
 from hassecount.integers import prime_powers
-from hassecount.sweep import _class_counts_charsum, _class_grid, _VecField, full_sweep_verify
+from hassecount.sweep import (
+    _class_counts_charsum,
+    _class_grid,
+    _cubic_part_vec,
+    _digits,
+    _discriminant_vec,
+    _reduce_classes_vec,
+    _VecField,
+    full_sweep_verify,
+)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 17, 25, 27])
 def test_vecfield_matches_scalar_kernels(q):
+    """Prime fields compute over the integers and reduce on request; the
+    tables of extension fields are reduced already."""
     spec = spec_for_q(q)
     F = _VecField(spec)
+    red = F.reduce
     a, b = (g.ravel() for g in np.indices((q, q), dtype=np.int32))
     pairs = list(zip(a.tolist(), b.tolist()))
-    assert F.add(a, b).tolist() == [spec.add_enc(x, y) for x, y in pairs]
-    assert F.mul(a, b).tolist() == [spec.mul_enc(x, y) for x, y in pairs]
+    assert red(F.add(a, b)).tolist() == [spec.add_enc(x, y) for x, y in pairs]
+    assert red(F.mul(a, b)).tolist() == [spec.mul_enc(x, y) for x, y in pairs]
     elems = np.arange(q, dtype=np.int32)
-    assert F.neg(elems).tolist() == [spec.neg_enc(x) for x in range(q)]
+    assert red(F.neg(elems)).tolist() == [spec.neg_enc(x) for x in range(q)]
     for c in (-27, -8, -1, 0, 1, 2, 4, 9, 27, (spec.p + 1) // 2):
-        assert F.smul(c, elems).tolist() == [spec.mul_enc(c % spec.p, x) for x in range(q)]
+        assert red(F.smul(c, elems)).tolist() == [spec.mul_enc(c % spec.p, x) for x in range(q)]
+    if not F.prime:
+        assert red(elems) is elems
+
+
+# --- exactness of the int32 prime-field kernels ---------------------------------------
+
+P_MAX = 491  # the largest prime the int32 guard admits
+P_OVER = 499  # the next prime, which it refuses
+
+
+def test_int32_guard_sits_at_the_exactness_bound():
+    limit = sweep._INT32_PRIME_LIMIT
+    assert 18 * limit**3 + 27 * limit**2 < 2**31 <= 18 * (limit + 1) ** 3 + 27 * (limit + 1) ** 2
+    assert limit == P_MAX and [q for q in prime_powers(P_OVER) if q >= P_MAX] == [P_MAX, P_OVER]
+    assert _VecField(spec_for_q(P_MAX)).prime
+    with pytest.raises(InternalInvariantError, match=re.escape(f"exact up to p = {P_MAX}, p = {P_OVER}")):
+        _VecField(spec_for_q(P_OVER))
+
+
+def scalar_discriminant(spec, a1, a2, a3, a4, a6):
+    """The long form's b-formula on the scalar field kernels, with b8 grouped
+    as b2 a6 + a2 a3^2 - a4 (a1 a3 + a4)."""
+    add, sub, mul, p = spec.add_enc, spec.sub_enc, spec.mul_enc, spec.p
+    b2 = add(mul(a1, a1), mul(4 % p, a2))
+    b4 = add(mul(2 % p, a4), mul(a1, a3))
+    b6 = add(mul(a3, a3), mul(4 % p, a6))
+    b8 = sub(add(mul(b2, a6), mul(a2, mul(a3, a3))), mul(a4, add(mul(a1, a3), a4)))
+    disc = sub(mul(b6, sub(mul(9 % p, mul(b2, b4)), mul(27 % p, b6))), mul(mul(b2, b2), b8))
+    return sub(disc, mul(8 % p, mul(b4, mul(b4, b4))))
+
+
+def scalar_class(spec, a1, a2, a3, a4, a6):
+    """The completed-square class index on the scalar field kernels."""
+    add, mul, q = spec.add_enc, spec.mul_enc, spec.q
+    h1, h3 = (mul((spec.p + 1) // 2, a) for a in (a1, a3))
+    return (add(a2, mul(h1, h1)) * q + add(a4, mul(h1, a3))) * q + add(a6, mul(h3, h3))
+
+
+def exactness_vectors(q, n_random=3000):
+    """Five int32 columns: every vector over the extreme encodings
+    {0, 1, q//2, (q+1)//2, q-2, q-1}, where the unreduced intermediates
+    peak, then n_random seeded random vectors."""
+    corner = sorted({e for e in (0, 1, q // 2, (q + 1) // 2, q - 2, q - 1) if 0 <= e < q})
+    rows = [tuple(corner[i // len(corner) ** j % len(corner)] for j in range(5))
+            for i in range(len(corner) ** 5)]
+    rng = random.Random(q)
+    rows += [tuple(rng.randrange(q) for _ in range(5)) for _ in range(n_random)]
+    return [np.array(col, dtype=np.int32) for col in zip(*rows)], rows
+
+
+@pytest.mark.parametrize("q", [2, 3, 17, P_MAX])
+def test_discriminant_vec_exact_on_prime_fields(q):
+    spec = spec_for_q(q)
+    cols, rows = exactness_vectors(q)
+    got = _discriminant_vec(_VecField(spec), *cols)
+    assert got.dtype == np.int32
+    assert got.tolist() == [scalar_discriminant(spec, *co) for co in rows]
+
+
+@pytest.mark.parametrize("q", [3, 17, P_MAX])
+def test_reduce_classes_vec_exact_on_prime_fields(q):
+    spec = spec_for_q(q)
+    cols, rows = exactness_vectors(q)
+    assert _reduce_classes_vec(_VecField(spec), *cols).tolist() == [scalar_class(spec, *co) for co in rows]
+
+
+@pytest.mark.parametrize("q", [3, 17, P_MAX])
+def test_charsum_cubic_exact_on_prime_fields(q):
+    """The character sum's v = x^3 + c2 x^2 + c4 x, on the class grid's
+    digits (c2, c4, x)."""
+    spec = spec_for_q(q)
+    add, mul = spec.add_enc, spec.mul_enc
+    cols, rows = exactness_vectors(q)
+    got = _cubic_part_vec(_VecField(spec), cols[0], cols[1], cols[2])
+    want = [add(mul(add(mul(x, x), mul(c2, x)), x), mul(c4, x)) for c2, c4, x, _, _ in rows]
+    assert got.tolist() == want
+
+
+def python_digits(q, n, start, stop):
+    out = []
+    for i in range(start, stop):
+        row = []
+        for _ in range(n):
+            i, r = divmod(i, q)
+            row.append(r)
+        out.append(row[::-1])
+    return out
+
+
+@pytest.mark.parametrize(
+    "q,n,start,stop",
+    [
+        (2, 32, 2**31 - 100, 2**31),  # int32 up to the last index it holds
+        (2, 32, 2**31 - 100, 2**31 + 100),  # straddles 2^31, so int64
+        (100, 5, 2**31 - 100, 2**31 + 100),
+        (17, 5, 17**5 - 100, 17**5),  # the last indices of the q = 17 sweep
+    ],
+)
+def test_digits_match_divmod(q, n, start, stop):
+    digits = _digits(q, n, start, stop)
+    assert [d.dtype for d in digits] == [np.int32] * n
+    assert [list(row) for row in zip(*(d.tolist() for d in digits))] == python_digits(q, n, start, stop)
+
+
+def test_digits_across_a_chunk_boundary():
+    """The q = 19 sweep (19^5 > _CHUNK) splits its indices at _CHUNK: the two
+    chunks' digits join into those of the whole range, which match divmod."""
+    q, chunk = 19, sweep._CHUNK
+    start, stop = chunk - 100, chunk + 100
+    whole = [d.tolist() for d in _digits(q, 5, start, stop)]
+    left, right = _digits(q, 5, start, chunk), _digits(q, 5, chunk, stop)
+    assert [a.tolist() + b.tolist() for a, b in zip(left, right)] == whole
+    assert [list(row) for row in zip(*whole)] == python_digits(q, 5, start, stop)
 
 
 @pytest.mark.parametrize("q", [49, 81, 121, 125])
