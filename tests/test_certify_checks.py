@@ -1,7 +1,7 @@
-"""tools/certify_checks.py in a fresh interpreter on a cut-down pass: the
-three fixed checks, the sweeps over F_2 and F_3 and one random-curve check,
-each with its time, then the total and the peak RSS."""
+"""tools/certify_checks.py in a fresh interpreter on a whole certification
+pass: every check with its time and label, then the total and the peak RSS."""
 
+import ast
 import re
 import subprocess
 import sys
@@ -11,33 +11,33 @@ _ROOT = Path(__file__).resolve().parent.parent
 _TOOL = _ROOT / "tools" / "certify_checks.py"
 
 
-def run_tool(*args):
-    return subprocess.run([sys.executable, str(_TOOL), *args], cwd=_ROOT,
-                          capture_output=True, text=True, timeout=120)
+def pass_checks(seed):
+    """The SWEEP_QS and certify_plan(seed) of perfbench/workloads.py, read in a
+    child interpreter so that perfbench's modules stay out of this one."""
+    code = ("import sys; sys.path[:0] = ['src', 'perfbench']; import workloads; "
+            f"print(list(workloads.SWEEP_QS)); print(workloads.certify_plan({seed}))")
+    done = subprocess.run([sys.executable, "-c", code], cwd=_ROOT,
+                          capture_output=True, text=True, timeout=60, check=True)
+    qs, plan = done.stdout.splitlines()
+    return ast.literal_eval(qs), ast.literal_eval(plan)
 
 
 def test_certify_checks_times_each_check():
-    done = run_tool("--seed", "1", "--sweep-qs", "2,3", "--random-checks", "1")
-    assert done.returncode == 0, done.stderr
+    sweep_qs, plan = pass_checks(1)
+    done = subprocess.run([sys.executable, str(_TOOL), "--seed", "1"], cwd=_ROOT,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stdout + done.stderr
     lines = done.stdout.splitlines()
     assert lines[0].split() == ["ms", "check", "(seed", "1)"]
     rows = [line.split(None, 1) for line in lines[1:-2]]
-    assert [name for _, name in rows] == [
-        "exceptional_q_set(1024)",
-        "exceptional_q_set(1024, corollary=True)",
-        "verify_table1",
-        "full_sweep_verify(F_2)",
-        "full_sweep_verify(F_3)",
-        "random_curve_counting_check(F_31, seed=1000)",
-    ]
+    assert [name for _, name in rows] == (
+        ["exceptional_q_set(1024)", "exceptional_q_set(1024, corollary=True)", "verify_table1"]
+        + [f"full_sweep_verify(F_{q})" for q in sweep_qs]
+        + [f"random_curve_counting_check(F_{q}, seed={s})" for q, s in plan]
+    )
+    assert sweep_qs == [2, 3, 4, 5, 7, 9, 17] and plan[0] == (31, 1000)
     ms = [float(t) for t, _ in rows]
     assert all(t > 0 for t in ms)
     total, label = lines[-2].split(None, 1)
-    assert label == "total of 6 checks" and abs(float(total) - sum(ms)) < 0.05
+    assert label == f"total of {len(rows)} checks" and abs(float(total) - sum(ms)) < 0.01 * len(rows)
     assert re.fullmatch(r"peak RSS \d+\.\d MB", lines[-1])
-
-
-def test_certify_checks_takes_sweep_fields_of_the_pass_only():
-    done = run_tool("--seed", "1", "--sweep-qs", "6")
-    assert done.returncode == 2
-    assert "--sweep-qs must be a subset of (2, 3, 4, 5, 7, 9, 17)" in done.stderr

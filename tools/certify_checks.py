@@ -1,24 +1,23 @@
 """The time of each check of one certification pass, and the pass's peak RSS.
 
     python3 tools/certify_checks.py --seed 29001
-    python3 tools/certify_checks.py --seed 1 --sweep-qs 2,3 --random-checks 1
 
 Run from the repository root, one pass per process, so that every field,
 table and cache is built cold, as in perfbench's certify workload.  The pass
 is perfbench's own: perfbench/workloads.py's certify_pass over
-certify_plan(seed), with its checks, in its order.  --sweep-qs keeps only the
-named fields of its SWEEP_QS (rebound in this process; the file is not
-touched) and --random-checks only the first N random-curve checks of the
-plan.  Kernel ticks are off, as in a traced pass, so no reference-kernel time
-falls inside a check.
+certify_plan(seed), with its checks, in its order.  Kernel ticks are off, as
+in a traced pass, so no reference-kernel time falls inside a check.
 
-Each check calls one library entry point: exceptions.exceptional_q_set,
+Each check calls the library through exceptions.exceptional_q_set,
 exceptions.verify_table1, sweep.full_sweep_verify or
 sweep.random_curve_counting_check.  Those module attributes are wrapped for
-the pass, and a check's time is its entry point's wall time.  The output is
-one line per check (ms, then the check's name), the total, the process's
-peak RSS (ru_maxrss), and each failed check, if any; the exit code is 1 if a
-check failed.
+the pass, and a check's time is the wall time of its calls to them, keyed by
+the check's index, which certify_pass sets as the tracer's owner_id.  The
+rows are labelled in check order: the three fixed checks, a sweep per field
+of SWEEP_QS, then the plan's random-curve checks.  The output is one line per
+check (ms, then the check's label), the total, the process's peak RSS
+(ru_maxrss), and each failed check, if any; the exit code is 1 if a check
+failed or the pass ran other checks than these.
 """
 
 from __future__ import annotations
@@ -27,6 +26,7 @@ import argparse
 import functools
 import resource
 import sys
+from collections import defaultdict
 from pathlib import Path
 from time import perf_counter
 from types import SimpleNamespace
@@ -37,45 +37,40 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import workloads  # noqa: E402
 from hassecount import exceptions, sweep  # noqa: E402
 
-
-def check_name(fn: str, args: tuple, kwargs: dict) -> str:
-    """The name certify_pass gives the check that makes this call."""
-    if fn == "exceptional_q_set":
-        return "exceptional_q_set(1024, corollary=True)" if kwargs.get("corollary") else "exceptional_q_set(1024)"
-    if fn == "full_sweep_verify":
-        return f"full_sweep_verify(F_{args[0].q})"
-    if fn == "random_curve_counting_check":
-        return f"random_curve_counting_check(F_{args[0].q}, seed={kwargs['seed']})"
-    return fn
+ENTRY_POINTS = [(exceptions, "exceptional_q_set"), (exceptions, "verify_table1"),
+                (sweep, "full_sweep_verify"), (sweep, "random_curve_counting_check")]
 
 
-def timed_pass(plan: list, rows: list) -> workloads.CertifyPass:
-    """Run certify_pass over `plan`, appending (name, seconds) per check to rows."""
+def check_labels(plan: list) -> list[str]:
+    """The checks of certify_pass over `plan`, in the order it runs them."""
+    return (["exceptional_q_set(1024)", "exceptional_q_set(1024, corollary=True)", "verify_table1"]
+            + [f"full_sweep_verify(F_{q})" for q in workloads.SWEEP_QS]
+            + [f"random_curve_counting_check(F_{q}, seed={s})" for q, s in plan])
 
-    def wrap(owner, fn):
-        real = getattr(owner, fn)
 
+def timed_pass(plan: list) -> tuple[workloads.CertifyPass, dict[int, float]]:
+    """Run certify_pass over `plan`; also return the seconds per check index."""
+    # a tracer-like object turns the kernel ticks off; certify_pass sets its
+    # owner_id to the index (from 1) of the running check
+    tracer = SimpleNamespace(owner_id=0)
+    times: dict[int, float] = defaultdict(float)
+
+    def timed(real):
         @functools.wraps(real)
-        def timed(*args, **kwargs):
+        def call(*args, **kwargs):
             t0 = perf_counter()
             try:
                 return real(*args, **kwargs)
             finally:
-                rows.append((check_name(fn, args, kwargs), perf_counter() - t0))
+                times[tracer.owner_id] += perf_counter() - t0
 
-        return real, timed
+        return call
 
-    targets = [(exceptions, "exceptional_q_set"), (exceptions, "verify_table1"),
-               (sweep, "full_sweep_verify"), (sweep, "random_curve_counting_check")]
-    saved = []
-    for owner, fn in targets:
-        real, timed = wrap(owner, fn)
-        saved.append((owner, fn, real))
-        setattr(owner, fn, timed)
+    saved = [(owner, fn, getattr(owner, fn)) for owner, fn in ENTRY_POINTS]
+    for owner, fn, real in saved:
+        setattr(owner, fn, timed(real))
     try:
-        # a tracer-like object turns the kernel ticks off; certify_pass only
-        # sets its owner_id
-        return workloads.certify_pass(plan, SimpleNamespace(owner_id=0))
+        return workloads.certify_pass(plan, tracer), times
     finally:
         for owner, fn, real in saved:
             setattr(owner, fn, real)
@@ -84,29 +79,24 @@ def timed_pass(plan: list, rows: list) -> workloads.CertifyPass:
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seed", type=int, required=True, help="the certify_plan seed")
-    ap.add_argument("--sweep-qs", help="comma-separated subset of SWEEP_QS (default: all)")
-    ap.add_argument("--random-checks", type=int, help="keep the plan's first N random-curve checks")
     args = ap.parse_args(argv)
-    if args.sweep_qs is not None:
-        qs = tuple(int(q) for q in args.sweep_qs.split(","))
-        if not set(qs) <= set(workloads.SWEEP_QS):
-            ap.error(f"--sweep-qs must be a subset of {workloads.SWEEP_QS}")
-        workloads.SWEEP_QS = tuple(q for q in workloads.SWEEP_QS if q in qs)
     plan = workloads.certify_plan(args.seed)
-    if args.random_checks is not None:
-        plan = plan[: args.random_checks]
+    labels = check_labels(plan)
 
-    rows: list[tuple[str, float]] = []
-    done = timed_pass(plan, rows)
+    done, times = timed_pass(plan)
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
     print(f"{'ms':>9}  check (seed {args.seed})")
-    for name, s in rows:
-        print(f"{s * 1e3:9.2f}  {name}")
-    print(f"{sum(s for _, s in rows) * 1e3:9.2f}  total of {len(rows)} checks")
+    for i, label in enumerate(labels, 1):
+        print(f"{times.get(i, 0.0) * 1e3:9.2f}  {label}")
+    print(f"{sum(times.values()) * 1e3:9.2f}  total of {len(labels)} checks")
     print(f"peak RSS {peak_mb:.1f} MB")
     for why in done.failures:
         print(f"FAILED {why}")
-    return 1 if done.failures or len(rows) != done.checks else 0
+    mismatch = done.checks != len(labels) or set(times) != set(range(1, len(labels) + 1))
+    if mismatch:
+        print(f"FAILED the pass ran {done.checks} checks, timed {sorted(times)}; "
+              f"expected {len(labels)}, each calling an entry point")
+    return 1 if done.failures or mismatch else 0
 
 
 if __name__ == "__main__":
