@@ -59,6 +59,13 @@ def b_formula_discriminant(spec, a1, a2, a3, a4, a6):
     return sub(disc, mul(8 % p, mul(b4, mul(b4, b4))))
 
 
+def kernel_completed_model(spec, a1, a2, a3, a4, a6):
+    """(c2, c4, c6, h1, h3) of the completed square on the field kernels."""
+    add, mul = spec.add_enc, spec.mul_enc
+    h1, h3 = (mul(a, (spec.p + 1) // 2) for a in (a1, a3))
+    return add(a2, mul(h1, h1)), add(a4, mul(h1, a3)), add(a6, mul(h3, h3)), h1, h3
+
+
 def singular_long_form(spec, rng):
     """A random long form whose completed square is (x - r)^2 (x - s)."""
     q, add, sub, mul, neg = spec.q, spec.add_enc, spec.sub_enc, spec.mul_enc, spec.neg_enc
@@ -72,12 +79,14 @@ def singular_long_form(spec, rng):
 
 
 @pytest.mark.parametrize(
-    "q", [3, 5, 7, 1009, 10**12 + 39, 9, 27, 3**7, 5**4, 3**13, 2, 4, 256, 2**21]
+    "q", [3, 5, 7, 1009, 10**12 + 39, 2**61 - 1, 2**62 - 57, 9, 27, 3**7, 5**4, 3**13, 2, 4, 256, 2**21]
 )
 def test_discriminant_matches_b_formula(q):
-    """Random vectors on every field model (prime; log tables; polynomial at
-    3^13; characteristic 2 on log tables and, at 2^21, on bit vectors), and
-    long forms of singular completed squares in odd characteristic."""
+    """Random vectors on every field model (prime, over the integers up to
+    the largest prime below 2^62; log tables; polynomial at 3^13;
+    characteristic 2 on log tables and, at 2^21, on bit vectors), and long
+    forms of singular completed squares in odd characteristic.  In odd
+    characteristic the completed square matches the field kernels'."""
     spec = ff.spec_for_q(q)
     rng = random.Random(q)
     vectors = [tuple(rng.randrange(q) for _ in range(5)) for _ in range(150)]
@@ -91,7 +100,10 @@ def test_discriminant_matches_b_formula(q):
             with pytest.raises(SingularCurve):
                 cv.Curve(spec, *co)
         else:
-            assert cv.Curve(spec, *co).discriminant == ref, co
+            e = cv.Curve(spec, *co)
+            assert e.discriminant == ref, co
+            if not spec.char2:
+                assert e.completed_model() == kernel_completed_model(spec, *co), co
     assert singular >= (0 if spec.char2 else 10)
 
 
