@@ -10,10 +10,11 @@ finite_field) and the formulas call the FieldSpec kernels on them, but for
 log_law and count_exhaustive over odd extension fields, which read the
 field's log and Zech tables; an integer constant c is the encoding c % p.
 In odd characteristic the constructor derives the completed square once
-(Curve.completed_model) and takes the discriminant from it.  long_add, the
-affine addition law of the long form, adds bare encodings; Curve.add_points
-wraps it in Points for the API.  The loops that carry the traffic step on
-one affine model per curve (Curve.affine_model), on bare coordinates:
+(Curve.completed_model) and takes the discriminant from it, over the
+integers on prime fields.  long_add, the affine addition law of the long
+form, adds bare encodings; Curve.add_points wraps it in Points for the API.
+The loops that carry the traffic step on one affine model per curve
+(Curve.affine_model), on bare coordinates:
 - characteristic 2: the long form, added by long_add;
 - odd fields with Zech tables (1 < k, q <= 2^20): log coordinates, the
   discrete logs of (x, y') on the completed square y'^2 = x^3 + c2 x^2 +
