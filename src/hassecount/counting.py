@@ -33,7 +33,6 @@ from .curve import (
     enumerate_points,
     quadratic_twist,
     random_point,
-    short_model,
 )
 from .errors import ExcludedField, FieldTooLarge, InternalInvariantError, IterationCapExceeded
 from .finite_field import _poly_gcd
@@ -171,8 +170,8 @@ def _count_by_point_orders(
 def _two_torsion_prior(curve: Curve, descent: bool) -> Congruence:
     """The trace congruence that E[2] fixes, over F_p, p > 3.
 
-    The 2-torsion points are infinity and the roots of the cubic
-    f = x^3 + a x + b of the short model (short_model), so #E is odd with no
+    The 2-torsion points are infinity and the roots of the cubic f = x^3 +
+    a x + b of the short model (Curve.short_model), so #E is odd with no
     root (t = q mod 2), even with one (t = q+1 mod 2), and divisible by 4
     with three (t = q+1 mod 4); two roots force the third.  f is separable,
     so by Stickelberger its discriminant, 1/16 of the curve's, is a square
@@ -197,7 +196,7 @@ def _two_torsion_prior(curve: Curve, descent: bool) -> Congruence:
     one_root = not is_square(curve.discriminant)
     if one_root and not descent:
         return Congruence((p + 1) % 2, 2)
-    _, a, b = short_model(*curve.completed_model()[:3], p)
+    _, a, b = curve.short_model()
     r0, r1, r2, r3 = _x_power_mod(p, 0, b, a, p)
     r0, r1 = (r0 - b * r3) % p, (r1 - a * r3) % p
     if not one_root:
@@ -227,7 +226,7 @@ def _three_torsion_prior(curve: Curve) -> Congruence:
     """
     p = curve.spec.p
     is_square = curve.spec.is_square_enc
-    _, a, b = short_model(*curve.completed_model()[:3], p)
+    _, a, b = curve.short_model()
     # on y^2 = f(x) = x^3 + a x + b: psi_3 / 3 = x^4 + e2 x^2 + e1 x + e0, psi = (e0, e1, e2)
     psi = (-a * a * pow(3, -1, p) % p, 4 * b % p, 2 * a % p)
     r = _x_power_mod(p, *psi, p)

@@ -28,9 +28,11 @@ prime fields with p > 3 its chain runs on the completed square in Jacobian
 coordinates, one inversion per multiplication.  Curve.scalar_mul is its
 wrapper on Points.  Over odd prime fields the BSGS walks add on the
 completed square one inversion per block: completed_add_block adds residues
-to one point, and completed_pair_block makes the 2h + 1 terms C - S_h, ...,
-C, ..., C + S_h of a progression around a known centre C, whose pairs C +- S_i
-share a denominator, with the next centre C + (2h+1)*S.
+to one point, and completed_pair_block makes the x of the 2h + 1 terms C -
+S_h, ..., C, ..., C + S_h of a progression around a known centre C, whose
+pairs C +- S_i share a denominator, with the next centre C + (2h+1)*S.
+Neither returns slopes: completed_sum_y recomputes the y of a sum from its
+operands, one inversion, where a walk needs it.
 """
 
 from __future__ import annotations
@@ -78,7 +80,7 @@ class Point:
 class Curve:
     """y^2 + a1*x*y + a3*y = x^3 + a2*x^2 + a4*x + a6 over a FieldSpec, nonsingular."""
 
-    __slots__ = ("spec", "a1", "a2", "a3", "a4", "a6", "discriminant", "_completed", "_model")
+    __slots__ = ("spec", "a1", "a2", "a3", "a4", "a6", "discriminant", "_completed", "_model", "_short")
 
     def __init__(self, spec: FieldSpec, a1, a2, a3, a4, a6):
         """Validates the coefficients and the discriminant.  In odd
@@ -195,6 +197,20 @@ class Curve:
         constructor, which takes the discriminant from it."""
         return self._completed
 
+    def short_model(self) -> tuple[int, int, int]:
+        """Prime fields with p > 3: (s, a, b) with s = c2/3, so that x' = x +
+        s takes the completed square y^2 = x^3 + c2 x^2 + c4 x + c6 to y^2 =
+        x'^3 + a x' + b.  Computed on first use and kept: the constructor
+        leaves the slot unset, so building a curve costs nothing more."""
+        try:
+            return self._short
+        except AttributeError:
+            c2, c4, c6 = self._completed[:3]
+            p = self.spec.p
+            s = c2 * ((-p % 3 * p + 1) // 3) % p  # c2/3: (-p % 3) * p = -1 (mod 3)
+            self._short = s, (c4 - c2 * s) % p, ((c2 - s) * s * s - c4 * s + c6) % p
+            return self._short
+
     def to_completed(self, pt: Point) -> tuple[int | None, int | None]:
         """(x, y') of P on the completed square, (None, None) for infinity."""
         if pt.x is None:
@@ -283,7 +299,7 @@ class Curve:
             n, y = -n, self._maps()[2](x, y)
         s = self.spec
         if s.k == 1 and s.p > 3:
-            return _jacobian_mul(n, x, y, *self.completed_model()[:2], s.p)
+            return _jacobian_mul(n, x, y, *self.short_model()[:2], s.p)
         add = self.affine_model()[1]
         xb, yb = x, y
         for bit in bin(n)[3:]:
@@ -356,22 +372,14 @@ def long_add(spec: FieldSpec, a1: int, a2: int, a3: int, a4: int, x1, y1, x2, y2
     return x3, spec.neg_enc(add(add(add(mul(lam, sub(x3, x1)), y1), mul(a1, x3)), a3))
 
 
-def short_model(c2: int, c4: int, c6: int, p: int) -> tuple[int, int, int]:
-    """(s, a, b) with s = c2/3: x' = x + s takes the completed square y^2 =
-    x^3 + c2 x^2 + c4 x + c6 over F_p, p > 3, to y^2 = x'^3 + a x' + b."""
-    s = c2 * ((-p % 3 * p + 1) // 3) % p  # c2/3: (-p % 3) * p = -1 (mod 3)
-    return s, (c4 - c2 * s) % p, ((c2 - s) * s * s - c4 * s + c6) % p
-
-
-def _jacobian_mul(n: int, xb: int, yb: int, c2: int, c4: int, p: int) -> tuple:
+def _jacobian_mul(n: int, xb: int, yb: int, sx: int, a: int, p: int) -> tuple:
     """n*(xb, yb) for n >= 1 on the completed square over F_p, p > 3, as
     (x, y), (None, None) for infinity.  Left-to-right double-and-add on the
-    shifted square y^2 = x'^3 + a x' + b, x' = x + c2/3 (short_model), in
+    shifted square y^2 = x'^3 + a x' + b, x' = x + sx (Curve.short_model), in
     Jacobian coordinates (x', y) = (X/Z^2, Y/Z^3), Z = 0 for infinity, adding
     the affine base by mixed additions: one inversion, for the way out.  A
     doubling's Z3 = 2 Y Z vanishes for infinity (Z = 0) and for a 2-torsion
     point (Y = 0), so both come out as infinity unbranched."""
-    sx, a, _ = short_model(c2, c4, 0, p)
     xb = (xb + sx) % p
     x, y, z = xb, yb, 1
     for bit in bin(n)[3:]:
@@ -390,7 +398,7 @@ def _jacobian_mul(n: int, xb: int, yb: int, c2: int, c4: int, p: int) -> tuple:
         h = (xb * zz - x) % p
         r = (yb * zz * z - y) % p
         if h == 0:  # equal x': the sum is 2*base (r = 0) or infinity
-            x, y = _jacobian_mul(2, (xb - sx) % p, yb, c2, c4, p) if r == 0 else (None, None)
+            x, y = _jacobian_mul(2, (xb - sx) % p, yb, sx, a, p) if r == 0 else (None, None)
             x, y, z = (1, 1, 0) if x is None else ((x + sx) % p, y, 1)
             continue
         hh = h * h % p
@@ -540,14 +548,14 @@ def completed_add_block(c2: int, c4: int, p: int, x1, y1, xs: list, ys: list, ny
     c2 x^2 + c4 x + c6 over F_p, x None for infinity, with one shared
     inversion (Montgomery's trick).
 
-    Returns the sums' x (None for infinity), their y for i < ny, for the last
-    i and where an operand is infinity (None elsewhere), and their chord or
-    tangent slopes lam, from which any other y = lam (x1 - x) - y1.
+    Returns the sums' x (None for infinity) and their y for i < ny, for the
+    last i and where an operand is infinity, None elsewhere: completed_sum_y
+    gives any other y from the operands.
     """
     n = len(xs)
     if x1 is None:
-        return list(xs), list(ys), [None] * n
-    x3s, y3s, lams = [None] * n, [None] * n, [None] * n
+        return list(xs), list(ys)
+    x3s, y3s = [None] * n, [None] * n
     todo, prefix = [], []  # prefix[k]: product of the denominators of todo[0..k]
     acc = 1
     for i, x2 in enumerate(xs):
@@ -574,62 +582,70 @@ def completed_add_block(c2: int, c4: int, p: int, x1, y1, xs: list, ys: list, ny
             lam = ((3 * x1 + 2 * c2) * x1 + c4) * (inv * prefix[k - 1] if k else inv) % p
             inv = inv * 2 * y1 % p
         x3s[i] = x3 = (lam * lam - off - x2) % p
-        lams[i] = lam
         if i < ny or i == n - 1:
             y3s[i] = (lam * (x1 - x3) - y1) % p
-    return x3s, y3s, lams
+    return x3s, y3s
 
 
 def completed_pair_block(c2: int, p: int, xc, yc, xs: list, ys: list, xn, yn):
-    """The terms C - S_h, ..., C - S_1, C, C + S_1, ..., C + S_h centred on C =
-    (xc, yc), for h >= 1 addends S_i = (xs[i-1], ys[i-1]), and the next centre
-    C + N, N = (xn, yn), on a completed square y^2 = x^3 + c2 x^2 + c4 x + c6
-    over F_p, with one shared inversion (Montgomery's trick).  C + S_i and C -
-    S_i share the denominator x(S_i) - xc of their slopes (+-y(S_i) - yc) /
-    (x(S_i) - xc), so the 2h + 1 terms and the next centre take h + 1
-    denominators.
+    """The x of the terms C - S_h, ..., C - S_1, C, C + S_1, ..., C + S_h
+    centred on C = (xc, yc), for h >= 1 addends S_i = (xs[i-1], ys[i-1]), and
+    the next centre C + N, N = (xn, yn), on a completed square y^2 = x^3 + c2
+    x^2 + c4 x + c6 over F_p, with one shared inversion (Montgomery's trick).
+    C + S_i and C - S_i share the denominator x(S_i) - xc of their slopes
+    (+-y(S_i) - yc) / (x(S_i) - xc), so the 2h + 1 terms and the next centre
+    take h + 1 denominators.  Passing -S_i for S_i reverses the terms.
 
-    Returns (x3s, y3s, lams, xnext, ynext): the terms' x in that order, their y
-    for the centre and the last term (None elsewhere), their slopes (None for
-    the centre), from which any other y = lam (xc - x) - yc, and the next
-    centre with its y.  Returns None when an operand is infinity or a
-    denominator vanishes (C = +-S_i or C = +-N), where a sum can be infinity
-    or a doubling: completed_add_block covers those.
+    Returns (x3s, xnext, ynext): the terms' x in that order and the next
+    centre with its y.  No other y or slope is returned; completed_sum_y
+    gives a term's y from C and its addend.  Returns None when an operand is
+    infinity or a denominator vanishes (C = +-S_i or C = +-N), where a sum can
+    be infinity or a doubling: completed_add_block covers those.
     """
     if xc is None or xn is None or None in xs:
         return None
-    acc, prefix = 1, []  # prefix[i]: product of the denominators of xs[0..i]
+    acc, prefix = 1, []  # prefix[i]: product of the denominators of xs[0..i-1]
     for x in xs:
-        acc = acc * (x - xc) % p
         prefix.append(acc)
+        acc = acc * (x - xc) % p
     d = xn - xc
     inv = acc * d % p
     if not inv:
         return None
-    inv = pow(inv, -1, p)  # then the inverse of prefix[i], walking i down
+    inv = pow(inv, -1, p)  # then the inverse of the product of xs[0..i], walking i down
     off = c2 + xc  # x3 = lam^2 - (c2 + xc) - x2
     ln = (yn - yc) * (inv * acc % p) % p
     inv = inv * d % p
     xnext = (ln * ln - off - xn) % p
-    xm, lm, xp, lp = [], [], [], []  # C - S_h, ..., C - S_1 and C + S_h, ..., C + S_1
-    for i in range(len(xs) - 1, -1, -1):
+    h = len(xs)
+    x3s = [xc] * (2 * h + 1)
+    for i in range(h - 1, -1, -1):
         x = xs[i]
-        di = inv * prefix[i - 1] % p if i else inv
+        di = inv * prefix[i] % p
         inv = inv * (x - xc) % p
         y = ys[i]
         u = off + x
-        lam = (y - yc) * di % p
-        xp.append((lam * lam - u) % p)
-        lp.append(lam)
-        lam = (-y - yc) * di % p
-        xm.append((lam * lam - u) % p)
-        lm.append(lam)
-    xp.reverse()
-    lp.reverse()
-    y3s = [None] * (2 * len(xs) + 1)
-    y3s[len(xs)] = yc
-    y3s[-1] = (lp[-1] * (xc - xp[-1]) - yc) % p
-    return xm + [xc] + xp, y3s, lm + [None] + lp, xnext, (ln * (xc - xnext) - yc) % p
+        lam = (y - yc) * di  # unreduced: only its square mod p is read
+        x3s[h + 1 + i] = (lam * lam - u) % p
+        lam = (y + yc) * di  # minus the slope to C - S_i: the same square
+        x3s[h - 1 - i] = (lam * lam - u) % p
+    return x3s, xnext, (ln * (xc - xnext) - yc) % p
+
+
+def completed_sum_y(c2: int, c4: int, p: int, x1, y1, x2, y2, x3: int) -> int:
+    """The y of (x1, y1) + (x2, y2) on a completed square over F_p, given its
+    x = x3 (the sum is not infinity; x None is infinity): one inversion, for
+    the chord or tangent slope lam, and y3 = lam (x1 - x3) - y1."""
+    if x2 is None:
+        return y1
+    if x1 is None:
+        return y2
+    if x1 != x2:
+        lam = (y2 - y1) * pow(x2 - x1, -1, p)
+    else:  # a finite sum of equal x is a doubling
+        lam = ((3 * x1 + 2 * c2) * x1 + c4) * pow(2 * y1, -1, p)
+    return (lam * (x1 - x3) - y1) % p
+
 
 def enumerate_points(curve: Curve) -> list[Point]:
     """All rational points: infinity first, then affine sorted by (x, y) encoding."""

@@ -14,7 +14,11 @@ multiplication per prime.
 The search can be restricted to the traces of one congruence t = a (mod M):
 it then walks multiples of Q = M*P over the about 4*sqrt(q)/M admissible
 traces, which cuts its group operations by about sqrt(M) (Shanks-Mestre;
-Cohen, A Course in Computational Algebraic Number Theory, 7.4).
+Cohen, A Course in Computational Algebraic Number Theory, 7.4).  Its giant
+steps start at the admissible trace nearest 0 and walk outward on both
+sides in turn, since the traces of random curves over a fixed field cluster
+near 0 (Birch, J. London Math. Soc. 43, 1968), with a baby table sized for
+that.
 
 All interval arithmetic is integer-exact through isqrt; the square-field
 cases attain |t| = 2*sqrt(q) exactly, so floating point would be off by one
@@ -29,7 +33,7 @@ from functools import partial
 from heapq import heapify, heappop, heappush
 from math import gcd, isqrt
 
-from .curve import Curve, Point, completed_add_block, completed_pair_block
+from .curve import Curve, Point, completed_add_block, completed_pair_block, completed_sum_y
 from .errors import IncompatibleCongruence, InternalInvariantError
 from .integers import factorize
 
@@ -109,23 +113,17 @@ def _scalar_mul_adds(n: int) -> int:
     return n.bit_length() - 1 + n.bit_count() if n else 0
 
 
-def _neg_y(p: int, x: int, y: int) -> int:
-    """The y of -(x, y) on a completed square over F_p."""
-    return -y % p
-
-
-def _pair_block(c2: int, c4: int, p: int, xc, yc, sx: list, sy: list, xn, yn) -> tuple:
-    """completed_pair_block's terms and next centre, or where it declines
-    (an operand is infinity, a denominator vanishes) the same from one
-    completed_add_block on C: N, -S_h, ..., -S_1, infinity (C itself), S_1,
-    ..., S_h."""
+def _pair_block(c2: int, c4: int, p: int, xc, yc, sx: list, sy: list, ax: list, ay: list, xn, yn):
+    """The x of the terms C + (ax[i], ay[i]) of a paired block around C =
+    (xc, yc), its addends ax, ay being -S_h, ..., -S_1, infinity, S_1, ...,
+    S_h, and the next centre C + N with its y: from completed_pair_block on
+    S_1, ..., S_h = (sx, sy), or where it declines (an operand is infinity, a
+    denominator vanishes) from one completed_add_block on C."""
     out = completed_pair_block(c2, p, xc, yc, sx, sy, xn, yn)
     if out is not None:
         return out
-    neg_sy = [y if y is None else -y % p for y in reversed(sy)]
-    bx, by, bl = completed_add_block(
-        c2, c4, p, xc, yc, [xn, *reversed(sx), None, *sx], [yn, *neg_sy, None, *sy], 1)
-    return bx[1:], by[1:], bl[1:], bx[0], by[0]
+    bx, by = completed_add_block(c2, c4, p, xc, yc, [xn, *ax], [yn, *ay], 1)
+    return bx[1:], bx[0], by[0]
 
 
 # most additions that share one field inversion in a block of multiples, and
@@ -133,6 +131,10 @@ def _pair_block(c2: int, c4: int, p: int, xc, yc, sx: list, sy: list, xn, yn) ->
 # prime fields only (elsewhere one add of Curve.affine_model per step: in the
 # log model an inversion is one table lookup, so blocks only add work)
 _BLOCK_CAP = 32
+
+# the baby table holds s - 1 terms, s = isqrt(span // _BABY_SHARE) + 1 for
+# the span + 1 admissible traces (see bsgs_annihilator)
+_BABY_SHARE = 5
 
 
 def bsgs_annihilator(
@@ -143,48 +145,69 @@ def bsgs_annihilator(
     Searches for t with t*P = (q+1)*P over the traces t = a (mod M) with
     |t| <= 2*sqrt(q), where (a, M) is the trace congruence (by default every
     trace).  Writing t = t_min + M*u for u in [0, span], it is a baby-step
-    giant-step search for u on Q = M*P: baby steps j*Q (keyed by x, y
-    disambiguating the sign) and giant steps of stride 2s-1, s about
-    sqrt(span/2), for O(sqrt(span)) group operations: O(q^(1/4))
-    unrestricted, sqrt(M) times fewer under a modulus M.
+    giant-step search for u on Q = M*P: baby steps j*Q for j < s (keyed by
+    x, y disambiguating the sign), s = isqrt(span // _BABY_SHARE) + 1, and
+    giant terms R_c = (q+1 - t_min - M*c)*P, R_c = +-j*Q putting u at c +- j,
+    so a term covers the window [c - (s-1), c + (s-1)].  O(sqrt(span))
+    group operations: O(q^(1/4)) unrestricted, sqrt(M) times fewer under a
+    modulus M.
 
-    Every returned m is verified: a giant step matched a baby step or
+    The giant terms are scanned from the centre outward: c0 = span // 2,
+    the admissible trace nearest 0, then c0 + stride, c0 - stride, c0 +
+    2*stride, c0 - 2*stride, ... with stride 2s - 1, a side ending once its
+    window leaves [0, span].  The traces of random curves over a fixed F_q
+    cluster near 0 by the semicircle law (Birch, J. London Math. Soc. 43,
+    1968), so the walk meets the trace after about 0.42 of a side on
+    average (E|cos theta| = 4/(3 pi) for the semicircle), not half the
+    interval, and a baby table smaller than the uniform optimum sqrt(span /
+    2) pays: of _BABY_SHARE = 4, 5 and 6, 5 gave the fastest counts at
+    2^61-1 and tied with 6 at 10^12+39.
+
+    Every returned m is verified: a giant term matched a baby step or
     infinity, or a baby step j*Q reached infinity (the order of P divides
     j*M; without a multiple of j*M in the interval the unrestricted search
     takes over).  A congruence the true trace does not satisfy can therefore
-    only end in InternalInvariantError, never in a wrong m.
+    only end in InternalInvariantError, never in a wrong m.  Where P has
+    several annihilators in the interval the first matched is returned.
 
     P is mapped in once (Curve.to_model, on every field) and never back: Q,
-    the first giant term and the giant stride are Curve.mul on its bare
-    (x, y), and a match is tested with the negation of the curve's affine
-    model (Curve.affine_model; -y on the completed square).  Every field but
-    the odd prime fields steps the model's add one term at a time (log
-    coordinates in the odd fields with Zech tables).  Over odd prime fields
-    both walks add on the completed square, one inversion per block:
-    - first blocks of multiples (step, 2*step, ..., b*step) added to the
-      last term (completed_add_block; the baby terms are their own
-      multiples), b doubling up to _BLOCK_CAP and to the terms left;
-    - once a walk holds 2h terms, h = _BLOCK_CAP // 2, and 2h + 1 more are
-      left, paired blocks (completed_pair_block): the terms C - h*step, ...,
-      C, ..., C + h*step on h + 1 denominators, and the next centre C +
-      (2h+1)*step.  N = (2h+1)*step and the first centre come from one
-      completed_add_block (the giant walk first adds (h+1)*step to its
-      multiples); a block the kernel declines (an operand at infinity, a
-      vanishing denominator) runs on completed_add_block;
-    - the fewer than 2h + 1 terms left after the paired blocks on blocks of
-      multiples again, at most h + 1 terms each in the giant walk.
-    A y is computed for the addends, the centres and a block's last term;
-    any other comes from its slope where a match needs it.  At q = 10^6+3
-    every walk is too short to pair.  The points are scanned in the order of
-    stepping one add at a time, so the same m is returned, and ops.adds
-    counts the logical group operations of that stepping: the baby steps,
-    the scalar multiplications (three, or two when M = 1) and the giant
-    steps up to the match.  The adds really computed exceed it by the
-    giant-step multiples, the rest of the block that holds the match and its
-    next centre: fewer than 2*_BLOCK_CAP per call.  Measured on seeded random
-    curves, unrestricted: +12% at q = 65537, +17% at 10^6+3, +1.7% at
-    10^12+39; under the congruences count_points passes: +13%, +17% and
-    +4.4%.
+    R_c0 and the giant step S = -stride*Q are Curve.mul on its bare (x, y),
+    and a match is tested with the negation of the curve's affine model
+    (Curve.affine_model; -y on the completed square).  Every field but the
+    odd prime fields steps the model's add one term at a time (log
+    coordinates in the odd fields with Zech tables), up and down in turn.
+    Over odd prime fields the walks add on the completed square, one
+    inversion per block, h = _BLOCK_CAP // 2:
+    - the baby terms Q, 2Q, ... come in blocks of multiples added to the
+      last term (completed_add_block), doubling up to _BLOCK_CAP; once 2h
+      are made, if 2h + 1 more fit, paired blocks (completed_pair_block) of
+      the terms C - hQ, ..., C, ..., C + hQ on h + 1 denominators, each
+      handing on the next centre C + N, N = (2h+1)*Q, made with the first
+      centre (3h+1)*Q in one completed_add_block; the fewer than 2h + 1
+      terms left in one completed_add_block around the next centre;
+    - the giant walk makes S, ..., (g+1)*S the same way, g = min(h,
+      isqrt(n)) for the n terms of the up side, and N = (2g+1)*S.  Its
+      first block is the paired block around R_c0 on S_1, ..., S_g: the
+      terms up_1, ..., up_g and down_1, ..., down_g at once, handing on
+      R_c0 + N; one completed_add_block makes R_c0 - N.  Every later round
+      is the paired block around the next centre of each side, the down
+      side's on -S_i and -N, so its terms come in walk order.
+    A block the kernel declines (an operand at infinity, a vanishing
+    denominator) runs on completed_add_block.  No block returns slopes: a
+    y is kept for the multiples, the centres and the baby tail, and a
+    matched term's other y is recomputed from its centre and addend
+    (completed_sum_y), one inversion.
+
+    The terms are scanned in the order of stepping one add at a time, so
+    that stepping returns the same m, and ops.adds counts its logical group
+    operations: the baby steps, the scalar multiplications (three, or two
+    when M = 1) and one add per giant term scanned after R_c0 up to the
+    match, the first down term costing one add from R_c0.  The adds really
+    computed exceed it by the giant multiples and N, the rest of the round
+    that holds the match and the next centres.  Measured on 40 seeded
+    random curves, unrestricted: +27% at q = 65537, +18% at 10^6+3, +2.9%
+    at 10^12+39; under the congruences count_points passes: +24%, +22% and
+    +7.6%.
     """
     interval = hasse_interval(curve.spec.q)
     if pt.x is None:
@@ -197,7 +220,7 @@ def bsgs_annihilator(
     span = (tb - t_min) // mod  # t = t_min + mod*u, u = 0..span
     if span < 0:
         raise InternalInvariantError(f"no trace in the Hasse interval is {trace.a} mod {mod}")
-    s = max(2, isqrt(span // 2) + 1)
+    s = max(2, isqrt(span // _BABY_SHARE) + 1)
     spec = curve.spec
     p = spec.p
     top = spec.q + 1 - t_min  # the candidate annihilator for u is top - mod*u
@@ -211,51 +234,73 @@ def bsgs_annihilator(
         cap, h = _BLOCK_CAP, _BLOCK_CAP // 2
         add_block = partial(completed_add_block, c2, c4, p)
         pair_block = partial(_pair_block, c2, c4, p)
-        neg = partial(_neg_y, p)
+        sum_y = partial(completed_sum_y, c2, c4, p)
+
+        def add(x1, y1, x2, y2):  # one add: the giant walk without blocks
+            (x,), (y,) = add_block(x1, y1, [x2], [y2], 1)
+            return x, y
+
+        def neg(x, y):
+            return y if x is None else -y % p
     else:  # one add of the affine model per step
         cap, h = 1, 0
-        add, neg = curve.affine_model()[1:3]
+        add, model_neg = curve.affine_model()[1:3]
 
         def add_block(x1, y1, xs, ys, ny):
             x, y = add(x1, y1, xs[0], ys[0])
-            return [x], [y], None
+            return [x], [y]
+
+        def neg(x, y):
+            return y if x is None else model_neg(x, y)
     w = 2 * h + 1  # the terms of a paired block
+
+    def multiples(x, y, count: int) -> tuple:
+        """x and y of S, 2*S, ..., count*S for S = (x, y), in blocks of
+        multiples added to the last, at most doubling them."""
+        mx, my = [x], [y]
+        while len(mx) < count:
+            b = min(len(mx), cap, count - len(mx))
+            bx, by = add_block(mx[-1], my[-1], mx[:b], my[:b], b)
+            mx += bx
+            my += by
+        return mx, my
+
+    def progression(sx: list, sy: list) -> tuple:
+        """The addends -S_g, ..., -S_1, infinity, S_1, ..., S_g of a paired
+        block's terms around its centre, S_i = (sx[i-1], sy[i-1])."""
+        return [*reversed(sx), None, *sx], [*map(neg, reversed(sx), reversed(sy)), None, *sy]
 
     # baby steps j*Q at index j of xs, ys; table: x -> the least j.  Another
     # j' < s with that x has j'*Q = -j*Q, so the order of Q divides j + j' <
     # 2s - 2 and each multiple of Q is infinity or +-i*Q with i < s: the first
-    # giant step then matches through the least j, or no giant step ever does
-    xs, ys = [None, x], [None, y]
-    j = 1 if x is None else 0  # the first j with j*Q = infinity, if any
+    # giant term then matches through the least j, or no giant term ever does
     paired = h and s >= 2 * w  # room for a paired block after the first 2h terms
-    end = w if paired else s
-    while True:
-        while not j and len(xs) < end:  # add Q, 2*Q, ..., b*Q to the last term
-            b = min(len(xs) - 1, cap, end - len(xs))
-            bx, by, _ = add_block(xs[-1], ys[-1], xs[1:b + 1], ys[1:b + 1], b)
-            if None in bx:
-                j = len(xs) + bx.index(None)
-            xs += bx
-            ys += by
-        if j or end == s:
-            break
+    mx, my = multiples(x, y, 2 * h if paired else s - 1)
+    xs, ys = [None, *mx], [None, *my]
+    bx = mx  # the last block; the walk stops at a term at infinity
+    if paired and None not in bx:
         # paired blocks while a whole one fits, from N = w*Q and the first
-        # centre (3h+1)*Q made from 2h*Q; then the rest as above
-        (xn, xc), (yn, yc), _ = add_block(xs[-1], ys[-1], [xs[1], xs[h + 1]], [ys[1], ys[h + 1]], 2)
-        sx, sy, ls = xs[1:h + 1], ys[1:h + 1], [None] * w  # ls: the slopes of paired terms
-        while not j and len(xs) + 2 * h < s:
-            bx, by, bl, xc, yc = pair_block(xc, yc, sx, sy, xn, yn)
-            if None in bx:
-                j = len(xs) + bx.index(None)
+        # centre (3h+1)*Q made from 2h*Q, their y None but the centre's; then
+        # the rest around the next centre
+        (xn, xc), (yn, yc) = add_block(xs[-1], ys[-1], [xs[1], xs[h + 1]], [ys[1], ys[h + 1]], 2)
+        sx, sy = xs[1:h + 1], ys[1:h + 1]
+        bax, bay = progression(sx, sy)
+        while len(xs) + 2 * h < s and None not in bx:
+            bx, xnext, ynext = pair_block(xc, yc, sx, sy, bax, bay, xn, yn)
+            xs += bx
+            ys += [None] * h + [yc] + [None] * h
+            xc, yc = xnext, ynext
+        if len(xs) < s and None not in bx:
+            bx, by = add_block(xc, yc, bax[:s - len(xs)], bay[:s - len(xs)], w)
             xs += bx
             ys += by
-            ls += bl
-        end = s
-    if j:
-        # the order of P divides j*mod (Q itself is infinity when j = 1),
-        # so any multiple of j*mod annihilates.  With mod = 1 the interval
-        # is far wider than s, so one lands inside it; otherwise there may
-        # be none, and the unrestricted search answers
+    if None in xs[1:]:
+        # the order of P divides j*mod for the first j with j*Q = infinity
+        # (Q itself is infinity when j = 1), so any multiple of j*mod
+        # annihilates.  With mod = 1 the interval is far wider than s, so one
+        # lands inside it; otherwise there may be none, and the unrestricted
+        # search answers
+        j = xs.index(None, 1)
         ops.adds += j - 1
         n = j * mod
         first = -(-interval.lo // n) * n
@@ -263,69 +308,94 @@ def bsgs_annihilator(
             return first
         return bsgs_annihilator(curve, pt, ops)
     table = dict(zip(xs[:0:-1], range(s - 1, 0, -1)))  # the least j wins
+    table[None] = 0  # a giant term at infinity is 0*Q
     ops.adds += s - 2
 
+    def match(c: int, x, y) -> int | None:
+        """u for the giant term R_c at x, a key of the table, if in [0, span]."""
+        j = table[x]
+        if not j:
+            return c if 0 <= c <= span else None
+        yj = ys[j]
+        if yj is None:  # a paired baby term: from its centre k*Q
+            k = j - j % w + h
+            yj = sum_y(xs[k], ys[k], bax[j - k + h], bay[j - k + h], xs[j])
+        if y == yj and 0 <= c + j <= span:
+            return c + j
+        if neg(x, y) == yj and 0 <= c - j <= span:
+            return c - j
+        return None
+
     stride = 2 * s - 1
-    c = s - 1
-    # R = (top - mod*c)*P, stepped down by stride*Q while c - (s-1) <= span
-    x, y = curve.mul(-stride, xs[1], ys[1])  # step = -stride*Q
-    mx, my = [x], [y]  # i*step at index i - 1
-    x, y = curve.mul(top - mod * c, px, py)
-    gx, gy, lams = [x], [y], None  # a block of terms
-    xb = yb = xn = None  # the block's base (the term before it, or its centre); N
-    ops.adds += _scalar_mul_adds(top - mod * c) + _scalar_mul_adds(stride)
-    n = span // stride + 1
-    done = 0  # the terms before the block
-    lo, hi = 2 * h if h else n, n - w  # blocks are paired while lo <= done <= hi
+    c0 = span // 2
+    x, y = curve.mul(-stride, xs[1], ys[1])  # step S = -stride*Q: from R_c to R_(c+stride)
+    x0, y0 = curve.mul(top - mod * c0, px, py)  # R_c0
+    ops.adds += _scalar_mul_adds(top - mod * c0) + _scalar_mul_adds(stride)
+    if x0 in table:
+        u = match(c0, x0, y0)
+        if u is not None:
+            return top - mod * u
+    # the terms after R_c0: up_k = R_(c0 + k*stride) and down_k = R_(c0 -
+    # k*stride) for k = 1, ..., n[side] while the window meets [0, span],
+    # scanned up_1, down_1, up_2, down_2, ...: up_k is the term of index k +
+    # min(k - 1, n[1]), down_k of k + min(k, n[0]), and n[0] >= n[1]
+    n = ((span - c0 + s - 1) // stride, (c0 + s - 1) // stride)
+
+    def found(side: int, k: int, x, y) -> int | None:
+        """The annihilator if up_k (side 0) or down_k (side 1) at (x, y)
+        matches, its index charged to ops, else None."""
+        u = match(c0 - k * stride if side else c0 + k * stride, x, y)
+        if u is None:
+            return None
+        ops.adds += k + min(k, n[0]) if side else k + min(k - 1, n[1])
+        return top - mod * u
+
+    g = min(h, isqrt(n[0]))  # the giant blocks' half width: 2g + 1 terms
+    if not g:  # one add per term: no blocks (h = 0), or no term after R_c0
+        last = [(x0, y0), (x0, y0)]
+        steps = (x, y), (x, neg(x, y))
+        for k in range(1, n[0] + 1):
+            for side in (0, 1) if k <= n[1] else (0,):
+                x, y = last[side] = add(*last[side], *steps[side])
+                if x in table and (m := found(side, k, x, y)) is not None:
+                    return m
+        ops.adds += n[0] + n[1]
+        raise InternalInvariantError("BSGS found no annihilator in the Hasse interval")
+    mx, my = multiples(x, y, g + 1)
+    (xn,), (yn,) = add_block(mx[g], my[g], mx[g - 1:g], my[g - 1:g], 1)  # N = (2g+1)*S
+    sx = mx[:g]
+    sy = my[:g], [*map(neg, sx, my[:g])]  # the y of S_1, ..., S_g up and of their negations down
+    yn = yn, neg(xn, yn)  # the y of N up and of -N down
+    ax = progression(sx, sy[0])[0]
+    ay = [progression(sx, ys)[1] for ys in sy]
+    # round 0 is the block around R_c0: up_1, ..., up_g and down_1, ..., down_g;
+    # round r >= 1 the blocks around up_(r(2g+1)) and down_(r(2g+1)).  A
+    # block: its terms' x, the base and the addends that made them
+    bx, *up = pair_block(x0, y0, sx, sy[0], ax, ay[0], xn, yn[0])
+    (xd,), (yd,) = add_block(x0, y0, [xn], [yn[1]], 1)
+    centres = [up, (xd, yd)]  # R_c0 +- N
+    blocks = [(bx[g + 1:], x0, y0, sx, sy[0]), (bx[g - 1::-1], x0, y0, sx, sy[1])]
+    k = 1  # the round's first term on each side is the k-th
     while True:
-        for i, x in enumerate(gx):  # c = s - 1 + (done + i)*stride
-            if x is None:
-                c = s - 1 + (done + i) * stride
-                if 0 <= c <= span:
-                    break
-            elif x in table:
-                y = gy[i]
-                if y is None:
-                    y = (lams[i] * (xb - x) - yb) % p
-                j = table[x]
-                yj = ys[j]
-                if yj is None:  # a term of a paired baby block, centred on k*Q
-                    k = j - j % w + h
-                    yj = (ls[j] * (xs[k] - x) - ys[k]) % p
-                # R = mod*(u - c)*P matched against +-j*Q
-                c = s - 1 + (done + i) * stride
-                if y == yj and 0 <= c + j <= span:
-                    c += j
-                    break
-                if neg(x, y) == yj and 0 <= c - j <= span:
-                    c -= j
-                    break
-        else:  # no match: step past the block and make the next
-            done += len(gx)
-            if done >= n:
-                ops.adds += done
-                raise InternalInvariantError("BSGS found no annihilator in the Hasse interval")
-            xb, yb = gx[-1], gy[-1]
-            if lo <= done <= hi:
-                if xn is None:  # N = (h+1)*step + h*step and the centre xb + (h+1)*step
-                    if len(mx) == h:  # mx holds h to 2h - 1 multiples here
-                        bx, by, _ = add_block(mx[-1], my[-1], mx[:1], my[:1], 1)
-                        mx += bx
-                        my += by
-                    (xn, xc), (yn, yc), _ = add_block(mx[h], my[h], [mx[h - 1], xb], [my[h - 1], yb], 2)
-                    sx, sy = mx[:h], my[:h]
-                xb, yb = xc, yc
-                gx, gy, lams, xc, yc = pair_block(xc, yc, sx, sy, xn, yn)
-                continue
-            more = min(cap, n - done) - len(mx)
-            if more > 0 and done > 1 and xn is None:
-                bx, by, _ = add_block(mx[-1], my[-1], mx[:more], my[:more], more)
-                mx += bx
-                my += by
-            gx, gy, lams = add_block(xb, yb, mx[:n - done], my[:n - done], 0)
-            continue
-        ops.adds += done + i
-        return top - mod * c
+        if not all(table.keys().isdisjoint(b[0]) for b in blocks):
+            for i in range(len(blocks[0][0])):
+                for side, (gx, xb, yb, axs, ays) in enumerate(blocks):
+                    x = gx[i]
+                    if k + i > n[side] or x not in table:
+                        continue
+                    y = None if x is None else sum_y(xb, yb, axs[i], ays[i], x)
+                    if (m := found(side, k + i, x, y)) is not None:
+                        return m
+        k += len(blocks[0][0])
+        if k > n[0]:
+            break
+        blocks = []
+        for side in (0, 1) if k <= n[1] else (0,):
+            xc, yc = centres[side]
+            bx, *centres[side] = pair_block(xc, yc, sx, sy[side], ax, ay[side], xn, yn[side])
+            blocks.append((bx, xc, yc, ax, ay[side]))
+    ops.adds += n[0] + n[1]
+    raise InternalInvariantError("BSGS found no annihilator in the Hasse interval")
 
 
 def exact_order(curve: Curve, pt: Point, annihilator: int) -> int:

@@ -1,6 +1,7 @@
 """tools/count_phases.py on three curves at 10^6+3: every phase shows up,
-y_solutions takes one exponentiation per drawn x, and the wrappers are
-removed afterwards."""
+y_solutions takes one exponentiation per drawn x, the BSGS line gives a
+positive mean of logical group operations, and the wrappers are removed
+afterwards."""
 
 import importlib.util
 from pathlib import Path
@@ -21,13 +22,15 @@ def test_count_phases_smoke(capsys):
     out = capsys.readouterr().out
     lines = out.splitlines()
     assert lines[0].startswith("q = 1000003, seed 1, 3 curves:")
-    labels = [line.split()[0] for line in lines[2:] if not line.startswith(("y_solutions:", "digest"))]
+    labels = [line.split()[0] for line in lines[2:] if not line.startswith(("bsgs:", "y_solutions:", "digest"))]
     for name in ("count_points", "priors", "random_point", "y_solutions", "bsgs", "exact_order",
                  "factorize", "final"):
         assert name in labels, out
     rows = {line[:22].strip(): line[22:].split() for line in lines[2:]}
     assert float(rows["exact_order"][3]) > 0  # Curve.mul bits per count
     assert "y_solutions: 1.000 exponentiations per drawn x" in out
+    (ops_line,) = [line for line in lines if line.startswith("bsgs: ")]
+    assert float(ops_line.split()[1]) > 0 and ops_line.endswith(" calls)"), ops_line
     assert lines[-1].startswith("digest of results and exact orders: ")
     for owner, attr, value in before:
         assert getattr(owner, attr) is value

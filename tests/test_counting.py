@@ -501,3 +501,21 @@ def test_two_descent_cuts_bsgs_work(monkeypatch):
         results.append([ct.count_points(e, "point_order", random.Random(i)) for i, e in enumerate(curves)])
     assert results[0] == results[1]
     assert sum(with_step) / len(with_step) <= 0.9 * sum(without) / len(without)
+
+
+
+def test_centre_out_bsgs_cuts_work(monkeypatch):
+    """Deterministic budget at 10^12+39: the giant walk from the centre of the
+    interval outward, with the smaller baby table, cuts the mean logical BSGS
+    adds per count_points call to at most 0.92 of those of the walk from one
+    end on the same panel: 15450 adds over the same 20 calls (772.5 each).
+    The traces of random curves cluster near 0, where the walk starts."""
+    spec = ff.make_spec(10**12 + 39)
+    rng = random.Random(12)
+    curves = [sample_random_curve(spec, rng) for _ in range(20)]
+    adds = []
+    record_searches(monkeypatch, adds)
+    for i, e in enumerate(curves):
+        ct.count_points(e, "point_order", random.Random(i))
+    assert len(adds) == 20
+    assert sum(adds) / len(adds) <= 0.92 * 15450 / 20

@@ -6,18 +6,24 @@ F_{10^12+39}, two seeds each, plus single lines over F_3125 = F_{5^5},
 F_531441 = F_{3^12}, F_65536 and a supersingular curve over F_1024.  A refactor
 of the field, curve or order layers must leave every line unchanged: the
 counts, the RNG draw order (samples_used, the sampled orders) and the BSGS
-annihilators.
+annihilators.  An annihilator is the first multiple of the point's order that
+the BSGS scan meets, so a point with several multiples of its order in the
+Hasse interval (the order lines over F_1013 and F_243 with seed 1, F_128 with
+seed 2 and F_2187 with seed 1) changes its annihilator, not its order, when
+the scan order changes; test_order_lines_are_annihilators checks each one.
 
 The exception census and the Table 1 report are pinned the same way, from
 files in tests/census_stdout/: `exceptions --qmax 1024` in TSV and JSON, with
 and without `--corollary` under each `--reading`, and `table1` in both formats.
 """
 
+import json
 from pathlib import Path
 
 import pytest
 
 from hassecount import cli
+from hassecount.order import hasse_interval
 
 GOLDEN = [
     (
@@ -26,7 +32,7 @@ GOLDEN = [
     ),
     (
         'order --q 1013 --curve 544,541,80,488,270 --seed 1 --point 582,575',
-        '{"annihilator":1066,"curve":[544,541,80,488,270],"order":26,"point":"582,575","q":1013}\n',
+        '{"annihilator":1014,"curve":[544,541,80,488,270],"order":26,"point":"582,575","q":1013}\n',
     ),
     (
         'twist --q 1013 --curve 544,541,80,488,270 --seed 1',
@@ -58,7 +64,7 @@ GOLDEN = [
     ),
     (
         'order --q 243 --curve 80,146,173,216,54 --seed 1 --point 145,87',
-        '{"annihilator":270,"curve":[80,146,173,216,54],"order":30,"point":"145,87","q":243}\n',
+        '{"annihilator":240,"curve":[80,146,173,216,54],"order":30,"point":"145,87","q":243}\n',
     ),
     (
         'twist --q 243 --curve 80,146,173,216,54 --seed 1',
@@ -106,7 +112,7 @@ GOLDEN = [
     ),
     (
         'order --q 128 --curve 124,101,105,57,57 --seed 2 --point 43,115',
-        '{"annihilator":144,"curve":[124,101,105,57,57],"order":6,"point":"43,115","q":128}\n',
+        '{"annihilator":126,"curve":[124,101,105,57,57],"order":6,"point":"43,115","q":128}\n',
     ),
     (
         'twist --q 128 --curve 124,101,105,57,57 --seed 2',
@@ -122,7 +128,7 @@ GOLDEN = [
     ),
     (
         'order --q 2187 --curve 1403,1848,1574,772,2030 --seed 1 --point 550,594',
-        '{"annihilator":2279,"curve":[1403,1848,1574,772,2030],"order":43,"point":"550,594","q":2187}\n',
+        '{"annihilator":2193,"curve":[1403,1848,1574,772,2030],"order":43,"point":"550,594","q":2187}\n',
     ),
     (
         'count --q 2187 --curve 1403,1848,1574,772,2030 --seed 2',
@@ -171,6 +177,16 @@ GOLDEN = [
 def test_cli_stdout_unchanged(capsys, argv, stdout):
     assert cli.main(argv.split()) == 0
     assert capsys.readouterr().out == stdout
+
+
+def test_order_lines_are_annihilators():
+    """Every order line's annihilator is a multiple of its order inside the
+    Hasse interval of its q."""
+    lines = [json.loads(stdout) for argv, stdout in GOLDEN if argv.startswith("order ")]
+    assert len(lines) == 10
+    for line in lines:
+        interval = hasse_interval(line["q"])
+        assert line["annihilator"] % line["order"] == 0 and line["annihilator"] in interval, line
 
 
 CENSUS_STDOUT = Path(__file__).resolve().parent / "census_stdout"

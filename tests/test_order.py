@@ -89,10 +89,17 @@ def test_bsgs_operation_scaling(p):
 
 # --- batched BSGS against one add at a time ----------------------------------------
 
+def baby_size(span):
+    """s: the baby steps j*Q are j < s over the span + 1 admissible traces."""
+    return max(2, isqrt(span // od._BABY_SHARE) + 1)
+
+
 def reference_bsgs(curve, pt, ops, trace=od.Congruence(0, 1)):
     """BSGS with one Curve.add_points per step over the traces t = a (mod M)
     of the congruence: the scan order and the logical op count that
-    bsgs_annihilator must reproduce."""
+    bsgs_annihilator must reproduce.  The giant terms R_u = (q+1 - t_min -
+    M*u)*P start at u = c0 = span // 2 and step outward, up and down in
+    turn, each side while its window [u - (s-1), u + (s-1)] meets [0, span]."""
     interval = od.hasse_interval(curve.spec.q)
     if pt.is_infinity:
         return interval.lo
@@ -100,7 +107,7 @@ def reference_bsgs(curve, pt, ops, trace=od.Congruence(0, 1)):
     mod = trace.m
     t_min = -tb + (trace.a + tb) % mod
     span = (tb - t_min) // mod  # t = t_min + mod*u, u = 0..span
-    s = max(2, isqrt(span // 2) + 1)
+    s = baby_size(span)
     spec = curve.spec
     base = pt
     if mod > 1:
@@ -119,25 +126,39 @@ def reference_bsgs(curve, pt, ops, trace=od.Congruence(0, 1)):
             jq = curve.add_points(jq, base)
             ops.adds += 1
     stride = 2 * s - 1
-    u = s - 1
-    r = curve.scalar_mul(spec.q + 1 - t_min - mod * u, pt)
-    step = curve.negate(curve.scalar_mul(stride, base))
-    ops.adds += od._scalar_mul_adds(spec.q + 1 - t_min - mod * u) + od._scalar_mul_adds(stride)
-    while u - (s - 1) <= span:
+    c0 = span // 2
+    r0 = curve.scalar_mul(spec.q + 1 - t_min - mod * c0, pt)
+    step = curve.negate(curve.scalar_mul(stride, base))  # from R_u to R_(u+stride)
+    ops.adds += od._scalar_mul_adds(spec.q + 1 - t_min - mod * c0) + od._scalar_mul_adds(stride)
+
+    def found(u, r):
         if r.is_infinity:
-            if 0 <= u <= span:
-                return spec.q + 1 - t_min - mod * u
-        else:
-            neg_y = curve.negate(r).y
-            for j, yj in table.get(r.x, ()):
-                if r.y == yj and 0 <= u + j <= span:
-                    return spec.q + 1 - t_min - mod * (u + j)
-                if neg_y == yj and 0 <= u - j <= span:
-                    return spec.q + 1 - t_min - mod * (u - j)
-        u += stride
-        r = curve.add_points(r, step)
-        ops.adds += 1
-    raise AssertionError("reference BSGS found no annihilator")
+            return u if 0 <= u <= span else None
+        neg_y = curve.negate(r).y
+        for j, yj in table.get(r.x, ()):
+            if r.y == yj and 0 <= u + j <= span:
+                return u + j
+            if neg_y == yj and 0 <= u - j <= span:
+                return u - j
+        return None
+
+    sides = [[c0, r0, stride, step], [c0, r0, -stride, curve.negate(step)]]
+    u = found(c0, r0)
+    while u is None:
+        alive = False
+        for side in sides:
+            c, r, dc, st = side
+            if not 0 <= c + dc + s - 1 or c + dc - (s - 1) > span:
+                continue
+            alive = True
+            side[0], side[1] = c + dc, curve.add_points(r, st)
+            ops.adds += 1
+            u = found(*side[:2])
+            if u is not None:
+                break
+        if not alive:
+            raise AssertionError("reference BSGS found no annihilator")
+    return spec.q + 1 - t_min - mod * u
 
 
 def curve_through(spec, rng, x, y):
@@ -278,26 +299,37 @@ def test_bsgs_baby_x_collision(q):
             found += 1
 
 
+def baby_pairing(s, h):
+    """The centres of the baby walk's paired blocks and its last paired term,
+    for s and h = _BLOCK_CAP // 2: the blocks follow the first 2h terms
+    while a whole one of 2h + 1 fits below s."""
+    w, made = 2 * h + 1, 2 * h
+    while made + w < s:
+        made += w
+    return range(2 * h + 1 + h, made, w), made
+
+
 def test_bsgs_paired_block_edge_cases(monkeypatch):
     """At 2^32+15 with the default _BLOCK_CAP, h = 16, the unrestricted baby
-    walk is paired from 33*Q to (s-1)*Q = 362*Q, centres 49*Q, 82*Q, ...
+    walk is paired from 33*Q to 197*Q, centres 49*Q, 82*Q, ..., 181*Q, and
+    ends in one block around the next centre 214*Q up to (s-1)*Q = 228*Q.
     Points Q of order d put three cases inside a paired block: j*Q =
-    infinity (d < s: the block is declined and completed_add_block finds
-    j = d); an equal-x pair (d = 2k for a centre k*Q, so C - S_i = -(C +
-    S_i)); a baby x-collision (s + 2h < d <= 2s - 3, so paired terms j*Q
-    and (d - j)*Q share x).  Each gives the same m and logical op count as
-    the one-add reference."""
+    infinity (w <= d <= 197: the block is declined and completed_add_block
+    finds j = d); an equal-x pair (d = 2k for a centre k*Q, so C - S_i = -(C
+    + S_i)); a baby x-collision (s <= d and paired terms j*Q and (d - j)*Q
+    share x).  Each gives the same m and logical op count as the one-add
+    reference."""
     q = 2**32 + 15
     spec = ff.make_spec(q)
     h = od._BLOCK_CAP // 2
     w = 2 * h + 1
-    s = isqrt(od.hasse_interval(q).trace_bound) + 1
-    centres = range(w + h, s - h, w)
-    assert centres[0] == 49 and centres[-1] + h == s - 1  # the baby walk ends on a paired block
+    s = baby_size(2 * od.hasse_interval(q).trace_bound)
+    centres, last = baby_pairing(s, h)
+    assert (s, centres[0], centres[-1], last) == (229, 49, 181, 197)
     cases = {
-        "infinity": lambda d: w <= d < s,
+        "infinity": lambda d: w <= d <= last,
         "equal x": lambda d: d % 2 == 0 and d // 2 in centres,
-        "collision": lambda d: s + 2 * h < d <= 2 * s - 3,
+        "collision": lambda d: s <= d and any(j != d - j for j in range(max(w, d - last), min(last, d - w) + 1)),
     }
     outs = []
     pair_block, mul = od.completed_pair_block, cv.Curve.mul
@@ -344,6 +376,59 @@ def test_bsgs_paired_block_edge_cases(monkeypatch):
         else:
             xs = [x for out in baby for x in out[0]]
             assert None not in baby and len(set(xs)) < len(xs)
+
+
+def test_bsgs_match_paths(monkeypatch):
+    """At 2^32+15, unrestricted: matches on the down side and on the up
+    side, and matches whose giant term and whose baby term are not the
+    centre of their paired block, at each sign of their offset from it.
+    Such a term's y is recomputed from its block's base and addend
+    (completed_sum_y), and the recomputed y is the term's own.  Each search
+    returns the m and logical op count of the one-add reference."""
+    q = 2**32 + 15
+    spec = ff.make_spec(q)
+    h = od._BLOCK_CAP // 2
+    tb = od.hasse_interval(q).trace_bound
+    s, stride, c0, n_up, n_down, g = giant_shape(q, 2 * tb, od._BLOCK_CAP)
+    gw = 2 * g + 1
+    last = baby_pairing(s, h)[1]
+    top = q + 1 + tb  # R_c = (top - c)*P
+    muls = od._scalar_mul_adds(top - c0) + od._scalar_mul_adds(stride)
+    recomputed = []
+    sum_y = od.completed_sum_y
+
+    def recording(*args):
+        recomputed.append(sum_y(*args))
+        return recomputed[-1]
+
+    monkeypatch.setattr(od, "completed_sum_y", recording)
+    rng = random.Random(31)
+    found = set()
+    for _ in range(80):
+        e = sample_random_curve(spec, rng)
+        pt = cv.random_point(e, rng)
+        recomputed.clear()
+        ops, ref_ops = od.OpCounter(), od.OpCounter()
+        m = od.bsgs_annihilator(e, pt, ops)
+        assert m == reference_bsgs(e, pt, ref_ops) and ops.adds == ref_ops.adds
+        side, k = matched_term(ops.adds, s, n_up, n_down, muls)
+        if k == 0 or od.exact_order(e, pt, m) < 4 * isqrt(q):
+            continue
+        found.add(("side", side))
+        c = c0 - k * stride if side else c0 + k * stride
+        r = (k + g) // gw  # the giant term's round, and its offset from the block's centre
+        offset = k - r * gw if r else k
+        assert recomputed[0] == e.to_completed(e.scalar_mul(top - c, pt))[1]
+        found.add(("giant", offset > 0))
+        j = abs(top - m - c)  # R_c = +-j*Q
+        centre = j - j % (2 * h + 1) + h  # of j's block, if paired
+        if 2 * h < j <= last and j != centre:
+            assert recomputed[1] == e.to_completed(e.scalar_mul(j, pt))[1]
+            found.add(("baby", j > centre))
+        if len(found) == 6:
+            break
+    assert found == {("side", 0), ("side", 1), ("giant", True), ("giant", False), ("baby", True),
+                     ("baby", False)}
 
 
 def test_restricted_bsgs_small_order_outside_every_multiple():
@@ -461,12 +546,14 @@ def test_bsgs_real_adds_scaling(p, rounds, monkeypatch):
 def check_block(e, last, members, ny):
     """completed_add_block(last, members) against add_points mapped to the
     completed square: every x, the y it promises (i < ny, the last sum, an
-    infinity operand), and every other y from its slope."""
+    infinity operand), None for every other y, and that y from
+    completed_sum_y on the operands."""
     c2, c4 = e.completed_model()[:2]
     p = e.spec.p
     x1, y1 = e.to_completed(last)
     xs, ys = map(list, zip(*(e.to_completed(m) for m in members)))
-    x3s, y3s, lams = cv.completed_add_block(c2, c4, p, x1, y1, xs, ys, ny)
+    x3s, y3s = cv.completed_add_block(c2, c4, p, x1, y1, xs, ys, ny)
+    assert len(x3s) == len(y3s) == len(members)
     for i, m in enumerate(members):
         x, y = e.to_completed(e.add_points(last, m))
         assert x3s[i] == x, (last, m)
@@ -475,18 +562,18 @@ def check_block(e, last, members, ny):
         if i < ny or i == len(members) - 1 or x1 is None or xs[i] is None:
             assert y3s[i] == y, (last, m)
         else:
-            assert y3s[i] is None and (lams[i] * (x1 - x) - y1) % p == y, (last, m)
+            assert y3s[i] is None, (last, m)
+        assert cv.completed_sum_y(c2, c4, p, x1, y1, xs[i], ys[i], x) == y, (last, m)
     return x3s
 
 
 def check_paired(e, centre, addends, nn):
     """completed_pair_block(centre, addends, N) against add_points mapped to
-    the completed square: the x of C - S_h, ..., C, ..., C + S_h, the y it
-    promises (the centre and the last term), every other y from its slope,
-    and the next centre C + N with its y.  It declines (None) exactly where
-    an operand is infinity or shares the centre's x.  Returns whether it
-    declined."""
-    c2 = e.completed_model()[0]
+    the completed square: the x of C - S_h, ..., C, ..., C + S_h, each y from
+    completed_sum_y on C and +-S_i, and the next centre C + N with its y.
+    It declines (None) exactly where an operand is infinity or shares the
+    centre's x.  Returns whether it declined."""
+    c2, c4 = e.completed_model()[:2]
     p = e.spec.p
     xc, yc = e.to_completed(centre)
     xs, ys = map(list, zip(*(e.to_completed(s) for s in addends)))
@@ -495,20 +582,16 @@ def check_paired(e, centre, addends, nn):
     if None in (xc, xn, *xs) or xc in (xn, *xs):
         assert out is None
         return True
-    x3s, y3s, lams, xnext, ynext = out
+    x3s, xnext, ynext = out
     h = len(addends)
-    terms = [e.add_points(centre, e.negate(s)) for s in reversed(addends)]
-    terms += [centre] + [e.add_points(centre, s) for s in addends]
-    assert len(x3s) == len(y3s) == len(lams) == 2 * h + 1
-    for i, t in enumerate(terms):
-        x, y = e.to_completed(t)
+    signed = [e.negate(s) for s in reversed(addends)] + [e.infinity()] + list(addends)
+    assert len(x3s) == 2 * h + 1
+    for i, a in enumerate(signed):
+        x, y = e.to_completed(e.add_points(centre, a))
         assert x3s[i] == x, (centre, i)
-        if i in (h, 2 * h):
-            assert y3s[i] == y, (centre, i)
-        else:
-            assert y3s[i] is None and (lams[i] * (xc - x) - yc) % p == y, (centre, i)
-    assert lams[h] is None
+        assert cv.completed_sum_y(c2, c4, p, xc, yc, *e.to_completed(a), x) == y, (centre, i)
     assert (xnext, ynext) == e.to_completed(e.add_points(centre, nn))
+    assert cv.completed_pair_block(c2, p, xc, yc, xs, [-y % p for y in ys], xn, yn)[0] == x3s[::-1]
     return False
 
 
@@ -612,24 +695,50 @@ def test_add_many_matches_pairwise(q):
                 check_block(e, b, pts, ny)
         x1, y1 = e.to_completed(base)
         c2, c4 = e.completed_model()[:2]
-        assert cv.completed_add_block(c2, c4, q, x1, y1, [], [], 0) == ([], [], [])
+        assert cv.completed_add_block(c2, c4, q, x1, y1, [], [], 0) == ([], [])
         assert check_block(e, base, [base, e.negate(base)], 2)[1] is None
 
 
-@pytest.mark.parametrize("cap", [1, 2, 5, 8])
+def giant_shape(q, span, cap):
+    """(s, stride, c0, n_up, n_down, g) of the unrestricted walks over F_q."""
+    s = baby_size(span)
+    stride, c0 = 2 * s - 1, span // 2
+    n_up, n_down = (span - c0 + s - 1) // stride, (c0 + s - 1) // stride
+    return s, stride, c0, n_up, n_down, min(cap // 2, isqrt(n_up))
+
+
+def matched_term(ops, s, n_up, n_down, muls):
+    """(side, k) of the giant term an unrestricted search matched, from its
+    logical op count and the charge of its two scalar multiplications: (0,
+    0) for R_c0, (0, k) for up_k and (1, k) for down_k."""
+    index = ops - (s - 2) - muls
+    if index == 0:
+        return 0, 0
+    for k in range(1, n_up + 1):
+        if k + min(k - 1, n_down) == index:
+            return 0, k
+        if k <= n_down and k + min(k, n_up) == index:
+            return 1, k
+    raise AssertionError(index)
+
+
+@pytest.mark.parametrize("cap", [1, 2, 5, 6, 8])
 def test_progression_terms_and_block_sizes(cap, monkeypatch):
-    """The progressions the walks make on F_65537 with _BLOCK_CAP = cap, h =
-    cap // 2 and w = 2h + 1.  The baby terms are Q+Q, ..., (s-1)*Q in turn:
-    blocks of 1, 2, 4, ... up to cap, to the terms left and, when a paired
-    block fits after them, to the first 2h terms; then paired blocks of w
-    terms while one fits, each centred on its (h+1)-th term, the first on
-    (3h+1)*Q, made with N = w*Q from 2h*Q; the rest in one block.  The giant
-    terms are r0 + step, r0 + 2*step, ... in turn: blocks of one term first,
-    each at most cap and at most twice the one before, fed by the multiples
-    step, 2*step, ... in turn; from the 2h-th term on, paired blocks of w
-    while w terms are left, made with N = w*step from (h+1)*step, then
-    blocks of at most h+1.  Every paired block hands on the next centre,
-    the term w after its own, and with cap = 1 no block is paired."""
+    """The blocks the walks make on F_65537 with _BLOCK_CAP = cap, h = cap //
+    2 and w = 2h + 1.  The baby terms are Q+Q, ..., (s-1)*Q in turn: blocks
+    of multiples of 1, 2, 4, ... up to cap and the terms left, to 2h terms
+    when a paired block fits after them; then N = w*Q and the first centre
+    (3h+1)*Q from 2h*Q in one block, paired blocks of w terms while one
+    fits, each centred on its (h+1)-th term, and the rest in one block
+    around the next centre (cap = 6).  The giant walk: Curve.mul makes the
+    step S and R_c0; with g = min(h, isqrt(n_up)), blocks of multiples make
+    S, ..., (g+1)*S and one more N = (2g+1)*S; round 0 is the paired block
+    around R_c0 on S_1, ..., S_g, down_g, ..., down_1, R_c0, up_1, ..., up_g,
+    handing on R_c0 + N, and one add makes R_c0 - N; round r >= 1 is the
+    paired block around up_(r(2g+1)), then the one around down_(r(2g+1)) on
+    the negated addends, so its terms come in walk order, each handing on
+    the centre N further out.  The last round holds the match.  With cap =
+    1 no block is paired: one add per term, up and down in turn."""
     q = 65537
     spec = ff.make_spec(q)
     monkeypatch.setattr(od, "_BLOCK_CAP", cap)
@@ -645,7 +754,7 @@ def test_progression_terms_and_block_sizes(cap, monkeypatch):
 
     def recording_pair(c2, p, xc, yc, xs, ys, xn, yn):
         out = pair_block(c2, p, xc, yc, xs, ys, xn, yn)
-        calls.append(("pair", None, 2 * len(xs) + 1, out))
+        calls.append(("pair", xc, 2 * len(xs) + 1, out))
         return out
 
     def recording_mul(curve, n, x, y):
@@ -657,32 +766,44 @@ def test_progression_terms_and_block_sizes(cap, monkeypatch):
     monkeypatch.setattr(cv.Curve, "mul", recording_mul)
     tb = od.hasse_interval(q).trace_bound
     span = 2 * tb
-    s = max(2, isqrt(span // 2) + 1)
-    n = span // (2 * s - 1) + 1
+    s, stride, c0, n_up, n_down, g = giant_shape(q, span, cap)
+    gw = 2 * g + 1
+    top = q + 1 + tb  # R_c = (top - c)*P
+    muls = od._scalar_mul_adds(top - c0) + od._scalar_mul_adds(stride)
+
+    def doubling(count):
+        """The sizes of the blocks of multiples that make S, ..., count*S."""
+        sizes, made = [], 1
+        while made < count:
+            sizes.append(min(made, cap, count - made))
+            made += sizes[-1]
+        return sizes
+
     paired = h and s >= 2 * w
-    baby_blocks = []
-    k = 2
-    while k < s:
-        if paired and w <= k and k + 2 * h < s:
-            b = w
-            baby_blocks.append(("pair", b))
-        else:
-            b = min(k - 1, cap, s - k, w - k if paired and k < w else cap)
-            baby_blocks.append(("add", b))
-        k += b
+    baby_blocks = [("add", b) for b in doubling(2 * h if paired else s - 1)]
+    if paired:
+        baby_blocks.append(("add", 2))  # N and the first centre
+        made = 2 * h
+        while made + w < s:
+            baby_blocks.append(("pair", w))
+            made += w
+        if made < s - 1:
+            baby_blocks.append(("add", s - 1 - made))
+    assert cap != 6 or baby_blocks[-1] == ("add", 1)  # a baby tail around the next centre
     rng = random.Random(cap)
     seen = set()
-    for _ in range(6):
+    for _ in range(8):
         e = sample_random_curve(spec, rng)
         pt = cv.random_point(e, rng)
         calls.clear()
-        m = od.bsgs_annihilator(e, pt)
+        ops = od.OpCounter()
+        m = od.bsgs_annihilator(e, pt, ops)
         walk = []
         for call in calls:  # a declined paired block runs on the next add block
             if walk and walk[-1][0] == "pair" and walk[-1][3] is None:
-                assert call[:3] == ("add", 1, w + 1)
-                bx, by, bl = call[3]
-                call = ("pair", None, w, (bx[1:], by[1:], bl[1:], bx[0], by[0]))
+                assert call[1:3] == (1, walk[-1][2] + 1)
+                bx, by = call[3]
+                call = ("pair", walk[-1][1], walk[-1][2], (bx[1:], bx[0], by[0]))
                 walk.pop()
             walk.append(call)
         if od.exact_order(e, pt, m) < s:
@@ -693,58 +814,51 @@ def test_progression_terms_and_block_sizes(cap, monkeypatch):
 
         first_mul = next(i for i, call in enumerate(walk) if call[0] == "mul")
         baby = walk[:first_mul]
-        if paired:  # N and the first centre, just before the first paired block
-            i = next(i for i, call in enumerate(baby) if call[0] == "pair")
-            boot = baby.pop(i - 1)
-            assert boot[:3] == ("add", 2, 2) and boot[3][0] == [x_of(w), x_of(3 * h + 1)]
         assert [(kind, size) for kind, _, size, _ in baby] == baby_blocks
-        assert all(ny == size for kind, ny, size, _ in baby if kind == "add")
-        assert [x for _, _, _, out in baby for x in out[0]] == [x_of(j) for j in range(2, s)]
-        k = 2
-        for kind, _, size, out in baby:
-            if kind == "pair":
-                assert out[3] == x_of(k + h + w)
-            k += size
+        assert all(ny >= size for kind, ny, size, _ in baby if kind == "add")
+        terms = []
+        for i, (kind, _, size, out) in enumerate(baby):
+            if paired and i == len(doubling(2 * h)):  # N and the first centre
+                assert out[0] == [x_of(w), x_of(3 * h + 1)]
+                continue
+            if kind == "pair":  # its centre is its (h+1)-th term, and it hands on the next
+                assert out[0][h] == x_of(len(terms) + 2 + h) and out[1] == x_of(len(terms) + 2 + h + w)
+            terms += out[0]
+        assert terms == [x_of(j) for j in range(2, s)]
 
+        def term(side, k):
+            return x_of(top - (c0 - k * stride if side else c0 + k * stride))
+
+        assert [n for _, n, _, _ in walk[first_mul:first_mul + 2]] == [-stride, top - c0]
         giant = walk[first_mul + 2:]
-        assert [by for _, by, _, _ in walk[first_mul:first_mul + 2]] == [-(2 * s - 1), q + 1 + tb - (s - 1)]
-        r0 = e.scalar_mul(q + 1 + tb - (s - 1), pt)
-        step = e.negate(e.scalar_mul(2 * s - 1, pt))
-        kinds = [kind for kind, ny, _, _ in giant if kind == "pair" or ny == 0]
-        if "pair" in kinds:  # N and the first centre, just before the first paired block
-            boot = giant.pop(giant.index(next(call for call in giant if call[0] == "pair")) - 1)
-            assert boot[:3] == ("add", 2, 2)
-        blocks = [call for call in giant if call[0] == "pair" or call[1] == 0]
-        sizes = [size for _, _, size, _ in blocks]
-        assert sizes[0] == 1 and sum(sizes) < n
-        done = 1  # r0 is the first term
-        for i, (kind, size) in enumerate(zip(kinds, sizes)):
-            if kind == "pair":
-                assert size == w and done >= 2 * h and n - done >= w
-                assert "add" not in kinds[kinds.index("pair"):i]
-                if i == kinds.index("pair"):
-                    assert boot[3][0] == [x_of(w, step), e.to_completed(
-                        e.add_points(r0, e.scalar_mul(done + h, step)))[0]]
-            elif "pair" in kinds[:i]:
-                assert size <= h + 1 and n - done < w
-            else:
-                assert size <= min(cap, 2 * sizes[i - 1] if i else 1)
-                assert done < 2 * h or n - done < w or not h
-            done += size
-        seen.update(kinds)
-        term = r0
-        for kind, _, _, out in blocks:
-            for x in out[0]:
-                term = e.add_points(term, step)
-                assert x == e.to_completed(term)[0]
-            if kind == "pair":  # the next centre, h + 1 terms on
-                assert out[3] == e.to_completed(e.add_points(term, e.scalar_mul(h + 1, step)))[0]
-        mult = step
-        for _, _, _, (mx, _, _) in (call for call in giant if call[0] == "add" and call[1]):
-            for x in mx:
-                mult = e.add_points(mult, step)
-                assert x == e.to_completed(mult)[0]
-    assert seen == ({"add"} if cap == 1 else {"add", "pair"})
+        side, k = matched_term(ops.adds, s, n_up, n_down, muls)
+        if k == 0:
+            assert giant == []  # R_c0 matched
+            continue
+        if not g:  # one add per term after R_c0, up and down in turn
+            order = [(sd, kk) for kk in range(1, n_up + 1) for sd in (0, 1) if kk <= (n_up, n_down)[sd]]
+            order = order[:order.index((side, k)) + 1]
+            assert [(kind, size) for kind, _, size, _ in giant] == [("add", 1)] * len(order)
+            assert [out[0][0] for _, _, _, out in giant] == [term(*t) for t in order]
+            seen.add("add")
+            continue
+        grow = [("add", b) for b in doubling(g + 1)]
+        r = (k + g) // gw  # the round of the match
+        rounds = [(rr, sd) for rr in range(1, r + 1) for sd in (0, 1) if not sd or rr * gw - g <= n_down]
+        kinds = [(kind, size) for kind, _, size, _ in giant]
+        assert kinds == grow + [("add", 1), ("pair", gw), ("add", 1)] + [("pair", gw)] * len(rounds)
+        nn, round0, down0 = (out for _, _, _, out in giant[len(grow):len(grow) + 3])
+        assert nn[0] == [x_of(gw, e.negate(e.scalar_mul(stride, pt)))]
+        assert round0[0] == [term(1, i) for i in range(g, 0, -1)] + [term(0, 0)] + [
+            term(0, i) for i in range(1, g + 1)]
+        assert round0[1] == term(0, gw) and down0[0] == [term(1, gw)]
+        for (rr, sd), (_, centre, _, (bx, xnext, _)) in zip(rounds, giant[len(grow) + 3:]):
+            assert centre == term(sd, rr * gw)
+            assert bx == [term(sd, i) for i in range(rr * gw - g, rr * gw + g + 1)]
+            assert xnext == term(sd, (rr + 1) * gw)
+            seen.add(("round", sd))
+        seen.update(kind for kind, _ in kinds)
+    assert seen >= ({"add"} if cap == 1 else {"add", "pair", ("round", 0), ("round", 1)})
 
 
 # --- exact order ------------------------------------------------------------------

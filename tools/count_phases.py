@@ -22,8 +22,10 @@ about a microsecond per nested call.  Curve.mul bits are the bit lengths of
 its scalars.  Exponentiations are the calls of pow with a nonnegative
 exponent in finite_field (prime fields) and of its polynomial powering
 (odd extensions above the log-table limit); log-table fields take none.
-The last line is a digest of every CountResult and every exact order, so
-two trees can be compared on the same panel.
+The BSGS line gives the mean logical group operations per bsgs_annihilator
+call (OpCounter.adds; the wrapper passes an OpCounter where the caller gave
+none).  The last line is a digest of every CountResult and every exact order,
+so two trees can be compared on the same panel.
 """
 
 from __future__ import annotations
@@ -70,12 +72,13 @@ def curve_panel(spec, seed: int, size: int) -> list:
 class Meter:
     """Per phase path (the tuple of the phases open, outermost first):
     calls, seconds, Curve.mul bits and exponentiations, each inclusive of
-    the phases nested in it."""
+    the phases nested in it; and the logical BSGS group operations."""
 
     def __init__(self):
         self.stack: list[str] = []
         self.rows: dict[tuple[str, ...], list] = {}
         self.orders: list[int] = []
+        self.bsgs_ops = 0
 
     def row(self) -> list:
         return self.rows.setdefault(tuple(self.stack), [0, 0.0, 0, 0])
@@ -113,6 +116,18 @@ def install(meter: Meter) -> list:
 
     for name, owner, attr in PHASES:
         patch(owner, attr, meter.phase(name, getattr(owner, attr)))
+    search = counting.bsgs_annihilator
+
+    def counted_search(e, pt, ops=None, trace=order.Congruence(0, 1)):
+        if ops is None:
+            ops = order.OpCounter()
+        before = ops.adds
+        try:
+            return search(e, pt, ops, trace)
+        finally:
+            meter.bsgs_ops += ops.adds - before
+
+    counting.bsgs_annihilator = counted_search  # restored with the phase wrapper
     mul = curve.Curve.mul
 
     def counting_mul(self, n, x, y):
@@ -171,6 +186,9 @@ def report(meter: Meter, total: float, results: list, q: int, seed: int) -> list
         label = "  " * (len(path) - 1) + path[-1]
         lines.append(f"{label:<22} {calls / n:8.2f} {1e6 * seconds / n:9.1f} "
                      f"{seconds / total:7.1%} {bits / n:9.1f} {pows / n:7.2f}")
+    searches = sum(row[0] for path, row in meter.rows.items() if path[-1] == "bsgs")
+    if searches:
+        lines.append(f"bsgs: {meter.bsgs_ops / searches:.1f} logical group ops per call ({searches} calls)")
     draws = sum(row[0] for path, row in meter.rows.items() if path[-1] == "y_solutions")
     pows = sum(row[3] for path, row in meter.rows.items() if path[-1] == "y_solutions")
     if draws:
