@@ -177,7 +177,8 @@ def bsgs_annihilator(
     odd prime fields steps the model's add one term at a time (log
     coordinates in the odd fields with Zech tables), up and down in turn.
     Over odd prime fields the walks add on the completed square, one
-    inversion per block, h = _BLOCK_CAP // 2:
+    inversion per block, h = _BLOCK_CAP // 2 (a giant walk of at most h
+    terms a side steps one add at a time, as elsewhere):
     - the baby terms Q, 2Q, ... come in blocks of multiples added to the
       last term (completed_add_block), doubling up to _BLOCK_CAP; once 2h
       are made, if 2h + 1 more fit, paired blocks (completed_pair_block) of
@@ -186,7 +187,7 @@ def bsgs_annihilator(
       centre (3h+1)*Q in one completed_add_block; the fewer than 2h + 1
       terms left in one completed_add_block around the next centre;
     - the giant walk makes S, ..., (g+1)*S the same way, g = min(h,
-      isqrt(n)) for the n terms of the up side, and N = (2g+1)*S.  Its
+      isqrt(n)) for the n > h terms of the up side, and N = (2g+1)*S.  Its
       first block is the paired block around R_c0 on S_1, ..., S_g: the
       terms up_1, ..., up_g and down_1, ..., down_g at once, handing on
       R_c0 + N; one completed_add_block makes R_c0 - N.  Every later round
@@ -206,8 +207,8 @@ def bsgs_annihilator(
     computed exceed it by the giant multiples and N, the rest of the round
     that holds the match and the next centres.  Measured on 40 seeded
     random curves, unrestricted: +27% at q = 65537, +18% at 10^6+3, +2.9%
-    at 10^12+39; under the congruences count_points passes: +24%, +22% and
-    +7.6%.
+    at 10^12+39; under the congruences count_points passes: none at 65537
+    (its walks step one add at a time), +22% and +7.6%.
     """
     interval = hasse_interval(curve.spec.q)
     if pt.x is None:
@@ -350,8 +351,11 @@ def bsgs_annihilator(
         ops.adds += k + min(k, n[0]) if side else k + min(k - 1, n[1])
         return top - mod * u
 
-    g = min(h, isqrt(n[0]))  # the giant blocks' half width: 2g + 1 terms
-    if not g:  # one add per term: no blocks (h = 0), or no term after R_c0
+    # the giant blocks' half width, 2g + 1 terms, where a side has more than
+    # h terms: a shorter walk pays more for S, ..., (g+1)*S, N and R_c0 - N
+    # than its blocks save
+    g = min(h, isqrt(n[0])) if n[0] > h else 0
+    if not g:  # one add per term
         last = [(x0, y0), (x0, y0)]
         steps = (x, y), (x, neg(x, y))
         for k in range(1, n[0] + 1):

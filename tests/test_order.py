@@ -704,7 +704,7 @@ def giant_shape(q, span, cap):
     s = baby_size(span)
     stride, c0 = 2 * s - 1, span // 2
     n_up, n_down = (span - c0 + s - 1) // stride, (c0 + s - 1) // stride
-    return s, stride, c0, n_up, n_down, min(cap // 2, isqrt(n_up))
+    return s, stride, c0, n_up, n_down, min(cap // 2, isqrt(n_up)) if n_up > cap // 2 else 0
 
 
 def matched_term(ops, s, n_up, n_down, muls):
