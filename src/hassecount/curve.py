@@ -205,8 +205,10 @@ class Curve:
         try:
             return self._short
         except AttributeError:
-            c2, c4, c6 = self._completed[:3]
             p = self.spec.p
+            if self.spec.k != 1 or p <= 3:
+                raise ValueError(f"no short model over F_{self.spec.q}") from None
+            c2, c4, c6 = self._completed[:3]
             s = c2 * ((-p % 3 * p + 1) // 3) % p  # c2/3: (-p % 3) * p = -1 (mod 3)
             self._short = s, (c4 - c2 * s) % p, ((c2 - s) * s * s - c4 * s + c6) % p
             return self._short

@@ -145,6 +145,27 @@ def test_coefficients_validated_in_every_position(q):
             cv.Curve(spec, *at(ff.spec_for_q(5 if q != 5 else 3).element(value)))
 
 
+@pytest.mark.parametrize("q", [5, 1009, 10**12 + 39, 2**61 - 1])
+def test_short_model_maps_the_completed_square(q):
+    """Curve.short_model's (s, a, b): x' = x + s takes each point (x, y') of
+    the completed square to y'^2 = x'^3 + a x' + b; the triple is computed
+    once and kept.  Fields without one (F_3, extension fields,
+    characteristic 2) raise ValueError."""
+    spec = ff.make_spec(q)
+    rng = random.Random(q)
+    for _ in range(5):
+        e = sample_random_curve(spec, rng)
+        s, a, b = short = e.short_model()
+        assert e.short_model() is short
+        for _ in range(3):
+            x, y = e.to_completed(cv.random_point(e, rng))
+            assert (y * y - ((x + s) ** 3 + a * (x + s) + b)) % q == 0
+    for other in (3, 9, 2**7):
+        e = sample_random_curve(ff.spec_for_q(other), rng)
+        with pytest.raises(ValueError):
+            e.short_model()
+
+
 def test_is_on_curve_examples():
     e = table1_curve(3)
     assert e.is_on_curve(e.point(0, 0))

@@ -185,8 +185,7 @@ def sample_points(q, n, seed):
     spec = ff.spec_for_q(q)
     rng = random.Random(seed)
     twist_rng = random.Random(seed + 1)
-    tb = od.hasse_interval(q).trace_bound
-    s = max(2, isqrt(tb) + 1)
+    s = baby_size(2 * od.hasse_interval(q).trace_bound)
     out = []
     for _ in range(n):
         e, pt = curve_through(spec, rng, rng.randrange(q), rng.randrange(q))
@@ -274,14 +273,15 @@ def test_restricted_bsgs_matches_one_add_at_a_time(q, n, cap, monkeypatch):
     assert restricted > 4 * n
 
 
-@pytest.mark.parametrize("q", [1009, 65537, 3**7, 7])
+@pytest.mark.parametrize("q", [1009, 65537, 3**7, 31])
 def test_bsgs_baby_x_collision(q):
     """Points of order N in [s, 2s-3] have baby steps j*Q = -j'*Q with
     j, j' < s and j + j' = N, so two baby steps share x and the table keeps
-    the least j: the same m and logical op count as the one-add reference."""
+    the least j: the same m and logical op count as the one-add reference.
+    31 is the least prime with s = 3, so N = 3 there."""
     spec = ff.spec_for_q(q)
     rng = random.Random(q + 5)
-    s = max(2, isqrt(od.hasse_interval(q).trace_bound) + 1)
+    s = baby_size(2 * od.hasse_interval(q).trace_bound)
     found = 0
     while found < 3:
         e, pt = curve_through(spec, rng, rng.randrange(q), rng.randrange(q))
