@@ -6,12 +6,14 @@ generic case; only quadratic_twist, the per-x solution counting and the
 choice of stepping model branch on the characteristic.
 
 Coefficients and point coordinates are field encodings (plain ints, see
-finite_field) and the formulas call the FieldSpec kernels on them, but for
-log_law and count_exhaustive over odd extension fields, which read the
-field's log and Zech tables; an integer constant c is the encoding c % p.
-In odd characteristic the constructor derives the completed square once
-(Curve.completed_model) and takes the discriminant from it, over the
-integers on prime fields.  long_add, the affine addition law of the long
+finite_field) and the formulas call the FieldSpec kernels on them, but over
+odd fields with Zech tables (1 < k, q <= 2^20), where the constructor,
+y_solutions, to_logs, log_law and count_exhaustive work in discrete logs on
+the field's log, antilog and Zech tables, with no kernel call; an integer
+constant c is the encoding c % p.  In odd characteristic the constructor
+derives the completed square once (Curve.completed_model) and takes the
+discriminant from it, over the integers on prime fields and in logs on the
+Zech-table fields.  long_add, the affine addition law of the long
 form, adds bare encodings; Curve.add_points wraps it in Points for the API.
 The loops that carry the traffic step on one affine model per curve
 (Curve.affine_model), on bare coordinates:
@@ -80,7 +82,8 @@ class Point:
 class Curve:
     """y^2 + a1*x*y + a3*y = x^3 + a2*x^2 + a4*x + a6 over a FieldSpec, nonsingular."""
 
-    __slots__ = ("spec", "a1", "a2", "a3", "a4", "a6", "discriminant", "_completed", "_model", "_short")
+    __slots__ = ("spec", "a1", "a2", "a3", "a4", "a6", "discriminant", "_completed", "_model", "_short",
+                 "_logs")
 
     def __init__(self, spec: FieldSpec, a1, a2, a3, a4, a6):
         """Validates the coefficients and the discriminant.  In odd
@@ -89,9 +92,11 @@ class Curve:
         y + h1 x + h3 keeps it, so it is 16 disc(x^3 + c2 x^2 + c4 x + c6).
         Odd prime fields evaluate h1, h3, c2, c4, c6 and the discriminant over
         the Python integers, with one % p each, not through the field kernels
-        (0.71 against 1.37 us per call at p = 7 and 17).  In characteristic 3
-        off the prime field 4 = 16 = 1 and 18 = 27 = 0, so the discriminant is
-        c4^2 (c2^2 - c4) - c2^3 c6: 15 kernel calls in all, not 22.
+        (0.71 against 1.37 us per call at p = 7 and 17).  Odd fields with Zech
+        tables evaluate them in logs (_zech_completed), with no kernel call
+        (2.2 against 3.7 us at q = 9 and 3^7).  In characteristic 3 off the
+        prime field 4 = 16 = 1 and 18 = 27 = 0, so the discriminant is c4^2
+        (c2^2 - c4) - c2^3 c6, there and on the polynomial model above 2^20.
         Characteristic 2 takes it from the b-invariants."""
         self.spec = spec
         q = spec.q
@@ -120,6 +125,8 @@ class Curve:
             self._completed = c2, c4, c6, h1, h3
             c22 = c2 * c2
             disc = 16 * (c4 * c4 * (c22 - 4 * c4) + c6 * (c2 * (18 * c4 - 4 * c22) - 27 * c6)) % p
+        elif spec._zech is not None:
+            self._completed, disc = _zech_completed(spec, a1, a2, a3, a4, a6)
         else:
             add, sub, mul = spec.add_enc, spec.sub_enc, spec.mul_enc
             half = (p + 1) >> 1  # 1/2, a constant of the prime field
@@ -227,15 +234,32 @@ class Curve:
         s, (_, _, _, h1, h3) = self.spec, self.completed_model()
         return Point(self, x, s.sub_enc(y, s.add_enc(s.mul_enc(h1, x), h3)))
 
+    def _completed_logs(self) -> tuple[int, int, int, int, int]:
+        """Fields with Zech tables (odd, 1 < k, q <= 2^20): the discrete logs
+        of completed_model's (c2, c4, c6, h1, h3), in [0, q-1), -1 for zero.
+        Computed on first use and kept, as short_model is."""
+        try:
+            return self._logs
+        except AttributeError:
+            log = self.spec._log
+            self._logs = tuple(log[c] if c else -1 for c in self._completed)
+            return self._logs
+
     def to_logs(self, pt: Point) -> tuple[int | None, int | None]:
         """Log coordinates of P: the discrete logs of its (x, y') on the
         completed square, -1 for a zero coordinate, (None, None) for
-        infinity.  Fields with Zech tables only (odd, 1 < k, q <= 2^20)."""
-        x, y = self.to_completed(pt)
+        infinity.  Fields with Zech tables only (odd, 1 < k, q <= 2^20).
+        y' = y + h1 x + h3 is formed in logs (_completed_logs), two Zech
+        lookups, with no kernel call."""
+        x = pt.x
         if x is None:
             return None, None
-        log = self.spec._log
-        return log[x] if x else -1, log[y] if y else -1
+        s, y = self.spec, pt.y
+        log, zech, n = s._log, s._zech, s.q - 1
+        lh1, lh3 = self._completed_logs()[3:]
+        lx = log[x] if x else -1
+        lt = _log_sum(zech, n, (lh1 + lx) % n if lh1 >= 0 and x else -1, lh3)
+        return lx, _log_sum(zech, n, log[y] if y else -1, lt)
 
     def from_logs(self, x: int | None, y: int | None) -> Point:
         """The point with log coordinates (x, y) on the long form."""
@@ -327,8 +351,11 @@ class Curve:
 
     def y_solutions(self, x: int) -> list[int]:
         """Encodings of all y with (x, y) on the curve, ascending.  In odd
-        characteristic one root_enc call, one exponentiation outside the
-        log-table fields, both tells whether a y exists and gives it."""
+        characteristic y = +-sqrt(f(x)) - t on the completed square, t = h1 x +
+        h3.  On odd fields with Zech tables f(x) and t are evaluated in logs
+        and the roots are the halved log (_zech_y_solutions, no kernel call);
+        elsewhere one root_enc call, one exponentiation, both tells whether a
+        y exists and gives it."""
         s = self.spec
         if s.char2:
             d = self._rhs_enc(x)
@@ -341,6 +368,8 @@ class Curve:
                 return []
             return sorted((s.mul_enc(c, z), s.mul_enc(c, z ^ 1)))
         # odd characteristic: y = y' - t, y'^2 = w on the completed square
+        if s._zech is not None:
+            return self._zech_y_solutions(x)
         c2, c4, c6, h1, h3 = self.completed_model()
         t = s.add_enc(s.mul_enc(h1, x), h3)
         w = s.add_enc(s.mul_enc(s.add_enc(s.mul_enc(s.add_enc(x, c2), x), c4), x), c6)
@@ -350,6 +379,134 @@ class Curve:
         if r is None:
             return []
         return sorted((s.sub_enc(r, t), s.sub_enc(s.neg_enc(r), t)))
+
+    def _zech_y_solutions(self, x: int) -> list[int]:
+        """y_solutions over an odd field with Zech tables, in logs
+        (_completed_logs): w = ((x + c2) x + c4) x + c6 and t = h1 x + h3 by
+        Zech lookups, the roots of a square w = alpha^(2r) are +-alpha^r, and
+        y = +-alpha^r - t.  No kernel call."""
+        s = self.spec
+        log, exp, zech = s._log, s._exp, s._zech
+        n = s.q - 1
+        h = n >> 1  # log(-1)
+        lc2, lc4, lc6, lh1, lh3 = self._completed_logs()
+        if x:
+            lx = log[x]
+            lw = _log_sum(zech, n, lx, lc2)
+            lw = _log_sum(zech, n, (lw + lx) % n if lw >= 0 else -1, lc4)
+            lw = _log_sum(zech, n, (lw + lx) % n if lw >= 0 else -1, lc6)
+            lt = (lh1 + lx) % n if lh1 >= 0 else -1
+        else:
+            lw, lt = lc6, -1
+        if lw >= 0 and lw & 1:  # not a square
+            return []
+        lt = _log_sum(zech, n, lt, lh3)
+        if lw < 0:
+            return [exp[lt + h] if lt >= 0 else 0]
+        r = lw >> 1
+        y1 = _log_sum(zech, n, r, (lt + h) % n if lt >= 0 else -1)  # alpha^r - t
+        y2 = _log_sum(zech, n, r, lt)  # alpha^r + t = -(-alpha^r - t)
+        y1 = exp[y1] if y1 >= 0 else 0
+        y2 = exp[y2 + h] if y2 >= 0 else 0
+        return [y1, y2] if y1 < y2 else [y2, y1]
+
+
+def _log_sum(zech, n: int, la: int, lb: int) -> int:
+    """log(a + b) from la = log a and lb = log b over a field with Zech
+    tables, n = q - 1: logs in [0, n), -1 for zero, the result too.
+    a + b = alpha^la (1 + alpha^(lb - la)), one Zech lookup."""
+    if la < 0:
+        return lb
+    if lb < 0:
+        return la
+    z = zech[lb - la]
+    return (la + z) % n if z >= 0 else -1
+
+
+def _zech_completed(spec: FieldSpec, a1: int, a2: int, a3: int, a4: int, a6: int) -> tuple:
+    """((c2, c4, c6, h1, h3), disc) for Curve.__init__ over an odd field
+    with Zech tables, in log arithmetic on the field's tables, with no
+    kernel call: a product is a sum of logs, a sum one Zech lookup, -c has
+    log log c + (q-1)/2 and an integer constant c the log of its encoding c
+    % p; zero has log -1.  The constructor's formulas: h1 = a1/2, h3 = a3/2,
+    c2 = a2 + h1^2, c4 = a4 + h1 a3, c6 = a6 + h3^2, and disc = c4^2 (c2^2 -
+    c4) - c2^3 c6 at p = 3, 16 (c4^2 (c2^2 - 4 c4) + c6 (c2 (18 c4 - 4 c2^2)
+    - 27 c6)) above.  The logs of c2, c4, c6, h1 and h3 are reduced to [0,
+    q-1); the discriminant's products are reduced where a Zech index or the
+    result needs it (zech has 2(q-1) entries and wraps negative indices)."""
+    log, exp, zech = spec._log, spec._exp, spec._zech
+    n = spec.q - 1
+    h = n >> 1  # log(-1)
+    p = spec.p
+    lhalf = log[(p + 1) >> 1]  # log(1/2)
+    # each c = a + (a product of logs l): a + alpha^l = alpha^la (1 + alpha^(l - la))
+    if a3:
+        la3 = log[a3]
+        lh3 = (la3 + lhalf) % n
+        l = lh3 + lh3
+        if a6:
+            la = log[a6]
+            z = zech[l - la]
+            lc6 = (la + z) % n if z >= 0 else -1
+        else:
+            lc6 = l % n
+    else:
+        lh3 = -1
+        lc6 = log[a6] if a6 else -1
+    if a1:
+        lh1 = (log[a1] + lhalf) % n
+        l = lh1 + lh1
+        if a2:
+            la = log[a2]
+            z = zech[l - la]
+            lc2 = (la + z) % n if z >= 0 else -1
+        else:
+            lc2 = l % n
+        if a3:
+            l = lh1 + la3
+            if a4:
+                la = log[a4]
+                z = zech[l - la]
+                lc4 = (la + z) % n if z >= 0 else -1
+            else:
+                lc4 = l % n
+        else:
+            lc4 = log[a4] if a4 else -1
+    else:
+        lh1 = -1
+        lc2 = log[a2] if a2 else -1
+        lc4 = log[a4] if a4 else -1
+    if p == 3:
+        # c4^2 (c2^2 - c4) - c2^3 c6: 4 = 16 = 1 and 18 = 27 = 0
+        if lc4 < 0:
+            lt = -1
+        elif lc2 < 0:
+            lt = 3 * lc4 + h
+        else:
+            l = lc2 + lc2
+            z = zech[lc4 + h - l]
+            lt = lc4 + lc4 + l + z if z >= 0 else -1
+        if lc2 < 0 or lc6 < 0:
+            ld = lt
+        else:
+            ld = 3 * lc2 + lc6 + h
+            if lt >= 0:
+                z = zech[(ld - lt) % n]
+                ld = lt + z if z >= 0 else -1
+    else:
+        lc22 = lc2 * 2 % n if lc2 >= 0 else -1
+        ln4, l18, ln27, l16 = log[4 % p] + h, log[18 % p], log[27 % p] + h, log[16 % p]
+        lu = _log_sum(zech, n, lc22, (lc4 + ln4) % n if lc4 >= 0 else -1)  # c2^2 - 4 c4
+        lt = (lc4 + lc4 + lu) % n if lc4 >= 0 and lu >= 0 else -1
+        lv = _log_sum(zech, n, (lc4 + l18) % n if lc4 >= 0 else -1,
+                      (lc22 + ln4) % n if lc22 >= 0 else -1)  # 18 c4 - 4 c2^2
+        lw = _log_sum(zech, n, (lc2 + lv) % n if lc2 >= 0 and lv >= 0 else -1,
+                      (lc6 + ln27) % n if lc6 >= 0 else -1)  # c2 v - 27 c6
+        ld = _log_sum(zech, n, lt, (lc6 + lw) % n if lc6 >= 0 and lw >= 0 else -1)
+        ld = ld + l16 if ld >= 0 else -1
+    return ((exp[lc2] if lc2 >= 0 else 0, exp[lc4] if lc4 >= 0 else 0, exp[lc6] if lc6 >= 0 else 0,
+             exp[lh1] if lh1 >= 0 else 0, exp[lh3] if lh3 >= 0 else 0),
+            exp[ld % n] if ld >= 0 else 0)
 
 
 def long_add(spec: FieldSpec, a1: int, a2: int, a3: int, a4: int, x1, y1, x2, y2) -> tuple:

@@ -41,3 +41,25 @@ def test_certify_checks_times_each_check():
     total, label = lines[-2].split(None, 1)
     assert label == f"total of {len(rows)} checks" and abs(float(total) - sum(ms)) < 0.01 * len(rows)
     assert re.fullmatch(r"peak RSS \d+\.\d MB", lines[-1])
+
+
+def test_certify_checks_median_of_runs():
+    """--runs 2: two passes, each in its own interpreter, reported as the
+    median of each check, of the total and of the peak RSS, in the same
+    layout as one pass."""
+    sweep_qs, plan = pass_checks(1)
+    done = subprocess.run([sys.executable, str(_TOOL), "--runs", "2", "--seed", "1"], cwd=_ROOT,
+                          capture_output=True, text=True, timeout=240)
+    assert done.returncode == 0, done.stdout + done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0].split() == ["ms", "check", "(seed", "1,", "median", "of", "2", "runs)"]
+    rows = [line.split(None, 1) for line in lines[1:-2]]
+    assert len(rows) == 3 + len(sweep_qs) + len(plan)
+    assert rows[0][1] == "exceptional_q_set(1024)" and rows[-1][1].startswith("random_curve_counting_check(")
+    assert all(float(t) > 0 for t, _ in rows)
+    total, label = lines[-2].split(None, 1)
+    assert label == f"total of {len(rows)} checks" and float(total) > max(float(t) for t, _ in rows)
+    assert re.fullmatch(r"peak RSS \d+\.\d MB", lines[-1])
+    bad = subprocess.run([sys.executable, str(_TOOL), "--runs", "0", "--seed", "1"], cwd=_ROOT,
+                         capture_output=True, text=True, timeout=60)
+    assert bad.returncode == 2 and "--runs must be at least 1" in bad.stderr

@@ -3,7 +3,9 @@ import random
 import pytest
 
 from hassecount import finite_field as ff
-from hassecount.errors import NotASquare, NotPrime, ReduciblePolynomial, SpecMismatch
+from hassecount.errors import (
+    FieldTooLarge, NotASquare, NotPrime, NotPrimePower, ReduciblePolynomial, SpecMismatch,
+)
 from hassecount.integers import prime_powers, split_prime_power
 from hassecount.sweep import _VecField
 
@@ -67,6 +69,26 @@ def test_make_spec_cached_without_search(monkeypatch):
     assert ff.spec_for_q(3**5) is first
     assert ff.make_spec(3, 5) is first
     assert ff.make_spec(3, 5, first.modulus) is first  # the same spec under its explicit modulus
+
+
+def test_spec_for_q_cached_before_split(monkeypatch):
+    """A repeated spec_for_q(q) with the default modulus is a cache lookup:
+    q is not split into p^k again.  The size check still comes first, and a
+    q that is no prime power is refused on every call, as is a split that
+    names no prime."""
+    first = ff.spec_for_q(1024)
+    monkeypatch.setattr(ff, "split_prime_power", lambda q: pytest.fail(f"{q} split again"))
+    assert ff.spec_for_q(1024) is first is ff.make_spec(2, 10)
+    with pytest.raises(FieldTooLarge):
+        ff.spec_for_q(2**64)  # a prime power, refused before any split or lookup
+    with pytest.raises(FieldTooLarge):
+        ff.spec_for_q(ff.MAX_Q + 1)
+    monkeypatch.undo()
+    for q in (12, 1, 0, -9, 3 * 2**60):
+        for _ in range(2):
+            with pytest.raises(NotPrimePower):
+                ff.spec_for_q(q)
+    assert ff.spec_for_q(1024, first.modulus) is first  # an explicit modulus still splits q
 
 
 def test_make_spec_errors():
