@@ -433,7 +433,9 @@ def _zech_completed(spec: FieldSpec, a1: int, a2: int, a3: int, a4: int, a6: int
     c4) - c2^3 c6 at p = 3, 16 (c4^2 (c2^2 - 4 c4) + c6 (c2 (18 c4 - 4 c2^2)
     - 27 c6)) above.  The logs of c2, c4, c6, h1 and h3 are reduced to [0,
     q-1); the discriminant's products are reduced where a Zech index or the
-    result needs it (zech has 2(q-1) entries and wraps negative indices)."""
+    result needs it (zech has 2(q-1) entries and wraps negative indices).
+    The sums of the completed square and of the p = 3 discriminant are
+    written out, not called (_log_sum): they are the F_9 sweep's hot path."""
     log, exp, zech = spec._log, spec._exp, spec._zech
     n = spec.q - 1
     h = n >> 1  # log(-1)

@@ -80,20 +80,32 @@ def singular_long_form(spec, rng):
     return a1, sub(c2, mul(h1, h1)), a3, sub(c4, mul(h1, a3)), sub(c6, mul(h3, h3))
 
 
+def zech_patterns(spec):
+    """Every vector over {0, 1, -1, alpha} in all five coefficients: zero and
+    nonzero in each position, and -1, whose log is (q-1)/2."""
+    vals = (0, 1, spec.neg_enc(1), spec._generator())
+    return list(itertools.product(vals, repeat=5))
+
+
 @pytest.mark.parametrize(
-    "q", [3, 5, 7, 1009, 10**12 + 39, 2**61 - 1, 2**62 - 57, 9, 27, 3**7, 5**4, 3**13, 2, 4, 256, 2**21]
+    "q", [3, 5, 7, 1009, 10**12 + 39, 2**61 - 1, 2**62 - 57, 9, 25, 27, 49, 81, 121, 125, 243, 3**7,
+          5**4, 7**3, 3**12, 3**13, 2, 4, 256, 2**21]
 )
 def test_discriminant_matches_b_formula(q):
     """Random vectors on every field model (prime, over the integers up to
-    the largest prime below 2^62; log tables; polynomial at 3^13;
-    characteristic 2 on log tables and, at 2^21, on bit vectors), and long
-    forms of singular completed squares in odd characteristic.  In odd
-    characteristic the completed square matches the field kernels'."""
+    the largest prime below 2^62; odd log tables, in Zech logarithms;
+    polynomial at 3^13; characteristic 2 on log tables and, at 2^21, on bit
+    vectors), and long forms of singular completed squares in odd
+    characteristic.  In odd characteristic the completed square matches the
+    field kernels'.  The odd log-table fields also take every {0, 1, -1,
+    alpha} pattern (zech_patterns)."""
     spec = ff.spec_for_q(q)
     rng = random.Random(q)
     vectors = [tuple(rng.randrange(q) for _ in range(5)) for _ in range(150)]
     if not spec.char2:
         vectors += [singular_long_form(spec, rng) for _ in range(10)]
+    if spec._zech is not None:
+        vectors += zech_patterns(spec)
     singular = 0
     for co in vectors:
         ref = b_formula_discriminant(spec, *co)
@@ -122,130 +134,6 @@ def test_singular_exactly_on_b_formula_zeros(q):
             assert ref == 0, co
         else:
             assert disc == ref != 0, co
-
-
-ZECH_QS = [9, 25, 27, 49, 81, 121, 125, 243, 3**7, 5**4, 7**3, 3**12]
-
-
-def zech_patterns(spec):
-    """Every vector over {0, 1, -1, alpha} in all five coefficients: zero and
-    nonzero in each position, and -1, whose log is (q-1)/2."""
-    vals = (0, 1, spec.neg_enc(1), spec._generator())
-    return list(itertools.product(vals, repeat=5))
-
-
-@pytest.mark.parametrize("q", ZECH_QS)
-def test_zech_constructor_matches_kernels(q):
-    """Over odd fields with Zech tables the constructor works in logs: its
-    completed square matches the field kernels' and its discriminant the
-    b-formula's, and it refuses exactly the vectors whose b-formula
-    discriminant vanishes, on every {0, 1, -1, alpha} pattern, on random
-    vectors, and on long forms of singular completed squares."""
-    spec = ff.spec_for_q(q)
-    assert spec._zech is not None
-    rng = random.Random(q)
-    vectors = zech_patterns(spec) + [tuple(rng.randrange(q) for _ in range(5)) for _ in range(300)]
-    vectors += [singular_long_form(spec, rng) for _ in range(20)]
-    singular = 0
-    for co in vectors:
-        ref = b_formula_discriminant(spec, *co)
-        if ref == 0:
-            singular += 1
-            with pytest.raises(SingularCurve):
-                cv.Curve(spec, *co)
-            continue
-        e = cv.Curve(spec, *co)
-        assert e.discriminant == ref, co
-        assert e.completed_model() == kernel_completed_model(spec, *co), co
-    assert singular >= 20
-
-
-def kernel_y_solutions(e, x):
-    """y_solutions on the field kernels: t = h1 x + h3 and w = f(x) on the
-    completed square, y = +-root_enc(w) - t."""
-    s = e.spec
-    c2, c4, c6, h1, h3 = e.completed_model()
-    t = s.add_enc(s.mul_enc(h1, x), h3)
-    w = s.add_enc(s.mul_enc(s.add_enc(s.mul_enc(s.add_enc(x, c2), x), c4), x), c6)
-    if w == 0:
-        return [s.neg_enc(t)]
-    r = s.root_enc(w)
-    if r is None:
-        return []
-    return sorted((s.sub_enc(r, t), s.sub_enc(s.neg_enc(r), t)))
-
-
-def kernel_to_logs(e, pt):
-    """to_logs by to_completed on the field kernels, then the log table."""
-    x, y = e.to_completed(pt)
-    if x is None:
-        return None, None
-    log = e.spec._log
-    return log[x] if x else -1, log[y] if y else -1
-
-
-def curve_through(spec, rng):
-    """(curve, x0, x1): a random long form, a1 != 0, whose completed square
-    has t = h1 x + h3 = 0 and f(x) a nonzero square at x0, and f(x1) = 0."""
-    add, sub, mul, neg = spec.add_enc, spec.sub_enc, spec.mul_enc, spec.neg_enc
-    q, two = spec.q, 2 % spec.p
-    while True:
-        x0, x1 = rng.randrange(q), rng.randrange(q)
-        h1, c2, c4 = rng.randrange(1, q), rng.randrange(q), rng.randrange(q)
-        h3 = neg(mul(h1, x0))
-        c6 = neg(mul(add(mul(add(x1, c2), x1), c4), x1))
-        f0 = add(mul(add(mul(add(x0, c2), x0), c4), x0), c6)
-        a1, a3 = mul(two, h1), mul(two, h3)
-        co = a1, sub(c2, mul(h1, h1)), a3, sub(c4, mul(h1, a3)), sub(c6, mul(h3, h3))
-        if f0 and spec.is_square_enc(f0) and b_formula_discriminant(spec, *co):
-            return cv.Curve(spec, *co), x0, x1
-
-
-def check_y_solutions(e, xs, seen):
-    """y_solutions and to_logs/from_logs against the kernel routes on every
-    x of xs; `seen` counts x = 0, f(x) = 0 and t = 0 with two roots."""
-    s = e.spec
-    h1, h3 = e.completed_model()[3:]
-    for x in xs:
-        ys = e.y_solutions(x)
-        assert ys == kernel_y_solutions(e, x), (e, x)
-        t = s.add_enc(s.mul_enc(h1, x), h3)
-        seen["x = 0"] += x == 0
-        seen["f(x) = 0"] += len(ys) == 1
-        seen["t = 0, two roots"] += t == 0 and len(ys) == 2
-        for y in ys:
-            pt = cv.Point(e, x, y)
-            logs = e.to_logs(pt)
-            assert logs == kernel_to_logs(e, pt), (e, pt)
-            assert e.from_logs(*logs) == pt
-    inf = e.infinity()
-    assert e.to_logs(inf) == (None, None) and e.from_logs(None, None) == inf
-
-
-@pytest.mark.parametrize("q", [9, 25, 27, 49, 81, 3**7, 5**4, 3**12])
-def test_zech_y_solutions_and_logs_match_kernels(q):
-    """y_solutions and to_logs work in logs over odd fields with Zech tables;
-    both match the kernel routes, and from_logs inverts to_logs.  Every x at
-    q <= 81, sampled x above with x = 0, a root of f and a zero of t, over
-    random curves, curves through a root of f and a zero of t, and some
-    {0, 1, -1, alpha} patterns."""
-    spec = ff.spec_for_q(q)
-    rng = random.Random(q)
-    seen = collections.Counter()
-    plans = [(sample_random_curve(spec, rng), ()) for _ in range(4)]
-    for _ in range(4):
-        e, x0, x1 = curve_through(spec, rng)
-        plans.append((e, (x0, x1)))
-    for co in zech_patterns(spec)[::7 if q <= 81 else 61]:
-        if b_formula_discriminant(spec, *co):
-            plans.append((cv.Curve(spec, *co), ()))
-    for e, chosen in plans:
-        if q <= 81:
-            xs = range(q)
-        else:
-            xs = [0, 1, spec.neg_enc(1), *chosen] + [rng.randrange(q) for _ in range(60)]
-        check_y_solutions(e, xs, seen)
-    assert all(seen[k] >= 4 for k in ("x = 0", "f(x) = 0", "t = 0, two roots")), seen
 
 
 @pytest.mark.parametrize("q", [7, 9, 4])
@@ -856,3 +744,78 @@ def test_y_solutions_one_exponentiation_per_x(monkeypatch, p):
         roots += bool(e.y_solutions(x))
         assert len(calls) == 1, (x, calls)
     assert 0 < roots < len(xs)
+
+
+# --- log arithmetic on the odd Zech-table fields -----------------------------------
+
+def kernel_to_logs(e, pt):
+    """to_logs by to_completed on the field kernels, then the log table."""
+    x, y = e.to_completed(pt)
+    if x is None:
+        return None, None
+    log = e.spec._log
+    return log[x] if x else -1, log[y] if y else -1
+
+
+def curve_through(spec, rng):
+    """(curve, x0, x1): a random long form, a1 != 0, whose completed square
+    has t = h1 x + h3 = 0 and f(x) a nonzero square at x0, and f(x1) = 0."""
+    add, sub, mul, neg = spec.add_enc, spec.sub_enc, spec.mul_enc, spec.neg_enc
+    q, two = spec.q, 2 % spec.p
+    while True:
+        x0, x1 = rng.randrange(q), rng.randrange(q)
+        h1, c2, c4 = rng.randrange(1, q), rng.randrange(q), rng.randrange(q)
+        h3 = neg(mul(h1, x0))
+        c6 = neg(mul(add(mul(add(x1, c2), x1), c4), x1))
+        f0 = add(mul(add(mul(add(x0, c2), x0), c4), x0), c6)
+        a1, a3 = mul(two, h1), mul(two, h3)
+        co = a1, sub(c2, mul(h1, h1)), a3, sub(c4, mul(h1, a3)), sub(c6, mul(h3, h3))
+        if f0 and spec.is_square_enc(f0) and b_formula_discriminant(spec, *co):
+            return cv.Curve(spec, *co), x0, x1
+
+
+def check_y_solutions(e, xs, seen):
+    """y_solutions and to_logs/from_logs against the kernel routes on every
+    x of xs; `seen` counts x = 0, f(x) = 0 and t = 0 with two roots."""
+    s = e.spec
+    h1, h3 = e.completed_model()[3:]
+    for x in xs:
+        ys = e.y_solutions(x)
+        assert ys == old_y_solutions(e, x), (e, x)
+        t = s.add_enc(s.mul_enc(h1, x), h3)
+        seen["x = 0"] += x == 0
+        seen["f(x) = 0"] += len(ys) == 1
+        seen["t = 0, two roots"] += t == 0 and len(ys) == 2
+        for y in ys:
+            pt = cv.Point(e, x, y)
+            logs = e.to_logs(pt)
+            assert logs == kernel_to_logs(e, pt), (e, pt)
+            assert e.from_logs(*logs) == pt
+    inf = e.infinity()
+    assert e.to_logs(inf) == (None, None) and e.from_logs(None, None) == inf
+
+
+@pytest.mark.parametrize("q", [9, 25, 27, 49, 81, 3**7, 5**4, 3**12])
+def test_zech_y_solutions_and_logs_match_kernels(q):
+    """y_solutions and to_logs work in logs over odd fields with Zech tables;
+    both match the kernel routes, and from_logs inverts to_logs.  Every x at
+    q <= 81, sampled x above with x = 0, a root of f and a zero of t, over
+    random curves, curves through a root of f and a zero of t, and some
+    {0, 1, -1, alpha} patterns."""
+    spec = ff.spec_for_q(q)
+    rng = random.Random(q)
+    seen = collections.Counter()
+    plans = [(sample_random_curve(spec, rng), ()) for _ in range(4)]
+    for _ in range(4):
+        e, x0, x1 = curve_through(spec, rng)
+        plans.append((e, (x0, x1)))
+    for co in zech_patterns(spec)[::7 if q <= 81 else 61]:
+        if b_formula_discriminant(spec, *co):
+            plans.append((cv.Curve(spec, *co), ()))
+    for e, chosen in plans:
+        if q <= 81:
+            xs = range(q)
+        else:
+            xs = [0, 1, spec.neg_enc(1), *chosen] + [rng.randrange(q) for _ in range(60)]
+        check_y_solutions(e, xs, seen)
+    assert all(seen[k] >= 4 for k in ("x = 0", "f(x) = 0", "t = 0, two roots")), seen
