@@ -94,9 +94,10 @@ class Curve:
         the Python integers, with one % p each, not through the field kernels
         (0.71 against 1.37 us per call at p = 7 and 17).  Odd fields with Zech
         tables evaluate them in logs (_zech_completed), with no kernel call
-        (2.2 against 3.7 us at q = 9 and 3^7).  In characteristic 3 off the
-        prime field 4 = 16 = 1 and 18 = 27 = 0, so the discriminant is c4^2
-        (c2^2 - c4) - c2^3 c6, there and on the polynomial model above 2^20.
+        (1.8 against 2.8 us per call at q = 9, 2.2 against 3.7 at 3^7).  In
+        characteristic 3 off the prime field 4 = 16 = 1 and 18 = 27 = 0, so
+        the discriminant is c4^2 (c2^2 - c4) - c2^3 c6, there and on the
+        polynomial model above 2^20.
         Characteristic 2 takes it from the b-invariants."""
         self.spec = spec
         q = spec.q
