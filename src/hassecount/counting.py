@@ -18,6 +18,15 @@ from the roots of the 3-division polynomial.  Each cuts the search by about
 the root of its modulus.  The search only gets cheaper: the exact order, and
 so the congruence, the samples drawn and the result, are those of the
 unrestricted search.
+
+The exhaustive fallback (q <= _SMALL_Q under auto) counts each completed-square
+class of an odd field once: the count of y^2 + a1 xy + a3 y = x^3 + a2 x^2 +
+a4 x + a6 is that of its completed square y'^2 = x^3 + c2 x^2 + c4 x + c6,
+y' = y + (a1 x + a3)/2 (Silverman, AEC, III.1), so count_points keeps the
+CountResult per field under (c2, c4, c6).  The API route of a full
+coefficient sweep of F_9 then runs count_exhaustive for its 648 nonsingular
+classes, not for its 52,488 nonsingular vectors.  count_exhaustive itself stays uncached: the random
+checks, the tests and selftest call it directly as the oracle.
 """
 
 from __future__ import annotations
@@ -74,11 +83,9 @@ _PRIOR3_MIN_Q = 1 << 32
 Method = Literal["exhaustive", "point_order"]
 
 
-# Slotted: the exhaustive path builds it on a bare object.__new__ through the
-# slots' member descriptors (_exhaustive_result), not the frozen __init__ and
-# its five object.__setattr__ calls.  An exhaustive count at q = 9 takes about
-# 1.6 us, so the build is a visible share of a count_points call there
-# (timeit: 0.97 -> 0.58 us per build).
+# Slotted, so each instance is small: count_points keeps one exhaustive result
+# per completed-square class of every odd field up to _SMALL_Q, in the
+# FieldSpec's _count_memo.
 @dataclass(frozen=True, slots=True)
 class CountResult:
     count: int
@@ -86,22 +93,6 @@ class CountResult:
     method: Method
     samples_used: int
     twist_count: int
-
-
-_set_count, _set_trace, _set_method, _set_samples, _set_twist = (
-    getattr(CountResult, f).__set__ for f in ("count", "trace", "method", "samples_used", "twist_count"))
-
-
-def _exhaustive_result(n: int, q: int) -> CountResult:
-    """CountResult(n, q + 1 - n, "exhaustive", 0, 2 (q + 1) - n), the same
-    value, set through the slots' descriptors."""
-    res = object.__new__(CountResult)
-    _set_count(res, n)
-    _set_trace(res, q + 1 - n)
-    _set_method(res, "exhaustive")
-    _set_samples(res, 0)
-    _set_twist(res, 2 * (q + 1) - n)
-    return res
 
 
 @dataclass(frozen=True)
@@ -123,14 +114,35 @@ def count_points(
     auto: exhaustive enumeration when q <= 49 (which covers the whole
     excluded set), point orders above.  point_order on an excluded q raises
     ExcludedField because termination is not guaranteed there.
+
+    In odd characteristic up to q = 49 an exhaustive count depends only on
+    the completed square (Curve.completed_model), which q^2 coefficient
+    vectors share, so its result is kept in the field's _count_memo under
+    (c2, c4, c6) and count_exhaustive runs once per class.  Characteristic 2
+    and larger fields count every call.
     """
-    q = curve.spec.q
+    spec = curve.spec
+    q = spec.q
     if method == "auto":
         method = "exhaustive" if q <= _SMALL_Q else "point_order"
     elif method not in ("exhaustive", "point_order"):
         raise ValueError(f"unknown method {method!r}")
     if method == "exhaustive":
-        return _exhaustive_result(count_exhaustive(curve), q)
+        memo = None
+        if q <= _SMALL_Q and not spec.char2:
+            memo = spec._count_memo
+            if memo is None:
+                memo = spec._count_memo = {}
+            key = curve.completed_model()[:3]
+            res = memo.get(key)
+            if res is not None:
+                return res
+        n = count_exhaustive(curve)
+        res = CountResult(count=n, trace=q + 1 - n, method="exhaustive", samples_used=0,
+                          twist_count=2 * (q + 1) - n)
+        if memo is not None:
+            memo[key] = res
+        return res
     if q in EXCLUDED_Q:
         raise ExcludedField(f"point-order counting is not reliable over F_{q}")
     return _count_by_point_orders(curve, rng or random.Random(0), transcript)

@@ -536,6 +536,10 @@ class FieldSpec:
 
     Immutable after construction; lazily built lookup tables are filled once
     and only read afterwards, so instances are safe to share between tasks.
+    The one growing cache is _count_memo, count_points' exhaustive results
+    by completed square (odd q <= 49): entries are added as classes are met,
+    and each value depends only on its key and the field, so two tasks that
+    fill one entry at once store equal results.
     """
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
@@ -557,6 +561,7 @@ class FieldSpec:
         # lazy caches
         self._chi = None  # quadratic character by encoding: -1/0/1 (odd q)
         self._nonsquare = None  # smallest non-square encoding (odd q)
+        self._count_memo = None  # CountResult by (c2, c4, c6), filled by counting.count_points
         if 1 < k and self.q <= _LOG_LIMIT:
             self._build_log_tables()
         self._bind_kernels()

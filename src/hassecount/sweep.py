@@ -293,6 +293,12 @@ def full_sweep_verify(
     nonsingular one must give the count of the vectorized routes.  The API
     route reads each chunk's selected rows once, as lists of ints, one column
     at a time; the sampled rows of a chunk are found by bisection.
+    Every selected vector is still built by Curve(...) and counted by
+    count_points, which checks its reduction, its singularity and the count
+    the API returns; up to q = 49 in odd characteristic count_points runs
+    count_exhaustive once per completed-square class and answers the other
+    vectors of the class from the field's memo (648 calls for the 52,488
+    nonsingular vectors of F_9).
     """
     import numpy as np
 

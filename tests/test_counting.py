@@ -42,9 +42,9 @@ def test_count_examples():
 
 
 def test_count_result_is_a_frozen_slotted_dataclass():
-    """The exhaustive path builds CountResult positionally; it is the same
-    value as the keyword build, frozen, hashable, and dataclasses.replace
-    works on it."""
+    """The exhaustive path's CountResult, which count_points may hand to
+    every curve of a completed-square class, is the same value as the
+    keyword build, frozen, hashable, and dataclasses.replace works on it."""
     res = ct.count_points(cv.Curve(ff.make_spec(7), 0, 0, 0, 0, 6))
     assert res == ct.CountResult(count=4, trace=4, method="exhaustive", samples_used=0, twist_count=12)
     assert not hasattr(res, "__dict__")
@@ -54,6 +54,89 @@ def test_count_result_is_a_frozen_slotted_dataclass():
     assert hash(res) == hash(dataclasses.replace(res))
     assert repr(res) == ("CountResult(count=4, trace=4, method='exhaustive', samples_used=0, "
                          "twist_count=12)")
+
+
+def _counted_exhaustive(monkeypatch):
+    """Record every count_exhaustive call that count_points makes."""
+    calls = []
+    real = ct.count_exhaustive
+    monkeypatch.setattr(ct, "count_exhaustive", lambda e: calls.append(e.coefficients()) or real(e))
+    return calls
+
+
+def _same_square(spec, c2, c4, c6, rng):
+    """A coefficient vector with the completed square (c2, c4, c6), from a
+    random (h1, h3): a1 = 2 h1, a3 = 2 h3, a2 = c2 - h1^2, a4 = c4 - h1 a3 and
+    a6 = c6 - h3^2."""
+    add, sub, mul = spec.add_enc, spec.sub_enc, spec.mul_enc
+    h1, h3 = rng.randrange(spec.q), rng.randrange(spec.q)
+    a3 = add(h3, h3)
+    return add(h1, h1), sub(c2, mul(h1, h1)), a3, sub(c4, mul(h1, a3)), sub(c6, mul(h3, h3))
+
+
+@pytest.mark.parametrize("p,k,modulus", [
+    (3, 2, None), (5, 2, None), (3, 3, None), (7, 2, None), (3, 2, (2, 1, 1)), (5, 2, (2, 1, 1)),
+])
+def test_count_memo_per_completed_square(monkeypatch, p, k, modulus):
+    """Vectors that share a completed square share one count_exhaustive call
+    in count_points, and each gets the count a direct count_exhaustive
+    gives, under the default modulus and under another."""
+    spec = ff.make_spec(p, k, modulus)
+    monkeypatch.setattr(spec, "_count_memo", None)
+    calls = _counted_exhaustive(monkeypatch)
+    rng = random.Random(p * 100 + k)
+    classes = 0
+    while classes < 6:
+        c2, c4, c6 = (rng.randrange(spec.q) for _ in range(3))
+        try:
+            cv.Curve(spec, 0, c2, 0, c4, c6)
+        except SingularCurve:
+            continue
+        classes += 1
+        for _ in range(5):
+            e = cv.Curve(spec, *_same_square(spec, c2, c4, c6, rng))
+            assert e.completed_model()[:3] == (c2, c4, c6)
+            res = ct.count_points(e)
+            assert res.count == cv.count_exhaustive(e)
+            assert res == ct.CountResult(res.count, spec.q + 1 - res.count, "exhaustive", 0,
+                                         2 * (spec.q + 1) - res.count)
+        assert len(calls) == classes == len(spec._count_memo)
+
+
+@pytest.mark.parametrize("first", [0, 1])
+def test_count_memo_is_per_field(monkeypatch, first):
+    """One coefficient vector counts 16 points under F_9's default modulus
+    x^2 + 1 and 7 under x^2 + x + 2; counted under both, in either order,
+    it keeps its own count in each field."""
+    specs = ff.make_spec(3, 2), ff.make_spec(3, 2, (2, 1, 1))
+    assert specs[0] is not specs[1]
+    for spec in specs:
+        monkeypatch.setattr(spec, "_count_memo", None)
+    calls = _counted_exhaustive(monkeypatch)
+    want = {specs[0]: 16, specs[1]: 7}
+    order = specs if first == 0 else specs[::-1]
+    for _ in range(2):
+        for spec in order:
+            assert ct.count_points(cv.Curve(spec, 0, 0, 0, 2, 3)).count == want[spec]
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("q", [53, 32])
+def test_count_memo_stays_off_above_49_and_in_char_2(monkeypatch, q):
+    """method="exhaustive" above 49 and in characteristic 2 counts every call
+    and creates no memo, also for two vectors with one completed square."""
+    spec = ff.spec_for_q(q)
+    monkeypatch.setattr(spec, "_count_memo", None)
+    calls = _counted_exhaustive(monkeypatch)
+    if spec.char2:
+        e = same = cv.Curve(spec, 0, 0, 1, 1, 1)
+    else:
+        e, same = cv.Curve(spec, 0, 0, 0, 1, 1), cv.Curve(spec, 2, q - 1, 0, 1, 1)
+        assert same.completed_model()[:3] == e.completed_model()[:3]
+    counts = [ct.count_points(c, "exhaustive").count for c in (e, e, same)]
+    assert counts == [cv.count_exhaustive(e)] * 3
+    assert len(calls) == 3
+    assert spec._count_memo is None
 
 
 def test_count_point_order_matches_exhaustive_f1013():

@@ -8,6 +8,7 @@ import re
 import numpy as np
 import pytest
 
+from hassecount import counting as ct
 from hassecount import sweep
 from hassecount.curve import Curve, count_exhaustive
 from hassecount.errors import InternalInvariantError, SingularCurve
@@ -195,24 +196,35 @@ def test_class_grid_mask_marks_the_cubics_with_a_repeated_root():
 
 # (curves, singular, api_checked, largest |trace|) of full_sweep_verify with
 # its defaults, as the API route gave them when it read each row's five
-# coefficients as numpy scalars; every trace from -m to m occurs
+# coefficients as numpy scalars; every trace from -m to m occurs.  The last
+# entry is the number of count_exhaustive calls that count_points makes from
+# an empty memo: one per nonsingular completed-square class the API route
+# meets in odd characteristic (all q^3 less the singular ones over F_3 to F_9,
+# 438 classes among F_17's 500 sampled vectors), one per nonsingular vector
+# in characteristic 2
 SWEEP_REPORTS = {
-    2: (16, 16, 32, 2),
-    3: (162, 81, 243, 3),
-    4: (768, 256, 1024, 4),
-    5: (2500, 625, 3125, 4),
-    7: (14406, 2401, 16807, 5),
-    9: (52488, 6561, 59049, 6),
-    17: (1336336, 83521, 500, 8),
+    2: (16, 16, 32, 2, 16),
+    3: (162, 81, 243, 3, 18),
+    4: (768, 256, 1024, 4, 768),
+    5: (2500, 625, 3125, 4, 100),
+    7: (14406, 2401, 16807, 5, 294),
+    9: (52488, 6561, 59049, 6, 648),
+    17: (1336336, 83521, 500, 8, 438),
 }
 
 
 @pytest.mark.parametrize("q", sorted(SWEEP_REPORTS))
-def test_full_sweep_reports(q):
-    rep = full_sweep_verify(spec_for_q(q))
-    curves, singular, api_checked, m = SWEEP_REPORTS[q]
+def test_full_sweep_reports(monkeypatch, q):
+    spec = spec_for_q(q)
+    monkeypatch.setattr(spec, "_count_memo", None)
+    calls = []
+    real = ct.count_exhaustive
+    monkeypatch.setattr(ct, "count_exhaustive", lambda e: calls.append(e) or real(e))
+    rep = full_sweep_verify(spec)
+    curves, singular, api_checked, m, exhaustive = SWEEP_REPORTS[q]
     assert (rep.q, rep.curves, rep.singular, rep.api_checked) == (q, curves, singular, api_checked)
     assert rep.trace_values == tuple(range(-m, m + 1))
+    assert len(calls) == exhaustive
 
 
 @pytest.mark.parametrize("q,samples,chunk", [
