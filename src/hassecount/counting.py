@@ -19,14 +19,15 @@ the root of its modulus.  The search only gets cheaper: the exact order, and
 so the congruence, the samples drawn and the result, are those of the
 unrestricted search.
 
-The exhaustive fallback (q <= _SMALL_Q under auto) counts each completed-square
-class of an odd field once: the count of y^2 + a1 xy + a3 y = x^3 + a2 x^2 +
-a4 x + a6 is that of its completed square y'^2 = x^3 + c2 x^2 + c4 x + c6,
-y' = y + (a1 x + a3)/2 (Silverman, AEC, III.1), so count_points keeps the
-CountResult per field under (c2, c4, c6).  The API route of a full
+The exhaustive fallback (q <= _SMALL_Q under auto) counts each
+completed-square class of an odd field once: the count of y^2 + a1 xy + a3 y
+= x^3 + a2 x^2 + a4 x + a6 is that of its completed square y'^2 = x^3 + c2 x^2
++ c4 x + c6, y' = y + (a1 x + a3)/2 (Silverman, AEC, III.1), so count_points
+keeps the CountResult per field under (c2, c4, c6).  The API route of a full
 coefficient sweep of F_9 then runs count_exhaustive for its 648 nonsingular
-classes, not for its 52,488 nonsingular vectors.  count_exhaustive itself stays uncached: the random
-checks, the tests and selftest call it directly as the oracle.
+classes, not for its 52,488 nonsingular vectors.  count_exhaustive itself
+stays uncached: the random checks, the tests and selftest call it directly
+as the oracle.
 """
 
 from __future__ import annotations
