@@ -59,9 +59,9 @@ from .order import (
 # against the exception enumerator in tests.
 EXCLUDED_Q = frozenset({3, 4, 5, 7, 9, 11, 16, 17, 23, 25, 29, 49})
 
-# Below this size exhaustive enumeration beats point orders outright; it
-# also covers EXCLUDED_Q, whose largest member is 49.
-_SMALL_Q = 49
+# Up to this size exhaustive enumeration beats point orders outright; it
+# must cover EXCLUDED_Q, so it is that set's largest member, 49.
+_SMALL_Q = max(EXCLUDED_Q)
 
 _SAMPLE_CAP = 64
 

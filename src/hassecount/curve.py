@@ -7,13 +7,13 @@ choice of stepping model branch on the characteristic.
 
 Coefficients and point coordinates are field encodings (plain ints, see
 finite_field) and the formulas call the FieldSpec kernels on them, but over
-odd fields with Zech tables (1 < k, q <= 2^20), where the constructor,
-y_solutions, to_logs, log_law and count_exhaustive work in discrete logs on
-the field's log, antilog and Zech tables, with no kernel call; an integer
-constant c is the encoding c % p.  In odd characteristic the constructor
-derives the completed square once (Curve.completed_model) and takes the
-discriminant from it, over the integers on prime fields and in logs on the
-Zech-table fields.  long_add, the affine addition law of the long
+odd fields with Zech tables (1 < k, q <= 2^20), where y_solutions, to_logs,
+log_law and count_exhaustive work in discrete logs on the field's log,
+antilog and Zech tables, with no kernel call; an integer constant c is the
+encoding c % p.  In odd characteristic the constructor derives the completed
+square once (Curve.completed_model) and takes the discriminant from it, over
+the integers on prime fields, in logs in characteristic 3 with Zech tables
+and on the kernels elsewhere.  long_add, the affine addition law of the long
 form, adds bare encodings; Curve.add_points wraps it in Points for the API.
 The loops that carry the traffic step on one affine model per curve
 (Curve.affine_model), on bare coordinates:
@@ -23,7 +23,7 @@ The loops that carry the traffic step on one affine model per curve
   c4 x + c6 (Curve.completed_model, a1 = a3 = 0), added by log_law, where
   a product is one integer addition and a sum one Zech lookup;
 - every other odd field: the completed square on encodings, added by
-  completed_law, which is built only where that add is read.
+  completed_law but over F_p, p > 3, where no walk steps an add.
 Curve.to_model maps a point in, on every field.  Curve.mul, the one scalar
 multiplication, works on the model's coordinates and never maps back; over
 prime fields with p > 3 its chain runs on the completed square in Jacobian
@@ -92,13 +92,14 @@ class Curve:
         y + h1 x + h3 keeps it, so it is 16 disc(x^3 + c2 x^2 + c4 x + c6).
         Odd prime fields evaluate h1, h3, c2, c4, c6 and the discriminant over
         the Python integers, with one % p each, not through the field kernels
-        (0.71 against 1.37 us per call at p = 7 and 17).  Odd fields with Zech
-        tables evaluate them in logs (_zech_completed), with no kernel call
-        (1.8 against 2.8 us per call at q = 9, 2.2 against 3.7 at 3^7).  In
-        characteristic 3 off the prime field 4 = 16 = 1 and 18 = 27 = 0, so
-        the discriminant is c4^2 (c2^2 - c4) - c2^3 c6, there and on the
-        polynomial model above 2^20.
-        Characteristic 2 takes it from the b-invariants."""
+        (0.71 against 1.37 us per call at p = 7 and 17).  Fields of
+        characteristic 3 with Zech tables, F_9 of the sweeps and 3^7 among
+        them, evaluate them in logs (_zech_completed), with no kernel call
+        (1.8 against 2.8 us per call at q = 9, 2.2 against 3.7 at 3^7).  The
+        other odd extension fields take the kernels and one discriminant
+        formula for every odd p: its constants are encodings c % p, so in
+        characteristic 3 (4 = 16 = 1, 18 = 27 = 0) it is c4^2 (c2^2 - c4) -
+        c2^3 c6.  Characteristic 2 takes it from the b-invariants."""
         self.spec = spec
         q = spec.q
         if not (
@@ -126,7 +127,7 @@ class Curve:
             self._completed = c2, c4, c6, h1, h3
             c22 = c2 * c2
             disc = 16 * (c4 * c4 * (c22 - 4 * c4) + c6 * (c2 * (18 * c4 - 4 * c22) - 27 * c6)) % p
-        elif spec._zech is not None:
+        elif p == 3 and spec._zech is not None:
             self._completed, disc = _zech_completed(spec, a1, a2, a3, a4, a6)
         else:
             add, sub, mul = spec.add_enc, spec.sub_enc, spec.mul_enc
@@ -136,15 +137,11 @@ class Curve:
             self._completed = c2, c4, c6, h1, h3
             # disc = 16 (c4^2 (c2^2 - 4 c4) + c6 (c2 (18 c4 - 4 c2^2) - 27 c6))
             c22 = mul(c2, c2)
-            if p == 3:
-                # 4 = 16 = 1 and 18 = 27 = 0: disc = c4^2 (c2^2 - c4) - c2^3 c6
-                disc = sub(mul(mul(c4, c4), sub(c22, c4)), mul(mul(c22, c2), c6))
-            else:
-                disc = add(
-                    mul(mul(c4, c4), sub(c22, mul(4 % p, c4))),
-                    mul(c6, sub(mul(c2, sub(mul(18 % p, c4), mul(4 % p, c22))), mul(27 % p, c6))),
-                )
-                disc = mul(16 % p, disc)
+            disc = add(
+                mul(mul(c4, c4), sub(c22, mul(4 % p, c4))),
+                mul(c6, sub(mul(c2, sub(mul(18 % p, c4), mul(4 % p, c22))), mul(27 % p, c6))),
+            )
+            disc = mul(16 % p, disc)
         if disc == 0:
             raise SingularCurve(f"discriminant vanishes for {self.coefficients()} over F_{spec.q}")
         self.discriminant = disc
@@ -278,20 +275,11 @@ class Curve:
         - odd fields with Zech tables (1 < k, q <= 2^20): log coordinates
           on the completed square (to_logs, log_law, y + (q-1)/2);
         - every other odd field: the completed square on encodings
-          (to_completed, completed_law, -y).
-        Built on first use, refers to no curve.  The completed square's add
-        is built only here: to_model, mul and scalar_mul read the rest
-        (_maps), and over prime fields with p > 3 neither mul's chain nor
-        the BSGS blocks call it."""
-        model = self._model or self._maps()
-        if model[1] is None:
-            add = completed_law(self.spec, *self.completed_model()[:2])
-            model = self._model = (model[0], add, *model[2:])
-        return model
-
-    def _maps(self) -> tuple:
-        """affine_model, but for an add of None on the completed square until
-        affine_model builds it."""
+          (to_completed, completed_law, -y), with an add of None over F_p,
+          p > 3, where mul runs its Jacobian chain and the BSGS its residue
+          blocks.
+        Built once, on first use; refers to no curve.  to_model, mul and
+        scalar_mul read it."""
         if self._model is None:
             s = self.spec
             if s.char2:
@@ -303,14 +291,15 @@ class Curve:
                 add = log_law(s, *self.completed_model()[:2])
                 self._model = Curve.to_logs, add, lambda x, y: y if y < 0 else (y + h) % n, Curve.from_logs
             else:
-                self._model = Curve.to_completed, None, lambda x, y: s.neg_enc(y), Curve.from_completed
+                add = None if s.k == 1 and s.p > 3 else completed_law(s, *self.completed_model()[:2])
+                self._model = Curve.to_completed, add, lambda x, y: s.neg_enc(y), Curve.from_completed
         return self._model
 
     def to_model(self, pt: Point) -> tuple:
         """P's bare (x, y) on the curve's affine model, (None, None) for
         infinity: where the BSGS, exact_order and the count's check map a
         sampled point in, once each."""
-        return (self._model or self._maps())[0](self, pt)
+        return self.affine_model()[0](self, pt)
 
     def mul(self, n: int, x: int | None, y: int | None) -> tuple:
         """n*(x, y) on the bare coordinates of the affine model (to_model),
@@ -323,7 +312,7 @@ class Curve:
         if n == 0 or x is None:
             return None, None
         if n < 0:
-            n, y = -n, self._maps()[2](x, y)
+            n, y = -n, self.affine_model()[2](x, y)
         s = self.spec
         if s.k == 1 and s.p > 3:
             return _jacobian_mul(n, x, y, *self.short_model()[:2], s.p)
@@ -338,7 +327,7 @@ class Curve:
     def scalar_mul(self, n: int, pt: Point) -> Point:
         """n*P for any integer n: Curve.mul on P mapped in by to_model and
         mapped back by the model's back."""
-        return self._maps()[3](self, *self.mul(n, *self.to_model(pt)))
+        return self.affine_model()[3](self, *self.mul(n, *self.to_model(pt)))
 
     # -- per-x solution machinery ----------------------------------------------
 
@@ -425,23 +414,21 @@ def _log_sum(zech, n: int, la: int, lb: int) -> int:
 
 
 def _zech_completed(spec: FieldSpec, a1: int, a2: int, a3: int, a4: int, a6: int) -> tuple:
-    """((c2, c4, c6, h1, h3), disc) for Curve.__init__ over an odd field
-    with Zech tables, in log arithmetic on the field's tables, with no
-    kernel call: a product is a sum of logs, a sum one Zech lookup, -c has
-    log log c + (q-1)/2 and an integer constant c the log of its encoding c
-    % p; zero has log -1.  The constructor's formulas: h1 = a1/2, h3 = a3/2,
-    c2 = a2 + h1^2, c4 = a4 + h1 a3, c6 = a6 + h3^2, and disc = c4^2 (c2^2 -
-    c4) - c2^3 c6 at p = 3, 16 (c4^2 (c2^2 - 4 c4) + c6 (c2 (18 c4 - 4 c2^2)
-    - 27 c6)) above.  The logs of c2, c4, c6, h1 and h3 are reduced to [0,
-    q-1); the discriminant's products are reduced where a Zech index or the
-    result needs it (zech has 2(q-1) entries and wraps negative indices).
-    The sums of the completed square and of the p = 3 discriminant are
-    written out, not called (_log_sum): they are the F_9 sweep's hot path."""
+    """((c2, c4, c6, h1, h3), disc) for Curve.__init__ over a field of
+    characteristic 3 with Zech tables (1 < k, q <= 2^20), in log arithmetic
+    on the field's tables, with no kernel call: a product is a sum of logs,
+    a sum one Zech lookup and -c has log log c + (q-1)/2; zero has log -1.
+    The constructor's formulas: h1 = a1/2, h3 = a3/2, c2 = a2 + h1^2, c4 =
+    a4 + h1 a3, c6 = a6 + h3^2, and disc = c4^2 (c2^2 - c4) - c2^3 c6, the
+    general discriminant with 4 = 16 = 1 and 18 = 27 = 0.  The logs of c2,
+    c4, c6, h1 and h3 are reduced to [0, q-1); the discriminant's products
+    are reduced where a Zech index or the result needs it (zech has 2(q-1)
+    entries and wraps negative indices).  The sums are written out, not
+    called (_log_sum): they are the F_9 sweep's hot path."""
     log, exp, zech = spec._log, spec._exp, spec._zech
     n = spec.q - 1
     h = n >> 1  # log(-1)
-    p = spec.p
-    lhalf = log[(p + 1) >> 1]  # log(1/2)
+    lhalf = log[2]  # log(1/2): 1/2 = 2 in characteristic 3
     # each c = a + (a product of logs l): a + alpha^l = alpha^la (1 + alpha^(l - la))
     if a3:
         la3 = log[a3]
@@ -479,34 +466,22 @@ def _zech_completed(spec: FieldSpec, a1: int, a2: int, a3: int, a4: int, a6: int
         lh1 = -1
         lc2 = log[a2] if a2 else -1
         lc4 = log[a4] if a4 else -1
-    if p == 3:
-        # c4^2 (c2^2 - c4) - c2^3 c6: 4 = 16 = 1 and 18 = 27 = 0
-        if lc4 < 0:
-            lt = -1
-        elif lc2 < 0:
-            lt = 3 * lc4 + h
-        else:
-            l = lc2 + lc2
-            z = zech[lc4 + h - l]
-            lt = lc4 + lc4 + l + z if z >= 0 else -1
-        if lc2 < 0 or lc6 < 0:
-            ld = lt
-        else:
-            ld = 3 * lc2 + lc6 + h
-            if lt >= 0:
-                z = zech[(ld - lt) % n]
-                ld = lt + z if z >= 0 else -1
+    # c4^2 (c2^2 - c4) - c2^3 c6
+    if lc4 < 0:
+        lt = -1
+    elif lc2 < 0:
+        lt = 3 * lc4 + h
     else:
-        lc22 = lc2 * 2 % n if lc2 >= 0 else -1
-        ln4, l18, ln27, l16 = log[4 % p] + h, log[18 % p], log[27 % p] + h, log[16 % p]
-        lu = _log_sum(zech, n, lc22, (lc4 + ln4) % n if lc4 >= 0 else -1)  # c2^2 - 4 c4
-        lt = (lc4 + lc4 + lu) % n if lc4 >= 0 and lu >= 0 else -1
-        lv = _log_sum(zech, n, (lc4 + l18) % n if lc4 >= 0 else -1,
-                      (lc22 + ln4) % n if lc22 >= 0 else -1)  # 18 c4 - 4 c2^2
-        lw = _log_sum(zech, n, (lc2 + lv) % n if lc2 >= 0 and lv >= 0 else -1,
-                      (lc6 + ln27) % n if lc6 >= 0 else -1)  # c2 v - 27 c6
-        ld = _log_sum(zech, n, lt, (lc6 + lw) % n if lc6 >= 0 and lw >= 0 else -1)
-        ld = ld + l16 if ld >= 0 else -1
+        l = lc2 + lc2
+        z = zech[lc4 + h - l]
+        lt = lc4 + lc4 + l + z if z >= 0 else -1
+    if lc2 < 0 or lc6 < 0:
+        ld = lt
+    else:
+        ld = 3 * lc2 + lc6 + h
+        if lt >= 0:
+            z = zech[(ld - lt) % n]
+            ld = lt + z if z >= 0 else -1
     return ((exp[lc2] if lc2 >= 0 else 0, exp[lc4] if lc4 >= 0 else 0, exp[lc6] if lc6 >= 0 else 0,
              exp[lh1] if lh1 >= 0 else 0, exp[lh3] if lh3 >= 0 else 0),
             exp[ld % n] if ld >= 0 else 0)

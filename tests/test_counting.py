@@ -8,7 +8,7 @@ from hassecount import curve as cv
 from hassecount import exceptions as ex
 from hassecount import finite_field as ff
 from hassecount import order as od
-from hassecount.errors import ExcludedField, FieldTooLarge, SingularCurve
+from hassecount.errors import ExcludedField, FieldTooLarge, InternalInvariantError, SingularCurve
 from hassecount.integers import is_prime, prime_powers
 from hassecount.order import Congruence, hasse_interval
 from hassecount.selftest import cm_panel
@@ -166,6 +166,23 @@ def test_count_auto_uses_point_order_above_49():
     res = ct.count_points(e, "auto", random.Random(0))
     assert res.method == "point_order"
     assert res.count == cv.count_exhaustive(e)
+
+
+@pytest.mark.parametrize("off,msg", [(2, "Lagrange verification failed"), (10**6, "outside the Hasse interval")])
+def test_count_final_check_fires(monkeypatch, off, msg):
+    """A trace that the congruence does not give, off by 2 or by 10^6, is
+    caught by count_points' final check: the count fails Lagrange on a
+    fresh point, or lies outside the Hasse interval."""
+    real = ct.unique_trace_candidate
+
+    def wrong_trace(c, q):
+        t = real(c, q)
+        return None if t is None else t + off
+
+    monkeypatch.setattr(ct, "unique_trace_candidate", wrong_trace)
+    e = cv.Curve(ff.make_spec(1009), 0, 0, 0, 1, 7)
+    with pytest.raises(InternalInvariantError, match=msg):
+        ct.count_points(e, "auto", random.Random(1))
 
 
 def test_count_bad_method():

@@ -308,3 +308,56 @@ def test_full_sweep_catches_an_accepted_singular_curve(monkeypatch, q):
     msg = f"library accepts singular {target} over F_{q}"
     with pytest.raises(InternalInvariantError, match=re.escape(msg)):
         full_sweep_verify(spec)
+
+
+def _first_nonsingular(F, co):
+    return np.flatnonzero(_discriminant_vec(F, *co) != 0)[0]
+
+
+def _one_class_count_off(real):
+    return lambda curve: real(curve) + (curve.coefficients() == (0, 0, 0, 1, 1))
+
+
+def _one_class_unmarked(real):
+    def grid(F):
+        c2, c4, c6, mask = real(F)
+        mask = mask.copy()
+        mask[np.flatnonzero(mask)[0]] = False
+        return c2, c4, c6, mask
+    return grid
+
+
+def _one_vector_to_class_0(real):
+    def reduce(F, *co):
+        idx = real(F, *co)
+        idx[_first_nonsingular(F, co)] = 0  # y^2 = x^3, singular
+        return idx
+    return reduce
+
+
+def _one_pairscan_count_off(real):
+    def pairscan(F, *co):
+        counts = real(F, *co)
+        counts[_first_nonsingular(F, co)] += 1
+        return counts
+    return pairscan
+
+
+@pytest.mark.parametrize("q,name,fault,check", [
+    pytest.param(7, "count_exhaustive", _one_class_count_off, "class count mismatch", id="class-count"),
+    pytest.param(7, "_class_grid", _one_class_unmarked, "class singularity mismatch", id="class-singularity"),
+    pytest.param(7, "_reduce_classes_vec", _one_vector_to_class_0, "reduction singularity mismatch",
+                 id="reduction-singularity"),
+    pytest.param(4, "_char2_counts_pairscan", _one_pairscan_count_off, "char-2 route mismatch", id="char-2-route"),
+])
+def test_full_sweep_cross_checks_fire(monkeypatch, q, name, fault, check):
+    """One fault in one route of the sweep, each caught by its own
+    cross-check: the library's count of the class of y^2 = x^3 + x + 1 off
+    by one against the character sum, one nonsingular class unmarked in the
+    vectorized mask against the library's SingularCurve, one nonsingular
+    vector of a block reduced to the singular class 0 against its own
+    discriminant, and one nonsingular pair-scan count off by one against
+    the trace route over F_4."""
+    monkeypatch.setattr(sweep, name, fault(getattr(sweep, name)))
+    with pytest.raises(InternalInvariantError, match=f"^{re.escape(check)} over F_{q}$"):
+        full_sweep_verify(spec_for_q(q))
