@@ -169,7 +169,7 @@ def _count_by_point_orders(
         pt = random_point(e, rng)
         # BSGS searches only the traces both congruences admit (the twist's
         # trace is -t); the prior never enters the uniqueness test below
-        search = crt_merge(cong, prior)
+        search = cong if prior.m == 1 else crt_merge(cong, prior)
         if on_twist:
             search = Congruence(-search.a % search.m, search.m)
         n = exact_order(e, pt, bsgs_annihilator(e, pt, trace=search))

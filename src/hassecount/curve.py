@@ -372,9 +372,10 @@ class Curve:
 
     def _zech_y_solutions(self, x: int) -> list[int]:
         """y_solutions over an odd field with Zech tables, in logs
-        (_completed_logs): w = ((x + c2) x + c4) x + c6 and t = h1 x + h3 by
-        Zech lookups, the roots of a square w = alpha^(2r) are +-alpha^r, and
-        y = +-alpha^r - t.  No kernel call."""
+        (_completed_logs): w = ((x + c2) x + c4) x + c6 by three Zech sums,
+        written out, and, where w is 0 or a square alpha^(2r), t = h1 x + h3
+        by one more; the roots of w are +-alpha^r, and y = +-alpha^r - t.
+        No kernel call."""
         s = self.spec
         log, exp, zech = s._log, s._exp, s._zech
         n = s.q - 1
@@ -382,15 +383,35 @@ class Curve:
         lc2, lc4, lc6, lh1, lh3 = self._completed_logs()
         if x:
             lx = log[x]
-            lw = _log_sum(zech, n, lx, lc2)
-            lw = _log_sum(zech, n, (lw + lx) % n if lw >= 0 else -1, lc4)
-            lw = _log_sum(zech, n, (lw + lx) % n if lw >= 0 else -1, lc6)
-            lt = (lh1 + lx) % n if lh1 >= 0 else -1
+            # each sum a + c is alpha^la (1 + alpha^(lc - la)): one Zech lookup
+            if lc2 < 0:
+                lw = lx
+            else:
+                z = zech[lc2 - lx]
+                lw = (lx + z) % n if z >= 0 else -1
+            if lw < 0:
+                lw = lc4
+            elif lc4 < 0:
+                lw = (lw + lx) % n
+            else:
+                lw += lx
+                z = zech[lc4 - lw]
+                lw = (lw + z) % n if z >= 0 else -1
+            if lw < 0:
+                lw = lc6
+            elif lc6 < 0:
+                lw = (lw + lx) % n
+            else:
+                lw += lx
+                z = zech[lc6 - lw]
+                lw = (lw + z) % n if z >= 0 else -1
+            if lw >= 0 and lw & 1:  # not a square
+                return []
+            lt = _log_sum(zech, n, (lh1 + lx) % n if lh1 >= 0 else -1, lh3)
         else:
-            lw, lt = lc6, -1
-        if lw >= 0 and lw & 1:  # not a square
-            return []
-        lt = _log_sum(zech, n, lt, lh3)
+            lw, lt = lc6, lh3
+            if lw >= 0 and lw & 1:
+                return []
         if lw < 0:
             return [exp[lt + h] if lt >= 0 else 0]
         r = lw >> 1

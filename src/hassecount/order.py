@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from heapq import heapify, heappop, heappush
 from math import gcd, isqrt
 
@@ -75,8 +75,10 @@ class Congruence:
             raise ValueError(f"bad congruence ({self.a} mod {self.m})")
 
 
+@cache
 def hasse_interval(q: int) -> HasseInterval:
-    """The interval guaranteed to contain #E for curves over F_q."""
+    """The interval guaranteed to contain #E for curves over F_q, kept per q
+    (HasseInterval is frozen)."""
     if q < 2:
         raise ValueError("q must be a prime power >= 2")
     tb = isqrt(4 * q)
@@ -247,18 +249,22 @@ def bsgs_annihilator(
         cap, h = 1, 0
         add, model_neg = curve.affine_model()[1:3]
 
-        def add_block(x1, y1, xs, ys, ny):
-            x, y = add(x1, y1, xs[0], ys[0])
-            return [x], [y]
-
         def neg(x, y):
             return y if x is None else model_neg(x, y)
     w = 2 * h + 1  # the terms of a paired block
 
     def multiples(x, y, count: int) -> tuple:
         """x and y of S, 2*S, ..., count*S for S = (x, y), in blocks of
-        multiples added to the last, at most doubling them."""
+        multiples added to the last, at most doubling them, or one add per
+        term where there are no blocks."""
         mx, my = [x], [y]
+        if not h:
+            xk, yk = x, y
+            for _ in range(count - 1):
+                xk, yk = add(xk, yk, x, y)
+                mx.append(xk)
+                my.append(yk)
+            return mx, my
         while len(mx) < count:
             b = min(len(mx), cap, count - len(mx))
             bx, by = add_block(mx[-1], my[-1], mx[:b], my[:b], b)
@@ -355,13 +361,16 @@ def bsgs_annihilator(
     # h terms: a shorter walk pays more for S, ..., (g+1)*S, N and R_c0 - N
     # than its blocks save
     g = min(h, isqrt(n[0])) if n[0] > h else 0
-    if not g:  # one add per term
-        last = [(x0, y0), (x0, y0)]
-        steps = (x, y), (x, neg(x, y))
+    if not g:  # one add per term, up_k then down_k
+        xu, yu = xd, yd = x0, y0
+        ny = neg(x, y)
         for k in range(1, n[0] + 1):
-            for side in (0, 1) if k <= n[1] else (0,):
-                x, y = last[side] = add(*last[side], *steps[side])
-                if x in table and (m := found(side, k, x, y)) is not None:
+            xu, yu = add(xu, yu, x, y)
+            if xu in table and (m := found(0, k, xu, yu)) is not None:
+                return m
+            if k <= n[1]:
+                xd, yd = add(xd, yd, x, ny)
+                if xd in table and (m := found(1, k, xd, yd)) is not None:
                     return m
         ops.adds += n[0] + n[1]
         raise InternalInvariantError("BSGS found no annihilator in the Hasse interval")
@@ -493,8 +502,11 @@ def trace_candidates(c: Congruence, q: int) -> list[int]:
 
 
 def unique_trace_candidate(c: Congruence, q: int) -> int | None:
-    """The single admissible trace if the congruence pins it down, else None."""
-    cands = trace_candidates(c, q)
-    if len(cands) == 1:
-        return cands[0]
+    """The single admissible trace if the congruence pins it down, else None:
+    the first t = a (mod m) with |t| <= 2*sqrt(q) when t + m lies beyond
+    the bound, without listing the others."""
+    tb = hasse_interval(q).trace_bound
+    first = -tb + (c.a + tb) % c.m
+    if first <= tb < first + c.m:
+        return first
     return None

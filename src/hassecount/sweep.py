@@ -30,9 +30,21 @@ b6, b8 and its final sum, each class coordinate, and the character sum's
 x^3 + c2 x^2 + c4 x.  In extension fields up to 1200 elements it gathers
 through q^2 tables of the FieldSpec's own mul_enc and add_enc, so every
 value is reduced.  Each public call builds one _VecField and, in odd
-characteristic, one class grid.  full_sweep_verify walks the q^5 grid in
-L2-resident blocks of _CHUNK = 2^15 vectors (128 KiB per int32 temporary;
-blocks of 2^21 made each temporary a fresh 8 MB allocation).
+characteristic, one class grid.
+
+full_sweep_verify walks the q^5 grid in mixed-radix boxes of at most
+_CHUNK = 2^15 vectors (_boxes): a box fixes the leading digits of the index,
+takes a range of the next digit and the whole axis of every digit after it,
+so its indices are one contiguous range and its vectors the product of five
+ranges.  F_2 to F_8 are one box, F_9 three ranges of a1, F_17 boxes of (a1,
+6 values of a2) and F_27 boxes of (a1, a2).  Each b-invariant and class
+coordinate is computed once per field on the axes of the coefficients it
+depends on, b2 and c2 on (a1, a2), b4 and c4 on (a1, a3, a4), b6 and c6 on
+(a3, a6), and a box cuts its part; numpy broadcasts them, so only b8, the
+discriminant, the class index and the checks on them have the size of a
+box, and no digit of a box's indices is divided out.  The API route takes
+the coefficient tuples of every vector from the box's axes in index order,
+or divides out the digits of its sampled indices only.
 
 numpy is imported inside the kernels that use it, so importing this module,
 as the CLI and selftest do, does not load it.
@@ -43,6 +55,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import product
 from typing import TYPE_CHECKING
 
 from .counting import count_points
@@ -54,12 +67,14 @@ from .order import hasse_interval
 if TYPE_CHECKING:
     import numpy as np
 
-# The q^5 grid is swept in blocks of _CHUNK vectors, so that each int32
-# temporary of a kernel (128 KiB) stays resident in a core's L2 cache and is
-# reused from numpy's allocator, not faulted in afresh.  On a 2-vCPU Xeon VM
-# with 2 MiB of L2 per core, 2^15 beat 2^16 and 2^17 (F_17 48, 51 and 55 ms;
-# every q <= 27 6.8, 6.9 and 7.0 s) and 2^21 (85 ms and 8.5 s, peak RSS 202
-# against 33 MB).
+# The q^5 grid is swept in boxes of at most _CHUNK vectors, so that each
+# box-sized int32 temporary of a kernel (128 KiB) stays resident in a core's
+# L2 cache and is reused from numpy's allocator, not faulted in afresh.  On a
+# 2-vCPU Xeon VM with 2 MiB of L2 per core, flat blocks of 2^15 indices beat
+# 2^16 and 2^17 (F_17 48, 51 and 55 ms; every q <= 27 6.8, 6.9 and 7.0 s) and
+# 2^21 (85 ms and 8.5 s, peak RSS 202 against 33 MB).  The fields up to 2^15
+# vectors are one box: a box per value of a1 made F_7 2% slower (35.3 against
+# 34.5 ms, median of 15 alternated runs in process).
 _CHUNK = 1 << 15
 # Extension fields get q^2 mul/add tables up to this size; all certification
 # work lives at q <= 1024.
@@ -140,48 +155,94 @@ def _divmod(a, q: int):
     return quot, np.subtract(a, rem, out=rem)
 
 
-def _discriminant_vec(F: _VecField, a1, a2, a3, a4, a6):
-    """The discriminant, reduced; the b-invariants are reduced before they
-    are multiplied, so every intermediate stays below 18 q^3 + 27 q^2."""
+def _boxes(q: int):
+    """The q^5 grid as boxes in index order, each (start, stop, box): the
+    indices [start, stop) and a tuple of five slices of the coefficient axes
+    a1, a2, a3, a4, a6 whose product they are.  A box fixes the digits before
+    a lead digit, takes a range of it and the whole axis of every digit after
+    it, with at most _CHUNK vectors: the whole grid up to q = 8, ranges of a1
+    over F_9, (a1, ranges of a2) over F_17 and (a1, a2) over F_27."""
+    lead, inner = 0, q**4
+    while lead < 4 and inner > _CHUNK:
+        lead, inner = lead + 1, inner // q
+    width = max(1, min(q, _CHUNK // inner))
+    for prefix in product(range(q), repeat=lead):
+        base = 0
+        for digit in prefix:
+            base = base * q + digit
+        for lo in range(0, q, width):
+            hi = min(lo + width, q)
+            box = (*(slice(d, d + 1) for d in prefix), slice(lo, hi), *(slice(0, q),) * (4 - lead))
+            yield (base * q + lo) * inner, (base * q + hi) * inner, box
+
+
+def _cut(a, box):
+    """The part of a per-field array in a box: a has length q on the axes it
+    depends on and 1 on the others, which every box takes whole."""
+    return a[tuple(s if n > 1 else slice(None) for s, n in zip(box, a.shape))]
+
+
+def _digits(q: int, n: int, i: int) -> tuple[int, ...]:
+    """The n base-q digits of the index i, most significant first."""
+    out = []
+    for _ in range(n):
+        i, digit = divmod(i, q)
+        out.append(digit)
+    return tuple(out[::-1])
+
+
+def _b_invariants(F: _VecField, a1, a2, a3, a4, a6):
+    """b2 = a1^2 + 4 a2, b4 = 2 a4 + a1 a3 and b6 = a3^2 + 4 a6, each reduced
+    and on the axes of the coefficients it depends on."""
     red = F.reduce
     b2 = red(F.add(F.mul(a1, a1), F.smul(4, a2)))
     b4 = red(F.add(F.smul(2, a4), F.mul(a1, a3)))
     b6 = red(F.add(F.mul(a3, a3), F.smul(4, a6)))
+    return b2, b4, b6
+
+
+def _discriminant_vec(F: _VecField, a1, a2, a3, a4, a6, b2, b4, b6):
+    """The discriminant, reduced, of the vectors the coefficient arrays
+    broadcast to, from their reduced b2, b4 and b6 (_b_invariants).  Only
+    b8 = b2 a6 + a2 a3^2 - a4 (a1 a3 + a4), reduced, and the products and
+    sums that meet it have the size of the broadcast; every intermediate
+    stays below 18 q^3 + 27 q^2."""
+    red = F.reduce
     b8 = red(F.add(
-        F.add(F.mul(F.mul(a1, a1), a6), F.smul(4, F.mul(a2, a6))),
-        F.add(
-            F.neg(F.mul(F.mul(a1, a3), a4)),
-            F.add(F.mul(a2, F.mul(a3, a3)), F.neg(F.mul(a4, a4))),
-        ),
+        F.add(F.mul(b2, a6), F.mul(a2, F.mul(a3, a3))),
+        F.neg(F.mul(a4, F.add(F.mul(a1, a3), a4))),
     ))
-    d1 = F.neg(F.mul(F.mul(b2, b2), b8))
-    d2 = F.smul(-8, F.mul(b4, F.mul(b4, b4)))
-    d3 = F.smul(-27, F.mul(b6, b6))
-    d4 = F.smul(9, F.mul(b2, F.mul(b4, b6)))
-    return red(F.add(F.add(d1, d2), F.add(d3, d4)))
+    d1 = F.mul(F.neg(F.mul(b2, b2)), b8)
+    d4 = F.mul(F.smul(9, F.mul(b2, b4)), b6)
+    d23 = F.add(F.smul(-8, F.mul(b4, F.mul(b4, b4))), F.smul(-27, F.mul(b6, b6)))
+    return red(F.add(F.add(d1, d4), d23))
 
 
-def _digits(q: int, n: int, start: int, stop: int) -> list[np.ndarray]:
-    """The n base-q digits of the indices [start, stop), stop <= q^n, most
-    significant first, as int32 arrays: one divmod per digit, the last
-    quotient being the top digit, in int32 while stop <= 2^31."""
-    import numpy as np
+def _class_coordinates(F: _VecField, b2, b4, b6):
+    """The completed-square coordinates c2 = a2 + a1^2/4 = b2/4, c4 = a4 +
+    a1 a3/2 = b4/2 and c6 = a6 + a3^2/4 = b6/4 (odd characteristic), each
+    reduced once, on the axes of its b."""
+    p = F.spec.p
+    half = (p + 1) // 2  # 1/2 in F_p
+    quarter = half * half % p
+    return F.reduce(F.smul(quarter, b2)), F.reduce(F.smul(half, b4)), F.reduce(F.smul(quarter, b6))
 
-    idx = np.arange(start, stop, dtype=np.int32 if stop <= 1 << 31 else np.int64)
-    out = []
-    for _ in range(n - 1):
-        idx, digit = _divmod(idx, q)
-        out.append(digit.astype(np.int32, copy=False))
-    out.append(idx.astype(np.int32, copy=False))
-    return out[::-1]
+
+def _reduce_classes_vec(F: _VecField, c2, c4, c6):
+    """The completed-square class index (c2*q + c4)*q + c6 of the vectors
+    the coordinates broadcast to."""
+    return (c2 * F.q + c4) * F.q + c6
 
 
 def _class_grid(F: _VecField):
     """The completed-square classes y^2 = x^3 + c2 x^2 + c4 x + c6 (odd
-    characteristic) as digit arrays c2, c4, c6 in class-index order
-    (c2*q + c4)*q + c6, and the mask of the nonsingular ones."""
-    c2, c4, c6 = _digits(F.q, 3, 0, F.q**3)
-    return c2, c4, c6, _discriminant_vec(F, 0, c2, 0, c4, c6) != 0
+    characteristic) as the axes c2, c4, c6 of a q^3 grid in class-index order
+    (c2*q + c4)*q + c6, and the flat mask of the nonsingular ones."""
+    import numpy as np
+
+    c2, c4, c6 = np.indices((F.q,) * 3, dtype=np.int32, sparse=True)
+    disc = _discriminant_vec(F, 0, c2, 0, c4, c6, *_b_invariants(F, 0, c2, 0, c4, c6))
+    return c2, c4, c6, disc.ravel() != 0
 
 
 def class_counts_odd(spec: FieldSpec) -> np.ndarray:
@@ -219,23 +280,10 @@ def _class_counts_charsum(F: _VecField, c2, c4, c6) -> np.ndarray:
 
     q = F.q
     v = _cubic_part_vec(F, c2, c4, c6)
-    hist = np.bincount((c2 * q + c4) * q + v, minlength=q**3).reshape(q * q, q)
+    hist = np.bincount(((c2 * q + c4) * q + v).ravel(), minlength=q**3).reshape(q * q, q)
     vs, c6s = np.indices((q, q), dtype=np.int32)
     S = np.asarray(F.spec.chi_table(), dtype=np.int64)[F.reduce(F.add(vs, c6s))]
     return (q + 1 + hist @ S).astype(np.int32).ravel()
-
-
-def _reduce_classes_vec(F: _VecField, a1, a2, a3, a4, a6) -> np.ndarray:
-    """Completed-square class index (c2*q + c4)*q + c6 for raw coefficients
-    (odd characteristic only): c2 = a2 + a1^2/4, c4 = a4 + a1 a3/2 and
-    c6 = a6 + a3^2/4, each reduced once."""
-    p = F.spec.p
-    half = (p + 1) // 2  # 1/2 in F_p
-    quarter = half * half % p
-    c2 = F.reduce(F.add(a2, F.smul(quarter, F.mul(a1, a1))))
-    c4 = F.reduce(F.add(a4, F.smul(half, F.mul(a1, a3))))
-    c6 = F.reduce(F.add(a6, F.smul(quarter, F.mul(a3, a3))))
-    return (c2 * F.q + c4) * F.q + c6
 
 
 def _char2_counts_trace(F: _VecField, a1, a2, a3, a4, a6) -> np.ndarray:
@@ -247,7 +295,7 @@ def _char2_counts_trace(F: _VecField, a1, a2, a3, a4, a6) -> np.ndarray:
     spec = F.spec
     tr = np.array([spec.trace_enc(a) for a in range(F.q)], dtype=np.int64)
     inv = np.array([0] + [spec.inv_enc(a) for a in range(1, F.q)], dtype=np.int32)
-    total = np.full(a1.shape, 1, dtype=np.int64)
+    total = np.ones(np.broadcast_shapes(*map(np.shape, (a1, a2, a3, a4, a6))), dtype=np.int64)
     for x in range(F.q):
         c = F.mul(a1, x) ^ a3
         d = F.mul(F.mul(a2 ^ x, x) ^ a4, x) ^ a6
@@ -260,7 +308,7 @@ def _char2_counts_pairscan(F: _VecField, a1, a2, a3, a4, a6) -> np.ndarray:
     """Raw O(q^2) route: count solutions of the untransformed curve equation."""
     import numpy as np
 
-    total = np.full(a1.shape, 1, dtype=np.int64)
+    total = np.ones(np.broadcast_shapes(*map(np.shape, (a1, a2, a3, a4, a6))), dtype=np.int64)
     for x in range(F.q):
         c = F.mul(a1, x) ^ a3
         rhs = F.mul(F.mul(a2 ^ x, x) ^ a4, x) ^ a6
@@ -291,8 +339,9 @@ def full_sweep_verify(
     run count_points(auto) literally (all of them when q^5 <= api_all_limit
     or q^5 <= api_samples): a singular vector must raise SingularCurve, a
     nonsingular one must give the count of the vectorized routes.  The API
-    route reads each chunk's selected rows once, as lists of ints, one column
-    at a time; the sampled rows of a chunk are found by bisection.
+    route takes every vector of a box from the box's axes in index order
+    (itertools.product of its ranges), or finds the sampled indices in a box
+    by bisection and divides out their digits alone.
     Every selected vector is still built by Curve(...) and counted by
     count_points, which checks its reduction, its singularity and the count
     the API returns; up to q = 49 in odd characteristic count_points runs
@@ -330,22 +379,26 @@ def full_sweep_verify(
                    else sorted(rng.sample(range(total), api_samples)))
     api_checked = 0
 
-    for start in range(0, total, _CHUNK):
-        stop = min(start + _CHUNK, total)
-        a1, a2, a3, a4, a6 = _digits(q, 5, start, stop)
-        nonsing = _discriminant_vec(F, a1, a2, a3, a4, a6) != 0
+    # per field: the coefficient axes, b2, b4, b6 and (odd characteristic)
+    # c2, c4, c6, each on the axes it depends on; a box cuts its part of each
+    axes = np.indices((q,) * 5, dtype=np.int32, sparse=True)
+    b = _b_invariants(F, *axes)
+    c = None if spec.char2 else _class_coordinates(F, *b)
+    for start, stop, box in _boxes(q):
+        a = [_cut(x, box) for x in axes]
+        nonsing = (_discriminant_vec(F, *a, *(_cut(x, box) for x in b)) != 0).ravel()
         n_ns = int(nonsing.sum())
         curves += n_ns
         singular += (stop - start) - n_ns
         if spec.char2:
-            counts = _char2_counts_trace(F, a1, a2, a3, a4, a6)
+            counts = _char2_counts_trace(F, *a).ravel()
             if q <= 16:
-                other = _char2_counts_pairscan(F, a1, a2, a3, a4, a6)
+                other = _char2_counts_pairscan(F, *a).ravel()
                 if not bool((counts[nonsing] == other[nonsing]).all()):
                     raise InternalInvariantError(f"char-2 route mismatch over F_{q}")
         else:
-            cls_idx = _reduce_classes_vec(F, a1, a2, a3, a4, a6)
-            counts = class_counts[cls_idx]
+            cls_idx = _reduce_classes_vec(F, *(_cut(x, box) for x in c))
+            counts = class_counts[cls_idx.ravel()]
             if not bool(((counts >= 0) == nonsing).all()):
                 raise InternalInvariantError(f"reduction singularity mismatch over F_{q}")
         live = counts[nonsing]
@@ -353,14 +406,16 @@ def full_sweep_verify(
             if int(live.min()) < interval.lo or int(live.max()) > interval.hi:
                 raise InternalInvariantError(f"count outside Hasse interval over F_{q}")
             traces.update((q + 1 - np.flatnonzero(np.bincount(live))).tolist())
-        # per-curve API route on the sampled (or complete) rows of the chunk
+        # per-curve API route on every vector of the box, from its axes, or
+        # on the sampled indices in it, from their digits
         if api_indices is None:
             rows = slice(None)
+            vectors = product(*(range(s.start, s.stop) for s in box))
         else:
-            lo, hi = bisect_left(api_indices, start), bisect_left(api_indices, stop)
-            rows = [i - start for i in api_indices[lo:hi]]
-        cols = (a[rows].tolist() for a in (a1, a2, a3, a4, a6))
-        for co, ok, n in zip(zip(*cols), nonsing[rows].tolist(), counts[rows].tolist()):
+            sample = api_indices[bisect_left(api_indices, start):bisect_left(api_indices, stop)]
+            rows = [i - start for i in sample]
+            vectors = (_digits(q, 5, i) for i in sample)
+        for co, ok, n in zip(vectors, nonsing[rows].tolist(), counts[rows].tolist()):
             if not ok:
                 try:
                     Curve(spec, *co)
@@ -397,14 +452,11 @@ def all_class_counts(spec: FieldSpec) -> np.ndarray:
         c2, c4, c6, nonsing = _class_grid(F)
         return _class_counts_charsum(F, c2, c4, c6)[nonsing]
     # ordinary family: a1=1, a6 != 0 (discriminant is a6)
-    a2, a6 = _digits(q, 2, 0, q * q)
-    ones = np.ones_like(a2)
-    z = np.zeros_like(a2)
-    ord_counts = _char2_counts_trace(F, ones, a2, z, z, a6)[a6 != 0]
+    a2, a6 = np.indices((q, q), dtype=np.int32, sparse=True)
+    ord_counts = _char2_counts_trace(F, 1, a2, 0, 0, a6)[:, 1:].ravel()
     # supersingular family: a1=a2=0, a3 != 0 (discriminant is a3^4)
-    a3, a4, a6 = _digits(q, 3, 0, q**3)
-    z = np.zeros_like(a3)
-    ss_counts = _char2_counts_trace(F, z, z, a3, a4, a6)[a3 != 0]
+    a3, a4, a6 = np.indices((q, q, q), dtype=np.int32, sparse=True)
+    ss_counts = _char2_counts_trace(F, 0, 0, a3, a4, a6)[1:].ravel()
     return np.concatenate([ord_counts, ss_counts])
 
 

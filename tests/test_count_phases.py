@@ -1,10 +1,12 @@
 """tools/count_phases.py on three curves at 10^6+3: every phase shows up,
 y_solutions takes one exponentiation per drawn x, the BSGS line gives a
 positive mean of logical group operations, and the wrappers are removed
-afterwards."""
+afterwards; and its digests on two pinned panels."""
 
 import importlib.util
 from pathlib import Path
+
+import pytest
 
 from hassecount import counting, curve, finite_field, order
 
@@ -36,3 +38,17 @@ def test_count_phases_smoke(capsys):
         assert getattr(owner, attr) is value
     assert "pow" not in vars(finite_field)
     assert counting.exact_order is order.exact_order
+
+
+@pytest.mark.parametrize("args,digest", [
+    pytest.param(["--q", "2187", "--seed", "27001"], "dd1fc5a9501bae80", id="3^7"),
+    pytest.param(["--q", "1000000000039", "--seed", "27001", "--curves", "16"], "0a6e5df649046054",
+                 id="10^12+39"),
+])
+def test_count_phases_digests_are_pinned(capsys, args, digest):
+    """The digest of every CountResult and exact order on count_ext's field
+    (240 curves) and on a small panel of count_prime's: a change to the
+    counting path that moves a count, a sample or an order moves it."""
+    assert count_phases.main(args) == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last == f"digest of results and exact orders: {digest}"

@@ -1104,6 +1104,29 @@ def test_unique_trace_q3():
     assert od.unique_trace_candidate(c, 3) is None
 
 
+def test_unique_trace_candidate_agrees_with_the_candidate_list():
+    """Every residue of every modulus m <= 60 over every field up to 1024."""
+    for q in prime_powers(1024):
+        for m in range(1, 61):
+            for a in range(m):
+                c = od.Congruence(a, m)
+                cands = od.trace_candidates(c, q)
+                assert od.unique_trace_candidate(c, q) == (cands[0] if len(cands) == 1 else None)
+
+
+def test_unique_trace_candidate_lists_no_traces():
+    """At 2^61 - 1 the candidate list of a modulus 1 or 2 would hold billions
+    of traces."""
+    q = 2**61 - 1
+    tb = od.hasse_interval(q).trace_bound
+    assert od.unique_trace_candidate(od.Congruence(0, 1), q) is None
+    assert od.unique_trace_candidate(od.Congruence(0, 2), 10**12 + 39) is None
+    assert od.unique_trace_candidate(od.Congruence(5, 2 * tb + 1), q) == 5
+    assert od.unique_trace_candidate(od.Congruence(tb, 2 * tb + 1), q) == tb
+    assert od.unique_trace_candidate(od.Congruence(tb + 1, 2 * tb + 1), q) == -tb
+    assert od.unique_trace_candidate(od.Congruence(tb, 2 * tb), q) is None  # tb and -tb
+
+
 def test_trace_candidates_random_oracle():
     rng = random.Random(23)
     for _ in range(10_000):

@@ -4,6 +4,7 @@ per-curve library path, at field sizes the full q^5 sweeps do not reach."""
 import dataclasses
 import random
 import re
+from itertools import product
 
 import numpy as np
 import pytest
@@ -15,9 +16,13 @@ from hassecount.errors import InternalInvariantError, SingularCurve
 from hassecount.finite_field import spec_for_q
 from hassecount.integers import prime_powers
 from hassecount.sweep import (
+    _b_invariants,
+    _boxes,
+    _class_coordinates,
     _class_counts_charsum,
     _class_grid,
     _cubic_part_vec,
+    _cut,
     _digits,
     _discriminant_vec,
     _reduce_classes_vec,
@@ -91,11 +96,22 @@ def exactness_vectors(q, n_random=3000):
     return [np.array(col, dtype=np.int32) for col in zip(*rows)], rows
 
 
+def discriminant(F, co):
+    """The discriminant kernel on coefficient arrays, from their b2, b4, b6."""
+    return _discriminant_vec(F, *co, *_b_invariants(F, *co))
+
+
+def class_index(F, co):
+    """The class index kernel on coefficient arrays, through b2, b4, b6 and
+    the class coordinates."""
+    return _reduce_classes_vec(F, *_class_coordinates(F, *_b_invariants(F, *co)))
+
+
 @pytest.mark.parametrize("q", [2, 3, 17, P_MAX])
 def test_discriminant_vec_exact_on_prime_fields(q):
     spec = spec_for_q(q)
     cols, rows = exactness_vectors(q)
-    got = _discriminant_vec(_VecField(spec), *cols)
+    got = discriminant(_VecField(spec), cols)
     assert got.dtype == np.int32
     assert got.tolist() == [scalar_discriminant(spec, *co) for co in rows]
 
@@ -104,7 +120,30 @@ def test_discriminant_vec_exact_on_prime_fields(q):
 def test_reduce_classes_vec_exact_on_prime_fields(q):
     spec = spec_for_q(q)
     cols, rows = exactness_vectors(q)
-    assert _reduce_classes_vec(_VecField(spec), *cols).tolist() == [scalar_class(spec, *co) for co in rows]
+    assert class_index(_VecField(spec), cols).tolist() == [scalar_class(spec, *co) for co in rows]
+
+
+def box_vectors(box):
+    return list(product(*(range(s.start, s.stop) for s in box)))
+
+
+@pytest.mark.parametrize("q", [3, 17, P_MAX])
+def test_box_kernels_exact_on_prime_fields(q):
+    """The discriminant and the class index on a box's axes, each invariant
+    broadcast from its own, match the scalar kernels on every vector of the
+    box: boxes that fix a1, a2 and a3 at extreme encodings and take the
+    first or the last two values of a4."""
+    spec = spec_for_q(q)
+    F = _VecField(spec)
+    axes = np.indices((q,) * 5, dtype=np.int32, sparse=True)
+    corner = sorted({0, 1, q // 2, q - 1})
+    for prefix in product(corner, repeat=3):
+        for a4 in (slice(0, 2), slice(q - 2, q)):
+            box = (*(slice(d, d + 1) for d in prefix), a4, slice(0, q))
+            co = [_cut(a, box) for a in axes]
+            rows = box_vectors(box)
+            assert discriminant(F, co).ravel().tolist() == [scalar_discriminant(spec, *v) for v in rows]
+            assert class_index(F, co).ravel().tolist() == [scalar_class(spec, *v) for v in rows]
 
 
 @pytest.mark.parametrize("q", [3, 17, P_MAX])
@@ -120,40 +159,66 @@ def test_charsum_cubic_exact_on_prime_fields(q):
 
 
 def python_digits(q, n, start, stop):
-    out = []
-    for i in range(start, stop):
-        row = []
-        for _ in range(n):
-            i, r = divmod(i, q)
-            row.append(r)
-        out.append(row[::-1])
-    return out
+    """The n base-q digits of each index, most significant first, by powers."""
+    return [tuple(i // q**j % q for j in range(n - 1, -1, -1)) for i in range(start, stop)]
 
 
 @pytest.mark.parametrize(
     "q,n,start,stop",
     [
-        (2, 32, 2**31 - 100, 2**31),  # int32 up to the last index it holds
-        (2, 32, 2**31 - 100, 2**31 + 100),  # straddles 2^31, so int64
+        (2, 32, 2**31 - 100, 2**31),  # 32 binary digits, up to the last index they hold
+        (2, 32, 2**31 - 100, 2**31 + 100),  # past it, into a 33rd digit dropped
         (100, 5, 2**31 - 100, 2**31 + 100),
         (17, 5, 17**5 - 100, 17**5),  # the last indices of the q = 17 sweep
     ],
 )
 def test_digits_match_divmod(q, n, start, stop):
-    digits = _digits(q, n, start, stop)
-    assert [d.dtype for d in digits] == [np.int32] * n
-    assert [list(row) for row in zip(*(d.tolist() for d in digits))] == python_digits(q, n, start, stop)
+    """The sampled API route's digits of one index; an index of q^n or more
+    keeps its n lowest digits."""
+    assert [_digits(q, n, i) for i in range(start, stop)] == python_digits(q, n, start, stop)
 
 
 def test_digits_across_a_chunk_boundary():
-    """The q = 19 sweep (19^5 > _CHUNK) splits its indices at _CHUNK: the two
-    chunks' digits join into those of the whole range, which match divmod."""
-    q, chunk = 19, sweep._CHUNK
-    start, stop = chunk - 100, chunk + 100
-    whole = [d.tolist() for d in _digits(q, 5, start, stop)]
-    left, right = _digits(q, 5, start, chunk), _digits(q, 5, chunk, stop)
-    assert [a.tolist() + b.tolist() for a, b in zip(left, right)] == whole
-    assert [list(row) for row in zip(*whole)] == python_digits(q, 5, start, stop)
+    """The q = 19 sweep splits its indices into boxes of (a1, 4 values of a2),
+    19^3 vectors each: every vector of two adjacent boxes, in the order of
+    their axes, has the digits of its index, across the boundary between
+    them."""
+    q = 19
+    (s0, t0, box0), (s1, t1, box1) = list(_boxes(q))[4:6]
+    assert t0 == s1 and (box0[:2], box1[:2]) == ((slice(0, 1), slice(16, 19)), (slice(1, 2), slice(0, 4)))
+    assert box_vectors(box0) + box_vectors(box1) == python_digits(q, 5, s0, t1)
+
+
+# (boxes, the shape of the first box) of every full sweep up to q = 27
+BOX_SHAPES = {
+    **{q: (1, (q,) * 5) for q in (2, 3, 4, 5, 7, 8)},
+    9: (3, (4, 9, 9, 9, 9)),
+    11: (6, (2, 11, 11, 11, 11)),
+    13: (13, (1, 13, 13, 13, 13)),
+    16: (16 * 2, (1, 8, 16, 16, 16)),
+    17: (17 * 3, (1, 6, 17, 17, 17)),
+    19: (19 * 5, (1, 4, 19, 19, 19)),
+    23: (23 * 12, (1, 2, 23, 23, 23)),
+    25: (25 * 13, (1, 2, 25, 25, 25)),
+    27: (27 * 27, (1, 1, 27, 27, 27)),
+}
+
+
+@pytest.mark.parametrize("q", sorted(BOX_SHAPES))
+def test_boxes_tile_the_grid(q):
+    """The boxes cover [0, q^5) in index order, each its product of ranges
+    and at most _CHUNK vectors; F_9 takes ranges of a1 of 4, 4 and 1 values."""
+    boxes = list(_boxes(q))
+    n, shape = BOX_SHAPES[q]
+    sizes = [[s.stop - s.start for s in box] for _, _, box in boxes]
+    assert len(boxes) == n and tuple(sizes[0]) == shape
+    assert [start for start, _, _ in boxes] == [0] + [stop for _, stop, _ in boxes[:-1]]
+    assert boxes[-1][1] == q**5
+    for (start, stop, box), size in zip(boxes, sizes):
+        assert stop - start == np.prod(size) <= sweep._CHUNK
+        assert start == sum(s.start * q**(4 - k) for k, s in enumerate(box))
+    if q == 9:
+        assert [size[0] for size in sizes] == [4, 4, 1]
 
 
 @pytest.mark.parametrize("q", [49, 81, 121, 125])
@@ -232,12 +297,17 @@ def test_full_sweep_reports(monkeypatch, q):
     pytest.param(5, 120, 1000, id="5-120"),
     pytest.param(5, 3000, 1000, id="5-3000"),
     pytest.param(17, 500, sweep._CHUNK, id="17-500"),
+    pytest.param(7, None, 10, id="7-None-10"),
+    pytest.param(5, 3000, 30, id="5-3000-30"),
 ])
 def test_full_sweep_reports_across_chunks(monkeypatch, q, samples, chunk):
-    """The API route reads each chunk's rows: chunks of the given size give
-    the report of a single chunk of q^5, on the full route and on the
-    sampled one (q = 17 at the module's own size, 44 chunks; 3000 of the
-    3125 vectors over F_5 sample the rows on either side of each boundary)."""
+    """The API route reads each box's vectors: boxes of at most the given
+    size give the report of a single box of q^5, on the full route and on
+    the sampled one (7 * 4 boxes of (a1, 2 values of a2) over F_7 and 5
+    boxes of one a1 over F_5 at 1000; F_17 at the module's own size, 51
+    boxes; boxes of one a4 over F_7 at 10 and of one a3 over F_5 at 30; 3000
+    of the 3125 vectors over F_5 sample the rows on either side of each
+    boundary)."""
     kw = {} if samples is None else {"api_samples": samples, "api_all_limit": 0, "seed": 3}
     monkeypatch.setattr(sweep, "_CHUNK", q**5)
     whole = full_sweep_verify(spec_for_q(q), **kw)
@@ -311,7 +381,7 @@ def test_full_sweep_catches_an_accepted_singular_curve(monkeypatch, q):
 
 
 def _first_nonsingular(F, co):
-    return np.flatnonzero(_discriminant_vec(F, *co) != 0)[0]
+    return np.flatnonzero(discriminant(F, co) != 0)[0]
 
 
 def _one_class_count_off(real):
@@ -328,9 +398,9 @@ def _one_class_unmarked(real):
 
 
 def _one_vector_to_class_0(real):
-    def reduce(F, *co):
-        idx = real(F, *co)
-        idx[_first_nonsingular(F, co)] = 0  # y^2 = x^3, singular
+    def reduce(F, c2, c4, c6):
+        idx = real(F, c2, c4, c6)
+        idx.flat[_first_nonsingular(F, (0, c2, 0, c4, c6))] = 0  # y^2 = x^3, singular
         return idx
     return reduce
 
@@ -338,7 +408,7 @@ def _one_vector_to_class_0(real):
 def _one_pairscan_count_off(real):
     def pairscan(F, *co):
         counts = real(F, *co)
-        counts[_first_nonsingular(F, co)] += 1
+        counts.flat[_first_nonsingular(F, co)] += 1
         return counts
     return pairscan
 
