@@ -42,11 +42,10 @@ from __future__ import annotations
 import random
 from functools import partial
 
-from .errors import FieldTooLarge, InternalInvariantError, PointNotOnCurve, SingularCurve
+from .errors import FieldTooLarge, PointNotOnCurve, SingularCurve
 from .finite_field import FieldSpec
 
 _ENUMERATE_LIMIT = 1 << 20
-_CHAR2_SOLVE_LIMIT = 1 << 16
 
 
 class Point:
@@ -932,10 +931,11 @@ def quadratic_twist(curve: Curve) -> Curve:
     Odd characteristic: complete the square and rescale by the smallest
     non-square d.  Characteristic 2, ordinary (a1 != 0): normalize to
     y^2 + xy = x^3 + a2 x^2 + a6 and shift a2 by the smallest trace-1
-    element.  Characteristic 2, supersingular (a1 == 0): the first curve
-    y^2 + a3 y = x^3 + a4 x (a3 != 0, in encoding order) with 2(q+1) - #E
-    points, or with #E points and then a6 = the smallest element with
-    Tr(a6 / a3^2) = 1, which flips the count.
+    element.  Characteristic 2, supersingular (a1 == 0): add to a6 the
+    smallest delta with Tr(delta / a3^2) = 1.  Then y^2 + a3 y = f(x) + delta
+    has a root in F_q exactly when y^2 + a3 y = f(x) has none, so the count
+    flips at every x; y -> y + s with s^2 + a3 s = delta (s in F_{q^2})
+    maps E onto E'.  Applied twice it gives back E.
     """
     spec = curve.spec
     if not spec.char2:
@@ -954,22 +954,8 @@ def quadratic_twist(curve: Curve) -> Curve:
     if curve.a1 != 0:
         a2n, a6n = _char2_ordinary_normal_form(curve)
         return Curve(spec, 1, spec.add_enc(a2n, smallest_trace_one(spec)), 0, 0, a6n)
-    # supersingular branch: j = 0, scan the a1 = a2 = 0 family
-    if spec.q > _CHAR2_SOLVE_LIMIT:
-        raise FieldTooLarge("supersingular char-2 twist search guarded to q <= 2^16")
-    target = 2 * (spec.q + 1) - count_exhaustive(curve)
-    for a3 in range(1, spec.q):
-        for a4 in range(spec.q):
-            base = Curve(spec, 0, 0, a3, a4, 0)
-            n0 = count_exhaustive(base)
-            if n0 == target:
-                return base
-            if 2 * (spec.q + 1) - n0 != target:
-                continue
-            # adding a6 flips the count to 2(q+1) - n0 exactly when Tr(a6 / a3^2) = 1
-            a6 = smallest_trace_one(spec, spec.inv_enc(spec.mul_enc(a3, a3)))
-            return Curve(spec, 0, 0, a3, a4, a6)
-    raise InternalInvariantError("no supersingular twist found (group-law bug)")  # pragma: no cover
+    delta = smallest_trace_one(spec, spec.inv_enc(spec.mul_enc(curve.a3, curve.a3)))
+    return Curve(spec, 0, curve.a2, curve.a3, curve.a4, curve.a6 ^ delta)
 
 
 def _char2_ordinary_normal_form(curve: Curve) -> tuple[int, int]:

@@ -242,13 +242,14 @@ def run_selftest(fast: bool = False) -> list[CheckResult]:
 
         def weil_large_extensions():
             # far past the log-table limit, on the polynomial models: a
-            # Koblitz curve near the top of the range, and an odd field
-            panel = ((2, 61, (1, 0, 0, 0, 1)), (5, 26, (0, 0, 0, 1, 2)))
+            # Koblitz curve near the top of the range, a supersingular
+            # binary curve and an odd field
+            panel = ((2, 61, (1, 0, 0, 0, 1)), (2, 40, (0, 0, 1, 0, 0)), (5, 26, (0, 0, 0, 1, 2)))
             for p, k, coeffs in panel:
                 got = count_points(Curve(make_spec(p, k), *coeffs), "point_order", random.Random(1)).count
                 if got != weil_count(p, k, coeffs):
                     return False, f"{coeffs} over F_{p}^{k}: {got} points, Weil recurrence disagrees"
-            return True, "point-order counts match the Weil recurrence over F_2^61, F_5^26"
+            return True, "point-order counts match the Weil recurrence over F_2^61, F_2^40, F_5^26"
 
         results.append(_check("weil-large-extensions", weil_large_extensions))
 

@@ -621,8 +621,21 @@ def test_twist_supersingular_char2_larger_fields(q):
             except SingularCurve:
                 continue
         t = cv.quadratic_twist(e)
-        assert t.a1 == 0  # the twist search stays inside the j=0 family
+        assert t.a1 == 0  # the closed-form twist stays inside the j = 0 family
         assert cv.count_exhaustive(e) + cv.count_exhaustive(t) == 2 * (q + 1)
+
+
+@pytest.mark.parametrize("q", [2, 4, 8])
+def test_twist_supersingular_char2_closed_form(q):
+    """Every nonsingular a1 = 0 curve: only a6 moves, the counts sum to
+    2(q+1), and twisting twice gives back E."""
+    spec = ff.spec_for_q(q)
+    for a2, a3, a4, a6 in itertools.product(range(q), range(1, q), range(q), range(q)):
+        e = cv.Curve(spec, 0, a2, a3, a4, a6)
+        t = cv.quadratic_twist(e)
+        assert t.coefficients()[:4] == (0, a2, a3, a4)
+        assert cv.count_exhaustive(e) + cv.count_exhaustive(t) == 2 * (q + 1)
+        assert cv.quadratic_twist(t) == e
 
 
 def test_smallest_trace_one():

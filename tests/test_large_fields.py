@@ -7,7 +7,8 @@ These tests check the counting paths there against independent oracles
 recurrence for curves defined over F_p), inv_enc against Fermat's a^(q-2), the
 quadratic-character table, and the char-2 trace mask and Artin-root solver
 against their definitions.  In characteristic 2 the Koblitz curves
-y^2 + xy = x^3 + a2 x^2 + 1 are counted past 2^16 against the Weil recurrence.
+y^2 + xy = x^3 + a2 x^2 + 1 and the supersingular y^2 + y = x^3 + a4 x + a6 are
+counted past 2^16 against the Weil recurrence.
 """
 
 import functools
@@ -149,29 +150,6 @@ def test_supersingular_char2_twist_f4096(capsys):
     assert count_exhaustive(Curve(spec_for_q(q), 0, 0, 1, 0, 0)) + count_exhaustive(twist) == 2 * (q + 1)
 
 
-def _twist_by_search(curve):
-    """The supersingular char-2 twist by the first a1 = a2 = 0 curve, in
-    (a3, a4, a6) order, whose exhaustive count is 2(q+1) - #E."""
-    spec, q = curve.spec, curve.spec.q
-    target = 2 * (q + 1) - count_exhaustive(curve)
-    for a3 in range(1, q):
-        for a4 in range(q):
-            for a6 in range(q):
-                cand = Curve(spec, 0, 0, a3, a4, a6)
-                if count_exhaustive(cand) == target:
-                    return cand
-    raise AssertionError("no twist")
-
-
-@pytest.mark.parametrize("q", [8, 16, 32, 64])
-def test_supersingular_char2_twist_is_first_in_search_order(q):
-    spec = spec_for_q(q)
-    rng = random.Random(q)
-    for _ in range(5):
-        e = Curve(spec, 0, 0, rng.randrange(1, q), rng.randrange(q), rng.randrange(q))
-        assert quadratic_twist(e).coefficients() == _twist_by_search(e).coefficients()
-
-
 def test_supersingular_char2_twist_f65536(capsys):
     q = 2**16
     t0 = time.perf_counter()
@@ -211,6 +189,33 @@ def test_koblitz_count_past_2_16(k, a2):
     coeffs = (1, a2, 0, 0, 1)
     e = Curve(spec_for_q(2**k), *coeffs)
     assert count_points(e, "point_order", random.Random(k)).count == weil_count(2, k, coeffs)
+
+
+SUPERSINGULAR_F2 = ((0, 0, 1, 0, 0), (0, 0, 1, 1, 0), (0, 0, 1, 1, 1))  # y^2 + y = x^3, x^3 + x, x^3 + x + 1
+
+
+@pytest.mark.parametrize("k", [17, 20, 21, 40])
+@pytest.mark.parametrize("coeffs", SUPERSINGULAR_F2, ids=["x3", "x3+x", "x3+x+1"])
+def test_supersingular_count_past_2_16(k, coeffs):
+    e = Curve(spec_for_q(2**k), *coeffs)
+    assert count_points(e, "point_order", random.Random(k)).count == weil_count(2, k, coeffs)
+
+
+@pytest.mark.parametrize("k", [20, 40])
+def test_supersingular_square_field_pair(k):
+    # y^2 + y = x^3 over F_{r^2}, r = 2^(k/2): (r - 1)^2 points, twist (r + 1)^2
+    r = 2 ** (k // 2)
+    res = count_points(Curve(spec_for_q(2**k), 0, 0, 1, 0, 0), "point_order", random.Random(k))
+    assert (res.count, res.twist_count) == ((r - 1) ** 2, (r + 1) ** 2)
+
+
+def test_cli_supersingular_past_2_16(capsys):
+    args = ["--q", str(2**17), "--curve", "0,0,1,0,0"]
+    assert cli.main(["count", *args]) == 0
+    assert json.loads(capsys.readouterr().out)["count"] == 2**17 + 1
+    assert cli.main(["twist", *args]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["twist_curve"] == [0, 0, 1, 0, 1] and "count" not in out and "twist_count" not in out
 
 
 def test_cli_count_koblitz_2_20(capsys):
