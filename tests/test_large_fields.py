@@ -150,6 +150,28 @@ def test_supersingular_char2_twist_f4096(capsys):
     assert count_exhaustive(Curve(spec_for_q(q), 0, 0, 1, 0, 0)) + count_exhaustive(twist) == 2 * (q + 1)
 
 
+def _twist_by_search(curve):
+    """The supersingular char-2 twist by search: shift a6 by the first delta,
+    in encoding order, that is not s^2 + a3 s for any s in F_q, so that
+    y -> y + s cannot map E onto the shifted curve over F_q."""
+    spec = curve.spec
+    a3 = curve.a3
+    artin_image = {spec.mul_enc(s, s) ^ spec.mul_enc(a3, s) for s in range(spec.q)}
+    delta = next(d for d in range(spec.q) if d not in artin_image)
+    return Curve(spec, 0, curve.a2, a3, curve.a4, curve.a6 ^ delta)
+
+
+@pytest.mark.parametrize("q", [8, 16, 32, 64])
+def test_supersingular_char2_twist_is_first_in_search_order(q):
+    spec = spec_for_q(q)
+    rng = random.Random(q)
+    for _ in range(5):
+        e = Curve(spec, 0, 0, rng.randrange(1, q), rng.randrange(q), rng.randrange(q))
+        t = quadratic_twist(e)
+        assert t.coefficients() == _twist_by_search(e).coefficients()
+        assert count_exhaustive(e) + count_exhaustive(t) == 2 * (q + 1)
+
+
 def test_supersingular_char2_twist_f65536(capsys):
     q = 2**16
     t0 = time.perf_counter()
