@@ -38,6 +38,8 @@ from math import lcm
 from typing import Literal
 
 from .curve import (
+    _SMALL_Q,
+    EXCLUDED_Q,
     Curve,
     count_exhaustive,
     enumerate_points,
@@ -54,14 +56,6 @@ from .order import (
     hasse_interval,
     unique_trace_candidate,
 )
-
-# Field sizes where the trace congruence need not become unique; cross-checked
-# against the exception enumerator in tests.
-EXCLUDED_Q = frozenset({3, 4, 5, 7, 9, 11, 16, 17, 23, 25, 29, 49})
-
-# Up to this size exhaustive enumeration beats point orders outright; it
-# must cover EXCLUDED_Q, so it is that set's largest member, 49.
-_SMALL_Q = max(EXCLUDED_Q)
 
 _SAMPLE_CAP = 64
 

@@ -11,10 +11,13 @@ odd fields with Zech tables (1 < k, q <= 2^20), where y_solutions, to_logs,
 log_law and count_exhaustive work in discrete logs on the field's log,
 antilog and Zech tables, with no kernel call; an integer constant c is the
 encoding c % p.  In odd characteristic the constructor derives the completed
-square once (Curve.completed_model) and takes the discriminant from it, over
-the integers on prime fields, in logs in characteristic 3 with Zech tables
-and on the kernels elsewhere.  long_add, the affine addition law of the long
-form, adds bare encodings; Curve.add_points wraps it in Points for the API.
+square once (Curve.completed_model) and takes the discriminant from it: over
+the integers on prime fields, by ten reads of per-field tables on the odd
+extension fields up to q = 49 (F_9, F_25, F_27, F_49; _curve_tables, 0.9 us
+per call at q = 9), in logs on the other fields of characteristic 3 with
+Zech tables (_zech_completed, 2.2 us per call at 3^7) and on the kernels
+elsewhere.  long_add, the affine addition law of the long form, adds bare
+encodings; Curve.add_points wraps it in Points for the API.
 The loops that carry the traffic step on one affine model per curve
 (Curve.affine_model), on bare coordinates:
 - characteristic 2: the long form, added by long_add;
@@ -46,6 +49,16 @@ from .errors import FieldTooLarge, PointNotOnCurve, SingularCurve
 from .finite_field import FieldSpec
 
 _ENUMERATE_LIMIT = 1 << 20
+
+# Field sizes where the trace congruence need not become unique; cross-checked
+# against the exception enumerator in tests.
+EXCLUDED_Q = frozenset({3, 4, 5, 7, 9, 11, 16, 17, 23, 25, 29, 49})
+
+# Up to this size exhaustive enumeration beats point orders outright
+# (counting.count_points); it must cover EXCLUDED_Q, so it is that set's
+# largest member, 49.  The odd extension fields up to it (9, 25, 27, 49)
+# build their curves from per-field tables (_curve_tables).
+_SMALL_Q = max(EXCLUDED_Q)
 
 
 class Point:
@@ -91,14 +104,20 @@ class Curve:
         y + h1 x + h3 keeps it, so it is 16 disc(x^3 + c2 x^2 + c4 x + c6).
         Odd prime fields evaluate h1, h3, c2, c4, c6 and the discriminant over
         the Python integers, with one % p each, not through the field kernels
-        (0.71 against 1.37 us per call at p = 7 and 17).  Fields of
-        characteristic 3 with Zech tables, F_9 of the sweeps and 3^7 among
-        them, evaluate them in logs (_zech_completed), with no kernel call
-        (1.8 against 2.8 us per call at q = 9, 2.2 against 3.7 at 3^7).  The
-        other odd extension fields take the kernels and one discriminant
-        formula for every odd p: its constants are encodings c % p, so in
-        characteristic 3 (4 = 16 = 1, 18 = 27 = 0) it is c4^2 (c2^2 - c4) -
-        c2^3 c6.  Characteristic 2 takes it from the b-invariants."""
+        (0.71 against 1.37 us per call at p = 7 and 17).  The odd extension
+        fields up to q = _SMALL_Q = 49 (F_9 of the sweeps, F_25, F_27, F_49)
+        read them from the field's q^2-entry tables (_curve_tables, built on
+        the field's first curve), ten list reads: 0.9 against 1.7 us per call
+        over the 59,049 vectors of F_9, 0.9 against 3.5 at 25 and 49.  The
+        other fields of characteristic 3 with Zech tables, 3^7 among them,
+        evaluate them in logs (_zech_completed), with no kernel call (2.2
+        against 3.7 us per call at 3^7).  The remaining odd extension fields
+        take the kernels and one discriminant formula for every odd p: its
+        constants are encodings c % p, so in characteristic 3 (4 = 16 = 1, 18
+        = 27 = 0) it is c4^2 (c2^2 - c4) - c2^3 c6.  Characteristic 2 takes
+        it from the b-invariants.  A vanishing discriminant raises
+        SingularCurve with the coefficient encodings and q; its message is
+        formatted only when read."""
         self.spec = spec
         q = spec.q
         if not (
@@ -126,6 +145,14 @@ class Curve:
             self._completed = c2, c4, c6, h1, h3
             c22 = c2 * c2
             disc = 16 * (c4 * c4 * (c22 - 4 * c4) + c6 * (c2 * (18 * c4 - 4 * c22) - 27 * c6)) % p
+        elif q <= _SMALL_Q:
+            half, square, cross, sums, da, db, dc = spec._curve_tables or _curve_tables(spec)
+            a1q = a1 * q
+            c2, c4 = square[a1q + a2], sums[cross[a1q + a3] + a4]
+            c6 = square[a3 * q + a6]
+            self._completed = c2, c4, c6, half[a1], half[a3]
+            i = c2 * q + c4
+            disc = sums[da[i] + dc[db[i] + c6]]
         elif p == 3 and spec._zech is not None:
             self._completed, disc = _zech_completed(spec, a1, a2, a3, a4, a6)
         else:
@@ -142,7 +169,7 @@ class Curve:
             )
             disc = mul(16 % p, disc)
         if disc == 0:
-            raise SingularCurve(f"discriminant vanishes for {self.coefficients()} over F_{spec.q}")
+            raise SingularCurve((a1, a2, a3, a4, a6), q)
         self.discriminant = disc
         self._model = None
 
@@ -433,9 +460,40 @@ def _log_sum(zech, n: int, la: int, lb: int) -> int:
     return (la + z) % n if z >= 0 else -1
 
 
+def _curve_tables(spec: FieldSpec) -> tuple:
+    """Curve.__init__'s tables over an odd extension field with q <=
+    _SMALL_Q, built on the field's first curve and kept in
+    spec._curve_tables.  A pair of encodings (a, b) has index a*q + b:
+    half[a] = a/2, square[a*q + b] = b + (a/2)^2, cross[a*q + b] = (a/2) b
+    and sums[a*q + b] = a + b.  The discriminant 16 (c4^2 (c2^2 - 4 c4) + c6
+    (c2 (18 c4 - 4 c2^2) - 27 c6)) is A(c2, c4) + B(c2, c4) c6 - 432 c6^2,
+    with da[c2*q + c4] = A, db[c2*q + c4] = B and dc[b*q + c] = b c - 432
+    c^2.  cross, da and db hold their values times q, the offset of the row
+    they index, as shared ints (row).  Only sums and the product table prod
+    call the kernels; the rest are lookups in them: 1.7 ms at q = 49."""
+    q, p = spec.q, spec.p
+    els = range(q)
+    sums = [spec.add_enc(a, b) for a in els for b in els]
+    prod = [spec.mul_enc(a, b) for a in els for b in els]
+    row = [q * a for a in els]
+
+    def times(c: int) -> list:  # a -> c a, for an integer constant c
+        return prod[c % p * q:c % p * q + q]
+
+    half, sq, m4 = times((p + 1) >> 1), [prod[a * q + a] for a in els], times(-4)
+    square = [c for h in half for c in sums[sq[h] * q:sq[h] * q + q]]
+    cross = [row[c] for h in half for c in prod[h * q:h * q + q]]
+    s16, e18, m432 = times(16), times(18), times(-432)
+    da = [row[prod[s16[sq[c4]] * q + sums[sq[c2] * q + m4[c4]]]] for c2 in els for c4 in els]
+    db = [row[prod[s16[c2] * q + sums[e18[c4] * q + m4[sq[c2]]]]] for c2 in els for c4 in els]
+    dc = [sums[prod[b * q + c] * q + m432[sq[c]]] for b in els for c in els]
+    spec._curve_tables = tables = half, square, cross, sums, da, db, dc
+    return tables
+
+
 def _zech_completed(spec: FieldSpec, a1: int, a2: int, a3: int, a4: int, a6: int) -> tuple:
     """((c2, c4, c6, h1, h3), disc) for Curve.__init__ over a field of
-    characteristic 3 with Zech tables (1 < k, q <= 2^20), in log arithmetic
+    characteristic 3 with Zech tables (1 < k, 49 < q <= 2^20), in log arithmetic
     on the field's tables, with no kernel call: a product is a sum of logs,
     a sum one Zech lookup and -c has log log c + (q-1)/2; zero has log -1.
     The constructor's formulas: h1 = a1/2, h3 = a3/2, c2 = a2 + h1^2, c4 =
@@ -444,7 +502,7 @@ def _zech_completed(spec: FieldSpec, a1: int, a2: int, a3: int, a4: int, a6: int
     c4, c6, h1 and h3 are reduced to [0, q-1); the discriminant's products
     are reduced where a Zech index or the result needs it (zech has 2(q-1)
     entries and wraps negative indices).  The sums are written out, not
-    called (_log_sum): they are the F_9 sweep's hot path."""
+    called (_log_sum): every count over 3^7 builds its twist here."""
     log, exp, zech = spec._log, spec._exp, spec._zech
     n = spec.q - 1
     h = n >> 1  # log(-1)

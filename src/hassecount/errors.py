@@ -31,7 +31,22 @@ class NotASquare(HasseCountError, ValueError):
 
 
 class SingularCurve(HasseCountError, ValueError):
-    """The Weierstrass coefficients have vanishing discriminant."""
+    """The Weierstrass coefficients have vanishing discriminant.
+
+    Raised as SingularCurve((a1, a2, a3, a4, a6), q).  The message,
+    "discriminant vanishes for (a1, a2, a3, a4, a6) over F_q", is formatted
+    only when read: the sweeps raise and catch one per singular vector."""
+
+    @property
+    def coefficients(self) -> tuple:
+        return self.args[0]
+
+    @property
+    def q(self) -> int:
+        return self.args[1]
+
+    def __str__(self):
+        return f"discriminant vanishes for {self.coefficients} over F_{self.q}"
 
 
 class PointNotOnCurve(HasseCountError, ValueError):

@@ -536,6 +536,9 @@ class FieldSpec:
 
     Immutable after construction; lazily built lookup tables are filled once
     and only read afterwards, so instances are safe to share between tasks.
+    They are _primitive, _chi (the quadratic character), _nonsquare and _curve_tables,
+    Curve.__init__'s q^2-entry tables over the odd extension fields up to
+    q = 49, built on the field's first curve by curve._curve_tables.
     The one growing cache is _count_memo, count_points' exhaustive results
     by completed square (odd q <= 49): entries are added as classes are met,
     and each value depends only on its key and the field, so two tasks that
@@ -562,6 +565,7 @@ class FieldSpec:
         self._chi = None  # quadratic character by encoding: -1/0/1 (odd q)
         self._nonsquare = None  # smallest non-square encoding (odd q)
         self._count_memo = None  # CountResult by (c2, c4, c6), filled by counting.count_points
+        self._curve_tables = None  # Curve.__init__'s tables (odd, 1 < k, q <= 49), by curve._curve_tables
         if 1 < k and self.q <= _LOG_LIMIT:
             self._build_log_tables()
         self._bind_kernels()

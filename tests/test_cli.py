@@ -173,6 +173,14 @@ def test_exit_domain_singular(capsys):
     assert code == 3 and "SingularCurve" in err
 
 
+def test_exit_domain_singular_message_is_pinned(capsys):
+    """F_9 builds its curves from the field's tables; the error line is the
+    one the constructor has always printed."""
+    code, out, err = run(capsys, "count", "--q", "9", "--curve", "0,0,0,0,0")
+    assert (code, out) == (3, "")
+    assert err == "error: SingularCurve: discriminant vanishes for (0, 0, 0, 0, 0) over F_9\n"
+
+
 def test_exit_domain_point_not_on_curve(capsys):
     code, _, err = run(capsys, "order", "--q", "5", "--curve", "0,0,0,1,0", "--point", "1,1")
     assert code == 3 and "PointNotOnCurve" in err

@@ -68,14 +68,16 @@ def kernel_completed_model(spec, a1, a2, a3, a4, a6):
     return add(a2, mul(h1, h1)), add(a4, mul(h1, a3)), add(a6, mul(h3, h3)), h1, h3
 
 
-def singular_long_form(spec, rng):
-    """A random long form whose completed square is (x - r)^2 (x - s)."""
+def singular_long_form(spec, rng, a1=None, a3=None):
+    """A random long form whose completed square is (x - r)^2 (x - s), with
+    the given a1 and a3 or random ones."""
     q, add, sub, mul, neg = spec.q, spec.add_enc, spec.sub_enc, spec.mul_enc, spec.neg_enc
     r, s = rng.randrange(q), rng.randrange(q)
     c2 = neg(add(add(r, r), s))
     c4 = add(mul(r, r), mul(add(r, r), s))
     c6 = neg(mul(mul(r, r), s))
-    a1, a3 = rng.randrange(q), rng.randrange(q)
+    if a1 is None:
+        a1, a3 = rng.randrange(q), rng.randrange(q)
     h1, h3 = (mul(a, (spec.p + 1) // 2) for a in (a1, a3))
     return a1, sub(c2, mul(h1, h1)), a3, sub(c4, mul(h1, a3)), sub(c6, mul(h3, h3))
 
@@ -135,6 +137,97 @@ def test_singular_exactly_on_b_formula_zeros(q):
             assert ref == 0, co
         else:
             assert disc == ref != 0, co
+
+
+@pytest.mark.parametrize("spec", [
+    ff.make_spec(3, 2), ff.make_spec(5, 2), ff.make_spec(3, 3),
+    ff.make_spec(3, 2, (2, 1, 1)), ff.make_spec(5, 2, (2, 1, 1)),
+], ids=["9", "25", "27", "9-x2+x+2", "25-x2+x+2"])
+def test_table_fields_every_completed_square(spec):
+    """The odd extension fields up to 49 build curves from the field's
+    tables (_curve_tables), also under a modulus that is not the default:
+    on every completed square y^2 = x^3 + c2 x^2 + c4 x + c6 the
+    discriminant is the b-formula's, and SingularCurve is raised exactly on
+    its zeros."""
+    q = spec.q
+    singular = 0
+    for c2, c4, c6 in itertools.product(range(q), repeat=3):
+        ref = b_formula_discriminant(spec, 0, c2, 0, c4, c6)
+        try:
+            e = cv.Curve(spec, 0, c2, 0, c4, c6)
+        except SingularCurve:
+            assert ref == 0, (c2, c4, c6)
+            singular += 1
+        else:
+            assert e.discriminant == ref != 0, (c2, c4, c6)
+            assert e.completed_model() == (c2, c4, c6, 0, 0)
+    assert singular == q * q  # the singular monic cubics: (x - r)^2 (x - s)
+
+
+def test_table_field_49_every_a1_a3():
+    """F_49 on every (a1, a3) pair, with seeded (a2, a4, a6): the completed
+    square is the kernels' and the discriminant the b-formula's."""
+    spec = ff.make_spec(7, 2)
+    rng = random.Random(49)
+    singular = 0
+    for a1, a3 in itertools.product(range(49), repeat=2):
+        if a1 == a3:  # a singular long form on each diagonal pair
+            co = singular_long_form(spec, rng, a1, a3)
+        else:
+            co = (a1, rng.randrange(49), a3, rng.randrange(49), rng.randrange(49))
+        ref = b_formula_discriminant(spec, *co)
+        try:
+            e = cv.Curve(spec, *co)
+        except SingularCurve:
+            assert ref == 0, co
+            singular += 1
+        else:
+            assert e.discriminant == ref != 0, co
+            assert e.completed_model() == kernel_completed_model(spec, *co), co
+    assert singular >= 49
+
+
+def test_curve_tables_built_once_on_first_curve(monkeypatch):
+    """A table field builds its tables on its first curve, once; a prime
+    field and the odd extension fields above 49 build none."""
+    builds = []
+    real = cv._curve_tables
+    monkeypatch.setattr(cv, "_curve_tables", lambda spec: builds.append(spec.q) or real(spec))
+    spec = ff.FieldSpec(5, 2, ff.make_spec(5, 2).modulus)  # a fresh spec, not the cached one
+    assert spec._curve_tables is None
+    cv.Curve(spec, 0, 0, 0, 1, 0)
+    tables = spec._curve_tables
+    assert builds == [25] and tables is not None
+    for co in ((1, 2, 3, 4, 5), (0, 0, 0, 0, 0)):
+        try:
+            cv.Curve(spec, *co)
+        except SingularCurve:
+            pass
+    assert builds == [25] and spec._curve_tables is tables
+    for q in (7, 1009, 81, 121, 3**7, 4):
+        other = ff.spec_for_q(q)
+        cv.Curve(other, *sample_random_curve(other, random.Random(q)).coefficients())
+        assert other._curve_tables is None
+    assert builds == [25]
+
+
+@pytest.mark.parametrize("q,co", [
+    (7, None), (1009, None), (9, (0, 0, 0, 0, 0)), (27, None), (49, None), (81, None), (3**7, None),
+    (121, None), (125, None), (4, (0, 1, 0, 1, 1)), (2**21, (0, 5, 0, 7, 9)),
+])
+def test_singular_message_on_every_branch(q, co):
+    """SingularCurve keeps the coefficient encodings and q and formats the
+    message that the CLI prints from them, on each branch of the
+    constructor: prime fields, the tables up to 49, Zech logs in
+    characteristic 3 above it, the kernels elsewhere, characteristic 2."""
+    spec = ff.spec_for_q(q)
+    if co is None:
+        co = singular_long_form(spec, random.Random(q))
+    assert b_formula_discriminant(spec, *co) == 0
+    with pytest.raises(SingularCurve) as info:
+        cv.Curve(spec, *(spec.element(c) for c in co))
+    assert info.value.coefficients == co and info.value.q == q
+    assert str(info.value) == f"discriminant vanishes for {co} over F_{q}"
 
 
 @pytest.mark.parametrize("q", [7, 9, 4])
