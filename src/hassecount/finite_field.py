@@ -536,9 +536,10 @@ class FieldSpec:
 
     Immutable after construction; lazily built lookup tables are filled once
     and only read afterwards, so instances are safe to share between tasks.
-    They are _primitive, _chi (the quadratic character), _nonsquare and _curve_tables,
-    Curve.__init__'s q^2-entry tables over the odd extension fields up to
-    q = 49, built on the field's first curve by curve._curve_tables.
+    They are _primitive, _chi (the quadratic character), _nonsquare and
+    _curve_tables, Curve.__init__'s q^2-entry tables over the odd extension
+    fields up to q = 49, built on the field's first curve by
+    curve._curve_tables.
     The one growing cache is _count_memo, count_points' exhaustive results
     by completed square (odd q <= 49): entries are added as classes are met,
     and each value depends only on its key and the field, so two tasks that

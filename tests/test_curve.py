@@ -95,8 +95,9 @@ def zech_patterns(spec):
 )
 def test_discriminant_matches_b_formula(q):
     """Random vectors on every field model (prime, over the integers up to
-    the largest prime below 2^62; odd log tables, in Zech logarithms in
-    characteristic 3 and on the kernels above; polynomial at 3^13;
+    the largest prime below 2^62; odd log tables, from per-field tables up
+    to 49, in Zech logarithms in characteristic 3 above it and on the
+    kernels elsewhere; polynomial at 3^13;
     characteristic 2 on log tables and, at 2^21, on bit vectors), and long
     forms of singular completed squares in odd characteristic.  In odd
     characteristic the completed square matches the field kernels'.  The
@@ -212,8 +213,7 @@ def test_curve_tables_built_once_on_first_curve(monkeypatch):
 
 
 @pytest.mark.parametrize("q,co", [
-    (7, None), (1009, None), (9, (0, 0, 0, 0, 0)), (27, None), (49, None), (81, None), (3**7, None),
-    (121, None), (125, None), (4, (0, 1, 0, 1, 1)), (2**21, (0, 5, 0, 7, 9)),
+    (7, None), (9, (0, 0, 0, 0, 0)), (81, None), (121, None), (4, (0, 1, 0, 1, 1)),
 ])
 def test_singular_message_on_every_branch(q, co):
     """SingularCurve keeps the coefficient encodings and q and formats the

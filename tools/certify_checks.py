@@ -84,9 +84,9 @@ def timed_pass(plan: list) -> tuple[workloads.CertifyPass, list[tuple[float, flo
         return call
 
     saved = [(owner, fn, getattr(owner, fn)) for owner, fn in ENTRY_POINTS]
-    saved.append((refspeed, "SpeedLog", refspeed.SpeedLog))
-    for owner, fn, real in saved[:-1]:
+    for owner, fn, real in saved:
         setattr(owner, fn, timed(real))
+    saved.append((refspeed, "SpeedLog", refspeed.SpeedLog))
     refspeed.SpeedLog = KeptSpeedLog
     try:
         done = workloads.certify_pass(plan)
@@ -141,7 +141,7 @@ def median_of_passes(seed: int, runs: int, labels: list[str]) -> int:
                        float(lines[len(labels) + 2].split()[2])))
     if passes:
         cols = [(median(t for t, _ in row), median(r for _, r in row))
-                for row in zip(*(rows for rows, _ in passes))]
+                for row in zip(*(pass_rows for pass_rows, _ in passes))]
         report(f"seed {seed}, median of {len(passes)} runs", labels, cols, median(mb for _, mb in passes))
     for line in failed:
         print(line)
