@@ -14,10 +14,11 @@ encoding c % p.  In odd characteristic the constructor derives the completed
 square once (Curve.completed_model) and takes the discriminant from it: over
 the integers on prime fields, by ten reads of per-field tables on the odd
 extension fields up to q = 49 (F_9, F_25, F_27, F_49; _curve_tables, 0.9 us
-per call at q = 9), in logs on the other fields of characteristic 3 with
-Zech tables (_zech_completed, 2.2 us per call at 3^7) and on the kernels
-elsewhere.  long_add, the affine addition law of the long form, adds bare
-encodings; Curve.add_points wraps it in Points for the API.
+per call at q = 9) and on the kernels elsewhere.  quadratic_twist does not
+call the constructor in odd characteristic: it scales E's completed square
+and discriminant (Curve._completed_square).  long_add, the affine addition
+law of the long form, adds bare encodings; Curve.add_points wraps it in
+Points for the API.
 The loops that carry the traffic step on one affine model per curve
 (Curve.affine_model), on bare coordinates:
 - characteristic 2: the long form, added by long_add;
@@ -109,15 +110,13 @@ class Curve:
         read them from the field's q^2-entry tables (_curve_tables, built on
         the field's first curve), ten list reads: 0.9 against 1.7 us per call
         over the 59,049 vectors of F_9, 0.9 against 3.5 at 25 and 49.  The
-        other fields of characteristic 3 with Zech tables, 3^7 among them,
-        evaluate them in logs (_zech_completed), with no kernel call (2.2
-        against 3.7 us per call at 3^7).  The remaining odd extension fields
-        take the kernels and one discriminant formula for every odd p: its
-        constants are encodings c % p, so in characteristic 3 (4 = 16 = 1, 18
-        = 27 = 0) it is c4^2 (c2^2 - c4) - c2^3 c6.  Characteristic 2 takes
-        it from the b-invariants.  A vanishing discriminant raises
-        SingularCurve with the coefficient encodings and q; its message is
-        formatted only when read."""
+        other odd extension fields, 3^7 among them, take the kernels and one
+        discriminant formula for every odd p: its constants are encodings c %
+        p, so in characteristic 3 (4 = 16 = 1, 18 = 27 = 0) it is c4^2 (c2^2
+        - c4) - c2^3 c6 (3.7 us per call at 3^7).  Characteristic 2 takes it
+        from the b-invariants.  A vanishing discriminant raises SingularCurve
+        with the coefficient encodings and q; its message is formatted only
+        when read."""
         self.spec = spec
         q = spec.q
         if not (
@@ -153,8 +152,6 @@ class Curve:
             self._completed = c2, c4, c6, half[a1], half[a3]
             i = c2 * q + c4
             disc = sums[da[i] + dc[db[i] + c6]]
-        elif p == 3 and spec._zech is not None:
-            self._completed, disc = _zech_completed(spec, a1, a2, a3, a4, a6)
         else:
             add, sub, mul = spec.add_enc, spec.sub_enc, spec.mul_enc
             half = (p + 1) >> 1  # 1/2, a constant of the prime field
@@ -172,6 +169,18 @@ class Curve:
             raise SingularCurve((a1, a2, a3, a4, a6), q)
         self.discriminant = disc
         self._model = None
+
+    @classmethod
+    def _completed_square(cls, spec: FieldSpec, c2: int, c4: int, c6: int, disc: int) -> "Curve":
+        """y^2 = x^3 + c2 x^2 + c4 x + c6 over an odd field, given its
+        discriminant disc, nonzero: the slots __init__ fills, with no formula
+        evaluated.  Its completed square is itself, (c2, c4, c6, 0, 0)."""
+        curve = cls.__new__(cls)
+        curve.spec, curve.a1, curve.a2, curve.a3, curve.a4, curve.a6 = spec, 0, c2, 0, c4, c6
+        curve._completed = c2, c4, c6, 0, 0
+        curve.discriminant = disc
+        curve._model = None
+        return curve
 
     # -- basic structure -----------------------------------------------------------
 
@@ -489,80 +498,6 @@ def _curve_tables(spec: FieldSpec) -> tuple:
     dc = [sums[prod[b * q + c] * q + m432[sq[c]]] for b in els for c in els]
     spec._curve_tables = tables = half, square, cross, sums, da, db, dc
     return tables
-
-
-def _zech_completed(spec: FieldSpec, a1: int, a2: int, a3: int, a4: int, a6: int) -> tuple:
-    """((c2, c4, c6, h1, h3), disc) for Curve.__init__ over a field of
-    characteristic 3 with Zech tables (1 < k, 49 < q <= 2^20), in log arithmetic
-    on the field's tables, with no kernel call: a product is a sum of logs,
-    a sum one Zech lookup and -c has log log c + (q-1)/2; zero has log -1.
-    The constructor's formulas: h1 = a1/2, h3 = a3/2, c2 = a2 + h1^2, c4 =
-    a4 + h1 a3, c6 = a6 + h3^2, and disc = c4^2 (c2^2 - c4) - c2^3 c6, the
-    general discriminant with 4 = 16 = 1 and 18 = 27 = 0.  The logs of c2,
-    c4, c6, h1 and h3 are reduced to [0, q-1); the discriminant's products
-    are reduced where a Zech index or the result needs it (zech has 2(q-1)
-    entries and wraps negative indices).  The sums are written out, not
-    called (_log_sum): every count over 3^7 builds its twist here."""
-    log, exp, zech = spec._log, spec._exp, spec._zech
-    n = spec.q - 1
-    h = n >> 1  # log(-1)
-    lhalf = log[2]  # log(1/2): 1/2 = 2 in characteristic 3
-    # each c = a + (a product of logs l): a + alpha^l = alpha^la (1 + alpha^(l - la))
-    if a3:
-        la3 = log[a3]
-        lh3 = (la3 + lhalf) % n
-        l = lh3 + lh3
-        if a6:
-            la = log[a6]
-            z = zech[l - la]
-            lc6 = (la + z) % n if z >= 0 else -1
-        else:
-            lc6 = l % n
-    else:
-        lh3 = -1
-        lc6 = log[a6] if a6 else -1
-    if a1:
-        lh1 = (log[a1] + lhalf) % n
-        l = lh1 + lh1
-        if a2:
-            la = log[a2]
-            z = zech[l - la]
-            lc2 = (la + z) % n if z >= 0 else -1
-        else:
-            lc2 = l % n
-        if a3:
-            l = lh1 + la3
-            if a4:
-                la = log[a4]
-                z = zech[l - la]
-                lc4 = (la + z) % n if z >= 0 else -1
-            else:
-                lc4 = l % n
-        else:
-            lc4 = log[a4] if a4 else -1
-    else:
-        lh1 = -1
-        lc2 = log[a2] if a2 else -1
-        lc4 = log[a4] if a4 else -1
-    # c4^2 (c2^2 - c4) - c2^3 c6
-    if lc4 < 0:
-        lt = -1
-    elif lc2 < 0:
-        lt = 3 * lc4 + h
-    else:
-        l = lc2 + lc2
-        z = zech[lc4 + h - l]
-        lt = lc4 + lc4 + l + z if z >= 0 else -1
-    if lc2 < 0 or lc6 < 0:
-        ld = lt
-    else:
-        ld = 3 * lc2 + lc6 + h
-        if lt >= 0:
-            z = zech[(ld - lt) % n]
-            ld = lt + z if z >= 0 else -1
-    return ((exp[lc2] if lc2 >= 0 else 0, exp[lc4] if lc4 >= 0 else 0, exp[lc6] if lc6 >= 0 else 0,
-             exp[lh1] if lh1 >= 0 else 0, exp[lh3] if lh3 >= 0 else 0),
-            exp[ld % n] if ld >= 0 else 0)
 
 
 def long_add(spec: FieldSpec, a1: int, a2: int, a3: int, a4: int, x1, y1, x2, y2) -> tuple:
@@ -986,8 +921,11 @@ def smallest_trace_one(spec: FieldSpec, scale: int = 1) -> int:
 def quadratic_twist(curve: Curve) -> Curve:
     """A quadratic twist E' with #E + #E' = 2(q+1).
 
-    Odd characteristic: complete the square and rescale by the smallest
-    non-square d.  Characteristic 2, ordinary (a1 != 0): normalize to
+    Odd characteristic: y^2 = x^3 + d c2 x^2 + d^2 c4 x + d^3 c6, E's
+    completed square rescaled by the smallest non-square d.  x = d X, y =
+    d^(3/2) Y maps it onto E over F_q(sqrt d), so its discriminant is d^6
+    times E's (u^12 with u^2 = d), nonzero; both are set directly
+    (Curve._completed_square), not derived again.  Characteristic 2, ordinary (a1 != 0): normalize to
     y^2 + xy = x^3 + a2 x^2 + a6 and shift a2 by the smallest trace-1
     element.  Characteristic 2, supersingular (a1 == 0): add to a6 the
     smallest delta with Tr(delta / a3^2) = 1.  Then y^2 + a3 y = f(x) + delta
@@ -997,18 +935,13 @@ def quadratic_twist(curve: Curve) -> Curve:
     """
     spec = curve.spec
     if not spec.char2:
+        mul = spec.mul_enc
         c2, c4, c6 = curve.completed_model()[:3]
         d = spec.smallest_nonsquare()
-        d2 = spec.mul_enc(d, d)
-        d3 = spec.mul_enc(d2, d)
-        return Curve(
-            spec,
-            0,
-            spec.mul_enc(d, c2),
-            0,
-            spec.mul_enc(d2, c4),
-            spec.mul_enc(d3, c6),
-        )
+        d2 = mul(d, d)
+        d3 = mul(d2, d)
+        return Curve._completed_square(spec, mul(d, c2), mul(d2, c4), mul(d3, c6),
+                                       mul(mul(d3, d3), curve.discriminant))
     if curve.a1 != 0:
         a2n, a6n = _char2_ordinary_normal_form(curve)
         return Curve(spec, 1, spec.add_enc(a2n, smallest_trace_one(spec)), 0, 0, a6n)

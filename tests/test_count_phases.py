@@ -25,7 +25,7 @@ def test_count_phases_smoke(capsys):
     lines = out.splitlines()
     assert lines[0].startswith("q = 1000003, seed 1, 3 curves:")
     labels = [line.split()[0] for line in lines[2:] if not line.startswith(("bsgs:", "y_solutions:", "digest"))]
-    for name in ("count_points", "priors", "random_point", "y_solutions", "bsgs", "exact_order",
+    for name in ("count_points", "twist", "priors", "random_point", "y_solutions", "bsgs", "exact_order",
                  "factorize", "final"):
         assert name in labels, out
     rows = {line[:22].strip(): line[22:].split() for line in lines[2:]}

@@ -7,6 +7,7 @@ import pytest
 
 from hassecount import curve as cv
 from hassecount import finite_field as ff
+from hassecount.counting import count_points
 from hassecount.errors import FieldTooLarge, PointNotOnCurve, SingularCurve, SpecMismatch
 from hassecount.integers import is_prime, prime_powers
 from hassecount.order import hasse_interval
@@ -96,9 +97,8 @@ def zech_patterns(spec):
 def test_discriminant_matches_b_formula(q):
     """Random vectors on every field model (prime, over the integers up to
     the largest prime below 2^62; odd log tables, from per-field tables up
-    to 49, in Zech logarithms in characteristic 3 above it and on the
-    kernels elsewhere; polynomial at 3^13;
-    characteristic 2 on log tables and, at 2^21, on bit vectors), and long
+    to 49 and on the kernels above it; polynomial at 3^13; characteristic 2
+    on log tables and, at 2^21, on bit vectors), and long
     forms of singular completed squares in odd characteristic.  In odd
     characteristic the completed square matches the field kernels'.  The
     odd log-table fields also take every {0, 1, -1, alpha} pattern
@@ -218,8 +218,8 @@ def test_curve_tables_built_once_on_first_curve(monkeypatch):
 def test_singular_message_on_every_branch(q, co):
     """SingularCurve keeps the coefficient encodings and q and formats the
     message that the CLI prints from them, on each branch of the
-    constructor: prime fields, the tables up to 49, Zech logs in
-    characteristic 3 above it, the kernels elsewhere, characteristic 2."""
+    constructor: prime fields, the tables up to 49, the kernels above it
+    (81 and 121), characteristic 2."""
     spec = ff.spec_for_q(q)
     if co is None:
         co = singular_long_form(spec, random.Random(q))
@@ -699,6 +699,47 @@ def test_twist_twice_preserves_trace(q):
         e = sample_random_curve(spec, rng)
         tt = cv.quadratic_twist(cv.quadratic_twist(e))
         assert cv.count_exhaustive(tt) == cv.count_exhaustive(e)
+
+
+@pytest.mark.parametrize("spec", [
+    pytest.param(ff.spec_for_q(q), id=str(q))
+    for q in (3, 5, 7, 1009, 10**12 + 39, 2**61 - 1, 9, 25, 27, 49, 81, 121, 243, 3**7, 5**4, 7**3, 3**12,
+              3**13)
+] + [pytest.param(ff.make_spec(3, 2, (2, 1, 1)), id="9-x2+x+2")])
+def test_odd_twist_matches_the_constructor(spec):
+    """quadratic_twist sets the twist's completed square and discriminant
+    from E's (Curve._completed_square) on every odd field model: the curve
+    it gives is the one Curve(...) builds from its coefficients, in ==, hash,
+    the discriminant, completed_model, short_model (prime fields above 3) and
+    _completed_logs (Zech fields).  Twisting twice keeps the trace."""
+    rng = random.Random(spec.q + 39)
+    for i in range(20):
+        e = sample_random_curve(spec, rng)
+        t = cv.quadratic_twist(e)
+        ref = cv.Curve(spec, *t.coefficients())
+        assert t == ref and hash(t) == hash(ref)
+        assert t.discriminant == ref.discriminant != 0
+        assert t.completed_model() == ref.completed_model() == (t.a2, t.a4, t.a6, 0, 0)
+        if spec.k == 1 and spec.p > 3:
+            assert t.short_model() == ref.short_model()
+        if spec._zech is not None:
+            assert t._completed_logs() == ref._completed_logs()
+        if i < 2:
+            tt = cv.quadratic_twist(t)
+            assert (count_points(tt, "auto", random.Random(i)).trace
+                    == count_points(e, "auto", random.Random(i)).trace)
+
+
+@pytest.mark.parametrize("q", [3**7, 81, 10**12 + 39])
+def test_point_order_count_builds_no_curve(q, monkeypatch):
+    """A point-order count builds its twist without Curve.__init__."""
+    spec = ff.spec_for_q(q)
+    e = sample_random_curve(spec, random.Random(q))
+    calls = []
+    init = cv.Curve.__init__
+    monkeypatch.setattr(cv.Curve, "__init__", lambda self, *args: calls.append(args) or init(self, *args))
+    count_points(e, "point_order", random.Random(1))
+    assert calls == []
 
 
 @pytest.mark.parametrize("q", [8, 64, 256])

@@ -9,6 +9,7 @@ once with count_points(curve, "point_order"), and prints, per count, the
 time and the bits of Curve.mul spent in each phase:
 
   count_points  the whole count, every phase below nested in it
+  twist         counting.quadratic_twist, E' built once per count
   priors        counting._two_torsion_prior and _three_torsion_prior
   random_point  counting.random_point, and within it Curve.y_solutions
   bsgs          counting.bsgs_annihilator
@@ -45,6 +46,7 @@ from hassecount.errors import SingularCurve  # noqa: E402
 # (row name, module, attribute), outermost phases first
 PHASES = (
     ("count_points", counting, "count_points"),
+    ("twist", counting, "quadratic_twist"),
     ("priors", counting, "_two_torsion_prior"),
     ("priors", counting, "_three_torsion_prior"),
     ("random_point", counting, "random_point"),
