@@ -113,7 +113,7 @@ class Curve:
         other odd extension fields, 3^7 among them, take the kernels and one
         discriminant formula for every odd p: its constants are encodings c %
         p, so in characteristic 3 (4 = 16 = 1, 18 = 27 = 0) it is c4^2 (c2^2
-        - c4) - c2^3 c6 (3.7 us per call at 3^7).  Characteristic 2 takes it
+        - c4) - c2^3 c6 (4.5 us per call at 3^7).  Characteristic 2 takes it
         from the b-invariants.  A vanishing discriminant raises SingularCurve
         with the coefficient encodings and q; its message is formatted only
         when read."""
