@@ -171,7 +171,7 @@ class Curve:
         self._model = None
 
     @classmethod
-    def _completed_square(cls, spec: FieldSpec, c2: int, c4: int, c6: int, disc: int) -> "Curve":
+    def _completed_square(cls, spec: FieldSpec, c2: int, c4: int, c6: int, disc: int) -> Curve:
         """y^2 = x^3 + c2 x^2 + c4 x + c6 over an odd field, given its
         discriminant disc, nonzero: the slots __init__ fills, with no formula
         evaluated.  Its completed square is itself, (c2, c4, c6, 0, 0)."""
@@ -925,12 +925,12 @@ def quadratic_twist(curve: Curve) -> Curve:
     completed square rescaled by the smallest non-square d.  x = d X, y =
     d^(3/2) Y maps it onto E over F_q(sqrt d), so its discriminant is d^6
     times E's (u^12 with u^2 = d), nonzero; both are set directly
-    (Curve._completed_square), not derived again.  Characteristic 2, ordinary (a1 != 0): normalize to
-    y^2 + xy = x^3 + a2 x^2 + a6 and shift a2 by the smallest trace-1
-    element.  Characteristic 2, supersingular (a1 == 0): add to a6 the
-    smallest delta with Tr(delta / a3^2) = 1.  Then y^2 + a3 y = f(x) + delta
-    has a root in F_q exactly when y^2 + a3 y = f(x) has none, so the count
-    flips at every x; y -> y + s with s^2 + a3 s = delta (s in F_{q^2})
+    (Curve._completed_square), not derived again.  Characteristic 2,
+    ordinary (a1 != 0): normalize to y^2 + xy = x^3 + a2 x^2 + a6 and shift
+    a2 by the smallest trace-1 element.  Characteristic 2, supersingular
+    (a1 == 0): add to a6 the smallest delta with Tr(delta / a3^2) = 1.  Then
+    y^2 + a3 y = f(x) + delta has a root in F_q exactly when y^2 + a3 y =
+    f(x) has none, so the count flips at every x; y -> y + s with s^2 + a3 s = delta (s in F_{q^2})
     maps E onto E'.  Applied twice it gives back E.
     """
     spec = curve.spec
