@@ -21,8 +21,8 @@ CountResults, and exits 1 if not.
 It prints the median us per count of each side over the rounds, and for the
 change and the control against the parent the median of the per-round time
 ratios and the rounds in which that side was faster.  Both sides run in one
-interpreter on the same machine state, so ratios of a few percent resolve in
-one session where separate processes (bench_pairs) do not.
+interpreter, interleaved, so they share the machine's state; read the
+change's ratio against the control's spread from 1.
 """
 
 from __future__ import annotations
