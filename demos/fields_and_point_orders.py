@@ -17,7 +17,7 @@ from hassecount import (
     sqrt,
 )
 from hassecount.errors import SingularCurve
-from hassecount.order import OpCounter, bsgs_annihilator, exact_order
+from hassecount.order import Stats, bsgs_annihilator, exact_order
 
 print("deterministic field models")
 for q in (4, 8, 9, 25, 49, 1024):
@@ -45,10 +45,10 @@ for p in (101, 1009, 10007, 100003, 1000003):
         except SingularCurve:
             continue
     pt = random_point(curve, rng)
-    ops = OpCounter()
-    annihilator = bsgs_annihilator(curve, pt, ops)
+    stats = Stats()
+    annihilator = bsgs_annihilator(curve, pt, stats)
     order = exact_order(curve, pt, annihilator)
     print(
         f"  q={p:>8}: annihilator {annihilator:>8}, |P| = {order:>8}, "
-        f"{ops.adds:>4} group ops  ({ops.adds / p**0.25:.1f} x q^(1/4))"
+        f"{stats.adds:>4} group ops  ({stats.adds / p**0.25:.1f} x q^(1/4))"
     )

@@ -50,6 +50,7 @@ from .errors import ExcludedField, FieldTooLarge, InternalInvariantError, Iterat
 from .finite_field import _poly_gcd
 from .order import (
     Congruence,
+    Stats,
     bsgs_annihilator,
     crt_merge,
     exact_order,
@@ -102,7 +103,7 @@ def count_points(
     curve: Curve,
     method: str = "auto",
     rng: random.Random | None = None,
-    transcript: list | None = None,
+    stats: Stats | None = None,
 ) -> CountResult:
     """#E by the requested method.
 
@@ -115,6 +116,11 @@ def count_points(
     vectors share, so its result is kept in the field's _count_memo under
     (c2, c4, c6) and count_exhaustive runs once per class.  Characteristic 2
     and larger fields count every call.
+
+    A Stats passed as stats records what a point-order count did: each
+    point drawn, with its side and order, and the logical group operations
+    of every BSGS search, to which count_points passes it.  An exhaustive
+    count records nothing.
     """
     spec = curve.spec
     q = spec.q
@@ -140,12 +146,10 @@ def count_points(
         return res
     if q in EXCLUDED_Q:
         raise ExcludedField(f"point-order counting is not reliable over F_{q}")
-    return _count_by_point_orders(curve, rng or random.Random(0), transcript)
+    return _count_by_point_orders(curve, rng or random.Random(0), stats)
 
 
-def _count_by_point_orders(
-    curve: Curve, rng: random.Random, transcript: list | None
-) -> CountResult:
+def _count_by_point_orders(curve: Curve, rng: random.Random, stats: Stats | None) -> CountResult:
     q = curve.spec.q
     twist = quadratic_twist(curve)
     cong = Congruence(0, 1)
@@ -166,10 +170,10 @@ def _count_by_point_orders(
         search = cong if prior.m == 1 else crt_merge(cong, prior)
         if on_twist:
             search = Congruence(-search.a % search.m, search.m)
-        n = exact_order(e, pt, bsgs_annihilator(e, pt, trace=search))
+        n = exact_order(e, pt, bsgs_annihilator(e, pt, stats, search))
         samples += 1
-        if transcript is not None:
-            transcript.append(
+        if stats is not None:
+            stats.samples.append(
                 ("E'" if on_twist else "E", None if pt.is_infinity else (pt.x, pt.y), n)
             )
         residue = (-qp1) % n if on_twist else qp1 % n

@@ -22,7 +22,7 @@ from .errors import HasseCountError
 from .exceptions import exceptional_q_set, verify_table1
 from .finite_field import make_spec, random_element, spec_for_q
 from .integers import is_prime, prime_powers
-from .order import Congruence, OpCounter, bsgs_annihilator, hasse_interval, multiples_in_interval, trace_candidates
+from .order import Congruence, Stats, bsgs_annihilator, hasse_interval, multiples_in_interval, trace_candidates
 from .order import unique_trace_candidate
 
 
@@ -226,14 +226,12 @@ def run_selftest(fast: bool = False) -> list[CheckResult]:
         def bsgs_scaling():
             spec = make_spec(1000003)
             rng = random.Random(5)
-            total = 0
+            stats = Stats()
             rounds = 16
             for _ in range(rounds):
                 e = sweep.sample_random_curve(spec, rng)
-                ops = OpCounter()
-                bsgs_annihilator(e, random_point(e, rng), ops)
-                total += ops.adds
-            mean = total / rounds
+                bsgs_annihilator(e, random_point(e, rng), stats)
+            mean = stats.adds / rounds
             bound = 8 * 1000003 ** 0.25
             return mean <= bound, f"mean ops {mean:.1f} vs budget {bound:.1f} at q=1000003"
 

@@ -14,7 +14,7 @@ from hassecount.errors import SingularCurve
 from hassecount.integers import prime_powers
 from hassecount.order import (
     Congruence,
-    OpCounter,
+    Stats,
     bsgs_annihilator,
     exact_order,
     factorize,
@@ -241,7 +241,7 @@ def test_criterion_9_bsgs_scaling():
     for _ in range(rounds):
         e = sweep.sample_random_curve(spec, rng)
         pt = cv.random_point(e, rng)
-        ops = OpCounter()
+        ops = Stats()
         m = bsgs_annihilator(e, pt, ops)
         total += ops.adds
         assert e.scalar_mul(m, pt).is_infinity

@@ -219,22 +219,59 @@ def test_prime_field_count_builds_no_completed_law(monkeypatch):
 def test_count_determinism_transcript():
     spec = ff.make_spec(1009)
     e = cv.Curve(spec, 0, 0, 0, 1, 1)
-    t1, t2 = [], []
-    r1 = ct.count_points(e, "point_order", random.Random(42), transcript=t1)
-    r2 = ct.count_points(e, "point_order", random.Random(42), transcript=t2)
-    assert r1 == r2 and t1 == t2 and len(t1) == r1.samples_used
-    t3 = []
-    r3 = ct.count_points(e, "point_order", random.Random(43), transcript=t3)
-    assert t3 != t1 and r3.count == r1.count
+    s1, s2, s3 = od.Stats(), od.Stats(), od.Stats()
+    r1 = ct.count_points(e, "point_order", random.Random(42), s1)
+    r2 = ct.count_points(e, "point_order", random.Random(42), s2)
+    assert r1 == r2 and s1 == s2 and len(s1.samples) == r1.samples_used
+    r3 = ct.count_points(e, "point_order", random.Random(43), s3)
+    assert s3.samples != s1.samples and r3.count == r1.count
 
 
 def test_count_alternation_starts_on_curve():
     spec = ff.make_spec(211)
     e = sample_random_curve(spec, random.Random(2))
-    tr = []
-    ct.count_points(e, "point_order", random.Random(0), transcript=tr)
-    sides = [s for s, _, _ in tr]
+    stats = od.Stats()
+    ct.count_points(e, "point_order", random.Random(0), stats)
+    sides = [s for s, _, _ in stats.samples]
     assert sides == ["E", "E'"] * (len(sides) // 2) + (["E"] if len(sides) % 2 else [])
+
+
+@pytest.mark.parametrize("q,n", [(10**12 + 39, 4), (3**7, 12), (2**10, 4), (3**13, 2)])
+def test_stats_record_what_the_count_did(q, n, monkeypatch):
+    """On a prime field with the priors, a Zech field, characteristic 2 and a
+    polynomial field above 2^20 (3^7 and 2^10 each have a count of two
+    samples): a Stats changes neither the count nor the rng's draws, holds
+    one sample per sample used, on E, E', E, ..., each order dividing its
+    side's count, and the logical adds of the count's BSGS calls, measured
+    here call by call."""
+    panel_rng = random.Random(q)
+    curves = [sample_random_curve(ff.spec_for_q(q), panel_rng) for _ in range(n)]
+    records = []
+    for i, e in enumerate(curves):
+        rng, plain_rng, stats = random.Random(i), random.Random(i), od.Stats()
+        res = ct.count_points(e, "point_order", rng, stats)
+        assert res == ct.count_points(e, "point_order", plain_rng)
+        assert rng.getstate() == plain_rng.getstate()
+        k = res.samples_used
+        assert [side for side, _, _ in stats.samples] == ["E", "E'"] * (k // 2) + ["E"] * (k % 2)
+        for side, _, order in stats.samples:
+            assert (res.count if side == "E" else res.twist_count) % order == 0
+        records.append((res, stats.adds))
+    if q in (3**7, 2**10):
+        assert max(res.samples_used for res, _ in records) == 2
+    search, per_call = od.bsgs_annihilator, []
+
+    def measured(e, pt, stats=None, trace=Congruence(0, 1)):
+        own = od.Stats()
+        m = search(e, pt, own, trace)
+        per_call.append(own.adds)
+        return m
+
+    monkeypatch.setattr(ct, "bsgs_annihilator", measured)
+    for i, (e, (res, adds)) in enumerate(zip(curves, records)):
+        per_call.clear()
+        assert ct.count_points(e, "point_order", random.Random(i)) == res
+        assert len(per_call) == res.samples_used and sum(per_call) == adds > 0
 
 
 def test_count_trivial_group_q2():
@@ -525,18 +562,20 @@ def test_three_torsion_prior_on_cm_panel(bits, residue):
             assert res.trace % prior.m == prior.a
 
 
-def record_searches(monkeypatch, adds, restricted=True):
-    """Route counting's BSGS calls through a recorder of their logical adds;
-    with restricted=False the congruence is dropped and every trace searched."""
+def search_every_trace(monkeypatch):
+    """Drop the congruence from counting's BSGS calls, so that each searches
+    every trace; the count's Stats still gets their adds."""
     search = od.bsgs_annihilator
+    monkeypatch.setattr(ct, "bsgs_annihilator", lambda e, pt, stats=None, trace=None: search(e, pt, stats))
 
-    def recording(e, pt, ops=None, trace=Congruence(0, 1)):
-        ops = od.OpCounter()
-        m = search(e, pt, ops, trace if restricted else Congruence(0, 1))
-        adds.append(ops.adds)
-        return m
 
-    monkeypatch.setattr(ct, "bsgs_annihilator", recording)
+def count_panel(curves):
+    """Count curve i with Random(i), every count recording in one Stats: the
+    CountResults and the mean logical adds per BSGS search."""
+    stats = od.Stats()
+    results = [ct.count_points(e, "point_order", random.Random(i), stats) for i, e in enumerate(curves)]
+    assert stats.adds > 0
+    return results, stats.adds / len(stats.samples)
 
 
 @pytest.mark.parametrize(
@@ -546,7 +585,7 @@ def test_restricted_search_keeps_every_count(q, n, monkeypatch):
     rng = random.Random(q + 9)
     curves = [sample_random_curve(spec, rng) for _ in range(n)]
     restricted = [ct.count_points(e, "point_order", random.Random(i)) for i, e in enumerate(curves)]
-    record_searches(monkeypatch, [], restricted=False)
+    search_every_trace(monkeypatch)
     plain = [ct.count_points(e, "point_order", random.Random(i)) for i, e in enumerate(curves)]
     assert restricted == plain
 
@@ -558,12 +597,10 @@ def test_two_torsion_prior_cuts_bsgs_work(monkeypatch):
     spec = ff.make_spec(10**12 + 39)
     rng = random.Random(12)
     curves = [sample_random_curve(spec, rng) for _ in range(20)]
-    with_prior, without = [], []
-    for adds, restricted in ((with_prior, True), (without, False)):
-        record_searches(monkeypatch, adds, restricted)
-        for i, e in enumerate(curves):
-            ct.count_points(e, "point_order", random.Random(i))
-    assert sum(with_prior) / len(with_prior) <= 0.75 * sum(without) / len(without)
+    _, with_prior = count_panel(curves)
+    search_every_trace(monkeypatch)
+    _, without = count_panel(curves)
+    assert with_prior <= 0.75 * without
 
 
 def test_three_torsion_prior_cuts_bsgs_work(monkeypatch):
@@ -575,15 +612,10 @@ def test_three_torsion_prior_cuts_bsgs_work(monkeypatch):
     spec = ff.make_spec(10**12 + 39)
     rng = random.Random(12)
     curves = [sample_random_curve(spec, rng) for _ in range(20)]
-    prior = ct._three_torsion_prior
-    both, two_only = [], []
-    for adds, step in ((both, True), (two_only, False)):
-        monkeypatch.setattr(
-            ct, "_three_torsion_prior", lambda e, step=step: prior(e) if step else Congruence(0, 1))
-        record_searches(monkeypatch, adds)
-        for i, e in enumerate(curves):
-            ct.count_points(e, "point_order", random.Random(i))
-    assert sum(both) / len(both) <= 0.7 * sum(two_only) / len(two_only)
+    _, both = count_panel(curves)
+    monkeypatch.setattr(ct, "_three_torsion_prior", lambda e: Congruence(0, 1))
+    _, two_only = count_panel(curves)
+    assert both <= 0.7 * two_only
 
 
 def test_two_descent_cuts_bsgs_work(monkeypatch):
@@ -595,18 +627,15 @@ def test_two_descent_cuts_bsgs_work(monkeypatch):
     rng = random.Random(12)
     curves = [sample_random_curve(spec, rng) for _ in range(20)]
     prior = ct._two_torsion_prior
-    with_step, without, results = [], [], []
-    for adds, step in ((with_step, True), (without, False)):
-        monkeypatch.setattr(
-            ct, "_two_torsion_prior", lambda e, descent, step=step: prior(e, descent and step))
-        record_searches(monkeypatch, adds)
-        results.append([ct.count_points(e, "point_order", random.Random(i)) for i, e in enumerate(curves)])
-    assert results[0] == results[1]
-    assert sum(with_step) / len(with_step) <= 0.9 * sum(without) / len(without)
+    results, with_step = count_panel(curves)
+    monkeypatch.setattr(ct, "_two_torsion_prior", lambda e, descent: prior(e, False))
+    plain, without = count_panel(curves)
+    assert results == plain
+    assert with_step <= 0.9 * without
 
 
 
-def test_centre_out_bsgs_cuts_work(monkeypatch):
+def test_centre_out_bsgs_cuts_work():
     """Deterministic budget at 10^12+39: the giant walk from the centre of the
     interval outward, with the smaller baby table, cuts the mean logical BSGS
     adds per count_points call to at most 0.92 of those of the walk from one
@@ -615,9 +644,6 @@ def test_centre_out_bsgs_cuts_work(monkeypatch):
     spec = ff.make_spec(10**12 + 39)
     rng = random.Random(12)
     curves = [sample_random_curve(spec, rng) for _ in range(20)]
-    adds = []
-    record_searches(monkeypatch, adds)
-    for i, e in enumerate(curves):
-        ct.count_points(e, "point_order", random.Random(i))
-    assert len(adds) == 20
-    assert sum(adds) / len(adds) <= 0.92 * 15450 / 20
+    results, adds = count_panel(curves)
+    assert sum(r.samples_used for r in results) == 20
+    assert adds <= 0.92 * 15450 / 20

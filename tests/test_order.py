@@ -80,7 +80,7 @@ def test_bsgs_operation_scaling(p):
     for _ in range(rounds):
         e = sample_random_curve(spec, rng)
         pt = cv.random_point(e, rng)
-        ops = od.OpCounter()
+        ops = od.Stats()
         m = od.bsgs_annihilator(e, pt, ops)
         assert e.scalar_mul(m, pt).is_infinity
         total += ops.adds
@@ -233,7 +233,7 @@ def test_bsgs_matches_one_add_at_a_time(q, n, cap, monkeypatch):
     if q % 2 and q < 1 << 20:
         assert any(e.a1 == e.a3 == 0 and e.a2 for e, _ in cases)  # twist-shaped
     for e, pt in cases:
-        ops, ref_ops = od.OpCounter(), od.OpCounter()
+        ops, ref_ops = od.Stats(), od.Stats()
         with monkeypatch.context() as mp:
             mp.setattr(cv.Curve, "add_points", lambda *a: pytest.fail("add_points in the BSGS"))
             m = od.bsgs_annihilator(e, pt, ops)
@@ -264,7 +264,7 @@ def test_restricted_bsgs_matches_one_add_at_a_time(q, n, cap, monkeypatch):
         congruences = [od.Congruence(t % mod, mod) for mod in (2, 3, 4, 12)]
         congruences.append(od.Congruence((q + 1) % order, order))
         for cong in congruences:
-            ops, ref_ops = od.OpCounter(), od.OpCounter()
+            ops, ref_ops = od.Stats(), od.Stats()
             m = od.bsgs_annihilator(e, pt, ops, cong)
             assert m == reference_bsgs(e, pt, ref_ops, cong)
             assert ops.adds == ref_ops.adds
@@ -292,7 +292,7 @@ def test_bsgs_baby_x_collision(q):
             qt = e.scalar_mul(n // d, pt)
             baby_x = [e.scalar_mul(j, qt).x for j in range(1, s)]
             assert len(set(baby_x)) < len(baby_x)  # the collision is reached
-            ops, ref_ops = od.OpCounter(), od.OpCounter()
+            ops, ref_ops = od.Stats(), od.Stats()
             m = od.bsgs_annihilator(e, qt, ops)
             assert m == reference_bsgs(e, qt, ref_ops) and ops.adds == ref_ops.adds
             assert m % d == 0
@@ -362,7 +362,7 @@ def test_bsgs_paired_block_edge_cases(monkeypatch):
     monkeypatch.setattr(cv.Curve, "mul", recording_mul)
     for name, (e, qt, d) in found.items():
         outs.clear()
-        ops, ref_ops = od.OpCounter(), od.OpCounter()
+        ops, ref_ops = od.Stats(), od.Stats()
         m = od.bsgs_annihilator(e, qt, ops)
         baby = outs[:outs.index("mul")] if "mul" in outs else outs
         with monkeypatch.context() as mp:
@@ -408,7 +408,7 @@ def test_bsgs_match_paths(monkeypatch):
         e = sample_random_curve(spec, rng)
         pt = cv.random_point(e, rng)
         recomputed.clear()
-        ops, ref_ops = od.OpCounter(), od.OpCounter()
+        ops, ref_ops = od.Stats(), od.Stats()
         m = od.bsgs_annihilator(e, pt, ops)
         assert m == reference_bsgs(e, pt, ref_ops) and ops.adds == ref_ops.adds
         side, k = matched_term(ops.adds, s, n_up, n_down, muls)
@@ -440,11 +440,11 @@ def test_restricted_bsgs_small_order_outside_every_multiple():
     t = 1010 - count_points(e, "exhaustive").count
     pt = e.point(0, 0)
     cong = od.Congruence(t % 300, 300)
-    ops, plain = od.OpCounter(), od.OpCounter()
+    ops, plain = od.Stats(), od.Stats()
     m = od.bsgs_annihilator(e, pt, ops, cong)
     assert m == od.bsgs_annihilator(e, pt, plain) and m % 2 == 0
     assert ops.adds == od._scalar_mul_adds(300) + plain.adds
-    ref_ops = od.OpCounter()
+    ref_ops = od.Stats()
     assert reference_bsgs(e, pt, ref_ops, cong) == m and ref_ops.adds == ops.adds
 
 
@@ -478,7 +478,7 @@ def test_bsgs_small_order_ends_in_baby_steps():
     small = [d for d in (2, 3, 4, 5, 6) if n % d == 0]
     assert small
     for d in small:
-        ops = od.OpCounter()
+        ops = od.Stats()
         m = od.bsgs_annihilator(e, e.scalar_mul(n // d, pt), ops)
         assert m % d == 0 and m in od.hasse_interval(1009)
         assert ops.adds == d - 1  # baby steps P, ..., d*P = infinity
@@ -535,7 +535,7 @@ def test_bsgs_real_adds_scaling(p, rounds, monkeypatch):
     for _ in range(rounds):
         e = sample_random_curve(spec, rng)
         pt = cv.random_point(e, rng)
-        ops = od.OpCounter()
+        ops = od.Stats()
         od.bsgs_annihilator(e, pt, ops)
         logical += ops.adds
     assert logical <= real <= logical + rounds * 2 * od._BLOCK_CAP
@@ -796,7 +796,7 @@ def test_progression_terms_and_block_sizes(cap, monkeypatch):
         e = sample_random_curve(spec, rng)
         pt = cv.random_point(e, rng)
         calls.clear()
-        ops = od.OpCounter()
+        ops = od.Stats()
         m = od.bsgs_annihilator(e, pt, ops)
         walk = []
         for call in calls:  # a declined paired block runs on the next add block

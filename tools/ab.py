@@ -13,10 +13,11 @@ The panel is count_phases.curve_panel(spec, seed, curves): the coefficient
 vectors of count_prime's and count_ext's panel for q.  Each side builds its
 own field and curves from them, untimed, and counts each curve i with
 count_points(curve, "point_order", Random(seed + i)), as count_phases does.
-Each round times the whole panel on every side, in the order parent, change,
-control on even rounds and the reverse on odd ones, after one untimed
-warm-up round.  Every round checks that the three sides gave the same
-CountResults, and exits 1 if not.
+Each round counts the panel curve by curve, each curve on the three sides
+in turn, the side that goes first rotating from curve to curve and from
+round to round; a side's time for the round is the sum of its counts'
+times.  One untimed warm-up round comes first.  Every round checks that the
+three sides gave the same CountResults, and exits 1 if not.
 
 It prints the median us per count of each side over the rounds, and for the
 change and the control against the parent the median of the per-round time
@@ -57,16 +58,15 @@ def load(src: Path, name: str):
 
 
 def counter(package, q: int, seed: int, panel: list):
-    """A function that counts the panel on the package, returning its
-    CountResults as plain tuples, so that sides compare."""
+    """A function that counts curve i of the panel on the package, returning
+    its CountResult as a plain tuple, so that sides compare."""
     spec = package.finite_field.spec_for_q(q)
     curves = [package.curve.Curve(spec, *e.coefficients()) for e in panel]
     count_points = package.counting.count_points
 
-    def run() -> list:
-        return [(r.count, r.trace, r.method, r.samples_used, r.twist_count)
-                for r in (count_points(e, "point_order", random.Random(seed + i))
-                          for i, e in enumerate(curves))]
+    def run(i: int) -> tuple:
+        r = count_points(curves[i], "point_order", random.Random(seed + i))
+        return r.count, r.trace, r.method, r.samples_used, r.twist_count
 
     return run
 
@@ -77,12 +77,17 @@ def compare(srcs: dict, q: int, seed: int, curves: int, rounds: int) -> list[str
     runs = {side: counter(load(srcs[side], f"hassecount_ab_{side}"), q, seed, panel) for side in SIDES}
     times = {side: [] for side in SIDES}
     for r in range(-1, rounds):
-        results = {}
-        for side in SIDES if r % 2 == 0 else SIDES[::-1]:
-            t0 = perf_counter()
-            results[side] = runs[side]()
-            if r >= 0:
-                times[side].append(perf_counter() - t0)
+        spent = dict.fromkeys(SIDES, 0.0)
+        results = {side: [] for side in SIDES}
+        for i in range(curves):
+            first = (r + i) % len(SIDES)
+            for side in SIDES[first:] + SIDES[:first]:
+                t0 = perf_counter()
+                results[side].append(runs[side](i))
+                spent[side] += perf_counter() - t0
+        if r >= 0:
+            for side in SIDES:
+                times[side].append(spent[side])
         if not results["parent"] == results["change"] == results["control"]:
             raise SystemExit(f"round {r}: the sides gave different counts")
     lines = [f"q = {q}, seed {seed}, {curves} curves, {rounds} rounds"]

@@ -24,8 +24,8 @@ its scalars.  Exponentiations are the calls of pow with a nonnegative
 exponent in finite_field (prime fields) and of its polynomial powering
 (odd extensions above the log-table limit); log-table fields take none.
 The BSGS line gives the mean logical group operations per bsgs_annihilator
-call (OpCounter.adds; the wrapper passes an OpCounter where the caller gave
-none).  The last line is a digest of every CountResult and every exact order,
+call, from the order.Stats each count is given.  The last line is a digest of
+every CountResult and every exact order (the orders of the Stats' samples),
 so two trees can be compared on the same panel.
 """
 
@@ -40,8 +40,7 @@ from time import perf_counter
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from hassecount import counting, curve, finite_field, order  # noqa: E402
-from hassecount.errors import SingularCurve  # noqa: E402
+from hassecount import counting, curve, finite_field, order, sweep  # noqa: E402
 
 # (row name, module, attribute), outermost phases first
 PHASES = (
@@ -61,26 +60,18 @@ PHASES = (
 def curve_panel(spec, seed: int, size: int) -> list:
     """perfbench's count panel: random nonsingular curves from Random(seed)."""
     rng = random.Random(seed)
-    panel = []
-    while len(panel) < size:
-        coeffs = [rng.randrange(spec.q) for _ in range(5)]
-        try:
-            panel.append(curve.Curve(spec, *coeffs))
-        except SingularCurve:
-            continue
-    return panel
+    return [sweep.sample_random_curve(spec, rng) for _ in range(size)]
 
 
 class Meter:
     """Per phase path (the tuple of the phases open, outermost first):
     calls, seconds, Curve.mul bits and exponentiations, each inclusive of
-    the phases nested in it; and the logical BSGS group operations."""
+    the phases nested in it; and the Stats that every count records in."""
 
     def __init__(self):
         self.stack: list[str] = []
         self.rows: dict[tuple[str, ...], list] = {}
-        self.orders: list[int] = []
-        self.bsgs_ops = 0
+        self.stats = order.Stats()
 
     def row(self) -> list:
         return self.rows.setdefault(tuple(self.stack), [0, 0.0, 0, 0])
@@ -96,13 +87,10 @@ class Meter:
             row[0] += 1
             t0 = perf_counter()
             try:
-                out = fn(*args, **kwargs)
+                return fn(*args, **kwargs)
             finally:
                 row[1] += perf_counter() - t0
                 self.stack.pop()
-            if name == "exact_order":
-                self.orders.append(out)
-            return out
 
         return wrapped
 
@@ -118,18 +106,6 @@ def install(meter: Meter) -> list:
 
     for name, owner, attr in PHASES:
         patch(owner, attr, meter.phase(name, getattr(owner, attr)))
-    search = counting.bsgs_annihilator
-
-    def counted_search(e, pt, ops=None, trace=order.Congruence(0, 1)):
-        if ops is None:
-            ops = order.OpCounter()
-        before = ops.adds
-        try:
-            return search(e, pt, ops, trace)
-        finally:
-            meter.bsgs_ops += ops.adds - before
-
-    counting.bsgs_annihilator = counted_search  # restored with the phase wrapper
     mul = curve.Curve.mul
 
     def counting_mul(self, n, x, y):
@@ -170,7 +146,7 @@ def measure(q: int, seed: int, curves: int) -> tuple[Meter, float, list]:
     saved = install(meter)
     try:
         t0 = perf_counter()
-        results = [counting.count_points(e, "point_order", random.Random(seed + i))
+        results = [counting.count_points(e, "point_order", random.Random(seed + i), meter.stats)
                    for i, e in enumerate(panel)]
         total = perf_counter() - t0
     finally:
@@ -190,12 +166,13 @@ def report(meter: Meter, total: float, results: list, q: int, seed: int) -> list
                      f"{seconds / total:7.1%} {bits / n:9.1f} {pows / n:7.2f}")
     searches = sum(row[0] for path, row in meter.rows.items() if path[-1] == "bsgs")
     if searches:
-        lines.append(f"bsgs: {meter.bsgs_ops / searches:.1f} logical group ops per call ({searches} calls)")
+        lines.append(f"bsgs: {meter.stats.adds / searches:.1f} logical group ops per call ({searches} calls)")
     draws = sum(row[0] for path, row in meter.rows.items() if path[-1] == "y_solutions")
     pows = sum(row[3] for path, row in meter.rows.items() if path[-1] == "y_solutions")
     if draws:
         lines.append(f"y_solutions: {pows / draws:.3f} exponentiations per drawn x ({draws} draws)")
-    digest = hashlib.sha256(repr((results, meter.orders)).encode()).hexdigest()[:16]
+    orders = [n for _, _, n in meter.stats.samples]
+    digest = hashlib.sha256(repr((results, orders)).encode()).hexdigest()[:16]
     lines.append(f"digest of results and exact orders: {digest}")
     return lines
 
