@@ -14,10 +14,12 @@ vectors of count_prime's and count_ext's panel for q.  Each side builds its
 own field and curves from them, untimed, and counts each curve i with
 count_points(curve, "point_order", Random(seed + i)), as count_phases does.
 Each round counts the panel curve by curve, each curve on the three sides
-in turn, the side that goes first rotating from curve to curve and from
-round to round; a side's time for the round is the sum of its counts'
-times.  One untimed warm-up round comes first.  Every round checks that the
-three sides gave the same CountResults, and exits 1 if not.
+in turn.  The six orders of the sides take turns from curve to curve, and
+start one further on each round, so that over six curves each side runs
+first, last and right after each other side equally often.  A side's time
+for the round is the sum of its counts' times.  One untimed warm-up round
+comes first.  Every round checks that the three sides gave the same
+CountResults, and exits 1 if not.
 
 It prints the median us per count of each side over the rounds, and for the
 change and the control against the parent the median of the per-round time
@@ -34,6 +36,7 @@ import random
 import statistics
 import sys
 import tempfile
+from itertools import permutations
 from pathlib import Path
 from time import perf_counter
 
@@ -43,6 +46,7 @@ import bench_pairs  # noqa: E402
 import count_phases  # noqa: E402
 
 SIDES = ("parent", "change", "control")
+ORDERS = tuple(permutations(SIDES))
 
 
 def load(src: Path, name: str):
@@ -80,8 +84,7 @@ def compare(srcs: dict, q: int, seed: int, curves: int, rounds: int) -> list[str
         spent = dict.fromkeys(SIDES, 0.0)
         results = {side: [] for side in SIDES}
         for i in range(curves):
-            first = (r + i) % len(SIDES)
-            for side in SIDES[first:] + SIDES[:first]:
+            for side in ORDERS[(r + i) % len(ORDERS)]:
                 t0 = perf_counter()
                 results[side].append(runs[side](i))
                 spent[side] += perf_counter() - t0
