@@ -113,77 +113,42 @@ def _tsv_cell(v) -> str:
     return str(v)
 
 
-def _cmd_count(args) -> int:
-    spec = _field_from_args(args)
-    curve = _curve_from_args(spec, args)
+def _curve_command(fields):
+    """A command on one curve: parse the field and the curve, then emit q,
+    the curve and the command's own fields(curve, args)."""
+
+    def run(args) -> int:
+        curve = _curve_from_args(_field_from_args(args), args)
+        _emit({"q": curve.spec.q, "curve": list(curve.coefficients()), **fields(curve, args)}, args.format)
+        return 0
+
+    return run
+
+
+def _count_fields(curve: Curve, args) -> dict:
     res = count_points(curve, args.method, random.Random(args.seed))
-    _emit(
-        {
-            "q": spec.q,
-            "curve": list(curve.coefficients()),
-            "count": res.count,
-            "trace": res.trace,
-            "twist_count": res.twist_count,
-            "method": res.method,
-            "samples_used": res.samples_used,
-        },
-        args.format,
-    )
-    return 0
+    return {"count": res.count, "trace": res.trace, "twist_count": res.twist_count,
+            "method": res.method, "samples_used": res.samples_used}
 
 
-def _cmd_order(args) -> int:
-    spec = _field_from_args(args)
-    curve = _curve_from_args(spec, args)
+def _order_fields(curve: Curve, args) -> dict:
     pt = _point_from_args(curve, args)
     ann = bsgs_annihilator(curve, pt)
-    n = exact_order(curve, pt, ann)
-    _emit(
-        {
-            "q": spec.q,
-            "curve": list(curve.coefficients()),
-            "point": args.point,
-            "order": n,
-            "annihilator": ann,
-        },
-        args.format,
-    )
-    return 0
+    return {"point": args.point, "order": exact_order(curve, pt, ann), "annihilator": ann}
 
 
-def _cmd_twist(args) -> int:
-    spec = _field_from_args(args)
-    curve = _curve_from_args(spec, args)
-    tw = quadratic_twist(curve)
-    record = {
-        "q": spec.q,
-        "curve": list(curve.coefficients()),
-        "twist_curve": list(tw.coefficients()),
-    }
-    if spec.q <= 1 << 16:
+def _twist_fields(curve: Curve, args) -> dict:
+    record = {"twist_curve": list(quadratic_twist(curve).coefficients())}
+    q = curve.spec.q
+    if q <= 1 << 16:
         n = count_exhaustive(curve)
-        record["count"] = n
-        record["twist_count"] = 2 * (spec.q + 1) - n
-    _emit(record, args.format)
-    return 0
+        record.update(count=n, twist_count=2 * (q + 1) - n)
+    return record
 
 
-def _cmd_group(args) -> int:
-    spec = _field_from_args(args)
-    curve = _curve_from_args(spec, args)
+def _group_fields(curve: Curve, args) -> dict:
     st = group_structure(curve)
-    _emit(
-        {
-            "q": spec.q,
-            "curve": list(curve.coefficients()),
-            "count": st.n1 * st.n2,
-            "lambda": st.n2,
-            "n1": st.n1,
-            "n2": st.n2,
-        },
-        args.format,
-    )
-    return 0
+    return {"count": st.n1 * st.n2, "lambda": st.n2, "n1": st.n1, "n2": st.n2}
 
 
 def _cmd_exceptions(args) -> int:
@@ -217,35 +182,19 @@ def _cmd_exceptions(args) -> int:
 
 def _cmd_table1(args) -> int:
     reports = verify_table1()
+    rows = [
+        {"q": r.q, "M": r.M, "N": r.N, "t": r.t, "quadruples_ok": r.quadruples_ok, "curve_ok": r.curve_ok,
+         "count": r.count, "lambda": r.lam, "twist_lambda": r.twist_lam, "symmetric": r.symmetric,
+         "alpha_enc": r.alpha_enc, "alpha_fallback": r.alpha_fallback, "pass": r.ok}
+        for r in reports
+    ]
     if args.format == "json":
-        _print_json(
-            [
-                {
-                    "q": r.q,
-                    "M": r.M,
-                    "N": r.N,
-                    "t": r.t,
-                    "quadruples_ok": r.quadruples_ok,
-                    "curve_ok": r.curve_ok,
-                    "count": r.count,
-                    "lambda": r.lam,
-                    "twist_lambda": r.twist_lam,
-                    "symmetric": r.symmetric,
-                    "alpha_enc": r.alpha_enc,
-                    "alpha_fallback": r.alpha_fallback,
-                    "pass": r.ok,
-                }
-                for r in reports
-            ]
-        )
+        _print_json(rows)
     else:
-        for r in reports:
-            note = f" alpha={r.alpha_enc}" if r.alpha_fallback else ""
-            print(
-                f"q={r.q}\tM={r.M}\tN={r.N}\tt={r.t}\tcount={r.count}\t"
-                f"lambda={r.lam}\ttwist_lambda={r.twist_lam}{note}\t"
-                + ("PASS" if r.ok else "FAIL")
-            )
+        for row in rows:
+            cells = [f"{k}={row[k]}" for k in ("q", "M", "N", "t", "count", "lambda", "twist_lambda")]
+            note = f" alpha={row['alpha_enc']}" if row["alpha_fallback"] else ""
+            print("\t".join(cells) + note + "\t" + ("PASS" if row["pass"] else "FAIL"))
     failed = [r.q for r in reports if not r.ok]
     if failed:
         raise InternalInvariantError(f"table1 rows failed for q in {failed}")
@@ -275,34 +224,23 @@ def _build_parser() -> argparse.ArgumentParser:
     # --jobs read HASSECOUNT_JOBS (and exit 2 on a malformed value)
     jobs_default = os.environ.get("HASSECOUNT_JOBS", "1")
 
-    def add_field_curve(p, point=False, method=False):
+    for name, fields, text in (
+        ("count", _count_fields, "compute #E"),
+        ("order", _order_fields, "exact order of a point"),
+        ("twist", _twist_fields, "quadratic twist (with both counts when q <= 2^16)"),
+        ("group", _group_fields, "group structure (n1, n2)"),
+    ):
+        p = sub.add_parser(name, help=text)
         p.add_argument("--q", type=int, required=True, help="field size, a prime power")
         p.add_argument("--poly", type=int, help="modulus polynomial as canonical integer encoding")
         p.add_argument("--curve", required=True, help="a1,a2,a3,a4,a6 coefficient encodings")
         p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
         p.add_argument("--format", choices=("json", "tsv"), default="json")
-        if point:
+        if name == "order":
             p.add_argument("--point", required=True, help="x,y encodings or inf")
-        if method:
-            p.add_argument(
-                "--method", choices=("auto", "exhaustive", "point_order"), default="auto"
-            )
-
-    p = sub.add_parser("count", help="compute #E")
-    add_field_curve(p, method=True)
-    p.set_defaults(fn=_cmd_count)
-
-    p = sub.add_parser("order", help="exact order of a point")
-    add_field_curve(p, point=True)
-    p.set_defaults(fn=_cmd_order)
-
-    p = sub.add_parser("twist", help="quadratic twist (with both counts when q <= 2^16)")
-    add_field_curve(p)
-    p.set_defaults(fn=_cmd_twist)
-
-    p = sub.add_parser("group", help="group structure (n1, n2)")
-    add_field_curve(p)
-    p.set_defaults(fn=_cmd_group)
+        if name == "count":
+            p.add_argument("--method", choices=("auto", "exhaustive", "point_order"), default="auto")
+        p.set_defaults(fn=_curve_command(fields))
 
     p = sub.add_parser("exceptions", help="enumerate exception quadruples for q <= qmax")
     p.add_argument("--qmax", type=int, required=True)

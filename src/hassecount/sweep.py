@@ -460,11 +460,6 @@ def all_class_counts(spec: FieldSpec) -> np.ndarray:
     return np.concatenate([ord_counts, ss_counts])
 
 
-def realized_trace_set(spec: FieldSpec) -> set[int]:
-    """Traces realized by at least one nonsingular curve over F_q."""
-    return {spec.q + 1 - c for c in all_class_counts(spec).tolist()}
-
-
 def sample_random_curve(spec: FieldSpec, rng: random.Random) -> Curve:
     """A uniformly random nonsingular curve (rejection on singular vectors)."""
     while True:

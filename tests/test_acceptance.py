@@ -115,8 +115,10 @@ def test_criterion_6_supersingular_structure():
         tw = cv.quadratic_twist(lifted)
         assert cv.count_exhaustive(tw) == (r - 1) ** 2
         assert ct.group_structure(tw) == ct.GroupStructure(r - 1, r - 1)
-        # pair-sum disambiguation: multiples of r-1 and r+1 in H_q summing to 2(q+1)
+        # at least 5 multiples of r-1 and at least 3 of r+1 in H_q
         h = hasse_interval(q)
+        assert len(multiples_in_interval(r - 1, h)) >= 5 and len(multiples_in_interval(r + 1, h)) >= 3
+        # pair-sum disambiguation: multiples of r-1 and r+1 in H_q summing to 2(q+1)
         pairs = [
             (u, 2 * (q + 1) - u)
             for u in multiples_in_interval(r - 1, h)
@@ -127,10 +129,19 @@ def test_criterion_6_supersingular_structure():
             assert pairs == [((r - 1) ** 2, (r + 1) ** 2)]
         if r == 7:
             assert len(pairs) == 2 and (36, 64) in pairs and (60, 40) in pairs
+
+    # characteristic 2: y^2 + y = x^3 over F_{r^2}; each exponent has 4 or 5 multiples in H_q
+    for r, n in ((8, 9), (16, 15), (32, 33)):
+        e = cv.Curve(ff.spec_for_q(r * r), 0, 0, 1, 0, 0)
+        assert ct.group_structure(e) == ct.GroupStructure(n, n)
+        assert ct.group_structure(cv.quadratic_twist(e)) == ct.GroupStructure(2 * r - n, 2 * r - n)
+        h = hasse_interval(r * r)
+        assert len(multiples_in_interval(r - 1, h)) >= 5 and len(multiples_in_interval(r + 1, h)) >= 3
+        assert all(len(multiples_in_interval(m, h)) in (4, 5) for m in (n, 2 * r - n))
     print(
         "\nACCEPTANCE 6 supersingular-structure: PASS "
         f"(pair counts per r: { {r: len(v) for r, v in pair_counts.items()} }; "
-        "unique pair for r in {11, 13}, ambiguous at r=7)"
+        "unique pair for r in {11, 13}, ambiguous at r=7; char-2 squares 64, 256, 1024)"
     )
 
 

@@ -1,7 +1,7 @@
 """tools/count_phases.py on three curves at 10^6+3: every phase shows up,
 y_solutions takes one exponentiation per drawn x, the BSGS line gives a
 positive mean of logical group operations, and the wrappers are removed
-afterwards; and its digests on two pinned panels."""
+afterwards, also when a count raises; and its digests on two pinned panels."""
 
 import importlib.util
 from pathlib import Path
@@ -16,10 +16,21 @@ count_phases = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(count_phases)
 
 
+def wrapped_attributes():
+    """Every attribute the tool wraps, with its value now."""
+    pairs = [(owner, attr) for _, owner, attr in count_phases.PHASES]
+    return [(owner, attr, getattr(owner, attr))
+            for owner, attr in pairs + [(curve.Curve, "mul"), (finite_field, "_poly_powmod")]]
+
+
+def assert_restored(before):
+    for owner, attr, value in before:
+        assert getattr(owner, attr) is value
+    assert "pow" not in vars(finite_field)
+
+
 def test_count_phases_smoke(capsys):
-    before = [(owner, attr, getattr(owner, attr)) for _, owner, attr in count_phases.PHASES]
-    before.append((curve.Curve, "mul", curve.Curve.mul))
-    before.append((finite_field, "_poly_powmod", finite_field._poly_powmod))
+    before = wrapped_attributes()
     assert count_phases.main(["--q", "1000003", "--seed", "1", "--curves", "3"]) == 0
     out = capsys.readouterr().out
     lines = out.splitlines()
@@ -34,10 +45,23 @@ def test_count_phases_smoke(capsys):
     (ops_line,) = [line for line in lines if line.startswith("bsgs: ")]
     assert float(ops_line.split()[1]) > 0 and ops_line.endswith(" calls)"), ops_line
     assert lines[-1].startswith("digest of results and exact orders: ")
-    for owner, attr, value in before:
-        assert getattr(owner, attr) is value
-    assert "pow" not in vars(finite_field)
+    assert_restored(before)
     assert counting.exact_order is order.exact_order
+
+
+def test_count_phases_restores_when_a_count_raises(monkeypatch):
+    """A count that raises in its final check, with phases open, leaves every
+    wrapped attribute as it was and the builtin pow unshadowed."""
+
+    def broken_check(*args, **kwargs):
+        raise RuntimeError("final check failed")
+
+    monkeypatch.setattr(counting, "_verify_count", broken_check)
+    before = wrapped_attributes()
+    with pytest.raises(RuntimeError, match="final check failed"):
+        count_phases.measure(1000003, 1, 2)
+    assert_restored(before)
+    assert counting._verify_count is broken_check
 
 
 @pytest.mark.parametrize("args,digest", [

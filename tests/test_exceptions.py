@@ -1,3 +1,4 @@
+import random
 from math import isqrt, lcm
 
 import pytest
@@ -5,10 +6,11 @@ import pytest
 from hassecount import exceptions as ex
 from hassecount import finite_field as ff
 from hassecount import sweep
-from hassecount.counting import EXCLUDED_Q
+from hassecount.counting import EXCLUDED_Q, GroupStructure, group_structure
+from hassecount.curve import Curve, count_exhaustive, quadratic_twist
 from hassecount.errors import NotPrimePower
 from hassecount.integers import divisors, prime_powers
-from hassecount.order import Congruence, trace_candidates
+from hassecount.order import Congruence, hasse_interval, multiples_in_interval, trace_candidates
 
 TRACE_AMBIGUOUS_Q = {3, 4, 5, 7, 9, 11, 16, 17, 23, 25, 29, 49}
 COROLLARY_SET = {5, 7, 9, 11, 17, 23, 29}
@@ -210,9 +212,41 @@ def test_parity_filter_survivor_report():
 
 @pytest.mark.parametrize("q", sorted(TRACE_AMBIGUOUS_Q))
 def test_exception_traces_realized_by_curves(q):
-    realized = sweep.realized_trace_set(ff.spec_for_q(q))
+    realized = {q + 1 - c for c in sweep.all_class_counts(ff.spec_for_q(q)).tolist()}
     for r in ex.enumerate_exceptions(q):
         assert r.t in realized
+
+
+# --- Theorem 1 on real curves --------------------------------------------------------
+# For prime q > 229, lambda(E) or lambda(E') has a single multiple in H_q, so
+# point orders on E and E' fix #E; this fails at q = 229 and at every square q
+# (squares: test_acceptance.py, criterion 6).
+
+def exponent_multiples(e):
+    """The multiples in H_q of lambda(E) and of lambda(E'), E' the quadratic twist."""
+    h = hasse_interval(e.spec.q)
+    return tuple(multiples_in_interval(group_structure(c).n2, h) for c in (e, quadratic_twist(e)))
+
+
+def test_theorem1_fails_at_229():
+    e = Curve(ff.spec_for_q(229), 0, 0, 0, 0, 2)  # y^2 = x^3 + 2
+    assert group_structure(e) == GroupStructure(4, 52)
+    assert group_structure(quadratic_twist(e)) == GroupStructure(6, 42)
+    # H_229 = [200, 260]: neither exponent alone fixes #E ...
+    assert exponent_multiples(e) == ([208, 260], [210, 252])
+    # ... but the pair does: t = 22 is the one admissible trace with 52 | q+1-t and 42 | q+1+t
+    tb = hasse_interval(229).trace_bound
+    assert [t for t in range(-tb, tb + 1) if (230 - t) % 52 == 0 and (230 + t) % 42 == 0] == [22]
+    assert count_exhaustive(e) == 208
+    assert ex.enumerate_exceptions(229) == []
+
+
+@pytest.mark.parametrize("q", [233, 241, 1009])
+def test_theorem1_holds_above_229(q):
+    spec, rng = ff.spec_for_q(q), random.Random(q)
+    for _ in range(20):
+        e = sweep.sample_random_curve(spec, rng)
+        assert 1 in [len(m) for m in exponent_multiples(e)], e
 
 
 # --- Table 1 ------------------------------------------------------------------------

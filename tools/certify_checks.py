@@ -34,10 +34,10 @@ failed or the pass ran other checks than these, in any of the passes.
 from __future__ import annotations
 
 import argparse
-import functools
 import resource
 import subprocess
 import sys
+from contextlib import ExitStack
 from pathlib import Path
 from statistics import median
 from time import perf_counter
@@ -73,7 +73,6 @@ def timed_pass(plan: list) -> tuple[workloads.CertifyPass, list[tuple[float, flo
             logs.append(self)
 
     def timed(real):
-        @functools.wraps(real)
         def call(*args, **kwargs):
             t0 = perf_counter()
             try:
@@ -83,16 +82,12 @@ def timed_pass(plan: list) -> tuple[workloads.CertifyPass, list[tuple[float, flo
 
         return call
 
-    saved = [(owner, fn, getattr(owner, fn)) for owner, fn in ENTRY_POINTS]
-    for owner, fn, real in saved:
-        setattr(owner, fn, timed(real))
-    saved.append((refspeed, "SpeedLog", refspeed.SpeedLog))
-    refspeed.SpeedLog = KeptSpeedLog
-    try:
+    with ExitStack() as stack:
+        patches = [(owner, fn, timed(getattr(owner, fn))) for owner, fn in ENTRY_POINTS]
+        for owner, attr, value in patches + [(refspeed, "SpeedLog", KeptSpeedLog)]:
+            stack.callback(setattr, owner, attr, getattr(owner, attr))
+            setattr(owner, attr, value)
         done = workloads.certify_pass(plan)
-    finally:
-        for owner, fn, real in saved:
-            setattr(owner, fn, real)
     (speed,) = logs
     return done, [(speed.measured(t0, t1), speed.at_ref(t0, t1)) for t0, t1 in intervals]
 

@@ -35,6 +35,7 @@ import argparse
 import hashlib
 import random
 import sys
+from contextlib import ExitStack
 from pathlib import Path
 from time import perf_counter
 
@@ -95,46 +96,29 @@ class Meter:
         return wrapped
 
 
-def install(meter: Meter) -> list:
-    """Wrap the phases, Curve.mul and the exponentiations; return what
-    restore() puts back."""
-    saved = []
+def install(meter: Meter, stack: ExitStack) -> None:
+    """Wrap the phases, Curve.mul and the exponentiations until `stack` closes."""
 
     def patch(owner, attr, value):
-        saved.append((owner, attr, owner.__dict__.get(attr)))
+        stack.callback(setattr, owner, attr, getattr(owner, attr))
         setattr(owner, attr, value)
+
+    def charging(fn, column: int, amount):
+        """fn, charging amount(*args) to the meter's column at each call."""
+
+        def wrapped(*args):
+            meter.charge(column, amount(*args))
+            return fn(*args)
+
+        return wrapped
 
     for name, owner, attr in PHASES:
         patch(owner, attr, meter.phase(name, getattr(owner, attr)))
-    mul = curve.Curve.mul
-
-    def counting_mul(self, n, x, y):
-        meter.charge(2, abs(n).bit_length())
-        return mul(self, n, x, y)
-
-    def counting_pow(base, exp, mod=None):
-        if exp >= 0:
-            meter.charge(3, 1)
-        return pow(base, exp, mod)
-
-    powmod = finite_field._poly_powmod
-
-    def counting_powmod(*args):
-        meter.charge(3, 1)
-        return powmod(*args)
-
-    patch(curve.Curve, "mul", counting_mul)
-    patch(finite_field, "pow", counting_pow)  # shadows the builtin in the module
-    patch(finite_field, "_poly_powmod", counting_powmod)
-    return saved
-
-
-def restore(saved: list) -> None:
-    for owner, attr, value in reversed(saved):
-        if value is None:
-            delattr(owner, attr)
-        else:
-            setattr(owner, attr, value)
+    patch(curve.Curve, "mul", charging(curve.Curve.mul, 2, lambda self, n, x, y: abs(n).bit_length()))
+    patch(finite_field, "_poly_powmod", charging(finite_field._poly_powmod, 3, lambda *args: 1))
+    stack.callback(delattr, finite_field, "pow")
+    # shadows the builtin in the module; a negative exponent is an inversion
+    finite_field.pow = charging(pow, 3, lambda base, exp, mod=None: int(exp >= 0))
 
 
 def measure(q: int, seed: int, curves: int) -> tuple[Meter, float, list]:
@@ -143,14 +127,12 @@ def measure(q: int, seed: int, curves: int) -> tuple[Meter, float, list]:
     spec = finite_field.spec_for_q(q)
     panel = curve_panel(spec, seed, curves)
     meter = Meter()
-    saved = install(meter)
-    try:
+    with ExitStack() as stack:
+        install(meter, stack)
         t0 = perf_counter()
         results = [counting.count_points(e, "point_order", random.Random(seed + i), meter.stats)
                    for i, e in enumerate(panel)]
         total = perf_counter() - t0
-    finally:
-        restore(saved)
     return meter, total, results
 
 
