@@ -151,7 +151,7 @@ def count_points(
 
 def _count_by_point_orders(curve: Curve, rng: random.Random, stats: Stats | None) -> CountResult:
     q = curve.spec.q
-    twist = quadratic_twist(curve)
+    twist = None  # E', built when the loop first samples on it
     cong = Congruence(0, 1)
     prior = cong
     if curve.spec.k == 1 and q > _PRIOR_MIN_Q:
@@ -163,7 +163,12 @@ def _count_by_point_orders(curve: Curve, rng: random.Random, stats: Stats | None
     samples = 0
     while samples < _SAMPLE_CAP:
         on_twist = samples % 2 == 1
-        e = twist if on_twist else curve
+        if on_twist:
+            if twist is None:
+                twist = quadratic_twist(curve)
+            e = twist
+        else:
+            e = curve
         pt = random_point(e, rng)
         # BSGS searches only the traces both congruences admit (the twist's
         # trace is -t); the prior never enters the uniqueness test below
@@ -176,8 +181,8 @@ def _count_by_point_orders(curve: Curve, rng: random.Random, stats: Stats | None
             stats.samples.append(
                 ("E'" if on_twist else "E", None if pt.is_infinity else (pt.x, pt.y), n)
             )
-        residue = (-qp1) % n if on_twist else qp1 % n
-        cong = crt_merge(cong, Congruence(residue, n))
+        this = Congruence((-qp1) % n if on_twist else qp1 % n, n)  # the trace, from this point
+        cong = this if cong.m == 1 else crt_merge(cong, this)
         t = unique_trace_candidate(cong, q)
         if t is not None:
             count = qp1 - t

@@ -254,11 +254,15 @@ class Curve:
             return self._short
 
     def to_completed(self, pt: Point) -> tuple[int | None, int | None]:
-        """(x, y') of P on the completed square, (None, None) for infinity."""
-        if pt.x is None:
+        """(x, y') of P on the completed square, (None, None) for infinity;
+        over F_p on the integers, one % p."""
+        x = pt.x
+        if x is None:
             return None, None
-        s, (_, _, _, h1, h3) = self.spec, self.completed_model()
-        return pt.x, s.add_enc(pt.y, s.add_enc(s.mul_enc(h1, pt.x), h3))
+        s, (_, _, _, h1, h3) = self.spec, self._completed
+        if s.k == 1:
+            return x, (pt.y + h1 * x + h3) % s.p
+        return x, s.add_enc(pt.y, s.add_enc(s.mul_enc(h1, x), h3))
 
     def from_completed(self, x: int | None, y: int | None) -> Point:
         """The point (x, y') of the completed square on the long form."""
@@ -380,7 +384,8 @@ class Curve:
         h3.  On odd fields with Zech tables f(x) and t are evaluated in logs
         and the roots are the halved log (_zech_y_solutions, no kernel call);
         elsewhere one root_enc call, one exponentiation, both tells whether a
-        y exists and gives it."""
+        y exists and gives it, over F_p with f(x) and t evaluated over the
+        integers, one % p each, as the constructor does."""
         s = self.spec
         if s.char2:
             d = self._rhs_enc(x)
@@ -393,9 +398,20 @@ class Curve:
                 return []
             return sorted((s.mul_enc(c, z), s.mul_enc(c, z ^ 1)))
         # odd characteristic: y = y' - t, y'^2 = w on the completed square
+        c2, c4, c6, h1, h3 = self._completed
+        if s.k == 1:
+            p = s.p
+            t = (h1 * x + h3) % p
+            w = (((x + c2) * x + c4) * x + c6) % p
+            if w == 0:
+                return [-t % p]
+            r = s.root_enc(w)
+            if r is None:
+                return []
+            y1, y2 = (r - t) % p, (-r - t) % p
+            return [y1, y2] if y1 < y2 else [y2, y1]
         if s._zech is not None:
             return self._zech_y_solutions(x)
-        c2, c4, c6, h1, h3 = self.completed_model()
         t = s.add_enc(s.mul_enc(h1, x), h3)
         w = s.add_enc(s.mul_enc(s.add_enc(s.mul_enc(s.add_enc(x, c2), x), c4), x), c6)
         if w == 0:
@@ -780,6 +796,26 @@ def completed_pair_block(c2: int, p: int, xc, yc, xs: list, ys: list, xn, yn):
         lam = (y + yc) * di  # minus the slope to C - S_i: the same square
         x3s[h - 1 - i] = (lam * lam - u) % p
     return x3s, xnext, (ln * (xc - xnext) - yc) % p
+
+
+def completed_add(c2: int, c4: int, p: int, x1, y1, x2, y2) -> tuple:
+    """(x1, y1) + (x2, y2) on a completed square y^2 = x^3 + c2 x^2 + c4 x +
+    c6 over F_p, on the integers, x = y = None for infinity: the sum
+    completed_add_block gives for one addend, by the chord or tangent slope
+    with one inversion; equal x with y2 = -y1 (P + (-P), doubling y = 0)
+    gives infinity."""
+    if x1 is None:
+        return x2, y2
+    if x2 is None:
+        return x1, y1
+    if x1 != x2:
+        lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
+    elif y1 == y2 and y1:
+        lam = ((3 * x1 + 2 * c2) * x1 + c4) * pow(2 * y1, -1, p) % p
+    else:
+        return None, None
+    x3 = (lam * lam - c2 - x1 - x2) % p
+    return x3, (lam * (x1 - x3) - y1) % p
 
 
 def completed_sum_y(c2: int, c4: int, p: int, x1, y1, x2, y2, x3: int) -> int:

@@ -27,13 +27,12 @@ precisely where the interesting supersingular curves live.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache, partial
 from heapq import heapify, heappop, heappush
 from math import gcd, isqrt
 
-from .curve import Curve, Point, completed_add_block, completed_pair_block, completed_sum_y
+from .curve import Curve, Point, completed_add, completed_add_block, completed_pair_block, completed_sum_y
 from .errors import IncompatibleCongruence, InternalInvariantError
 from .integers import factorize
 
@@ -242,10 +241,7 @@ def bsgs_annihilator(
         add_block = partial(completed_add_block, c2, c4, p)
         pair_block = partial(_pair_block, c2, c4, p)
         sum_y = partial(completed_sum_y, c2, c4, p)
-
-        def add(x1, y1, x2, y2):  # one add: the giant walk without blocks
-            (x,), (y,) = add_block(x1, y1, [x2], [y2], 1)
-            return x, y
+        add = partial(completed_add, c2, c4, p)  # one add: the giant walk without blocks
 
         def neg(x, y):
             return y if x is None else -y % p
@@ -271,6 +267,11 @@ def bsgs_annihilator(
             return mx, my
         while len(mx) < count:
             b = min(len(mx), cap, count - len(mx))
+            if b == 1:  # a block of one term is one add
+                xk, yk = add(mx[-1], my[-1], x, y)
+                mx.append(xk)
+                my.append(yk)
+                continue
             bx, by = add_block(mx[-1], my[-1], mx[:b], my[:b], b)
             mx += bx
             my += by
@@ -475,7 +476,15 @@ def exact_order(curve: Curve, pt: Point, annihilator: int) -> int:
 
     # m = 1 is one leaf that multiplies nothing; products of distinct
     # subtrees differ, so no comparison reaches a node's children
-    tree = [(ell**e, ell, e) for ell, e in Counter(factorize(annihilator)).items()] or [(1, 1, 0)]
+    tree = []  # the leaves (l^e, l, e), from the ascending prime factors
+    for ell in factorize(annihilator):
+        if tree and tree[-1][1] == ell:
+            power, _, e = tree[-1]
+            tree[-1] = (power * ell, ell, e + 1)
+        else:
+            tree.append((ell, ell, 1))
+    if not tree:
+        tree.append((1, 1, 0))
     heapify(tree)
     while len(tree) > 1:
         a = heappop(tree)

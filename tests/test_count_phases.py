@@ -1,6 +1,7 @@
 """tools/count_phases.py on three curves at 10^6+3: every phase shows up,
-y_solutions takes one exponentiation per drawn x, the BSGS line gives a
-positive mean of logical group operations, and the wrappers are removed
+the twist with no calls, y_solutions takes one exponentiation per drawn x,
+the BSGS line gives a positive mean of logical group operations, the
+samples line the shares of samples per count, and the wrappers are removed
 afterwards, also when a count raises; and its digests on two pinned panels."""
 
 import importlib.util
@@ -35,15 +36,18 @@ def test_count_phases_smoke(capsys):
     out = capsys.readouterr().out
     lines = out.splitlines()
     assert lines[0].startswith("q = 1000003, seed 1, 3 curves:")
-    labels = [line.split()[0] for line in lines[2:] if not line.startswith(("bsgs:", "y_solutions:", "digest"))]
+    labels = [line.split()[0] for line in lines[2:]
+              if not line.startswith(("bsgs:", "y_solutions:", "samples per count:", "digest"))]
     for name in ("count_points", "twist", "priors", "random_point", "y_solutions", "bsgs", "exact_order",
                  "factorize", "final"):
         assert name in labels, out
     rows = {line[:22].strip(): line[22:].split() for line in lines[2:]}
     assert float(rows["exact_order"][3]) > 0  # Curve.mul bits per count
+    assert float(rows["twist"][0]) == 0  # each count settles on its first sample, on E
     assert "y_solutions: 1.000 exponentiations per drawn x" in out
     (ops_line,) = [line for line in lines if line.startswith("bsgs: ")]
     assert float(ops_line.split()[1]) > 0 and ops_line.endswith(" calls)"), ops_line
+    assert lines[-2] == "samples per count: 1 100.0%, 2 0.0%, 3 0.0%, >=4 0.0%; settled on E 100.0%"
     assert lines[-1].startswith("digest of results and exact orders: ")
     assert_restored(before)
     assert counting.exact_order is order.exact_order

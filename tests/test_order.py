@@ -738,7 +738,8 @@ def test_progression_terms_and_block_sizes(cap, monkeypatch):
     paired block around up_(r(2g+1)), then the one around down_(r(2g+1)) on
     the negated addends, so its terms come in walk order, each handing on
     the centre N further out.  The last round holds the match.  With cap =
-    1 no block is paired: one add per term, up and down in turn."""
+    1 no block is paired: one add per term, up and down in turn, each by
+    completed_add on the integers, recorded as a block of one term."""
     q = 65537
     spec = ff.make_spec(q)
     monkeypatch.setattr(od, "_BLOCK_CAP", cap)
@@ -746,11 +747,17 @@ def test_progression_terms_and_block_sizes(cap, monkeypatch):
     w = 2 * h + 1
     calls = []
     add_block, pair_block, mul = od.completed_add_block, od.completed_pair_block, cv.Curve.mul
+    add_one = od.completed_add
 
     def recording_add(c2, c4, p, x1, y1, xs, ys, ny):
         out = add_block(c2, c4, p, x1, y1, xs, ys, ny)
         calls.append(("add", ny, len(xs), out))
         return out
+
+    def recording_add_one(c2, c4, p, x1, y1, x2, y2):
+        x3, y3 = add_one(c2, c4, p, x1, y1, x2, y2)
+        calls.append(("add", 1, 1, ([x3], [y3])))
+        return x3, y3
 
     def recording_pair(c2, p, xc, yc, xs, ys, xn, yn):
         out = pair_block(c2, p, xc, yc, xs, ys, xn, yn)
@@ -762,6 +769,7 @@ def test_progression_terms_and_block_sizes(cap, monkeypatch):
         return mul(curve, n, x, y)
 
     monkeypatch.setattr(od, "completed_add_block", recording_add)
+    monkeypatch.setattr(od, "completed_add", recording_add_one)
     monkeypatch.setattr(od, "completed_pair_block", recording_pair)
     monkeypatch.setattr(cv.Curve, "mul", recording_mul)
     tb = od.hasse_interval(q).trace_bound

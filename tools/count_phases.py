@@ -9,7 +9,8 @@ once with count_points(curve, "point_order"), and prints, per count, the
 time and the bits of Curve.mul spent in each phase:
 
   count_points  the whole count, every phase below nested in it
-  twist         counting.quadratic_twist, E' built once per count
+  twist         counting.quadratic_twist, E' built when a count first
+                samples on it
   priors        counting._two_torsion_prior and _three_torsion_prior
   random_point  counting.random_point, and within it Curve.y_solutions
   bsgs          counting.bsgs_annihilator
@@ -19,12 +20,16 @@ time and the bits of Curve.mul spent in each phase:
 The phases are measured by wrapping those module attributes for the run, as
 a count calls them, and restoring them after it.  A phase's row includes the
 phases nested in it, so a row's time includes its wrappers' overhead of
-about a microsecond per nested call.  Curve.mul bits are the bit lengths of
+about a microsecond per nested call.  A phase that never ran is printed with
+0.00 calls, nested in count_points.  Curve.mul bits are the bit lengths of
 its scalars.  Exponentiations are the calls of pow with a nonnegative
 exponent in finite_field (prime fields) and of its polynomial powering
 (odd extensions above the log-table limit); log-table fields take none.
 The BSGS line gives the mean logical group operations per bsgs_annihilator
-call, from the order.Stats each count is given.  The last line is a digest of
+call, from the order.Stats each count is given.  The samples line gives, from
+the CountResults' samples_used, the shares of counts that took 1, 2, 3 and
+4 or more samples, and the share settled on a sample of E (an odd
+samples_used; the samples alternate E, E', E, ...).  The last line is a digest of
 every CountResult and every exact order (the orders of the Stats' samples),
 so two trees can be compared on the same panel.
 """
@@ -141,8 +146,14 @@ def report(meter: Meter, total: float, results: list, q: int, seed: int) -> list
     lines = [f"q = {q}, seed {seed}, {n} curves: {1e6 * total / n:.1f} us per count",
              f"{'phase':<22} {'calls':>8} {'us':>9} {'share':>7} {'mul bits':>9} {'pows':>7}"]
     order_rows = {name: i for i, (name, _, _) in enumerate(PHASES)}
-    for path in sorted(meter.rows, key=lambda p: [order_rows[name] for name in p]):
-        calls, seconds, bits, pows = meter.rows[path]
+    rows = dict(meter.rows)
+    ran = {path[-1] for path in rows}
+    outer = PHASES[0][0]
+    for name in order_rows:
+        if name not in ran:
+            rows[(name,) if name == outer else (outer, name)] = [0, 0.0, 0, 0]
+    for path in sorted(rows, key=lambda p: [order_rows[name] for name in p]):
+        calls, seconds, bits, pows = rows[path]
         label = "  " * (len(path) - 1) + path[-1]
         lines.append(f"{label:<22} {calls / n:8.2f} {1e6 * seconds / n:9.1f} "
                      f"{seconds / total:7.1%} {bits / n:9.1f} {pows / n:7.2f}")
@@ -153,6 +164,11 @@ def report(meter: Meter, total: float, results: list, q: int, seed: int) -> list
     pows = sum(row[3] for path, row in meter.rows.items() if path[-1] == "y_solutions")
     if draws:
         lines.append(f"y_solutions: {pows / draws:.3f} exponentiations per drawn x ({draws} draws)")
+    used = [res.samples_used for res in results]
+    shares = [sum(u == k for u in used) for k in (1, 2, 3)] + [sum(u >= 4 for u in used)]
+    lines.append("samples per count: " + ", ".join(
+        f"{label} {k / n:.1%}" for label, k in zip(("1", "2", "3", ">=4"), shares))
+        + f"; settled on E {sum(u % 2 for u in used) / n:.1%}")
     orders = [n for _, _, n in meter.stats.samples]
     digest = hashlib.sha256(repr((results, orders)).encode()).hexdigest()[:16]
     lines.append(f"digest of results and exact orders: {digest}")
