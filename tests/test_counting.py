@@ -236,6 +236,57 @@ def test_count_alternation_starts_on_curve():
     assert sides == ["E", "E'"] * (len(sides) // 2) + (["E"] if len(sides) % 2 else [])
 
 
+@pytest.mark.parametrize("q", [233, 3**7, 2**10])
+def test_twist_built_only_when_sampled(q, monkeypatch):
+    """A count settled by its first sample, on E, builds no twist; a count
+    that needs a second sample builds exactly one, for that sample on E'."""
+    built = []
+    real = ct.quadratic_twist
+
+    def spy(curve):
+        built.append(curve)
+        return real(curve)
+
+    monkeypatch.setattr(ct, "quadratic_twist", spy)
+    rng = random.Random(q)
+    seen = set()
+    for i in range(40):
+        e = sample_random_curve(ff.spec_for_q(q), rng)
+        built.clear()
+        res = ct.count_points(e, "point_order", random.Random(i))
+        assert built == ([] if res.samples_used == 1 else [e]), res
+        seen.add(min(res.samples_used, 2))
+    assert seen == {1, 2}
+
+
+def test_hasse_invariant_congruence_past_1024():
+    """t = N(A) (mod p) for y^2 = f(x) over F_q, q = p^k, with A the
+    coefficient of x^(p-1) in f^((p-1)/2) and N(A) = A^((q-1)/(p-1)) its
+    norm to F_p (Silverman, AEC V.4.1): for f = x^3 + c2 x^2 + c4 x + c6,
+    the completed square, A = c2 at p = 3, c2^2 + 2 c4 at p = 5 and c2^3 +
+    6 c2 c4 + 3 c6 at p = 7.  An oracle for count_points past q = 1024 on
+    the field kernels alone: seeded random curves over F_{3^13}, F_{5^9}
+    and F_{7^7}."""
+    for p, k, n in ((3, 13, 6), (5, 9, 4), (7, 7, 20)):
+        q = p**k
+        spec = ff.spec_for_q(q)
+        add, mul = spec.add_enc, spec.mul_enc
+        rng = random.Random(q)
+        for i in range(n):
+            e = sample_random_curve(spec, rng)
+            c2, c4, c6 = e.completed_model()[:3]
+            if p == 3:
+                a = c2
+            elif p == 5:
+                a = add(mul(c2, c2), mul(2, c4))
+            else:
+                a = add(add(mul(mul(c2, c2), c2), mul(6, mul(c2, c4))), mul(3, c6))
+            norm = spec.pow_enc(a, (q - 1) // (p - 1))
+            assert norm < p  # in the prime field
+            res = ct.count_points(e, "point_order", random.Random(i))
+            assert res.trace % p == norm, (q, e, res)
+
+
 @pytest.mark.parametrize("q,n", [(10**12 + 39, 4), (3**7, 12), (2**10, 4), (3**13, 2)])
 def test_stats_record_what_the_count_did(q, n, monkeypatch):
     """On a prime field with the priors, a Zech field, characteristic 2 and a

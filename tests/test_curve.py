@@ -825,10 +825,11 @@ def brute_y_solutions(e, x):
     return [y for y in range(s.q) if s.mul_enc(y, s.add_enc(y, c)) == rhs]
 
 
-@pytest.mark.parametrize("q", [1019, 1013, 243, 125])
+@pytest.mark.parametrize("q", [3, 5, 1019, 1013, 243, 125])
 def test_y_solutions_brute_force_every_x(q):
-    """Over F_p for p = 3 and 1 (mod 4), and over log-table fields, every x
-    of long-form curves (a1, a3 != 0: the completed square is shifted)."""
+    """Over F_p for p = 3 and 1 (mod 4), F_3 and F_5 among them, and over
+    log-table fields, every x of long-form curves (a1, a3 != 0: the
+    completed square is shifted)."""
     spec = ff.spec_for_q(q)
     rng = random.Random(q)
     for _ in range(2):
