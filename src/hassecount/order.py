@@ -241,7 +241,7 @@ def bsgs_annihilator(
         add_block = partial(completed_add_block, c2, c4, p)
         pair_block = partial(_pair_block, c2, c4, p)
         sum_y = partial(completed_sum_y, c2, c4, p)
-        add = partial(completed_add, c2, c4, p)  # one add: the giant walk without blocks
+        add = partial(completed_add, c2, c4, p)  # one add: a step without a block
 
         def neg(x, y):
             return y if x is None else -y % p
@@ -255,19 +255,12 @@ def bsgs_annihilator(
 
     def multiples(x, y, count: int) -> tuple:
         """x and y of S, 2*S, ..., count*S for S = (x, y), in blocks of
-        multiples added to the last, at most doubling them, or one add per
-        term where there are no blocks."""
+        multiples added to the last, at most doubling them, a block of one
+        term by one add (every term where there are no blocks, cap = 1)."""
         mx, my = [x], [y]
-        if not h:
-            xk, yk = x, y
-            for _ in range(count - 1):
-                xk, yk = add(xk, yk, x, y)
-                mx.append(xk)
-                my.append(yk)
-            return mx, my
         while len(mx) < count:
             b = min(len(mx), cap, count - len(mx))
-            if b == 1:  # a block of one term is one add
+            if b == 1:
                 xk, yk = add(mx[-1], my[-1], x, y)
                 mx.append(xk)
                 my.append(yk)
