@@ -163,12 +163,7 @@ def _count_by_point_orders(curve: Curve, rng: random.Random, stats: Stats | None
     samples = 0
     while samples < _SAMPLE_CAP:
         on_twist = samples % 2 == 1
-        if on_twist:
-            if twist is None:
-                twist = quadratic_twist(curve)
-            e = twist
-        else:
-            e = curve
+        e = (twist := twist or quadratic_twist(curve)) if on_twist else curve
         pt = random_point(e, rng)
         # BSGS searches only the traces both congruences admit (the twist's
         # trace is -t); the prior never enters the uniqueness test below
@@ -181,8 +176,8 @@ def _count_by_point_orders(curve: Curve, rng: random.Random, stats: Stats | None
             stats.samples.append(
                 ("E'" if on_twist else "E", None if pt.is_infinity else (pt.x, pt.y), n)
             )
-        this = Congruence((-qp1) % n if on_twist else qp1 % n, n)  # the trace, from this point
-        cong = this if cong.m == 1 else crt_merge(cong, this)
+        residue = (-qp1) % n if on_twist else qp1 % n
+        cong = crt_merge(cong, Congruence(residue, n))
         t = unique_trace_candidate(cong, q)
         if t is not None:
             count = qp1 - t

@@ -254,15 +254,11 @@ class Curve:
             return self._short
 
     def to_completed(self, pt: Point) -> tuple[int | None, int | None]:
-        """(x, y') of P on the completed square, (None, None) for infinity;
-        over F_p on the integers, one % p."""
-        x = pt.x
-        if x is None:
+        """(x, y') of P on the completed square, (None, None) for infinity."""
+        if pt.x is None:
             return None, None
-        s, (_, _, _, h1, h3) = self.spec, self._completed
-        if s.k == 1:
-            return x, (pt.y + h1 * x + h3) % s.p
-        return x, s.add_enc(pt.y, s.add_enc(s.mul_enc(h1, x), h3))
+        s, (_, _, _, h1, h3) = self.spec, self.completed_model()
+        return pt.x, s.add_enc(pt.y, s.add_enc(s.mul_enc(h1, pt.x), h3))
 
     def from_completed(self, x: int | None, y: int | None) -> Point:
         """The point (x, y') of the completed square on the long form."""

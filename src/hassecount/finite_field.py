@@ -262,59 +262,6 @@ def _sqrt_by_powers(q: int, mul, pow_, neg, nonsquare):
     return root
 
 
-def _prime_root(p: int, nonsquare):
-    """root_enc over F_p: _sqrt_by_powers with its products written out mod
-    p, so a root makes no kernel call."""
-    m, e = p - 1, 0
-    while not m & 1:
-        m >>= 1
-        e += 1
-    if e == 1:
-        k = (p + 1) // 4
-
-        def root3(a: int) -> int | None:
-            if a == 0:
-                return 0
-            s = pow(a, k, p)
-            if s * s % p != a:
-                return None
-            return min(s, p - s)
-
-        return root3
-    g0 = None  # z^m
-
-    def root(a: int) -> int | None:
-        nonlocal g0
-        if a == 0:
-            return 0
-        c = pow(a, (m - 1) // 2, p)
-        s = c * a % p
-        b = c * s % p
-        t = b
-        for _ in range(e - 1):
-            t = t * t % p
-        if t != 1:
-            return None
-        g, r = g0, e  # Tonelli-Shanks
-        while b != 1:
-            if g is None:
-                g = g0 = pow(nonsquare(), m, p)
-            t, m2 = b, 0
-            while t != 1:
-                t = t * t % p
-                m2 += 1
-            w = g
-            for _ in range(r - m2 - 1):
-                w = w * w % p
-            g = w * w % p
-            s = s * w % p
-            b = b * g % p
-            r = m2
-        return min(s, -s % p)
-
-    return root
-
-
 def _sqrt_or_raise(root, q: int, a: int) -> int:
     """sqrt_enc: root_enc(a), raising NotASquare where it is None."""
     s = root(a)
@@ -353,7 +300,7 @@ def _prime_kernels(p: int, nonsquare):
     def is_square(a):  # Euler's criterion; every element of F_2
         return a == 0 or pow(a, half, p) == 1
 
-    return add, sub, neg, mul, inv, pow_, is_square, _prime_root(p, nonsquare)
+    return add, sub, neg, mul, inv, pow_, is_square, _sqrt_by_powers(p, mul, pow_, neg, nonsquare)
 
 
 def _log_kernels(exp, log, zech, q: int):
