@@ -177,7 +177,8 @@ def _count_by_point_orders(curve: Curve, rng: random.Random, stats: Stats | None
                 ("E'" if on_twist else "E", None if pt.is_infinity else (pt.x, pt.y), n)
             )
         residue = (-qp1) % n if on_twist else qp1 % n
-        cong = crt_merge(cong, Congruence(residue, n))
+        # the first congruence merges with t = 0 (mod 1) into itself
+        cong = Congruence(residue, n) if cong.m == 1 else crt_merge(cong, Congruence(residue, n))
         t = unique_trace_candidate(cong, q)
         if t is not None:
             count = qp1 - t

@@ -14,7 +14,10 @@ encoding c % p.  In odd characteristic the constructor derives the completed
 square once (Curve.completed_model) and takes the discriminant from it: over
 the integers on prime fields, by ten reads of per-field tables on the odd
 extension fields up to q = 49 (F_9, F_25, F_27, F_49; _curve_tables, 0.9 us
-per call at q = 9) and on the kernels elsewhere.  quadratic_twist does not
+per call at q = 9) and on the kernels elsewhere; over prime fields
+y_solutions and to_completed, too, evaluate over the integers, one % p each,
+and y_solutions' root is one root_enc call, a table read up to p =
+finite_field._ROOT_TABLE_MAX_P.  quadratic_twist does not
 call the constructor in odd characteristic: it scales E's completed square
 and discriminant (Curve._completed_square).  long_add, the affine addition
 law of the long form, adds bare encodings; Curve.add_points wraps it in
@@ -254,11 +257,16 @@ class Curve:
             return self._short
 
     def to_completed(self, pt: Point) -> tuple[int | None, int | None]:
-        """(x, y') of P on the completed square, (None, None) for infinity."""
-        if pt.x is None:
+        """(x, y') of P on the completed square, (None, None) for infinity;
+        over F_p y' = y + h1 x + h3 over the integers, one % p, as the
+        constructor does."""
+        x = pt.x
+        if x is None:
             return None, None
-        s, (_, _, _, h1, h3) = self.spec, self.completed_model()
-        return pt.x, s.add_enc(pt.y, s.add_enc(s.mul_enc(h1, pt.x), h3))
+        s, (_, _, _, h1, h3) = self.spec, self._completed
+        if s.k == 1:
+            return x, (pt.y + h1 * x + h3) % s.p
+        return x, s.add_enc(pt.y, s.add_enc(s.mul_enc(h1, x), h3))
 
     def from_completed(self, x: int | None, y: int | None) -> Point:
         """The point (x, y') of the completed square on the long form."""
@@ -343,14 +351,19 @@ class Curve:
         with p > 3 run in Jacobian coordinates (_jacobian_mul), one field
         inversion per call; every other field (F_2, F_3, odd extensions,
         characteristic 2) steps the add of the model.  Both give the same
-        point; both negate by the model's neg."""
+        point; both negate by the model's neg.  The Jacobian chain reads the
+        short model from its slot once short_model has filled it."""
         if n == 0 or x is None:
             return None, None
         if n < 0:
             n, y = -n, self.affine_model()[2](x, y)
         s = self.spec
         if s.k == 1 and s.p > 3:
-            return _jacobian_mul(n, x, y, *self.short_model()[:2], s.p)
+            try:
+                sx, a, _ = self._short
+            except AttributeError:
+                sx, a, _ = self.short_model()
+            return _jacobian_mul(n, x, y, sx, a, s.p)
         add = self.affine_model()[1]
         xb, yb = x, y
         for bit in bin(n)[3:]:
@@ -379,9 +392,10 @@ class Curve:
         characteristic y = +-sqrt(f(x)) - t on the completed square, t = h1 x +
         h3.  On odd fields with Zech tables f(x) and t are evaluated in logs
         and the roots are the halved log (_zech_y_solutions, no kernel call);
-        elsewhere one root_enc call, one exponentiation, both tells whether a
-        y exists and gives it, over F_p with f(x) and t evaluated over the
-        integers, one % p each, as the constructor does."""
+        elsewhere one root_enc call, one exponentiation (a table read on
+        prime fields up to finite_field._ROOT_TABLE_MAX_P), both tells
+        whether a y exists and gives it, over F_p with f(x) and t evaluated
+        over the integers, one % p each, as the constructor does."""
         s = self.spec
         if s.char2:
             d = self._rhs_enc(x)

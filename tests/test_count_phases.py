@@ -2,7 +2,7 @@
 the twist with no calls, y_solutions takes one exponentiation per drawn x,
 the BSGS line gives a positive mean of logical group operations, the
 samples line the shares of samples per count, and the wrappers are removed
-afterwards, also when a count raises; and its digests on two pinned panels."""
+afterwards, also when a count raises; and its digests on four pinned panels."""
 
 import importlib.util
 from pathlib import Path
@@ -72,11 +72,14 @@ def test_count_phases_restores_when_a_count_raises(monkeypatch):
     pytest.param(["--q", "2187", "--seed", "27001"], "dd1fc5a9501bae80", id="3^7"),
     pytest.param(["--q", "1000000000039", "--seed", "27001", "--curves", "16"], "0a6e5df649046054",
                  id="10^12+39"),
+    pytest.param(["--q", "113", "--seed", "27001", "--curves", "200"], "009776faa8855c21", id="113"),
+    pytest.param(["--q", "241", "--seed", "27001", "--curves", "200"], "dc89eb44260aa419", id="241"),
 ])
 def test_count_phases_digests_are_pinned(capsys, args, digest):
     """The digest of every CountResult and exact order on count_ext's field
-    (240 curves) and on a small panel of count_prime's: a change to the
-    counting path that moves a count, a sample or an order moves it."""
+    (240 curves), on a small panel of count_prime's, and on two primes
+    1 (mod 16) among certify's random checks: a change to the counting path
+    that moves a count, a sample or an order moves it."""
     assert count_phases.main(args) == 0
     last = capsys.readouterr().out.splitlines()[-1]
     assert last == f"digest of results and exact orders: {digest}"

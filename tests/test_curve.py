@@ -873,8 +873,10 @@ def test_y_solutions_odd_polynomial_model_matches_old_route(q):
 def test_y_solutions_one_exponentiation_per_x(monkeypatch, p):
     """Counted by shadowing pow in finite_field, where the prime kernels
     call it: one exponentiation per x with x^3 + ... != 0, for p = 3 and 1
-    (mod 4).  For p = 1 (mod 4) the first root that needs the non-square's
-    power, which the kernel keeps, is taken before counting."""
+    (mod 4), on fields above the root table's bound.  For p = 1 (mod 4) the
+    first root that needs the non-square's power, which the kernel keeps, is
+    taken before counting."""
+    assert p > ff._ROOT_TABLE_MAX_P
     spec = ff.make_spec(p)
     rng = random.Random(p)
     e = sample_random_curve(spec, rng)
@@ -896,6 +898,26 @@ def test_y_solutions_one_exponentiation_per_x(monkeypatch, p):
         roots += bool(e.y_solutions(x))
         assert len(calls) == 1, (x, calls)
     assert 0 < roots < len(xs)
+
+
+@pytest.mark.parametrize("p", [53, 113, 241, 251, 769])
+def test_y_solutions_no_exponentiation_on_root_table_fields(monkeypatch, p):
+    """Up to the root table's bound y_solutions reads its root from the
+    table: no pow call per x, the first, which builds the table, included;
+    p = 1 (mod 16) (113, 241, 769), 5 (mod 16) and 3 (mod 4)."""
+    assert p <= ff._ROOT_TABLE_MAX_P
+    spec = ff.FieldSpec(p, 1, (0, 1))
+    e = sample_random_curve(spec, random.Random(p))
+    calls = []
+
+    def counting_pow(*args):
+        calls.append(args)
+        return pow(*args)
+
+    monkeypatch.setattr(ff, "pow", counting_pow, raising=False)
+    found = sum(bool(e.y_solutions(x)) for x in range(p))
+    assert calls == []
+    assert 0 < found < p
 
 
 # --- log arithmetic on the odd Zech-table fields -----------------------------------

@@ -6,7 +6,7 @@ from hassecount import finite_field as ff
 from hassecount.errors import (
     FieldTooLarge, NotASquare, NotPrime, NotPrimePower, ReduciblePolynomial, SpecMismatch,
 )
-from hassecount.integers import prime_powers, split_prime_power
+from hassecount.integers import is_prime, prime_powers, split_prime_power
 from hassecount.sweep import _VecField
 
 
@@ -570,6 +570,58 @@ def test_root_enc_is_sqrt_or_none(p, k):
             with pytest.raises(NotASquare):
                 spec.sqrt_enc(a)
     assert kinds == ({"square"} if spec.char2 else {"square", "non-square"})
+
+
+TABLE_PRIMES = [p for p in range(2, ff._ROOT_TABLE_MAX_P + 1) if is_prime(p)]
+
+
+def root_tables(root) -> list:
+    """The lists held by a root_enc kernel's closure: the table, once built."""
+    return [cell.cell_contents for cell in root.__closure__ or () if type(cell.cell_contents) is list]
+
+
+def test_root_table_is_the_exponentiation_route_on_every_element():
+    """Every prime field up to the bound, p = 2 and 3 and the primes 1 (mod
+    16) among them, answers root_enc from its table exactly as one
+    exponentiation (Tonelli-Shanks) answers: the smaller root of each
+    square, None at each non-square; and the table is built on the first
+    root, not with the field."""
+    assert TABLE_PRIMES[:3] == [2, 3, 5] and TABLE_PRIMES[-1] == ff._ROOT_TABLE_MAX_P
+    assert {17, 97, 113, 193, 241, 257, 769} <= {p for p in TABLE_PRIMES if p % 16 == 1}
+    for p in TABLE_PRIMES:
+        spec = ff.FieldSpec(p, 1, (0, 1))
+        assert root_tables(spec.root_enc) == []
+        powers = ff._sqrt_by_powers(p, spec.mul_enc, spec.pow_enc, spec.neg_enc, spec.smallest_nonsquare)
+        roots = [spec.root_enc(a) for a in range(p)]
+        assert roots == [powers(a) for a in range(p)], p
+        squares = {s * s % p for s in range(p)}
+        for a, r in enumerate(roots):
+            if a in squares:
+                assert r * r % p == a and r <= p - r, (p, a, r)
+            else:
+                assert r is None, (p, a)
+        assert [len(t) for t in root_tables(spec.root_enc)] == [p]
+
+
+def test_prime_fields_above_the_bound_build_no_root_table(monkeypatch):
+    """Above _ROOT_TABLE_MAX_P root_enc is one exponentiation per call and
+    its kernel holds no table."""
+    p = next(p for p in range(ff._ROOT_TABLE_MAX_P + 1, 2 * ff._ROOT_TABLE_MAX_P)
+             if is_prime(p))
+    spec = ff.FieldSpec(p, 1, (0, 1))
+    spec.root_enc(spec.smallest_nonsquare() ** 2 % p)  # Tonelli-Shanks keeps z^m where p = 1 (mod 4)
+    calls = []
+
+    def counting_pow(*args):
+        calls.append(args)
+        return pow(*args)
+
+    monkeypatch.setattr(ff, "pow", counting_pow, raising=False)
+    for a in range(1, p):
+        calls.clear()
+        spec.root_enc(a)
+        assert len(calls) == 1
+    assert root_tables(spec.root_enc) == []
 
 
 # One (p, k) per field model: prime, odd log/Zech, char-2 log, odd and char-2

@@ -2,6 +2,8 @@
 
     python3 tools/ab.py --parent REV --change REV --q 2187 --seed 27001 \\
         --curves 200 --rounds 21
+    python3 tools/ab.py --parent REV --change REV --q 53,113,241,251 \\
+        --curves 100 --rounds 15
 
 Run from the repository root.  Both commits are exported with `git archive`
 (bench_pairs.export) into --workdir (a fresh temporary directory by default),
@@ -9,21 +11,25 @@ and the src/hassecount of each is imported into this one process under its
 own package name; the package uses relative imports only.  The control is
 the parent's export imported a second time, under a third name.
 
-The panel is count_phases.curve_panel(spec, seed, curves): the coefficient
-vectors of count_prime's and count_ext's panel for q.  Each side builds its
-own field and curves from them, untimed, and counts each curve i with
-count_points(curve, "point_order", Random(seed + i)), as count_phases does.
-Each round counts the panel curve by curve, each curve on the three sides
-in turn.  The six orders of the sides take turns from curve to curve, and
-start one further on each round, so that over six curves each side runs
-first, last and right after each other side equally often.  A side's time
-for the round is the sum of its counts' times.  One untimed warm-up round
-comes first.  Every round checks that the three sides gave the same
-CountResults, and exits 1 if not.
+--q takes one field size or a comma-separated list of them, one panel per
+field.  A field's panel is count_phases.curve_panel(spec, seed, curves): the
+coefficient vectors of count_prime's and count_ext's panel for q.  Each side
+builds its own fields and curves from them, untimed, and counts each curve i
+with count_points(curve, "point_order", Random(seed + i)), as count_phases
+does.  Each round counts the panels field by field and curve by curve, each
+curve on the three sides in turn.  The six orders of the sides take turns
+from curve to curve, across the fields, and start one further on each round,
+so that over six curves each side runs first, last and right after each
+other side equally often.  A side's time for the round in a field is the
+sum of its counts' times there.  One untimed warm-up round comes first.
+Every round checks that the three sides gave the same CountResults, and
+exits 1 if not.
 
-It prints the median us per count of each side over the rounds, and for the
-change and the control against the parent the median of the per-round time
-ratios and the rounds in which that side was faster.  Both sides run in one
+For each field it prints the median us per count of each side over the
+rounds, and for the change and the control against the parent the median of
+the per-round time ratios and the rounds in which that side was faster.
+With more than one field, two pooled lines follow: the same ratios on each
+side's round time summed over the fields.  Both sides run in one
 interpreter, interleaved, so they share the machine's state; read the
 change's ratio against the control's spread from 1.
 """
@@ -75,27 +81,9 @@ def counter(package, q: int, seed: int, panel: list):
     return run
 
 
-def compare(srcs: dict, q: int, seed: int, curves: int, rounds: int) -> list[str]:
-    """srcs maps each of SIDES to a src directory; the report's lines."""
-    panel = count_phases.curve_panel(count_phases.finite_field.spec_for_q(q), seed, curves)
-    runs = {side: counter(load(srcs[side], f"hassecount_ab_{side}"), q, seed, panel) for side in SIDES}
-    times = {side: [] for side in SIDES}
-    for r in range(-1, rounds):
-        spent = dict.fromkeys(SIDES, 0.0)
-        results = {side: [] for side in SIDES}
-        for i in range(curves):
-            for side in ORDERS[(r + i) % len(ORDERS)]:
-                t0 = perf_counter()
-                results[side].append(runs[side](i))
-                spent[side] += perf_counter() - t0
-        if r >= 0:
-            for side in SIDES:
-                times[side].append(spent[side])
-        if not results["parent"] == results["change"] == results["control"]:
-            raise SystemExit(f"round {r}: the sides gave different counts")
-    lines = [f"q = {q}, seed {seed}, {curves} curves, {rounds} rounds"]
-    for side in SIDES:
-        lines.append(f"{side:<8} {1e6 * statistics.median(times[side]) / curves:10.1f} us per count")
+def ratio_lines(times: dict, rounds: int) -> list[str]:
+    """The change's and the control's per-round time ratios to the parent's."""
+    lines = []
     for side, label in (("change", "change/parent"), ("control", "control/parent (A/A)")):
         ratios = [t / p for t, p in zip(times[side], times["parent"])]
         wins = sum(t < p for t, p in zip(times[side], times["parent"]))
@@ -104,11 +92,55 @@ def compare(srcs: dict, q: int, seed: int, curves: int, rounds: int) -> list[str
     return lines
 
 
+def compare(srcs: dict, qs: list[int], seed: int, curves: int, rounds: int) -> list[str]:
+    """srcs maps each of SIDES to a src directory; the report's lines."""
+    packages = {side: load(srcs[side], f"hassecount_ab_{side}") for side in SIDES}
+    runs = []  # per field, each side's counter
+    for q in qs:
+        panel = count_phases.curve_panel(count_phases.finite_field.spec_for_q(q), seed, curves)
+        runs.append({side: counter(packages[side], q, seed, panel) for side in SIDES})
+    times = [{side: [] for side in SIDES} for _ in qs]
+    for r in range(-1, rounds):
+        results = {side: [] for side in SIDES}
+        for f, field_runs in enumerate(runs):
+            spent = dict.fromkeys(SIDES, 0.0)
+            for i in range(curves):
+                for side in ORDERS[(r + f * curves + i) % len(ORDERS)]:
+                    t0 = perf_counter()
+                    results[side].append(field_runs[side](i))
+                    spent[side] += perf_counter() - t0
+            if r >= 0:
+                for side in SIDES:
+                    times[f][side].append(spent[side])
+        if not results["parent"] == results["change"] == results["control"]:
+            raise SystemExit(f"round {r}: the sides gave different counts")
+    lines = []
+    for q, field_times in zip(qs, times):
+        lines.append(f"q = {q}, seed {seed}, {curves} curves, {rounds} rounds")
+        for side in SIDES:
+            lines.append(f"{side:<8} {1e6 * statistics.median(field_times[side]) / curves:10.1f} us per count")
+        lines += ratio_lines(field_times, rounds)
+    if len(qs) > 1:
+        pooled = {side: [sum(t[side][r] for t in times) for r in range(rounds)] for side in SIDES}
+        lines.append(f"pooled over q = {', '.join(map(str, qs))}")
+        lines += ratio_lines(pooled, rounds)
+    return lines
+
+
+def field_sizes(text: str) -> list[int]:
+    """'2187' or '53,113,241' as a list of field sizes, each once."""
+    qs = [int(q) for q in text.split(",")]
+    if len(set(qs)) < len(qs):
+        raise argparse.ArgumentTypeError(f"{text!r}: give each field once")
+    return qs
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, help="the parent commit")
     ap.add_argument("--change", required=True, help="the commit with the change")
-    ap.add_argument("--q", type=int, default=3**7, help="the field size (default 3^7)")
+    ap.add_argument("--q", type=field_sizes, default=[3**7],
+                    help="the field size, or a comma-separated list of them (default 3^7)")
     ap.add_argument("--seed", type=int, default=27001, help="the panel's seed")
     ap.add_argument("--curves", type=int, default=200, help="the panel size")
     ap.add_argument("--rounds", type=int, default=21, help="timed rounds")

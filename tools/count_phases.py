@@ -24,7 +24,10 @@ about a microsecond per nested call.  A phase that never ran is printed with
 0.00 calls, nested in count_points.  Curve.mul bits are the bit lengths of
 its scalars.  Exponentiations are the calls of pow with a nonnegative
 exponent in finite_field (prime fields) and of its polynomial powering
-(odd extensions above the log-table limit); log-table fields take none.
+(odd extensions above the log-table limit).  Log-table fields take none,
+and neither do the roots of prime fields up to
+finite_field._ROOT_TABLE_MAX_P, which are table reads: there the pows
+column and the y_solutions line read 0, but for the twist's non-square.
 The BSGS line gives the mean logical group operations per bsgs_annihilator
 call, from the order.Stats each count is given.  The samples line gives, from
 the CountResults' samples_used, the shares of counts that took 1, 2, 3 and
